@@ -1,6 +1,6 @@
 """Exact rational polar duality, gauge evaluators, and corner-relaxation cuts."""
 
-from .rationals import QScalar, Vec, dot, make_rational, parse_rational, format_rational
+from .rationals import QScalar, Vec, dot, make_rational, parse_rational
 from .lp import LinearProgram, LPOutcome, solve, verify_certificate
 from .polyhedra import (
     HPolyhedron,
@@ -13,7 +13,6 @@ from .polyhedra import (
     exposed_witness,
 )
 from .sublinear import (
-    SupportFunction,
     SandwichReport,
     gauge,
     minimal_sublinear,

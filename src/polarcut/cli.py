@@ -23,8 +23,8 @@ from .cuts import (
     is_s_free,
     maximality_certificate,
 )
-from .polyhedra import exposed_witness, in_recession, polar, random_polyhedron
-from .rationals import dot, json_scalar
+from .polyhedra import exposed_witness, in_recession, membership, polar, random_polyhedron
+from .rationals import json_scalar
 from .sublinear import (
     gauge,
     minimal_sublinear,
@@ -40,7 +40,10 @@ VERIFY_CANDIDATES = 3  # unit-ball representations tried per instance
 
 def _load_document(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply to read") from None
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -86,8 +89,8 @@ def _verify_one(h, index: int, seed: int, samples: int, tally: dict) -> None:
     pts = sample_points(h, seed + 7919 * index, samples)
 
     for c in range(VERIFY_CANDIDATES):
-        sf = random_unit_ball_rep(h, seed + 104729 * index + c, 5)
-        report = sandwich_check(h, sf, pts)
+        gens = random_unit_ball_rep(h, seed + 104729 * index + c, 5)
+        report = sandwich_check(h, gens, pts)
         tally["sandwich"]["pairs"] += 1
         tally["sandwich"]["samples_checked"] += report.samples_checked
         tally["sandwich"]["violations"] += len(report.violations)
@@ -108,16 +111,9 @@ def _verify_one(h, index: int, seed: int, samples: int, tally: dict) -> None:
             if tally["off_recession"]["first_violation"] is None:
                 tally["off_recession"]["first_violation"] = jsonio.vector_to_json(x)
 
-    for i, row in enumerate(h.rows):
+    for i in range(len(h.rows)):
         tally["exposed"]["rows_checked"] += 1
-        witness = exposed_witness(h, i)
-        tight = dot(row, witness) == 1
-        slack = all(
-            dot(other, witness) < 1
-            for j, other in enumerate(h.rows)
-            if j != i
-        )
-        if not (tight and slack):
+        if membership(h, exposed_witness(h, i)).tight_rows != (i,):
             tally["exposed"]["failures"] += 1
 
 
@@ -126,6 +122,10 @@ def _cmd_verify(args) -> tuple[int, dict]:
         raise jsonio.SchemaError("give an input file or --random, not both")
     if args.random is None and args.input is None:
         raise jsonio.SchemaError("give an input file or --random")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.random is not None and args.random < 1:
+        raise ValueError(f"--random must be at least 1, got {args.random}")
 
     if args.random is not None:
         rng = random.Random(args.seed)
@@ -176,9 +176,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 def _cmd_cut(args) -> tuple[int, dict]:
-    doc = _load_document(args.input)
-    inst = jsonio.corner_instance_from_json(jsonio._require(doc, "instance", ""))
-    body = jsonio.body_from_json(jsonio._require(doc, "body", ""), inst.f)
+    inst, body = jsonio.task_from_json(_load_document(args.input), "body")
     try:
         cut = generate_cut(inst, body, args.radius)
     except NotSFreeError as exc:
@@ -197,9 +195,7 @@ def _cmd_cut(args) -> tuple[int, dict]:
 
 
 def _cmd_check_cut(args) -> tuple[int, dict]:
-    doc = _load_document(args.input)
-    inst = jsonio.corner_instance_from_json(jsonio._require(doc, "instance", ""))
-    cut = jsonio.cut_from_json(jsonio._require(doc, "cut", ""))
+    inst, cut = jsonio.task_from_json(_load_document(args.input), "cut")
     report = check_cut_validity(inst, cut, args.radius)
     out = {
         "command": "check-cut",
@@ -217,9 +213,7 @@ def _cmd_check_cut(args) -> tuple[int, dict]:
 
 
 def _cmd_sfree(args) -> tuple[int, dict]:
-    doc = _load_document(args.input)
-    inst = jsonio.corner_instance_from_json(jsonio._require(doc, "instance", ""))
-    body = jsonio.body_from_json(jsonio._require(doc, "body", ""), inst.f)
+    inst, body = jsonio.task_from_json(_load_document(args.input), "body")
     verdict = is_s_free(body, inst, args.radius)
     report = {
         "command": "sfree",
@@ -233,9 +227,7 @@ def _cmd_sfree(args) -> tuple[int, dict]:
 
 
 def _cmd_maximal(args) -> tuple[int, dict]:
-    doc = _load_document(args.input)
-    inst = jsonio.corner_instance_from_json(jsonio._require(doc, "instance", ""))
-    body = jsonio.body_from_json(jsonio._require(doc, "body", ""), inst.f)
+    inst, body = jsonio.task_from_json(_load_document(args.input), "body")
     report = maximality_certificate(body, inst, args.radius)
     out = {
         "command": "maximal",
@@ -331,8 +323,9 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # SchemaError and the geometric input errors (origin/anchor not
-        # interior, improper set, malformed fields) all land here.
+        # SchemaError, the geometric input errors (origin/anchor not
+        # interior, improper set, malformed fields), out-of-range --radius,
+        # --samples or --random, and over-deep JSON all land here.
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     _emit(report, args.format)

@@ -14,32 +14,36 @@ inherited from sublinearity - any s reaching a point of S satisfies the
 inequality because the body is S-free - and is additionally *checked* here
 point by point on a lattice region, by exact LPs, rather than trusted.
 
-All region scans enumerate the integer box of a given radius around the
-componentwise rounding of f in lexicographic order, so reported witnesses
-are deterministic: the lexicographically smallest in the box.
+region_lattice_points is the one enumerator of a region: the integer box of
+a given radius (never negative) around the componentwise rounding of f, in
+lexicographic order, filtered to P with integer dot products. is_s_free,
+check_cut_validity and maximality_certificate each make one pass over it
+and classify a point once, so reported witnesses are deterministic: the
+lexicographically smallest in the box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from . import lp
-from .polyhedra import HPolyhedron, membership, normalize
+from .polyhedra import HPolyhedron, VPolytope, membership, normalize
 from .rationals import (
     ONE,
     QScalar,
     Vec,
     ZERO,
     dot,
-    format_rational,
+    integer_rows,
     is_integral,
     nearest_int,
     vector,
     vsub,
     zero_vector,
 )
-from .sublinear import SupportFunction, SandwichReport, check_unit_ball, minimal_sublinear, support
+from .sublinear import SandwichReport, check_unit_ball, minimal_sublinear, support
 
 DEFAULT_RADIUS = 5
 
@@ -55,7 +59,7 @@ class NotSFreeError(ValueError):
     def __init__(self, witness: Vec, radius: int):
         self.witness = witness
         self.radius = radius
-        coords = ", ".join(format_rational(c) for c in witness)
+        coords = ", ".join(str(c) for c in witness)
         super().__init__(
             f"body strictly contains the feasible lattice point ({coords}) "
             f"(radius-{radius} scan); no valid cut exists"
@@ -187,13 +191,17 @@ def cut_coeff(centered: HPolyhedron, ray: Vec):
 
 def region_lattice_points(inst: CornerInstance, radius: int):
     """Lattice points of the scan box around round(f), lexicographic order,
-    filtered to P."""
+    filtered to P. P's rows [p_i | b_i] are compiled to integers once, so
+    the filter is pure int arithmetic; a radius below 0 is an input error."""
+    if radius < 0:
+        raise ValueError(f"scan radius must be >= 0, got {radius}")
     center = [nearest_int(c) for c in inst.f]
     ranges = [range(c - radius, c + radius + 1) for c in center]
+    rows, _ = integer_rows([p + (b,) for p, b in zip(inst.p_rows, inst.p_rhs)])
+    p_int = [(row[:-1], row[-1]) for row in rows]
     for ints in product(*ranges):
-        z = tuple(QScalar(v) for v in ints)
-        if all(dot(p, z) <= b for p, b in zip(inst.p_rows, inst.p_rhs)):
-            yield z
+        if all(sum(map(mul, p, ints)) <= b for p, b in p_int):
+            yield tuple(QScalar(v) for v in ints)
 
 
 def is_s_free(body: SFreeBody, inst: CornerInstance, radius: int = DEFAULT_RADIUS) -> SFreeVerdict:
@@ -214,10 +222,10 @@ def generate_cut(inst: CornerInstance, body: SFreeBody, radius: int = DEFAULT_RA
         raise NotSFreeError(verdict.witness, radius)
     alpha = tuple(cut_coeff(body.centered, r) for r in inst.rays)
     rows_text = ", ".join(
-        "(" + ", ".join(format_rational(c) for c in row) + ")"
+        "(" + ", ".join(str(c) for c in row) + ")"
         for row in body.centered.rows
     )
-    f_text = ", ".join(format_rational(c) for c in inst.f)
+    f_text = ", ".join(str(c) for c in inst.f)
     return Cut(
         alpha=alpha,
         provenance=f"centered body rows [{rows_text}] about f=({f_text})",
@@ -291,31 +299,26 @@ def maximality_certificate(
     anything else is labelled heuristic."""
     k = body.centered
     heuristic = bool(inst.p_rows) or not _cone_is_pointed(k)
-    uncertified = []
-    for i in range(len(k.rows)):
-        found = False
-        for z in region_lattice_points(inst, radius):
-            values = [dot(a, vsub(z, inst.f)) for a in k.rows]
-            if values[i] == 1 and all(
-                v < 1 for j, v in enumerate(values) if j != i
-            ):
-                found = True
+    uncertified = set(range(len(k.rows)))
+    for z in region_lattice_points(inst, radius):
+        tight = membership(k, vsub(z, inst.f)).tight_rows
+        if len(tight) == 1:
+            uncertified.discard(tight[0])
+            if not uncertified:
                 break
-        if not found:
-            uncertified.append(i)
     return MaximalityReport(
         certified=not uncertified,
         radius=radius,
-        uncertified_facets=tuple(uncertified),
+        uncertified_facets=tuple(sorted(uncertified)),
         heuristic=heuristic,
     )
 
 
-def minimality_compare(body: SFreeBody, sf: SupportFunction, samples) -> SandwichReport:
-    """The body's cut coefficients never exceed any competing unit-ball
-    support function at the sampled rays. Candidates failing
-    check_unit_ball against the centered body are rejected."""
-    if not check_unit_ball(sf, body.centered):
+def minimality_compare(body: SFreeBody, gens: VPolytope, samples) -> SandwichReport:
+    """The body's cut coefficients never exceed the support function of any
+    competing unit-ball generator set at the sampled rays. Candidates
+    failing check_unit_ball against the centered body are rejected."""
+    if not check_unit_ball(gens, body.centered):
         raise ValueError(
             "candidate generators are not a unit-ball representation of the body"
         )
@@ -324,7 +327,7 @@ def minimality_compare(body: SFreeBody, sf: SupportFunction, samples) -> Sandwic
     for r in samples:
         count += 1
         low = cut_coeff(body.centered, r)
-        mid = support(sf, r)
+        mid = support(gens, r)
         if not low <= mid:
             violations.append((r, low, mid))
     return SandwichReport(count, tuple(violations), not violations)

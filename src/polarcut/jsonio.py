@@ -141,6 +141,16 @@ def body_to_json(body: SFreeBody) -> dict:
     }
 
 
+def task_from_json(doc, part: str) -> tuple:
+    """A cut-family document {"instance": .., part: ..}, part being "body"
+    (cut, sfree, maximal) or "cut" (check-cut): (instance, body or cut)."""
+    inst = corner_instance_from_json(_require(doc, "instance", ""))
+    obj = _require(doc, part, "")
+    if part == "body":
+        return inst, body_from_json(obj, inst.f)
+    return inst, cut_from_json(obj)
+
+
 def cut_from_json(obj) -> Cut:
     alpha = vector_from_json(_require(obj, "alpha", "cut."), "cut.alpha")
     provenance = obj.get("provenance", "")
@@ -151,16 +161,3 @@ def cut_from_json(obj) -> Cut:
 
 def cut_to_json(cut: Cut) -> dict:
     return {"alpha": vector_to_json(cut.alpha), "provenance": cut.provenance}
-
-
-def lp_to_json(lp) -> dict:
-    """Debug dump of a program; not an input schema."""
-    return {
-        "direction": lp.direction,
-        "objective": vector_to_json(lp.objective),
-        "rows": [
-            {"coeffs": vector_to_json(c), "rel": rel, "rhs": json_scalar(b)}
-            for c, rel, b in lp.rows
-        ],
-        "bounds": list(lp.bounds),
-    }

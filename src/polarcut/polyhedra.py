@@ -219,11 +219,6 @@ def tight_points(h: HPolyhedron) -> tuple:
     return tuple(h.rows)
 
 
-def recession_rows(h: HPolyhedron) -> tuple:
-    """Row form of the recession cone {x : <a_i, x> <= 0}."""
-    return tuple(h.rows)
-
-
 def in_recession(h: HPolyhedron, x: Vec) -> bool:
     values, _ = pairings(h.compiled, x)
     return all(v <= 0 for v in values)

@@ -71,16 +71,12 @@ def parse_rational(value):
     raise ValueError(f"not a rational: {value!r}")
 
 
-def format_rational(q) -> str:
-    """Canonical text form 'p/q', with '/q' omitted when the denominator is 1."""
-    return str(q)
-
-
 def json_scalar(q):
-    """JSON encoding: native int when integral, 'p/q' string otherwise."""
+    """JSON encoding: native int when integral, the canonical text 'p/q'
+    (both backends' str) otherwise."""
     if q.denominator == 1:
         return int(q.numerator)
-    return format_rational(q)
+    return str(q)
 
 
 def is_integral(q) -> bool:
@@ -151,7 +147,3 @@ def vsub(u: Vec, v: Vec) -> Vec:
 
 def vscale(t, v: Vec) -> Vec:
     return tuple(t * x for x in v)
-
-
-def vneg(v: Vec) -> Vec:
-    return tuple(-x for x in v)

@@ -8,8 +8,9 @@ For a canonical set K = {x : <a_i, x> <= 1} three evaluators matter:
                             function whose unit ball is K (it drops the
                             clamp at zero, so it goes negative on the
                             interior of the recession cone);
-* support(C, x)           = max over a finite generator set C, covering
-                            every candidate in between.
+* support(C, x)           = max over a finite generator set C (a
+                            VPolytope), covering every candidate in
+                            between.
 
 The checks below make the minimality statement executable: any support
 function whose generators squeeze between the tight polar points and the
@@ -49,13 +50,6 @@ from .rationals import (
 
 
 @dataclass(frozen=True)
-class SupportFunction:
-    """max over a finite generator set; evaluate with support()."""
-
-    generator: VPolytope
-
-
-@dataclass(frozen=True)
 class SandwichReport:
     """violations holds one tuple per failed sample (the sample followed by
     the compared values, lower to upper); passed iff there are none."""
@@ -76,12 +70,12 @@ def minimal_sublinear(h: HPolyhedron, x: Vec):
     return make_rational(max(values), scale)
 
 
-def support(sf: SupportFunction, x: Vec):
-    values, scale = pairings(sf.generator.compiled, x)
+def support(gens: VPolytope, x: Vec):
+    values, scale = pairings(gens.compiled, x)
     return make_rational(max(values), scale)
 
 
-def check_unit_ball(sf: SupportFunction, h: HPolyhedron) -> bool:
+def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
     """Is the sandwich guaranteed for this generator set?
 
     Two exact conditions: (a) every row of h lies in the hull of the
@@ -91,14 +85,13 @@ def check_unit_ball(sf: SupportFunction, h: HPolyhedron) -> bool:
     Generators that are literal rows of h satisfy (b) by definition of K
     and are skipped, as is the zero vector.
     """
-    if sf.generator.dim != h.dim:
+    if gens.dim != h.dim:
         raise ValueError("generator dimension differs from the set's")
-    hull = sf.generator
     for a in h.rows:
-        if not hull_membership(a, hull).inside:
+        if not hull_membership(a, gens).inside:
             return False
     row_set = set(h.rows)
-    for v in hull.points:
+    for v in gens.points:
         if v in row_set or is_zero_vector(v):
             continue
         outcome = lp.solve(
@@ -114,7 +107,7 @@ def check_unit_ball(sf: SupportFunction, h: HPolyhedron) -> bool:
     return True
 
 
-def random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> SupportFunction:
+def random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPolytope:
     """Seeded valid generator set: the rows of h plus `count` random exact
     convex combinations of the origin and the rows (duplicates merged).
     Always passes check_unit_ball by construction."""
@@ -134,15 +127,15 @@ def random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> SupportFuncti
         if point not in seen:
             seen.add(point)
             gens.append(point)
-    return SupportFunction(VPolytope(h.dim, tuple(gens)))
+    return VPolytope(h.dim, tuple(gens))
 
 
-def sandwich_check(h: HPolyhedron, sf: SupportFunction, samples) -> SandwichReport:
+def sandwich_check(h: HPolyhedron, gens: VPolytope, samples) -> SandwichReport:
     """Exact minimal_sublinear <= support <= gauge at every sample.
 
     Refuses candidates that are not unit-ball representations of h - the
     sandwich is only a theorem under that precondition."""
-    if not check_unit_ball(sf, h):
+    if not check_unit_ball(gens, h):
         raise ValueError(
             "candidate generators are not a unit-ball representation of the set"
         )
@@ -153,12 +146,12 @@ def sandwich_check(h: HPolyhedron, sf: SupportFunction, samples) -> SandwichRepo
         # low / s_low <= mid / s_mid <= max(low, 0) / s_low, cross-multiplied
         # by the positive scales.
         rho, s_low = pairings(h.compiled, x)
-        sigma, s_mid = pairings(sf.generator.compiled, x)
+        sigma, s_mid = pairings(gens.compiled, x)
         low = max(rho)
         mid = max(sigma)
         if not low * s_mid <= mid * s_low <= max(low, 0) * s_mid:
             violations.append(
-                (x, minimal_sublinear(h, x), support(sf, x), gauge(h, x))
+                (x, minimal_sublinear(h, x), support(gens, x), gauge(h, x))
             )
     return SandwichReport(count, tuple(violations), not violations)
 

@@ -2,21 +2,21 @@
 
 The oracles recompute results by routes independent of the library code:
 brute-force vertex enumeration for linear programs, bisection on membership
-for the gauge, and direct arithmetic re-verification of certificates. They
-are deliberately slow and simple.
+for the gauge, direct arithmetic re-verification of certificates, and
+Fraction-arithmetic lattice scans. They are deliberately slow and simple.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from polarcut.lp import LinearProgram
 from polarcut.polyhedra import HPolyhedron, membership, normalize
-from polarcut.rationals import QScalar, dot, vector
+from polarcut.rationals import QScalar, dot, nearest_int, vector, vsub
 
 
 @pytest.fixture
@@ -199,3 +199,44 @@ def recheck_hull_verdict(p, polytope, verdict) -> bool:
     if dot(c, p) <= gamma:
         return False
     return all(dot(c, q) <= gamma for q in pts)
+
+
+# ------------------------------------------------------- lattice scan oracles
+
+
+def fraction_region_points(inst, radius):
+    """Reference for cuts.region_lattice_points: the same box in the same
+    lexicographic order, filtered to P with Fraction dot products."""
+    center = [nearest_int(c) for c in inst.f]
+    ranges = [range(c - radius, c + radius + 1) for c in center]
+    for ints in product(*ranges):
+        z = tuple(QScalar(v) for v in ints)
+        if all(dot(p, z) <= b for p, b in zip(inst.p_rows, inst.p_rhs)):
+            yield z
+
+
+def first_interior_point(body, inst, radius):
+    """Reference for is_s_free's witness: the first region point strictly
+    inside the body, by Fraction pairings; None when there is none."""
+    for z in fraction_region_points(inst, radius):
+        if all(dot(a, vsub(z, inst.f)) < 1 for a in body.centered.rows):
+            return z
+    return None
+
+
+def per_facet_uncertified(body, inst, radius):
+    """Reference for maximality_certificate's facet verdicts: one region
+    scan per facet, looking for a point tight on that facet and strictly
+    slack on every other row, by Fraction pairings."""
+    rows = body.centered.rows
+    uncertified = []
+    for i in range(len(rows)):
+        for z in fraction_region_points(inst, radius):
+            values = [dot(a, vsub(z, inst.f)) for a in rows]
+            if values[i] == 1 and all(
+                v < 1 for j, v in enumerate(values) if j != i
+            ):
+                break
+        else:
+            uncertified.append(i)
+    return tuple(uncertified)

@@ -246,3 +246,38 @@ def test_cut_instance_schema_errors(tmp_path, capsys):
     }
     code, _, err = run(capsys, "cut", write(tmp_path, "a.json", doc))
     assert code == 2 and "non-integer" in err
+    code, _, err = run(capsys, "check-cut", write(tmp_path, "b.json", SPLIT))
+    assert code == 2 and "'cut'" in err
+
+
+def test_negative_radius_exits_2(tmp_path, capsys):
+    # FAT strictly contains the lattice point 0: an empty scan must not
+    # stand in for a lattice-free verdict. Radius 0 still scans round(f).
+    path = write(tmp_path, "fat.json", FAT)
+    for command in ("cut", "sfree"):
+        code, out, err = run(capsys, command, path, "--radius", "-1")
+        assert code == 2 and out == ""
+        assert "input error" in err and "radius" in err
+        code, out, _ = run(capsys, command, path, "--radius", "0")
+        assert code == 1 and json.loads(out)["z"] == [0]
+
+
+def test_verify_rejects_empty_checks(tmp_path, capsys):
+    path = write(tmp_path, "k.json", QUADRANT_K)
+    for argv in (
+        (path, "--samples", "0"),
+        (path, "--samples", "-5"),
+        ("--random", "0"),
+        ("--random", "-3"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert "input error" in err and argv[-2] in err
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "polar", str(path))
+    assert code == 2 and out == ""
+    assert "input error" in err

@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import first_interior_point, fraction_region_points, per_facet_uncertified
+from polarcut import cuts
 from polarcut.cuts import (
     AnchorNotInteriorError,
     CornerInstance,
@@ -23,7 +26,6 @@ from polarcut.lp import LinearProgram, solve
 from polarcut.polyhedra import VPolytope, membership, random_polyhedron
 from polarcut.rationals import QScalar, dot, vadd, vector, vscale, vsub
 from polarcut.sublinear import (
-    SupportFunction,
     minimal_sublinear,
     random_unit_ball_rep,
     sample_points,
@@ -219,13 +221,13 @@ def test_maximality_unbounded_strip_is_heuristic():
 
 def test_minimality_compare(split_1d):
     inst, body = split_1d
-    rows_rep = SupportFunction(VPolytope(1, body.centered.rows))
+    rows_rep = VPolytope(1, body.centered.rows)
     samples = sample_points(body.centered, 71, 40)
     report = minimality_compare(body, rows_rep, samples)
     assert report.passed and report.samples_checked == 40
     padded = random_unit_ball_rep(body.centered, 5, 4)
     assert minimality_compare(body, padded, samples).passed
-    bad = SupportFunction(VPolytope(1, (V(2),)))
+    bad = VPolytope(1, (V(2),))
     with pytest.raises(ValueError):
         minimality_compare(body, bad, samples)
 
@@ -234,3 +236,70 @@ def test_cut_validity_requires_matching_width(split_1d):
     inst, _ = split_1d
     with pytest.raises(ValueError):
         check_cut_validity(inst, Cut(alpha=(QScalar(1),), provenance=""), 2)
+
+
+def random_corner_case(rng):
+    """A 1-3-D instance with unit rays, a body about f (half of its rows
+    with integer right-hand sides, so lattice points land on facets), P on
+    about half of the draws, and a radius in 0..3."""
+    dim = rng.randint(1, 3)
+    f = [QScalar(rng.randint(-6, 6), rng.choice((2, 3, 4))) for _ in range(dim)]
+    if all(c.denominator == 1 for c in f):
+        f[0] += QScalar(1, 2)
+    rays = [tuple(int(i == d) for i in range(dim)) for d in range(dim)]
+
+    def nonzero_row():
+        while True:
+            a = V(*(rng.randint(-2, 2) for _ in range(dim)))
+            if any(a):
+                return a
+
+    rows = [nonzero_row() for _ in range(rng.randint(dim, dim + 3))]
+    rhs = []
+    for a in rows:
+        level = dot(a, f)
+        if rng.random() < 0.5:
+            rhs.append(QScalar(math.floor(level) + 1))
+        else:
+            rhs.append(level + QScalar(rng.randint(1, 8), rng.randint(1, 4)))
+    p_rows, p_rhs = [], []
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            p_rows.append(nonzero_row())
+            p_rhs.append(QScalar(rng.randint(-3, 9), rng.randint(1, 3)))
+    inst = CornerInstance.make(dim, f, rays, p_rows, p_rhs)
+    return inst, make_body(rows, rhs, inst.f), rng.randint(0, 3)
+
+
+def test_lattice_pass_matches_fraction_reference(monkeypatch):
+    # The integer P filter and the single-pass maximality scan against the
+    # Fraction routes they replace; maximality_certificate must walk the
+    # region exactly once.
+    rng = random.Random(4242)
+    real_scan = cuts.region_lattice_points
+    passes = []
+
+    def counted_scan(inst, radius):
+        passes.append(radius)
+        return real_scan(inst, radius)
+
+    monkeypatch.setattr(cuts, "region_lattice_points", counted_scan)
+    seen = {"filtered": 0, "not_free": 0, "certified": 0, "partial": 0}
+    for _ in range(200):
+        inst, body, radius = random_corner_case(rng)
+        points = list(real_scan(inst, radius))
+        assert points == list(fraction_region_points(inst, radius))
+        verdict = is_s_free(body, inst, radius)
+        assert verdict.witness == first_interior_point(body, inst, radius)
+        assert verdict.free_on_region == (verdict.witness is None)
+        passes.clear()
+        report = maximality_certificate(body, inst, radius)
+        assert passes == [radius]
+        expected = per_facet_uncertified(body, inst, radius)
+        assert report.uncertified_facets == expected
+        assert report.certified == (not expected)
+        seen["filtered"] += len(points) < (2 * radius + 1) ** inst.dim
+        seen["not_free"] += not verdict.free_on_region
+        seen["certified"] += report.certified
+        seen["partial"] += 0 < len(expected) < len(body.centered.rows)
+    assert min(seen.values()) >= 10, seen

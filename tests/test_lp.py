@@ -6,7 +6,6 @@ import pytest
 
 from conftest import brute_force_best, dense_pivot, random_lp
 from polarcut import lp as lp_module
-from polarcut.jsonio import lp_to_json
 from polarcut.lp import LinearProgram, LPOutcome, solve, verify_certificate
 from polarcut.rationals import QScalar, dot
 
@@ -199,16 +198,3 @@ def test_pivot_matches_dense_reference():
     dense = _solve_logged(programs, dense_pivot)
     assert sparse == dense
     assert sum(map(len, sparse[1])) > len(programs)
-
-
-def test_json_debug_dump():
-    lp = LinearProgram.make(
-        "max", [Fraction(1, 2)], [([1], "<=", Fraction(3, 2))]
-    )
-    doc = lp_to_json(lp)
-    assert doc == {
-        "direction": "max",
-        "objective": ["1/2"],
-        "rows": [{"coeffs": [1], "rel": "<=", "rhs": "3/2"}],
-        "bounds": ["nonneg"],
-    }

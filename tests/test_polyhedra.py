@@ -16,7 +16,6 @@ from polarcut.polyhedra import (
     normalize,
     polar,
     random_polyhedron,
-    recession_rows,
     remove_redundancy,
     tight_points,
 )
@@ -186,7 +185,6 @@ def test_exposed_witness_sweep_strict():
 
 
 def test_recession_quadrant(quadrant_k):
-    assert recession_rows(quadrant_k) == quadrant_k.rows
     assert in_recession(quadrant_k, V(-1, -2))
     assert not in_recession(quadrant_k, V(1, 0))
     assert not in_recession(quadrant_k, V(Fraction(1, 10), -5))

@@ -18,7 +18,6 @@ from polarcut.polyhedra import (
 )
 from polarcut.rationals import QScalar, ZERO, dot, vadd, vector, vscale
 from polarcut.sublinear import (
-    SupportFunction,
     check_unit_ball,
     gauge,
     minimal_sublinear,
@@ -47,9 +46,9 @@ def test_quadrant_values(quadrant_k):
     assert minimal_sublinear(quadrant_k, V(3, 2)) == 3
     assert minimal_sublinear(quadrant_k, V(-1, -2)) == -1
     assert minimal_sublinear(quadrant_k, V(Fraction(1, 2), Fraction(1, 4))) == Fraction(1, 2)
-    sf = SupportFunction(VPolytope(2, (V(1, 0), V(0, 1))))
-    assert support(sf, V(3, 2)) == 3
-    assert support(sf, V(-1, -2)) == -1
+    gens = VPolytope(2, (V(1, 0), V(0, 1)))
+    assert support(gens, V(3, 2)) == 3
+    assert support(gens, V(-1, -2)) == -1
     with pytest.raises(ValueError):
         gauge(quadrant_k, V(1, 2, 3))
 
@@ -87,50 +86,48 @@ def test_gauge_is_polar_support():
 
 
 def test_check_unit_ball_cases(quadrant_k):
-    rows_only = SupportFunction(VPolytope(2, (V(1, 0), V(0, 1))))
-    with_origin = SupportFunction(polar(quadrant_k))
+    rows_only = VPolytope(2, (V(1, 0), V(0, 1)))
+    with_origin = polar(quadrant_k)
     assert check_unit_ball(rows_only, quadrant_k)
     assert check_unit_ball(with_origin, quadrant_k)
     # missing the second row: its hull no longer covers (0,1)
-    assert not check_unit_ball(
-        SupportFunction(VPolytope(2, (V(1, 0),))), quadrant_k
-    )
+    assert not check_unit_ball(VPolytope(2, (V(1, 0),)), quadrant_k)
     # a generator outside the polar: sup over K exceeds 1
     assert not check_unit_ball(
-        SupportFunction(VPolytope(2, (V(1, 0), V(0, 1), V(2, 0)))), quadrant_k
+        VPolytope(2, (V(1, 0), V(0, 1), V(2, 0))), quadrant_k
     )
     # a generator with unbounded support over this (unbounded) K
     assert not check_unit_ball(
-        SupportFunction(VPolytope(2, (V(1, 0), V(0, 1), V(-1, 0)))), quadrant_k
+        VPolytope(2, (V(1, 0), V(0, 1), V(-1, 0))), quadrant_k
     )
     with pytest.raises(ValueError):
-        check_unit_ball(SupportFunction(VPolytope(1, ((QScalar(1),),))), quadrant_k)
+        check_unit_ball(VPolytope(1, ((QScalar(1),),)), quadrant_k)
 
 
 def test_random_unit_ball_rep_valid_and_deterministic(quadrant_k):
-    sf = random_unit_ball_rep(quadrant_k, 0, 0)
-    assert sf.generator.points == quadrant_k.rows
+    gens = random_unit_ball_rep(quadrant_k, 0, 0)
+    assert gens.points == quadrant_k.rows
     rng = random.Random(29)
     for _ in range(6):
         h = random_polyhedron(rng.randint(1, 3), rng.randint(2, 6), rng)
-        sf1 = random_unit_ball_rep(h, 4, 5)
-        sf2 = random_unit_ball_rep(h, 4, 5)
-        assert sf1 == sf2
-        assert check_unit_ball(sf1, h)
+        gens1 = random_unit_ball_rep(h, 4, 5)
+        gens2 = random_unit_ball_rep(h, 4, 5)
+        assert gens1 == gens2
+        assert check_unit_ball(gens1, h)
         body = polar(h)
-        for p in sf1.generator.points:
+        for p in gens1.points:
             assert hull_membership(p, body).inside
 
 
 def test_sandwich_quadrant_and_random(quadrant_k):
-    sf = random_unit_ball_rep(quadrant_k, 3, 4)
-    report = sandwich_check(quadrant_k, sf, sample_points(quadrant_k, 5, 100))
+    gens = random_unit_ball_rep(quadrant_k, 3, 4)
+    report = sandwich_check(quadrant_k, gens, sample_points(quadrant_k, 5, 100))
     assert report.passed and report.samples_checked == 100
     assert report.violations == ()
 
 
 def test_sandwich_rejects_invalid_candidate(quadrant_k):
-    bad = SupportFunction(VPolytope(2, (V(1, 0),)))
+    bad = VPolytope(2, (V(1, 0),))
     with pytest.raises(ValueError):
         sandwich_check(quadrant_k, bad, sample_points(quadrant_k, 5, 5))
 
@@ -232,7 +229,7 @@ def test_integer_evaluators_match_fraction_reference(case):
         top = max(values)
         assert minimal_sublinear(h, x) == top
         assert gauge(h, x) == max(ZERO, top)
-        assert support(SupportFunction(gens), x) == max(
+        assert support(gens, x) == max(
             dot(p, x) for p in gens.points
         )
         assert in_recession(h, x) == all(v <= 0 for v in values)
@@ -255,25 +252,23 @@ def test_sandwich_violations_match_fraction_reference(quadrant_k, monkeypatch):
     # A candidate outside the polar breaks the sandwich; with the unit-ball
     # precondition bypassed, the violations reported must be exactly the
     # samples where the plain Fraction comparison fails, with exact values.
-    bad = SupportFunction(
-        VPolytope(
-            2,
-            (
-                V(1, 0),
-                V(0, 1),
-                V(Fraction(1, 4), 0),
-                V(2, 0),
-                V(Fraction(-1, 3), 5),
-            ),
-        )
+    bad = VPolytope(
+        2,
+        (
+            V(1, 0),
+            V(0, 1),
+            V(Fraction(1, 4), 0),
+            V(2, 0),
+            V(Fraction(-1, 3), 5),
+        ),
     )
     samples = sample_points(quadrant_k, 8, 200)
-    monkeypatch.setattr(sublinear, "check_unit_ball", lambda sf, h: True)
+    monkeypatch.setattr(sublinear, "check_unit_ball", lambda gens, h: True)
     report = sandwich_check(quadrant_k, bad, samples)
     expected = []
     for x in samples:
         low = max(dot(a, x) for a in quadrant_k.rows)
-        mid = max(dot(p, x) for p in bad.generator.points)
+        mid = max(dot(p, x) for p in bad.points)
         high = max(ZERO, low)
         if not low <= mid <= high:
             expected.append((x, low, mid, high))
