@@ -16,7 +16,8 @@ point by point on a lattice region, by exact LPs, rather than trusted.
 
 region_lattice_points is the one enumerator of a region: the integer box of
 a given radius (never negative) around the componentwise rounding of f, in
-lexicographic order, filtered to P with integer dot products. is_s_free,
+lexicographic order, filtered to P with integer dot products. A box of more
+than MAX_SCAN_POINTS points is refused before the scan starts. is_s_free,
 check_cut_validity and maximality_certificate each make one pass over it
 and classify a point once, so reported witnesses are deterministic: the
 lexicographically smallest in the box.
@@ -46,6 +47,7 @@ from .rationals import (
 from .sublinear import SandwichReport, check_unit_ball, minimal_sublinear, support
 
 DEFAULT_RADIUS = 5
+MAX_SCAN_POINTS = 10**6  # largest scan box, (2 * radius + 1) ** dim points
 
 
 class AnchorNotInteriorError(ValueError):
@@ -192,9 +194,17 @@ def cut_coeff(centered: HPolyhedron, ray: Vec):
 def region_lattice_points(inst: CornerInstance, radius: int):
     """Lattice points of the scan box around round(f), lexicographic order,
     filtered to P. P's rows [p_i | b_i] are compiled to integers once, so
-    the filter is pure int arithmetic; a radius below 0 is an input error."""
+    the filter is pure int arithmetic. A radius below 0, or a box of more
+    than MAX_SCAN_POINTS points, is an input error raised before any point
+    is visited."""
     if radius < 0:
         raise ValueError(f"scan radius must be >= 0, got {radius}")
+    side = 2 * radius + 1
+    if side > MAX_SCAN_POINTS or side**inst.dim > MAX_SCAN_POINTS:
+        raise ValueError(
+            f"a radius-{radius} scan in dimension {inst.dim} visits "
+            f"{side}^{inst.dim} points, over the limit of {MAX_SCAN_POINTS}"
+        )
     center = [nearest_int(c) for c in inst.f]
     ranges = [range(c - radius, c + radius + 1) for c in center]
     rows, _ = integer_rows([p + (b,) for p, b in zip(inst.p_rows, inst.p_rhs)])

@@ -18,16 +18,26 @@ Internal shape (invisible to callers): the program is converted to
 ``maximize`` over equality standard form. Free variables are split into
 differences of nonnegative ones, inequality rows receive slacks, rows with
 negative right-hand sides are flipped, and every row gets an artificial
-variable so the initial basis is always the identity. Dual multipliers are
-read off the artificial columns of the final objective row and mapped back
-through the flips/direction to the original row space.
+variable so the initial basis is always the identity. The tableau is
+fraction-free: row i is a list of Python ints, its right-hand side last,
+over one positive int denominator dens[i]. The objective row has the same
+form with the objective value last, and is kept as the tableau's last row.
+A pivot scales each row by the pivot entry, subtracts, and divides out the
+gcd of the row and its denominator (Edmonds 1967, Bareiss 1968), so
+Bland's entering test reads the sign of an int and the ratio test
+cross-multiplies right-hand sides and column entries, the row denominators
+cancelling. A rational is built only for the outcome's point, value, ray
+and duals. Dual multipliers are read off the artificial columns of the
+final objective row and mapped back through the flips/direction to the
+original row space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
-from .rationals import ONE, ZERO, QScalar, Vec, dot, vector
+from .rationals import ZERO, QScalar, Vec, dot, integer_rows, vector
 
 MAX_PIVOTS = 200_000  # Bland's rule cannot cycle; this trips only on a bug.
 
@@ -90,52 +100,63 @@ class LPOutcome:
     dual: Vec | None = None
 
 
-def _pivot(tab, rhs, objrow, value, basis, leave, enter):
-    """Gauss-Jordan step on (leave, enter), in place. A column where the
-    pivot row is zero keeps its entries in every row, so only the pivot
-    row's nonzero columns are touched."""
+def _pivot(tab, dens, basis, leave, enter):
+    """Fraction-free Gauss-Jordan step on (leave, enter), in place.
+
+    The pivot row becomes (row, its entry in the entering column) after a
+    sign flip, which only a leftover-artificial pivot needs, and a gcd
+    reduction. Every other row with a nonzero f in that column becomes
+    row * p - f * pivot row over dens[i] * p, reduced by its gcd.
+    """
     prow = tab[leave]
     p = prow[enter]
-    cols = [j for j, b in enumerate(prow) if b != 0]
-    if p != 1:
-        for j in cols:
-            prow[j] /= p
-    newrhs = rhs[leave] / p
-    rhs[leave] = newrhs
+    if p < 0:
+        prow = [-x for x in prow]
+        p = -p
+    g = gcd(*prow)
+    if g > 1:
+        prow = [x // g for x in prow]
+        p //= g
+    tab[leave] = prow
+    dens[leave] = p
     basis[leave] = enter
     for i, row in enumerate(tab):
-        if i == leave:
-            continue
         f = row[enter]
-        if f != 0:
-            for j in cols:
-                row[j] -= f * prow[j]
-            rhs[i] -= f * newrhs
-    f = objrow[enter]
-    if f != 0:
-        for j in cols:
-            objrow[j] -= f * prow[j]
-        value -= f * newrhs
-    return value
+        if f and i != leave:
+            row = [a * p - f * b for a, b in zip(row, prow)]
+            den = dens[i] * p
+            g = gcd(den, *row)
+            if g > 1:
+                row = [x // g for x in row]
+                den //= g
+            tab[i] = row
+            dens[i] = den
 
 
-def _build_objrow(tab, rhs, basis, cost):
-    objrow = [-c for c in cost]
-    value = ZERO
-    for i, bi in enumerate(basis):
-        cb = cost[bi]
-        if cb != 0:
-            row = tab[i]
-            for j in range(len(objrow)):
-                if row[j] != 0:
-                    objrow[j] += cb * row[j]
-            value += cb * rhs[i]
-    return objrow, value
+def _objective_row(tab, dens, basis, cost, cost_den):
+    """(row, den) of the reduced costs -c + sum_i c[basis_i] * row_i with the
+    objective value last, for the costs c = cost / cost_den: cost holds
+    ints, one per column plus a 0 in the value's place."""
+    used = [(cost[b], i) for i, b in enumerate(basis) if cost[b]]
+    scale = lcm(*(dens[i] for _, i in used))
+    objrow = [-c * scale for c in cost]
+    for cb, i in used:
+        k = cb * (scale // dens[i])
+        objrow = [o + k * a for o, a in zip(objrow, tab[i])]
+    den = cost_den * scale
+    g = gcd(den, *objrow)
+    if g > 1:
+        objrow = [x // g for x in objrow]
+        den //= g
+    return objrow, den
 
 
-def _run_simplex(tab, rhs, objrow, value, basis, enter_cols):
-    """Bland's rule: entering = smallest eligible column index; leaving =
-    minimum ratio, ties broken by smallest basis variable index."""
+def _run_simplex(tab, dens, basis, enter_cols):
+    """Bland's rule on the objective row tab[-1]: entering = smallest
+    eligible column index; leaving = minimum ratio rhs / entry, ties broken
+    by smallest basis variable index."""
+    m = len(basis)
+    objrow = tab[-1]
     for _ in range(MAX_PIVOTS):
         enter = -1
         for j in enter_cols:
@@ -143,23 +164,24 @@ def _run_simplex(tab, rhs, objrow, value, basis, enter_cols):
                 enter = j
                 break
         if enter < 0:
-            return "optimal", value, -1
+            return "optimal", -1
         leave = -1
-        best = None
-        for i, row in enumerate(tab):
+        for i in range(m):
+            row = tab[i]
             a = row[enter]
             if a > 0:
-                ratio = rhs[i] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
+                b = row[-1]
+                if leave < 0:
+                    leave, best_b, best_a = i, b, a
+                    continue
+                lhs = b * best_a
+                rhs = best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, b, a
         if leave < 0:
-            return "unbounded", value, enter
-        value = _pivot(tab, rhs, objrow, value, basis, leave, enter)
+            return "unbounded", enter
+        _pivot(tab, dens, basis, leave, enter)
+        objrow = tab[-1]
     raise RuntimeError("pivot limit exceeded; simplex invariant broken")
 
 
@@ -169,7 +191,8 @@ def solve(lp: LinearProgram) -> LPOutcome:
     sense = 1 if lp.direction == "max" else -1
 
     # Column layout: split columns for the original variables, then slacks,
-    # then one artificial per row.
+    # then one artificial per row; the right-hand side is each row's last
+    # entry.
     ucols = []  # (original variable, sign)
     for j, b in enumerate(lp.bounds):
         ucols.append((j, 1))
@@ -187,37 +210,39 @@ def solve(lp: LinearProgram) -> LPOutcome:
     ncols = art0 + m
 
     tab = []
-    rhs = []
+    dens = []
     flip = []
     for i, (coeffs, rel, b) in enumerate(lp.rows):
-        row = [ZERO] * ncols
+        (ints,), den = integer_rows([(*coeffs, b)])
+        s = -1 if ints[-1] < 0 else 1
+        row = [0] * (ncols + 1)
         for k, (j, sg) in enumerate(ucols):
-            row[k] = sg * coeffs[j]
+            row[k] = s * sg * ints[j]
         if i in slack_of:
-            row[slack_of[i]] = ONE
-        s = 1
-        if b < 0:
-            s = -1
-            row = [-x for x in row]
-            b = -b
-        row[art0 + i] = ONE
+            row[slack_of[i]] = s * den
+        row[art0 + i] = den
+        row[-1] = s * ints[-1]
         tab.append(row)
-        rhs.append(QScalar(b))
+        dens.append(den)
         flip.append(s)
     basis = list(range(art0, ncols))
 
     # Phase 1: drive the artificials to zero.
     if m > 0:
-        cost1 = [ZERO] * art0 + [-ONE] * m
-        objrow, value = _build_objrow(tab, rhs, basis, cost1)
-        status, value, _ = _run_simplex(
-            tab, rhs, objrow, value, basis, range(ncols)
+        objrow, den = _objective_row(
+            tab, dens, basis, [0] * art0 + [-1] * m + [0], 1
         )
+        tab.append(objrow)
+        dens.append(den)
+        status, _ = _run_simplex(tab, dens, basis, range(ncols))
         assert status == "optimal"  # phase-1 objective is bounded above by 0
-        if value < 0:
+        objrow = tab.pop()
+        den = dens.pop()
+        if objrow[-1] < 0:
             # Farkas witness from the artificial columns: y_i = objrow - cost.
             dual = tuple(
-                flip[i] * (objrow[art0 + i] - ONE) for i in range(m)
+                QScalar(flip[i] * (objrow[art0 + i] - den), den)
+                for i in range(m)
             )
             return LPOutcome(status="infeasible", dual=dual)
         # Pivot leftover artificials out of the basis (always degenerate,
@@ -230,43 +255,46 @@ def solve(lp: LinearProgram) -> LPOutcome:
                     (j for j in range(art0) if tab[i][j] != 0), -1
                 )
                 if enter >= 0:
-                    value = _pivot(tab, rhs, objrow, value, basis, i, enter)
+                    _pivot(tab, dens, basis, i, enter)
 
     # Phase 2: the real objective over the structural columns.
-    cost2 = [ZERO] * ncols
+    (obj_ints,), obj_den = integer_rows([lp.objective])
+    cost2 = [0] * (ncols + 1)
     for k, (j, sg) in enumerate(ucols):
-        cost2[k] = sg * sense * lp.objective[j]
-    objrow, value = _build_objrow(tab, rhs, basis, cost2)
-    status, value, enter = _run_simplex(
-        tab, rhs, objrow, value, basis, range(art0)
-    )
+        cost2[k] = sg * sense * obj_ints[j]
+    objrow, den = _objective_row(tab, dens, basis, cost2, obj_den)
+    tab.append(objrow)
+    dens.append(den)
+    status, enter = _run_simplex(tab, dens, basis, range(art0))
 
-    uvals = {b: rhs[i] for i, b in enumerate(basis)}
     point = [ZERO] * n
-    for k, (j, sg) in enumerate(ucols):
-        v = uvals.get(k)
-        if v is not None:
-            point[j] += sg * v
+    for i, b in enumerate(basis):
+        if b < nu:
+            j, sg = ucols[b]
+            point[j] += QScalar(sg * tab[i][-1], dens[i])
     point = tuple(point)
 
     if status == "unbounded":
-        dvals = {enter: ONE}
+        ray = [ZERO] * n
+        if enter < nu:
+            j, sg = ucols[enter]
+            ray[j] += sg
         for i, b in enumerate(basis):
             t = tab[i][enter]
-            if t != 0:
-                dvals[b] = -t
-        ray = [ZERO] * n
-        for k, (j, sg) in enumerate(ucols):
-            v = dvals.get(k)
-            if v is not None:
-                ray[j] += sg * v
+            if t and b < nu:
+                j, sg = ucols[b]
+                ray[j] -= QScalar(sg * t, dens[i])
         return LPOutcome(status="unbounded", point=point, ray=tuple(ray))
 
+    objrow, den = tab[-1], dens[-1]
     duals = tuple(
-        sense * flip[i] * objrow[art0 + i] for i in range(m)
+        QScalar(sense * flip[i] * objrow[art0 + i], den) for i in range(m)
     )
     return LPOutcome(
-        status="optimal", point=point, value=sense * value, dual=duals
+        status="optimal",
+        point=point,
+        value=QScalar(sense * objrow[-1], den),
+        dual=duals,
     )
 
 

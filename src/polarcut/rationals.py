@@ -8,9 +8,10 @@ compare/hash interchangeably, so nothing downstream cares which backend is
 active. Vectors are plain tuples of scalars.
 
 The evaluators (gauge, minimal sublinear function, support, membership,
-recession test) do not use the backend's arithmetic at all: integer_rows()
-turns a set's rows and each query point into Python ints over one common
-denominator, the pairings are int dot products, and a rational is built
+recession test) and the LP solver do not use the backend's arithmetic at
+all: integer_rows() turns a set's rows, each query point and each LP row
+into Python ints over one common denominator, the pairings are int dot
+products, the simplex tableau is fraction-free, and a rational is built
 only for a value that is returned. The fractions backend is therefore a
 complete fallback, and the acceptance time bounds hold on it.
 """

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from . import lp
 from .polyhedra import (
@@ -41,6 +42,7 @@ from .rationals import (
     Vec,
     ZERO,
     dot,
+    integer_rows,
     is_zero_vector,
     make_rational,
     vadd,
@@ -234,16 +236,21 @@ def sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
         if g > 0:
             out.append(vscale(ONE / g, x))
 
+    # A sign pattern s puts s * base in the recession cone iff every row's
+    # sum of s_k * a_k * base_k is <= 0; the products are ints computed once
+    # per base.
     recession_quota = min(count // 8, boundary_quota + count - len(out))
     found = 0
+    rows, _ = h.compiled
     for _ in range(recession_quota * 4):
         if found >= recession_quota or len(out) >= count:
             break
         base = rand_point()
+        (ibase,), _ = integer_rows((base,))
+        products = [tuple(map(mul, a, ibase)) for a in rows]
         for signs in product((1, -1), repeat=dim):
-            candidate = tuple(s * v for s, v in zip(signs, base))
-            if in_recession(h, candidate):
-                out.append(candidate)
+            if all(sum(map(mul, signs, t)) <= 0 for t in products):
+                out.append(tuple(s * v for s, v in zip(signs, base)))
                 found += 1
                 break
 

@@ -1,9 +1,11 @@
 """Shared oracles and generators.
 
 The oracles recompute results by routes independent of the library code:
-brute-force vertex enumeration for linear programs, bisection on membership
-for the gauge, direct arithmetic re-verification of certificates, and
-Fraction-arithmetic lattice scans. They are deliberately slow and simple.
+brute-force vertex enumeration for linear programs, the Fraction-tableau
+simplex that the integer one replaced, bisection on membership for the
+gauge, direct arithmetic re-verification of certificates, and
+Fraction-arithmetic sample mixes and lattice scans. They are deliberately
+slow and simple.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from itertools import combinations, product
 
 import pytest
 
-from polarcut.lp import LinearProgram
+from polarcut.lp import LinearProgram, LPOutcome
 from polarcut.polyhedra import HPolyhedron, membership, normalize
-from polarcut.rationals import QScalar, dot, nearest_int, vector, vsub
+from polarcut.rationals import ONE, ZERO, QScalar, dot, nearest_int, vector, vsub
 
 
 @pytest.fixture
@@ -101,7 +103,7 @@ def random_lp(rng: random.Random) -> LinearProgram:
     for _ in range(n):
         bounds.append("free" if rng.random() < 0.25 else "nonneg")
     n_free = bounds.count("free")
-    total_rows = rng.randint(max(1, n_free), max_rows_for[n])
+    total_rows = rng.randint(max(1, n_free), max(n_free, max_rows_for[n]))
     rows = []
     for j, bound in enumerate(bounds):
         if bound == "free":
@@ -121,30 +123,138 @@ def random_lp(rng: random.Random) -> LinearProgram:
     return LinearProgram.make(direction, objective, rows, bounds)
 
 
-def dense_pivot(tab, rhs, objrow, value, basis, leave, enter):
-    """Reference Gauss-Jordan step for lp._pivot: rebuilds every row that
-    has a nonzero in the entering column over all of its columns."""
-    prow = tab[leave]
-    p = prow[enter]
-    newrow = [x / p for x in prow]
-    newrhs = rhs[leave] / p
-    tab[leave] = newrow
-    rhs[leave] = newrhs
-    basis[leave] = enter
-    for i, row in enumerate(tab):
-        if i == leave:
-            continue
-        f = row[enter]
+def fraction_solve(lp: LinearProgram):
+    """Reference for lp.solve: the same two-phase Bland simplex on a dense
+    Fraction tableau. Returns (outcome, pivots), pivots being the (leave,
+    enter) sequence of the whole solve, leftover-artificial pivots included."""
+    pivots = []
+
+    def pivot(tab, rhs, objrow, value, basis, leave, enter):
+        pivots.append((leave, enter))
+        prow = tab[leave]
+        p = prow[enter]
+        prow[:] = [x / p for x in prow]
+        newrhs = rhs[leave] / p
+        rhs[leave] = newrhs
+        basis[leave] = enter
+        for i, row in enumerate(tab):
+            f = row[enter]
+            if i != leave and f != 0:
+                row[:] = [a - f * b for a, b in zip(row, prow)]
+                rhs[i] -= f * newrhs
+        f = objrow[enter]
         if f != 0:
-            tab[i] = [a - f * b for a, b in zip(row, newrow)]
-            rhs[i] -= f * newrhs
-    f = objrow[enter]
-    if f != 0:
-        for j, b in enumerate(newrow):
-            if b != 0:
-                objrow[j] -= f * b
-        value -= f * newrhs
-    return value
+            objrow[:] = [a - f * b for a, b in zip(objrow, prow)]
+            value -= f * newrhs
+        return value
+
+    def build_objrow(tab, rhs, basis, cost):
+        objrow = [-c for c in cost]
+        value = ZERO
+        for i, bi in enumerate(basis):
+            cb = cost[bi]
+            objrow = [o + cb * a for o, a in zip(objrow, tab[i])]
+            value += cb * rhs[i]
+        return objrow, value
+
+    def run_simplex(tab, rhs, objrow, value, basis, enter_cols):
+        while True:
+            enter = next((j for j in enter_cols if objrow[j] < 0), -1)
+            if enter < 0:
+                return "optimal", value, -1
+            leave = -1
+            best = None
+            for i, row in enumerate(tab):
+                a = row[enter]
+                if a > 0:
+                    ratio = rhs[i] / a
+                    if (
+                        best is None
+                        or ratio < best
+                        or (ratio == best and basis[i] < basis[leave])
+                    ):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return "unbounded", value, enter
+            value = pivot(tab, rhs, objrow, value, basis, leave, enter)
+
+    n = len(lp.objective)
+    sense = 1 if lp.direction == "max" else -1
+    ucols = []
+    for j, b in enumerate(lp.bounds):
+        ucols.append((j, 1))
+        if b == "free":
+            ucols.append((j, -1))
+    nu = len(ucols)
+    m = len(lp.rows)
+    slack_of = {}
+    col = nu
+    for i, (_, rel, _) in enumerate(lp.rows):
+        if rel == "<=":
+            slack_of[i] = col
+            col += 1
+    art0 = col
+    ncols = art0 + m
+
+    tab, rhs, flip = [], [], []
+    for i, (coeffs, rel, b) in enumerate(lp.rows):
+        row = [ZERO] * ncols
+        for k, (j, sg) in enumerate(ucols):
+            row[k] = sg * coeffs[j]
+        if i in slack_of:
+            row[slack_of[i]] = ONE
+        s = 1
+        if b < 0:
+            s = -1
+            row = [-x for x in row]
+            b = -b
+        row[art0 + i] = ONE
+        tab.append(row)
+        rhs.append(QScalar(b))
+        flip.append(s)
+    basis = list(range(art0, ncols))
+
+    if m > 0:
+        cost1 = [ZERO] * art0 + [-ONE] * m
+        objrow, value = build_objrow(tab, rhs, basis, cost1)
+        _, value, _ = run_simplex(tab, rhs, objrow, value, basis, range(ncols))
+        if value < 0:
+            dual = tuple(flip[i] * (objrow[art0 + i] - ONE) for i in range(m))
+            return LPOutcome(status="infeasible", dual=dual), pivots
+        for i in range(m):
+            if basis[i] >= art0:
+                enter = next((j for j in range(art0) if tab[i][j] != 0), -1)
+                if enter >= 0:
+                    value = pivot(tab, rhs, objrow, value, basis, i, enter)
+
+    cost2 = [ZERO] * ncols
+    for k, (j, sg) in enumerate(ucols):
+        cost2[k] = sg * sense * lp.objective[j]
+    objrow, value = build_objrow(tab, rhs, basis, cost2)
+    status, value, enter = run_simplex(tab, rhs, objrow, value, basis, range(art0))
+
+    uvals = {b: rhs[i] for i, b in enumerate(basis)}
+    point = [ZERO] * n
+    for k, (j, sg) in enumerate(ucols):
+        if k in uvals:
+            point[j] += sg * uvals[k]
+    point = tuple(point)
+    if status == "unbounded":
+        dvals = {enter: ONE}
+        for i, b in enumerate(basis):
+            if tab[i][enter] != 0:
+                dvals[b] = -tab[i][enter]
+        ray = [ZERO] * n
+        for k, (j, sg) in enumerate(ucols):
+            if k in dvals:
+                ray[j] += sg * dvals[k]
+        return LPOutcome(status="unbounded", point=point, ray=tuple(ray)), pivots
+    duals = tuple(sense * flip[i] * objrow[art0 + i] for i in range(m))
+    outcome = LPOutcome(
+        status="optimal", point=point, value=sense * value, dual=duals
+    )
+    return outcome, pivots
 
 
 # -------------------------------------------------------------- gauge oracle
@@ -175,6 +285,53 @@ def gauge_bracket(h: HPolyhedron, x, steps: int = 60):
         else:
             lo = mid
     return lo, hi
+
+
+# ------------------------------------------------------ sample mix reference
+
+
+def fraction_sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
+    """Reference for sublinear.sample_points: the same rng draws, with each
+    of the 2^dim sign patterns of a recession candidate built as a Fraction
+    vector and tested with Fraction dot products."""
+    rng = random.Random(seed)
+    dim = h.dim
+    out = []
+
+    def rand_point():
+        return tuple(
+            QScalar(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(dim)
+        )
+
+    grid_quota = min(count // 4, 40)
+    for ints in product(range(-2, 3), repeat=dim):
+        if len(out) >= grid_quota:
+            break
+        out.append(tuple(QScalar(v) for v in ints))
+    while len(out) < (count * 2) // 4:
+        out.append(rand_point())
+    boundary_quota = (count * 3) // 4
+    for x in list(out):
+        if len(out) >= boundary_quota:
+            break
+        g = max(dot(a, x) for a in h.rows)
+        if g > 0:
+            out.append(tuple(v / g for v in x))
+    recession_quota = min(count // 8, boundary_quota + count - len(out))
+    found = 0
+    for _ in range(recession_quota * 4):
+        if found >= recession_quota or len(out) >= count:
+            break
+        base = rand_point()
+        for signs in product((1, -1), repeat=dim):
+            candidate = tuple(s * v for s, v in zip(signs, base))
+            if all(dot(a, candidate) <= 0 for a in h.rows):
+                out.append(candidate)
+                found += 1
+                break
+    while len(out) < count:
+        out.append(rand_point())
+    return tuple(out[:count])
 
 
 # ------------------------------------------------------- hull re-verification

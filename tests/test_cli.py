@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polarcut import jsonio
+from polarcut import cuts, jsonio
 from polarcut.cli import main
 from polarcut.cuts import CornerInstance, generate_cut, make_body
 from polarcut.rationals import QScalar, vector
@@ -260,6 +260,34 @@ def test_negative_radius_exits_2(tmp_path, capsys):
         assert "input error" in err and "radius" in err
         code, out, _ = run(capsys, command, path, "--radius", "0")
         assert code == 1 and json.loads(out)["z"] == [0]
+
+
+UNIT_BOX_3D = {
+    "instance": {
+        "dim": 3,
+        "f": ["1/2", "1/2", "1/2"],
+        "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "P": None,
+    },
+    "body": {
+        "rows": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+        "rhs": [1, 0, 1, 0, 1, 0],
+    },
+}
+
+
+def test_oversized_scan_exits_2(tmp_path, capsys, monkeypatch):
+    # (2 * 10^6 + 1)^3 points are refused before the scan starts: the
+    # enumeration itself is replaced by a failure.
+    def no_scan(*ranges):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(cuts, "product", no_scan)
+    path = write(tmp_path, "box.json", UNIT_BOX_3D)
+    for command in ("sfree", "maximal"):
+        code, out, err = run(capsys, command, path, "--radius", "1000000")
+        assert code == 2 and out == ""
+        assert "input error" in err and str(cuts.MAX_SCAN_POINTS) in err
 
 
 def test_verify_rejects_empty_checks(tmp_path, capsys):

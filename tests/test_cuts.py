@@ -165,6 +165,21 @@ def test_region_scan_is_lexicographic():
     assert len(pts) == 9
 
 
+def test_scan_size_limit():
+    # The box size is checked before the first point: 999,999 points in
+    # 1-D start a scan, 1,000,001 do not, and neither does a 3-D box of
+    # 101^3 points.
+    inst = CornerInstance.make(1, [Fraction(1, 2)], [[1]])
+    assert cuts.MAX_SCAN_POINTS == 10**6
+    assert next(region_lattice_points(inst, 499_999)) == V(-499_999)
+    with pytest.raises(ValueError, match="over the limit"):
+        next(region_lattice_points(inst, 500_000))
+    box = CornerInstance.make(3, [Fraction(1, 2)] * 3, [[1, 0, 0]])
+    with pytest.raises(ValueError, match="over the limit"):
+        next(region_lattice_points(box, 50))
+    assert next(region_lattice_points(box, 49)) == V(-49, -49, -49)
+
+
 def test_validity_region_monotone(split_1d):
     inst, body = split_1d
     cut = generate_cut(inst, body)

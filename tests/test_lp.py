@@ -3,8 +3,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_best, dense_pivot, random_lp
+from conftest import brute_force_best, fraction_solve, random_lp
 from polarcut import lp as lp_module
 from polarcut.lp import LinearProgram, LPOutcome, solve, verify_certificate
 from polarcut.rationals import QScalar, dot
@@ -171,30 +173,109 @@ def test_random_battery_against_enumeration():
     assert all(count > 0 for count in statuses.values()), statuses
 
 
-def _solve_logged(programs, pivot):
-    """Solve each program with the given pivot step; return the outcomes and
-    the (leave, enter) pivot sequence of each solve."""
-    log = []
+def test_random_lp_draws_on_every_seed():
+    # Six variables with five or more free ones need more rows than the
+    # usual cap for six; such draws must get them, not raise.
+    for seed in (1, 3):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            program = random_lp(rng)
+            free = program.bounds.count("free")
+            assert max(1, free) <= len(program.rows)
+            assert len(program.rows) <= max(free, 9)
 
-    def logged(tab, rhs, objrow, value, basis, leave, enter):
-        log[-1].append((leave, enter))
-        return pivot(tab, rhs, objrow, value, basis, leave, enter)
 
-    outcomes = []
+def _solve_logged(program):
+    """lp.solve with its (leave, enter) pivot sequence, leftover-artificial
+    pivots included, in the form fraction_solve returns."""
+    pivots = []
+    step = lp_module._pivot
+
+    def logged(tab, dens, basis, leave, enter):
+        pivots.append((leave, enter))
+        step(tab, dens, basis, leave, enter)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp_module, "_pivot", logged)
-        for program in programs:
-            log.append([])
-            outcomes.append(solve(program))
-    return outcomes, log
+        outcome = solve(program)
+    return outcome, pivots
 
 
 def test_pivot_matches_dense_reference():
+    # The integer tableau against the Fraction one it replaced: identical
+    # outcomes and identical pivot sequences.
     programs = [BEALE]
     for seed, count in ((271828, 120), (31_415, 500)):
         rng = random.Random(seed)
         programs += [random_lp(rng) for _ in range(count)]
-    sparse = _solve_logged(programs, lp_module._pivot)
-    dense = _solve_logged(programs, dense_pivot)
-    assert sparse == dense
-    assert sum(map(len, sparse[1])) > len(programs)
+    total = 0
+    for program in programs:
+        outcome, pivots = _solve_logged(program)
+        assert (outcome, pivots) == fraction_solve(program)
+        total += len(pivots)
+    assert total > len(programs)
+
+
+_huge = st.builds(
+    Fraction,
+    st.integers(-(10**40), 10**40),
+    st.integers(1, 10**40),
+)
+_small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _programs(draw):
+    """Programs with some huge-denominator coefficients, negative and zero
+    right-hand sides, '=' rows and free variables, and a scaled (possibly
+    negated) duplicate of an '=' row."""
+    n = draw(st.integers(1, 4))
+    entries = st.one_of(_small, _small, _huge)
+    bounds = tuple(
+        draw(st.sampled_from(("nonneg", "nonneg", "free"))) for _ in range(n)
+    )
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = [draw(entries) for _ in range(n)]
+        rhs = draw(st.one_of(st.just(Fraction(0)), entries))
+        rows.append((coeffs, draw(st.sampled_from(("<=", "<=", "="))), rhs))
+    if draw(st.booleans()):
+        coeffs = [draw(entries) for _ in range(n)]
+        rhs = draw(st.one_of(st.just(Fraction(0)), entries))
+        t = draw(entries.filter(lambda q: q != 0))
+        rows.append((coeffs, "=", rhs))
+        rows.insert(
+            draw(st.integers(0, len(rows) - 1)),
+            ([t * c for c in coeffs], "=", t * rhs),
+        )
+    objective = [draw(entries) for _ in range(n)]
+    return LinearProgram.make(
+        draw(st.sampled_from(("max", "min"))), objective, rows, bounds
+    )
+
+
+# In both, phase 1 ends with the two '=' rows' artificials basic at 0; the
+# leftover pass then pivots on the first row's negative entry and leaves
+# its scaled duplicate inert.
+@example(
+    LinearProgram.make(
+        "max", [1, 1], [([-1, -1], "=", 0), ([-2, -2], "=", 0), ([1, 0], "<=", 1)]
+    )
+)
+@example(
+    LinearProgram.make(
+        "min",
+        [Fraction(1, 10**40), -1],
+        [
+            ([Fraction(-1, 10**40), -3], "=", 0),
+            ([Fraction(-7, 10**80), Fraction(-21, 10**40)], "=", 0),
+            ([1, 1], "<=", 5),
+        ],
+    )
+)
+@given(_programs())
+@settings(max_examples=300, deadline=None)
+def test_integer_tableau_matches_fraction_reference(program):
+    outcome, pivots = _solve_logged(program)
+    assert (outcome, pivots) == fraction_solve(program)
+    assert verify_certificate(program, outcome)

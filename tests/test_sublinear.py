@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gauge_bracket
+from conftest import fraction_sample_points, gauge_bracket
 from polarcut import sublinear
+from polarcut.lp import LinearProgram, solve
 from polarcut.polyhedra import (
     VPolytope,
     hull_membership,
@@ -275,3 +276,37 @@ def test_sandwich_violations_match_fraction_reference(quadrant_k, monkeypatch):
     assert expected
     assert report.violations == tuple(expected)
     assert report.samples_checked == 200 and not report.passed
+
+
+def test_sample_points_match_fraction_reference():
+    # The int sign search returns the same tuple as the Fraction route, on
+    # bounded sets (recession cone {0}) and unbounded ones alike.
+    rng = random.Random(2718)
+    bounded = receding = 0
+    for case in range(60):
+        dim = 1 + case % 4
+        h = random_polyhedron(dim, rng.randint(1, dim + 3), rng)
+        for seed, count in ((case, 40), (case + 1000, 97)):
+            points = sample_points(h, seed, count)
+            assert points == fraction_sample_points(h, seed, count)
+            assert len(points) == count
+        members = [
+            x for x in points if any(x) and all(dot(a, x) <= 0 for a in h.rows)
+        ]
+        receding += bool(members)
+        bounded += _bounded(h)
+    assert bounded > 5 and receding > 5, (bounded, receding)
+
+
+def _bounded(h):
+    """A set is bounded iff it has a finite maximum along each signed axis."""
+    for k in range(h.dim):
+        for sign in (1, -1):
+            e = [0] * h.dim
+            e[k] = sign
+            program = LinearProgram.make(
+                "max", e, [(a, "<=", 1) for a in h.rows], ("free",) * h.dim
+            )
+            if solve(program).status == "unbounded":
+                return False
+    return True
