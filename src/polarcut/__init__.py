@@ -1,6 +1,6 @@
 """Exact rational polar duality, gauge evaluators, and corner-relaxation cuts."""
 
-from .rationals import QScalar, Vec, dot, make_rational, parse_rational
+from .rationals import Vec, dot, parse_rational
 from .lp import LinearProgram, LPOutcome, solve, verify_certificate
 from .polyhedra import (
     HPolyhedron,
@@ -21,6 +21,7 @@ from .sublinear import (
     sandwich_check,
     reconstruct_check,
     off_recession_check,
+    property_suite,
 )
 from .cuts import (
     CornerInstance,

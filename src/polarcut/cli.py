@@ -23,19 +23,9 @@ from .cuts import (
     is_s_free,
     maximality_certificate,
 )
-from .polyhedra import exposed_witness, in_recession, membership, polar, random_polyhedron
+from .polyhedra import polar, random_polyhedron
 from .rationals import json_scalar
-from .sublinear import (
-    gauge,
-    minimal_sublinear,
-    off_recession_check,
-    random_unit_ball_rep,
-    reconstruct_check,
-    sample_points,
-    sandwich_check,
-)
-
-VERIFY_CANDIDATES = 3  # unit-ball representations tried per instance
+from .sublinear import gauge, minimal_sublinear, property_suite
 
 
 def _load_document(path: str):
@@ -85,38 +75,6 @@ def _cmd_rho(args) -> tuple[int, dict]:
     return 0, {"command": "rho", "dim": h.dim, "values": values}
 
 
-def _verify_one(h, index: int, seed: int, samples: int, tally: dict) -> None:
-    pts = sample_points(h, seed + 7919 * index, samples)
-
-    for c in range(VERIFY_CANDIDATES):
-        gens = random_unit_ball_rep(h, seed + 104729 * index + c, 5)
-        report = sandwich_check(h, gens, pts)
-        tally["sandwich"]["pairs"] += 1
-        tally["sandwich"]["samples_checked"] += report.samples_checked
-        tally["sandwich"]["violations"] += len(report.violations)
-        if report.violations and tally["sandwich"]["first_violation"] is None:
-            x = report.violations[0][0]
-            tally["sandwich"]["first_violation"] = jsonio.vector_to_json(x)
-
-    tally["reconstruct"]["instances_checked"] += 1
-    if not reconstruct_check(h, pts):
-        tally["reconstruct"]["failures"] += 1
-
-    for x in pts:
-        if in_recession(h, x):
-            continue
-        tally["off_recession"]["samples_checked"] += 1
-        if not off_recession_check(h, x):
-            tally["off_recession"]["violations"] += 1
-            if tally["off_recession"]["first_violation"] is None:
-                tally["off_recession"]["first_violation"] = jsonio.vector_to_json(x)
-
-    for i in range(len(h.rows)):
-        tally["exposed"]["rows_checked"] += 1
-        if membership(h, exposed_witness(h, i)).tight_rows != (i,):
-            tally["exposed"]["failures"] += 1
-
-
 def _cmd_verify(args) -> tuple[int, dict]:
     if args.random is not None and args.input is not None:
         raise jsonio.SchemaError("give an input file or --random, not both")
@@ -138,37 +96,18 @@ def _cmd_verify(args) -> tuple[int, dict]:
         instances = [jsonio.polyhedron_from_json(_load_document(args.input))]
         mode = "file"
 
-    tally = {
-        "sandwich": {
-            "pairs": 0,
-            "samples_checked": 0,
-            "violations": 0,
-            "first_violation": None,
-        },
-        "reconstruct": {"instances_checked": 0, "failures": 0},
-        "off_recession": {
-            "samples_checked": 0,
-            "violations": 0,
-            "first_violation": None,
-        },
-        "exposed": {"rows_checked": 0, "failures": 0},
-    }
-    for index, h in enumerate(instances):
-        _verify_one(h, index, args.seed, args.samples, tally)
-
-    total = (
-        tally["sandwich"]["violations"]
-        + tally["reconstruct"]["failures"]
-        + tally["off_recession"]["violations"]
-        + tally["exposed"]["failures"]
-    )
+    checks, total = property_suite(instances, args.seed, args.samples)
+    for name in ("sandwich", "off_recession"):
+        x = checks[name]["first_violation"]
+        if x is not None:
+            checks[name]["first_violation"] = jsonio.vector_to_json(x)
     report = {
         "command": "verify",
         "mode": mode,
         "instances": len(instances),
         "seed": args.seed,
         "samples": args.samples,
-        "checks": tally,
+        "checks": checks,
         "violations": total,
         "passed": total == 0,
     }

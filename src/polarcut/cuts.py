@@ -15,17 +15,18 @@ inequality because the body is S-free - and is additionally *checked* here
 point by point on a lattice region, by exact LPs, rather than trusted.
 
 region_lattice_points is the one enumerator of a region: the integer box of
-a given radius (never negative) around the componentwise rounding of f, in
-lexicographic order, filtered to P with integer dot products. A box of more
-than MAX_SCAN_POINTS points is refused before the scan starts. is_s_free,
-check_cut_validity and maximality_certificate each make one pass over it
-and classify a point once, so reported witnesses are deterministic: the
-lexicographically smallest in the box.
+a given radius (never negative) around round(f), each coordinate rounded
+half to even, in lexicographic order, filtered to P with integer dot
+products. A box of more than MAX_SCAN_POINTS points is refused before the
+scan starts. is_s_free, check_cut_validity and maximality_certificate each
+make one pass over it and classify a point once, so reported witnesses are
+deterministic: the lexicographically smallest in the box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from operator import mul
 
@@ -33,13 +34,11 @@ from . import lp
 from .polyhedra import HPolyhedron, VPolytope, membership, normalize
 from .rationals import (
     ONE,
-    QScalar,
     Vec,
     ZERO,
     dot,
     integer_rows,
     is_integral,
-    nearest_int,
     vector,
     vsub,
     zero_vector,
@@ -104,7 +103,7 @@ class CornerInstance:
             vector(f),
             tuple(vector(r) for r in rays),
             tuple(vector(r) for r in p_rows),
-            tuple(QScalar(b) for b in p_rhs),
+            tuple(Fraction(b) for b in p_rhs),
         )
 
 
@@ -166,7 +165,7 @@ def translate_to_origin(b_rows, b_rhs, f: Vec) -> HPolyhedron:
     """Centered canonical form of the body: {r : <a_i, r> <= b_i - <a_i, f>},
     normalized. Demands f strictly interior (every shifted rhs positive)."""
     rows = [vector(a) for a in b_rows]
-    rhs = [QScalar(b) for b in b_rhs]
+    rhs = [Fraction(b) for b in b_rhs]
     if len(rows) != len(rhs):
         raise ValueError("body row/right-hand-side count mismatch")
     shifted = []
@@ -180,7 +179,7 @@ def translate_to_origin(b_rows, b_rhs, f: Vec) -> HPolyhedron:
 
 def make_body(b_rows, b_rhs, f: Vec) -> SFreeBody:
     rows = tuple(vector(a) for a in b_rows)
-    rhs = tuple(QScalar(b) for b in b_rhs)
+    rhs = tuple(Fraction(b) for b in b_rhs)
     return SFreeBody(rows, rhs, translate_to_origin(rows, rhs, f))
 
 
@@ -205,13 +204,13 @@ def region_lattice_points(inst: CornerInstance, radius: int):
             f"a radius-{radius} scan in dimension {inst.dim} visits "
             f"{side}^{inst.dim} points, over the limit of {MAX_SCAN_POINTS}"
         )
-    center = [nearest_int(c) for c in inst.f]
+    center = [round(c) for c in inst.f]
     ranges = [range(c - radius, c + radius + 1) for c in center]
     rows, _ = integer_rows([p + (b,) for p, b in zip(inst.p_rows, inst.p_rhs)])
     p_int = [(row[:-1], row[-1]) for row in rows]
     for ints in product(*ranges):
         if all(sum(map(mul, p, ints)) <= b for p, b in p_int):
-            yield tuple(QScalar(v) for v in ints)
+            yield tuple(Fraction(v) for v in ints)
 
 
 def is_s_free(body: SFreeBody, inst: CornerInstance, radius: int = DEFAULT_RADIUS) -> SFreeVerdict:

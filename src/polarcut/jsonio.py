@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .cuts import CornerInstance, Cut, SFreeBody, make_body
 from .polyhedra import HPolyhedron, VPolytope, normalize
-from .rationals import json_scalar, parse_rational, vector
+from .rationals import json_scalar, parse_rational
 
 
 class SchemaError(ValueError):
@@ -78,14 +78,6 @@ def polyhedron_from_json(obj) -> HPolyhedron:
     return normalize(rows, rhs)
 
 
-def polyhedron_to_json(h: HPolyhedron) -> dict:
-    return {
-        "dim": h.dim,
-        "rows": vector_list_to_json(h.rows),
-        "rhs": [1] * len(h.rows),
-    }
-
-
 def vpolytope_to_json(v: VPolytope) -> dict:
     return {"dim": v.dim, "points": vector_list_to_json(v.points)}
 
@@ -112,33 +104,11 @@ def corner_instance_from_json(obj) -> CornerInstance:
         raise SchemaError(str(exc)) from exc
 
 
-def corner_instance_to_json(inst: CornerInstance) -> dict:
-    doc = {
-        "dim": inst.dim,
-        "f": vector_to_json(inst.f),
-        "rays": vector_list_to_json(inst.rays),
-        "P": None,
-    }
-    if inst.p_rows:
-        doc["P"] = {
-            "rows": vector_list_to_json(inst.p_rows),
-            "rhs": vector_to_json(inst.p_rhs),
-        }
-    return doc
-
-
 def body_from_json(obj, f) -> SFreeBody:
     """{"rows", "rhs"} in x-space; the anchor comes from the instance."""
     rows = vector_list_from_json(_require(obj, "rows", "body."), "body.rows", len(f))
     rhs = vector_from_json(_require(obj, "rhs", "body."), "body.rhs", len(rows))
     return make_body(rows, rhs, f)
-
-
-def body_to_json(body: SFreeBody) -> dict:
-    return {
-        "rows": vector_list_to_json(body.rows),
-        "rhs": vector_to_json(body.rhs),
-    }
 
 
 def task_from_json(doc, part: str) -> tuple:

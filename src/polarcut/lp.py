@@ -35,9 +35,10 @@ original row space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 
-from .rationals import ZERO, QScalar, Vec, dot, integer_rows, vector
+from .rationals import ZERO, Vec, dot, integer_rows, vector
 
 MAX_PIVOTS = 200_000  # Bland's rule cannot cycle; this trips only on a bug.
 
@@ -78,7 +79,7 @@ class LinearProgram:
         """Coercing constructor: plain ints/Fractions welcome."""
         obj = vector(objective)
         rows_t = tuple(
-            (vector(coeffs), rel, QScalar(rhs)) for coeffs, rel, rhs in rows
+            (vector(coeffs), rel, Fraction(rhs)) for coeffs, rel, rhs in rows
         )
         if bounds is None:
             bounds = ("nonneg",) * len(obj)
@@ -241,7 +242,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
         if objrow[-1] < 0:
             # Farkas witness from the artificial columns: y_i = objrow - cost.
             dual = tuple(
-                QScalar(flip[i] * (objrow[art0 + i] - den), den)
+                Fraction(flip[i] * (objrow[art0 + i] - den), den)
                 for i in range(m)
             )
             return LPOutcome(status="infeasible", dual=dual)
@@ -271,7 +272,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     for i, b in enumerate(basis):
         if b < nu:
             j, sg = ucols[b]
-            point[j] += QScalar(sg * tab[i][-1], dens[i])
+            point[j] += Fraction(sg * tab[i][-1], dens[i])
     point = tuple(point)
 
     if status == "unbounded":
@@ -283,17 +284,17 @@ def solve(lp: LinearProgram) -> LPOutcome:
             t = tab[i][enter]
             if t and b < nu:
                 j, sg = ucols[b]
-                ray[j] -= QScalar(sg * t, dens[i])
+                ray[j] -= Fraction(sg * t, dens[i])
         return LPOutcome(status="unbounded", point=point, ray=tuple(ray))
 
     objrow, den = tab[-1], dens[-1]
     duals = tuple(
-        QScalar(sense * flip[i] * objrow[art0 + i], den) for i in range(m)
+        Fraction(sense * flip[i] * objrow[art0 + i], den) for i in range(m)
     )
     return LPOutcome(
         status="optimal",
         point=point,
-        value=QScalar(sense * objrow[-1], den),
+        value=Fraction(sense * objrow[-1], den),
         dual=duals,
     )
 

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
 from . import lp
 from .rationals import (
     ONE,
-    QScalar,
     Vec,
     ZERO,
     integer_rows,
@@ -156,7 +156,7 @@ def normalize(raw_rows, raw_rhs) -> HPolyhedron:
     strips redundant rows.
     """
     rows = [vector(a) for a in raw_rows]
-    rhs = [QScalar(b) for b in raw_rhs]
+    rhs = [Fraction(b) for b in raw_rhs]
     if len(rows) != len(rhs):
         raise ValueError("row/right-hand-side count mismatch")
     if not rows:
@@ -292,7 +292,7 @@ def random_polyhedron(dim: int, n_rows: int, rng: random.Random) -> HPolyhedron:
     for _ in range(n_rows):
         while True:
             a = tuple(
-                QScalar(rng.randint(-6, 6), rng.randint(1, 4))
+                Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                 for _ in range(dim)
             )
             if not is_zero_vector(a):

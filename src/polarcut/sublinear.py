@@ -17,13 +17,15 @@ function whose generators squeeze between the tight polar points and the
 polar itself agrees with the sandwich
 minimal_sublinear <= support <= gauge pointwise, the unit ball is
 recoverable from either evaluator, and off the recession cone all three
-routes agree exactly.
+routes agree exactly. property_suite runs all of these checks over a list
+of sets and tallies the outcome.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from operator import mul
 
@@ -31,6 +33,7 @@ from . import lp
 from .polyhedra import (
     HPolyhedron,
     VPolytope,
+    exposed_witness,
     hull_membership,
     in_recession,
     membership,
@@ -38,17 +41,17 @@ from .polyhedra import (
 )
 from .rationals import (
     ONE,
-    QScalar,
     Vec,
     ZERO,
     dot,
     integer_rows,
     is_zero_vector,
-    make_rational,
     vadd,
     vscale,
     zero_vector,
 )
+
+SUITE_CANDIDATES = 3  # unit-ball representations tried per set
 
 
 @dataclass(frozen=True)
@@ -64,17 +67,17 @@ class SandwichReport:
 def gauge(h: HPolyhedron, x: Vec):
     values, scale = pairings(h.compiled, x)
     top = max(values)
-    return make_rational(top, scale) if top > 0 else ZERO
+    return Fraction(top, scale) if top > 0 else ZERO
 
 
 def minimal_sublinear(h: HPolyhedron, x: Vec):
     values, scale = pairings(h.compiled, x)
-    return make_rational(max(values), scale)
+    return Fraction(max(values), scale)
 
 
 def support(gens: VPolytope, x: Vec):
     values, scale = pairings(gens.compiled, x)
-    return make_rational(max(values), scale)
+    return Fraction(max(values), scale)
 
 
 def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
@@ -121,11 +124,11 @@ def random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPolytope:
         weights = [rng.randint(0, 4) for _ in anchors]
         if sum(weights) == 0:
             weights[0] = 1
-        total = QScalar(sum(weights))
+        total = Fraction(sum(weights))
         point = zero_vector(h.dim)
         for w, anchor in zip(weights, anchors):
             if w:
-                point = vadd(point, vscale(QScalar(w) / total, anchor))
+                point = vadd(point, vscale(Fraction(w) / total, anchor))
         if point not in seen:
             seen.add(point)
             gens.append(point)
@@ -215,14 +218,14 @@ def sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
 
     def rand_point() -> Vec:
         return tuple(
-            QScalar(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(dim)
+            Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(dim)
         )
 
     grid_quota = min(count // 4, 40)
     for ints in product(range(-2, 3), repeat=dim):
         if len(out) >= grid_quota:
             break
-        out.append(tuple(QScalar(v) for v in ints))
+        out.append(tuple(Fraction(v) for v in ints))
 
     while len(out) < (count * 2) // 4:
         out.append(rand_point())
@@ -257,3 +260,68 @@ def sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
     while len(out) < count:
         out.append(rand_point())
     return tuple(out[:count])
+
+
+def property_suite(instances, seed: int, samples: int) -> tuple[dict, int]:
+    """Every check above on each set, in a fixed order: SUITE_CANDIDATES
+    seeded sandwich checks, reconstruction, off-recession agreement on the
+    samples outside the recession cone, and the exposed witness of every
+    row. Set `index` draws its samples from seed + 7919 * index.
+
+    Returns (tally, violations): per-check counts, with the first sandwich
+    and off-recession violations as rational vectors (None when there is
+    none), and the total count of violations and failures."""
+    tally = {
+        "sandwich": {
+            "pairs": 0,
+            "samples_checked": 0,
+            "violations": 0,
+            "first_violation": None,
+        },
+        "reconstruct": {"instances_checked": 0, "failures": 0},
+        "off_recession": {
+            "samples_checked": 0,
+            "violations": 0,
+            "first_violation": None,
+        },
+        "exposed": {"rows_checked": 0, "failures": 0},
+    }
+    sandwich, recon = tally["sandwich"], tally["reconstruct"]
+    off, exposed = tally["off_recession"], tally["exposed"]
+    for index, h in enumerate(instances):
+        pts = sample_points(h, seed + 7919 * index, samples)
+
+        for c in range(SUITE_CANDIDATES):
+            gens = random_unit_ball_rep(h, seed + 104729 * index + c, 5)
+            report = sandwich_check(h, gens, pts)
+            sandwich["pairs"] += 1
+            sandwich["samples_checked"] += report.samples_checked
+            sandwich["violations"] += len(report.violations)
+            if report.violations and sandwich["first_violation"] is None:
+                sandwich["first_violation"] = report.violations[0][0]
+
+        recon["instances_checked"] += 1
+        if not reconstruct_check(h, pts):
+            recon["failures"] += 1
+
+        for x in pts:
+            if in_recession(h, x):
+                continue
+            off["samples_checked"] += 1
+            if not off_recession_check(h, x):
+                off["violations"] += 1
+                if off["first_violation"] is None:
+                    off["first_violation"] = x
+
+        for i in range(len(h.rows)):
+            exposed["rows_checked"] += 1
+            if membership(h, exposed_witness(h, i)).tight_rows != (i,):
+                exposed["failures"] += 1
+
+    violations = (
+        sandwich["violations"]
+        + recon["failures"]
+        + off["violations"]
+        + exposed["failures"]
+    )
+    return tally, violations

@@ -18,7 +18,7 @@ import pytest
 
 from polarcut.lp import LinearProgram, LPOutcome
 from polarcut.polyhedra import HPolyhedron, membership, normalize
-from polarcut.rationals import ONE, ZERO, QScalar, dot, nearest_int, vector, vsub
+from polarcut.rationals import ONE, ZERO, dot, vsub
 
 
 @pytest.fixture
@@ -72,9 +72,9 @@ def brute_force_best(lp: LinearProgram):
     cands = [(coeffs, b) for coeffs, _, b in lp.rows]
     for j, bound in enumerate(lp.bounds):
         if bound == "nonneg":
-            unit = [QScalar(0)] * n
-            unit[j] = QScalar(1)
-            cands.append((tuple(unit), QScalar(0)))
+            unit = [Fraction(0)] * n
+            unit[j] = Fraction(1)
+            cands.append((tuple(unit), Fraction(0)))
     any_feasible = False
     best = None
     for subset in combinations(range(len(cands)), n):
@@ -109,16 +109,16 @@ def random_lp(rng: random.Random) -> LinearProgram:
         if bound == "free":
             box = [0] * n
             box[j] = rng.choice([1, -1])
-            rows.append((tuple(box), "<=", QScalar(rng.randint(1, 6))))
+            rows.append((tuple(box), "<=", Fraction(rng.randint(1, 6))))
     while len(rows) < total_rows:
         coeffs = tuple(
-            QScalar(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)
+            Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)
         )
         if all(c == 0 for c in coeffs):
             continue
         rel = "=" if rng.random() < 0.15 else "<="
-        rows.append((coeffs, rel, QScalar(rng.randint(-6, 6))))
-    objective = tuple(QScalar(rng.randint(-5, 5)) for _ in range(n))
+        rows.append((coeffs, rel, Fraction(rng.randint(-6, 6))))
+    objective = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
     direction = rng.choice(["max", "min"])
     return LinearProgram.make(direction, objective, rows, bounds)
 
@@ -211,7 +211,7 @@ def fraction_solve(lp: LinearProgram):
             b = -b
         row[art0 + i] = ONE
         tab.append(row)
-        rhs.append(QScalar(b))
+        rhs.append(Fraction(b))
         flip.append(s)
     basis = list(range(art0, ncols))
 
@@ -264,8 +264,7 @@ def gauge_bracket(h: HPolyhedron, x, steps: int = 60):
     """Bracket the gauge using only membership queries: gauge(x) <= t iff
     x/t stays in the set. Returns exact Fractions (lo, hi), hi - lo tiny."""
     def inside(t: Fraction) -> bool:
-        exact = [Fraction(int(c.numerator), int(c.denominator)) / t for c in x]
-        scaled = vector([QScalar(int(c.numerator), int(c.denominator)) for c in exact])
+        scaled = tuple(Fraction(c) / t for c in x)
         return membership(h, scaled).position != "outside"
 
     hi = Fraction(1)
@@ -300,14 +299,14 @@ def fraction_sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
 
     def rand_point():
         return tuple(
-            QScalar(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(dim)
+            Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(dim)
         )
 
     grid_quota = min(count // 4, 40)
     for ints in product(range(-2, 3), repeat=dim):
         if len(out) >= grid_quota:
             break
-        out.append(tuple(QScalar(v) for v in ints))
+        out.append(tuple(Fraction(v) for v in ints))
     while len(out) < (count * 2) // 4:
         out.append(rand_point())
     boundary_quota = (count * 3) // 4
@@ -361,13 +360,26 @@ def recheck_hull_verdict(p, polytope, verdict) -> bool:
 # ------------------------------------------------------- lattice scan oracles
 
 
+def nearest_int(q) -> int:
+    """Reference rounding for the scan centre: the nearest integer to q,
+    ties to the even neighbour, from floor division rather than round."""
+    floor = q.numerator // q.denominator
+    frac = q - floor
+    half = Fraction(1, 2)
+    if frac < half:
+        return floor
+    if frac > half:
+        return floor + 1
+    return floor if floor % 2 == 0 else floor + 1
+
+
 def fraction_region_points(inst, radius):
     """Reference for cuts.region_lattice_points: the same box in the same
     lexicographic order, filtered to P with Fraction dot products."""
     center = [nearest_int(c) for c in inst.f]
     ranges = [range(c - radius, c + radius + 1) for c in center]
     for ints in product(*ranges):
-        z = tuple(QScalar(v) for v in ints)
+        z = tuple(Fraction(v) for v in ints)
         if all(dot(p, z) <= b for p, b in zip(inst.p_rows, inst.p_rhs)):
             yield z
 

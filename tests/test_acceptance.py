@@ -30,7 +30,6 @@ from polarcut.polyhedra import (
     tight_points,
 )
 from polarcut.rationals import (
-    QScalar,
     dot,
     is_integral,
     vector,
@@ -89,8 +88,8 @@ def test_c1_worked_example_exactness():
         for x1 in grid_axis:
             for x2 in grid_axis:
                 x = vector([x1, x2])
-                expect_gauge = QScalar(max(Fraction(0), x1, x2))
-                expect_rho = QScalar(max(x1, x2))
+                expect_gauge = max(Fraction(0), x1, x2)
+                expect_rho = max(x1, x2)
                 assert gauge(h, x) == expect_gauge
                 assert minimal_sublinear(h, x) == expect_rho
                 verdict = membership(h, x)
@@ -155,7 +154,7 @@ def _non_recession_samples(h, seed, count):
     out = out[:count]
     while len(out) < count:
         x = tuple(
-            QScalar(rng.randint(-12, 12), rng.randint(1, 6))
+            Fraction(rng.randint(-12, 12), rng.randint(1, 6))
             for _ in range(h.dim)
         )
         if gauge(h, x) > 0:
@@ -226,7 +225,7 @@ def test_c6_lp_battery_against_enumeration():
 
 
 def _floor(q) -> int:
-    return int(q.numerator // q.denominator)
+    return q.numerator // q.denominator
 
 
 def _random_corner_2d(rng: random.Random):
@@ -234,14 +233,14 @@ def _random_corner_2d(rng: random.Random):
     strip, a standard lattice-free triangle, or a unit box, each around a
     fully fractional anchor."""
     f = tuple(
-        QScalar(rng.randint(-2, 2)) + QScalar(rng.randint(1, 3), 4)
+        Fraction(rng.randint(-2, 2)) + Fraction(rng.randint(1, 3), 4)
         for _ in range(2)
     )
     rays = []
     for _ in range(rng.randint(2, 4)):
         while True:
             r = tuple(
-                QScalar(rng.randint(-3, 3), rng.randint(1, 2))
+                Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                 for _ in range(2)
             )
             if any(c != 0 for c in r):
@@ -260,15 +259,15 @@ def _random_corner_2d(rng: random.Random):
                 break
         k = _floor(value)
         rows = [vector(c), vector([-c[0], -c[1]])]
-        rhs = [QScalar(k + 1), QScalar(-k)]
+        rhs = [Fraction(k + 1), Fraction(-k)]
     elif kind == "triangle":
         a, b = _floor(f[0]), _floor(f[1])
         rows = [vector([-1, 0]), vector([0, -1]), vector([1, 1])]
-        rhs = [QScalar(-a), QScalar(-b), QScalar(a + b + 2)]
+        rhs = [Fraction(-a), Fraction(-b), Fraction(a + b + 2)]
     else:
         a, b = _floor(f[0]), _floor(f[1])
         rows = [vector([1, 0]), vector([-1, 0]), vector([0, 1]), vector([0, -1])]
-        rhs = [QScalar(a + 1), QScalar(-a), QScalar(b + 1), QScalar(-b)]
+        rhs = [Fraction(a + 1), Fraction(-a), Fraction(b + 1), Fraction(-b)]
     return inst, make_body(rows, rhs, f)
 
 
@@ -284,7 +283,7 @@ def test_c7_cut_generation_and_validity():
         inst = CornerInstance.make(1, [Fraction(1, 2)], [[1], [-1]])
         body = make_body([[1], [-1]], [1, 0], inst.f)
         cut = generate_cut(inst, body, 5)
-        assert cut.alpha == (QScalar(2), QScalar(2))
+        assert cut.alpha == (Fraction(2), Fraction(2))
         assert check_cut_validity(inst, cut, 5).valid_on_region
         for z in (vector([0]), vector([1])):
             out = solve(
@@ -312,7 +311,7 @@ def test_c7_cut_generation_and_validity():
         with pytest.raises(NotSFreeError) as excinfo:
             generate_cut(inst, fat, 5)
         witness = excinfo.value.witness
-        assert witness == (QScalar(0),)
+        assert witness == (Fraction(0),)
         assert all(is_integral(c) for c in witness)
         assert membership(fat.centered, vsub(witness, inst.f)).position == "interior"
 
@@ -345,7 +344,7 @@ def test_c8_monotonicity_and_scaling():
                 )
                 coeffs += 1
 
-            scale = QScalar(3, 2)
+            scale = Fraction(3, 2)
             scaled_inst = CornerInstance(
                 inst.dim,
                 inst.f,

@@ -1,11 +1,14 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from polarcut import cuts, jsonio
+from polarcut import cuts, jsonio, sublinear
 from polarcut.cli import main
-from polarcut.cuts import CornerInstance, generate_cut, make_body
-from polarcut.rationals import QScalar, vector
+from polarcut.cuts import generate_cut
+from polarcut.polyhedra import VPolytope, in_recession
+from polarcut.rationals import vscale, zero_vector
+from polarcut.sublinear import property_suite, sample_points
 
 
 QUADRANT_K = {"dim": 2, "rows": [[1, 0], [0, 1]], "rhs": [1, 1]}
@@ -53,14 +56,52 @@ def test_gauge_and_rho_values(tmp_path, capsys):
     assert json.loads(out)["values"] == [0, 3, "1/2"]
 
 
-def test_verify_file_mode(tmp_path, capsys):
+def quadrant_counts():
+    """QUADRANT_K, its 40 samples for seed 0, those off the recession cone,
+    and the per-check counts of a clean verify run on them."""
+    h = jsonio.polyhedron_from_json(QUADRANT_K)
+    pts = sample_points(h, 0, 40)
+    off = [x for x in pts if not in_recession(h, x)]
+    checks = {
+        "sandwich": {
+            "pairs": 3,
+            "samples_checked": 120,
+            "violations": 0,
+            "first_violation": None,
+        },
+        "reconstruct": {"instances_checked": 1, "failures": 0},
+        "off_recession": {
+            "samples_checked": len(off),
+            "violations": 0,
+            "first_violation": None,
+        },
+        "exposed": {"rows_checked": 2, "failures": 0},
+    }
+    return h, pts, off, checks
+
+
+def verify_quadrant(tmp_path, capsys):
+    """verify on QUADRANT_K with 40 samples, through the CLI and through
+    property_suite; asserts that both agree and returns (exit code, checks,
+    violations) from the CLI report."""
     path = write(tmp_path, "k.json", QUADRANT_K)
     code, out, _ = run(capsys, "verify", path, "--samples", "40")
-    assert code == 0
     doc = json.loads(out)
-    assert doc["passed"] is True and doc["violations"] == 0
-    assert doc["checks"]["sandwich"]["samples_checked"] > 0
-    assert doc["checks"]["exposed"]["rows_checked"] == 2
+    h = jsonio.polyhedron_from_json(QUADRANT_K)
+    tally, violations = property_suite([h], 0, 40)
+    for name in ("sandwich", "off_recession"):
+        x = tally[name]["first_violation"]
+        if x is not None:
+            assert all(type(v) is Fraction for v in x)
+            tally[name]["first_violation"] = jsonio.vector_to_json(x)
+    assert doc["checks"] == tally and doc["violations"] == violations
+    assert doc["passed"] is (violations == 0)
+    return code, doc["checks"], doc["violations"]
+
+
+def test_verify_file_mode(tmp_path, capsys):
+    _, _, _, checks = quadrant_counts()
+    assert verify_quadrant(tmp_path, capsys) == (0, checks, 0)
 
 
 def test_verify_random_mode(capsys):
@@ -70,6 +111,47 @@ def test_verify_random_mode(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["instances"] == 5 and doc["violations"] == 0
+
+
+def test_verify_reports_off_recession_violation(tmp_path, capsys, monkeypatch):
+    _, _, off, checks = quadrant_counts()
+    real = sublinear.polar_support_lp
+    monkeypatch.setattr(sublinear, "polar_support_lp", lambda h, x: real(h, x) + 1)
+    checks["off_recession"].update(violations=len(off), first_violation=[-2, 1])
+    assert verify_quadrant(tmp_path, capsys) == (1, checks, len(off))
+
+
+def test_verify_reports_exposed_failure(tmp_path, capsys, monkeypatch):
+    _, _, _, checks = quadrant_counts()
+    monkeypatch.setattr(
+        sublinear, "exposed_witness", lambda h, i: zero_vector(h.dim)
+    )
+    checks["exposed"]["failures"] = 2
+    assert verify_quadrant(tmp_path, capsys) == (1, checks, 2)
+
+
+def test_verify_reports_reconstruct_failure(tmp_path, capsys, monkeypatch):
+    # A minimal_sublinear one too high misplaces every sample whose true
+    # value lies in (0, 1] (the boundary rescalings among them), and can
+    # no longer equal the gauge off the recession cone either.
+    _, _, off, checks = quadrant_counts()
+    real = sublinear.minimal_sublinear
+    monkeypatch.setattr(sublinear, "minimal_sublinear", lambda h, x: real(h, x) + 1)
+    checks["reconstruct"]["failures"] = 1
+    checks["off_recession"].update(violations=len(off), first_violation=[-2, 1])
+    assert verify_quadrant(tmp_path, capsys) == (1, checks, 1 + len(off))
+
+
+def test_verify_reports_sandwich_violation(tmp_path, capsys, monkeypatch):
+    # Twice the rows, with check_unit_ball bypassed: the support is twice
+    # the minimal function, so it leaves the sandwich wherever that is not 0.
+    h, pts, _, checks = quadrant_counts()
+    nonzero = sum(1 for x in pts if sublinear.minimal_sublinear(h, x) != 0)
+    doubled = VPolytope(2, tuple(vscale(2, a) for a in h.rows))
+    monkeypatch.setattr(sublinear, "random_unit_ball_rep", lambda h, seed, n: doubled)
+    monkeypatch.setattr(sublinear, "check_unit_ball", lambda gens, h: True)
+    checks["sandwich"].update(violations=3 * nonzero, first_violation=[-2, -2])
+    assert verify_quadrant(tmp_path, capsys) == (1, checks, 3 * nonzero)
 
 
 def test_verify_deterministic_bytes(capsys):
@@ -214,27 +296,11 @@ def test_text_format_same_content(tmp_path, capsys):
     assert "passed: true" in out
 
 
-def test_round_trip_identity_every_schema(tmp_path):
-    h = jsonio.polyhedron_from_json(QUADRANT_K)
-    assert jsonio.polyhedron_from_json(jsonio.polyhedron_to_json(h)) == h
-
+def test_round_trip_identity_every_schema():
+    # The cut is the one schema the CLI both writes (cut) and reads back
+    # (check-cut).
     inst = jsonio.corner_instance_from_json(SPLIT["instance"])
-    assert (
-        jsonio.corner_instance_from_json(jsonio.corner_instance_to_json(inst))
-        == inst
-    )
-    gated = CornerInstance.make(
-        1, ["1/2"], [[1]], p_rows=[[-1]], p_rhs=[-1]
-    )
-    assert (
-        jsonio.corner_instance_from_json(jsonio.corner_instance_to_json(gated))
-        == gated
-    )
-
     body = jsonio.body_from_json(SPLIT["body"], inst.f)
-    body2 = jsonio.body_from_json(jsonio.body_to_json(body), inst.f)
-    assert body == body2
-
     cut = generate_cut(inst, body)
     assert jsonio.cut_from_json(jsonio.cut_to_json(cut)) == cut
 

@@ -24,7 +24,7 @@ from polarcut.cuts import (
 )
 from polarcut.lp import LinearProgram, solve
 from polarcut.polyhedra import VPolytope, membership, random_polyhedron
-from polarcut.rationals import QScalar, dot, vadd, vector, vscale, vsub
+from polarcut.rationals import dot, vadd, vector, vscale, vsub
 from polarcut.sublinear import (
     minimal_sublinear,
     random_unit_ball_rep,
@@ -75,7 +75,7 @@ def test_cut_coeff_is_minimal_sublinear():
 def test_split_cut_exact(split_1d):
     inst, body = split_1d
     cut = generate_cut(inst, body)
-    assert cut.alpha == (QScalar(2), QScalar(2))
+    assert cut.alpha == (Fraction(2), Fraction(2))
     assert "2" in cut.provenance and "1/2" in cut.provenance
     report = check_cut_validity(inst, cut, 5)
     assert report.valid_on_region and report.violation is None
@@ -94,17 +94,17 @@ def test_split_cut_exact(split_1d):
 
 def test_zero_cut_violated(split_1d):
     inst, _ = split_1d
-    zero = Cut(alpha=(QScalar(0), QScalar(0)), provenance="")
+    zero = Cut(alpha=(Fraction(0), Fraction(0)), provenance="")
     report = check_cut_validity(inst, zero, 5)
     assert not report.valid_on_region
     violation = report.violation
     assert violation is not None and not violation.improving_ray
     # the witness is the lexicographically smallest reachable point ...
-    assert violation.x == (QScalar(-5),)
+    assert violation.x == (Fraction(-5),)
     # ... and certifies itself: a feasible combination with value < 1
     assert dot(zero.alpha, violation.s) < 1
     assert all(s >= 0 for s in violation.s)
-    reach = (QScalar(0),)
+    reach = (Fraction(0),)
     for s, r in zip(violation.s, inst.rays):
         reach = vadd(reach, vscale(s, r))
     assert reach == vsub(violation.x, inst.f)
@@ -114,7 +114,7 @@ def test_zero_cut_violated(split_1d):
 
 def test_unbounded_violation_reports_ray(split_1d):
     inst, _ = split_1d
-    descending = Cut(alpha=(QScalar(-1), QScalar(0)), provenance="")
+    descending = Cut(alpha=(Fraction(-1), Fraction(0)), provenance="")
     report = check_cut_validity(inst, descending, 2)
     assert not report.valid_on_region
     assert report.violation.improving_ray
@@ -129,7 +129,7 @@ def test_is_s_free_examples(split_1d):
     fat = make_body([[1], [-1]], [Fraction(3, 2), Fraction(1, 2)], inst.f)
     verdict = is_s_free(fat, inst, 5)
     assert not verdict.free_on_region
-    assert verdict.witness == (QScalar(0),)
+    assert verdict.witness == (Fraction(0),)
     # restricting to P = {x >= 1} moves the witness to 1
     gated = CornerInstance.make(
         1, [Fraction(1, 2)], [[1], [-1]], p_rows=[[-1]], p_rhs=[-1]
@@ -140,7 +140,7 @@ def test_is_s_free_examples(split_1d):
         5,
     )
     assert not verdict.free_on_region
-    assert verdict.witness == (QScalar(1),)
+    assert verdict.witness == (Fraction(1),)
 
 
 def test_generate_cut_refuses_with_witness(split_1d):
@@ -149,7 +149,7 @@ def test_generate_cut_refuses_with_witness(split_1d):
     with pytest.raises(NotSFreeError) as excinfo:
         generate_cut(inst, fat, 5)
     err = excinfo.value
-    assert err.witness == (QScalar(0),)
+    assert err.witness == (Fraction(0),)
     assert "lattice point" in str(err)
     # the witness really is feasible and strictly inside the body
     assert membership(fat.centered, vsub(err.witness, inst.f)).position == "interior"
@@ -163,6 +163,24 @@ def test_region_scan_is_lexicographic():
     assert pts[0] == V(-1, -1)
     assert pts == sorted(pts)
     assert len(pts) == 9
+
+
+def test_scan_centre_rounds_half_even():
+    # Radius 0 scans round(f) alone; a tie goes to the even neighbour. The
+    # reference scan of the lattice differential test, which rounds without
+    # the built-in round, agrees on every case.
+    cases = {
+        Fraction(1, 2): 0,
+        Fraction(-1, 2): 0,
+        Fraction(3, 2): 2,
+        Fraction(-3, 2): -2,
+        Fraction(7, 4): 2,
+        Fraction(-7, 4): -2,
+    }
+    for f, centre in cases.items():
+        inst = CornerInstance.make(1, [f], [[1], [-1]])
+        assert list(region_lattice_points(inst, 0)) == [V(centre)]
+        assert list(fraction_region_points(inst, 0)) == [V(centre)]
 
 
 def test_scan_size_limit():
@@ -202,10 +220,10 @@ def test_ray_scaling_scales_alpha(split_1d):
     scaled_inst = CornerInstance.make(
         1,
         [Fraction(1, 2)],
-        [vscale(QScalar(3, 2), r) for r in inst.rays],
+        [vscale(Fraction(3, 2), r) for r in inst.rays],
     )
     scaled_cut = generate_cut(scaled_inst, body)
-    assert scaled_cut.alpha == tuple(QScalar(3, 2) * a for a in cut.alpha)
+    assert scaled_cut.alpha == tuple(Fraction(3, 2) * a for a in cut.alpha)
 
 
 def test_maximality_split_certified(split_1d):
@@ -250,7 +268,7 @@ def test_minimality_compare(split_1d):
 def test_cut_validity_requires_matching_width(split_1d):
     inst, _ = split_1d
     with pytest.raises(ValueError):
-        check_cut_validity(inst, Cut(alpha=(QScalar(1),), provenance=""), 2)
+        check_cut_validity(inst, Cut(alpha=(Fraction(1),), provenance=""), 2)
 
 
 def random_corner_case(rng):
@@ -258,9 +276,9 @@ def random_corner_case(rng):
     with integer right-hand sides, so lattice points land on facets), P on
     about half of the draws, and a radius in 0..3."""
     dim = rng.randint(1, 3)
-    f = [QScalar(rng.randint(-6, 6), rng.choice((2, 3, 4))) for _ in range(dim)]
+    f = [Fraction(rng.randint(-6, 6), rng.choice((2, 3, 4))) for _ in range(dim)]
     if all(c.denominator == 1 for c in f):
-        f[0] += QScalar(1, 2)
+        f[0] += Fraction(1, 2)
     rays = [tuple(int(i == d) for i in range(dim)) for d in range(dim)]
 
     def nonzero_row():
@@ -274,14 +292,14 @@ def random_corner_case(rng):
     for a in rows:
         level = dot(a, f)
         if rng.random() < 0.5:
-            rhs.append(QScalar(math.floor(level) + 1))
+            rhs.append(Fraction(math.floor(level) + 1))
         else:
-            rhs.append(level + QScalar(rng.randint(1, 8), rng.randint(1, 4)))
+            rhs.append(level + Fraction(rng.randint(1, 8), rng.randint(1, 4)))
     p_rows, p_rhs = [], []
     if rng.random() < 0.5:
         for _ in range(rng.randint(1, 3)):
             p_rows.append(nonzero_row())
-            p_rhs.append(QScalar(rng.randint(-3, 9), rng.randint(1, 3)))
+            p_rhs.append(Fraction(rng.randint(-3, 9), rng.randint(1, 3)))
     inst = CornerInstance.make(dim, f, rays, p_rows, p_rhs)
     return inst, make_body(rows, rhs, inst.f), rng.randint(0, 3)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import brute_force_best, fraction_solve, random_lp
 from polarcut import lp as lp_module
 from polarcut.lp import LinearProgram, LPOutcome, solve, verify_certificate
-from polarcut.rationals import QScalar, dot
+from polarcut.rationals import dot
 
 
 def test_box_maximum():
@@ -19,7 +19,7 @@ def test_box_maximum():
     out = solve(lp)
     assert out.status == "optimal"
     assert out.value == 2
-    assert out.point == (QScalar(1), QScalar(1))
+    assert out.point == (Fraction(1), Fraction(1))
     assert verify_certificate(lp, out)
 
 
@@ -27,7 +27,7 @@ def test_free_variable_unbounded():
     lp = LinearProgram.make("max", [1], [], bounds=("free",))
     out = solve(lp)
     assert out.status == "unbounded"
-    assert out.ray == (QScalar(1),)
+    assert out.ray == (Fraction(1),)
     assert verify_certificate(lp, out)
 
 
@@ -56,7 +56,7 @@ def test_min_direction_and_equalities():
     out = solve(lp)
     assert out.status == "optimal"
     assert out.value == Fraction(7, 2)  # x=(3,1)
-    assert out.point == (QScalar(3), QScalar(1))
+    assert out.point == (Fraction(3), Fraction(1))
     assert verify_certificate(lp, out)
 
 
@@ -133,13 +133,13 @@ def test_verify_rejects_tampering():
     out = solve(lp)
     assert verify_certificate(lp, out)
     telling_lies = [
-        replace(out, value=QScalar(3)),
-        replace(out, point=(QScalar(2), QScalar(0))),
-        replace(out, dual=(QScalar(-1), QScalar(1))),
-        replace(out, dual=(QScalar(1),)),
+        replace(out, value=Fraction(3)),
+        replace(out, point=(Fraction(2), Fraction(0))),
+        replace(out, dual=(Fraction(-1), Fraction(1))),
+        replace(out, dual=(Fraction(1),)),
         replace(out, status="unbounded", ray=None),
-        replace(out, status="unbounded", ray=(QScalar(0), QScalar(0))),
-        replace(out, status="unbounded", ray=(QScalar(1), QScalar(0))),
+        replace(out, status="unbounded", ray=(Fraction(0), Fraction(0))),
+        replace(out, status="unbounded", ray=(Fraction(1), Fraction(0))),
         replace(out, status="infeasible"),
         LPOutcome(status="nonsense"),
     ]
@@ -150,7 +150,7 @@ def test_verify_rejects_tampering():
 def test_verify_rejects_wrong_farkas():
     lp = LinearProgram.make("max", [1], [([1], "<=", -1)])
     out = solve(lp)
-    assert not verify_certificate(lp, replace(out, dual=(QScalar(-1),)))
+    assert not verify_certificate(lp, replace(out, dual=(Fraction(-1),)))
     assert not verify_certificate(lp, replace(out, dual=None))
 
 

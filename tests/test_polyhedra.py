@@ -19,7 +19,7 @@ from polarcut.polyhedra import (
     remove_redundancy,
     tight_points,
 )
-from polarcut.rationals import QScalar, dot, vector, vscale, zero_vector
+from polarcut.rationals import dot, vector, vscale, zero_vector
 from polarcut.sublinear import sample_points
 
 
@@ -129,7 +129,7 @@ def test_hull_membership_inside_with_multipliers(quadrant_k):
     body = polar(quadrant_k)
     verdict = hull_membership(V(Fraction(1, 2), Fraction(1, 2)), body)
     assert verdict.inside
-    assert verdict.multipliers == (QScalar(0), QScalar(1, 2), QScalar(1, 2))
+    assert verdict.multipliers == (Fraction(0), Fraction(1, 2), Fraction(1, 2))
     assert recheck_hull_verdict(V(Fraction(1, 2), Fraction(1, 2)), body, verdict)
 
 
@@ -147,7 +147,7 @@ def test_hull_membership_exact_generator_fast_path(quadrant_k):
     body = polar(quadrant_k)
     verdict = hull_membership(V(1, 0), body)
     assert verdict.inside
-    assert verdict.multipliers == (QScalar(0), QScalar(1), QScalar(0))
+    assert verdict.multipliers == (Fraction(0), Fraction(1), Fraction(0))
 
 
 def test_hull_membership_invariant_under_redundant_points():
@@ -167,7 +167,7 @@ def test_exposed_witness_quadrant(quadrant_k):
 
 def test_exposed_witness_single_row_line():
     h = normalize([(1,)], [1])
-    assert exposed_witness(h, 0) == (QScalar(1),)
+    assert exposed_witness(h, 0) == (Fraction(1),)
 
 
 def test_exposed_witness_sweep_strict():
@@ -194,7 +194,7 @@ def test_recession_scaling_invariance():
     rng = random.Random(53)
     h = random_polyhedron(2, 4, rng)
     for x in sample_points(h, 3, 30):
-        scaled = vscale(QScalar(7, 3), x)
+        scaled = vscale(Fraction(7, 3), x)
         assert in_recession(h, x) == in_recession(h, scaled)
     assert in_recession(h, zero_vector(2))
 
