@@ -8,8 +8,8 @@ inside ("S-free") yields the valid inequality
 
     sum_j coeff(r^j) s_j >= 1,
 
-where coeff is the minimal sublinear evaluator of the centered body
-K = B - f in canonical row form: coeff(r) = max_i <a_i, r>. Validity is
+where coeff is minimal_sublinear of the centered body K = B - f in
+canonical row form: coeff(r) = max_i <a_i, r>. Validity is
 inherited from sublinearity - any s reaching a point of S satisfies the
 inequality because the body is S-free - and is additionally *checked* here
 point by point on a lattice region, by exact LPs, rather than trusted.
@@ -31,7 +31,7 @@ from itertools import product
 from operator import mul
 
 from . import lp
-from .polyhedra import HPolyhedron, VPolytope, membership, normalize
+from .polyhedra import HPolyhedron, membership, normalize, sup_over
 from .rationals import (
     ONE,
     Vec,
@@ -41,9 +41,8 @@ from .rationals import (
     is_integral,
     vector,
     vsub,
-    zero_vector,
 )
-from .sublinear import SandwichReport, check_unit_ball, minimal_sublinear, support
+from .sublinear import minimal_sublinear
 
 DEFAULT_RADIUS = 5
 MAX_SCAN_POINTS = 10**6  # largest scan box, (2 * radius + 1) ** dim points
@@ -152,8 +151,9 @@ class ValidityReport:
 class MaximalityReport:
     """certified iff every facet of the centered body is touched by a
     feasible lattice point tight on exactly that facet. heuristic flags
-    verdicts outside the certified scope (P present or unbounded body):
-    there the scan radius may simply have missed the touching points."""
+    verdicts outside the certified scope - P present, or the support of the
+    centered body infinite along some axis (the body is unbounded): there
+    the scan radius may simply have missed the touching points."""
 
     certified: bool
     radius: int
@@ -181,13 +181,6 @@ def make_body(b_rows, b_rhs, f: Vec) -> SFreeBody:
     rows = tuple(vector(a) for a in b_rows)
     rhs = tuple(Fraction(b) for b in b_rhs)
     return SFreeBody(rows, rhs, translate_to_origin(rows, rhs, f))
-
-
-def cut_coeff(centered: HPolyhedron, ray: Vec):
-    """Cut coefficient of one ray: the centered body's minimal sublinear
-    evaluator, max_i <a_i, ray>. Positive homogeneous and subadditive, which
-    is what makes the resulting inequality valid."""
-    return minimal_sublinear(centered, ray)
 
 
 def region_lattice_points(inst: CornerInstance, radius: int):
@@ -229,7 +222,7 @@ def generate_cut(inst: CornerInstance, body: SFreeBody, radius: int = DEFAULT_RA
     verdict = is_s_free(body, inst, radius)
     if not verdict.free_on_region:
         raise NotSFreeError(verdict.witness, radius)
-    alpha = tuple(cut_coeff(body.centered, r) for r in inst.rays)
+    alpha = tuple(minimal_sublinear(body.centered, r) for r in inst.rays)
     rows_text = ", ".join(
         "(" + ", ".join(str(c) for c in row) + ")"
         for row in body.centered.rows
@@ -277,27 +270,6 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
     return ValidityReport(True, radius, None)
 
 
-def _cone_is_pointed(centered: HPolyhedron) -> bool:
-    """True iff the centered body is bounded: its recession cone
-    {x : <a_i, x> <= 0} contains no direction at all beyond the origin."""
-    cone_rows = tuple((a, "<=", ZERO) for a in centered.rows)
-    for d in range(centered.dim):
-        for sign in (ONE, -ONE):
-            objective = list(zero_vector(centered.dim))
-            objective[d] = sign
-            outcome = lp.solve(
-                lp.LinearProgram(
-                    direction="max",
-                    objective=tuple(objective),
-                    rows=cone_rows,
-                    bounds=("free",) * centered.dim,
-                )
-            )
-            if outcome.status == "unbounded":
-                return False
-    return True
-
-
 def maximality_certificate(
     body: SFreeBody, inst: CornerInstance, radius: int = DEFAULT_RADIUS
 ) -> MaximalityReport:
@@ -305,9 +277,15 @@ def maximality_certificate(
     region is tight on it and strictly slack on every other row - i.e. sits
     in the facet's relative interior, blocking any strict enlargement of the
     body there. Bounded bodies with P absent get a definitive verdict;
-    anything else is labelled heuristic."""
+    anything else is labelled heuristic. The body is bounded iff sup_over
+    is finite at +e_d and -e_d for every axis d."""
     k = body.centered
-    heuristic = bool(inst.p_rows) or not _cone_is_pointed(k)
+    heuristic = bool(inst.p_rows) or any(
+        sup_over(k.rows, tuple(s if j == d else ZERO for j in range(k.dim)))
+        is None
+        for d in range(k.dim)
+        for s in (ONE, -ONE)
+    )
     uncertified = set(range(len(k.rows)))
     for z in region_lattice_points(inst, radius):
         tight = membership(k, vsub(z, inst.f)).tight_rows
@@ -322,21 +300,3 @@ def maximality_certificate(
         heuristic=heuristic,
     )
 
-
-def minimality_compare(body: SFreeBody, gens: VPolytope, samples) -> SandwichReport:
-    """The body's cut coefficients never exceed the support function of any
-    competing unit-ball generator set at the sampled rays. Candidates
-    failing check_unit_ball against the centered body are rejected."""
-    if not check_unit_ball(gens, body.centered):
-        raise ValueError(
-            "candidate generators are not a unit-ball representation of the body"
-        )
-    violations = []
-    count = 0
-    for r in samples:
-        count += 1
-        low = cut_coeff(body.centered, r)
-        mid = support(gens, r)
-        if not low <= mid:
-            violations.append((r, low, mid))
-    return SandwichReport(count, tuple(violations), not violations)

@@ -12,6 +12,12 @@ themselves are exactly the points of the polar at which the pairing
 direction; exposed_witness produces the attaining point). Everything here
 is exact; all verdicts are decided by rational arithmetic, never tolerance.
 
+sup_over is the one LP for the support function of K itself,
+sigma_K(v) = sup of <v, x> over K, which is at most 1 exactly when v lies
+in the polar. It decides row redundancy here, condition (b) of
+sublinear.check_unit_ball, and boundedness in cuts.maximality_certificate
+(sigma_K is finite along every axis, both ways, iff K is bounded).
+
 The evaluators run fraction-free: each set (and each generator set) is
 compiled once into integer rows over one common denominator, each query
 point is scaled to integers the same way, and a pairing <a_i, x> is then an
@@ -114,12 +120,33 @@ class HullVerdict:
     separator: tuple | None = None
 
 
+def sup_over(rows, v: Vec):
+    """sup of <v, x> over {x : <a, x> <= 1 for a in rows}, exactly; None
+    when the sup is unbounded. The origin is always feasible, so any other
+    LP status is an internal fault."""
+    outcome = lp.solve(
+        lp.LinearProgram(
+            direction="max",
+            objective=v,
+            rows=tuple((a, "<=", ONE) for a in rows),
+            bounds=("free",) * len(v),
+        )
+    )
+    if outcome.status == "unbounded":
+        return None
+    if outcome.status != "optimal":
+        raise RuntimeError(
+            f"support LP is {outcome.status} although the origin is feasible"
+        )
+    return outcome.value
+
+
 def remove_redundancy(dim: int, rows) -> HPolyhedron:
     """Keep a row iff dropping it would enlarge the set.
 
-    Row i is redundant exactly when max <a_i, x> subject to the remaining
-    rows stays <= 1. Rows are filtered sequentially so the survivors are
-    mutually irredundant; the result is a subset of the input rows.
+    Row i is redundant exactly when sup_over(the remaining rows, a_i) stays
+    <= 1. Rows are filtered sequentially so the survivors are mutually
+    irredundant; the result is a subset of the input rows.
     """
     kept = []
     for a in rows:
@@ -131,17 +158,8 @@ def remove_redundancy(dim: int, rows) -> HPolyhedron:
         if not others:
             i += 1
             continue
-        outcome = lp.solve(
-            lp.LinearProgram(
-                direction="max",
-                objective=kept[i],
-                rows=tuple((o, "<=", ONE) for o in others),
-                bounds=("free",) * dim,
-            )
-        )
-        if outcome.status == "unbounded" or (
-            outcome.status == "optimal" and outcome.value > 1
-        ):
+        top = sup_over(others, kept[i])
+        if top is None or top > 1:
             i += 1
         else:
             kept.pop(i)

@@ -38,6 +38,8 @@ from .polyhedra import (
     in_recession,
     membership,
     pairings,
+    polar,
+    sup_over,
 )
 from .rationals import (
     ONE,
@@ -85,10 +87,10 @@ def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
 
     Two exact conditions: (a) every row of h lies in the hull of the
     generators, so the support dominates the minimal evaluator; (b) every
-    generator supports the set by at most 1 (sup of <., v> over K <= 1 -
-    unbounded sup means false), so the gauge dominates the support.
-    Generators that are literal rows of h satisfy (b) by definition of K
-    and are skipped, as is the zero vector.
+    generator v lies in the polar, i.e. sup_over(h.rows, v) is finite and
+    at most 1, so the gauge dominates the support. Generators that are
+    literal rows of h satisfy (b) by definition of K and are skipped, as is
+    the zero vector.
     """
     if gens.dim != h.dim:
         raise ValueError("generator dimension differs from the set's")
@@ -99,15 +101,8 @@ def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
     for v in gens.points:
         if v in row_set or is_zero_vector(v):
             continue
-        outcome = lp.solve(
-            lp.LinearProgram(
-                direction="max",
-                objective=v,
-                rows=tuple((a, "<=", ONE) for a in h.rows),
-                bounds=("free",) * h.dim,
-            )
-        )
-        if outcome.status == "unbounded" or outcome.value > 1:
+        top = sup_over(h.rows, v)
+        if top is None or top > 1:
             return False
     return True
 
@@ -117,7 +112,7 @@ def random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPolytope:
     convex combinations of the origin and the rows (duplicates merged).
     Always passes check_unit_ball by construction."""
     rng = random.Random(seed)
-    anchors = [zero_vector(h.dim)] + list(h.rows)
+    anchors = polar(h).points
     gens = list(h.rows)
     seen = set(gens)
     for _ in range(count):
@@ -182,7 +177,7 @@ def polar_support_lp(h: HPolyhedron, x: Vec):
     """sup of <x, .> over the polar, computed as an LP over exact convex
     multipliers of {0} union rows - an independent route to the same number
     the direct evaluators produce."""
-    points = [zero_vector(h.dim)] + list(h.rows)
+    points = polar(h).points
     npts = len(points)
     outcome = lp.solve(
         lp.LinearProgram(

@@ -3,9 +3,10 @@
 The oracles recompute results by routes independent of the library code:
 brute-force vertex enumeration for linear programs, the Fraction-tableau
 simplex that the integer one replaced, bisection on membership for the
-gauge, direct arithmetic re-verification of certificates, and
-Fraction-arithmetic sample mixes and lattice scans. They are deliberately
-slow and simple.
+gauge, direct arithmetic re-verification of certificates,
+Fraction-arithmetic sample mixes and lattice scans, and the recession-cone
+LPs that decided boundedness before polyhedra.sup_over. They are
+deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import combinations, product
 
 import pytest
 
-from polarcut.lp import LinearProgram, LPOutcome
+from polarcut.lp import LinearProgram, LPOutcome, solve
 from polarcut.polyhedra import HPolyhedron, membership, normalize
 from polarcut.rationals import ONE, ZERO, dot, vsub
 
@@ -355,6 +356,31 @@ def recheck_hull_verdict(p, polytope, verdict) -> bool:
     if dot(c, p) <= gamma:
         return False
     return all(dot(c, q) <= gamma for q in pts)
+
+
+# ------------------------------------------------------ boundedness reference
+
+
+def cone_is_pointed(k: HPolyhedron) -> bool:
+    """Reference for maximality_certificate's boundedness test: True iff
+    the recession cone {x : <a_i, x> <= 0} of k holds no direction beyond
+    the origin, decided by 2 * dim LPs over the cone itself."""
+    cone_rows = tuple((a, "<=", ZERO) for a in k.rows)
+    for d in range(k.dim):
+        for sign in (ONE, -ONE):
+            objective = [ZERO] * k.dim
+            objective[d] = sign
+            outcome = solve(
+                LinearProgram(
+                    direction="max",
+                    objective=tuple(objective),
+                    rows=cone_rows,
+                    bounds=("free",) * k.dim,
+                )
+            )
+            if outcome.status == "unbounded":
+                return False
+    return True
 
 
 # ------------------------------------------------------- lattice scan oracles

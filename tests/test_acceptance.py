@@ -15,7 +15,6 @@ from polarcut.cuts import (
     CornerInstance,
     NotSFreeError,
     check_cut_validity,
-    cut_coeff,
     generate_cut,
     is_s_free,
     make_body,
@@ -339,7 +338,7 @@ def test_c8_monotonicity_and_scaling():
                 list(body.rows) + box_rows, list(body.rhs) + box_rhs, inst.f
             )
             for r in inst.rays:
-                assert cut_coeff(shrunk.centered, r) >= cut_coeff(
+                assert minimal_sublinear(shrunk.centered, r) >= minimal_sublinear(
                     body.centered, r
                 )
                 coeffs += 1

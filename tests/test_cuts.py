@@ -4,21 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import first_interior_point, fraction_region_points, per_facet_uncertified
+from conftest import (
+    cone_is_pointed,
+    first_interior_point,
+    fraction_region_points,
+    per_facet_uncertified,
+)
 from polarcut import cuts
 from polarcut.cuts import (
     AnchorNotInteriorError,
     CornerInstance,
     Cut,
     NotSFreeError,
-    SFreeBody,
     check_cut_validity,
-    cut_coeff,
     generate_cut,
     is_s_free,
     make_body,
     maximality_certificate,
-    minimality_compare,
     region_lattice_points,
     translate_to_origin,
 )
@@ -29,6 +31,7 @@ from polarcut.sublinear import (
     minimal_sublinear,
     random_unit_ball_rep,
     sample_points,
+    sandwich_check,
 )
 
 
@@ -63,13 +66,6 @@ def test_instance_validation():
         CornerInstance.make(1, [Fraction(1, 2)], [])  # no rays
     with pytest.raises(ValueError):
         CornerInstance.make(2, [Fraction(1, 2), 0], [[1]])  # ray width
-
-
-def test_cut_coeff_is_minimal_sublinear():
-    rng = random.Random(61)
-    k = random_polyhedron(2, 5, rng)
-    for r in sample_points(k, 67, 25):
-        assert cut_coeff(k, r) == minimal_sublinear(k, r)
 
 
 def test_split_cut_exact(split_1d):
@@ -211,7 +207,9 @@ def test_body_shrink_never_decreases_coefficients(split_1d):
         [[1], [-1], [2]], [1, 0, Fraction(3, 2)], inst.f
     )
     for r in inst.rays:
-        assert cut_coeff(smaller.centered, r) >= cut_coeff(body.centered, r)
+        assert minimal_sublinear(smaller.centered, r) >= minimal_sublinear(
+            body.centered, r
+        )
 
 
 def test_ray_scaling_scales_alpha(split_1d):
@@ -252,17 +250,17 @@ def test_maximality_unbounded_strip_is_heuristic():
     assert report.certified and report.heuristic
 
 
-def test_minimality_compare(split_1d):
+def test_sandwich_check_on_centered_body(split_1d):
     inst, body = split_1d
     rows_rep = VPolytope(1, body.centered.rows)
     samples = sample_points(body.centered, 71, 40)
-    report = minimality_compare(body, rows_rep, samples)
+    report = sandwich_check(body.centered, rows_rep, samples)
     assert report.passed and report.samples_checked == 40
     padded = random_unit_ball_rep(body.centered, 5, 4)
-    assert minimality_compare(body, padded, samples).passed
+    assert sandwich_check(body.centered, padded, samples).passed
     bad = VPolytope(1, (V(2),))
     with pytest.raises(ValueError):
-        minimality_compare(body, bad, samples)
+        sandwich_check(body.centered, bad, samples)
 
 
 def test_cut_validity_requires_matching_width(split_1d):
@@ -336,3 +334,32 @@ def test_lattice_pass_matches_fraction_reference(monkeypatch):
         seen["certified"] += report.certified
         seen["partial"] += 0 < len(expected) < len(body.centered.rows)
     assert min(seen.values()) >= 10, seen
+
+
+def test_boundedness_matches_cone_reference():
+    # maximality_certificate calls the body bounded when its support is
+    # finite along every axis; the reference decides it by LPs over the
+    # recession cone. heuristic must read: P present or the body unbounded.
+    rng = random.Random(5150)
+    cases = []
+    for _ in range(120):
+        dim = rng.randint(1, 4)
+        k = random_polyhedron(dim, rng.randint(dim, dim + 4), rng)
+        f = V(Fraction(1, 2), *([0] * (dim - 1)))
+        rays = [tuple(int(i == d) for i in range(dim)) for d in range(dim)]
+        body = make_body(k.rows, [1 + dot(a, f) for a in k.rows], f)
+        assert body.centered == k
+        cases.append((CornerInstance.make(dim, f, rays), body))
+        cases.append((CornerInstance.make(dim, f, rays, [[1] * dim], [dim]), body))
+    for _ in range(60):
+        inst, body, _ = random_corner_case(rng)
+        cases.append((inst, body))
+        cases.append((CornerInstance(inst.dim, inst.f, inst.rays), body))
+    seen = {}
+    for inst, body in cases:
+        bounded = cone_is_pointed(body.centered)
+        report = maximality_certificate(body, inst, 0)
+        assert report.heuristic == (bool(inst.p_rows) or not bounded)
+        key = (bool(inst.p_rows), bounded)
+        seen[key] = seen.get(key, 0) + 1
+    assert len(seen) == 4 and min(seen.values()) >= 20, seen

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import recheck_hull_verdict
+from conftest import cone_is_pointed, recheck_hull_verdict
+from polarcut import lp
 from polarcut.polyhedra import (
     HPolyhedron,
     ImproperSetError,
@@ -17,9 +18,10 @@ from polarcut.polyhedra import (
     polar,
     random_polyhedron,
     remove_redundancy,
+    sup_over,
     tight_points,
 )
-from polarcut.rationals import dot, vector, vscale, zero_vector
+from polarcut.rationals import dot, vadd, vector, vscale, zero_vector
 from polarcut.sublinear import sample_points
 
 
@@ -216,3 +218,38 @@ def test_hpolyhedron_rejects_garbage():
         VPolytope(2, ())
     with pytest.raises(ValueError):
         hull_membership(V(1, 0, 0), VPolytope(2, (V(1, 0),)))
+
+
+def test_sup_over_decides_polar_membership():
+    # sigma_K(v) <= 1 exactly when v lies in the polar conv({0} union rows),
+    # and every row is a tight polar point: sigma_K(a) = 1.
+    rng = random.Random(8128)
+    seen = {"bounded": 0, "unbounded": 0, "inside": 0, "outside": 0}
+    for _ in range(80):
+        dim = rng.randint(1, 4)
+        h = random_polyhedron(dim, rng.randint(dim, dim + 4), rng)
+        seen["bounded" if cone_is_pointed(h) else "unbounded"] += 1
+        for a in h.rows:
+            assert sup_over(h.rows, a) == 1
+        points = [
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim))
+            for _ in range(8)
+        ]
+        for _ in range(4):
+            a, b = rng.choice(h.rows), rng.choice(h.rows)
+            t = Fraction(rng.randint(1, 5), 4)
+            points.append(vscale(t / 2, vadd(a, b)))
+        polar_h = polar(h)
+        for v in points:
+            top = sup_over(h.rows, v)
+            inside = hull_membership(v, polar_h).inside
+            assert (top is not None and top <= 1) == inside
+            seen["inside" if inside else "outside"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_sup_over_refuses_an_impossible_status(monkeypatch):
+    # The origin is feasible, so an infeasible support LP is a fault.
+    monkeypatch.setattr(lp, "solve", lambda program: lp.LPOutcome(status="infeasible"))
+    with pytest.raises(RuntimeError, match="infeasible"):
+        sup_over((V(1, 0),), V(0, 1))
