@@ -4,12 +4,14 @@ Subcommands: polar, gauge, rho, verify, cut, check-cut, sfree, maximal.
 Reports go to stdout as JSON (default) or as equivalent flat text; both are
 byte-identical across runs on the same inputs. Exit codes: 0 pass/success,
 1 property violation or refused precondition, 2 input error (malformed
-JSON or schema problems, diagnosed to stderr).
+JSON or schema problems, diagnosed to stderr) or a report value too long
+to print. The whole report is rendered before anything is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -24,7 +26,7 @@ from .cuts import (
     maximality_certificate,
 )
 from .polyhedra import polar, random_polyhedron
-from .rationals import json_scalar
+from .rationals import TooLongToPrint, json_scalar
 from .sublinear import gauge, minimal_sublinear, property_suite
 
 
@@ -36,10 +38,9 @@ def _load_document(path: str):
             raise ValueError("JSON nested too deeply to read") from None
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
-        return
+def _render(report: dict, fmt: str) -> str:
+    """The report as JSON or as flat "key: value" lines. An int with more
+    digits than the interpreter converts to text raises TooLongToPrint."""
     lines: list[str] = []
 
     def walk(prefix: str, value) -> None:
@@ -49,8 +50,13 @@ def _emit(report: dict, fmt: str) -> None:
         else:
             lines.append(f"{prefix}: {json.dumps(value)}")
 
-    walk("", report)
-    print("\n".join(lines))
+    try:
+        if fmt == "json":
+            return json.dumps(report, indent=2)
+        walk("", report)
+    except ValueError as exc:
+        raise TooLongToPrint(str(exc)) from None
+    return "\n".join(lines)
 
 
 def _cmd_polar(args) -> tuple[int, dict]:
@@ -178,7 +184,10 @@ def _cmd_maximal(args) -> tuple[int, dict]:
     return (0 if report.certified else 1), out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: main reuses it, and
+    parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="polarcut",
         description=(
@@ -252,6 +261,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, report = args.handler(args)
+        text = _render(report, args.format)
+    except TooLongToPrint:
+        print(
+            "output error: a report value is too long to print "
+            f"(over {sys.get_int_max_str_digits()} decimal digits)",
+            file=sys.stderr,
+        )
+        return 2
     except json.JSONDecodeError as exc:
         print(
             f"input error: line {exc.lineno} column {exc.colno}: {exc.msg}",
@@ -267,7 +284,7 @@ def main(argv=None) -> int:
         # --samples or --random, and over-deep JSON all land here.
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.format)
+    print(text)
     return code
 
 

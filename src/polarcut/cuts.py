@@ -20,7 +20,9 @@ half to even, in lexicographic order, filtered to P with integer dot
 products. A box of more than MAX_SCAN_POINTS points is refused before the
 scan starts. is_s_free, check_cut_validity and maximality_certificate each
 make one pass over it and classify a point once, so reported witnesses are
-deterministic: the lexicographically smallest in the box.
+deterministic: the lexicographically smallest in the box. Each pass scales
+f once (rationals.Scaled), so the offset z - f of a lattice point is int
+arithmetic, and builds a rational only for a reported point.
 """
 
 from __future__ import annotations
@@ -34,13 +36,15 @@ from . import lp
 from .polyhedra import HPolyhedron, membership, normalize, sup_over
 from .rationals import (
     ONE,
-    Vec,
     ZERO,
+    Scaled,
+    Vec,
     dot,
     integer_rows,
     is_integral,
+    scaled,
+    unscaled,
     vector,
-    vsub,
 )
 from .sublinear import minimal_sublinear
 
@@ -184,11 +188,11 @@ def make_body(b_rows, b_rhs, f: Vec) -> SFreeBody:
 
 
 def region_lattice_points(inst: CornerInstance, radius: int):
-    """Lattice points of the scan box around round(f), lexicographic order,
-    filtered to P. P's rows [p_i | b_i] are compiled to integers once, so
-    the filter is pure int arithmetic. A radius below 0, or a box of more
-    than MAX_SCAN_POINTS points, is an input error raised before any point
-    is visited."""
+    """Lattice points of the scan box around round(f), as tuples of ints,
+    lexicographic order, filtered to P. P's rows [p_i | b_i] are compiled
+    to integers once, so the filter is pure int arithmetic. A radius below
+    0, or a box of more than MAX_SCAN_POINTS points, is an input error
+    raised before any point is visited."""
     if radius < 0:
         raise ValueError(f"scan radius must be >= 0, got {radius}")
     side = 2 * radius + 1
@@ -203,16 +207,21 @@ def region_lattice_points(inst: CornerInstance, radius: int):
     p_int = [(row[:-1], row[-1]) for row in rows]
     for ints in product(*ranges):
         if all(sum(map(mul, p, ints)) <= b for p, b in p_int):
-            yield tuple(Fraction(v) for v in ints)
+            yield ints
+
+
+def _offset(z, f: Scaled) -> Scaled:
+    """z - f for a lattice point z, in scaled form over f's denominator."""
+    return Scaled(tuple(v * f.den - n for v, n in zip(z, f.ints)), f.den)
 
 
 def is_s_free(body: SFreeBody, inst: CornerInstance, radius: int = DEFAULT_RADIUS) -> SFreeVerdict:
     """Scan the region for a feasible lattice point strictly inside the
     body; the first (lexicographically smallest) one found is the witness."""
+    f = scaled(inst.f)
     for z in region_lattice_points(inst, radius):
-        offset = vsub(z, inst.f)
-        if membership(body.centered, offset).position == "interior":
-            return SFreeVerdict(False, radius, z)
+        if membership(body.centered, _offset(z, f)).position == "interior":
+            return SFreeVerdict(False, radius, vector(z))
     return SFreeVerdict(True, radius, None)
 
 
@@ -243,8 +252,9 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
     if len(cut.alpha) != len(inst.rays):
         raise ValueError("one coefficient per ray required")
     nrays = len(inst.rays)
+    f = scaled(inst.f)
     for z in region_lattice_points(inst, radius):
-        target = vsub(z, inst.f)
+        target = unscaled(_offset(z, f))
         rows = tuple(
             (tuple(r[d] for r in inst.rays), "=", target[d])
             for d in range(inst.dim)
@@ -261,11 +271,11 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
             continue
         if outcome.status == "unbounded":
             return ValidityReport(
-                False, radius, CutViolation(z, outcome.ray, True)
+                False, radius, CutViolation(vector(z), outcome.ray, True)
             )
         if outcome.value < 1:
             return ValidityReport(
-                False, radius, CutViolation(z, outcome.point, False)
+                False, radius, CutViolation(vector(z), outcome.point, False)
             )
     return ValidityReport(True, radius, None)
 
@@ -287,8 +297,9 @@ def maximality_certificate(
         for s in (ONE, -ONE)
     )
     uncertified = set(range(len(k.rows)))
+    f = scaled(inst.f)
     for z in region_lattice_points(inst, radius):
-        tight = membership(k, vsub(z, inst.f)).tight_rows
+        tight = membership(k, _offset(z, f)).tight_rows
         if len(tight) == 1:
             uncertified.discard(tight[0])
             if not uncertified:

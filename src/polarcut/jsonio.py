@@ -4,13 +4,17 @@ Conventions: rationals travel as native ints when integral and as "p/q"
 strings otherwise; parsers accept both forms (plus "p" strings). Floats are
 rejected - there is no inexact mode. Schema problems raise SchemaError
 naming the offending field.
+
+Query points never become Fractions: points_from_json reads each row
+straight into the scaled form rationals.Scaled, with the scalar grammar
+and error messages that every other field gets from parse_rational.
 """
 
 from __future__ import annotations
 
 from .cuts import CornerInstance, Cut, SFreeBody, make_body
 from .polyhedra import HPolyhedron, VPolytope, normalize
-from .rationals import json_scalar, parse_rational
+from .rationals import json_scalar, parse_rational, scaled_row
 
 
 class SchemaError(ValueError):
@@ -82,8 +86,22 @@ def vpolytope_to_json(v: VPolytope) -> dict:
     return {"dim": v.dim, "points": vector_list_to_json(v.points)}
 
 
-def points_from_json(obj, dim: int):
-    return vector_list_from_json(_require(obj, "points", ""), "points", dim)
+def points_from_json(obj, dim: int) -> tuple:
+    """The "points" list, each row as a rationals.Scaled of width dim."""
+    value = _require(obj, "points", "")
+    if not isinstance(value, list):
+        _fail("points", "expected a list")
+    out = []
+    for i, row in enumerate(value):
+        try:
+            if not isinstance(row, list) or len(row) != dim:
+                raise ValueError
+            out.append(scaled_row(row))
+        except ValueError:
+            # parse the row again, entry by entry, to name what is wrong
+            vector_from_json(row, f"points[{i}]", dim)
+            raise
+    return tuple(out)
 
 
 def corner_instance_from_json(obj) -> CornerInstance:

@@ -19,10 +19,15 @@ sublinear.check_unit_ball, and boundedness in cuts.maximality_certificate
 (sigma_K is finite along every axis, both ways, iff K is bounded).
 
 The evaluators run fraction-free: each set (and each generator set) is
-compiled once into integer rows over one common denominator, each query
-point is scaled to integers the same way, and a pairing <a_i, x> is then an
-integer dot product over a positive scale. Rationals are only built for the
-values a caller asks for.
+compiled once into integer rows over one common denominator, and a pairing
+<a_i, x> is an integer dot product with the query point's scaled form
+(rationals.Scaled: int numerators over one positive denominator) over a
+positive scale. pairings, and every evaluator built on it (membership,
+in_recession, sublinear.gauge, minimal_sublinear, support), takes a point
+in either form: a Scaled is used as it is - jsonio parses query points
+into it, the scans and the property suite scale a point once and query it
+many times - and a rational tuple is scaled once at that call. Rationals
+are only built for the values a caller asks for.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .rationals import (
     ZERO,
     integer_rows,
     is_zero_vector,
+    scaled,
     vector,
     zero_vector,
 )
@@ -198,21 +204,21 @@ def normalize(raw_rows, raw_rhs) -> HPolyhedron:
     return remove_redundancy(dim, scaled)
 
 
-def pairings(compiled: tuple, x: Vec) -> tuple[list, int]:
+def pairings(compiled: tuple, x) -> tuple[list, int]:
     """Exact pairings of compiled vectors with x, fraction-free.
 
-    compiled is a set's or a polytope's .compiled form. Returns (values,
-    scale): integers and one positive integer with <v_i, x> equal to
-    values[i] / scale for every vector v_i.
+    compiled is a set's or a polytope's .compiled form; x is a Scaled point
+    or a rational tuple. Returns (values, scale): integers and one positive
+    integer with <v_i, x> equal to values[i] / scale for every vector v_i.
     """
     rows, den = compiled
-    if len(x) != len(rows[0]):
-        raise ValueError(f"dimension mismatch: {len(rows[0])} vs {len(x)}")
-    (ix,), d = integer_rows((x,))
+    ix, d = scaled(x)
+    if len(ix) != len(rows[0]):
+        raise ValueError(f"dimension mismatch: {len(rows[0])} vs {len(ix)}")
     return [sum(map(mul, a, ix)) for a in rows], den * d
 
 
-def membership(h: HPolyhedron, x: Vec) -> MembershipVerdict:
+def membership(h: HPolyhedron, x) -> MembershipVerdict:
     values, scale = pairings(h.compiled, x)
     top = max(values)
     if top > scale:
@@ -237,7 +243,7 @@ def tight_points(h: HPolyhedron) -> tuple:
     return tuple(h.rows)
 
 
-def in_recession(h: HPolyhedron, x: Vec) -> bool:
+def in_recession(h: HPolyhedron, x) -> bool:
     values, _ = pairings(h.compiled, x)
     return all(v <= 0 for v in values)
 

@@ -19,6 +19,11 @@ minimal_sublinear <= support <= gauge pointwise, the unit ball is
 recoverable from either evaluator, and off the recession cone all three
 routes agree exactly. property_suite runs all of these checks over a list
 of sets and tallies the outcome.
+
+The evaluators and checks take a point in either form, a rational tuple or
+its rationals.Scaled form; property_suite scales each sample once per set,
+so every check on it pairs int vectors, and a rational is built only for a
+value that is returned or a violation that is reported.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from operator import mul
 
 from . import lp
@@ -43,14 +48,12 @@ from .polyhedra import (
 )
 from .rationals import (
     ONE,
-    Vec,
     ZERO,
-    dot,
-    integer_rows,
+    Scaled,
+    Vec,
     is_zero_vector,
-    vadd,
-    vscale,
-    zero_vector,
+    scaled,
+    unscaled,
 )
 
 SUITE_CANDIDATES = 3  # unit-ball representations tried per set
@@ -66,18 +69,18 @@ class SandwichReport:
     passed: bool
 
 
-def gauge(h: HPolyhedron, x: Vec):
+def gauge(h: HPolyhedron, x):
     values, scale = pairings(h.compiled, x)
     top = max(values)
     return Fraction(top, scale) if top > 0 else ZERO
 
 
-def minimal_sublinear(h: HPolyhedron, x: Vec):
+def minimal_sublinear(h: HPolyhedron, x):
     values, scale = pairings(h.compiled, x)
     return Fraction(max(values), scale)
 
 
-def support(gens: VPolytope, x: Vec):
+def support(gens: VPolytope, x):
     values, scale = pairings(gens.compiled, x)
     return Fraction(max(values), scale)
 
@@ -119,11 +122,11 @@ def random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPolytope:
         weights = [rng.randint(0, 4) for _ in anchors]
         if sum(weights) == 0:
             weights[0] = 1
-        total = Fraction(sum(weights))
-        point = zero_vector(h.dim)
-        for w, anchor in zip(weights, anchors):
-            if w:
-                point = vadd(point, vscale(Fraction(w) / total, anchor))
+        total = sum(weights)
+        point = tuple(
+            Fraction(sum(w * anchor[d] for w, anchor in zip(weights, anchors)), total)
+            for d in range(h.dim)
+        )
         if point not in seen:
             seen.add(point)
             gens.append(point)
@@ -151,7 +154,7 @@ def sandwich_check(h: HPolyhedron, gens: VPolytope, samples) -> SandwichReport:
         mid = max(sigma)
         if not low * s_mid <= mid * s_low <= max(low, 0) * s_mid:
             violations.append(
-                (x, minimal_sublinear(h, x), support(gens, x), gauge(h, x))
+                (unscaled(x), minimal_sublinear(h, x), support(gens, x), gauge(h, x))
             )
     return SandwichReport(count, tuple(violations), not violations)
 
@@ -167,31 +170,36 @@ def reconstruct_check(h: HPolyhedron, samples) -> bool:
             return False
         g = gauge(h, x)
         if g > 0:
-            scaled = vscale(ONE / g, x)
-            if minimal_sublinear(h, scaled) != 1:
+            ints, den = scaled(x)
+            on_boundary = Scaled(
+                tuple(v * g.denominator for v in ints), den * g.numerator
+            )
+            if minimal_sublinear(h, on_boundary) != 1:
                 return False
     return True
 
 
-def polar_support_lp(h: HPolyhedron, x: Vec):
+def polar_support_lp(h: HPolyhedron, x):
     """sup of <x, .> over the polar, computed as an LP over exact convex
-    multipliers of {0} union rows - an independent route to the same number
-    the direct evaluators produce."""
-    points = polar(h).points
-    npts = len(points)
+    multipliers of {0} union rows. The objective is polyhedra.pairings of
+    x with the rows, shared with the direct evaluators; only the maximum,
+    taken by the LP, is an independent step. The pairings' one positive
+    scale divides the optimum."""
+    values, scale = pairings(h.compiled, x)
+    npts = len(values) + 1
     outcome = lp.solve(
         lp.LinearProgram(
             direction="max",
-            objective=tuple(dot(x, p) for p in points),
+            objective=(0, *values),
             rows=(((ONE,) * npts, "=", ONE),),
             bounds=("nonneg",) * npts,
         )
     )
     assert outcome.status == "optimal"  # a simplex is compact and nonempty
-    return outcome.value
+    return outcome.value / scale
 
 
-def off_recession_check(h: HPolyhedron, x: Vec) -> bool:
+def off_recession_check(h: HPolyhedron, x) -> bool:
     """Off the recession cone the three routes agree exactly:
     minimal_sublinear = gauge = the polar-support LP value.
 
@@ -201,6 +209,40 @@ def off_recession_check(h: HPolyhedron, x: Vec) -> bool:
         raise ValueError("sample lies in the recession cone")
     rho = minimal_sublinear(h, x)
     return rho == gauge(h, x) and rho == polar_support_lp(h, x)
+
+
+def _first_recession_signs(products):
+    """The first sign pattern s, in the order of product((1, -1),
+    repeat=dim), with sum(s_k * t_k) <= 0 for every t in products (int
+    tuples of width dim); None when there is none.
+
+    A depth-first search over the signs in that order. A prefix is dropped
+    once some row's partial sum, plus the most negative amount the
+    remaining coordinates can add (minus the sum of their |t_k|), is still
+    > 0: no completion of it can pass that row, so the first pattern found
+    is the enumeration's first."""
+    dim = len(products[0])
+    # rest[r][k] = sum of |t_k'| over k' >= k for row r, with rest[r][dim] = 0
+    rest = [list(accumulate(map(abs, reversed(t)), initial=0))[::-1] for t in products]
+    signs: list = []
+    partial = [[0] * len(products)]  # partial[k]: row sums over the first k signs
+    while True:
+        k = len(signs)
+        if all(p <= tail[k] for p, tail in zip(partial[k], rest)):
+            if k == dim:
+                return tuple(signs)
+            signs.append(1)
+            partial.append([p + t[k] for p, t in zip(partial[k], products)])
+            continue
+        while signs and signs[-1] == -1:
+            signs.pop()
+            partial.pop()
+        if not signs:
+            return None
+        signs[-1] = -1
+        partial.pop()
+        k = len(signs) - 1
+        partial.append([p - t[k] for p, t in zip(partial[k], products)])
 
 
 def sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
@@ -232,7 +274,7 @@ def sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
             break
         g = gauge(h, x)
         if g > 0:
-            out.append(vscale(ONE / g, x))
+            out.append(tuple(v / g for v in x))
 
     # A sign pattern s puts s * base in the recession cone iff every row's
     # sum of s_k * a_k * base_k is <= 0; the products are ints computed once
@@ -244,13 +286,11 @@ def sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
         if found >= recession_quota or len(out) >= count:
             break
         base = rand_point()
-        (ibase,), _ = integer_rows((base,))
-        products = [tuple(map(mul, a, ibase)) for a in rows]
-        for signs in product((1, -1), repeat=dim):
-            if all(sum(map(mul, signs, t)) <= 0 for t in products):
-                out.append(tuple(s * v for s, v in zip(signs, base)))
-                found += 1
-                break
+        ibase, _ = scaled(base)
+        signs = _first_recession_signs([tuple(map(mul, a, ibase)) for a in rows])
+        if signs is not None:
+            out.append(tuple(s * v for s, v in zip(signs, base)))
+            found += 1
 
     while len(out) < count:
         out.append(rand_point())
@@ -285,10 +325,11 @@ def property_suite(instances, seed: int, samples: int) -> tuple[dict, int]:
     off, exposed = tally["off_recession"], tally["exposed"]
     for index, h in enumerate(instances):
         pts = sample_points(h, seed + 7919 * index, samples)
+        spts = tuple(map(scaled, pts))
 
         for c in range(SUITE_CANDIDATES):
             gens = random_unit_ball_rep(h, seed + 104729 * index + c, 5)
-            report = sandwich_check(h, gens, pts)
+            report = sandwich_check(h, gens, spts)
             sandwich["pairs"] += 1
             sandwich["samples_checked"] += report.samples_checked
             sandwich["violations"] += len(report.violations)
@@ -296,14 +337,14 @@ def property_suite(instances, seed: int, samples: int) -> tuple[dict, int]:
                 sandwich["first_violation"] = report.violations[0][0]
 
         recon["instances_checked"] += 1
-        if not reconstruct_check(h, pts):
+        if not reconstruct_check(h, spts):
             recon["failures"] += 1
 
-        for x in pts:
-            if in_recession(h, x):
+        for x, sx in zip(pts, spts):
+            if in_recession(h, sx):
                 continue
             off["samples_checked"] += 1
-            if not off_recession_check(h, x):
+            if not off_recession_check(h, sx):
                 off["violations"] += 1
                 if off["first_violation"] is None:
                     off["first_violation"] = x

@@ -4,9 +4,9 @@ The oracles recompute results by routes independent of the library code:
 brute-force vertex enumeration for linear programs, the Fraction-tableau
 simplex that the integer one replaced, bisection on membership for the
 gauge, direct arithmetic re-verification of certificates,
-Fraction-arithmetic sample mixes and lattice scans, and the recession-cone
-LPs that decided boundedness before polyhedra.sup_over. They are
-deliberately slow and simple.
+Fraction-arithmetic sample mixes and lattice scans, the recession-cone
+LPs that decided boundedness before polyhedra.sup_over, and the property
+suite fed rational samples. They are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -17,9 +17,25 @@ from itertools import combinations, product
 
 import pytest
 
+from polarcut import sublinear
 from polarcut.lp import LinearProgram, LPOutcome, solve
 from polarcut.polyhedra import HPolyhedron, membership, normalize
-from polarcut.rationals import ONE, ZERO, dot, vsub
+from polarcut.rationals import ONE, ZERO, dot
+
+
+# ------------------------------------------------- rational vector arithmetic
+
+
+def vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def vscale(t, v):
+    return tuple(t * x for x in v)
 
 
 @pytest.fixture
@@ -332,6 +348,66 @@ def fraction_sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
     while len(out) < count:
         out.append(rand_point())
     return tuple(out[:count])
+
+
+# ------------------------------------------------- property suite reference
+
+
+def rational_property_suite(instances, seed: int, samples: int):
+    """Reference for sublinear.property_suite: the same checks in the same
+    order, each fed the rational samples, so every evaluator call scales
+    its point again. The checks are looked up on the module at call time,
+    so a test's monkeypatches reach this route too."""
+    tally = {
+        "sandwich": {
+            "pairs": 0,
+            "samples_checked": 0,
+            "violations": 0,
+            "first_violation": None,
+        },
+        "reconstruct": {"instances_checked": 0, "failures": 0},
+        "off_recession": {
+            "samples_checked": 0,
+            "violations": 0,
+            "first_violation": None,
+        },
+        "exposed": {"rows_checked": 0, "failures": 0},
+    }
+    sandwich, recon = tally["sandwich"], tally["reconstruct"]
+    off, exposed = tally["off_recession"], tally["exposed"]
+    for index, h in enumerate(instances):
+        pts = sublinear.sample_points(h, seed + 7919 * index, samples)
+        for c in range(sublinear.SUITE_CANDIDATES):
+            gens = sublinear.random_unit_ball_rep(h, seed + 104729 * index + c, 5)
+            report = sublinear.sandwich_check(h, gens, pts)
+            sandwich["pairs"] += 1
+            sandwich["samples_checked"] += report.samples_checked
+            sandwich["violations"] += len(report.violations)
+            if report.violations and sandwich["first_violation"] is None:
+                sandwich["first_violation"] = report.violations[0][0]
+        recon["instances_checked"] += 1
+        if not sublinear.reconstruct_check(h, pts):
+            recon["failures"] += 1
+        for x in pts:
+            if sublinear.in_recession(h, x):
+                continue
+            off["samples_checked"] += 1
+            if not sublinear.off_recession_check(h, x):
+                off["violations"] += 1
+                if off["first_violation"] is None:
+                    off["first_violation"] = x
+        for i in range(len(h.rows)):
+            exposed["rows_checked"] += 1
+            witness = sublinear.exposed_witness(h, i)
+            if sublinear.membership(h, witness).tight_rows != (i,):
+                exposed["failures"] += 1
+    violations = (
+        sandwich["violations"]
+        + recon["failures"]
+        + off["violations"]
+        + exposed["failures"]
+    )
+    return tally, violations
 
 
 # ------------------------------------------------------- hull re-verification

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_best, random_lp
+from conftest import brute_force_best, random_lp, vscale, vsub
 from polarcut.cuts import (
     CornerInstance,
     NotSFreeError,
@@ -28,13 +28,7 @@ from polarcut.polyhedra import (
     random_polyhedron,
     tight_points,
 )
-from polarcut.rationals import (
-    dot,
-    is_integral,
-    vector,
-    vscale,
-    vsub,
-)
+from polarcut.rationals import dot, is_integral, vector
 from polarcut.sublinear import (
     gauge,
     minimal_sublinear,

@@ -1,13 +1,15 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from polarcut import cuts, jsonio, sublinear
+from conftest import vscale
+from polarcut import cuts, jsonio, rationals, sublinear
 from polarcut.cli import main
 from polarcut.cuts import generate_cut
 from polarcut.polyhedra import VPolytope, in_recession
-from polarcut.rationals import vscale, zero_vector
+from polarcut.rationals import zero_vector
 from polarcut.sublinear import property_suite, sample_points
 
 
@@ -375,3 +377,80 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "polar", str(path))
     assert code == 2 and out == ""
     assert "input error" in err
+
+
+MALFORMED_SCALARS = [0.5, True, None, [1], "1/0", "3/-2", "1.5", "9" * 5000]
+
+
+def test_malformed_point_scalars_exit_2(tmp_path, capsys):
+    # A bad entry of a query point gets the message parse_rational gives
+    # any other field, under its points[i][j] path; a row of the wrong
+    # width is named as a whole.
+    for k, bad in enumerate(MALFORMED_SCALARS):
+        with pytest.raises(ValueError) as excinfo:
+            rationals.parse_rational(bad)
+        doc = dict(QUADRANT_K, points=[[1, 2], ["1/2", bad]])
+        path = write(tmp_path, f"bad{k}.json", doc)
+        for command in ("gauge", "rho"):
+            code, out, err = run(capsys, command, path)
+            assert code == 2 and out == ""
+            assert err == f"input error: field 'points[1][1]': {excinfo.value}\n"
+    for k, row in enumerate(([1, 2, 3], [1], "1/2")):
+        doc = dict(QUADRANT_K, points=[[0, 0], [1, 1], row])
+        code, out, err = run(capsys, "gauge", write(tmp_path, f"w{k}.json", doc))
+        assert code == 2 and out == "" and "field 'points[2]'" in err
+
+
+def test_huge_report_value_exits_2(tmp_path, capsys):
+    # gauge = rho = 10^5000 and 10^5000 / 3: more digits than the
+    # interpreter turns into text. Nothing is printed, in either format.
+    big = "1" + "0" * 1000
+    for k, point in enumerate(("1" + "0" * 4000, "1" + "0" * 4000 + "/3")):
+        doc = {"dim": 1, "rows": [[big]], "rhs": [1], "points": [[point]]}
+        path = write(tmp_path, f"big{k}.json", doc)
+        for command in ("gauge", "rho"):
+            for fmt in ("json", "text"):
+                code, out, err = run(capsys, command, path, "--format", fmt)
+                assert code == 2 and out == ""
+                assert err.startswith("output error: a report value is too long to print")
+
+
+def query_doc(count):
+    rng = random.Random(count)
+    points = [
+        [f"{rng.randint(-30, 30)}/{rng.randint(1, 12)}", rng.randint(-9, 9)]
+        for _ in range(count)
+    ]
+    return dict(QUADRANT_K, rows=[[1, 0], [0, 1], [-1, -1]], rhs=[1, 1, 2], points=points)
+
+
+def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
+    # gauge and rho on 1,000 points parse none of them with parse_rational
+    # and build one Fraction per reported value beyond what the set itself
+    # needs (measured on the same set with no points).
+    counts = {"parse": 0, "fraction": 0}
+    real_parse = rationals.parse_rational
+
+    def counted_parse(value):
+        counts["parse"] += 1
+        return real_parse(value)
+
+    real_new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        counts["fraction"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(jsonio, "parse_rational", counted_parse)
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    for command in ("gauge", "rho"):
+        seen = []
+        for count in (0, 1000):
+            counts.update(parse=0, fraction=0)
+            path = write(tmp_path, f"q{count}.json", query_doc(count))
+            code, out, _ = run(capsys, command, path)
+            assert code == 0 and len(json.loads(out)["values"]) == count
+            seen.append(dict(counts))
+        empty, full = seen
+        assert full["parse"] == empty["parse"] > 0
+        assert empty["fraction"] < full["fraction"] <= empty["fraction"] + 1000

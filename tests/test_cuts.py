@@ -9,6 +9,9 @@ from conftest import (
     first_interior_point,
     fraction_region_points,
     per_facet_uncertified,
+    vadd,
+    vscale,
+    vsub,
 )
 from polarcut import cuts
 from polarcut.cuts import (
@@ -26,7 +29,7 @@ from polarcut.cuts import (
 )
 from polarcut.lp import LinearProgram, solve
 from polarcut.polyhedra import VPolytope, membership, random_polyhedron
-from polarcut.rationals import dot, vadd, vector, vscale, vsub
+from polarcut.rationals import dot, vector
 from polarcut.sublinear import (
     minimal_sublinear,
     random_unit_ball_rep,

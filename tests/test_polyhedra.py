@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cone_is_pointed, recheck_hull_verdict
+from conftest import cone_is_pointed, recheck_hull_verdict, vadd, vscale
 from polarcut import lp
 from polarcut.polyhedra import (
     HPolyhedron,
@@ -21,7 +21,7 @@ from polarcut.polyhedra import (
     sup_over,
     tight_points,
 )
-from polarcut.rationals import dot, vadd, vector, vscale, zero_vector
+from polarcut.rationals import dot, vector, zero_vector
 from polarcut.sublinear import sample_points
 
 

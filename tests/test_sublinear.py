@@ -1,14 +1,23 @@
 import random
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_sample_points, gauge_bracket
+from conftest import (
+    fraction_sample_points,
+    gauge_bracket,
+    rational_property_suite,
+    vadd,
+    vscale,
+)
 from polarcut import sublinear
 from polarcut.lp import LinearProgram, solve
 from polarcut.polyhedra import (
+    HPolyhedron,
     VPolytope,
     hull_membership,
     in_recession,
@@ -17,13 +26,14 @@ from polarcut.polyhedra import (
     polar,
     random_polyhedron,
 )
-from polarcut.rationals import ZERO, dot, vadd, vector, vscale
+from polarcut.rationals import ZERO, dot, vector
 from polarcut.sublinear import (
     check_unit_ball,
     gauge,
     minimal_sublinear,
     off_recession_check,
     polar_support_lp,
+    property_suite,
     random_unit_ball_rep,
     reconstruct_check,
     sample_points,
@@ -310,3 +320,92 @@ def _bounded(h):
             if solve(program).status == "unbounded":
                 return False
     return True
+
+
+def test_sign_search_matches_enumeration():
+    # The pruned depth-first search returns the first passing pattern of
+    # product((1, -1), repeat=dim), or None, on random int rows in 1-7-D;
+    # zeros and a few dominant coordinates make both outcomes common.
+    rng = random.Random(1618)
+    found = 0
+    for case in range(2000):
+        dim = 1 + case % 7
+        products = [
+            tuple(rng.choice((0, 0, 1, -1, 3, -5, 12)) * rng.randint(1, 4) for _ in range(dim))
+            for _ in range(rng.randint(1, 2 * dim + 1))
+        ]
+        expected = next(
+            (
+                signs
+                for signs in product((1, -1), repeat=dim)
+                if all(sum(s * v for s, v in zip(signs, t)) <= 0 for t in products)
+            ),
+            None,
+        )
+        assert sublinear._first_recession_signs(products) == expected
+        found += expected is not None
+    assert 200 < found < 1800, found
+
+
+def test_sample_points_match_fraction_reference_up_to_7d():
+    # sample_points against the 2^dim enumeration of the Fraction route in
+    # 5-7-D (1-4-D is covered above).
+    rng = random.Random(3141)
+    for case in range(15):
+        dim = 5 + case % 3
+        h = random_polyhedron(dim, rng.randint(1, dim + 3), rng)
+        for seed, count in ((case, 40), (case + 1000, 97)):
+            assert sample_points(h, seed, count) == fraction_sample_points(h, seed, count)
+
+
+def test_sample_points_30d_box_finishes():
+    # The box {|x_i| <= 1} is bounded, so every candidate fails every sign
+    # pattern; the search drops a candidate as soon as one coordinate is
+    # signed. Enumerating 2^30 patterns per candidate would never finish.
+    dim = 30
+    rows = tuple(
+        tuple(Fraction(s if j == i else 0) for j in range(dim))
+        for i in range(dim)
+        for s in (1, -1)
+    )
+    h = HPolyhedron(dim, rows)
+    start = time.perf_counter()
+    points = sample_points(h, 0, 200)
+    assert len(points) == 200 and all(len(x) == dim for x in points)
+    assert time.perf_counter() - start < 30
+
+
+def _break_check(monkeypatch, check):
+    """The four deliberately broken checks of test_cli.py."""
+    if check == "off_recession":
+        real = sublinear.polar_support_lp
+        monkeypatch.setattr(sublinear, "polar_support_lp", lambda h, x: real(h, x) + 1)
+    elif check == "exposed":
+        monkeypatch.setattr(sublinear, "exposed_witness", lambda h, i: (ZERO,) * h.dim)
+    elif check == "reconstruct":
+        real = sublinear.minimal_sublinear
+        monkeypatch.setattr(sublinear, "minimal_sublinear", lambda h, x: real(h, x) + 1)
+    elif check == "sandwich":
+        monkeypatch.setattr(
+            sublinear,
+            "random_unit_ball_rep",
+            lambda h, seed, n: VPolytope(h.dim, tuple(vscale(2, a) for a in h.rows)),
+        )
+        monkeypatch.setattr(sublinear, "check_unit_ball", lambda gens, h: True)
+
+
+@pytest.mark.parametrize("broken", [None, "sandwich", "reconstruct", "off_recession", "exposed"])
+def test_property_suite_matches_rational_route(broken, monkeypatch):
+    # Pre-scaled samples give the same tally, and the same first violations
+    # as Fraction vectors, as every check fed the rational samples.
+    rng = random.Random(4242)
+    instances = [random_polyhedron(rng.randint(1, 4), rng.randint(3, 8), rng) for _ in range(6)]
+    _break_check(monkeypatch, broken)
+    tally, violations = property_suite(instances, 17, 40)
+    assert (tally, violations) == rational_property_suite(instances, 17, 40)
+    assert (violations > 0) == (broken is not None)
+    if broken in ("sandwich", "off_recession"):
+        assert tally[broken]["first_violation"] is not None
+    for name in ("sandwich", "off_recession"):
+        x = tally[name]["first_violation"]
+        assert x is None or all(type(v) is Fraction for v in x)
