@@ -25,7 +25,6 @@ from .sublinear import (
 )
 from .cuts import (
     CornerInstance,
-    SFreeBody,
     Cut,
     make_body,
     generate_cut,

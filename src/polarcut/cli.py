@@ -65,20 +65,14 @@ def _cmd_polar(args) -> tuple[int, dict]:
     return 0, {"command": "polar", **jsonio.vpolytope_to_json(body)}
 
 
-def _cmd_gauge(args) -> tuple[int, dict]:
+def _cmd_values(args) -> tuple[int, dict]:
+    """gauge or rho, as args.command names, at the document's points."""
+    evaluate = gauge if args.command == "gauge" else minimal_sublinear
     doc = _load_document(args.input)
     h = jsonio.polyhedron_from_json(doc)
     points = jsonio.points_from_json(doc, h.dim)
-    values = [json_scalar(gauge(h, x)) for x in points]
-    return 0, {"command": "gauge", "dim": h.dim, "values": values}
-
-
-def _cmd_rho(args) -> tuple[int, dict]:
-    doc = _load_document(args.input)
-    h = jsonio.polyhedron_from_json(doc)
-    points = jsonio.points_from_json(doc, h.dim)
-    values = [json_scalar(minimal_sublinear(h, x)) for x in points]
-    return 0, {"command": "rho", "dim": h.dim, "values": values}
+    values = [json_scalar(evaluate(h, x)) for x in points]
+    return 0, {"command": args.command, "dim": h.dim, "values": values}
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
@@ -218,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("polar", _cmd_polar, "polar body of a canonical set")
-    add("gauge", _cmd_gauge, "gauge values at the given points")
-    add("rho", _cmd_rho, "minimal sublinear values at the given points")
+    add("gauge", _cmd_values, "gauge values at the given points")
+    add("rho", _cmd_values, "minimal sublinear values at the given points")
 
     p_verify = add(
         "verify",

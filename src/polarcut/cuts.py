@@ -9,7 +9,9 @@ inside ("S-free") yields the valid inequality
     sum_j coeff(r^j) s_j >= 1,
 
 where coeff is minimal_sublinear of the centered body K = B - f in
-canonical row form: coeff(r) = max_i <a_i, r>. Validity is
+canonical row form: coeff(r) = max_i <a_i, r>. K is the body that
+is_s_free, generate_cut and maximality_certificate take; make_body builds
+it from B's rows and right-hand sides in x-space and f. Validity is
 inherited from sublinearity - any s reaching a point of S satisfies the
 inequality because the body is S-free - and is additionally *checked* here
 point by point on a lattice region, by exact LPs, rather than trusted.
@@ -111,16 +113,6 @@ class CornerInstance:
 
 
 @dataclass(frozen=True)
-class SFreeBody:
-    """The body B as given (rows/rhs in x-space) plus its centered canonical
-    form K = B - f. Build with make_body so the two stay consistent."""
-
-    rows: tuple
-    rhs: tuple
-    centered: HPolyhedron
-
-
-@dataclass(frozen=True)
 class Cut:
     alpha: tuple
     provenance: str
@@ -165,8 +157,9 @@ class MaximalityReport:
     heuristic: bool
 
 
-def translate_to_origin(b_rows, b_rhs, f: Vec) -> HPolyhedron:
-    """Centered canonical form of the body: {r : <a_i, r> <= b_i - <a_i, f>},
+def make_body(b_rows, b_rhs, f: Vec) -> HPolyhedron:
+    """The body of a cut, K = B - f in canonical row form, from B's rows and
+    right-hand sides in x-space: {r : <a_i, r> <= b_i - <a_i, f>},
     normalized. Demands f strictly interior (every shifted rhs positive)."""
     rows = [vector(a) for a in b_rows]
     rhs = [Fraction(b) for b in b_rhs]
@@ -179,12 +172,6 @@ def translate_to_origin(b_rows, b_rhs, f: Vec) -> HPolyhedron:
             raise AnchorNotInteriorError("f not interior to the body")
         shifted.append(margin)
     return normalize(rows, shifted)
-
-
-def make_body(b_rows, b_rhs, f: Vec) -> SFreeBody:
-    rows = tuple(vector(a) for a in b_rows)
-    rhs = tuple(Fraction(b) for b in b_rhs)
-    return SFreeBody(rows, rhs, translate_to_origin(rows, rhs, f))
 
 
 def region_lattice_points(inst: CornerInstance, radius: int):
@@ -215,26 +202,26 @@ def _offset(z, f: Scaled) -> Scaled:
     return Scaled(tuple(v * f.den - n for v, n in zip(z, f.ints)), f.den)
 
 
-def is_s_free(body: SFreeBody, inst: CornerInstance, radius: int = DEFAULT_RADIUS) -> SFreeVerdict:
+def is_s_free(body: HPolyhedron, inst: CornerInstance, radius: int = DEFAULT_RADIUS) -> SFreeVerdict:
     """Scan the region for a feasible lattice point strictly inside the
     body; the first (lexicographically smallest) one found is the witness."""
     f = scaled(inst.f)
     for z in region_lattice_points(inst, radius):
-        if membership(body.centered, _offset(z, f)).position == "interior":
+        if membership(body, _offset(z, f)).position == "interior":
             return SFreeVerdict(False, radius, vector(z))
     return SFreeVerdict(True, radius, None)
 
 
-def generate_cut(inst: CornerInstance, body: SFreeBody, radius: int = DEFAULT_RADIUS) -> Cut:
+def generate_cut(inst: CornerInstance, body: HPolyhedron, radius: int = DEFAULT_RADIUS) -> Cut:
     """Refuses (NotSFreeError, with witness) unless the body scans S-free on
     the region; otherwise one coefficient per ray."""
     verdict = is_s_free(body, inst, radius)
     if not verdict.free_on_region:
         raise NotSFreeError(verdict.witness, radius)
-    alpha = tuple(minimal_sublinear(body.centered, r) for r in inst.rays)
+    alpha = tuple(minimal_sublinear(body, r) for r in inst.rays)
     rows_text = ", ".join(
         "(" + ", ".join(str(c) for c in row) + ")"
-        for row in body.centered.rows
+        for row in body.rows
     )
     f_text = ", ".join(str(c) for c in inst.f)
     return Cut(
@@ -251,20 +238,15 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
     as the lexicographically first violation."""
     if len(cut.alpha) != len(inst.rays):
         raise ValueError("one coefficient per ray required")
-    nrays = len(inst.rays)
+    columns = tuple(zip(*inst.rays))  # coordinate d of every ray
+    bounds = ("nonneg",) * len(inst.rays)
     f = scaled(inst.f)
     for z in region_lattice_points(inst, radius):
         target = unscaled(_offset(z, f))
-        rows = tuple(
-            (tuple(r[d] for r in inst.rays), "=", target[d])
-            for d in range(inst.dim)
-        )
+        rows = tuple((col, "=", t) for col, t in zip(columns, target))
         outcome = lp.solve(
             lp.LinearProgram(
-                direction="min",
-                objective=cut.alpha,
-                rows=rows,
-                bounds=("nonneg",) * nrays,
+                direction="min", objective=cut.alpha, rows=rows, bounds=bounds
             )
         )
         if outcome.status == "infeasible":
@@ -281,7 +263,7 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
 
 
 def maximality_certificate(
-    body: SFreeBody, inst: CornerInstance, radius: int = DEFAULT_RADIUS
+    body: HPolyhedron, inst: CornerInstance, radius: int = DEFAULT_RADIUS
 ) -> MaximalityReport:
     """A facet counts as certified when some feasible lattice point in the
     region is tight on it and strictly slack on every other row - i.e. sits
@@ -289,17 +271,16 @@ def maximality_certificate(
     body there. Bounded bodies with P absent get a definitive verdict;
     anything else is labelled heuristic. The body is bounded iff sup_over
     is finite at +e_d and -e_d for every axis d."""
-    k = body.centered
     heuristic = bool(inst.p_rows) or any(
-        sup_over(k.rows, tuple(s if j == d else ZERO for j in range(k.dim)))
+        sup_over(body.rows, tuple(s if j == d else ZERO for j in range(body.dim)))
         is None
-        for d in range(k.dim)
+        for d in range(body.dim)
         for s in (ONE, -ONE)
     )
-    uncertified = set(range(len(k.rows)))
+    uncertified = set(range(len(body.rows)))
     f = scaled(inst.f)
     for z in region_lattice_points(inst, radius):
-        tight = membership(k, _offset(z, f)).tight_rows
+        tight = membership(body, _offset(z, f)).tight_rows
         if len(tight) == 1:
             uncertified.discard(tight[0])
             if not uncertified:

@@ -3,7 +3,8 @@
 Conventions: rationals travel as native ints when integral and as "p/q"
 strings otherwise; parsers accept both forms (plus "p" strings). Floats are
 rejected - there is no inexact mode. Schema problems raise SchemaError
-naming the offending field.
+naming the offending field by its path from the document root, such as
+"points[3][1]", "instance.P.rows[0][0]" or "body".
 
 Query points never become Fractions: points_from_json reads each row
 straight into the scaled form rationals.Scaled, with the scalar grammar
@@ -12,7 +13,7 @@ and error messages that every other field gets from parse_rational.
 
 from __future__ import annotations
 
-from .cuts import CornerInstance, Cut, SFreeBody, make_body
+from .cuts import CornerInstance, Cut, make_body
 from .polyhedra import HPolyhedron, VPolytope, normalize
 from .rationals import json_scalar, parse_rational, scaled_row
 
@@ -25,12 +26,14 @@ def _fail(path: str, problem: str):
     raise SchemaError(f"field '{path}': {problem}")
 
 
-def _require(obj, key: str, path: str):
+def _field(obj, key: str, path: str = "") -> tuple:
+    """(obj[key], its path); obj is the object at path, "" for the root."""
     if not isinstance(obj, dict):
         _fail(path or key, "expected an object")
+    path = f"{path}.{key}" if path else key
     if key not in obj:
-        _fail(f"{path}{key}", "missing")
-    return obj[key]
+        _fail(path, "missing")
+    return obj[key], path
 
 
 def scalar_from_json(value, path: str):
@@ -59,10 +62,10 @@ def vector_list_from_json(value, path: str, dim: int | None = None):
     )
 
 
-def _dim_from_json(obj, path: str) -> int:
-    dim = _require(obj, "dim", path)
+def _dim_from_json(obj, path: str = "") -> int:
+    dim, path = _field(obj, "dim", path)
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        _fail(f"{path}dim", "expected a positive integer")
+        _fail(path, "expected a positive integer")
     return dim
 
 
@@ -76,9 +79,9 @@ def vector_list_to_json(vs) -> list:
 
 def polyhedron_from_json(obj) -> HPolyhedron:
     """{"dim", "rows", "rhs"} -> canonical set (normalization included)."""
-    dim = _dim_from_json(obj, "")
-    rows = vector_list_from_json(_require(obj, "rows", ""), "rows", dim)
-    rhs = vector_from_json(_require(obj, "rhs", ""), "rhs", len(rows))
+    dim = _dim_from_json(obj)
+    rows = vector_list_from_json(*_field(obj, "rows"), dim)
+    rhs = vector_from_json(*_field(obj, "rhs"), len(rows))
     return normalize(rows, rhs)
 
 
@@ -88,7 +91,7 @@ def vpolytope_to_json(v: VPolytope) -> dict:
 
 def points_from_json(obj, dim: int) -> tuple:
     """The "points" list, each row as a rationals.Scaled of width dim."""
-    value = _require(obj, "points", "")
+    value, _ = _field(obj, "points")
     if not isinstance(value, list):
         _fail("points", "expected a list")
     out = []
@@ -105,42 +108,43 @@ def points_from_json(obj, dim: int) -> tuple:
 
 
 def corner_instance_from_json(obj) -> CornerInstance:
-    """{"dim", "f", "rays", "P": {"rows", "rhs"}}; "P" may be absent or null
-    for the whole space."""
-    dim = _dim_from_json(obj, "")
-    f = vector_from_json(_require(obj, "f", ""), "f", dim)
-    rays = vector_list_from_json(_require(obj, "rays", ""), "rays", dim)
+    """The "instance" object {"dim", "f", "rays", "P": {"rows", "rhs"}};
+    "P" may be absent or null for the whole space."""
+    dim = _dim_from_json(obj, "instance")
+    f = vector_from_json(*_field(obj, "f", "instance"), dim)
+    rays = vector_list_from_json(*_field(obj, "rays", "instance"), dim)
     p_rows: tuple = ()
     p_rhs: tuple = ()
     if obj.get("P") is not None:
         p = obj["P"]
-        p_rows = vector_list_from_json(_require(p, "rows", "P."), "P.rows", dim)
-        p_rhs = vector_from_json(_require(p, "rhs", "P."), "P.rhs", len(p_rows))
+        p_rows = vector_list_from_json(*_field(p, "rows", "instance.P"), dim)
+        p_rhs = vector_from_json(*_field(p, "rhs", "instance.P"), len(p_rows))
     try:
         return CornerInstance(dim, f, rays, p_rows, p_rhs)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
-def body_from_json(obj, f) -> SFreeBody:
-    """{"rows", "rhs"} in x-space; the anchor comes from the instance."""
-    rows = vector_list_from_json(_require(obj, "rows", "body."), "body.rows", len(f))
-    rhs = vector_from_json(_require(obj, "rhs", "body."), "body.rhs", len(rows))
+def body_from_json(obj, f) -> HPolyhedron:
+    """The "body" object {"rows", "rhs"}, B in x-space, as the centered
+    canonical set K = B - f (cuts.make_body); f comes from the instance."""
+    rows = vector_list_from_json(*_field(obj, "rows", "body"), len(f))
+    rhs = vector_from_json(*_field(obj, "rhs", "body"), len(rows))
     return make_body(rows, rhs, f)
 
 
 def task_from_json(doc, part: str) -> tuple:
     """A cut-family document {"instance": .., part: ..}, part being "body"
-    (cut, sfree, maximal) or "cut" (check-cut): (instance, body or cut)."""
-    inst = corner_instance_from_json(_require(doc, "instance", ""))
-    obj = _require(doc, part, "")
+    (cut, sfree, maximal) or "cut" (check-cut): (instance, K or cut)."""
+    inst = corner_instance_from_json(_field(doc, "instance")[0])
+    obj, _ = _field(doc, part)
     if part == "body":
         return inst, body_from_json(obj, inst.f)
     return inst, cut_from_json(obj)
 
 
 def cut_from_json(obj) -> Cut:
-    alpha = vector_from_json(_require(obj, "alpha", "cut."), "cut.alpha")
+    alpha = vector_from_json(*_field(obj, "alpha", "cut"))
     provenance = obj.get("provenance", "")
     if not isinstance(provenance, str):
         _fail("cut.provenance", "expected a string")

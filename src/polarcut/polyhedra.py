@@ -234,15 +234,6 @@ def polar(h: HPolyhedron) -> VPolytope:
     return VPolytope(h.dim, (zero_vector(h.dim),) + tuple(h.rows))
 
 
-def tight_points(h: HPolyhedron) -> tuple:
-    """Points of the polar where <x, y> = 1 is attained by some x in the set.
-
-    For a canonical row form these are precisely the rows themselves; each
-    one is an exposed vertex of the polar (exposed_witness exhibits the
-    attaining point)."""
-    return tuple(h.rows)
-
-
 def in_recession(h: HPolyhedron, x) -> bool:
     values, _ = pairings(h.compiled, x)
     return all(v <= 0 for v in values)

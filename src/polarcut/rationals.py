@@ -32,9 +32,10 @@ from math import gcd, lcm
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Canonical text form: optional sign, integer numerator, optional positive
-# denominator. "3", "-3", "1/2", "-7/4". Never "3/-2", never "1/0".
-_RATIONAL_TEXT = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
+# Canonical text form in ASCII digits: optional sign, integer numerator,
+# optional positive denominator. "3", "-3", "1/2", "-7/4". Never "3/-2",
+# never "1/0", never a fullwidth or other non-ASCII digit.
+_RATIONAL_TEXT = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$", re.ASCII)
 
 Vec = tuple  # tuple of Fraction, one entry per coordinate
 

@@ -490,7 +490,7 @@ def first_interior_point(body, inst, radius):
     """Reference for is_s_free's witness: the first region point strictly
     inside the body, by Fraction pairings; None when there is none."""
     for z in fraction_region_points(inst, radius):
-        if all(dot(a, vsub(z, inst.f)) < 1 for a in body.centered.rows):
+        if all(dot(a, vsub(z, inst.f)) < 1 for a in body.rows):
             return z
     return None
 
@@ -499,7 +499,7 @@ def per_facet_uncertified(body, inst, radius):
     """Reference for maximality_certificate's facet verdicts: one region
     scan per facet, looking for a point tight on that facet and strictly
     slack on every other row, by Fraction pairings."""
-    rows = body.centered.rows
+    rows = body.rows
     uncertified = []
     for i in range(len(rows)):
         for z in fraction_region_points(inst, radius):

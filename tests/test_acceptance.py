@@ -26,7 +26,6 @@ from polarcut.polyhedra import (
     normalize,
     polar,
     random_polyhedron,
-    tight_points,
 )
 from polarcut.rationals import dot, is_integral, vector
 from polarcut.sublinear import (
@@ -73,7 +72,7 @@ def test_c1_worked_example_exactness():
         assert set(polar(h).points) == {
             vector([0, 0]), vector([1, 0]), vector([0, 1]),
         }
-        assert set(tight_points(h)) == {vector([1, 0]), vector([0, 1])}
+        assert set(h.rows) == {vector([1, 0]), vector([0, 1])}
 
         grid_axis = [Fraction(-8 + k, 4) for k in range(17)]  # -2 .. 2 step 1/4
         assert len(grid_axis) == 17
@@ -224,7 +223,8 @@ def _floor(q) -> int:
 def _random_corner_2d(rng: random.Random):
     """A 2-D corner instance with a body guaranteed lattice-free: a split
     strip, a standard lattice-free triangle, or a unit box, each around a
-    fully fractional anchor."""
+    fully fractional anchor. Returns (instance, K = B - f, B's rows, B's
+    right-hand sides)."""
     f = tuple(
         Fraction(rng.randint(-2, 2)) + Fraction(rng.randint(1, 3), 4)
         for _ in range(2)
@@ -261,7 +261,7 @@ def _random_corner_2d(rng: random.Random):
         a, b = _floor(f[0]), _floor(f[1])
         rows = [vector([1, 0]), vector([-1, 0]), vector([0, 1]), vector([0, -1])]
         rhs = [Fraction(a + 1), Fraction(-a), Fraction(b + 1), Fraction(-b)]
-    return inst, make_body(rows, rhs, f)
+    return inst, make_body(rows, rhs, f), rows, rhs
 
 
 def _cut_corpus_2d():
@@ -290,7 +290,7 @@ def test_c7_cut_generation_and_validity():
 
         # twenty seeded 2-D instances with lattice-free bodies
         valid = 0
-        for inst2, body2 in _cut_corpus_2d():
+        for inst2, body2, _, _ in _cut_corpus_2d():
             assert is_s_free(body2, inst2, 4).free_on_region
             cut2 = generate_cut(inst2, body2, 4)
             report = check_cut_validity(inst2, cut2, 4)
@@ -306,7 +306,7 @@ def test_c7_cut_generation_and_validity():
         witness = excinfo.value.witness
         assert witness == (Fraction(0),)
         assert all(is_integral(c) for c in witness)
-        assert membership(fat.centered, vsub(witness, inst.f)).position == "interior"
+        assert membership(fat, vsub(witness, inst.f)).position == "interior"
 
         info["detail"] = (
             f"split cut (2, 2) tight at 0 and 1; {valid}/20 seeded bodies "
@@ -319,7 +319,7 @@ def test_c8_monotonicity_and_scaling():
     with criterion("C8 monotonicity-scaling", info):
         pairs = 0
         coeffs = 0
-        for inst, body in _cut_corpus_2d():
+        for inst, body, rows, rhs in _cut_corpus_2d():
             box_rows = [
                 vector([1, 0]), vector([-1, 0]),
                 vector([0, 1]), vector([0, -1]),
@@ -328,13 +328,9 @@ def test_c8_monotonicity_and_scaling():
                 inst.f[0] + 2, -inst.f[0] + 2,
                 inst.f[1] + 2, -inst.f[1] + 2,
             ]
-            shrunk = make_body(
-                list(body.rows) + box_rows, list(body.rhs) + box_rhs, inst.f
-            )
+            shrunk = make_body(rows + box_rows, rhs + box_rhs, inst.f)
             for r in inst.rays:
-                assert minimal_sublinear(shrunk.centered, r) >= minimal_sublinear(
-                    body.centered, r
-                )
+                assert minimal_sublinear(shrunk, r) >= minimal_sublinear(body, r)
                 coeffs += 1
 
             scale = Fraction(3, 2)

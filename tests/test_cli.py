@@ -307,6 +307,40 @@ def test_round_trip_identity_every_schema():
     assert jsonio.cut_from_json(jsonio.cut_to_json(cut)) == cut
 
 
+CUT_FAMILY_FIELD_ERRORS = {
+    "instance": ("cut", {"instance": 3, "body": SPLIT["body"]}),
+    "instance.dim": ("cut", {"instance": {"f": ["1/2"]}, "body": SPLIT["body"]}),
+    "instance.f[0]": (
+        "sfree", {"instance": dict(SPLIT["instance"], f=[1.5]), "body": SPLIT["body"]}
+    ),
+    "instance.P": (
+        "cut", {"instance": dict(SPLIT["instance"], P=[1]), "body": SPLIT["body"]}
+    ),
+    "instance.P.rows[0][0]": (
+        "maximal",
+        {
+            "instance": dict(SPLIT["instance"], P={"rows": [["x"]], "rhs": [1]}),
+            "body": SPLIT["body"],
+        },
+    ),
+    "body": ("cut", {"instance": SPLIT["instance"], "body": 5}),
+    "body.rhs[1]": (
+        "sfree", {"instance": SPLIT["instance"], "body": dict(SPLIT["body"], rhs=[1, "a"])}
+    ),
+    "cut": ("check-cut", {"instance": SPLIT["instance"], "cut": [1, 2]}),
+}
+
+
+@pytest.mark.parametrize("field", CUT_FAMILY_FIELD_ERRORS)
+def test_cut_family_errors_name_field_from_root(tmp_path, capsys, field):
+    # Every field of a cut-family document is named by its path from the
+    # document root, whether it sits in "instance", "body" or "cut".
+    command, doc = CUT_FAMILY_FIELD_ERRORS[field]
+    code, out, err = run(capsys, command, write(tmp_path, "bad.json", doc))
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: field '{field}': ")
+
+
 def test_cut_instance_schema_errors(tmp_path, capsys):
     doc = {
         "instance": {"dim": 1, "f": [1], "rays": [[1]], "P": None},
@@ -379,7 +413,9 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
     assert "input error" in err
 
 
-MALFORMED_SCALARS = [0.5, True, None, [1], "1/0", "3/-2", "1.5", "9" * 5000]
+MALFORMED_SCALARS = [
+    0.5, True, None, [1], "1/0", "3/-2", "1.5", "9" * 5000, "１", "٣/4", "1/２",
+]
 
 
 def test_malformed_point_scalars_exit_2(tmp_path, capsys):

@@ -25,7 +25,6 @@ from polarcut.cuts import (
     make_body,
     maximality_certificate,
     region_lattice_points,
-    translate_to_origin,
 )
 from polarcut.lp import LinearProgram, solve
 from polarcut.polyhedra import VPolytope, membership, random_polyhedron
@@ -51,15 +50,15 @@ def split_1d():
 
 
 def test_translate_strip_example():
-    k = translate_to_origin([(1, 0), (-1, 0)], [1, 0], V(Fraction(1, 2), 0))
+    k = make_body([(1, 0), (-1, 0)], [1, 0], V(Fraction(1, 2), 0))
     assert set(k.rows) == {V(2, 0), V(-2, 0)}
 
 
 def test_translate_rejects_boundary_anchor():
     with pytest.raises(AnchorNotInteriorError):
-        translate_to_origin([(1, 0), (-1, 0)], [1, 0], V(0, 0))
+        make_body([(1, 0), (-1, 0)], [1, 0], V(0, 0))
     with pytest.raises(AnchorNotInteriorError):
-        translate_to_origin([(1, 0), (-1, 0)], [1, 0], V(3, 0))
+        make_body([(1, 0), (-1, 0)], [1, 0], V(3, 0))
 
 
 def test_instance_validation():
@@ -151,7 +150,7 @@ def test_generate_cut_refuses_with_witness(split_1d):
     assert err.witness == (Fraction(0),)
     assert "lattice point" in str(err)
     # the witness really is feasible and strictly inside the body
-    assert membership(fat.centered, vsub(err.witness, inst.f)).position == "interior"
+    assert membership(fat, vsub(err.witness, inst.f)).position == "interior"
 
 
 def test_region_scan_is_lexicographic():
@@ -210,9 +209,7 @@ def test_body_shrink_never_decreases_coefficients(split_1d):
         [[1], [-1], [2]], [1, 0, Fraction(3, 2)], inst.f
     )
     for r in inst.rays:
-        assert minimal_sublinear(smaller.centered, r) >= minimal_sublinear(
-            body.centered, r
-        )
+        assert minimal_sublinear(smaller, r) >= minimal_sublinear(body, r)
 
 
 def test_ray_scaling_scales_alpha(split_1d):
@@ -255,15 +252,15 @@ def test_maximality_unbounded_strip_is_heuristic():
 
 def test_sandwich_check_on_centered_body(split_1d):
     inst, body = split_1d
-    rows_rep = VPolytope(1, body.centered.rows)
-    samples = sample_points(body.centered, 71, 40)
-    report = sandwich_check(body.centered, rows_rep, samples)
+    rows_rep = VPolytope(1, body.rows)
+    samples = sample_points(body, 71, 40)
+    report = sandwich_check(body, rows_rep, samples)
     assert report.passed and report.samples_checked == 40
-    padded = random_unit_ball_rep(body.centered, 5, 4)
-    assert sandwich_check(body.centered, padded, samples).passed
+    padded = random_unit_ball_rep(body, 5, 4)
+    assert sandwich_check(body, padded, samples).passed
     bad = VPolytope(1, (V(2),))
     with pytest.raises(ValueError):
-        sandwich_check(body.centered, bad, samples)
+        sandwich_check(body, bad, samples)
 
 
 def test_cut_validity_requires_matching_width(split_1d):
@@ -335,7 +332,7 @@ def test_lattice_pass_matches_fraction_reference(monkeypatch):
         seen["filtered"] += len(points) < (2 * radius + 1) ** inst.dim
         seen["not_free"] += not verdict.free_on_region
         seen["certified"] += report.certified
-        seen["partial"] += 0 < len(expected) < len(body.centered.rows)
+        seen["partial"] += 0 < len(expected) < len(body.rows)
     assert min(seen.values()) >= 10, seen
 
 
@@ -351,7 +348,7 @@ def test_boundedness_matches_cone_reference():
         f = V(Fraction(1, 2), *([0] * (dim - 1)))
         rays = [tuple(int(i == d) for i in range(dim)) for d in range(dim)]
         body = make_body(k.rows, [1 + dot(a, f) for a in k.rows], f)
-        assert body.centered == k
+        assert body == k
         cases.append((CornerInstance.make(dim, f, rays), body))
         cases.append((CornerInstance.make(dim, f, rays, [[1] * dim], [dim]), body))
     for _ in range(60):
@@ -360,7 +357,7 @@ def test_boundedness_matches_cone_reference():
         cases.append((CornerInstance(inst.dim, inst.f, inst.rays), body))
     seen = {}
     for inst, body in cases:
-        bounded = cone_is_pointed(body.centered)
+        bounded = cone_is_pointed(body)
         report = maximality_certificate(body, inst, 0)
         assert report.heuristic == (bool(inst.p_rows) or not bounded)
         key = (bool(inst.p_rows), bounded)

@@ -19,7 +19,6 @@ from polarcut.polyhedra import (
     random_polyhedron,
     remove_redundancy,
     sup_over,
-    tight_points,
 )
 from polarcut.rationals import dot, vector, zero_vector
 from polarcut.sublinear import sample_points
@@ -98,10 +97,6 @@ def test_polar_box_is_cross_polytope():
     assert set(polar(h).points) == {
         V(0, 0), V(1, 0), V(-1, 0), V(0, 1), V(0, -1),
     }
-
-
-def test_tight_points_are_rows(quadrant_k):
-    assert set(tight_points(quadrant_k)) == set(quadrant_k.rows)
 
 
 def test_membership_level_polar_involution():

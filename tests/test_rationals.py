@@ -62,7 +62,8 @@ def test_parse_forms():
     assert parse_rational("3") == 3
     assert parse_rational("-7/4") == Fraction(-7, 4)
     assert parse_rational("−1/2") == Fraction(-1, 2)
-    for bad in ("1/0", "3/-2", "0.5", "a", 0.5, True, None, [1]):
+    # digits of other scripts (fullwidth, Arabic-Indic) are not numerals here
+    for bad in ("1/0", "3/-2", "0.5", "a", 0.5, True, None, [1], "１", "٣/4", "1/２"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
