@@ -5,7 +5,11 @@ Reports go to stdout as JSON (default) or as equivalent flat text; both are
 byte-identical across runs on the same inputs. Exit codes: 0 pass/success,
 1 property violation or refused precondition, 2 input error (malformed
 JSON or schema problems, diagnosed to stderr) or a report value too long
-to print. The whole report is rendered before anything is printed.
+to print. One reader and one writer: _load_document turns a file into a
+document or an input error; handlers return library values (Fractions,
+tuples, property_suite's tally as it comes) and _render alone turns the
+whole report into text before anything is printed. main has two failure
+branches, the output error (TooLongToPrint) and the input error.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import functools
 import json
 import random
 import sys
+from fractions import Fraction
 
 from . import jsonio
 from .cuts import (
@@ -26,43 +31,62 @@ from .cuts import (
     maximality_certificate,
 )
 from .polyhedra import polar, random_polyhedron
-from .rationals import TooLongToPrint, json_scalar
+from .rationals import json_scalar
 from .sublinear import gauge, minimal_sublinear, property_suite
+
+
+class TooLongToPrint(Exception):
+    """A report value whose decimal text is longer than the interpreter prints."""
 
 
 def _load_document(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from None
         except RecursionError:
             raise ValueError("JSON nested too deeply to read") from None
 
 
-def _render(report: dict, fmt: str) -> str:
-    """The report as JSON or as flat "key: value" lines. An int with more
-    digits than the interpreter converts to text raises TooLongToPrint."""
-    lines: list[str] = []
+def _plain(value):
+    """value with each Fraction in json_scalar's form and each tuple a list;
+    a list converts its Fractions inline, as gauge reports hold thousands."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [json_scalar(v) if type(v) is Fraction else _plain(v) for v in value]
+    if isinstance(value, Fraction):
+        return json_scalar(value)
+    return value
 
-    def walk(prefix: str, value) -> None:
-        if isinstance(value, dict):
-            for k, v in value.items():
-                walk(f"{prefix}{k}." if isinstance(v, dict) else f"{prefix}{k}", v)
+
+def _leaves(prefix: str, report: dict):
+    """(key, value) for each leaf of a plain report, nested keys dotted."""
+    for k, v in report.items():
+        if isinstance(v, dict):
+            yield from _leaves(f"{prefix}{k}.", v)
         else:
-            lines.append(f"{prefix}: {json.dumps(value)}")
+            yield f"{prefix}{k}", v
 
+
+def _render(report: dict, fmt: str) -> str:
+    """The report as JSON or as flat "key: value" lines. A value with more
+    digits than the interpreter converts to text raises TooLongToPrint."""
     try:
+        report = _plain(report)
         if fmt == "json":
             return json.dumps(report, indent=2)
-        walk("", report)
+        return "\n".join(f"{k}: {json.dumps(v)}" for k, v in _leaves("", report))
     except ValueError as exc:
         raise TooLongToPrint(str(exc)) from None
-    return "\n".join(lines)
 
 
 def _cmd_polar(args) -> tuple[int, dict]:
-    h = jsonio.polyhedron_from_json(_load_document(args.input))
-    body = polar(h)
-    return 0, {"command": "polar", **jsonio.vpolytope_to_json(body)}
+    body = polar(jsonio.polyhedron_from_json(_load_document(args.input)))
+    return 0, {"command": "polar", "dim": body.dim, "points": body.points}
 
 
 def _cmd_values(args) -> tuple[int, dict]:
@@ -71,7 +95,7 @@ def _cmd_values(args) -> tuple[int, dict]:
     doc = _load_document(args.input)
     h = jsonio.polyhedron_from_json(doc)
     points = jsonio.points_from_json(doc, h.dim)
-    values = [json_scalar(evaluate(h, x)) for x in points]
+    values = [evaluate(h, x) for x in points]
     return 0, {"command": args.command, "dim": h.dim, "values": values}
 
 
@@ -97,11 +121,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
         mode = "file"
 
     checks, total = property_suite(instances, args.seed, args.samples)
-    for name in ("sandwich", "off_recession"):
-        x = checks[name]["first_violation"]
-        if x is not None:
-            checks[name]["first_violation"] = jsonio.vector_to_json(x)
-    report = {
+    return (0 if total == 0 else 1), {
         "command": "verify",
         "mode": mode,
         "instances": len(instances),
@@ -111,7 +131,6 @@ def _cmd_verify(args) -> tuple[int, dict]:
         "violations": total,
         "passed": total == 0,
     }
-    return (0 if total == 0 else 1), report
 
 
 def _cmd_cut(args) -> tuple[int, dict]:
@@ -119,63 +138,55 @@ def _cmd_cut(args) -> tuple[int, dict]:
     try:
         cut = generate_cut(inst, body, args.radius)
     except NotSFreeError as exc:
-        report = {
+        return 1, {
             "command": "cut",
             "refused": True,
             "radius": exc.radius,
-            "z": jsonio.vector_to_json(exc.witness),
+            "z": exc.witness,
         }
-        return 1, report
     return 0, {
         "command": "cut",
         "radius": args.radius,
-        **jsonio.cut_to_json(cut),
+        "alpha": cut.alpha,
+        "provenance": cut.provenance,
     }
 
 
 def _cmd_check_cut(args) -> tuple[int, dict]:
     inst, cut = jsonio.task_from_json(_load_document(args.input), "cut")
     report = check_cut_validity(inst, cut, args.radius)
-    out = {
+    v = report.violation
+    return (0 if report.valid_on_region else 1), {
         "command": "check-cut",
         "valid_on_region": report.valid_on_region,
         "radius": report.radius,
-        "violation": None,
+        "violation": None
+        if v is None
+        else {"x": v.x, "s": v.s, "improving_ray": v.improving_ray},
     }
-    if report.violation is not None:
-        out["violation"] = {
-            "x": jsonio.vector_to_json(report.violation.x),
-            "s": jsonio.vector_to_json(report.violation.s),
-            "improving_ray": report.violation.improving_ray,
-        }
-    return (0 if report.valid_on_region else 1), out
 
 
 def _cmd_sfree(args) -> tuple[int, dict]:
     inst, body = jsonio.task_from_json(_load_document(args.input), "body")
     verdict = is_s_free(body, inst, args.radius)
-    report = {
+    return (0 if verdict.free_on_region else 1), {
         "command": "sfree",
         "free_on_region": verdict.free_on_region,
         "radius": verdict.radius,
-        "z": None
-        if verdict.witness is None
-        else jsonio.vector_to_json(verdict.witness),
+        "z": verdict.witness,
     }
-    return (0 if verdict.free_on_region else 1), report
 
 
 def _cmd_maximal(args) -> tuple[int, dict]:
     inst, body = jsonio.task_from_json(_load_document(args.input), "body")
     report = maximality_certificate(body, inst, args.radius)
-    out = {
+    return (0 if report.certified else 1), {
         "command": "maximal",
         "certified": report.certified,
         "heuristic": report.heuristic,
         "radius": report.radius,
-        "uncertified_facets": list(report.uncertified_facets),
+        "uncertified_facets": report.uncertified_facets,
     }
-    return (0 if report.certified else 1), out
 
 
 @functools.cache
@@ -251,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code, report = args.handler(args)
         text = _render(report, args.format)
@@ -263,19 +273,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except json.JSONDecodeError as exc:
-        print(
-            f"input error: line {exc.lineno} column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 2
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # SchemaError, the geometric input errors (origin/anchor not
-        # interior, improper set, malformed fields), out-of-range --radius,
-        # --samples or --random, and over-deep JSON all land here.
+    except (OSError, ValueError) as exc:
+        # An unreadable file, malformed or over-deep JSON, SchemaError, the
+        # geometric input errors (origin/anchor not interior, improper set)
+        # and out-of-range --radius, --samples or --random all land here.
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     print(text)

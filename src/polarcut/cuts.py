@@ -30,7 +30,6 @@ arithmetic, and builds a rational only for a reported point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from operator import mul
 
@@ -44,6 +43,7 @@ from .rationals import (
     dot,
     integer_rows,
     is_integral,
+    parse_rational,
     scaled,
     unscaled,
     vector,
@@ -108,7 +108,7 @@ class CornerInstance:
             vector(f),
             tuple(vector(r) for r in rays),
             tuple(vector(r) for r in p_rows),
-            tuple(Fraction(b) for b in p_rhs),
+            tuple(parse_rational(b) for b in p_rhs),
         )
 
 
@@ -162,7 +162,7 @@ def make_body(b_rows, b_rhs, f: Vec) -> HPolyhedron:
     right-hand sides in x-space: {r : <a_i, r> <= b_i - <a_i, f>},
     normalized. Demands f strictly interior (every shifted rhs positive)."""
     rows = [vector(a) for a in b_rows]
-    rhs = [Fraction(b) for b in b_rhs]
+    rhs = [parse_rational(b) for b in b_rhs]
     if len(rows) != len(rhs):
         raise ValueError("body row/right-hand-side count mismatch")
     shifted = []

@@ -1,10 +1,10 @@
-"""JSON interchange for every schema the command line speaks.
+"""Reading every schema the command line speaks; cli._render writes.
 
 Conventions: rationals travel as native ints when integral and as "p/q"
 strings otherwise; parsers accept both forms (plus "p" strings). Floats are
 rejected - there is no inexact mode. Schema problems raise SchemaError
-naming the offending field by its path from the document root, such as
-"points[3][1]", "instance.P.rows[0][0]" or "body".
+naming the document, or the offending field by its path from the document
+root, such as "points[3][1]", "instance.P.rows[0][0]" or "body".
 
 Query points never become Fractions: points_from_json reads each row
 straight into the scaled form rationals.Scaled, with the scalar grammar
@@ -14,8 +14,8 @@ and error messages that every other field gets from parse_rational.
 from __future__ import annotations
 
 from .cuts import CornerInstance, Cut, make_body
-from .polyhedra import HPolyhedron, VPolytope, normalize
-from .rationals import json_scalar, parse_rational, scaled_row
+from .polyhedra import HPolyhedron, normalize
+from .rationals import parse_rational, scaled_row
 
 
 class SchemaError(ValueError):
@@ -29,7 +29,9 @@ def _fail(path: str, problem: str):
 def _field(obj, key: str, path: str = "") -> tuple:
     """(obj[key], its path); obj is the object at path, "" for the root."""
     if not isinstance(obj, dict):
-        _fail(path or key, "expected an object")
+        if not path:
+            raise SchemaError("the document must be a JSON object")
+        _fail(path, "expected an object")
     path = f"{path}.{key}" if path else key
     if key not in obj:
         _fail(path, "missing")
@@ -69,24 +71,12 @@ def _dim_from_json(obj, path: str = "") -> int:
     return dim
 
 
-def vector_to_json(v) -> list:
-    return [json_scalar(x) for x in v]
-
-
-def vector_list_to_json(vs) -> list:
-    return [vector_to_json(v) for v in vs]
-
-
 def polyhedron_from_json(obj) -> HPolyhedron:
     """{"dim", "rows", "rhs"} -> canonical set (normalization included)."""
     dim = _dim_from_json(obj)
     rows = vector_list_from_json(*_field(obj, "rows"), dim)
     rhs = vector_from_json(*_field(obj, "rhs"), len(rows))
     return normalize(rows, rhs)
-
-
-def vpolytope_to_json(v: VPolytope) -> dict:
-    return {"dim": v.dim, "points": vector_list_to_json(v.points)}
 
 
 def points_from_json(obj, dim: int) -> tuple:
@@ -119,10 +109,7 @@ def corner_instance_from_json(obj) -> CornerInstance:
         p = obj["P"]
         p_rows = vector_list_from_json(*_field(p, "rows", "instance.P"), dim)
         p_rhs = vector_from_json(*_field(p, "rhs", "instance.P"), len(p_rows))
-    try:
-        return CornerInstance(dim, f, rays, p_rows, p_rhs)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return CornerInstance(dim, f, rays, p_rows, p_rhs)
 
 
 def body_from_json(obj, f) -> HPolyhedron:
@@ -149,7 +136,3 @@ def cut_from_json(obj) -> Cut:
     if not isinstance(provenance, str):
         _fail("cut.provenance", "expected a string")
     return Cut(alpha=alpha, provenance=provenance)
-
-
-def cut_to_json(cut: Cut) -> dict:
-    return {"alpha": vector_to_json(cut.alpha), "provenance": cut.provenance}

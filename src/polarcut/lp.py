@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rationals import ZERO, Vec, dot, integer_rows, vector
+from .rationals import ZERO, Vec, dot, integer_rows, parse_rational, vector
 
 MAX_PIVOTS = 200_000  # Bland's rule cannot cycle; this trips only on a bug.
 
@@ -76,10 +76,10 @@ class LinearProgram:
 
     @classmethod
     def make(cls, direction, objective, rows, bounds=None):
-        """Coercing constructor: plain ints/Fractions welcome."""
+        """Coercing constructor: each scalar goes through parse_rational."""
         obj = vector(objective)
         rows_t = tuple(
-            (vector(coeffs), rel, Fraction(rhs)) for coeffs, rel, rhs in rows
+            (vector(coeffs), rel, parse_rational(rhs)) for coeffs, rel, rhs in rows
         )
         if bounds is None:
             bounds = ("nonneg",) * len(obj)

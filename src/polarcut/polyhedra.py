@@ -45,6 +45,7 @@ from .rationals import (
     ZERO,
     integer_rows,
     is_zero_vector,
+    parse_rational,
     scaled,
     vector,
     zero_vector,
@@ -180,7 +181,7 @@ def normalize(raw_rows, raw_rhs) -> HPolyhedron:
     strips redundant rows.
     """
     rows = [vector(a) for a in raw_rows]
-    rhs = [Fraction(b) for b in raw_rhs]
+    rhs = [parse_rational(b) for b in raw_rhs]
     if len(rows) != len(rhs):
         raise ValueError("row/right-hand-side count mismatch")
     if not rows:

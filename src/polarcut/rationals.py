@@ -49,10 +49,6 @@ class Scaled(namedtuple("Scaled", "ints den")):
     __slots__ = ()
 
 
-class TooLongToPrint(ValueError):
-    """A value whose decimal text is longer than the interpreter prints."""
-
-
 def rational_pair(value) -> tuple[int, int]:
     """A JSON-level scalar (int or 'p/q' string) as ints (num, den), den > 0,
     not necessarily in lowest terms.
@@ -79,21 +75,20 @@ def rational_pair(value) -> tuple[int, int]:
 
 
 def parse_rational(value):
-    """Parse a JSON-level scalar (int or 'p/q' string) to an exact rational;
-    the grammar and errors are rational_pair's."""
+    """An exact rational from a Fraction (returned as it is) or a JSON-level
+    scalar (int or 'p/q' string); the grammar and errors are rational_pair's."""
+    if isinstance(value, Fraction):
+        return value
     return Fraction(*rational_pair(value))
 
 
 def json_scalar(q):
     """JSON encoding: native int when integral, the canonical text 'p/q'
-    (Fraction's str) otherwise. TooLongToPrint when that text is longer
-    than the interpreter's int-to-str limit."""
+    (Fraction's str) otherwise. Text longer than the interpreter's
+    int-to-str limit raises str's ValueError."""
     if q.denominator == 1:
         return q.numerator
-    try:
-        return str(q)
-    except ValueError as exc:
-        raise TooLongToPrint(str(exc)) from None
+    return str(q)
 
 
 def is_integral(q) -> bool:
@@ -101,8 +96,8 @@ def is_integral(q) -> bool:
 
 
 def vector(entries) -> Vec:
-    """Coerce an iterable of ints/Fractions to a Vec."""
-    return tuple(Fraction(e) for e in entries)
+    """Coerce an iterable of scalars to a Vec, each entry by parse_rational."""
+    return tuple(parse_rational(e) for e in entries)
 
 
 def zero_vector(dim: int) -> Vec:

@@ -95,7 +95,7 @@ def verify_quadrant(tmp_path, capsys):
         x = tally[name]["first_violation"]
         if x is not None:
             assert all(type(v) is Fraction for v in x)
-            tally[name]["first_violation"] = jsonio.vector_to_json(x)
+            tally[name]["first_violation"] = [rationals.json_scalar(v) for v in x]
     assert doc["checks"] == tally and doc["violations"] == violations
     assert doc["passed"] is (violations == 0)
     return code, doc["checks"], doc["violations"]
@@ -298,13 +298,29 @@ def test_text_format_same_content(tmp_path, capsys):
     assert "passed: true" in out
 
 
-def test_round_trip_identity_every_schema():
+def test_round_trip_identity_every_schema(tmp_path, capsys):
     # The cut is the one schema the CLI both writes (cut) and reads back
     # (check-cut).
     inst = jsonio.corner_instance_from_json(SPLIT["instance"])
     body = jsonio.body_from_json(SPLIT["body"], inst.f)
-    cut = generate_cut(inst, body)
-    assert jsonio.cut_from_json(jsonio.cut_to_json(cut)) == cut
+    code, out, _ = run(capsys, "cut", write(tmp_path, "split.json", SPLIT))
+    assert code == 0
+    report = json.loads(out)
+    doc = dict(SPLIT, cut={k: report[k] for k in ("alpha", "provenance")})
+    assert jsonio.cut_from_json(doc["cut"]) == generate_cut(inst, body)
+    code, _, _ = run(capsys, "check-cut", write(tmp_path, "cut.json", doc))
+    assert code == 0
+
+
+SUBCOMMANDS = ("polar", "gauge", "rho", "verify", "cut", "check-cut", "sfree", "maximal")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("root", [[1], "x", 3, None], ids=repr)
+def test_non_object_root_names_the_document(tmp_path, capsys, root, command):
+    code, out, err = run(capsys, command, write(tmp_path, "root.json", root))
+    assert code == 2 and out == ""
+    assert err == "input error: the document must be a JSON object\n"
 
 
 CUT_FAMILY_FIELD_ERRORS = {

@@ -1,0 +1,176 @@
+"""Byte-identity of the command line: exit code and sha256 of stdout and of
+stderr for a fixed corpus of calls, each in both report formats, against
+the table in cli_golden.json.
+
+Each call runs `polarcut.cli.main` in this process on documents written to
+a temporary directory; that directory is replaced by the token {tmp} in
+stderr before hashing. The table is regenerated, only when a change of
+output is intended, with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import pytest
+
+from polarcut.cli import main
+
+TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
+
+QUADRANT = {
+    "dim": 2,
+    "rows": [[1, 0], [0, 1]],
+    "rhs": [1, 1],
+    "points": [[-1, -2], [3, 2], ["1/2", "1/4"], [0, 0], ["-7/3", 5]],
+}
+
+# [1, 1, 0] <= 5 is redundant given x1 <= 1/2 and x2 <= 1
+SIMPLEX_3D = {
+    "dim": 3,
+    "rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 0]],
+    "rhs": ["1/2", 1, "3/2", 2, 5],
+    "points": [[1, 1, 1], ["-1/2", 0, "2/3"], [0, 0, 0], [-3, "5/4", -1]],
+}
+
+SPLIT_INSTANCE = {"dim": 1, "f": ["1/2"], "rays": [[1], [-1]], "P": None}
+SPLIT = {"instance": SPLIT_INSTANCE, "body": {"rows": [[1], [-1]], "rhs": [1, 0]}}
+FAT = {"instance": SPLIT_INSTANCE, "body": {"rows": [[1], [-1]], "rhs": ["3/2", "1/2"]}}
+BOX_3D = {
+    "instance": {
+        "dim": 3,
+        "f": ["1/2", "1/2", "1/2"],
+        "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+        "P": {"rows": [[1, 1, 1], [-1, 0, 0]], "rhs": [2, 1]},
+    },
+    "body": {
+        "rows": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+        "rhs": [1, 0, 1, 0, 1, 0],
+    },
+}
+
+BIG = "1" + "0" * 1000
+
+DOCUMENTS = {
+    "quadrant.json": QUADRANT,
+    "simplex3d.json": SIMPLEX_3D,
+    "split.json": SPLIT,
+    "fat.json": FAT,
+    "box3d.json": BOX_3D,
+    "cut_valid.json": dict(SPLIT, cut={"alpha": [2, 2], "provenance": "split"}),
+    "cut_zero.json": dict(SPLIT, cut={"alpha": [0, 0], "provenance": ""}),
+    "cut_ray.json": dict(SPLIT, cut={"alpha": [-2, "1/2"], "provenance": ""}),
+    "float.json": {"dim": 2, "rows": [[0.5, 0]], "rhs": [1]},
+    "bad_field.json": {
+        "instance": dict(SPLIT_INSTANCE, P={"rows": [["x"]], "rhs": [1]}),
+        "body": SPLIT["body"],
+    },
+    "huge.json": {"dim": 1, "rows": [[BIG]], "rhs": [1], "points": [["1" + "0" * 4000]]},
+}
+RAW_DOCUMENTS = {
+    "truncated.json": '{"dim": 2,\n  "rows": [[1, 0],',
+    "deep.json": "[" * 100_000,
+}
+
+
+def _calls() -> list:
+    calls = []
+    for name in ("quadrant.json", "simplex3d.json"):
+        for command in ("polar", "gauge", "rho"):
+            calls.append((command, name))
+        calls.append(("verify", name, "--samples", "40"))
+    calls.append(("verify", "--random", "5", "--seed", "7", "--samples", "40"))
+    for name in ("split.json", "fat.json", "box3d.json"):
+        for command in ("cut", "sfree", "maximal"):
+            for radius in ("0", "2", "5"):
+                calls.append((command, name, "--radius", radius))
+    for name in ("cut_valid.json", "cut_zero.json", "cut_ray.json"):
+        calls.append(("check-cut", name, "--radius", "3"))
+    calls += [
+        ("polar", "truncated.json"),
+        ("polar", "deep.json"),
+        ("polar", "float.json"),
+        ("maximal", "bad_field.json"),
+        ("gauge", "huge.json"),
+        ("polar", "missing.json"),
+    ]
+    return [
+        call + ("--format", fmt) for call in calls for fmt in ("json", "text")
+    ]
+
+
+CALLS = _calls()
+
+
+def _key(call) -> str:
+    return " ".join(call)
+
+
+def write_documents(directory: str) -> None:
+    for name, doc in DOCUMENTS.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    for name, text in RAW_DOCUMENTS.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def run_call(call, directory: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr with the directory replaced by {tmp})."""
+    argv = [
+        os.path.join(directory, a) if a.endswith(".json") else a for a in call
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue().replace(directory, "{tmp}")
+
+
+def digest(code: int, out: str, err: str) -> dict:
+    return {
+        "exit": code,
+        "stdout": hashlib.sha256(out.encode()).hexdigest(),
+        "stderr": hashlib.sha256(err.encode()).hexdigest(),
+    }
+
+
+@pytest.fixture(scope="module")
+def table() -> dict:
+    with open(TABLE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    directory = str(tmp_path_factory.mktemp("golden"))
+    write_documents(directory)
+    return directory
+
+
+def test_table_covers_corpus(table):
+    assert sorted(table) == sorted(_key(c) for c in CALLS)
+
+
+@pytest.mark.parametrize("call", CALLS, ids=_key)
+def test_cli_output_matches_table(table, documents, call):
+    code, out, err = run_call(call, documents)
+    assert digest(code, out, err) == table[_key(call)], (
+        f"polarcut {_key(call)}\nexit {code}\n--- stdout\n{out[:4000]}"
+        f"\n--- stderr\n{err[:4000]}"
+    )
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as directory:
+        write_documents(directory)
+        table = {_key(c): digest(*run_call(c, directory)) for c in CALLS}
+    with open(TABLE, "w", encoding="utf-8") as fh:
+        json.dump(table, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    sys.stdout.write(f"wrote {len(table)} calls to {TABLE}\n")

@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import vadd, vscale, vsub
+from polarcut.cuts import CornerInstance, make_body
 from polarcut.jsonio import points_from_json
+from polarcut.lp import LinearProgram
 from polarcut.polyhedra import membership, normalize
 from polarcut.rationals import (
     Scaled,
@@ -62,10 +64,46 @@ def test_parse_forms():
     assert parse_rational("3") == 3
     assert parse_rational("-7/4") == Fraction(-7, 4)
     assert parse_rational("−1/2") == Fraction(-1, 2)
+    half = Fraction(1, 2)
+    assert parse_rational(half) is half
     # digits of other scripts (fullwidth, Arabic-Indic) are not numerals here
     for bad in ("1/0", "3/-2", "0.5", "a", 0.5, True, None, [1], "１", "٣/4", "1/２"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+QUARTER = (Fraction(1, 4),)
+
+# Each coercing constructor with v at one scalar position; every one of
+# them builds for v in 1, 1/2 and "1/2".
+CONSTRUCTORS = {
+    "normalize rows": lambda v: normalize([(v, 0), (0, 1)], [1, 1]),
+    "normalize rhs": lambda v: normalize([(1, 0), (0, 1)], [v, 1]),
+    "make_body rows": lambda v: make_body([[v], [-1]], [1, 0], QUARTER),
+    "make_body rhs": lambda v: make_body([[1], [-1]], [v, 0], QUARTER),
+    "CornerInstance f": lambda v: CornerInstance.make(2, ["1/2", v], [[1, 0]]),
+    "CornerInstance rays": lambda v: CornerInstance.make(1, ["1/2"], [[v]]),
+    "CornerInstance P rows": lambda v: CornerInstance.make(1, ["1/2"], [[1]], [[v]], [1]),
+    "CornerInstance P rhs": lambda v: CornerInstance.make(1, ["1/2"], [[1]], [[1]], [v]),
+    "LinearProgram objective": lambda v: LinearProgram.make("max", [v, 1], [([1, 1], "<=", 1)]),
+    "LinearProgram rows": lambda v: LinearProgram.make("max", [1, 1], [([1, v], "<=", 1)]),
+    "LinearProgram rhs": lambda v: LinearProgram.make("max", [1, 1], [([1, 1], "<=", v)]),
+}
+
+
+@pytest.mark.parametrize("site", CONSTRUCTORS)
+def test_constructors_take_the_json_scalar_rule(site):
+    # A float is not its binary expansion, a bool is not 1 and "1.5" is
+    # not 3/2: each is refused with the text parse_rational gives it.
+    build = CONSTRUCTORS[site]
+    for bad in (0.1, True, "1.5", None):
+        with pytest.raises(ValueError) as expected:
+            parse_rational(bad)
+        with pytest.raises(ValueError) as got:
+            build(bad)
+        assert str(got.value) == str(expected.value)
+    for good in (1, Fraction(1, 2), "1/2"):
+        assert build(good) == build(parse_rational(good))
 
 
 def test_json_scalar_forms():
