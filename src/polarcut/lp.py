@@ -16,20 +16,29 @@ certificate that verify_certificate re-checks by direct arithmetic:
 
 Internal shape (invisible to callers): the program is converted to
 ``maximize`` over equality standard form. Free variables are split into
-differences of nonnegative ones, inequality rows receive slacks, rows with
-negative right-hand sides are flipped, and every row gets an artificial
-variable so the initial basis is always the identity. The tableau is
-fraction-free: row i is a list of Python ints, its right-hand side last,
-over one positive int denominator dens[i]. The objective row has the same
-form with the objective value last, and is kept as the tableau's last row.
-A pivot scales each row by the pivot entry, subtracts, and divides out the
-gcd of the row and its denominator (Edmonds 1967, Bareiss 1968), so
-Bland's entering test reads the sign of an int and the ratio test
-cross-multiplies right-hand sides and column entries, the row denominators
-cancelling. A rational is built only for the outcome's point, value, ray
-and duals. Dual multipliers are read off the artificial columns of the
-final objective row and mapped back through the flips/direction to the
-original row space.
+differences of nonnegative ones, inequality rows receive slacks, and rows
+with negative right-hand sides are flipped. A row gets an artificial
+variable only if it is an '=' row or a flipped one; every other row starts
+basic on its slack, whose column is +1 just as an artificial's would be.
+Phase 1 drives the artificials to zero and is skipped when there are none,
+as for a program of '<=' rows with right-hand sides >= 0, which the origin
+satisfies. The tableau is fraction-free: row i is a list of Python ints,
+its right-hand side last, over one positive int denominator dens[i]. The
+objective row has the same form with the objective value last, and is kept
+as the tableau's last row. A pivot scales each row by the pivot entry,
+subtracts, and divides out the gcd of the row and its denominator (Edmonds
+1967, Bareiss 1968), so Bland's entering test reads the sign of an int and
+the ratio test cross-multiplies right-hand sides and column entries, the
+row denominators cancelling. A rational is built only for the outcome's
+point, value, ray and duals.
+
+Row i's multiplier is read off the column it starts basic on, in the
+final objective row, and mapped back through its flip and the direction:
+
+* optimal: the reduced cost there, since slacks and artificials both cost
+  0 in phase 2;
+* infeasible: the phase-1 reduced cost plus the column's cost, which is
+  -1 on an artificial and 0 on a slack.
 """
 
 from __future__ import annotations
@@ -192,8 +201,9 @@ def solve(lp: LinearProgram) -> LPOutcome:
     sense = 1 if lp.direction == "max" else -1
 
     # Column layout: split columns for the original variables, then slacks,
-    # then one artificial per row; the right-hand side is each row's last
-    # entry.
+    # then one artificial for each '=' row and each row with a negative
+    # right-hand side, in row order; the right-hand side is each row's last
+    # entry. Every other row starts basic on its slack.
     ucols = []  # (original variable, sign)
     for j, b in enumerate(lp.bounds):
         ucols.append((j, 1))
@@ -208,7 +218,12 @@ def solve(lp: LinearProgram) -> LPOutcome:
             slack_of[i] = col
             col += 1
     art0 = col
-    ncols = art0 + m
+    art_of = {}
+    for i, (_, rel, b) in enumerate(lp.rows):
+        if rel == "=" or b < 0:
+            art_of[i] = col
+            col += 1
+    ncols = col
 
     tab = []
     dens = []
@@ -221,29 +236,36 @@ def solve(lp: LinearProgram) -> LPOutcome:
             row[k] = s * sg * ints[j]
         if i in slack_of:
             row[slack_of[i]] = s * den
-        row[art0 + i] = den
+        if i in art_of:
+            row[art_of[i]] = den
         row[-1] = s * ints[-1]
         tab.append(row)
         dens.append(den)
         flip.append(s)
-    basis = list(range(art0, ncols))
+    # Each row's multiplier is read off the column it starts basic on.
+    start = [art_of.get(i, slack_of.get(i)) for i in range(m)]
+    basis = list(start)
 
     # Phase 1: drive the artificials to zero.
-    if m > 0:
-        objrow, den = _objective_row(
-            tab, dens, basis, [0] * art0 + [-1] * m + [0], 1
-        )
+    if art_of:
+        cost1 = [0] * art0 + [-1] * len(art_of) + [0]
+        objrow, den = _objective_row(tab, dens, basis, cost1, 1)
         tab.append(objrow)
         dens.append(den)
         status, _ = _run_simplex(tab, dens, basis, range(ncols))
-        assert status == "optimal"  # phase-1 objective is bounded above by 0
+        if status != "optimal":
+            raise RuntimeError(
+                f"phase 1 is {status} although its objective is bounded by 0"
+            )
         objrow = tab.pop()
         den = dens.pop()
         if objrow[-1] < 0:
-            # Farkas witness from the artificial columns: y_i = objrow - cost.
+            # Farkas witness y = c_B B^-1, read off each row's starting
+            # column: objrow = y - cost there, the cost being -1 on an
+            # artificial and 0 on a slack.
             dual = tuple(
-                Fraction(flip[i] * (objrow[art0 + i] - den), den)
-                for i in range(m)
+                Fraction(flip[i] * (objrow[c] + cost1[c] * den), den)
+                for i, c in enumerate(start)
             )
             return LPOutcome(status="infeasible", dual=dual)
         # Pivot leftover artificials out of the basis (always degenerate,
@@ -289,7 +311,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
 
     objrow, den = tab[-1], dens[-1]
     duals = tuple(
-        Fraction(sense * flip[i] * objrow[art0 + i], den) for i in range(m)
+        Fraction(sense * flip[i] * objrow[c], den) for i, c in enumerate(start)
     )
     return LPOutcome(
         status="optimal",

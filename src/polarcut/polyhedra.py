@@ -129,7 +129,8 @@ class HullVerdict:
 
 def sup_over(rows, v: Vec):
     """sup of <v, x> over {x : <a, x> <= 1 for a in rows}, exactly; None
-    when the sup is unbounded. The origin is always feasible, so any other
+    when the sup is unbounded. The origin is always feasible, so the
+    simplex starts there, on the slack basis, with no phase 1; any other
     LP status is an internal fault."""
     outcome = lp.solve(
         lp.LinearProgram(
@@ -264,7 +265,10 @@ def hull_membership(p: Vec, v: VPolytope) -> HullVerdict:
     )
     if outcome.status == "optimal":
         return HullVerdict(inside=True, multipliers=outcome.point)
-    assert outcome.status == "infeasible"
+    if outcome.status != "infeasible":
+        raise RuntimeError(
+            f"hull LP is {outcome.status} although its objective is 0"
+        )
     u = outcome.dual
     c = tuple(-u[d] for d in range(v.dim))
     gamma = u[v.dim]

@@ -195,7 +195,10 @@ def polar_support_lp(h: HPolyhedron, x):
             bounds=("nonneg",) * npts,
         )
     )
-    assert outcome.status == "optimal"  # a simplex is compact and nonempty
+    if outcome.status != "optimal":
+        raise RuntimeError(
+            f"polar support LP is {outcome.status} over a nonempty simplex"
+        )
     return outcome.value / scale
 
 

@@ -140,10 +140,23 @@ def random_lp(rng: random.Random) -> LinearProgram:
     return LinearProgram.make(direction, objective, rows, bounds)
 
 
-def fraction_solve(lp: LinearProgram):
+def needs_artificial(row) -> bool:
+    """lp.solve's start rule: a row starts on an artificial variable iff it
+    is an '=' row or its right-hand side is negative."""
+    _, rel, b = row
+    return rel == "=" or b < 0
+
+
+def fraction_solve(lp: LinearProgram, every_row_artificial: bool = False):
     """Reference for lp.solve: the same two-phase Bland simplex on a dense
     Fraction tableau. Returns (outcome, pivots), pivots being the (leave,
-    enter) sequence of the whole solve, leftover-artificial pivots included."""
+    enter) sequence of the whole solve, leftover-artificial pivots included.
+
+    By default rows start as lp.solve starts them (needs_artificial), and
+    phase 1 runs only when some row has an artificial. With
+    every_row_artificial every row gets one and phase 1 always runs: the
+    start lp.solve used before it began on the slack basis, kept as the
+    slow reference for that change."""
     pivots = []
 
     def pivot(tab, rhs, objrow, value, basis, leave, enter):
@@ -212,7 +225,12 @@ def fraction_solve(lp: LinearProgram):
             slack_of[i] = col
             col += 1
     art0 = col
-    ncols = art0 + m
+    art_of = {}
+    for i, row in enumerate(lp.rows):
+        if every_row_artificial or needs_artificial(row):
+            art_of[i] = col
+            col += 1
+    ncols = col
 
     tab, rhs, flip = [], [], []
     for i, (coeffs, rel, b) in enumerate(lp.rows):
@@ -226,18 +244,23 @@ def fraction_solve(lp: LinearProgram):
             s = -1
             row = [-x for x in row]
             b = -b
-        row[art0 + i] = ONE
+        if i in art_of:
+            row[art_of[i]] = ONE
         tab.append(row)
         rhs.append(Fraction(b))
         flip.append(s)
-    basis = list(range(art0, ncols))
+    start = [art_of.get(i, slack_of.get(i)) for i in range(m)]
+    basis = list(start)
 
-    if m > 0:
-        cost1 = [ZERO] * art0 + [-ONE] * m
+    if art_of:
+        cost1 = [ZERO] * art0 + [-ONE] * len(art_of)
         objrow, value = build_objrow(tab, rhs, basis, cost1)
         _, value, _ = run_simplex(tab, rhs, objrow, value, basis, range(ncols))
         if value < 0:
-            dual = tuple(flip[i] * (objrow[art0 + i] - ONE) for i in range(m))
+            # y = c_B B^-1 is objrow + cost on each row's starting column.
+            dual = tuple(
+                flip[i] * (objrow[c] + cost1[c]) for i, c in enumerate(start)
+            )
             return LPOutcome(status="infeasible", dual=dual), pivots
         for i in range(m):
             if basis[i] >= art0:
@@ -267,7 +290,7 @@ def fraction_solve(lp: LinearProgram):
             if k in dvals:
                 ray[j] += sg * dvals[k]
         return LPOutcome(status="unbounded", point=point, ray=tuple(ray)), pivots
-    duals = tuple(sense * flip[i] * objrow[art0 + i] for i in range(m))
+    duals = tuple(sense * flip[i] * objrow[c] for i, c in enumerate(start))
     outcome = LPOutcome(
         status="optimal", point=point, value=sense * value, dual=duals
     )

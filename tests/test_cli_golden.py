@@ -55,6 +55,16 @@ BOX_3D = {
     },
 }
 
+# The lattice-free simplex {x >= 0, x1 + x2 + x3 <= 3} about f, P absent:
+# bounded, so maximal's boundedness test runs sup_over to a finite value.
+SIMPLEX_BODY_3D = {
+    "instance": dict(BOX_3D["instance"], P=None),
+    "body": {
+        "rows": [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1]],
+        "rhs": [0, 0, 0, 3],
+    },
+}
+
 BIG = "1" + "0" * 1000
 
 DOCUMENTS = {
@@ -63,9 +73,11 @@ DOCUMENTS = {
     "split.json": SPLIT,
     "fat.json": FAT,
     "box3d.json": BOX_3D,
+    "simplex_body3d.json": SIMPLEX_BODY_3D,
     "cut_valid.json": dict(SPLIT, cut={"alpha": [2, 2], "provenance": "split"}),
     "cut_zero.json": dict(SPLIT, cut={"alpha": [0, 0], "provenance": ""}),
     "cut_ray.json": dict(SPLIT, cut={"alpha": [-2, "1/2"], "provenance": ""}),
+    "cut_box3d.json": dict(BOX_3D, cut={"alpha": ["1/2"] * 4, "provenance": ""}),
     "float.json": {"dim": 2, "rows": [[0.5, 0]], "rhs": [1]},
     "bad_field.json": {
         "instance": dict(SPLIT_INSTANCE, P={"rows": [["x"]], "rhs": [1]}),
@@ -92,6 +104,8 @@ def _calls() -> list:
                 calls.append((command, name, "--radius", radius))
     for name in ("cut_valid.json", "cut_zero.json", "cut_ray.json"):
         calls.append(("check-cut", name, "--radius", "3"))
+    calls.append(("check-cut", "cut_box3d.json", "--radius", "2"))
+    calls.append(("maximal", "simplex_body3d.json", "--radius", "2"))
     calls += [
         ("polar", "truncated.json"),
         ("polar", "deep.json"),

@@ -6,10 +6,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_best, fraction_solve, random_lp
+from conftest import (
+    brute_force_best,
+    fraction_solve,
+    needs_artificial,
+    random_lp,
+)
 from polarcut import lp as lp_module
 from polarcut.lp import LinearProgram, LPOutcome, solve, verify_certificate
-from polarcut.rationals import dot
+from polarcut.polyhedra import (
+    exposed_witness,
+    hull_membership,
+    polar,
+    random_polyhedron,
+    sup_over,
+)
+from polarcut.rationals import ONE, ZERO, dot
+from polarcut.sublinear import (
+    check_unit_ball,
+    polar_support_lp,
+    random_unit_ball_rep,
+    sample_points,
+)
 
 
 def test_box_maximum():
@@ -185,9 +203,10 @@ def test_random_lp_draws_on_every_seed():
             assert len(program.rows) <= max(free, 9)
 
 
-def _solve_logged(program):
-    """lp.solve with its (leave, enter) pivot sequence, leftover-artificial
-    pivots included, in the form fraction_solve returns."""
+def _pivots_logged(run, *args):
+    """run(*args) with the (leave, enter) sequence of every lp.solve pivot
+    it makes, leftover-artificial pivots included, in the form
+    fraction_solve returns."""
     pivots = []
     step = lp_module._pivot
 
@@ -197,17 +216,27 @@ def _solve_logged(program):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp_module, "_pivot", logged)
-        outcome = solve(program)
-    return outcome, pivots
+        result = run(*args)
+    return result, pivots
+
+
+def _solve_logged(program):
+    return _pivots_logged(solve, program)
+
+
+def _battery():
+    """Beale's program and the 620 seeded random programs: 621 in all."""
+    programs = [BEALE]
+    for seed, count in ((271828, 120), (31_415, 500)):
+        rng = random.Random(seed)
+        programs += [random_lp(rng) for _ in range(count)]
+    return programs
 
 
 def test_pivot_matches_dense_reference():
     # The integer tableau against the Fraction one it replaced: identical
     # outcomes and identical pivot sequences.
-    programs = [BEALE]
-    for seed, count in ((271828, 120), (31_415, 500)):
-        rng = random.Random(seed)
-        programs += [random_lp(rng) for _ in range(count)]
+    programs = _battery()
     total = 0
     for program in programs:
         outcome, pivots = _solve_logged(program)
@@ -279,3 +308,145 @@ def test_integer_tableau_matches_fraction_reference(program):
     outcome, pivots = _solve_logged(program)
     assert (outcome, pivots) == fraction_solve(program)
     assert verify_certificate(program, outcome)
+
+
+def _agrees_with_all_artificial_start(program):
+    """lp.solve against fraction_solve's all-artificial start, the route the
+    slack-basis start replaced: the same status and value, and certificates
+    that verify on both. When every row needs an artificial anyway, the two
+    starts coincide, so the outcomes and pivot sequences must too. Returns
+    (pivots, reference pivots, whether every row needed one)."""
+    outcome, pivots = _solve_logged(program)
+    reference, reference_pivots = fraction_solve(
+        program, every_row_artificial=True
+    )
+    assert outcome.status == reference.status
+    assert outcome.value == reference.value
+    assert verify_certificate(program, outcome)
+    assert verify_certificate(program, reference)
+    every_row = all(needs_artificial(row) for row in program.rows)
+    if every_row:
+        assert (outcome, pivots) == (reference, reference_pivots)
+    return len(pivots), len(reference_pivots), every_row
+
+
+def _polyhedron_programs():
+    """The programs that seeded random canonical sets pose: normalize's
+    redundancy tests, exposed_witness per row, check_unit_ball on a random
+    generator set, sup_over at +-e_d, and at sample points the all-'='
+    programs of polar_support_lp and of hull_membership in the polar."""
+    programs = []
+    record = lp_module.solve
+
+    def recorded(program):
+        programs.append(program)
+        return record(program)
+
+    rng = random.Random(1729)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_module, "solve", recorded)
+        for index in range(12):
+            dim = rng.randint(1, 4)
+            h = random_polyhedron(dim, rng.randint(dim + 1, dim + 4), rng)
+            for i in range(len(h.rows)):
+                exposed_witness(h, i)
+            assert check_unit_ball(random_unit_ball_rep(h, index, 3), h)
+            for d in range(dim):
+                for sign in (ONE, -ONE):
+                    axis = tuple(sign if j == d else ZERO for j in range(dim))
+                    sup_over(h.rows, axis)
+            for x in sample_points(h, index, 12):
+                polar_support_lp(h, x)
+                hull_membership(x, polar(h))
+    return programs
+
+
+def test_slack_start_agrees_with_all_artificial_start():
+    totals = {True: [0, 0, 0], False: [0, 0, 0]}
+    for program in _battery() + _polyhedron_programs():
+        pivots, reference_pivots, every_row = _agrees_with_all_artificial_start(
+            program
+        )
+        tally = totals[every_row]
+        tally[0] += 1
+        tally[1] += pivots
+        tally[2] += reference_pivots
+    # Both kinds of program are exercised, and the slack start saves pivots
+    # on the programs where it applies.
+    assert totals[True][0] > 100 and totals[False][0] > 100, totals
+    assert totals[False][1] < totals[False][2], totals
+
+
+@given(_programs())
+@settings(max_examples=200, deadline=None)
+def test_slack_start_agrees_with_all_artificial_start_on_drawn_programs(program):
+    _agrees_with_all_artificial_start(program)
+
+
+# Infeasible programs with rows that start on their slacks; max 0 unless
+# given. A slack-started row's Farkas entry is its slack's reduced cost,
+# with no -1 from an artificial's cost.
+_MIXED_INFEASIBLE = {
+    "x <= 1, x = 2": (
+        LinearProgram.make("max", [0], [([1], "<=", 1), ([1], "=", 2)]),
+        (1, -1),
+    ),
+    "max x + y; x <= 1, y <= 1, -x - y <= -3": (
+        LinearProgram.make(
+            "max",
+            [1, 1],
+            [([1, 0], "<=", 1), ([0, 1], "<=", 1), ([-1, -1], "<=", -3)],
+        ),
+        (1, 1, 1),
+    ),
+    "x <= 1, -x <= -2": (
+        LinearProgram.make("max", [0], [([1], "<=", 1), ([-1], "<=", -2)]),
+        (1, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIXED_INFEASIBLE))
+def test_farkas_witness_on_slack_started_rows(name):
+    program, dual = _MIXED_INFEASIBLE[name]
+    outcome = solve(program)
+    assert outcome.status == "infeasible"
+    assert outcome.dual == tuple(Fraction(u) for u in dual)
+    assert verify_certificate(program, outcome)
+
+
+def test_sup_over_square_takes_two_pivots():
+    # The square |x1|, |x2| <= 1 at (1, 1): the origin is feasible, so no
+    # phase 1; one pivot per coordinate (eight with every row artificial).
+    square = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    rows = tuple(tuple(Fraction(c) for c in a) for a in square)
+    value, pivots = _pivots_logged(sup_over, rows, (ONE, ONE))
+    assert value == 2
+    assert pivots == [(0, 0), (2, 2)]
+
+
+def test_slack_basis_is_optimal_for_a_zero_objective():
+    # All '<=' rows with right-hand sides >= 0 and nothing to maximize: the
+    # slack basis is feasible and already optimal, so no pivot at all.
+    program = LinearProgram.make(
+        "max",
+        [0, 0],
+        [([1, 2], "<=", 3), ([-1, 1], "<=", 0), ([1, -1], "<=", 0)],
+        bounds=("nonneg", "free"),
+    )
+    outcome, pivots = _solve_logged(program)
+    assert pivots == []
+    assert outcome == LPOutcome(
+        status="optimal", point=(ZERO, ZERO), value=ZERO, dual=(ZERO,) * 3
+    )
+    assert verify_certificate(program, outcome)
+
+
+def test_phase_one_refuses_an_impossible_status(monkeypatch):
+    # Phase 1 maximizes minus a sum of nonnegative artificials, so it is
+    # bounded; any other status is a fault, also under python -O.
+    monkeypatch.setattr(
+        lp_module, "_run_simplex", lambda *args: ("unbounded", 0)
+    )
+    with pytest.raises(RuntimeError, match="phase 1 is unbounded"):
+        solve(LinearProgram.make("max", [1], [([1], "=", 1)]))

@@ -248,3 +248,12 @@ def test_sup_over_refuses_an_impossible_status(monkeypatch):
     monkeypatch.setattr(lp, "solve", lambda program: lp.LPOutcome(status="infeasible"))
     with pytest.raises(RuntimeError, match="infeasible"):
         sup_over((V(1, 0),), V(0, 1))
+
+
+@pytest.mark.parametrize("status", ["unbounded", "nonsense"])
+def test_hull_membership_refuses_an_impossible_status(monkeypatch, status):
+    # The hull LP maximizes 0, so it is optimal or infeasible; anything else
+    # is a fault, also under python -O.
+    monkeypatch.setattr(lp, "solve", lambda program: lp.LPOutcome(status=status))
+    with pytest.raises(RuntimeError, match=status):
+        hull_membership(V(1, 1), VPolytope(2, (V(0, 0), V(1, 0))))

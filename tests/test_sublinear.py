@@ -96,6 +96,19 @@ def test_gauge_is_polar_support():
             assert polar_support_lp(h, x) == gauge(h, x)
 
 
+@pytest.mark.parametrize("status", ["infeasible", "unbounded"])
+def test_polar_support_lp_refuses_an_impossible_status(
+    quadrant_k, monkeypatch, status
+):
+    # The LP ranges over a nonempty simplex, so only "optimal" is possible;
+    # anything else is a fault, also under python -O.
+    monkeypatch.setattr(
+        sublinear.lp, "solve", lambda program: sublinear.lp.LPOutcome(status=status)
+    )
+    with pytest.raises(RuntimeError, match=status):
+        polar_support_lp(quadrant_k, V(1, 2))
+
+
 def test_check_unit_ball_cases(quadrant_k):
     rows_only = VPolytope(2, (V(1, 0), V(0, 1)))
     with_origin = polar(quadrant_k)
