@@ -14,7 +14,13 @@ is_s_free, generate_cut and maximality_certificate take; make_body builds
 it from B's rows and right-hand sides in x-space and f. Validity is
 inherited from sublinearity - any s reaching a point of S satisfies the
 inequality because the body is S-free - and is additionally *checked* here
-point by point on a lattice region, by exact LPs, rather than trusted.
+on a lattice region, by exact LPs, rather than trusted. check_cut_validity
+keeps the exact certificate of each LP it solves and skips a later point
+that one of them already proves is no violation: a Farkas row of an
+unreachable point (nonnegative on every ray) proves unreachable every
+offset it pairs to a negative value, and the dual of an optimal value >= 1
+(at most alpha_j on ray j) proves value >= 1, by weak duality, at every
+offset it pairs to 1 or more. Only points without such a proof get an LP.
 
 region_lattice_points is the one enumerator of a region: the integer box of
 a given radius (never negative) around round(f), each coordinate rounded
@@ -232,33 +238,69 @@ def generate_cut(inst: CornerInstance, body: HPolyhedron, radius: int = DEFAULT_
 
 def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RADIUS) -> ValidityReport:
     """For each feasible lattice point z in the region, minimize the cut's
-    left-hand side over the exact ray combinations reaching z. The cut is
-    valid on the region iff every such point is unreachable or has minimum
-    >= 1. A minimum below 1 (or an unbounded descent direction) is returned
-    as the lexicographically first violation."""
+    left-hand side over the exact ray combinations reaching t = z - f. The
+    cut is valid on the region iff every such point is unreachable or has
+    minimum >= 1. A minimum below 1 (or an unbounded descent direction) is
+    returned as the lexicographically first violation.
+
+    Each LP's certificate is checked exactly against the rays and alpha,
+    then kept as an int row to settle later points without an LP:
+
+    * a Farkas row y of an unreachable point has <y, r_j> >= 0 for every
+      ray, so every t with <y, t> < 0 is unreachable too;
+    * the dual u of an optimal value >= 1 has <u, r_j> <= alpha_j for
+      every ray, so every t with <u, t> >= 1 has minimum >= 1 by weak
+      duality.
+
+    A skipped point is therefore never a violation: the first point left
+    without a proof is the first violation of the plain per-point scan,
+    solved by the same LP, so the report is the same. A certificate that
+    fails its check raises RuntimeError before anything is skipped."""
     if len(cut.alpha) != len(inst.rays):
         raise ValueError("one coefficient per ray required")
     columns = tuple(zip(*inst.rays))  # coordinate d of every ray
     bounds = ("nonneg",) * len(inst.rays)
     f = scaled(inst.f)
+    farkas = []  # y: z is unreachable if <y, z - f> < 0
+    duals = []  # (u, den): value >= 1 at z if <u, z - f> >= den, in ints
     for z in region_lattice_points(inst, radius):
-        target = unscaled(_offset(z, f))
-        rows = tuple((col, "=", t) for col, t in zip(columns, target))
+        offset = _offset(z, f)
+        t = offset.ints
+        if any(sum(map(mul, y, t)) < 0 for y in farkas) or any(
+            sum(map(mul, u, t)) >= den for u, den in duals
+        ):
+            continue
+        target = unscaled(offset)
+        rows = tuple((col, "=", c) for col, c in zip(columns, target))
         outcome = lp.solve(
             lp.LinearProgram(
                 direction="min", objective=cut.alpha, rows=rows, bounds=bounds
             )
         )
-        if outcome.status == "infeasible":
-            continue
         if outcome.status == "unbounded":
             return ValidityReport(
                 False, radius, CutViolation(vector(z), outcome.ray, True)
             )
-        if outcome.value < 1:
+        if outcome.status == "optimal" and outcome.value < 1:
             return ValidityReport(
                 False, radius, CutViolation(vector(z), outcome.point, False)
             )
+        cert = outcome.dual
+        (row,), den = integer_rows((cert,))
+        if outcome.status == "infeasible":
+            if any(dot(cert, r) < 0 for r in inst.rays) or dot(cert, target) >= 0:
+                raise RuntimeError(
+                    f"the Farkas row {cert} does not prove z = {z} unreachable"
+                )
+            farkas.append(row)
+        else:
+            if any(
+                dot(cert, r) > a for r, a in zip(inst.rays, cut.alpha)
+            ) or dot(cert, target) < 1:
+                raise RuntimeError(
+                    f"the dual {cert} does not prove value >= 1 at z = {z}"
+                )
+            duals.append((row, den * f.den))
     return ValidityReport(True, radius, None)
 
 

@@ -5,8 +5,8 @@ brute-force vertex enumeration for linear programs, the Fraction-tableau
 simplex that the integer one replaced, bisection on membership for the
 gauge, direct arithmetic re-verification of certificates,
 Fraction-arithmetic sample mixes and lattice scans, the recession-cone
-LPs that decided boundedness before polyhedra.sup_over, and the property
-suite fed rational samples. They are deliberately slow and simple.
+LPs that decided boundedness before polyhedra.sup_over, the property
+suite fed rational samples, and check-cut's one LP per lattice point. They are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from itertools import combinations, product
 
 import pytest
 
+from polarcut import lp as lp_module
 from polarcut import sublinear
+from polarcut.cuts import CutViolation, ValidityReport
 from polarcut.lp import LinearProgram, LPOutcome, solve
 from polarcut.polyhedra import HPolyhedron, membership, normalize
 from polarcut.rationals import ONE, ZERO, dot
@@ -534,3 +536,29 @@ def per_facet_uncertified(body, inst, radius):
         else:
             uncertified.append(i)
     return tuple(uncertified)
+
+
+def per_point_check_cut_validity(inst, cut, radius):
+    """Reference for cuts.check_cut_validity: one exact min-LP at every
+    region point of the Fraction scan, with no certificate reused. lp.solve
+    is looked up on its module at call time, so a monkeypatch that counts
+    solves sees these too."""
+    if len(cut.alpha) != len(inst.rays):
+        raise ValueError("one coefficient per ray required")
+    columns = tuple(zip(*inst.rays))
+    bounds = ("nonneg",) * len(inst.rays)
+    for z in fraction_region_points(inst, radius):
+        target = vsub(z, inst.f)
+        rows = tuple((col, "=", t) for col, t in zip(columns, target))
+        outcome = lp_module.solve(
+            LinearProgram(
+                direction="min", objective=cut.alpha, rows=rows, bounds=bounds
+            )
+        )
+        if outcome.status == "infeasible":
+            continue
+        if outcome.status == "unbounded":
+            return ValidityReport(False, radius, CutViolation(z, outcome.ray, True))
+        if outcome.value < 1:
+            return ValidityReport(False, radius, CutViolation(z, outcome.point, False))
+    return ValidityReport(True, radius, None)

@@ -65,6 +65,24 @@ SIMPLEX_BODY_3D = {
     },
 }
 
+# check-cut's scan reuses LP certificates. Here the first violation, at
+# radius 3, comes after one Farkas row and one dual have each skipped points.
+CUT_LATE = {
+    "instance": {"dim": 2, "f": ["1/2", "1/3"], "rays": [[-1, 0], [2, 2]], "P": None},
+    "cut": {"alpha": [1, "1/2"], "provenance": ""},
+}
+# Two rays in 3-D (they do not span the space), and the split cut of the
+# lattice-free box [0, 1] x [0, 1] x [-1, 1] about f: valid.
+CUT_PLANE_3D = {
+    "instance": {
+        "dim": 3,
+        "f": ["1/2", "1/2", 0],
+        "rays": [[1, 0, 0], [0, 1, 0]],
+        "P": None,
+    },
+    "cut": {"alpha": [2, 2], "provenance": "box"},
+}
+
 BIG = "1" + "0" * 1000
 
 DOCUMENTS = {
@@ -78,6 +96,8 @@ DOCUMENTS = {
     "cut_zero.json": dict(SPLIT, cut={"alpha": [0, 0], "provenance": ""}),
     "cut_ray.json": dict(SPLIT, cut={"alpha": [-2, "1/2"], "provenance": ""}),
     "cut_box3d.json": dict(BOX_3D, cut={"alpha": ["1/2"] * 4, "provenance": ""}),
+    "cut_late.json": CUT_LATE,
+    "cut_plane3d.json": CUT_PLANE_3D,
     "float.json": {"dim": 2, "rows": [[0.5, 0]], "rhs": [1]},
     "bad_field.json": {
         "instance": dict(SPLIT_INSTANCE, P={"rows": [["x"]], "rhs": [1]}),
@@ -105,6 +125,8 @@ def _calls() -> list:
     for name in ("cut_valid.json", "cut_zero.json", "cut_ray.json"):
         calls.append(("check-cut", name, "--radius", "3"))
     calls.append(("check-cut", "cut_box3d.json", "--radius", "2"))
+    calls.append(("check-cut", "cut_late.json", "--radius", "3"))
+    calls.append(("check-cut", "cut_plane3d.json", "--radius", "2"))
     calls.append(("maximal", "simplex_body3d.json", "--radius", "2"))
     calls += [
         ("polar", "truncated.json"),

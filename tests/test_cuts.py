@@ -1,19 +1,24 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     cone_is_pointed,
     first_interior_point,
     fraction_region_points,
     per_facet_uncertified,
+    per_point_check_cut_validity,
     vadd,
     vscale,
     vsub,
 )
-from polarcut import cuts
+from test_acceptance import _cut_corpus_2d
+from polarcut import cuts, lp
 from polarcut.cuts import (
     AnchorNotInteriorError,
     CornerInstance,
@@ -363,3 +368,169 @@ def test_boundedness_matches_cone_reference():
         key = (bool(inst.p_rows), bounded)
         seen[key] = seen.get(key, 0) + 1
     assert len(seen) == 4 and min(seen.values()) >= 20, seen
+
+
+def random_cut_case(rng):
+    """A 1-3-D instance, a cut and a radius in 0..3 for the differential
+    test of check_cut_validity. There are 1-4 rays, now and then a zero ray
+    or the opposite of an earlier one, so they may fail to span the space
+    (2 rays in 3-D) or cancel out. P comes on about a third of the draws.
+    alpha is the split cut on a fractional coordinate of f (valid), that
+    cut scaled down (often violated), or small entries with zeros and
+    negatives (violated, or unbounded along a ray combination reaching
+    nothing)."""
+    dim = rng.randint(1, 3)
+    f = [Fraction(rng.randint(-4, 4), rng.choice((2, 3, 4))) for _ in range(dim)]
+    if all(c.denominator == 1 for c in f):
+        f[0] += Fraction(1, 2)
+    rays = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.random()
+        if rays and kind < 0.2:
+            rays.append(vscale(-1, rng.choice(rays)))
+        elif kind < 0.3:
+            rays.append((0,) * dim)
+        else:
+            rays.append(
+                tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim))
+            )
+    p_rows, p_rhs = [], []
+    if rng.random() < 0.35:
+        for _ in range(rng.randint(1, 2)):
+            p_rows.append([rng.randint(-1, 1) for _ in range(dim)])
+            p_rhs.append(Fraction(rng.randint(-2, 6), rng.randint(1, 2)))
+    inst = CornerInstance.make(dim, f, rays, p_rows, p_rhs)
+    kind = rng.random()
+    if kind < 0.5:
+        d = next(d for d, c in enumerate(inst.f) if c.denominator != 1)
+        e = [int(i == d) for i in range(dim)]
+        low = math.floor(inst.f[d])
+        split = make_body([e, [-x for x in e]], [low + 1, -low], inst.f)
+        alpha = [minimal_sublinear(split, r) for r in inst.rays]
+        if kind < 0.2:
+            alpha = [a * Fraction(rng.randint(1, 3), 4) for a in alpha]
+    else:
+        choices = (-1, -1, 0, 0, Fraction(1, 2), 1, 2, 3)
+        alpha = [Fraction(rng.choice(choices)) for _ in rays]
+    return inst, Cut(alpha=tuple(alpha), provenance=""), rng.randint(0, 3)
+
+
+def _count_solves(monkeypatch):
+    """Wrap lp.solve so that each call is counted; returns the counter."""
+    calls = []
+    real_solve = lp.solve
+
+    def counted(program):
+        calls.append(program)
+        return real_solve(program)
+
+    monkeypatch.setattr(lp, "solve", counted)
+    return calls
+
+
+def test_check_cut_matches_per_point_reference(monkeypatch):
+    # The certificate-reusing scan against one LP per lattice point: equal
+    # reports (the violation's point, s and kind included), and never more
+    # LPs, on 600 seeded instances covering every kind of ray list and cut.
+    rng = random.Random(1971)
+    calls = _count_solves(monkeypatch)
+    seen = dict.fromkeys(
+        ("valid", "violated", "unbounded", "P", "radius 0", "zero ray",
+         "opposite rays", "non-spanning", "saved LPs"),
+        0,
+    )
+    for _ in range(600):
+        inst, cut, radius = random_cut_case(rng)
+        calls.clear()
+        report = check_cut_validity(inst, cut, radius)
+        fast = len(calls)
+        calls.clear()
+        assert report == per_point_check_cut_validity(inst, cut, radius), (inst, cut)
+        assert fast <= len(calls)
+        violation = report.violation
+        seen["valid"] += report.valid_on_region
+        seen["violated"] += violation is not None and not violation.improving_ray
+        seen["unbounded"] += violation is not None and violation.improving_ray
+        seen["P"] += bool(inst.p_rows)
+        seen["radius 0"] += radius == 0
+        seen["zero ray"] += any(not any(r) for r in inst.rays)
+        seen["opposite rays"] += any(
+            any(r) and vscale(-1, r) in inst.rays for r in inst.rays
+        )
+        seen["non-spanning"] += len(inst.rays) < inst.dim
+        seen["saved LPs"] += fast < len(calls)
+    assert min(seen.values()) >= 25, seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_check_cut_matches_per_point_reference_hypothesis(rng):
+    inst, cut, radius = random_cut_case(rng)
+    assert check_cut_validity(inst, cut, radius) == per_point_check_cut_validity(
+        inst, cut, radius
+    )
+
+
+def test_split_check_takes_two_lps(split_1d, monkeypatch):
+    # 11 lattice points, two LPs. At x = -5 the minimum is 11, with dual
+    # u = -2, which proves value >= 1 at every x <= 0; at x = 1 it is 1,
+    # with dual u = 2, which proves every x >= 1.
+    inst, body = split_1d
+    cut = generate_cut(inst, body)
+    calls = _count_solves(monkeypatch)
+    assert len(list(region_lattice_points(inst, 5))) == 11
+    assert check_cut_validity(inst, cut, 5).valid_on_region
+    assert len(calls) == 2
+
+
+def test_check_cut_lp_count_on_acceptance_corpus(monkeypatch):
+    # The C7 corpus of seeded 2-D lattice-free bodies at radius 4: never
+    # more LPs than points, and in total a small fraction of them.
+    calls = _count_solves(monkeypatch)
+    fast_total = reference_total = points = 0
+    for inst, body, _, _ in _cut_corpus_2d():
+        cut = generate_cut(inst, body, 4)
+        calls.clear()
+        report = check_cut_validity(inst, cut, 4)
+        fast = len(calls)
+        calls.clear()
+        assert report == per_point_check_cut_validity(inst, cut, 4)
+        assert report.valid_on_region
+        assert fast <= len(calls)
+        fast_total += fast
+        reference_total += len(calls)
+        points += len(list(region_lattice_points(inst, 4)))
+    assert reference_total == points == 20 * 81
+    assert fast_total * 10 < reference_total
+
+
+@pytest.mark.parametrize("status", ["optimal", "infeasible"])
+def test_check_cut_refuses_a_broken_certificate(monkeypatch, status):
+    # A certificate that breaks its ray inequalities stops the scan with
+    # RuntimeError at the point that produced it; no later point is
+    # skipped, or even visited, on its strength. Each forgery still proves
+    # its own point, so only the check against the rays can catch it.
+    inst = CornerInstance.make(
+        2, [Fraction(1, 2), Fraction(1, 2)], [[1, 0], [0, 1]]
+    )
+    cut = Cut(alpha=(Fraction(2), Fraction(2)), provenance="")
+    real_solve = lp.solve
+    calls = []
+
+    def forging(program):
+        outcome = real_solve(program)
+        calls.append(outcome.status)
+        if outcome.status != status:
+            return outcome
+        if status == "optimal":
+            # first solved at t = (1/2, 1/2): u + 100 pairs to the value
+            # plus 100 there, and exceeds alpha on both rays
+            return replace(outcome, dual=tuple(u + 100 for u in outcome.dual))
+        # first solved at t = (-5/2, -5/2): (2, -1) pairs to -5/2 there,
+        # and is negative on the ray (0, 1)
+        return replace(outcome, dual=(Fraction(2), Fraction(-1)))
+
+    monkeypatch.setattr(lp, "solve", forging)
+    with pytest.raises(RuntimeError):
+        check_cut_validity(inst, cut, 2)
+    assert calls[-1] == status and calls.count(status) == 1
