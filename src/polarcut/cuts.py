@@ -15,12 +15,13 @@ it from B's rows and right-hand sides in x-space and f. Validity is
 inherited from sublinearity - any s reaching a point of S satisfies the
 inequality because the body is S-free - and is additionally *checked* here
 on a lattice region, by exact LPs, rather than trusted. check_cut_validity
-keeps the exact certificate of each LP it solves and skips a later point
-that one of them already proves is no violation: a Farkas row of an
-unreachable point (nonnegative on every ray) proves unreachable every
-offset it pairs to a negative value, and the dual of an optimal value >= 1
-(at most alpha_j on ray j) proves value >= 1, by weak duality, at every
-offset it pairs to 1 or more. Only points without such a proof get an LP.
+keeps the exact certificate of each LP it solves, once lp.verify_certificate
+has passed it, and skips a later point that one of them already proves is
+no violation: a Farkas row of an unreachable point (nonnegative on every
+ray: the dual test for objective 0) proves unreachable every offset it
+pairs to a negative value, and the dual of an optimal value >= 1 (at most
+alpha_j on ray j) proves value >= 1, by weak duality, at every offset it
+pairs to 1 or more. Only points without such a proof get an LP.
 
 region_lattice_points is the one enumerator of a region: the integer box of
 a given radius (never negative) around round(f), each coordinate rounded
@@ -243,18 +244,21 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
     minimum >= 1. A minimum below 1 (or an unbounded descent direction) is
     returned as the lexicographically first violation.
 
-    Each LP's certificate is checked exactly against the rays and alpha,
-    then kept as an int row to settle later points without an LP:
+    Each LP's outcome is checked by lp.verify_certificate, then its
+    certificate is kept as an int row to settle later points without an
+    LP. The LP's columns are the rays and its costs alpha, so the check
+    covers both:
 
-    * a Farkas row y of an unreachable point has <y, r_j> >= 0 for every
-      ray, so every t with <y, t> < 0 is unreachable too;
+    * a Farkas row y of an unreachable point is the dual test for
+      objective 0: <y, r_j> >= 0 for every ray and <y, t> < 0, so every
+      t with <y, t> < 0 is unreachable too;
     * the dual u of an optimal value >= 1 has <u, r_j> <= alpha_j for
-      every ray, so every t with <u, t> >= 1 has minimum >= 1 by weak
-      duality.
+      every ray and <u, t> equal to the value, so every t with
+      <u, t> >= 1 has minimum >= 1 by weak duality.
 
     A skipped point is therefore never a violation: the first point left
     without a proof is the first violation of the plain per-point scan,
-    solved by the same LP, so the report is the same. A certificate that
+    solved by the same LP, so the report is the same. An outcome that
     fails its check raises RuntimeError before anything is skipped."""
     if len(cut.alpha) != len(inst.rays):
         raise ValueError("one coefficient per ray required")
@@ -270,13 +274,11 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
             sum(map(mul, u, t)) >= den for u, den in duals
         ):
             continue
-        target = unscaled(offset)
-        rows = tuple((col, "=", c) for col, c in zip(columns, target))
-        outcome = lp.solve(
-            lp.LinearProgram(
-                direction="min", objective=cut.alpha, rows=rows, bounds=bounds
-            )
+        rows = tuple((col, "=", c) for col, c in zip(columns, unscaled(offset)))
+        program = lp.LinearProgram(
+            direction="min", objective=cut.alpha, rows=rows, bounds=bounds
         )
+        outcome = lp.solve(program)
         if outcome.status == "unbounded":
             return ValidityReport(
                 False, radius, CutViolation(vector(z), outcome.ray, True)
@@ -285,21 +287,15 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
             return ValidityReport(
                 False, radius, CutViolation(vector(z), outcome.point, False)
             )
-        cert = outcome.dual
-        (row,), den = integer_rows((cert,))
+        if not lp.verify_certificate(program, outcome):
+            raise RuntimeError(
+                f"the {outcome.status} certificate at z = {z} fails "
+                "lp.verify_certificate"
+            )
+        (row,), den = integer_rows((outcome.dual,))
         if outcome.status == "infeasible":
-            if any(dot(cert, r) < 0 for r in inst.rays) or dot(cert, target) >= 0:
-                raise RuntimeError(
-                    f"the Farkas row {cert} does not prove z = {z} unreachable"
-                )
             farkas.append(row)
         else:
-            if any(
-                dot(cert, r) > a for r, a in zip(inst.rays, cut.alpha)
-            ) or dot(cert, target) < 1:
-                raise RuntimeError(
-                    f"the dual {cert} does not prove value >= 1 at z = {z}"
-                )
             duals.append((row, den * f.den))
     return ValidityReport(True, radius, None)
 

@@ -14,6 +14,14 @@ certificate that verify_certificate re-checks by direct arithmetic:
               nonnegative functional on the feasible cone with a negative
               right-hand side.
 
+verify_certificate is the library's one test of whether an outcome proves
+its claim; cuts.check_cut_validity calls it on each certificate before it
+caches one. One dual test serves both the optimal and the infeasible
+outcome. A Farkas row is that test for objective 0 under max: a dual
+feasible y bounds 0 = <0, x> <= <y, rhs> for every feasible x, so a
+negative bound leaves no feasible x. One feasibility test serves both the
+point and the ray, a ray taking every right-hand side as 0.
+
 Internal shape (invisible to callers): the program is converted to
 ``maximize`` over equality standard form. Free variables are split into
 differences of nonnegative ones, inequality rows receive slacks, and rows
@@ -321,101 +329,74 @@ def solve(lp: LinearProgram) -> LPOutcome:
     )
 
 
-def _feasible(lp: LinearProgram, x: Vec) -> bool:
-    if len(x) != len(lp.objective):
+def _feasible(lp: LinearProgram, x, homogeneous: bool = False) -> bool:
+    """x meets the bounds and every row; homogeneous takes each right-hand
+    side as 0, which makes it the test of a recession ray."""
+    if x is None or len(x) != len(lp.objective):
         return False
-    for j, b in enumerate(lp.bounds):
-        if b == "nonneg" and x[j] < 0:
-            return False
+    if any(b == "nonneg" and xj < 0 for b, xj in zip(lp.bounds, x)):
+        return False
     for coeffs, rel, b in lp.rows:
         lhs = dot(coeffs, x)
-        if rel == "<=" and lhs > b:
-            return False
-        if rel == "=" and lhs != b:
+        rhs = ZERO if homogeneous else b
+        if lhs > rhs or (rel == "=" and lhs != rhs):
             return False
     return True
+
+
+def _dual_bound(lp: LinearProgram, u, objective, is_max: bool):
+    """<u, rhs> if u is dual feasible for the objective over lp's rows and
+    bounds, else None: each '<=' row's multiplier has the direction's sign
+    (>= 0 for max, <= 0 for min), and sum_i u_i a_i dominates the objective
+    (>= for max, <= for min) on nonneg variables and equals it on free
+    ones. By weak duality the bound then caps (max) or floors (min) the
+    objective over every feasible point."""
+    if u is None or len(u) != len(lp.rows):
+        return None
+    combo = [ZERO] * len(objective)
+    bound = ZERO
+    for ui, (coeffs, rel, b) in zip(u, lp.rows):
+        if not ui:
+            continue
+        if rel == "<=" and (ui < 0 if is_max else ui > 0):
+            return None
+        for j, a in enumerate(coeffs):
+            if a:
+                combo[j] += ui * a
+        bound += ui * b
+    for cj, oj, kind in zip(combo, objective, lp.bounds):
+        if cj != oj and (kind == "free" or (cj < oj if is_max else cj > oj)):
+            return None
+    return bound
 
 
 def verify_certificate(lp: LinearProgram, outcome: LPOutcome) -> bool:
     """Re-check an outcome by direct exact arithmetic.
 
-    Returns False on any mismatch; never raises on a well-formed program.
+    optimal: the point is feasible, its objective value is the value, and
+    the dual's bound equals it. unbounded: the ray is a feasible direction
+    that strictly improves the objective, and the point, if any, is
+    feasible. infeasible: the Farkas row is the dual test for objective 0
+    under max with a bound below 0 (a feasible x would give
+    0 <= <y, rhs> < 0). Returns False on any mismatch; never raises on a
+    well-formed program.
     """
-    m = len(lp.rows)
-    n = len(lp.objective)
     is_max = lp.direction == "max"
-
     if outcome.status == "optimal":
-        if outcome.point is None or outcome.value is None or outcome.dual is None:
-            return False
-        if len(outcome.dual) != m or not _feasible(lp, outcome.point):
-            return False
-        if dot(lp.objective, outcome.point) != outcome.value:
-            return False
-        # Dual feasibility: multipliers on <= rows carry the direction's
-        # sign, and their combination dominates the objective on the
-        # nonnegative orthant (matches it exactly on free coordinates).
-        combo = [ZERO] * n
-        rhs_total = ZERO
-        for u, (coeffs, rel, b) in zip(outcome.dual, lp.rows):
-            if rel == "<=" and ((is_max and u < 0) or (not is_max and u > 0)):
-                return False
-            for j in range(n):
-                combo[j] += u * coeffs[j]
-            rhs_total += u * b
-        for j, bound in enumerate(lp.bounds):
-            cj = lp.objective[j]
-            if bound == "free":
-                if combo[j] != cj:
-                    return False
-            elif is_max:
-                if combo[j] < cj:
-                    return False
-            else:
-                if combo[j] > cj:
-                    return False
-        return rhs_total == outcome.value
-
+        return (
+            _feasible(lp, outcome.point)
+            and dot(lp.objective, outcome.point) == outcome.value
+            and _dual_bound(lp, outcome.dual, lp.objective, is_max) == outcome.value
+        )
     if outcome.status == "unbounded":
-        ray = outcome.ray
-        if ray is None or len(ray) != n or all(x == 0 for x in ray):
+        if not _feasible(lp, outcome.ray, homogeneous=True):
             return False
-        for j, bound in enumerate(lp.bounds):
-            if bound == "nonneg" and ray[j] < 0:
-                return False
-        for coeffs, rel, _ in lp.rows:
-            lhs = dot(coeffs, ray)
-            if rel == "<=" and lhs > 0:
-                return False
-            if rel == "=" and lhs != 0:
-                return False
-        gain = dot(lp.objective, ray)
-        if is_max and gain <= 0:
+        gain = dot(lp.objective, outcome.ray)  # a strict gain needs a nonzero ray
+        if not (gain > 0 if is_max else gain < 0):
             return False
-        if not is_max and gain >= 0:
-            return False
-        if outcome.point is not None and not _feasible(lp, outcome.point):
-            return False
-        return True
-
+        return outcome.point is None or _feasible(lp, outcome.point)
     if outcome.status == "infeasible":
-        u = outcome.dual
-        if u is None or len(u) != m:
-            return False
-        combo = [ZERO] * n
-        rhs_total = ZERO
-        for ui, (coeffs, rel, b) in zip(u, lp.rows):
-            if rel == "<=" and ui < 0:
-                return False
-            for j in range(n):
-                combo[j] += ui * coeffs[j]
-            rhs_total += ui * b
-        for j, bound in enumerate(lp.bounds):
-            if bound == "free":
-                if combo[j] != 0:
-                    return False
-            elif combo[j] < 0:
-                return False
-        return rhs_total < 0
-
+        zero = (ZERO,) * len(lp.objective)
+        bound = _dual_bound(lp, outcome.dual, zero, True)
+        return bound is not None and bound < 0
     return False

@@ -3,7 +3,8 @@
 The oracles recompute results by routes independent of the library code:
 brute-force vertex enumeration for linear programs, the Fraction-tableau
 simplex that the integer one replaced, bisection on membership for the
-gauge, direct arithmetic re-verification of certificates,
+gauge, direct arithmetic re-verification of certificates (the checker
+whose optimal and Farkas branches each had their own dual test),
 Fraction-arithmetic sample mixes and lattice scans, the recession-cone
 LPs that decided boundedness before polyhedra.sup_over, the property
 suite fed rational samples, and check-cut's one LP per lattice point. They are deliberately slow and simple.
@@ -297,6 +298,106 @@ def fraction_solve(lp: LinearProgram, every_row_artificial: bool = False):
         status="optimal", point=point, value=sense * value, dual=duals
     )
     return outcome, pivots
+
+
+def _reference_feasible(lp: LinearProgram, x) -> bool:
+    if len(x) != len(lp.objective):
+        return False
+    for j, b in enumerate(lp.bounds):
+        if b == "nonneg" and x[j] < 0:
+            return False
+    for coeffs, rel, b in lp.rows:
+        lhs = dot(coeffs, x)
+        if rel == "<=" and lhs > b:
+            return False
+        if rel == "=" and lhs != b:
+            return False
+    return True
+
+
+def reference_verify_certificate(lp: LinearProgram, outcome: LPOutcome) -> bool:
+    """lp.verify_certificate before its optimal and infeasible branches
+    shared one dual test: each branch writes out its own row combination.
+    Returns False on any mismatch; never raises on a well-formed program.
+    """
+    m = len(lp.rows)
+    n = len(lp.objective)
+    is_max = lp.direction == "max"
+
+    if outcome.status == "optimal":
+        if outcome.point is None or outcome.value is None or outcome.dual is None:
+            return False
+        if len(outcome.dual) != m or not _reference_feasible(lp, outcome.point):
+            return False
+        if dot(lp.objective, outcome.point) != outcome.value:
+            return False
+        # Dual feasibility: multipliers on <= rows carry the direction's
+        # sign, and their combination dominates the objective on the
+        # nonnegative orthant (matches it exactly on free coordinates).
+        combo = [ZERO] * n
+        rhs_total = ZERO
+        for u, (coeffs, rel, b) in zip(outcome.dual, lp.rows):
+            if rel == "<=" and ((is_max and u < 0) or (not is_max and u > 0)):
+                return False
+            for j in range(n):
+                combo[j] += u * coeffs[j]
+            rhs_total += u * b
+        for j, bound in enumerate(lp.bounds):
+            cj = lp.objective[j]
+            if bound == "free":
+                if combo[j] != cj:
+                    return False
+            elif is_max:
+                if combo[j] < cj:
+                    return False
+            else:
+                if combo[j] > cj:
+                    return False
+        return rhs_total == outcome.value
+
+    if outcome.status == "unbounded":
+        ray = outcome.ray
+        if ray is None or len(ray) != n or all(x == 0 for x in ray):
+            return False
+        for j, bound in enumerate(lp.bounds):
+            if bound == "nonneg" and ray[j] < 0:
+                return False
+        for coeffs, rel, _ in lp.rows:
+            lhs = dot(coeffs, ray)
+            if rel == "<=" and lhs > 0:
+                return False
+            if rel == "=" and lhs != 0:
+                return False
+        gain = dot(lp.objective, ray)
+        if is_max and gain <= 0:
+            return False
+        if not is_max and gain >= 0:
+            return False
+        if outcome.point is not None and not _reference_feasible(lp, outcome.point):
+            return False
+        return True
+
+    if outcome.status == "infeasible":
+        u = outcome.dual
+        if u is None or len(u) != m:
+            return False
+        combo = [ZERO] * n
+        rhs_total = ZERO
+        for ui, (coeffs, rel, b) in zip(u, lp.rows):
+            if rel == "<=" and ui < 0:
+                return False
+            for j in range(n):
+                combo[j] += ui * coeffs[j]
+            rhs_total += ui * b
+        for j, bound in enumerate(lp.bounds):
+            if bound == "free":
+                if combo[j] != 0:
+                    return False
+            elif combo[j] < 0:
+                return False
+        return rhs_total < 0
+
+    return False
 
 
 # -------------------------------------------------------------- gauge oracle

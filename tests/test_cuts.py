@@ -504,12 +504,22 @@ def test_check_cut_lp_count_on_acceptance_corpus(monkeypatch):
     assert fast_total * 10 < reference_total
 
 
-@pytest.mark.parametrize("status", ["optimal", "infeasible"])
-def test_check_cut_refuses_a_broken_certificate(monkeypatch, status):
-    # A certificate that breaks its ray inequalities stops the scan with
-    # RuntimeError at the point that produced it; no later point is
-    # skipped, or even visited, on its strength. Each forgery still proves
-    # its own point, so only the check against the rays can catch it.
+@pytest.mark.parametrize(
+    "status, forgery",
+    [
+        pytest.param("optimal", "dual", id="optimal"),
+        pytest.param("infeasible", "farkas", id="infeasible"),
+        pytest.param("optimal", "value", id="optimal-value"),
+        pytest.param("optimal", "point", id="optimal-point"),
+    ],
+)
+def test_check_cut_refuses_a_broken_certificate(monkeypatch, status, forgery):
+    # A forged outcome stops the scan with RuntimeError at the point that
+    # produced it; no later point is skipped, or even visited, on its
+    # strength. The forged dual and Farkas row still prove their own point,
+    # so only the check against the rays can catch them; the forged value
+    # and point keep the dual, so only lp.verify_certificate's test of the
+    # value and of the point can.
     inst = CornerInstance.make(
         2, [Fraction(1, 2), Fraction(1, 2)], [[1, 0], [0, 1]]
     )
@@ -522,12 +532,18 @@ def test_check_cut_refuses_a_broken_certificate(monkeypatch, status):
         calls.append(outcome.status)
         if outcome.status != status:
             return outcome
-        if status == "optimal":
-            # first solved at t = (1/2, 1/2): u + 100 pairs to the value
-            # plus 100 there, and exceeds alpha on both rays
+        # the first optimal outcome is at t = (1/2, 1/2): point (1/2, 1/2),
+        # value 2; the first infeasible one at t = (-5/2, -5/2)
+        if forgery == "dual":
+            # u + 100 pairs to the value plus 100 at t, and exceeds alpha
+            # on both rays
             return replace(outcome, dual=tuple(u + 100 for u in outcome.dual))
-        # first solved at t = (-5/2, -5/2): (2, -1) pairs to -5/2 there,
-        # and is negative on the ray (0, 1)
+        if forgery == "value":
+            return replace(outcome, value=outcome.value + 1)
+        if forgery == "point":
+            # same cost 2, but s_1 = 1 misses the '=' row s_1 = 1/2
+            return replace(outcome, point=(Fraction(1), Fraction(0)))
+        # (2, -1) pairs to -5/2 at t, and is negative on the ray (0, 1)
         return replace(outcome, dual=(Fraction(2), Fraction(-1)))
 
     monkeypatch.setattr(lp, "solve", forging)

@@ -11,6 +11,7 @@ from conftest import (
     fraction_solve,
     needs_artificial,
     random_lp,
+    reference_verify_certificate,
 )
 from polarcut import lp as lp_module
 from polarcut.lp import LinearProgram, LPOutcome, solve, verify_certificate
@@ -170,6 +171,54 @@ def test_verify_rejects_wrong_farkas():
     out = solve(lp)
     assert not verify_certificate(lp, replace(out, dual=(Fraction(-1),)))
     assert not verify_certificate(lp, replace(out, dual=None))
+
+
+def _entry_mutations(vec, k):
+    """Forgeries of one certificate vector: entry k shifted by +1, -1 and
+    +1/3, the vector truncated, negated, and set to None."""
+    if vec is None:
+        return [None]
+    shifted = [
+        vec[:k] + (vec[k] + d,) + vec[k + 1:]
+        for d in (ONE, -ONE, Fraction(1, 3))
+    ]
+    return shifted + [vec[:-1], tuple(-x for x in vec), None]
+
+
+def _mutated_outcomes(out, rng):
+    """out itself and its forged copies: each certificate field mutated,
+    the value shifted by 1 or dropped, and every status relabel."""
+    forged = [out]
+    for field in ("point", "dual", "ray"):
+        vec = getattr(out, field)
+        k = rng.randrange(len(vec)) if vec else 0
+        forged += [replace(out, **{field: v}) for v in _entry_mutations(vec, k)]
+    if out.value is not None:
+        forged.append(replace(out, value=out.value + 1))
+    forged.append(replace(out, value=None))
+    for status in ("optimal", "unbounded", "infeasible", "nonsense"):
+        forged.append(replace(out, status=status))
+    return forged
+
+
+def test_verify_certificate_matches_reference():
+    # The shared dual and feasibility tests give the verdict of the checker
+    # they replaced on real outcomes and on forgeries of each field; both
+    # verdicts must occur often under every status.
+    rng = random.Random(16180)
+    seen = {}
+    for _ in range(600):
+        program = random_lp(rng)
+        for out in _mutated_outcomes(solve(program), rng):
+            verdict = verify_certificate(program, out)
+            assert verdict == reference_verify_certificate(program, out), out
+            key = (out.status, verdict)
+            seen[key] = seen.get(key, 0) + 1
+    for status in ("optimal", "unbounded", "infeasible"):
+        for verdict in (True, False):
+            assert seen.get((status, verdict), 0) >= 25, seen
+    assert ("nonsense", True) not in seen
+    print(f"verify_certificate battery: {sum(seen.values())} outcomes, {seen}")
 
 
 def test_random_battery_against_enumeration():
