@@ -23,14 +23,21 @@ pairs to a negative value, and the dual of an optimal value >= 1 (at most
 alpha_j on ray j) proves value >= 1, by weak duality, at every offset it
 pairs to 1 or more. Only points without such a proof get an LP.
 
-region_lattice_points is the one enumerator of a region: the integer box of
-a given radius (never negative) around round(f), each coordinate rounded
-half to even, in lexicographic order, filtered to P with integer dot
-products. A box of more than MAX_SCAN_POINTS points is refused before the
-scan starts. is_s_free, check_cut_validity and maximality_certificate each
-make one pass over it and classify a point once, so reported witnesses are
-deterministic: the lexicographically smallest in the box. Each pass scales
-f once (rationals.Scaled), so the offset z - f of a lattice point is int
+region_lattice_points is the one enumerator of a region: the lattice points
+of the closed region B intersect P (P alone when no body is given) inside
+the integer box of a given radius (never negative) around round(f), each
+coordinate rounded half to even, in lexicographic order. It walks the box
+in its first dim - 1 coordinates only; for each such prefix, every
+half-space, compiled once to ints, bounds the last coordinate exactly, so
+no point outside the region is visited (Fincke & Pohst 1985, without their
+LP-tightened prefix ranges). The limit applies to the radius box, not to
+the region: a box of more than MAX_SCAN_POINTS points is refused before
+the scan starts. is_s_free and maximality_certificate pass their body,
+since the interior and facet points they look for lie in closed B;
+check_cut_validity passes none and scans P. Each makes one pass and
+classifies a point once, so reported witnesses are deterministic: the
+lexicographically smallest in the box. Each pass scales f once
+(rationals.Scaled), so the offset z - f of a lattice point is int
 arithmetic, and builds a rational only for a reported point.
 """
 
@@ -41,7 +48,13 @@ from itertools import product
 from operator import mul
 
 from . import lp
-from .polyhedra import HPolyhedron, membership, normalize, sup_over
+from .polyhedra import (
+    HPolyhedron,
+    OriginNotInteriorError,
+    membership,
+    normalize,
+    sup_over,
+)
 from .rationals import (
     ONE,
     ZERO,
@@ -167,26 +180,33 @@ class MaximalityReport:
 def make_body(b_rows, b_rhs, f: Vec) -> HPolyhedron:
     """The body of a cut, K = B - f in canonical row form, from B's rows and
     right-hand sides in x-space: {r : <a_i, r> <= b_i - <a_i, f>},
-    normalized. Demands f strictly interior (every shifted rhs positive)."""
+    normalized. Demands f strictly interior (every shifted rhs positive):
+    normalize's OriginNotInteriorError on the shifted rows is raised as
+    AnchorNotInteriorError."""
     rows = [vector(a) for a in b_rows]
     rhs = [parse_rational(b) for b in b_rhs]
     if len(rows) != len(rhs):
         raise ValueError("body row/right-hand-side count mismatch")
-    shifted = []
-    for a, b in zip(rows, rhs):
-        margin = b - dot(a, f)
-        if margin <= 0:
-            raise AnchorNotInteriorError("f not interior to the body")
-        shifted.append(margin)
-    return normalize(rows, shifted)
+    margins = [b - dot(a, f) for a, b in zip(rows, rhs)]
+    try:
+        return normalize(rows, margins)
+    except OriginNotInteriorError as err:
+        raise AnchorNotInteriorError("f not interior to the body") from err
 
 
-def region_lattice_points(inst: CornerInstance, radius: int):
-    """Lattice points of the scan box around round(f), as tuples of ints,
-    lexicographic order, filtered to P. P's rows [p_i | b_i] are compiled
-    to integers once, so the filter is pure int arithmetic. A radius below
-    0, or a box of more than MAX_SCAN_POINTS points, is an input error
-    raised before any point is visited."""
+def region_lattice_points(inst: CornerInstance, radius: int, body: HPolyhedron | None = None):
+    """Lattice points of the closed region B intersect P inside the scan box
+    around round(f), as tuples of ints, in lexicographic order. B is the
+    x-space body of the centered body K (<a_i, z> <= 1 + <a_i, f>); with no
+    body the region is P alone. Every half-space is compiled once into an
+    int row and right-hand side, over that row's own denominator. The
+    first dim - 1 coordinates run over the box; for each such prefix
+    every row bounds the last coordinate exactly (a floor for a positive
+    last coefficient, a ceiling for a negative one; a zero one with a
+    negative remainder empties the slice), and the slice is yielded whole.
+    A radius below 0, or a box of more than MAX_SCAN_POINTS points, is an
+    input error raised before any point is visited, however few points
+    the region holds."""
     if radius < 0:
         raise ValueError(f"scan radius must be >= 0, got {radius}")
     side = 2 * radius + 1
@@ -195,13 +215,28 @@ def region_lattice_points(inst: CornerInstance, radius: int):
             f"a radius-{radius} scan in dimension {inst.dim} visits "
             f"{side}^{inst.dim} points, over the limit of {MAX_SCAN_POINTS}"
         )
+    half_spaces = list(zip(inst.p_rows, inst.p_rhs))
+    if body is not None:
+        half_spaces += [(a, 1 + dot(a, inst.f)) for a in body.rows]
+    compiled = []  # (head, last, rhs): <head, prefix> + last * v <= rhs
+    for a, b in half_spaces:
+        (row,), _ = integer_rows((a + (b,),))
+        compiled.append((row[:-2], row[-2], row[-1]))
     center = [round(c) for c in inst.f]
-    ranges = [range(c - radius, c + radius + 1) for c in center]
-    rows, _ = integer_rows([p + (b,) for p, b in zip(inst.p_rows, inst.p_rhs)])
-    p_int = [(row[:-1], row[-1]) for row in rows]
-    for ints in product(*ranges):
-        if all(sum(map(mul, p, ints)) <= b for p, b in p_int):
-            yield ints
+    *ranges, last = [range(c - radius, c + radius + 1) for c in center]
+    for prefix in product(*ranges):
+        lo, hi = last.start, last.stop - 1
+        for head, c, b in compiled:
+            rest = b - sum(map(mul, head, prefix))
+            if c > 0:
+                hi = min(hi, rest // c)
+            elif c < 0:
+                lo = max(lo, -(rest // -c))
+            elif rest < 0:
+                hi = lo - 1
+                break
+        for v in range(lo, hi + 1):
+            yield prefix + (v,)
 
 
 def _offset(z, f: Scaled) -> Scaled:
@@ -213,7 +248,7 @@ def is_s_free(body: HPolyhedron, inst: CornerInstance, radius: int = DEFAULT_RAD
     """Scan the region for a feasible lattice point strictly inside the
     body; the first (lexicographically smallest) one found is the witness."""
     f = scaled(inst.f)
-    for z in region_lattice_points(inst, radius):
+    for z in region_lattice_points(inst, radius, body):
         if membership(body, _offset(z, f)).position == "interior":
             return SFreeVerdict(False, radius, vector(z))
     return SFreeVerdict(True, radius, None)
@@ -317,7 +352,7 @@ def maximality_certificate(
     )
     uncertified = set(range(len(body.rows)))
     f = scaled(inst.f)
-    for z in region_lattice_points(inst, radius):
+    for z in region_lattice_points(inst, radius, body):
         tight = membership(body, _offset(z, f)).tight_rows
         if len(tight) == 1:
             uncertified.discard(tight[0])

@@ -601,14 +601,18 @@ def nearest_int(q) -> int:
     return floor if floor % 2 == 0 else floor + 1
 
 
-def fraction_region_points(inst, radius):
-    """Reference for cuts.region_lattice_points: the same box in the same
-    lexicographic order, filtered to P with Fraction dot products."""
+def fraction_region_points(inst, radius, body=None):
+    """Reference for cuts.region_lattice_points: the whole box in the same
+    lexicographic order, filtered to P with Fraction dot products and, when
+    a body is given, to the closed body: dot(a, z - f) <= 1 on every row."""
     center = [nearest_int(c) for c in inst.f]
     ranges = [range(c - radius, c + radius + 1) for c in center]
+    rows = () if body is None else body.rows
     for ints in product(*ranges):
         z = tuple(Fraction(v) for v in ints)
-        if all(dot(p, z) <= b for p, b in zip(inst.p_rows, inst.p_rhs)):
+        if all(dot(p, z) <= b for p, b in zip(inst.p_rows, inst.p_rhs)) and all(
+            dot(a, vsub(z, inst.f)) <= 1 for a in rows
+        ):
             yield z
 
 

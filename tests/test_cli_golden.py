@@ -65,6 +65,27 @@ SIMPLEX_BODY_3D = {
     },
 }
 
+# A 3-D slab {0 <= x1 + x3 <= 1, x2 <= 2} about f with P: among the rows
+# of B and P, x2 has a zero last coefficient and x1 + x2 - x3 <= 3 a
+# negative one, so the scan's last-coordinate slices are cut short from
+# both ends and emptied for some prefixes. The slab is lattice-free; its
+# widening to x1 + x3 <= 2 is not, and its lexicographically smallest
+# interior point depends on P.
+SLAB_P_INSTANCE = {
+    "dim": 3,
+    "f": ["1/2", "1/3", "1/4"],
+    "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+    "P": {"rows": [[1, 1, -1], [0, -1, 0]], "rhs": [3, 1]},
+}
+SLAB_P_3D = {
+    "instance": SLAB_P_INSTANCE,
+    "body": {"rows": [[1, 0, 1], [-1, 0, -1], [0, 1, 0]], "rhs": [1, 0, 2]},
+}
+WIDE_SLAB_P_3D = {
+    "instance": SLAB_P_INSTANCE,
+    "body": {"rows": [[1, 0, 1], [-1, 0, -1], [0, 1, 0]], "rhs": [2, 0, 2]},
+}
+
 # check-cut's scan reuses LP certificates. Here the first violation, at
 # radius 3, comes after one Farkas row and one dual have each skipped points.
 CUT_LATE = {
@@ -92,6 +113,8 @@ DOCUMENTS = {
     "fat.json": FAT,
     "box3d.json": BOX_3D,
     "simplex_body3d.json": SIMPLEX_BODY_3D,
+    "slab_p3d.json": SLAB_P_3D,
+    "wide_slab_p3d.json": WIDE_SLAB_P_3D,
     "cut_valid.json": dict(SPLIT, cut={"alpha": [2, 2], "provenance": "split"}),
     "cut_zero.json": dict(SPLIT, cut={"alpha": [0, 0], "provenance": ""}),
     "cut_ray.json": dict(SPLIT, cut={"alpha": [-2, "1/2"], "provenance": ""}),
@@ -118,7 +141,8 @@ def _calls() -> list:
             calls.append((command, name))
         calls.append(("verify", name, "--samples", "40"))
     calls.append(("verify", "--random", "5", "--seed", "7", "--samples", "40"))
-    for name in ("split.json", "fat.json", "box3d.json"):
+    bodies = ("split.json", "fat.json", "box3d.json", "slab_p3d.json", "wide_slab_p3d.json")
+    for name in bodies:
         for command in ("cut", "sfree", "maximal"):
             for radius in ("0", "2", "5"):
                 calls.append((command, name, "--radius", radius))

@@ -1,7 +1,9 @@
+import json
 import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from conftest import (
     cone_is_pointed,
     first_interior_point,
     fraction_region_points,
+    nearest_int,
     per_facet_uncertified,
     per_point_check_cut_validity,
     vadd,
@@ -19,6 +22,7 @@ from conftest import (
 )
 from test_acceptance import _cut_corpus_2d
 from polarcut import cuts, lp
+from polarcut.cli import main
 from polarcut.cuts import (
     AnchorNotInteriorError,
     CornerInstance,
@@ -32,7 +36,12 @@ from polarcut.cuts import (
     region_lattice_points,
 )
 from polarcut.lp import LinearProgram, solve
-from polarcut.polyhedra import VPolytope, membership, random_polyhedron
+from polarcut.polyhedra import (
+    OriginNotInteriorError,
+    VPolytope,
+    membership,
+    random_polyhedron,
+)
 from polarcut.rationals import dot, vector
 from polarcut.sublinear import (
     minimal_sublinear,
@@ -64,6 +73,20 @@ def test_translate_rejects_boundary_anchor():
         make_body([(1, 0), (-1, 0)], [1, 0], V(0, 0))
     with pytest.raises(AnchorNotInteriorError):
         make_body([(1, 0), (-1, 0)], [1, 0], V(3, 0))
+
+
+@pytest.mark.parametrize(
+    "rhs", [pytest.param([1, 2, 1], id="zero"), pytest.param([1, 2, 0], id="negative")]
+)
+def test_make_body_refuses_nonpositive_margin(rhs):
+    # f = (1/2, 1/2) pairs to 1 with the last row: a right-hand side of 1
+    # leaves a zero margin, 0 a negative one. normalize decides it on the
+    # shifted rows, and its error comes back as AnchorNotInteriorError.
+    f = V(Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(AnchorNotInteriorError, match="f not interior") as excinfo:
+        make_body([(-1, 0), (0, -1), (1, 1)], rhs, f)
+    assert isinstance(excinfo.value.__cause__, OriginNotInteriorError)
+    assert make_body([(-1, 0), (0, -1), (1, 1)], [1, 2, 2], f).dim == 2
 
 
 def test_instance_validation():
@@ -186,10 +209,12 @@ def test_scan_centre_rounds_half_even():
         assert list(fraction_region_points(inst, 0)) == [V(centre)]
 
 
-def test_scan_size_limit():
+def test_scan_size_limit(tmp_path, capsys, monkeypatch):
     # The box size is checked before the first point: 999,999 points in
     # 1-D start a scan, 1,000,001 do not, and neither does a 3-D box of
-    # 101^3 points.
+    # 101^3 points. The limit is on the radius box, not on the region: the
+    # unit cube about f holds 8 lattice points, yet a radius-50 scan of it
+    # is refused before any point, by is_s_free and by the CLI (exit 2).
     inst = CornerInstance.make(1, [Fraction(1, 2)], [[1]])
     assert cuts.MAX_SCAN_POINTS == 10**6
     assert next(region_lattice_points(inst, 499_999)) == V(-499_999)
@@ -199,6 +224,26 @@ def test_scan_size_limit():
     with pytest.raises(ValueError, match="over the limit"):
         next(region_lattice_points(box, 50))
     assert next(region_lattice_points(box, 49)) == V(-49, -49, -49)
+    e = [[int(i == d) for i in range(3)] for d in range(3)]
+    rows = [r for a in e for r in (a, [-x for x in a])]
+    cube = make_body(rows, [1, 0] * 3, box.f)
+    assert len(list(region_lattice_points(box, 49, cube))) == 8
+    assert is_s_free(cube, box, 49).free_on_region
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({
+        "instance": {"dim": 3, "f": ["1/2"] * 3, "rays": e, "P": None},
+        "body": {"rows": rows, "rhs": [1, 0] * 3},
+    }))
+
+    def no_scan(*ranges):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(cuts, "product", no_scan)
+    with pytest.raises(ValueError, match="over the limit"):
+        is_s_free(cube, box, 50)
+    assert main(["sfree", str(path), "--radius", "50"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "input error" in err and "over the limit" in err
 
 
 def test_validity_region_monotone(split_1d):
@@ -274,11 +319,13 @@ def test_cut_validity_requires_matching_width(split_1d):
         check_cut_validity(inst, Cut(alpha=(Fraction(1),), provenance=""), 2)
 
 
-def random_corner_case(rng):
-    """A 1-3-D instance with unit rays, a body about f (half of its rows
-    with integer right-hand sides, so lattice points land on facets), P on
-    about half of the draws, and a radius in 0..3."""
-    dim = rng.randint(1, 3)
+def random_corner_case(rng, dim=None):
+    """A 1-3-D instance (of the given dimension, if one is given) with unit
+    rays, a body about f (half of its rows with integer right-hand sides,
+    so lattice points land on facets), P on about half of the draws, and a
+    radius in 0..3."""
+    if dim is None:
+        dim = rng.randint(1, 3)
     f = [Fraction(rng.randint(-6, 6), rng.choice((2, 3, 4))) for _ in range(dim)]
     if all(c.denominator == 1 for c in f):
         f[0] += Fraction(1, 2)
@@ -315,9 +362,9 @@ def test_lattice_pass_matches_fraction_reference(monkeypatch):
     real_scan = cuts.region_lattice_points
     passes = []
 
-    def counted_scan(inst, radius):
-        passes.append(radius)
-        return real_scan(inst, radius)
+    def counted_scan(*args, **kwargs):
+        passes.append(args)
+        return real_scan(*args, **kwargs)
 
     monkeypatch.setattr(cuts, "region_lattice_points", counted_scan)
     seen = {"filtered": 0, "not_free": 0, "certified": 0, "partial": 0}
@@ -330,7 +377,7 @@ def test_lattice_pass_matches_fraction_reference(monkeypatch):
         assert verdict.free_on_region == (verdict.witness is None)
         passes.clear()
         report = maximality_certificate(body, inst, radius)
-        assert passes == [radius]
+        assert passes == [(inst, radius, body)]
         expected = per_facet_uncertified(body, inst, radius)
         assert report.uncertified_facets == expected
         assert report.certified == (not expected)
@@ -339,6 +386,122 @@ def test_lattice_pass_matches_fraction_reference(monkeypatch):
         seen["certified"] += report.certified
         seen["partial"] += 0 < len(expected) < len(body.rows)
     assert min(seen.values()) >= 10, seen
+
+
+REGION_KINDS = (
+    "1-D",
+    "P absent",
+    "unbounded split",
+    "empty zero-last slice",
+    "negative last",
+    "P misses box",
+)
+
+
+def region_kinds(inst, body, radius):
+    """The kinds of REGION_KINDS a case is of, decided from the Fraction
+    data. Half-spaces are P's rows and B's in x-space, <a, z> <= 1 + <a, f>;
+    a zero-last slice is empty at a box prefix whose head pairing exceeds
+    the right-hand side."""
+    half_spaces = list(zip(inst.p_rows, inst.p_rhs))
+    half_spaces += [(a, 1 + dot(a, inst.f)) for a in body.rows]
+    center = [nearest_int(c) for c in inst.f]
+    prefixes = list(product(*(range(c - radius, c + radius + 1) for c in center[:-1])))
+    kinds = set()
+    if inst.dim == 1:
+        kinds.add("1-D")
+    if not inst.p_rows:
+        kinds.add("P absent")
+    if inst.dim > 1 and len(body.rows) == 2:
+        a, b = body.rows
+        if dot(a, b) < 0 and dot(a, b) ** 2 == dot(a, a) * dot(b, b):
+            kinds.add("unbounded split")
+    if any(
+        a[-1] == 0 and any(dot(a[:-1], z) > b for z in prefixes)
+        for a, b in half_spaces
+    ):
+        kinds.add("empty zero-last slice")
+    if any(a[-1] < 0 for a, _ in half_spaces):
+        kinds.add("negative last")
+    if inst.p_rows and not any(fraction_region_points(inst, radius)):
+        kinds.add("P misses box")
+    return kinds
+
+
+def targeted_region_case(rng, kind):
+    """A random_corner_case made to be of the given kind of REGION_KINDS,
+    with a radius in 1..3: drawn in 1-D, stripped of P, given a split body,
+    or given one more P row (where normalize cannot drop it as redundant)."""
+    if kind == "1-D":
+        dim = 1
+    elif kind in ("unbounded split", "empty zero-last slice"):
+        dim = rng.randint(2, 3)
+    else:
+        dim = None
+    inst, body, _ = random_corner_case(rng, dim)
+    radius = rng.randint(1, 3)
+    dim, f = inst.dim, inst.f
+    if kind == "1-D":
+        return inst, body, radius
+    if kind == "P absent":
+        return CornerInstance(dim, f, inst.rays), body, radius
+    if kind == "unbounded split":
+        d = next(d for d, c in enumerate(f) if c.denominator != 1)
+        e = [int(i == d) for i in range(dim)]
+        low = math.floor(f[d])
+        return inst, make_body([e, [-x for x in e]], [low + 1, -low], f), radius
+    head = [rng.randint(-2, 2) for _ in range(dim - 1)]
+    if kind == "empty zero-last slice":
+        # in a box of radius >= 1, <head, z - f> reaches ||head||_1 / 2,
+        # at least 1/2, above the margin of at most 3/8
+        head[rng.randrange(dim - 1)] = rng.choice((-1, 1))
+        row = V(*head, 0)
+        rhs = dot(row, f) + Fraction(rng.randint(1, 3), 8)
+    elif kind == "negative last":
+        row = V(*head, -rng.randint(1, 2))
+        rhs = dot(row, f) + Fraction(rng.randint(0, 8), 2)
+    else:  # "P misses box": rhs below the row's minimum over the box
+        row = V(*head, rng.choice((-2, -1, 1, 2)))
+        center = V(*(nearest_int(c) for c in f))
+        low = dot(row, center) - radius * sum(abs(x) for x in row)
+        rhs = low - Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    inst = CornerInstance(dim, f, inst.rays, inst.p_rows + (row,), inst.p_rhs + (rhs,))
+    return inst, body, radius
+
+
+def assert_region_scan_matches(inst, body, radius):
+    for region_body in (body, None):
+        assert list(region_lattice_points(inst, radius, region_body)) == list(
+            fraction_region_points(inst, radius, region_body)
+        ), (inst, region_body, radius)
+
+
+def test_region_scan_matches_fraction_reference():
+    # The exact last-coordinate slice against the whole box filtered by
+    # Fraction pairings, with the body and without it: the same points in
+    # the same order, on 200 random cases and 15 built for each kind.
+    rng = random.Random(2718)
+    cases = [random_corner_case(rng) for _ in range(200)]
+    cases += [targeted_region_case(rng, kind) for kind in REGION_KINDS for _ in range(15)]
+    seen = dict.fromkeys(REGION_KINDS, 0)
+    for inst, body, radius in cases:
+        assert_region_scan_matches(inst, body, radius)
+        for kind in region_kinds(inst, body, radius):
+            seen[kind] += 1
+    print("region kinds:", seen)
+    assert min(seen.values()) >= 10, seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=True), st.sampled_from((None,) + REGION_KINDS))
+def test_region_scan_matches_fraction_reference_hypothesis(rng, kind):
+    # A true random generator: random_corner_case redraws zero rows, so the
+    # all-zeros draws hypothesis would start from never end.
+    if kind is None:
+        inst, body, radius = random_corner_case(rng)
+    else:
+        inst, body, radius = targeted_region_case(rng, kind)
+    assert_region_scan_matches(inst, body, radius)
 
 
 def test_boundedness_matches_cone_reference():
