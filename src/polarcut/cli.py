@@ -31,12 +31,10 @@ from .cuts import (
     maximality_certificate,
 )
 from .polyhedra import polar, random_polyhedron
-from .rationals import json_scalar
+from .rationals import TooLongToPrint, json_scalar
 from .sublinear import gauge, minimal_sublinear, property_suite
 
-
-class TooLongToPrint(Exception):
-    """A report value whose decimal text is longer than the interpreter prints."""
+MAX_VERIFY_SAMPLES = 10**6  # largest --samples times instance count verify takes
 
 
 def _load_document(path: str):
@@ -108,13 +106,20 @@ def _cmd_verify(args) -> tuple[int, dict]:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.random is not None and args.random < 1:
         raise ValueError(f"--random must be at least 1, got {args.random}")
+    count = 1 if args.random is None else args.random
+    if args.samples * count > MAX_VERIFY_SAMPLES:
+        raise ValueError(
+            f"{args.samples} samples times {count} instances is over the "
+            f"limit of {MAX_VERIFY_SAMPLES}"
+        )
 
     if args.random is not None:
+        # Built one at a time as the suite reaches them, from the same draws.
         rng = random.Random(args.seed)
-        instances = [
+        instances = (
             random_polyhedron(rng.randint(1, 4), rng.randint(3, 10), rng)
-            for _ in range(args.random)
-        ]
+            for _ in range(count)
+        )
         mode = "random"
     else:
         instances = [jsonio.polyhedron_from_json(_load_document(args.input))]
@@ -124,7 +129,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
     return (0 if total == 0 else 1), {
         "command": "verify",
         "mode": mode,
-        "instances": len(instances),
+        "instances": count,
         "seed": args.seed,
         "samples": args.samples,
         "checks": checks,
@@ -276,7 +281,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         # An unreadable file, malformed or over-deep JSON, SchemaError, the
         # geometric input errors (origin/anchor not interior, improper set)
-        # and out-of-range --radius, --samples or --random all land here.
+        # and out-of-range --radius, --samples or --random (or their product)
+        # all land here.
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     print(text)

@@ -64,6 +64,7 @@ from .rationals import (
     integer_rows,
     is_integral,
     parse_rational,
+    rational_text,
     scaled,
     unscaled,
     vector,
@@ -256,16 +257,17 @@ def is_s_free(body: HPolyhedron, inst: CornerInstance, radius: int = DEFAULT_RAD
 
 def generate_cut(inst: CornerInstance, body: HPolyhedron, radius: int = DEFAULT_RADIUS) -> Cut:
     """Refuses (NotSFreeError, with witness) unless the body scans S-free on
-    the region; otherwise one coefficient per ray."""
+    the region; otherwise one coefficient per ray. A scalar of the
+    provenance text too long to print raises rationals.TooLongToPrint."""
     verdict = is_s_free(body, inst, radius)
     if not verdict.free_on_region:
         raise NotSFreeError(verdict.witness, radius)
     alpha = tuple(minimal_sublinear(body, r) for r in inst.rays)
     rows_text = ", ".join(
-        "(" + ", ".join(str(c) for c in row) + ")"
+        "(" + ", ".join(map(rational_text, row)) + ")"
         for row in body.rows
     )
-    f_text = ", ".join(str(c) for c in inst.f)
+    f_text = ", ".join(map(rational_text, inst.f))
     return Cut(
         alpha=alpha,
         provenance=f"centered body rows [{rows_text}] about f=({f_text})",

@@ -16,7 +16,8 @@ sup_over is the one LP for the support function of K itself,
 sigma_K(v) = sup of <v, x> over K, which is at most 1 exactly when v lies
 in the polar. It decides row redundancy here, condition (b) of
 sublinear.check_unit_ball, and boundedness in cuts.maximality_certificate
-(sigma_K is finite along every axis, both ways, iff K is bounded).
+(sigma_K is finite along every axis, both ways, iff K is bounded). Its
+program over the rows other than a_i, at a_i, also yields exposed_witness.
 
 The evaluators run fraction-free: each set (and each generator set) is
 compiled once into integer rows over one common denominator, and a pairing
@@ -43,6 +44,7 @@ from .rationals import (
     ONE,
     Vec,
     ZERO,
+    dot,
     integer_rows,
     is_zero_vector,
     parse_rational,
@@ -127,12 +129,10 @@ class HullVerdict:
     separator: tuple | None = None
 
 
-def sup_over(rows, v: Vec):
-    """sup of <v, x> over {x : <a, x> <= 1 for a in rows}, exactly; None
-    when the sup is unbounded. The origin is always feasible, so the
-    simplex starts there, on the slack basis, with no phase 1; any other
-    LP status is an internal fault."""
-    outcome = lp.solve(
+def _support_lp(rows, v: Vec) -> lp.LPOutcome:
+    """max <v, x> over {x : <a, x> <= 1 for a in rows}. The origin is
+    feasible, so the simplex starts there, on the slack basis, no phase 1."""
+    return lp.solve(
         lp.LinearProgram(
             direction="max",
             objective=v,
@@ -140,6 +140,12 @@ def sup_over(rows, v: Vec):
             bounds=("free",) * len(v),
         )
     )
+
+
+def sup_over(rows, v: Vec):
+    """sup of <v, x> over {x : <a, x> <= 1 for a in rows}, exactly; None
+    when the sup is unbounded. Any other LP status is an internal fault."""
+    outcome = _support_lp(rows, v)
     if outcome.status == "unbounded":
         return None
     if outcome.status != "optimal":
@@ -277,31 +283,22 @@ def hull_membership(p: Vec, v: VPolytope) -> HullVerdict:
 
 def exposed_witness(h: HPolyhedron, row_index: int) -> Vec:
     """A point of the set tight on the given row and strictly slack on all
-    others, found by maximizing the slack margin (capped at 1).
-
-    Canonical sets always admit one with positive margin; anything else
-    signals an internal inconsistency."""
+    others: the support LP of the other rows at a_i, its maximizer scaled
+    onto the row. The row is irredundant exactly when that LP exceeds 1: an
+    optimal x of value above 1 gives x / <a_i, x>, an unbounded sup its
+    improving ray d as d / <a_i, d>. Anything else is an internal fault."""
     a_i = h.rows[row_index]
-    nvars = h.dim + 1  # the point plus the margin variable
-    rows = [(tuple(a_i) + (ZERO,), "=", ONE)]
-    for j, a_j in enumerate(h.rows):
-        if j != row_index:
-            rows.append((tuple(a_j) + (ONE,), "<=", ONE))
-    rows.append((zero_vector(h.dim) + (ONE,), "<=", ONE))
-    outcome = lp.solve(
-        lp.LinearProgram(
-            direction="max",
-            objective=zero_vector(h.dim) + (ONE,),
-            rows=tuple(rows),
-            bounds=("free",) * nvars,
-        )
-    )
-    if outcome.status != "optimal" or outcome.value <= 0:
+    outcome = _support_lp(h.rows[:row_index] + h.rows[row_index + 1 :], a_i)
+    if outcome.status == "unbounded":
+        x, top = outcome.ray, dot(a_i, outcome.ray)
+    elif outcome.status == "optimal" and outcome.value > 1:
+        x, top = outcome.point, outcome.value
+    else:
         raise RuntimeError(
             f"row {row_index} admits no strictly exposed point; "
             "the row set is not canonical"
         )
-    return outcome.point[: h.dim]
+    return tuple(c / top for c in x)
 
 
 def random_polyhedron(dim: int, n_rows: int, rng: random.Random) -> HPolyhedron:

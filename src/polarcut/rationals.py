@@ -82,6 +82,19 @@ def parse_rational(value):
     return Fraction(*rational_pair(value))
 
 
+class TooLongToPrint(ValueError):
+    """A value whose decimal text is longer than the interpreter prints."""
+
+
+def rational_text(q) -> str:
+    """str(q), the canonical text; TooLongToPrint where the interpreter's
+    int-to-str limit refuses it."""
+    try:
+        return str(q)
+    except ValueError as exc:
+        raise TooLongToPrint(str(exc)) from None
+
+
 def json_scalar(q):
     """JSON encoding: native int when integral, the canonical text 'p/q'
     (Fraction's str) otherwise. Text longer than the interpreter's

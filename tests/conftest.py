@@ -6,8 +6,10 @@ simplex that the integer one replaced, bisection on membership for the
 gauge, direct arithmetic re-verification of certificates (the checker
 whose optimal and Farkas branches each had their own dual test),
 Fraction-arithmetic sample mixes and lattice scans, the recession-cone
-LPs that decided boundedness before polyhedra.sup_over, the property
-suite fed rational samples, and check-cut's one LP per lattice point. They are deliberately slow and simple.
+LPs that decided boundedness before polyhedra.sup_over, the margin LP
+that found exposed witnesses before the support LP did, the property
+suite fed rational samples, and check-cut's one LP per lattice point.
+They are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -583,6 +585,34 @@ def cone_is_pointed(k: HPolyhedron) -> bool:
             if outcome.status == "unbounded":
                 return False
     return True
+
+
+# --------------------------------------------------- exposed witness reference
+
+
+def margin_exposed_witness(h: HPolyhedron, row_index: int):
+    """Reference for polyhedra.exposed_witness: the margin LP it replaced.
+    Maximize s (capped at 1) over points tight on row i with <a_j, x> + s
+    <= 1 on every other row j; a positive optimal s exposes the row. It
+    calls lp_module.solve, so a recording of that function sees it."""
+    a_i = h.rows[row_index]
+    nvars = h.dim + 1  # the point plus the margin variable
+    rows = [(tuple(a_i) + (ZERO,), "=", ONE)]
+    for j, a_j in enumerate(h.rows):
+        if j != row_index:
+            rows.append((tuple(a_j) + (ONE,), "<=", ONE))
+    rows.append(((ZERO,) * h.dim + (ONE,), "<=", ONE))
+    outcome = lp_module.solve(
+        LinearProgram(
+            direction="max",
+            objective=(ZERO,) * h.dim + (ONE,),
+            rows=tuple(rows),
+            bounds=("free",) * nvars,
+        )
+    )
+    if outcome.status != "optimal" or outcome.value <= 0:
+        raise RuntimeError(f"row {row_index} admits no strictly exposed point")
+    return outcome.point[: h.dim]
 
 
 # ------------------------------------------------------- lattice scan oracles

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import vscale
-from polarcut import cuts, jsonio, rationals, sublinear
+from polarcut import cli, cuts, jsonio, rationals, sublinear
 from polarcut.cli import main
 from polarcut.cuts import generate_cut
 from polarcut.polyhedra import VPolytope, in_recession
@@ -421,6 +421,32 @@ def test_verify_rejects_empty_checks(tmp_path, capsys):
         assert "input error" in err and argv[-2] in err
 
 
+def test_oversized_verify_exits_2(tmp_path, capsys, monkeypatch):
+    # samples times instances above 10^6 is refused before any instance is
+    # built or sampled: both are replaced by failures.
+    def no_build(*args):
+        raise AssertionError("instance built")
+
+    def no_sample(*args):
+        raise AssertionError("samples drawn")
+
+    monkeypatch.setattr(cli, "random_polyhedron", no_build)
+    monkeypatch.setattr(sublinear, "sample_points", no_sample)
+    path = write(tmp_path, "k.json", QUADRANT_K)
+    for argv in (
+        (path, "--samples", "1000001"),
+        ("--random", "1001", "--samples", "1000"),
+        ("--random", "1000001", "--samples", "1"),
+        ("--random", str(10**30)),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert "input error" in err and str(cli.MAX_VERIFY_SAMPLES) in err
+    # 10^6 itself is allowed: the first instance is built.
+    with pytest.raises(AssertionError, match="instance built"):
+        main(["verify", "--random", "1000", "--samples", "1000"])
+
+
 def test_deeply_nested_json_exits_2(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)
@@ -465,6 +491,19 @@ def test_huge_report_value_exits_2(tmp_path, capsys):
                 code, out, err = run(capsys, command, path, "--format", fmt)
                 assert code == 2 and out == ""
                 assert err.startswith("output error: a report value is too long to print")
+    # No input scalar has more than 4,001 digits, but the centered row
+    # 10^4000 / (1 - <a, f>) = 10^4000 * (10^4000 + 1) in cut's provenance
+    # text has about 8,000.
+    huge = "1" + "0" * 4000
+    task = {
+        "instance": {"dim": 1, "f": [f"1/{huge[:-1]}1"], "rays": [[1], [-1]], "P": None},
+        "body": {"rows": [[huge], [-1]], "rhs": [1, 0]},
+    }
+    path = write(tmp_path, "big_cut.json", task)
+    for fmt in ("json", "text"):
+        code, out, err = run(capsys, "cut", path, "--radius", "1", "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("output error: a report value is too long to print")
 
 
 def query_doc(count):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_best,
     fraction_solve,
+    margin_exposed_witness,
     needs_artificial,
     random_lp,
     reference_verify_certificate,
@@ -16,6 +17,7 @@ from conftest import (
 from polarcut import lp as lp_module
 from polarcut.lp import LinearProgram, LPOutcome, solve, verify_certificate
 from polarcut.polyhedra import (
+    HPolyhedron,
     exposed_witness,
     hull_membership,
     polar,
@@ -381,9 +383,11 @@ def _agrees_with_all_artificial_start(program):
 
 def _polyhedron_programs():
     """The programs that seeded random canonical sets pose: normalize's
-    redundancy tests, exposed_witness per row, check_unit_ball on a random
-    generator set, sup_over at +-e_d, and at sample points the all-'='
-    programs of polar_support_lp and of hull_membership in the polar."""
+    redundancy tests, exposed_witness per row (pure '<=' support LPs) and
+    the margin LP it replaced (an '=' row beside '<=' rows and a cap row),
+    check_unit_ball on a random generator set, sup_over at +-e_d, and at
+    sample points the all-'=' programs of polar_support_lp and of
+    hull_membership in the polar."""
     programs = []
     record = lp_module.solve
 
@@ -399,6 +403,7 @@ def _polyhedron_programs():
             h = random_polyhedron(dim, rng.randint(dim + 1, dim + 4), rng)
             for i in range(len(h.rows)):
                 exposed_witness(h, i)
+                margin_exposed_witness(h, i)
             assert check_unit_ball(random_unit_ball_rep(h, index, 3), h)
             for d in range(dim):
                 for sign in (ONE, -ONE):
@@ -472,6 +477,30 @@ def test_sup_over_square_takes_two_pivots():
     value, pivots = _pivots_logged(sup_over, rows, (ONE, ONE))
     assert value == 2
     assert pivots == [(0, 0), (2, 2)]
+
+
+def test_exposed_witness_square_takes_no_pivot():
+    # Each row of the square |x1|, |x2| <= 1: the support LP of the other
+    # three rows is a pure '<=' program, so no artificial column and no
+    # phase 1, and it is unbounded along the row at the origin, so no
+    # pivot at all. The margin LP it replaced took three on each row.
+    square = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    h = HPolyhedron(2, tuple(tuple(Fraction(c) for c in a) for a in square))
+    programs = []
+    record = lp_module.solve
+
+    def recorded(program):
+        programs.append(program)
+        return record(program)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_module, "solve", recorded)
+        logged = [_pivots_logged(exposed_witness, h, i) for i in range(4)]
+    assert logged == [(row, []) for row in h.rows]
+    assert len(programs) == 4
+    assert not any(needs_artificial(row) for p in programs for row in p.rows)
+    reference = [_pivots_logged(margin_exposed_witness, h, i) for i in range(4)]
+    assert [len(pivots) for _, pivots in reference] == [3] * 4
 
 
 def test_slack_basis_is_optimal_for_a_zero_objective():

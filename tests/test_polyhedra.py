@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cone_is_pointed, recheck_hull_verdict, vadd, vscale
+from conftest import (
+    cone_is_pointed,
+    margin_exposed_witness,
+    recheck_hull_verdict,
+    vadd,
+    vscale,
+)
 from polarcut import lp
 from polarcut.polyhedra import (
     HPolyhedron,
@@ -179,6 +185,58 @@ def test_exposed_witness_sweep_strict():
                 for j, other in enumerate(h.rows)
                 if j != i
             )
+
+
+# Sets where more rows meet at a vertex than the dimension needs: the
+# octahedron |x1| + |x2| + |x3| <= 1 (four rows at each vertex) and the
+# square pyramid +-x1 + x3 <= 1, +-x2 + x3 <= 1, -x3 <= 1 (four at the apex).
+DEGENERATE_SETS = [
+    [(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)],
+    [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1), (0, 0, -1)],
+]
+
+
+def test_exposed_witness_matches_margin_lp():
+    # The support LP's maximizer scaled onto the row is the very point the
+    # margin LP found, on seeded 1-5-D sets, single rows and degenerate
+    # sets alike; every witness is tight on its row and slack on the rest.
+    rng = random.Random(2718)
+    sets = [normalize(rows, [1] * len(rows)) for rows in DEGENERATE_SETS]
+    for _ in range(10):
+        dim = rng.randint(1, 5)
+        sets.append(random_polyhedron(dim, 1, rng))
+    for _ in range(60):
+        dim = rng.randint(1, 5)
+        sets.append(random_polyhedron(dim, rng.randint(2, 12), rng))
+    seen = {"bounded": 0, "unbounded": 0}
+    for h in sets:
+        for i, row in enumerate(h.rows):
+            others = h.rows[:i] + h.rows[i + 1 :]
+            top = sup_over(others, row) if others else None
+            seen["unbounded" if top is None else "bounded"] += 1
+            w = exposed_witness(h, i)
+            assert w == margin_exposed_witness(h, i)
+            assert dot(row, w) == 1
+            assert all(dot(a, w) < 1 for a in others)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_exposed_witness_refuses_a_redundant_row():
+    # (1, 0) beside (2, 0) is redundant: the support LP of the other row
+    # at (1, 0) is 1/2, so no point is tight on it and slack on (2, 0).
+    h = HPolyhedron(2, (V(1, 0), V(2, 0)))
+    with pytest.raises(RuntimeError, match="row 0"):
+        exposed_witness(h, 0)
+    assert exposed_witness(h, 1) == V(Fraction(1, 2), 0)
+
+
+@pytest.mark.parametrize("status", ["infeasible", "nonsense"])
+def test_exposed_witness_refuses_an_impossible_status(monkeypatch, quadrant_k, status):
+    # The support LP starts at the feasible origin; any status but optimal
+    # or unbounded is a fault.
+    monkeypatch.setattr(lp, "solve", lambda program: lp.LPOutcome(status=status))
+    with pytest.raises(RuntimeError, match="not canonical"):
+        exposed_witness(quadrant_k, 0)
 
 
 def test_recession_quadrant(quadrant_k):
