@@ -165,6 +165,7 @@ def _cmd_check_cut(args) -> tuple[int, dict]:
         "command": "check-cut",
         "valid_on_region": report.valid_on_region,
         "radius": report.radius,
+        "scope": report.scope,
         "violation": None
         if v is None
         else {"x": v.x, "s": v.s, "improving_ray": v.improving_ray},

@@ -23,18 +23,35 @@ pairs to a negative value, and the dual of an optimal value >= 1 (at most
 alpha_j on ray j) proves value >= 1, by weak duality, at every offset it
 pairs to 1 or more. Only points without such a proof get an LP.
 
+Only some lattice points can violate the cut. Let v(t) = min{alpha.s :
+Rs = t, s >= 0}, the value check_cut_validity computes at t = z - f. When
+every alpha_j >= 0, v(t) < 1 puts t in conv({0} u {r_j / alpha_j :
+alpha_j > 0}) + cone{r_j : alpha_j = 0}: the weights alpha_j s_j of the
+points r_j / alpha_j sum to less than 1, and 0 takes the rest. For a cut
+from generate_cut, f + r_j / alpha_j is where ray j leaves the body,
+Balas's (1971) intersection point. violation_box is the integer box of f
+plus that set, with no LP: on axis d it runs from ceil(f_d + min(0, min of
+r_jd / alpha_j)) to floor(f_d + max(0, max of r_jd / alpha_j)), over the
+rays with alpha_j > 0, and has no low (high) end when a ray with
+alpha_j = 0 has r_jd < 0 (> 0). With some alpha_j < 0 there is no box.
+check_cut_validity scans only the part of the radius box inside
+violation_box, and its verdict is global (scope "global") when that box is
+bounded on every axis and lies inside the radius box, or when it reports a
+violation; otherwise it holds on the radius box (scope "region").
+
 region_lattice_points is the one enumerator of a region: the lattice points
 of the closed region B intersect P (P alone when no body is given) inside
 the integer box of a given radius (never negative) around round(f), each
-coordinate rounded half to even, in lexicographic order. It walks the box
-in its first dim - 1 coordinates only; for each such prefix, every
-half-space, compiled once to ints, bounds the last coordinate exactly, so
-no point outside the region is visited (Fincke & Pohst 1985, without their
-LP-tightened prefix ranges). The limit applies to the radius box, not to
-the region: a box of more than MAX_SCAN_POINTS points is refused before
-the scan starts. is_s_free and maximality_certificate pass their body,
-since the interior and facet points they look for lie in closed B;
-check_cut_validity passes none and scans P. Each makes one pass and
+coordinate rounded half to even, clipped to an optional integer box, in
+lexicographic order. It walks the clipped box in its first dim - 1
+coordinates only; for each such prefix, every half-space, compiled once to
+ints, bounds the last coordinate exactly, so no point outside the region
+is visited (Fincke & Pohst 1985, without their LP-tightened prefix
+ranges). The limit applies to the radius box, not to the region: a radius
+box of more than MAX_SCAN_POINTS points is refused before the scan starts.
+is_s_free and maximality_certificate pass their body, since the interior
+and facet points they look for lie in closed B; check_cut_validity passes
+none and scans P, inside violation_box. Each makes one pass and
 classifies a point once, so reported witnesses are deterministic: the
 lexicographically smallest in the box. Each pass scales f once
 (rationals.Scaled), so the offset z - f of a lattice point is int
@@ -43,7 +60,9 @@ arithmetic, and builds a rational only for a reported point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from operator import mul
 
@@ -159,8 +178,13 @@ class CutViolation:
 
 @dataclass(frozen=True)
 class ValidityReport:
+    """scope is "global" when the verdict holds on all of Z^n: a violation,
+    or a violation_box inside the radius box; "region" when it holds on the
+    radius box only."""
+
     valid_on_region: bool
     radius: int
+    scope: str
     violation: CutViolation | None = None
 
 
@@ -195,19 +219,23 @@ def make_body(b_rows, b_rhs, f: Vec) -> HPolyhedron:
         raise AnchorNotInteriorError("f not interior to the body") from err
 
 
-def region_lattice_points(inst: CornerInstance, radius: int, body: HPolyhedron | None = None):
+def region_lattice_points(
+    inst: CornerInstance, radius: int, body: HPolyhedron | None = None, box=None
+):
     """Lattice points of the closed region B intersect P inside the scan box
     around round(f), as tuples of ints, in lexicographic order. B is the
     x-space body of the centered body K (<a_i, z> <= 1 + <a_i, f>); with no
-    body the region is P alone. Every half-space is compiled once into an
+    body the region is P alone. A box, one (low, high) pair of ints per
+    axis with None for a side without a bound (violation_box's form),
+    clips the scan box. Every half-space is compiled once into an
     int row and right-hand side, over that row's own denominator. The
-    first dim - 1 coordinates run over the box; for each such prefix
+    first dim - 1 coordinates run over the clipped box; for each such prefix
     every row bounds the last coordinate exactly (a floor for a positive
     last coefficient, a ceiling for a negative one; a zero one with a
     negative remainder empties the slice), and the slice is yielded whole.
-    A radius below 0, or a box of more than MAX_SCAN_POINTS points, is an
-    input error raised before any point is visited, however few points
-    the region holds."""
+    A radius below 0, or a radius box of more than MAX_SCAN_POINTS points,
+    is an input error raised before any point is visited, however few
+    points the region or the clipped box holds."""
     if radius < 0:
         raise ValueError(f"scan radius must be >= 0, got {radius}")
     side = 2 * radius + 1
@@ -223,8 +251,16 @@ def region_lattice_points(inst: CornerInstance, radius: int, body: HPolyhedron |
     for a, b in half_spaces:
         (row,), _ = integer_rows((a + (b,),))
         compiled.append((row[:-2], row[-2], row[-1]))
-    center = [round(c) for c in inst.f]
-    *ranges, last = [range(c - radius, c + radius + 1) for c in center]
+    ranges = [range(c - radius, c + radius + 1) for c in map(round, inst.f)]
+    if box is not None:
+        ranges = [
+            range(
+                r.start if lo is None else max(r.start, lo),
+                r.stop if hi is None else min(r.stop, hi + 1),
+            )
+            for r, (lo, hi) in zip(ranges, box)
+        ]
+    *ranges, last = ranges
     for prefix in product(*ranges):
         lo, hi = last.start, last.stop - 1
         for head, c, b in compiled:
@@ -274,12 +310,38 @@ def generate_cut(inst: CornerInstance, body: HPolyhedron, radius: int = DEFAULT_
     )
 
 
+def violation_box(inst: CornerInstance, alpha) -> tuple | None:
+    """The integer box of every lattice point z at which the cut
+    sum_j alpha_j s_j >= 1 can fail (module docstring), one (low, high)
+    pair per axis with None for a side without a bound; None when some
+    alpha_j < 0."""
+    if any(a < 0 for a in alpha):
+        return None
+    tips = [[Fraction(c, a) for c in r] for a, r in zip(alpha, inst.rays) if a > 0]
+    free = [r for a, r in zip(alpha, inst.rays) if a == 0]
+    box = []
+    for d, f_d in enumerate(inst.f):
+        coords = [ZERO] + [tip[d] for tip in tips]
+        lo = None if any(r[d] < 0 for r in free) else math.ceil(f_d + min(coords))
+        hi = None if any(r[d] > 0 for r in free) else math.floor(f_d + max(coords))
+        box.append((lo, hi))
+    return tuple(box)
+
+
 def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RADIUS) -> ValidityReport:
     """For each feasible lattice point z in the region, minimize the cut's
     left-hand side over the exact ray combinations reaching t = z - f. The
     cut is valid on the region iff every such point is unreachable or has
     minimum >= 1. A minimum below 1 (or an unbounded descent direction) is
     returned as the lexicographically first violation.
+
+    The region is the radius box clipped to violation_box, which holds
+    every point with minimum below 1 when every alpha_j >= 0 (module
+    docstring); with some alpha_j < 0 it is the whole radius box. Every
+    violation lies in the clipped box, so the first one is the same point,
+    solved by the same LP, as in a scan of the radius box. The verdict is
+    global when the box is bounded on every axis and inside the radius
+    box, or when it is a violation.
 
     Each LP's outcome is checked by lp.verify_certificate, then its
     certificate is kept as an int row to settle later points without an
@@ -301,10 +363,15 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
         raise ValueError("one coefficient per ray required")
     columns = tuple(zip(*inst.rays))  # coordinate d of every ray
     bounds = ("nonneg",) * len(inst.rays)
+    box = violation_box(inst, cut.alpha)
+    box_scanned = box is not None and all(
+        lo is not None and hi is not None and c - radius <= lo and hi <= c + radius
+        for (lo, hi), c in zip(box, map(round, inst.f))
+    )
     f = scaled(inst.f)
     farkas = []  # y: z is unreachable if <y, z - f> < 0
     duals = []  # (u, den): value >= 1 at z if <u, z - f> >= den, in ints
-    for z in region_lattice_points(inst, radius):
+    for z in region_lattice_points(inst, radius, box=box):
         offset = _offset(z, f)
         t = offset.ints
         if any(sum(map(mul, y, t)) < 0 for y in farkas) or any(
@@ -318,11 +385,11 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
         outcome = lp.solve(program)
         if outcome.status == "unbounded":
             return ValidityReport(
-                False, radius, CutViolation(vector(z), outcome.ray, True)
+                False, radius, "global", CutViolation(vector(z), outcome.ray, True)
             )
         if outcome.status == "optimal" and outcome.value < 1:
             return ValidityReport(
-                False, radius, CutViolation(vector(z), outcome.point, False)
+                False, radius, "global", CutViolation(vector(z), outcome.point, False)
             )
         if not lp.verify_certificate(program, outcome):
             raise RuntimeError(
@@ -334,7 +401,7 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
             farkas.append(row)
         else:
             duals.append((row, den * f.den))
-    return ValidityReport(True, radius, None)
+    return ValidityReport(True, radius, "global" if box_scanned else "region")
 
 
 def maximality_certificate(

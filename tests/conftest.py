@@ -677,7 +677,8 @@ def per_point_check_cut_validity(inst, cut, radius):
     """Reference for cuts.check_cut_validity: one exact min-LP at every
     region point of the Fraction scan, with no certificate reused. lp.solve
     is looked up on its module at call time, so a monkeypatch that counts
-    solves sees these too."""
+    solves sees these too. Its scope is "global" for a violation and
+    "region" otherwise: a scan of the radius box proves nothing beyond it."""
     if len(cut.alpha) != len(inst.rays):
         raise ValueError("one coefficient per ray required")
     columns = tuple(zip(*inst.rays))
@@ -693,7 +694,7 @@ def per_point_check_cut_validity(inst, cut, radius):
         if outcome.status == "infeasible":
             continue
         if outcome.status == "unbounded":
-            return ValidityReport(False, radius, CutViolation(z, outcome.ray, True))
+            return ValidityReport(False, radius, "global", CutViolation(z, outcome.ray, True))
         if outcome.value < 1:
-            return ValidityReport(False, radius, CutViolation(z, outcome.point, False))
-    return ValidityReport(True, radius, None)
+            return ValidityReport(False, radius, "global", CutViolation(z, outcome.point, False))
+    return ValidityReport(True, radius, "region")

@@ -188,6 +188,11 @@ def test_check_cut(tmp_path, capsys):
     code, out, _ = run(capsys, "check-cut", path)
     assert code == 0
     assert json.loads(out)["valid_on_region"] is True
+    # the cut's violation_box [0, 1] lies in the radius-5 box, not in the
+    # radius-0 one
+    assert json.loads(out)["scope"] == "global"
+    code, out, _ = run(capsys, "check-cut", path, "--radius", "0")
+    assert code == 0 and json.loads(out)["scope"] == "region"
 
     bad = dict(SPLIT, cut={"alpha": [0, 0], "provenance": ""})
     path = write(tmp_path, "bad.json", bad)
@@ -197,6 +202,7 @@ def test_check_cut(tmp_path, capsys):
     assert doc["valid_on_region"] is False
     assert doc["violation"]["x"] == [-4]
     assert doc["violation"]["improving_ray"] is False
+    assert doc["scope"] == "global"
 
 
 def test_sfree(tmp_path, capsys):

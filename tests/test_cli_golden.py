@@ -20,7 +20,9 @@ import tempfile
 
 import pytest
 
+from polarcut import jsonio, lp
 from polarcut.cli import main
+from polarcut.cuts import check_cut_validity
 
 TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
 
@@ -86,10 +88,19 @@ WIDE_SLAB_P_3D = {
     "body": {"rows": [[1, 0, 1], [-1, 0, -1], [0, 1, 0]], "rhs": [2, 0, 2]},
 }
 
-# check-cut's scan reuses LP certificates. Here the first violation, at
-# radius 3, comes after one Farkas row and one dual have each skipped points.
+# check-cut scans the radius box clipped to the cut's violation_box and
+# reuses LP certificates there. Here the box at radius 3 is {0..3} x {1..3};
+# its first violation, at (1, 1), comes after one optimal LP whose dual
+# skips (0, 2) and (0, 3).
 CUT_LATE = {
     "instance": {"dim": 2, "f": ["1/2", "1/3"], "rays": [[-1, 0], [2, 2]], "P": None},
+    "cut": {"alpha": [1, "1/2"], "provenance": ""},
+}
+# The same cut on other rays about another f: in the box {0..4} x {1..4},
+# the Farkas row of (0, 1) skips (0, 2), the dual of (0, 3) skips (0, 4),
+# and (1, 1) is the first violation.
+CUT_REUSE = {
+    "instance": {"dim": 2, "f": ["3/4", "2/3"], "rays": [[-1, 2], [2, 2]], "P": None},
     "cut": {"alpha": [1, "1/2"], "provenance": ""},
 }
 # Two rays in 3-D (they do not span the space), and the split cut of the
@@ -120,6 +131,7 @@ DOCUMENTS = {
     "cut_ray.json": dict(SPLIT, cut={"alpha": [-2, "1/2"], "provenance": ""}),
     "cut_box3d.json": dict(BOX_3D, cut={"alpha": ["1/2"] * 4, "provenance": ""}),
     "cut_late.json": CUT_LATE,
+    "cut_reuse.json": CUT_REUSE,
     "cut_plane3d.json": CUT_PLANE_3D,
     "float.json": {"dim": 2, "rows": [[0.5, 0]], "rhs": [1]},
     "bad_field.json": {
@@ -148,8 +160,11 @@ def _calls() -> list:
                 calls.append((command, name, "--radius", radius))
     for name in ("cut_valid.json", "cut_zero.json", "cut_ray.json"):
         calls.append(("check-cut", name, "--radius", "3"))
+    # radius 0 scans {0}, inside the split cut's box {0, 1}: scope "region"
+    calls.append(("check-cut", "cut_valid.json", "--radius", "0"))
     calls.append(("check-cut", "cut_box3d.json", "--radius", "2"))
     calls.append(("check-cut", "cut_late.json", "--radius", "3"))
+    calls.append(("check-cut", "cut_reuse.json", "--radius", "3"))
     calls.append(("check-cut", "cut_plane3d.json", "--radius", "2"))
     calls.append(("maximal", "simplex_body3d.json", "--radius", "2"))
     calls += [
@@ -215,6 +230,31 @@ def documents(tmp_path_factory):
 
 def test_table_covers_corpus(table):
     assert sorted(table) == sorted(_key(c) for c in CALLS)
+
+
+@pytest.mark.parametrize(
+    "doc, statuses",
+    [
+        pytest.param(CUT_LATE, ["optimal", "optimal"], id="late"),
+        pytest.param(CUT_REUSE, ["infeasible", "optimal", "optimal"], id="reuse"),
+    ],
+)
+def test_late_violation_fixtures(monkeypatch, doc, statuses):
+    # What the comments on CUT_LATE and CUT_REUSE say: the LPs posed, in
+    # order, up to the violation at (1, 1), whose LP is the last.
+    real_solve = lp.solve
+    seen = []
+
+    def recording(program):
+        outcome = real_solve(program)
+        seen.append(outcome.status)
+        return outcome
+
+    monkeypatch.setattr(lp, "solve", recording)
+    inst, cut = jsonio.task_from_json(doc, "cut")
+    report = check_cut_validity(inst, cut, 3)
+    assert report.violation.x == (1, 1) and report.scope == "global"
+    assert seen == statuses
 
 
 @pytest.mark.parametrize("call", CALLS, ids=_key)

@@ -504,6 +504,69 @@ def test_region_scan_matches_fraction_reference_hypothesis(rng, kind):
     assert_region_scan_matches(inst, body, radius)
 
 
+def in_box(z, box):
+    return all(
+        (lo is None or lo <= v) and (hi is None or v <= hi)
+        for v, (lo, hi) in zip(z, box)
+    )
+
+
+def box_kinds(inst, radius, box):
+    """How a box of violation_box's form sits against the radius box."""
+    center = [nearest_int(c) for c in inst.f]
+    kinds = set()
+    if inst.dim == 1:
+        kinds.add("1-D")
+    if any(None in b for b in box):
+        kinds.add("open side")
+    if any(None not in b and b[0] > b[1] for b in box):
+        kinds.add("empty")
+    elif any(
+        (hi is not None and hi < c - radius) or (lo is not None and lo > c + radius)
+        for (lo, hi), c in zip(box, center)
+    ):
+        kinds.add("wholly outside")
+    elif any(
+        (lo is not None and lo < c - radius) or (hi is not None and hi > c + radius)
+        for (lo, hi), c in zip(box, center)
+    ):
+        kinds.add("partly outside")
+    return kinds
+
+
+def test_region_scan_clips_to_box():
+    # A box clips the scan: the same points, in the same order, as the
+    # unboxed scan filtered to the box, with the body and without it. The
+    # boxes are drawn about round(f), a side now and then open, so some are
+    # empty, some stick out of the radius box and some miss it.
+    rng = random.Random(1985)
+    seen = dict.fromkeys(("1-D", "open side", "empty", "wholly outside", "partly outside"), 0)
+    for _ in range(300):
+        inst, body, radius = random_corner_case(rng)
+        box = tuple(
+            tuple(
+                None if rng.random() < 0.15 else nearest_int(c) + rng.randint(-radius - 2, radius + 2)
+                for _ in "lh"
+            )
+            for c in inst.f
+        )
+        for region_body in (body, None):
+            whole = region_lattice_points(inst, radius, region_body)
+            assert list(region_lattice_points(inst, radius, region_body, box)) == [
+                z for z in whole if in_box(z, box)
+            ], (inst, region_body, radius, box)
+        for kind in box_kinds(inst, radius, box):
+            seen[kind] += 1
+    assert min(seen.values()) >= 10, seen
+    # the size limit still reads the radius box, however small the box
+    line = CornerInstance.make(1, [Fraction(1, 2)], [[1]])
+    with pytest.raises(ValueError, match="over the limit"):
+        next(region_lattice_points(line, 500_000, box=((0, 1),)))
+    assert list(region_lattice_points(line, 2, box=((1, 7),))) == [V(1), V(2)]
+    assert list(region_lattice_points(line, 2, box=((3, 7),))) == []
+    assert list(region_lattice_points(line, 2, box=((1, 0),))) == []
+
+
 def test_boundedness_matches_cone_reference():
     # maximality_certificate calls the body bounded when its support is
     # finite along every axis; the reference decides it by LPs over the
@@ -591,15 +654,41 @@ def _count_solves(monkeypatch):
     return calls
 
 
+def verdict(report):
+    """A ValidityReport without its scope: what a scan of the radius box
+    decides, whatever it can claim beyond it."""
+    return report.valid_on_region, report.radius, report.violation
+
+
+def coefficient_kind(cut):
+    """"box" when every alpha_j > 0, "zero coefficient" when the least is
+    0, "negative coefficient" when one is below 0 (no violation_box)."""
+    low = min(cut.alpha)
+    return "box" if low > 0 else "zero coefficient" if low == 0 else "negative coefficient"
+
+
+def containing_radius(inst, box):
+    """The least radius whose scan box strictly contains a bounded box on
+    every axis."""
+    center = [nearest_int(c) for c in inst.f]
+    return 1 + max(max(c - lo, hi - c, 0) for (lo, hi), c in zip(box, center))
+
+
 def test_check_cut_matches_per_point_reference(monkeypatch):
-    # The certificate-reusing scan against one LP per lattice point: equal
-    # reports (the violation's point, s and kind included), and never more
-    # LPs, on 600 seeded instances covering every kind of ray list and cut.
+    # The scan of violation_box, reusing certificates, against one LP per
+    # lattice point of the whole radius box: equal verdicts (the violation's
+    # point, s and kind included), and never more LPs, on 600 seeded
+    # instances covering every kind of ray list and cut. A global verdict
+    # with a bounded box agrees with the reference at a radius whose box
+    # strictly contains it: the same violation when the box lies inside
+    # the radius box, and a valid cut stays valid.
     rng = random.Random(1971)
     calls = _count_solves(monkeypatch)
     seen = dict.fromkeys(
         ("valid", "violated", "unbounded", "P", "radius 0", "zero ray",
-         "opposite rays", "non-spanning", "saved LPs"),
+         "opposite rays", "non-spanning", "saved LPs", "box",
+         "zero coefficient", "negative coefficient", "global valid",
+         "global violated", "region"),
         0,
     )
     for _ in range(600):
@@ -608,8 +697,20 @@ def test_check_cut_matches_per_point_reference(monkeypatch):
         report = check_cut_validity(inst, cut, radius)
         fast = len(calls)
         calls.clear()
-        assert report == per_point_check_cut_validity(inst, cut, radius), (inst, cut)
+        assert verdict(report) == verdict(
+            per_point_check_cut_validity(inst, cut, radius)
+        ), (inst, cut)
         assert fast <= len(calls)
+        box = cuts.violation_box(inst, cut.alpha)
+        if report.scope == "global" and box is not None and all(None not in b for b in box):
+            wide_radius = containing_radius(inst, box)
+            wide = per_point_check_cut_validity(inst, cut, wide_radius)
+            assert wide.valid_on_region == report.valid_on_region, (inst, cut)
+            if wide_radius <= radius + 1:  # the box lies inside the radius box
+                assert wide.violation == report.violation, (inst, cut)
+            seen["global valid" if report.valid_on_region else "global violated"] += 1
+        seen["region"] += report.scope == "region"
+        seen[coefficient_kind(cut)] += 1
         violation = report.violation
         seen["valid"] += report.valid_on_region
         seen["violated"] += violation is not None and not violation.improving_ray
@@ -629,19 +730,88 @@ def test_check_cut_matches_per_point_reference(monkeypatch):
 @given(st.randoms(use_true_random=False))
 def test_check_cut_matches_per_point_reference_hypothesis(rng):
     inst, cut, radius = random_cut_case(rng)
-    assert check_cut_validity(inst, cut, radius) == per_point_check_cut_validity(
-        inst, cut, radius
+    assert verdict(check_cut_validity(inst, cut, radius)) == verdict(
+        per_point_check_cut_validity(inst, cut, radius)
     )
 
 
+@pytest.mark.parametrize("axis", range(3))
+@pytest.mark.parametrize("side", ("low", "high"))
+def test_narrowed_violation_box_is_caught(monkeypatch, axis, side):
+    # A violation_box one point too narrow on either side of any axis
+    # drops a violation that the seeded battery of the reference test finds.
+    real_box = cuts.violation_box
+
+    def narrowed(inst, alpha):
+        box = real_box(inst, alpha)
+        if box is None or axis >= len(box) or None in box[axis]:
+            return box
+        lo, hi = box[axis]
+        return box[:axis] + (((lo + 1, hi) if side == "low" else (lo, hi - 1)),) + box[axis + 1:]
+
+    monkeypatch.setattr(cuts, "violation_box", narrowed)
+    rng = random.Random(1971)
+    for _ in range(600):
+        inst, cut, radius = random_cut_case(rng)
+        if verdict(check_cut_validity(inst, cut, radius)) != verdict(
+            per_point_check_cut_validity(inst, cut, radius)
+        ):
+            return
+    pytest.fail(f"a box narrowed at the {side} end of axis {axis} went unnoticed")
+
+
+def test_violation_box_examples(split_1d):
+    # The split cut's box is the two lattice points about f = 1/2; a zero
+    # coefficient leaves a side open along its ray; a negative one, no box.
+    inst, body = split_1d
+    assert cuts.violation_box(inst, generate_cut(inst, body).alpha) == ((0, 1),)
+    # a zero coefficient on the ray +1 opens the high side, on -1 the low
+    assert cuts.violation_box(inst, (Fraction(0), Fraction(2))) == ((0, None),)
+    assert cuts.violation_box(inst, (Fraction(2), Fraction(0))) == ((None, 1),)
+    assert cuts.violation_box(inst, (Fraction(1), Fraction(-1))) is None
+    # rays e1 and e2 at f = (1/2, 1/2) with alpha 4: the box of
+    # f + conv{0, e1/4, e2/4} holds no lattice point (ceil 1 > floor 0)
+    plane = CornerInstance.make(2, [Fraction(1, 2)] * 2, [[1, 0], [0, 1]])
+    assert cuts.violation_box(plane, (Fraction(4), Fraction(4))) == ((1, 0), (1, 0))
+    report = check_cut_validity(plane, Cut((Fraction(4), Fraction(4)), ""), 0)
+    assert report.valid_on_region and report.scope == "global"
+
+
+def test_check_cut_scope(split_1d):
+    # global when violation_box lies inside the radius box, or on a
+    # violation; region when the box sticks out of the radius box, is open
+    # on a side, or does not exist.
+    inst, body = split_1d
+    cut = generate_cut(inst, body)
+    assert check_cut_validity(inst, cut, 1).scope == "global"
+    assert check_cut_validity(inst, cut, 0).scope == "region"  # box [0, 1], scan {0}
+    # alpha_2 = 0 reaches x = 0 at cost 0: a violation, so global
+    report = check_cut_validity(inst, Cut((Fraction(2), Fraction(0)), ""), 3)
+    assert not report.valid_on_region and report.scope == "global"
+    plane = CornerInstance.make(2, [Fraction(1, 2)] * 2, [[1, 0], [0, 1]])
+    # the split cut on x1: alpha_2 = 0 leaves axis 2 open upwards
+    report = check_cut_validity(plane, Cut((Fraction(2), Fraction(0)), ""), 2)
+    assert report.valid_on_region and report.scope == "region"
+    # alpha_2 < 0: no box; valid at radius 2 (s_1 >= 1/2 and s_2 <= 3/2,
+    # so the cost 4 s_1 - s_2 / 2 is at least 5/4),
+    # violated further out, first at x = (1, 3) with cost 2 - 5/4
+    negative = Cut((Fraction(4), Fraction(-1, 2)), "")
+    report = check_cut_validity(plane, negative, 2)
+    assert report.valid_on_region and report.scope == "region"
+    report = check_cut_validity(plane, negative, 5)
+    assert report.violation.x == V(1, 3) and report.scope == "global"
+
+
 def test_split_check_takes_two_lps(split_1d, monkeypatch):
-    # 11 lattice points, two LPs. At x = -5 the minimum is 11, with dual
-    # u = -2, which proves value >= 1 at every x <= 0; at x = 1 it is 1,
-    # with dual u = 2, which proves every x >= 1.
+    # 11 lattice points in the radius box, of which violation_box keeps
+    # x = 0 and x = 1: two LPs. At x = 0 the minimum is 1, with dual
+    # u = -2; at x = 1 it is 1, with dual u = 2.
     inst, body = split_1d
     cut = generate_cut(inst, body)
     calls = _count_solves(monkeypatch)
     assert len(list(region_lattice_points(inst, 5))) == 11
+    box = cuts.violation_box(inst, cut.alpha)
+    assert list(region_lattice_points(inst, 5, box=box)) == [V(0), V(1)]
     assert check_cut_validity(inst, cut, 5).valid_on_region
     assert len(calls) == 2
 
@@ -657,7 +827,7 @@ def test_check_cut_lp_count_on_acceptance_corpus(monkeypatch):
         report = check_cut_validity(inst, cut, 4)
         fast = len(calls)
         calls.clear()
-        assert report == per_point_check_cut_validity(inst, cut, 4)
+        assert verdict(report) == verdict(per_point_check_cut_validity(inst, cut, 4))
         assert report.valid_on_region
         assert fast <= len(calls)
         fast_total += fast
@@ -682,9 +852,11 @@ def test_check_cut_refuses_a_broken_certificate(monkeypatch, status, forgery):
     # strength. The forged dual and Farkas row still prove their own point,
     # so only the check against the rays can catch them; the forged value
     # and point keep the dual, so only lp.verify_certificate's test of the
-    # value and of the point can.
+    # value and of the point can. The split cut on x1 with rays (1, 0) and
+    # (-1, 4): its violation_box {0, 1} x {1, 2} holds the unreachable
+    # points (0, 1) and (0, 2) before the reachable (1, 1) and (1, 2).
     inst = CornerInstance.make(
-        2, [Fraction(1, 2), Fraction(1, 2)], [[1, 0], [0, 1]]
+        2, [Fraction(1, 2), Fraction(1, 2)], [[1, 0], [-1, 4]]
     )
     cut = Cut(alpha=(Fraction(2), Fraction(2)), provenance="")
     real_solve = lp.solve
@@ -695,8 +867,8 @@ def test_check_cut_refuses_a_broken_certificate(monkeypatch, status, forgery):
         calls.append(outcome.status)
         if outcome.status != status:
             return outcome
-        # the first optimal outcome is at t = (1/2, 1/2): point (1/2, 1/2),
-        # value 2; the first infeasible one at t = (-5/2, -5/2)
+        # the first infeasible outcome is at t = (-1/2, 1/2); the first
+        # optimal one at t = (1/2, 1/2): point (5/8, 1/8), value 3/2
         if forgery == "dual":
             # u + 100 pairs to the value plus 100 at t, and exceeds alpha
             # on both rays
@@ -704,10 +876,11 @@ def test_check_cut_refuses_a_broken_certificate(monkeypatch, status, forgery):
         if forgery == "value":
             return replace(outcome, value=outcome.value + 1)
         if forgery == "point":
-            # same cost 2, but s_1 = 1 misses the '=' row s_1 = 1/2
-            return replace(outcome, point=(Fraction(1), Fraction(0)))
-        # (2, -1) pairs to -5/2 at t, and is negative on the ray (0, 1)
-        return replace(outcome, dual=(Fraction(2), Fraction(-1)))
+            # same cost 3/2, but (3/4, 0) misses the '=' row
+            # s_1 - s_2 = 1/2
+            return replace(outcome, point=(Fraction(3, 4), Fraction(0)))
+        # (1, 0) pairs to -1/2 at t, and is negative on the ray (-1, 4)
+        return replace(outcome, dual=(Fraction(1), Fraction(0)))
 
     monkeypatch.setattr(lp, "solve", forging)
     with pytest.raises(RuntimeError):

@@ -77,6 +77,8 @@ def test_readme_python_blocks_state_their_values():
         "((Fraction(2, 1),), (Fraction(-2, 1),))",
         "(Fraction(2, 1), Fraction(2, 1))",
         "True",
+        "'global'",
+        "'region'",
         "Scaled(ints=(2, 1), den=4)",
         "Fraction(1, 2)",
         "(Fraction(1, 2), Fraction(1, 4))",
