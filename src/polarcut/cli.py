@@ -32,7 +32,7 @@ from .cuts import (
 )
 from .polyhedra import polar, random_polyhedron
 from .rationals import TooLongToPrint, json_scalar
-from .sublinear import gauge, minimal_sublinear, property_suite
+from .sublinear import block_values, property_suite
 
 MAX_VERIFY_SAMPLES = 10**6  # largest --samples times instance count verify takes
 
@@ -89,11 +89,12 @@ def _cmd_polar(args) -> tuple[int, dict]:
 
 def _cmd_values(args) -> tuple[int, dict]:
     """gauge or rho, as args.command names, at the document's points."""
-    evaluate = gauge if args.command == "gauge" else minimal_sublinear
+    clamp = args.command == "gauge"
     doc = _load_document(args.input)
     h = jsonio.polyhedron_from_json(doc)
-    points = jsonio.points_from_json(doc, h.dim)
-    values = [evaluate(h, x) for x in points]
+    values = []
+    for block in jsonio.points_from_json(doc, h.dim):
+        values += block_values(h, block, clamp)
     return 0, {"command": args.command, "dim": h.dim, "values": values}
 
 

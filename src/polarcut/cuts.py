@@ -36,8 +36,9 @@ rays with alpha_j > 0, and has no low (high) end when a ray with
 alpha_j = 0 has r_jd < 0 (> 0). With some alpha_j < 0 there is no box.
 check_cut_validity scans only the part of the radius box inside
 violation_box, and its verdict is global (scope "global") when that box is
-bounded on every axis and lies inside the radius box, or when it reports a
-violation; otherwise it holds on the radius box (scope "region").
+bounded on every axis and lies inside the radius box, when it is empty on
+some axis, or when it reports a violation; otherwise it holds on the
+radius box (scope "region").
 
 region_lattice_points is the one enumerator of a region: the lattice points
 of the closed region B intersect P (P alone when no body is given) inside
@@ -179,8 +180,8 @@ class CutViolation:
 @dataclass(frozen=True)
 class ValidityReport:
     """scope is "global" when the verdict holds on all of Z^n: a violation,
-    or a violation_box inside the radius box; "region" when it holds on the
-    radius box only."""
+    a violation_box inside the radius box, or one empty on some axis;
+    "region" when it holds on the radius box only."""
 
     valid_on_region: bool
     radius: int
@@ -341,7 +342,8 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
     violation lies in the clipped box, so the first one is the same point,
     solved by the same LP, as in a scan of the radius box. The verdict is
     global when the box is bounded on every axis and inside the radius
-    box, or when it is a violation.
+    box, when it is empty on some axis (it holds no lattice point, however
+    the other axes read), or when it is a violation.
 
     Each LP's outcome is checked by lp.verify_certificate, then its
     certificate is kept as an int row to settle later points without an
@@ -364,9 +366,12 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
     columns = tuple(zip(*inst.rays))  # coordinate d of every ray
     bounds = ("nonneg",) * len(inst.rays)
     box = violation_box(inst, cut.alpha)
-    box_scanned = box is not None and all(
-        lo is not None and hi is not None and c - radius <= lo and hi <= c + radius
-        for (lo, hi), c in zip(box, map(round, inst.f))
+    box_scanned = box is not None and (
+        any(lo is not None and hi is not None and lo > hi for lo, hi in box)
+        or all(
+            lo is not None and hi is not None and c - radius <= lo and hi <= c + radius
+            for (lo, hi), c in zip(box, map(round, inst.f))
+        )
     )
     f = scaled(inst.f)
     farkas = []  # y: z is unreachable if <y, z - f> < 0

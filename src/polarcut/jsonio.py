@@ -6,16 +6,19 @@ rejected - there is no inexact mode. Schema problems raise SchemaError
 naming the document, or the offending field by its path from the document
 root, such as "points[3][1]", "instance.P.rows[0][0]" or "body".
 
-Query points never become Fractions: points_from_json reads each row
-straight into the scaled form rationals.Scaled, with the scalar grammar
-and error messages that every other field gets from parse_rational.
+Query points never become Fractions: points_from_json reads the "points"
+list POINT_BLOCK rows at a time into int columns
+(rationals.scaled_columns), with the scalar grammar and error messages
+that every other field gets from parse_rational.
 """
 
 from __future__ import annotations
 
 from .cuts import CornerInstance, Cut, make_body
 from .polyhedra import HPolyhedron, normalize
-from .rationals import parse_rational, scaled_row
+from .rationals import parse_rational, scaled_columns
+
+POINT_BLOCK = 256  # query points read, and evaluated, at a time
 
 
 class SchemaError(ValueError):
@@ -79,22 +82,22 @@ def polyhedron_from_json(obj) -> HPolyhedron:
     return normalize(rows, rhs)
 
 
-def points_from_json(obj, dim: int) -> tuple:
-    """The "points" list, each row as a rationals.Scaled of width dim."""
+def points_from_json(obj, dim: int):
+    """The "points" list of width-dim rows, yielded in blocks of at most
+    POINT_BLOCK rows, each as rationals.scaled_columns' (cols, dens)."""
     value, _ = _field(obj, "points")
     if not isinstance(value, list):
         _fail("points", "expected a list")
-    out = []
-    for i, row in enumerate(value):
+    for start in range(0, len(value), POINT_BLOCK):
+        rows = value[start : start + POINT_BLOCK]
         try:
-            if not isinstance(row, list) or len(row) != dim:
-                raise ValueError
-            out.append(scaled_row(row))
+            block = scaled_columns(rows, dim)
         except ValueError:
-            # parse the row again, entry by entry, to name what is wrong
-            vector_from_json(row, f"points[{i}]", dim)
+            # parse the rows again, entry by entry, to name what is wrong
+            for i, row in enumerate(rows, start):
+                vector_from_json(row, f"points[{i}]", dim)
             raise
-    return tuple(out)
+        yield block
 
 
 def corner_instance_from_json(obj) -> CornerInstance:

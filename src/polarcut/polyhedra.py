@@ -25,10 +25,11 @@ compiled once into integer rows over one common denominator, and a pairing
 (rationals.Scaled: int numerators over one positive denominator) over a
 positive scale. pairings, and every evaluator built on it (membership,
 in_recession, sublinear.gauge, minimal_sublinear, support), takes a point
-in either form: a Scaled is used as it is - jsonio parses query points
-into it, the scans and the property suite scale a point once and query it
-many times - and a rational tuple is scaled once at that call. Rationals
-are only built for the values a caller asks for.
+in either form: a Scaled is used as it is - the scans and the property
+suite scale a point once and query it many times - and a rational tuple is
+scaled once at that call. Rationals are only built for the values a caller
+asks for. (The CLI's query points skip this per-point form: jsonio reads
+them as int columns for sublinear.block_values.)
 """
 
 from __future__ import annotations

@@ -7,12 +7,17 @@ Vectors are plain tuples of scalars.
 
 A point has a second form, owned by this module: Scaled(ints, den), the
 int numerators of its coordinates over one positive common denominator.
-It is the one form a point takes between the JSON boundary and the
-evaluators. jsonio parses "points" rows straight into it (scaled_row, with
-the grammar of rational_pair, which reads one scalar as an int pair), the
-scans scale their anchor once, and the property suite scales each sample
-once; scaled() converts a rational tuple at a public boundary and
-unscaled() builds the rationals back for a value that is reported.
+It is the library's per-point form: the scans scale their anchor once,
+the property suite scales each sample once, scaled() converts a rational
+tuple at a public boundary, scaled_row() reads a row of JSON-level scalars
+(with the grammar of rational_pair, which reads one scalar as an int pair)
+and unscaled() builds the rationals back for a value that is reported.
+
+Many points at once take a third form, int columns: scaled_columns()
+reads a block of rows into cols[j][k], the numerator of coordinate j of
+point k over that point's positive denominator dens[k]. A block in the
+canonical spelling (the one json_scalar writes) is parsed whole at C
+level; any other block goes row by row through scaled_row.
 
 The evaluators (gauge, minimal sublinear function, support, membership,
 recession test) and the LP solver do not use Fraction arithmetic on their
@@ -27,7 +32,9 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, lcm
+from operator import floordiv, itemgetter, mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -36,6 +43,13 @@ ONE = Fraction(1)
 # optional positive denominator. "3", "-3", "1/2", "-7/4". Never "3/-2",
 # never "1/0", never a fullwidth or other non-ASCII digit.
 _RATIONAL_TEXT = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$", re.ASCII)
+
+# A block of scalars joined by "\n", each in the canonical spelling: an
+# ASCII int with an optional "-", then an optional "/q" with q > 0 and no
+# leading zero. Every text it accepts, _RATIONAL_TEXT reads the same way.
+# Kept as text: re compiles it on first use (and caches it), so only the
+# commands that read query points pay for the compile at start-up.
+_CANONICAL_BLOCK = r"-?[0-9]++(?:/[1-9][0-9]*+)?+(?:\n-?[0-9]++(?:/[1-9][0-9]*+)?+)*+"
 
 Vec = tuple  # tuple of Fraction, one entry per coordinate
 
@@ -161,6 +175,59 @@ def scaled_row(values) -> Scaled:
     if g == 1:
         return Scaled(tuple(ints), den)
     return Scaled(tuple(n // g for n in ints), den // g)
+
+
+def _canonical_columns(rows, dim: int):
+    """scaled_columns' result for rows that are lists of dim ints or
+    canonical texts; None for any other rows. Each pass runs over the whole
+    block in C: the scalars are joined as text, checked once against
+    _CANONICAL_BLOCK, split into "p/q/1" or "p/1" pieces (so piece[1] is
+    the denominator either way) and converted by int()."""
+    if not set(map(type, rows)) <= {list} or not set(map(len, rows)) <= {dim}:
+        return None
+    flat = list(chain.from_iterable(rows))
+    if not set(map(type, flat)) <= {int, str}:
+        return None
+    try:
+        text = "\n".join(map(str, flat))
+        if re.fullmatch(_CANONICAL_BLOCK, text) is None:
+            return None
+        pieces = (text.replace("\n", "/1\n") + "/1").split("\n")
+        if len(pieces) != len(flat):  # some text held a "\n" of its own
+            return None
+        pieces = list(map(str.split, pieces, repeat("/")))
+        nums = list(map(int, map(itemgetter(0), pieces)))
+        entry_dens = list(map(int, map(itemgetter(1), pieces)))
+    except ValueError:  # an int too long for the interpreter's str/int limit
+        return None
+    den_cols = [entry_dens[j::dim] for j in range(dim)]
+    dens = list(map(lcm, *den_cols))
+    cols = tuple(
+        list(map(mul, nums[j::dim], map(floordiv, dens, den_cols[j])))
+        for j in range(dim)
+    )
+    return cols, dens
+
+
+def scaled_columns(rows, dim: int) -> tuple[tuple, list]:
+    """The points of rows, each a list of dim JSON-level scalars, as int
+    columns (cols, dens): coordinate j of point k is cols[j][k] / dens[k],
+    with dens[k] > 0 the lcm of point k's entry denominators.
+
+    Rows in the canonical spelling are read a block at a time; any other
+    rows are read one by one with scaled_row, so the first bad entry
+    raises rational_pair's ValueError, and a row that is not a list of dim
+    entries raises ValueError."""
+    block = _canonical_columns(rows, dim)
+    if block is not None:
+        return block
+    points = []
+    for row in rows:
+        if not isinstance(row, list) or len(row) != dim:
+            raise ValueError(f"expected a list of {dim} entries")
+        points.append(scaled_row(row))
+    cols = tuple([p.ints[j] for p in points] for j in range(dim))
+    return cols, [p.den for p in points]
 
 
 def scaled(x) -> Scaled:

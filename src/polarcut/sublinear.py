@@ -23,7 +23,9 @@ of sets and tallies the outcome.
 The evaluators and checks take a point in either form, a rational tuple or
 its rationals.Scaled form; property_suite scales each sample once per set,
 so every check on it pairs int vectors, and a rational is built only for a
-value that is returned or a violation that is reported.
+value that is returned or a violation that is reported. block_values
+evaluates gauge or minimal_sublinear on a whole block of points in
+rationals.scaled_columns' int-column form, one row of the set at a time.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
-from operator import mul
+from itertools import accumulate, product, repeat
+from operator import add, mul
 
 from . import lp
 from .polyhedra import (
@@ -78,6 +80,34 @@ def gauge(h: HPolyhedron, x):
 def minimal_sublinear(h: HPolyhedron, x):
     values, scale = pairings(h.compiled, x)
     return Fraction(max(values), scale)
+
+
+def block_values(h: HPolyhedron, block, clamp: bool) -> list:
+    """gauge(h, x) (clamp) or minimal_sublinear(h, x) at every point x of
+    a block (cols, dens) in rationals.scaled_columns' form, in order.
+
+    The pairings are int column passes: for each row a, the sum over j of
+    a_j * cols[j], skipping a_j = 0; then the maximum over the rows (and
+    0 when clamped) point by point. One Fraction is built per value, and
+    none for a gauge of 0."""
+    cols, dens = block
+    rows, den = h.compiled
+    if len(cols) != h.dim:
+        raise ValueError(f"dimension mismatch: {h.dim} vs {len(cols)}")
+    pairs = []
+    for a in rows:
+        total = None
+        for c, col in zip(a, cols):
+            if c:
+                term = map(mul, repeat(c), col)
+                total = term if total is None else map(add, total, term)
+        pairs.append(list(total))
+    scales = map(mul, repeat(den), dens)
+    if clamp:
+        tops = map(max, repeat(0), *pairs)
+        return [Fraction(t, s) if t else ZERO for t, s in zip(tops, scales)]
+    tops = map(max, *pairs) if len(pairs) > 1 else pairs[0]
+    return list(map(Fraction, tops, scales))
 
 
 def support(gens: VPolytope, x):

@@ -485,6 +485,29 @@ def test_malformed_point_scalars_exit_2(tmp_path, capsys):
         assert code == 2 and out == "" and "field 'points[2]'" in err
 
 
+def test_malformed_points_in_later_blocks_exit_2(tmp_path, capsys):
+    # Past the first block the path is still absolute: a bad entry at
+    # points[300][1] (second block) and a row of the wrong width at
+    # points[257] are named as they are on a one-block document.
+    points = query_doc(400)["points"]
+    for k, bad in enumerate(MALFORMED_SCALARS):
+        with pytest.raises(ValueError) as excinfo:
+            rationals.parse_rational(bad)
+        rows = [list(p) for p in points]
+        rows[300][1] = bad
+        path = write(tmp_path, f"bad{k}.json", dict(query_doc(0), points=rows))
+        for command in ("gauge", "rho"):
+            code, out, err = run(capsys, command, path)
+            assert code == 2 and out == ""
+            assert err == f"input error: field 'points[300][1]': {excinfo.value}\n"
+    for k, row in enumerate(([1, 2, 3], [1], "1/2")):
+        rows = points[:257] + [row] + points[258:]
+        doc = dict(query_doc(0), points=rows)
+        code, out, err = run(capsys, "gauge", write(tmp_path, f"w{k}.json", doc))
+        assert code == 2 and out == ""
+        assert err.startswith("input error: field 'points[257]'")
+
+
 def test_huge_report_value_exits_2(tmp_path, capsys):
     # gauge = rho = 10^5000 and 10^5000 / 3: more digits than the
     # interpreter turns into text. Nothing is printed, in either format.
@@ -522,15 +545,28 @@ def query_doc(count):
 
 
 def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
-    # gauge and rho on 1,000 points parse none of them with parse_rational
-    # and build one Fraction per reported value beyond what the set itself
-    # needs (measured on the same set with no points).
-    counts = {"parse": 0, "fraction": 0}
+    # gauge and rho on 1,000 canonically spelled points parse none of them
+    # with parse_rational or scaled_row (the row-by-row route), read them
+    # in blocks of at most 256 rows, and build one Fraction per reported
+    # value beyond what the set itself needs (measured on the same set
+    # with no points).
+    counts = {"parse": 0, "fraction": 0, "row": 0}
+    blocks = []
     real_parse = rationals.parse_rational
+    real_row = rationals.scaled_row
+    real_columns = rationals.scaled_columns
 
     def counted_parse(value):
         counts["parse"] += 1
         return real_parse(value)
+
+    def counted_row(values):
+        counts["row"] += 1
+        return real_row(values)
+
+    def recorded_columns(rows, dim):
+        blocks.append(len(rows))
+        return real_columns(rows, dim)
 
     real_new = Fraction.__new__
 
@@ -539,15 +575,26 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
         return real_new(cls, *args, **kwargs)
 
     monkeypatch.setattr(jsonio, "parse_rational", counted_parse)
+    monkeypatch.setattr(rationals, "scaled_row", counted_row)
+    monkeypatch.setattr(jsonio, "scaled_columns", recorded_columns)
     monkeypatch.setattr(Fraction, "__new__", counted_new)
     for command in ("gauge", "rho"):
         seen = []
         for count in (0, 1000):
-            counts.update(parse=0, fraction=0)
+            counts.update(parse=0, fraction=0, row=0)
+            blocks.clear()
             path = write(tmp_path, f"q{count}.json", query_doc(count))
             code, out, _ = run(capsys, command, path)
             assert code == 0 and len(json.loads(out)["values"]) == count
             seen.append(dict(counts))
         empty, full = seen
         assert full["parse"] == empty["parse"] > 0
+        assert full["row"] == 0
+        assert blocks == [256, 256, 256, 232]
         assert empty["fraction"] < full["fraction"] <= empty["fraction"] + 1000
+    # the counters see the row-by-row route when it is taken
+    loose = query_doc(1000)
+    loose["points"][999][0] = " 1/2"
+    counts.update(row=0)
+    code, _, _ = run(capsys, "rho", write(tmp_path, "loose.json", loose))
+    assert code == 0 and counts["row"] == 1000 - 768  # the last block's rows

@@ -15,8 +15,10 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 
@@ -115,7 +117,48 @@ CUT_PLANE_3D = {
     "cut": {"alpha": [2, 2], "provenance": "box"},
 }
 
+# alpha_1 = 4 puts the tip e1 / 4 short of x1 = 1, so the violation box is
+# empty on axis 1 ({1..0}); the zero coefficients of +-e2 leave axis 2 open.
+# No lattice point can violate the cut: scope "global".
+CUT_EMPTY_AXIS = {
+    "instance": {
+        "dim": 2,
+        "f": ["1/2", "1/2"],
+        "rays": [[1, 0], [0, 1], [0, -1]],
+        "P": None,
+    },
+    "cut": {"alpha": [4, 0, 0], "provenance": ""},
+}
+
 BIG = "1" + "0" * 1000
+
+
+def query_points(count: int, dim: int, seed: int) -> list:
+    """count seeded points in the canonical spelling: an int or "p/q"."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        row = (Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(dim))
+        out.append([q.numerator if q.denominator == 1 else str(q) for q in row])
+    return out
+
+
+# 600 points read in blocks of 256: the last block is partial. The set has
+# zero coefficients and is unbounded, so rho is negative at some points
+# (19) where gauge is 0. LOOSE spells two entries of the second block the
+# tolerant way (blanks, unicode minus); BAD has a float text at
+# points[300][1], which is named by its absolute path.
+QUERY_600 = {
+    "dim": 3,
+    "rows": [[1, 0, 2], [0, -1, 1], [-1, -1, 0], [2, 1, 0]],
+    "rhs": [1, "1/2", 3, 2],
+    "points": query_points(600, 3, 600),
+}
+QUERY_600_LOOSE = dict(QUERY_600, points=[list(p) for p in QUERY_600["points"]])
+QUERY_600_LOOSE["points"][260][0] = " 1/2"
+QUERY_600_LOOSE["points"][400][2] = "\u22127/3"
+QUERY_600_BAD = dict(QUERY_600, points=[list(p) for p in QUERY_600["points"]])
+QUERY_600_BAD["points"][300][1] = "1.5"
 
 DOCUMENTS = {
     "quadrant.json": QUADRANT,
@@ -133,11 +176,15 @@ DOCUMENTS = {
     "cut_late.json": CUT_LATE,
     "cut_reuse.json": CUT_REUSE,
     "cut_plane3d.json": CUT_PLANE_3D,
+    "cut_empty_axis.json": CUT_EMPTY_AXIS,
     "float.json": {"dim": 2, "rows": [[0.5, 0]], "rhs": [1]},
     "bad_field.json": {
         "instance": dict(SPLIT_INSTANCE, P={"rows": [["x"]], "rhs": [1]}),
         "body": SPLIT["body"],
     },
+    "query600.json": QUERY_600,
+    "query600_loose.json": QUERY_600_LOOSE,
+    "query600_bad.json": QUERY_600_BAD,
     "huge.json": {"dim": 1, "rows": [[BIG]], "rhs": [1], "points": [["1" + "0" * 4000]]},
 }
 RAW_DOCUMENTS = {
@@ -152,6 +199,9 @@ def _calls() -> list:
         for command in ("polar", "gauge", "rho"):
             calls.append((command, name))
         calls.append(("verify", name, "--samples", "40"))
+    for name in ("query600.json", "query600_loose.json"):
+        for command in ("gauge", "rho"):
+            calls.append((command, name))
     calls.append(("verify", "--random", "5", "--seed", "7", "--samples", "40"))
     bodies = ("split.json", "fat.json", "box3d.json", "slab_p3d.json", "wide_slab_p3d.json")
     for name in bodies:
@@ -166,6 +216,7 @@ def _calls() -> list:
     calls.append(("check-cut", "cut_late.json", "--radius", "3"))
     calls.append(("check-cut", "cut_reuse.json", "--radius", "3"))
     calls.append(("check-cut", "cut_plane3d.json", "--radius", "2"))
+    calls.append(("check-cut", "cut_empty_axis.json", "--radius", "3"))
     calls.append(("maximal", "simplex_body3d.json", "--radius", "2"))
     calls += [
         ("polar", "truncated.json"),
@@ -173,6 +224,7 @@ def _calls() -> list:
         ("polar", "float.json"),
         ("maximal", "bad_field.json"),
         ("gauge", "huge.json"),
+        ("gauge", "query600_bad.json"),
         ("polar", "missing.json"),
     ]
     return [

@@ -681,14 +681,15 @@ def test_check_cut_matches_per_point_reference(monkeypatch):
     # instances covering every kind of ray list and cut. A global verdict
     # with a bounded box agrees with the reference at a radius whose box
     # strictly contains it: the same violation when the box lies inside
-    # the radius box, and a valid cut stays valid.
+    # the radius box, and a valid cut stays valid. A box empty on some
+    # axis gives a global valid verdict.
     rng = random.Random(1971)
     calls = _count_solves(monkeypatch)
     seen = dict.fromkeys(
         ("valid", "violated", "unbounded", "P", "radius 0", "zero ray",
          "opposite rays", "non-spanning", "saved LPs", "box",
          "zero coefficient", "negative coefficient", "global valid",
-         "global violated", "region"),
+         "global violated", "region", "empty axis"),
         0,
     )
     for _ in range(600):
@@ -710,6 +711,10 @@ def test_check_cut_matches_per_point_reference(monkeypatch):
                 assert wide.violation == report.violation, (inst, cut)
             seen["global valid" if report.valid_on_region else "global violated"] += 1
         seen["region"] += report.scope == "region"
+        if box is not None and any(None not in b and b[0] > b[1] for b in box):
+            # no lattice point at all can violate the cut
+            assert report.valid_on_region and report.scope == "global", (inst, cut)
+            seen["empty axis"] += 1
         seen[coefficient_kind(cut)] += 1
         violation = report.violation
         seen["valid"] += report.valid_on_region
@@ -778,9 +783,9 @@ def test_violation_box_examples(split_1d):
 
 
 def test_check_cut_scope(split_1d):
-    # global when violation_box lies inside the radius box, or on a
-    # violation; region when the box sticks out of the radius box, is open
-    # on a side, or does not exist.
+    # global when violation_box lies inside the radius box, is empty on
+    # some axis, or on a violation; region when the box sticks out of the
+    # radius box, is open on a side, or does not exist, and is not empty.
     inst, body = split_1d
     cut = generate_cut(inst, body)
     assert check_cut_validity(inst, cut, 1).scope == "global"
@@ -800,6 +805,25 @@ def test_check_cut_scope(split_1d):
     assert report.valid_on_region and report.scope == "region"
     report = check_cut_validity(plane, negative, 5)
     assert report.violation.x == V(1, 3) and report.scope == "global"
+    # A box empty on axis 1 holds no lattice point, whatever axis 2 reads:
+    # alpha_1 = 4 puts the tip e1 / 4 short of x1 = 1, so x1 = 1/2 + s_1
+    # is an integer only at s_1 >= 1/2, where the cost is at least 2.
+    # Beside an axis left open by two zero coefficients:
+    open_plane = CornerInstance.make(
+        2, [Fraction(1, 2)] * 2, [[1, 0], [0, 1], [0, -1]]
+    )
+    open_cut = Cut((Fraction(4), Fraction(0), Fraction(0)), "")
+    assert cuts.violation_box(open_plane, open_cut.alpha) == ((1, 0), (None, None))
+    report = check_cut_validity(open_plane, open_cut, 2)
+    assert report.valid_on_region and report.scope == "global"
+    # beside an axis whose range {1..10} sticks out of the radius-2 box:
+    tall_cut = Cut((Fraction(4), Fraction(1, 10)), "")
+    assert cuts.violation_box(plane, tall_cut.alpha) == ((1, 0), (1, 10))
+    report = check_cut_validity(plane, tall_cut, 2)
+    assert report.valid_on_region and report.scope == "global"
+    # both still valid on a wider radius box
+    for inst, cut in ((open_plane, open_cut), (plane, tall_cut)):
+        assert per_point_check_cut_validity(inst, cut, 12).valid_on_region
 
 
 def test_split_check_takes_two_lps(split_1d, monkeypatch):

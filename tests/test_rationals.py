@@ -12,6 +12,7 @@ from polarcut.lp import LinearProgram
 from polarcut.polyhedra import membership, normalize
 from polarcut.rationals import (
     Scaled,
+    _canonical_columns,
     dot,
     integer_rows,
     is_integral,
@@ -19,6 +20,7 @@ from polarcut.rationals import (
     parse_rational,
     rational_pair,
     scaled,
+    scaled_columns,
     scaled_row,
     unscaled,
     vector,
@@ -160,7 +162,8 @@ def test_scaled_parse_matches_parse_rational(row):
     for k in range(5):
         spelled = [f[k % len(f)] for f in forms]
         assert scaled_row(spelled) == expected
-        assert points_from_json({"points": [spelled]}, len(row)) == (expected,)
+        (block,) = points_from_json({"points": [spelled]}, len(row))
+        assert block_points(block) == [tuple(row)]
 
 
 def test_scaled_forms_pass_through():
@@ -184,3 +187,93 @@ def test_scaled_rejects_bad_denominator(den):
         membership(k, Scaled((1, 2), den))
     with pytest.raises(ValueError, match="positive int"):
         gauge(k, Scaled((1, 2), den))
+
+
+def block_points(block):
+    """The rational points of a (cols, dens) block, checking its shape."""
+    cols, dens = block
+    assert all(type(d) is int and d > 0 for d in dens)
+    assert all(type(v) is int for col in cols for v in col)
+    assert all(len(col) == len(dens) for col in cols)
+    return [tuple(Fraction(col[k], d) for col in cols) for k, d in enumerate(dens)]
+
+
+def canonical_form(q):
+    """The spelling json_scalar writes: an int, or the text "p/q"."""
+    return q.numerator if q.denominator == 1 else str(q)
+
+
+# Entries the block path must hand to the row-by-row route: a digit string
+# past int()'s limit, a bool, a float, an empty text, texts holding the
+# block's separator or a comma, and a fullwidth digit.
+SPECIAL_SCALARS = ["9" * 5000, True, 0.5, "", "1\n2", "1,2", "\uff11"]
+
+
+def reference_rows(rows):
+    """scaled_row on each row: the rational points, or the text of the
+    first ValueError."""
+    try:
+        return [unscaled(scaled_row(row)) for row in rows]
+    except ValueError as exc:
+        return str(exc)
+
+
+def block_rows(rows, dim):
+    try:
+        return block_points(scaled_columns(rows, dim))
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.data())
+def test_scaled_columns_match_scaled_row(data):
+    # A block read whole equals scaled_row on each of its rows (the same
+    # rational points) or raises the same ValueError, whatever the
+    # spelling; a canonical block never goes row by row.
+    dim = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.lists(wide_rationals, min_size=dim, max_size=dim), max_size=6))
+    mode = data.draw(st.sampled_from(["canonical", "tolerant", "special"]))
+    spelled = []
+    for row in rows:
+        forms = []
+        for q in row:
+            choices = [canonical_form(q)]
+            if mode != "canonical":
+                choices += text_forms(q)
+            if mode == "special":
+                choices += SPECIAL_SCALARS
+            forms.append(data.draw(st.sampled_from(choices)))
+        spelled.append(forms)
+    expected = reference_rows(spelled)
+    assert block_rows(spelled, dim) == expected
+    if mode == "canonical":
+        assert expected == [tuple(row) for row in rows]
+        assert _canonical_columns(spelled, dim) is not None or not rows
+
+
+@pytest.mark.parametrize("special", SPECIAL_SCALARS, ids=repr)
+def test_scaled_columns_special_scalars(special):
+    # Each special entry, alone or among canonical rows, at the start, in
+    # the middle or at the end of the block: the error scaled_row raises.
+    with pytest.raises(ValueError) as excinfo:
+        rational_pair(special)
+    canonical = [[1, "-2/3"], ["5/7", 0], [-4, "9/2"]]
+    for k in range(3):
+        for j in range(2):
+            rows = [list(r) for r in canonical]
+            rows[k][j] = special
+            assert block_rows(rows, 2) == reference_rows(rows) == str(excinfo.value)
+    assert block_rows([[special]], 1) == str(excinfo.value)
+
+
+def test_scaled_columns_shape():
+    # int columns over each point's lcm of entry denominators (not reduced
+    # further), rows of another width or type refused, no rows no points
+    assert scaled_columns([["1/2", "1/3"], [4, "6/4"], ["0/5", 7]], 2) == (
+        ([3, 16, 0], [2, 6, 35]),
+        [6, 4, 5],
+    )
+    assert scaled_columns([], 3) == (([], [], []), [])
+    for rows in ([[1, 2, 3]], [[1]], ["12"], [(1, 2)], [None]):
+        with pytest.raises(ValueError, match="expected a list of 2 entries"):
+            scaled_columns(rows, 2)

@@ -82,5 +82,7 @@ def test_readme_python_blocks_state_their_values():
         "Scaled(ints=(2, 1), den=4)",
         "Fraction(1, 2)",
         "(Fraction(1, 2), Fraction(1, 4))",
+        "(([3, 2], [2, 1]), [1, 4])",
+        "[Fraction(3, 1), Fraction(1, 2)]",
     ]
 

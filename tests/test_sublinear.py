@@ -14,7 +14,7 @@ from conftest import (
     vadd,
     vscale,
 )
-from polarcut import sublinear
+from polarcut import jsonio, sublinear
 from polarcut.lp import LinearProgram, solve
 from polarcut.polyhedra import (
     HPolyhedron,
@@ -28,6 +28,7 @@ from polarcut.polyhedra import (
 )
 from polarcut.rationals import ZERO, dot, vector
 from polarcut.sublinear import (
+    block_values,
     check_unit_ball,
     gauge,
     minimal_sublinear,
@@ -422,3 +423,56 @@ def test_property_suite_matches_rational_route(broken, monkeypatch):
     for name in ("sandwich", "off_recession"):
         x = tally[name]["first_violation"]
         assert x is None or all(type(v) is Fraction for v in x)
+
+
+def zero_coefficient_set(rng, dim):
+    """A seeded canonical set in dim coordinates whose rows have zero
+    coefficients; a single row (a half-space) one time in four."""
+    while True:
+        count = 1 if rng.randrange(4) == 0 else rng.randint(2, 7)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(dim)] for _ in range(count)]
+        rhs = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in rows]
+        try:
+            return normalize(rows, rhs)
+        except ValueError:  # all rows zero or vacuous
+            continue
+
+
+def spelled_points(rng, dim, count):
+    """count seeded points, each entry an int or "p/q" text."""
+    out = []
+    for _ in range(count):
+        row = (Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(dim))
+        out.append([q.numerator if q.denominator == 1 else str(q) for q in row])
+    return out
+
+
+def test_block_values_match_per_point_evaluators():
+    # block_values on the blocks jsonio reads equals gauge and
+    # minimal_sublinear point by point, on seeded 1-5-D sets with zero
+    # coefficients (and single rows), for point counts about the block size.
+    rng = random.Random(256)
+    counts = (0, 1, 255, 256, 257, 513)
+    seen_zero = seen_single = 0
+    for dim in range(1, 6):
+        for count in counts:
+            h = zero_coefficient_set(rng, dim)
+            seen_zero += any(0 in a for a in h.compiled[0])
+            seen_single += len(h.rows) == 1
+            doc = {"points": spelled_points(rng, dim, count)}
+            points = [tuple(map(Fraction, row)) for row in doc["points"]]
+            blocks = list(jsonio.points_from_json(doc, dim))
+            assert [len(dens) for _, dens in blocks] == [
+                min(jsonio.POINT_BLOCK, count - start)
+                for start in range(0, count, jsonio.POINT_BLOCK)
+            ]
+            for clamp, evaluate in ((True, gauge), (False, minimal_sublinear)):
+                got = [v for block in blocks for v in block_values(h, block, clamp)]
+                assert got == [evaluate(h, x) for x in points], (dim, count, clamp)
+                assert all(type(v) is Fraction for v in got)
+    assert seen_zero >= 10 and seen_single >= 3
+
+
+def test_block_values_rejects_other_widths(quadrant_k):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        block_values(quadrant_k, (([1], [2], [3]), [1]), True)
