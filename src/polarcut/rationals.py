@@ -15,9 +15,9 @@ and unscaled() builds the rationals back for a value that is reported.
 
 Many points at once take a third form, int columns: scaled_columns()
 reads a block of rows into cols[j][k], the numerator of coordinate j of
-point k over that point's positive denominator dens[k]. A block in the
-canonical spelling (the one json_scalar writes) is parsed whole at C
-level; any other block goes row by row through scaled_row.
+point k over that point's positive denominator dens[k]. The block is
+parsed whole at C level, with rational_pair's grammar; scaled_row is
+called on its rows only to raise the first bad entry's error.
 
 The evaluators (gauge, minimal sublinear function, support, membership,
 recession test) and the LP solver do not use Fraction arithmetic on their
@@ -44,12 +44,15 @@ ONE = Fraction(1)
 # never "1/0", never a fullwidth or other non-ASCII digit.
 _RATIONAL_TEXT = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$", re.ASCII)
 
-# A block of scalars joined by "\n", each in the canonical spelling: an
-# ASCII int with an optional "-", then an optional "/q" with q > 0 and no
-# leading zero. Every text it accepts, _RATIONAL_TEXT reads the same way.
+# Matches at the start of the first line outside _RATIONAL_TEXT's grammar
+# in a block of scalars joined by "\n" (each stripped, its unicode minus
+# made "-"). A search for a bad line keeps no state from one line to the
+# next; a match of the whole block with a repeated group would stack a
+# backtracking point per entry (twice the time, and 0.5 MB, for 1,024
+# entries), and Python 3.10's re has no possessive quantifier to stop it.
 # Kept as text: re compiles it on first use (and caches it), so only the
 # commands that read query points pay for the compile at start-up.
-_CANONICAL_BLOCK = r"-?[0-9]++(?:/[1-9][0-9]*+)?+(?:\n-?[0-9]++(?:/[1-9][0-9]*+)?+)*+"
+_BAD_LINE = r"(?m)^(?![+-]?[0-9]+(?:/[1-9][0-9]*)?$)"
 
 Vec = tuple  # tuple of Fraction, one entry per coordinate
 
@@ -177,20 +180,22 @@ def scaled_row(values) -> Scaled:
     return Scaled(tuple(n // g for n in ints), den // g)
 
 
-def _canonical_columns(rows, dim: int):
-    """scaled_columns' result for rows that are lists of dim ints or
-    canonical texts; None for any other rows. Each pass runs over the whole
-    block in C: the scalars are joined as text, checked once against
-    _CANONICAL_BLOCK, split into "p/q/1" or "p/1" pieces (so piece[1] is
-    the denominator either way) and converted by int()."""
-    if not set(map(type, rows)) <= {list} or not set(map(len, rows)) <= {dim}:
+def _read_block(rows, dim: int):
+    """scaled_columns' result, or None for rows it does not read. Each pass
+    runs over the whole block in C: the entries are stripped and joined as
+    text, their unicode minus made "-", the text searched once for a
+    _BAD_LINE, split into "p/q/1" or "p/1" pieces (so piece[1] is the
+    denominator either way) and converted by int()."""
+    if not all(map(isinstance, rows, repeat(list))) or not set(map(len, rows)) <= {dim}:
         return None
     flat = list(chain.from_iterable(rows))
+    if not flat:  # no rows, or rows of width 0
+        return tuple([] for _ in range(dim)), [1] * len(rows)
     if not set(map(type, flat)) <= {int, str}:
         return None
     try:
-        text = "\n".join(map(str, flat))
-        if re.fullmatch(_CANONICAL_BLOCK, text) is None:
+        text = "\n".join(map(str.strip, map(str, flat))).replace("\u2212", "-")
+        if re.search(_BAD_LINE, text) is not None:
             return None
         pieces = (text.replace("\n", "/1\n") + "/1").split("\n")
         if len(pieces) != len(flat):  # some text held a "\n" of its own
@@ -210,24 +215,25 @@ def _canonical_columns(rows, dim: int):
 
 
 def scaled_columns(rows, dim: int) -> tuple[tuple, list]:
-    """The points of rows, each a list of dim JSON-level scalars, as int
-    columns (cols, dens): coordinate j of point k is cols[j][k] / dens[k],
-    with dens[k] > 0 the lcm of point k's entry denominators.
+    """The points of rows, each a list of dim JSON-level scalars (ints and
+    texts, as json.load makes them), as int columns (cols, dens):
+    coordinate j of point k is cols[j][k] / dens[k], with dens[k] > 0 the
+    lcm of point k's entry denominators.
 
-    Rows in the canonical spelling are read a block at a time; any other
-    rows are read one by one with scaled_row, so the first bad entry
-    raises rational_pair's ValueError, and a row that is not a list of dim
-    entries raises ValueError."""
-    block = _canonical_columns(rows, dim)
+    The block is read whole, with rational_pair's grammar. When it cannot
+    be, the rows are diagnosed in order: a row that is not a list of dim
+    entries raises ValueError, and scaled_row raises the first bad entry's
+    rational_pair error."""
+    block = _read_block(rows, dim)
     if block is not None:
         return block
-    points = []
     for row in rows:
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"expected a list of {dim} entries")
-        points.append(scaled_row(row))
-    cols = tuple([p.ints[j] for p in points] for j in range(dim))
-    return cols, [p.den for p in points]
+        scaled_row(row)
+    # every entry is a rational, yet not a JSON int or text that the block
+    # reader can spell out (an int subclass, an int past the str limit)
+    raise ValueError("expected JSON ints and rational texts")
 
 
 def scaled(x) -> Scaled:

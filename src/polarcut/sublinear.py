@@ -89,11 +89,17 @@ def block_values(h: HPolyhedron, block, clamp: bool) -> list:
     The pairings are int column passes: for each row a, the sum over j of
     a_j * cols[j], skipping a_j = 0; then the maximum over the rows (and
     0 when clamped) point by point. One Fraction is built per value, and
-    none for a gauge of 0."""
+    none for a gauge of 0. A hand-built block is checked as scaled()
+    checks a Scaled: every denominator must be a positive int."""
     cols, dens = block
     rows, den = h.compiled
     if len(cols) != h.dim:
         raise ValueError(f"dimension mismatch: {h.dim} vs {len(cols)}")
+    if not set(map(type, dens)) <= {int} or (dens and min(dens) <= 0):
+        bad = next(d for d in dens if type(d) is not int or d <= 0)
+        raise ValueError(f"a block denominator must be a positive int: {bad!r}")
+    if not set(map(len, cols)) <= {len(dens)}:
+        raise ValueError(f"every column must hold {len(dens)} points")
     pairs = []
     for a in rows:
         total = None

@@ -546,10 +546,10 @@ def query_doc(count):
 
 def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
     # gauge and rho on 1,000 canonically spelled points parse none of them
-    # with parse_rational or scaled_row (the row-by-row route), read them
-    # in blocks of at most 256 rows, and build one Fraction per reported
-    # value beyond what the set itself needs (measured on the same set
-    # with no points).
+    # with parse_rational or scaled_row (which only diagnoses a bad block),
+    # read them in blocks of at most 256 rows, and build one Fraction per
+    # reported value beyond what the set itself needs (measured on the
+    # same set with no points).
     counts = {"parse": 0, "fraction": 0, "row": 0}
     blocks = []
     real_parse = rationals.parse_rational
@@ -592,9 +592,14 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
         assert full["row"] == 0
         assert blocks == [256, 256, 256, 232]
         assert empty["fraction"] < full["fraction"] <= empty["fraction"] + 1000
-    # the counters see the row-by-row route when it is taken
+    # tolerant spellings are read whole too; the counter sees scaled_row
+    # when a bad entry is diagnosed, on the rows of its block up to it
     loose = query_doc(1000)
-    loose["points"][999][0] = " 1/2"
+    loose["points"][998][0] = " 1/2"
+    loose["points"][998][1] = "\u22127"
     counts.update(row=0)
     code, _, _ = run(capsys, "rho", write(tmp_path, "loose.json", loose))
-    assert code == 0 and counts["row"] == 1000 - 768  # the last block's rows
+    assert code == 0 and counts["row"] == 0
+    loose["points"][999][0] = "1.5"
+    code, _, _ = run(capsys, "rho", write(tmp_path, "bad.json", loose))
+    assert code == 2 and counts["row"] == 1000 - 768  # rows 768..999

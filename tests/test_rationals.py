@@ -12,7 +12,7 @@ from polarcut.lp import LinearProgram
 from polarcut.polyhedra import membership, normalize
 from polarcut.rationals import (
     Scaled,
-    _canonical_columns,
+    _read_block,
     dot,
     integer_rows,
     is_integral,
@@ -26,7 +26,7 @@ from polarcut.rationals import (
     vector,
     zero_vector,
 )
-from polarcut.sublinear import gauge
+from polarcut.sublinear import block_values, gauge
 
 rationals = st.fractions(max_denominator=512)
 wide_rationals = st.fractions(max_denominator=10**40)
@@ -187,6 +187,10 @@ def test_scaled_rejects_bad_denominator(den):
         membership(k, Scaled((1, 2), den))
     with pytest.raises(ValueError, match="positive int"):
         gauge(k, Scaled((1, 2), den))
+    # the same for a hand-built block of int columns
+    for clamp in (True, False):
+        with pytest.raises(ValueError, match="positive int"):
+            block_values(k, (([1, 3], [2, 1]), [1, den]), clamp)
 
 
 def block_points(block):
@@ -203,10 +207,25 @@ def canonical_form(q):
     return q.numerator if q.denominator == 1 else str(q)
 
 
-# Entries the block path must hand to the row-by-row route: a digit string
-# past int()'s limit, a bool, a float, an empty text, texts holding the
-# block's separator or a comma, and a fullwidth digit.
+# Entries the block reader must refuse with scaled_row's error: a digit
+# string past int()'s limit, a bool, a float, an empty text, texts holding
+# the block's separator or a comma, and a fullwidth digit; then a blank
+# inside, a signed, zero-led or unicode-minus denominator, and two signs.
 SPECIAL_SCALARS = ["9" * 5000, True, 0.5, "", "1\n2", "1,2", "\uff11"]
+SPECIAL_SCALARS += ["1 /2", "1/-2", "1/02", "1/\u22122", "+-1", "\u2212\u22121"]
+
+
+def more_forms(q):
+    """Tolerant spellings beyond text_forms: other blanks (tab, newline,
+    carriage return, no-break and ideographic space) and leading zeros."""
+    n, d = q.numerator, q.denominator
+    sign, digits = ("-", -n) if n < 0 else ("", n)
+    return [
+        f"\t{n}/{d}\n",
+        f"\u00a0{n}/{d}\u3000",
+        f"{n}/{d}\r\n",
+        f"{sign}00{digits}/{d}",
+    ]
 
 
 def reference_rows(rows):
@@ -229,7 +248,7 @@ def block_rows(rows, dim):
 def test_scaled_columns_match_scaled_row(data):
     # A block read whole equals scaled_row on each of its rows (the same
     # rational points) or raises the same ValueError, whatever the
-    # spelling; a canonical block never goes row by row.
+    # spelling; every block of rationals is read whole, tolerant ones too.
     dim = data.draw(st.integers(1, 4))
     rows = data.draw(st.lists(st.lists(wide_rationals, min_size=dim, max_size=dim), max_size=6))
     mode = data.draw(st.sampled_from(["canonical", "tolerant", "special"]))
@@ -239,16 +258,17 @@ def test_scaled_columns_match_scaled_row(data):
         for q in row:
             choices = [canonical_form(q)]
             if mode != "canonical":
-                choices += text_forms(q)
+                choices += text_forms(q) + more_forms(q)
             if mode == "special":
                 choices += SPECIAL_SCALARS
             forms.append(data.draw(st.sampled_from(choices)))
         spelled.append(forms)
     expected = reference_rows(spelled)
     assert block_rows(spelled, dim) == expected
-    if mode == "canonical":
+    if mode != "special":
         assert expected == [tuple(row) for row in rows]
-        assert _canonical_columns(spelled, dim) is not None or not rows
+    if not isinstance(expected, str):
+        assert block_points(_read_block(spelled, dim)) == expected
 
 
 @pytest.mark.parametrize("special", SPECIAL_SCALARS, ids=repr)
@@ -274,6 +294,15 @@ def test_scaled_columns_shape():
         [6, 4, 5],
     )
     assert scaled_columns([], 3) == (([], [], []), [])
+    assert scaled_columns([[], []], 0) == ((), [1, 1])
+
+    class Count(int):
+        pass
+
+    # a rational, but not the int json.load makes: refused by the block
+    assert scaled_row([Count(3)]) == Scaled((3,), 1)
+    with pytest.raises(ValueError, match="expected JSON ints and rational texts"):
+        scaled_columns([[Count(3)]], 1)
     for rows in ([[1, 2, 3]], [[1]], ["12"], [(1, 2)], [None]):
         with pytest.raises(ValueError, match="expected a list of 2 entries"):
             scaled_columns(rows, 2)

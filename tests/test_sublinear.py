@@ -473,6 +473,9 @@ def test_block_values_match_per_point_evaluators():
     assert seen_zero >= 10 and seen_single >= 3
 
 
-def test_block_values_rejects_other_widths(quadrant_k):
+def test_block_values_rejects_bad_shapes(quadrant_k):
+    # a block of another width, or with columns shorter than its dens
     with pytest.raises(ValueError, match="dimension mismatch"):
         block_values(quadrant_k, (([1], [2], [3]), [1]), True)
+    with pytest.raises(ValueError, match="every column must hold 2 points"):
+        block_values(quadrant_k, (([1, 2], [3]), [1, 1]), False)
