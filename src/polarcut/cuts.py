@@ -419,7 +419,7 @@ def maximality_certificate(
     anything else is labelled heuristic. The body is bounded iff sup_over
     is finite at +e_d and -e_d for every axis d."""
     heuristic = bool(inst.p_rows) or any(
-        sup_over(body.rows, tuple(s if j == d else ZERO for j in range(body.dim)))
+        sup_over(body.compiled, tuple(s if j == d else ZERO for j in range(body.dim)))
         is None
         for d in range(body.dim)
         for s in (ONE, -ONE)

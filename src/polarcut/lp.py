@@ -236,17 +236,17 @@ def solve(lp: LinearProgram) -> LPOutcome:
     tab = []
     dens = []
     flip = []
+    pad = [0] * (ncols - nu)
     for i, (coeffs, rel, b) in enumerate(lp.rows):
         (ints,), den = integer_rows([(*coeffs, b)])
         s = -1 if ints[-1] < 0 else 1
-        row = [0] * (ncols + 1)
-        for k, (j, sg) in enumerate(ucols):
-            row[k] = s * sg * ints[j]
+        row = [s * sg * ints[j] for j, sg in ucols]
+        row += pad
+        row.append(s * ints[-1])
         if i in slack_of:
             row[slack_of[i]] = s * den
         if i in art_of:
             row[art_of[i]] = den
-        row[-1] = s * ints[-1]
         tab.append(row)
         dens.append(den)
         flip.append(s)
@@ -298,11 +298,12 @@ def solve(lp: LinearProgram) -> LPOutcome:
     dens.append(den)
     status, enter = _run_simplex(tab, dens, basis, range(art0))
 
+    # A free variable's two columns are opposite, so at most one is basic.
     point = [ZERO] * n
     for i, b in enumerate(basis):
         if b < nu:
             j, sg = ucols[b]
-            point[j] += Fraction(sg * tab[i][-1], dens[i])
+            point[j] = Fraction(sg * tab[i][-1], dens[i])
     point = tuple(point)
 
     if status == "unbounded":

@@ -18,6 +18,9 @@ in the polar. It decides row redundancy here, condition (b) of
 sublinear.check_unit_ball, and boundedness in cuts.maximality_certificate
 (sigma_K is finite along every axis, both ways, iff K is bounded). Its
 program over the rows other than a_i, at a_i, also yields exposed_witness.
+It poses the set in its compiled form (int rows r over a common
+denominator den, the program's rows <r, x> <= den), so the LP reads ints
+and no caller converts a row twice: each caller compiles its rows once.
 
 The evaluators run fraction-free: each set (and each generator set) is
 compiled once into integer rows over one common denominator, and a pairing
@@ -130,23 +133,32 @@ class HullVerdict:
     separator: tuple | None = None
 
 
-def _support_lp(rows, v: Vec) -> lp.LPOutcome:
-    """max <v, x> over {x : <a, x> <= 1 for a in rows}. The origin is
-    feasible, so the simplex starts there, on the slack basis, no phase 1."""
+def _support_lp(compiled: tuple, v: Vec) -> lp.LPOutcome:
+    """max <v, x> over {x : <r, x> <= den for r in rows}, for compiled =
+    (rows, den). The origin is feasible, so the simplex starts there, on
+    the slack basis, no phase 1."""
+    rows, den = compiled
     return lp.solve(
         lp.LinearProgram(
             direction="max",
             objective=v,
-            rows=tuple((a, "<=", ONE) for a in rows),
+            rows=tuple((r, "<=", den) for r in rows),
             bounds=("free",) * len(v),
         )
     )
 
 
-def sup_over(rows, v: Vec):
-    """sup of <v, x> over {x : <a, x> <= 1 for a in rows}, exactly; None
-    when the sup is unbounded. Any other LP status is an internal fault."""
-    outcome = _support_lp(rows, v)
+def sup_over(compiled: tuple, v: Vec):
+    """sup of <v, x> over the set {x : <r, x> <= den for r in rows},
+    exactly, for compiled = (int rows, den > 0), a set's .compiled form or
+    integer_rows of some rows a (then the set is {x : <a, x> <= 1}); None
+    when the sup is unbounded. Any other LP status is an internal fault.
+
+    Each row is the rational row scaled by den > 0, so the set, the
+    simplex's pivots, its point and its value are those of the rational
+    rows. Its duals come out divided by den, and a ray along an entering
+    slack too; no caller reads either."""
+    outcome = _support_lp(compiled, v)
     if outcome.status == "unbounded":
         return None
     if outcome.status != "optimal":
@@ -161,23 +173,28 @@ def remove_redundancy(dim: int, rows) -> HPolyhedron:
 
     Row i is redundant exactly when sup_over(the remaining rows, a_i) stays
     <= 1. Rows are filtered sequentially so the survivors are mutually
-    irredundant; the result is a subset of the input rows.
+    irredundant; the result is a subset of the input rows. The rows are
+    compiled once, and an int row is dropped together with its rational
+    row.
     """
     kept = []
     for a in rows:
         if a not in kept:
             kept.append(a)
+    ints, den = integer_rows(kept)
+    ints = list(ints)
     i = 0
     while i < len(kept):
-        others = kept[:i] + kept[i + 1 :]
+        others = ints[:i] + ints[i + 1 :]
         if not others:
             i += 1
             continue
-        top = sup_over(others, kept[i])
+        top = sup_over((others, den), kept[i])
         if top is None or top > 1:
             i += 1
         else:
             kept.pop(i)
+            ints.pop(i)
     return HPolyhedron(dim, tuple(kept))
 
 
@@ -287,9 +304,11 @@ def exposed_witness(h: HPolyhedron, row_index: int) -> Vec:
     others: the support LP of the other rows at a_i, its maximizer scaled
     onto the row. The row is irredundant exactly when that LP exceeds 1: an
     optimal x of value above 1 gives x / <a_i, x>, an unbounded sup its
-    improving ray d as d / <a_i, d>. Anything else is an internal fault."""
+    improving ray d as d / <a_i, d>, which no positive scale of d changes.
+    Anything else is an internal fault."""
     a_i = h.rows[row_index]
-    outcome = _support_lp(h.rows[:row_index] + h.rows[row_index + 1 :], a_i)
+    rows, den = h.compiled
+    outcome = _support_lp((rows[:row_index] + rows[row_index + 1 :], den), a_i)
     if outcome.status == "unbounded":
         x, top = outcome.ray, dot(a_i, outcome.ray)
     elif outcome.status == "optimal" and outcome.value > 1:

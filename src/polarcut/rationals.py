@@ -21,9 +21,11 @@ called on its rows only to raise the first bad entry's error.
 
 The evaluators (gauge, minimal sublinear function, support, membership,
 recession test) and the LP solver do not use Fraction arithmetic on their
-hot paths: integer_rows() turns a set's rows and each LP row into Python
-ints over one common denominator, the pairings are int dot products with
-a scaled point, the simplex tableau is fraction-free, and a Fraction is
+hot paths: integer_rows() turns a set's rows into Python ints over one
+common denominator once (the set's compiled form, which every LP over the
+set poses as its rows), the pairings are int dot products with a scaled
+point, lp.solve reads each program row through integer_rows too (ints are
+read at C speed), the simplex tableau is fraction-free, and a Fraction is
 built only for a value that is returned.
 """
 

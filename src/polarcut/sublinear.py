@@ -45,11 +45,9 @@ from .polyhedra import (
     in_recession,
     membership,
     pairings,
-    polar,
     sup_over,
 )
 from .rationals import (
-    ONE,
     ZERO,
     Scaled,
     Vec,
@@ -126,8 +124,8 @@ def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
 
     Two exact conditions: (a) every row of h lies in the hull of the
     generators, so the support dominates the minimal evaluator; (b) every
-    generator v lies in the polar, i.e. sup_over(h.rows, v) is finite and
-    at most 1, so the gauge dominates the support. Generators that are
+    generator v lies in the polar, i.e. sup_over(h.compiled, v) is finite
+    and at most 1, so the gauge dominates the support. Generators that are
     literal rows of h satisfy (b) by definition of K and are skipped, as is
     the zero vector.
     """
@@ -140,7 +138,7 @@ def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
     for v in gens.points:
         if v in row_set or is_zero_vector(v):
             continue
-        top = sup_over(h.rows, v)
+        top = sup_over(h.compiled, v)
         if top is None or top > 1:
             return False
     return True
@@ -149,20 +147,20 @@ def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
 def random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPolytope:
     """Seeded valid generator set: the rows of h plus `count` random exact
     convex combinations of the origin and the rows (duplicates merged).
-    Always passes check_unit_ball by construction."""
+    Always passes check_unit_ball by construction. Weight 0 is the
+    origin's, and each coordinate is one int sum over h.compiled's
+    columns."""
     rng = random.Random(seed)
-    anchors = polar(h).points
+    rows, den = h.compiled
+    cols = tuple(zip(*rows))
     gens = list(h.rows)
     seen = set(gens)
     for _ in range(count):
-        weights = [rng.randint(0, 4) for _ in anchors]
+        weights = [rng.randint(0, 4) for _ in range(len(rows) + 1)]
         if sum(weights) == 0:
             weights[0] = 1
-        total = sum(weights)
-        point = tuple(
-            Fraction(sum(w * anchor[d] for w, anchor in zip(weights, anchors)), total)
-            for d in range(h.dim)
-        )
+        scale = sum(weights) * den
+        point = tuple(Fraction(sum(map(mul, weights[1:], col)), scale) for col in cols)
         if point not in seen:
             seen.add(point)
             gens.append(point)
@@ -220,14 +218,15 @@ def polar_support_lp(h: HPolyhedron, x):
     multipliers of {0} union rows. The objective is polyhedra.pairings of
     x with the rows, shared with the direct evaluators; only the maximum,
     taken by the LP, is an independent step. The pairings' one positive
-    scale divides the optimum."""
+    scale divides the optimum. The program is posed in ints, its one row
+    the simplex's."""
     values, scale = pairings(h.compiled, x)
     npts = len(values) + 1
     outcome = lp.solve(
         lp.LinearProgram(
             direction="max",
             objective=(0, *values),
-            rows=(((ONE,) * npts, "=", ONE),),
+            rows=(((1,) * npts, "=", 1),),
             bounds=("nonneg",) * npts,
         )
     )

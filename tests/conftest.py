@@ -8,7 +8,9 @@ whose optimal and Farkas branches each had their own dual test),
 Fraction-arithmetic sample mixes and lattice scans, the recession-cone
 LPs that decided boundedness before polyhedra.sup_over, the margin LP
 that found exposed witnesses before the support LP did, the property
-suite fed rational samples, and check-cut's one LP per lattice point.
+suite fed rational samples, check-cut's one LP per lattice point, and
+the support LPs over a set's Fraction rows with the generator sets summed
+in Fractions, from before every such LP read the set's compiled int rows.
 They are deliberately slow and simple.
 """
 
@@ -21,11 +23,11 @@ from itertools import combinations, product
 import pytest
 
 from polarcut import lp as lp_module
-from polarcut import sublinear
+from polarcut import polyhedra, sublinear
 from polarcut.cuts import CutViolation, ValidityReport
 from polarcut.lp import LinearProgram, LPOutcome, solve
-from polarcut.polyhedra import HPolyhedron, membership, normalize
-from polarcut.rationals import ONE, ZERO, dot
+from polarcut.polyhedra import HPolyhedron, VPolytope, membership, normalize
+from polarcut.rationals import ONE, ZERO, dot, is_zero_vector
 
 
 # ------------------------------------------------- rational vector arithmetic
@@ -161,7 +163,10 @@ def fraction_solve(lp: LinearProgram, every_row_artificial: bool = False):
     phase 1 runs only when some row has an artificial. With
     every_row_artificial every row gets one and phase 1 always runs: the
     start lp.solve used before it began on the slack basis, kept as the
-    slow reference for that change."""
+    slow reference for that change.
+
+    Every coefficient, right-hand side and cost is taken as a Fraction on
+    entry, so a program posed in ints is solved exactly too."""
     pivots = []
 
     def pivot(tab, rhs, objrow, value, basis, leave, enter):
@@ -239,6 +244,7 @@ def fraction_solve(lp: LinearProgram, every_row_artificial: bool = False):
 
     tab, rhs, flip = [], [], []
     for i, (coeffs, rel, b) in enumerate(lp.rows):
+        coeffs, b = tuple(map(Fraction, coeffs)), Fraction(b)
         row = [ZERO] * ncols
         for k, (j, sg) in enumerate(ucols):
             row[k] = sg * coeffs[j]
@@ -275,7 +281,7 @@ def fraction_solve(lp: LinearProgram, every_row_artificial: bool = False):
 
     cost2 = [ZERO] * ncols
     for k, (j, sg) in enumerate(ucols):
-        cost2[k] = sg * sense * lp.objective[j]
+        cost2[k] = sg * sense * Fraction(lp.objective[j])
     objrow, value = build_objrow(tab, rhs, basis, cost2)
     status, value, enter = run_simplex(tab, rhs, objrow, value, basis, range(art0))
 
@@ -613,6 +619,165 @@ def margin_exposed_witness(h: HPolyhedron, row_index: int):
     if outcome.status != "optimal" or outcome.value <= 0:
         raise RuntimeError(f"row {row_index} admits no strictly exposed point")
     return outcome.point[: h.dim]
+
+
+# ------------------------------------------------- Fraction-row support LPs
+
+
+def pivots_logged(run, *args):
+    """run(*args) with the (leave, enter) sequence of every lp.solve pivot
+    it makes, leftover-artificial pivots included, in the form
+    fraction_solve returns."""
+    pivots = []
+    step = lp_module._pivot
+
+    def logged(tab, dens, basis, leave, enter):
+        pivots.append((leave, enter))
+        step(tab, dens, basis, leave, enter)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_module, "_pivot", logged)
+        result = run(*args)
+    return result, pivots
+
+
+def programs_logged(run, *args):
+    """run(*args) with every program that lp.solve is given, in order."""
+    programs = []
+    solve_ = lp_module.solve
+
+    def recorded(program):
+        programs.append(program)
+        return solve_(program)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp_module, "solve", recorded)
+        result = run(*args)
+    return result, programs
+
+
+def fraction_support_lp(rows, v):
+    """Reference for polyhedra._support_lp: max <v, x> over the rational
+    rows themselves, each posed as (a, '<=', 1)."""
+    return lp_module.solve(
+        LinearProgram(
+            direction="max",
+            objective=v,
+            rows=tuple((a, "<=", ONE) for a in rows),
+            bounds=("free",) * len(v),
+        )
+    )
+
+
+def fraction_sup_over(rows, v):
+    """Reference for polyhedra.sup_over over the rational rows."""
+    outcome = fraction_support_lp(rows, v)
+    if outcome.status == "unbounded":
+        return None
+    assert outcome.status == "optimal", outcome.status
+    return outcome.value
+
+
+def fraction_remove_redundancy(dim: int, rows) -> HPolyhedron:
+    """Reference for polyhedra.remove_redundancy: each test poses the
+    remaining rational rows."""
+    kept = []
+    for a in rows:
+        if a not in kept:
+            kept.append(a)
+    i = 0
+    while i < len(kept):
+        others = kept[:i] + kept[i + 1 :]
+        if not others:
+            i += 1
+            continue
+        top = fraction_sup_over(others, kept[i])
+        if top is None or top > 1:
+            i += 1
+        else:
+            kept.pop(i)
+    return HPolyhedron(dim, tuple(kept))
+
+
+def fraction_exposed_witness(h: HPolyhedron, row_index: int):
+    """Reference for polyhedra.exposed_witness: the support LP of the other
+    rational rows at a_i, its maximizer or ray scaled onto the row."""
+    a_i = h.rows[row_index]
+    outcome = fraction_support_lp(h.rows[:row_index] + h.rows[row_index + 1 :], a_i)
+    if outcome.status == "unbounded":
+        x, top = outcome.ray, dot(a_i, outcome.ray)
+    elif outcome.status == "optimal" and outcome.value > 1:
+        x, top = outcome.point, outcome.value
+    else:
+        raise RuntimeError(f"row {row_index} admits no strictly exposed point")
+    return tuple(c / top for c in x)
+
+
+def fraction_check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
+    """Reference for sublinear.check_unit_ball: condition (b) by the support
+    LP over the rational rows."""
+    if gens.dim != h.dim:
+        raise ValueError("generator dimension differs from the set's")
+    for a in h.rows:
+        if not sublinear.hull_membership(a, gens).inside:
+            return False
+    row_set = set(h.rows)
+    for v in gens.points:
+        if v in row_set or is_zero_vector(v):
+            continue
+        top = fraction_sup_over(h.rows, v)
+        if top is None or top > 1:
+            return False
+    return True
+
+
+def fraction_polar_support_lp(h: HPolyhedron, x):
+    """Reference for sublinear.polar_support_lp: its simplex row posed in
+    Fractions."""
+    values, scale = sublinear.pairings(h.compiled, x)
+    npts = len(values) + 1
+    outcome = lp_module.solve(
+        LinearProgram(
+            direction="max",
+            objective=(0, *values),
+            rows=(((ONE,) * npts, "=", ONE),),
+            bounds=("nonneg",) * npts,
+        )
+    )
+    assert outcome.status == "optimal", outcome.status
+    return outcome.value / scale
+
+
+def fraction_random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPolytope:
+    """Reference for sublinear.random_unit_ball_rep: each point a Fraction
+    sum over the polar's points, the origin first."""
+    rng = random.Random(seed)
+    anchors = polyhedra.polar(h).points
+    gens = list(h.rows)
+    seen = set(gens)
+    for _ in range(count):
+        weights = [rng.randint(0, 4) for _ in anchors]
+        if sum(weights) == 0:
+            weights[0] = 1
+        total = sum(weights)
+        point = tuple(
+            Fraction(sum(w * anchor[d] for w, anchor in zip(weights, anchors)), total)
+            for d in range(h.dim)
+        )
+        if point not in seen:
+            seen.add(point)
+            gens.append(point)
+    return VPolytope(h.dim, tuple(gens))
+
+
+def use_fraction_routes(mp: pytest.MonkeyPatch) -> None:
+    """Put the references above in place of the routes they replaced, where
+    normalize and property_suite look them up."""
+    mp.setattr(polyhedra, "remove_redundancy", fraction_remove_redundancy)
+    mp.setattr(sublinear, "check_unit_ball", fraction_check_unit_ball)
+    mp.setattr(sublinear, "exposed_witness", fraction_exposed_witness)
+    mp.setattr(sublinear, "polar_support_lp", fraction_polar_support_lp)
+    mp.setattr(sublinear, "random_unit_ball_rep", fraction_random_unit_ball_rep)
 
 
 # ------------------------------------------------------- lattice scan oracles

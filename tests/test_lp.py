@@ -11,6 +11,8 @@ from conftest import (
     fraction_solve,
     margin_exposed_witness,
     needs_artificial,
+    pivots_logged,
+    programs_logged,
     random_lp,
     reference_verify_certificate,
 )
@@ -24,7 +26,7 @@ from polarcut.polyhedra import (
     random_polyhedron,
     sup_over,
 )
-from polarcut.rationals import ONE, ZERO, dot
+from polarcut.rationals import ONE, ZERO, dot, integer_rows
 from polarcut.sublinear import (
     check_unit_ball,
     polar_support_lp,
@@ -254,25 +256,8 @@ def test_random_lp_draws_on_every_seed():
             assert len(program.rows) <= max(free, 9)
 
 
-def _pivots_logged(run, *args):
-    """run(*args) with the (leave, enter) sequence of every lp.solve pivot
-    it makes, leftover-artificial pivots included, in the form
-    fraction_solve returns."""
-    pivots = []
-    step = lp_module._pivot
-
-    def logged(tab, dens, basis, leave, enter):
-        pivots.append((leave, enter))
-        step(tab, dens, basis, leave, enter)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp_module, "_pivot", logged)
-        result = run(*args)
-    return result, pivots
-
-
 def _solve_logged(program):
-    return _pivots_logged(solve, program)
+    return pivots_logged(solve, program)
 
 
 def _battery():
@@ -388,16 +373,9 @@ def _polyhedron_programs():
     check_unit_ball on a random generator set, sup_over at +-e_d, and at
     sample points the all-'=' programs of polar_support_lp and of
     hull_membership in the polar."""
-    programs = []
-    record = lp_module.solve
 
-    def recorded(program):
-        programs.append(program)
-        return record(program)
-
-    rng = random.Random(1729)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp_module, "solve", recorded)
+    def pose():
+        rng = random.Random(1729)
         for index in range(12):
             dim = rng.randint(1, 4)
             h = random_polyhedron(dim, rng.randint(dim + 1, dim + 4), rng)
@@ -408,10 +386,12 @@ def _polyhedron_programs():
             for d in range(dim):
                 for sign in (ONE, -ONE):
                     axis = tuple(sign if j == d else ZERO for j in range(dim))
-                    sup_over(h.rows, axis)
+                    sup_over(h.compiled, axis)
             for x in sample_points(h, index, 12):
                 polar_support_lp(h, x)
                 hull_membership(x, polar(h))
+
+    _, programs = programs_logged(pose)
     return programs
 
 
@@ -474,7 +454,7 @@ def test_sup_over_square_takes_two_pivots():
     # phase 1; one pivot per coordinate (eight with every row artificial).
     square = ((1, 0), (-1, 0), (0, 1), (0, -1))
     rows = tuple(tuple(Fraction(c) for c in a) for a in square)
-    value, pivots = _pivots_logged(sup_over, rows, (ONE, ONE))
+    value, pivots = pivots_logged(sup_over, integer_rows(rows), (ONE, ONE))
     assert value == 2
     assert pivots == [(0, 0), (2, 2)]
 
@@ -486,20 +466,13 @@ def test_exposed_witness_square_takes_no_pivot():
     # pivot at all. The margin LP it replaced took three on each row.
     square = ((1, 0), (-1, 0), (0, 1), (0, -1))
     h = HPolyhedron(2, tuple(tuple(Fraction(c) for c in a) for a in square))
-    programs = []
-    record = lp_module.solve
-
-    def recorded(program):
-        programs.append(program)
-        return record(program)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp_module, "solve", recorded)
-        logged = [_pivots_logged(exposed_witness, h, i) for i in range(4)]
+    logged, programs = programs_logged(
+        lambda: [pivots_logged(exposed_witness, h, i) for i in range(4)]
+    )
     assert logged == [(row, []) for row in h.rows]
     assert len(programs) == 4
     assert not any(needs_artificial(row) for p in programs for row in p.rows)
-    reference = [_pivots_logged(margin_exposed_witness, h, i) for i in range(4)]
+    reference = [pivots_logged(margin_exposed_witness, h, i) for i in range(4)]
     assert [len(pivots) for _, pivots in reference] == [3] * 4
 
 

@@ -1,16 +1,23 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     cone_is_pointed,
+    fraction_exposed_witness,
+    fraction_remove_redundancy,
+    fraction_support_lp,
     margin_exposed_witness,
+    pivots_logged,
     recheck_hull_verdict,
     vadd,
     vscale,
 )
-from polarcut import lp
+from polarcut import lp, polyhedra
 from polarcut.polyhedra import (
     HPolyhedron,
     ImproperSetError,
@@ -26,7 +33,14 @@ from polarcut.polyhedra import (
     remove_redundancy,
     sup_over,
 )
-from polarcut.rationals import dot, vector, zero_vector
+from polarcut.rationals import (
+    ONE,
+    dot,
+    integer_rows,
+    is_zero_vector,
+    vector,
+    zero_vector,
+)
 from polarcut.sublinear import sample_points
 
 
@@ -212,7 +226,7 @@ def test_exposed_witness_matches_margin_lp():
     for h in sets:
         for i, row in enumerate(h.rows):
             others = h.rows[:i] + h.rows[i + 1 :]
-            top = sup_over(others, row) if others else None
+            top = sup_over(integer_rows(others), row) if others else None
             seen["unbounded" if top is None else "bounded"] += 1
             w = exposed_witness(h, i)
             assert w == margin_exposed_witness(h, i)
@@ -283,7 +297,7 @@ def test_sup_over_decides_polar_membership():
         h = random_polyhedron(dim, rng.randint(dim, dim + 4), rng)
         seen["bounded" if cone_is_pointed(h) else "unbounded"] += 1
         for a in h.rows:
-            assert sup_over(h.rows, a) == 1
+            assert sup_over(h.compiled, a) == 1
         points = [
             tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim))
             for _ in range(8)
@@ -294,7 +308,7 @@ def test_sup_over_decides_polar_membership():
             points.append(vscale(t / 2, vadd(a, b)))
         polar_h = polar(h)
         for v in points:
-            top = sup_over(h.rows, v)
+            top = sup_over(h.compiled, v)
             inside = hull_membership(v, polar_h).inside
             assert (top is not None and top <= 1) == inside
             seen["inside" if inside else "outside"] += 1
@@ -305,7 +319,7 @@ def test_sup_over_refuses_an_impossible_status(monkeypatch):
     # The origin is feasible, so an infeasible support LP is a fault.
     monkeypatch.setattr(lp, "solve", lambda program: lp.LPOutcome(status="infeasible"))
     with pytest.raises(RuntimeError, match="infeasible"):
-        sup_over((V(1, 0),), V(0, 1))
+        sup_over(integer_rows((V(1, 0),)), V(0, 1))
 
 
 @pytest.mark.parametrize("status", ["unbounded", "nonsense"])
@@ -315,3 +329,111 @@ def test_hull_membership_refuses_an_impossible_status(monkeypatch, status):
     monkeypatch.setattr(lp, "solve", lambda program: lp.LPOutcome(status=status))
     with pytest.raises(RuntimeError, match=status):
         hull_membership(V(1, 1), VPolytope(2, (V(0, 0), V(1, 0))))
+
+
+# The support LPs pose a set's compiled int rows <r, x> <= den. The routes
+# they replaced posed its Fraction rows <a, x> <= 1 (conftest): the same
+# set, so the same pivots, point and value, and a ray at most rescaled.
+
+
+def _same_support_lp(compiled, rows, v) -> str:
+    """The support LP of compiled and of the rational rows it compiles, at
+    v, agree: pivots, status, value and point, and rays up to a positive
+    factor. Returns the status."""
+    outcome, pivots = pivots_logged(polyhedra._support_lp, compiled, v)
+    reference, reference_pivots = pivots_logged(fraction_support_lp, rows, v)
+    assert pivots == reference_pivots
+    assert (outcome.status, outcome.value, outcome.point) == (
+        reference.status,
+        reference.value,
+        reference.point,
+    )
+    if outcome.status == "unbounded":
+        k = next(k for k, r in enumerate(reference.ray) if r)
+        t = outcome.ray[k] / reference.ray[k]
+        assert t > 0
+        assert outcome.ray == tuple(t * r for r in reference.ray)
+    return outcome.status
+
+
+def _routes_agree(dim: int, rows, seen: Counter) -> None:
+    """remove_redundancy, sup_over at the rows, the axes and a random
+    direction, and exposed_witness on every row, by the compiled int rows
+    and by the Fraction rows: identical results and pivot sequences."""
+    h, pivots = pivots_logged(remove_redundancy, dim, rows)
+    assert (h, pivots) == pivots_logged(fraction_remove_redundancy, dim, rows)
+    seen["dropped rows"] += len(set(rows)) > len(h.rows)
+    seen["one row"] += len(h.rows) == 1
+    axes = [
+        tuple(s if j == d else 0 for j in range(dim))
+        for d in range(dim)
+        for s in (ONE, -ONE)
+    ]
+    for v in (*h.rows, *axes, vadd(h.rows[0], h.rows[-1])):
+        seen[_same_support_lp(h.compiled, h.rows, v)] += 1
+    ints, den = h.compiled
+    for i, a in enumerate(h.rows):
+        others = ints[:i] + ints[i + 1 :]
+        _same_support_lp((others, den), h.rows[:i] + h.rows[i + 1 :], a)
+        witness = pivots_logged(exposed_witness, h, i)
+        assert witness == pivots_logged(fraction_exposed_witness, h, i)
+
+
+def _raw_rows(rng: random.Random, dim: int, count: int) -> list:
+    """count nonzero rows: small entries with zeros among them, and now and
+    then an entry with a huge denominator."""
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.25:
+            return Fraction(0)
+        if kind < 0.35:
+            return Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**30))
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    rows = []
+    while len(rows) < count:
+        a = tuple(entry() for _ in range(dim))
+        if not is_zero_vector(a):
+            rows.append(a)
+    return rows
+
+
+def test_compiled_support_lps_match_fraction_rows():
+    rng = random.Random(4181)
+    raw = [[tuple(map(Fraction, a)) for a in rows] for rows in DEGENERATE_SETS]
+    for _ in range(10):
+        raw.append(_raw_rows(rng, rng.randint(1, 5), 1))
+    for _ in range(60):
+        dim = rng.randint(1, 5)
+        raw.append(_raw_rows(rng, dim, rng.randint(2, dim + 6)))
+    seen = Counter()
+    bounded = 0
+    for rows in raw:
+        _routes_agree(len(rows[0]), rows, seen)
+        bounded += cone_is_pointed(remove_redundancy(len(rows[0]), rows))
+    kinds = ("optimal", "unbounded", "dropped rows", "one row")
+    assert min(seen[kind] for kind in kinds) >= 10, seen
+    assert 10 <= bounded <= len(raw) - 10, bounded
+
+
+_huge = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+_small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _sets(draw):
+    """1-5-D nonzero rows with zero, small and huge-denominator entries."""
+    dim = draw(st.integers(1, 5))
+    entries = st.one_of(st.just(Fraction(0)), _small, _small, _huge)
+    row = st.tuples(*[entries] * dim).filter(lambda a: not is_zero_vector(a))
+    return dim, draw(st.lists(row, min_size=1, max_size=7))
+
+
+@example((1, [(Fraction(1, 10**40),)]))
+@example((2, [(ONE, Fraction(0)), (Fraction(2), Fraction(0)), (Fraction(0), ONE)]))
+@given(_sets())
+@settings(max_examples=150, deadline=None)
+def test_compiled_support_lps_match_fraction_rows_on_drawn_sets(drawn):
+    dim, rows = drawn
+    _routes_agree(dim, rows, Counter())

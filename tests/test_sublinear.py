@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    fraction_random_unit_ball_rep,
     fraction_sample_points,
     gauge_bracket,
+    programs_logged,
     rational_property_suite,
+    use_fraction_routes,
     vadd,
     vscale,
 )
@@ -479,3 +482,74 @@ def test_block_values_rejects_bad_shapes(quadrant_k):
         block_values(quadrant_k, (([1], [2], [3]), [1]), True)
     with pytest.raises(ValueError, match="every column must hold 2 points"):
         block_values(quadrant_k, (([1, 2], [3]), [1, 1]), False)
+
+
+def _generator_sets():
+    """Seeded 1-5-D sets, bounded and unbounded, one with a single row and
+    one with huge denominators."""
+    rng = random.Random(6765)
+    sets = [normalize([(3, 0)], [2])]
+    sets.append(
+        normalize(
+            [(Fraction(1, 10**30), 7), (-5, Fraction(3, 10**29 + 1)), (0, -1)],
+            [1, 1, Fraction(2, 3)],
+        )
+    )
+    for _ in range(8):
+        dim = rng.randint(1, 5)
+        sets.append(random_polyhedron(dim, rng.randint(1, dim + 5), rng))
+    return sets
+
+
+def test_random_unit_ball_rep_matches_fraction_sums():
+    # The int column sums over h.compiled give the very generator tuples
+    # that the Fraction sums over the polar's points gave, seed by seed.
+    for h in _generator_sets():
+        for seed in range(50):
+            for count in (0, 1, 5):
+                gens = random_unit_ball_rep(h, seed, count)
+                assert gens == fraction_random_unit_ball_rep(h, seed, count)
+
+
+def _suite(raw_sets, seed: int, samples: int):
+    """normalize on each raw set, then property_suite on the sets."""
+    sets = [normalize(rows, [1] * len(rows)) for rows in raw_sets]
+    return sets, property_suite(sets, seed, samples)
+
+
+def test_support_lps_pose_int_rows_as_often_as_the_fraction_routes():
+    # Guarded by counts, not timing: every program of normalize and of the
+    # property suite is a support LP ('<=' rows, free variables) or
+    # polar_support_lp's simplex ('=' row, nonneg variables), each posed in
+    # ints, and there are as many as the Fraction-row routes pose.
+    rng = random.Random(10946)
+    raw_sets = []
+    for _ in range(10):
+        dim = rng.randint(1, 4)
+        raw_sets.append(
+            [
+                tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim))
+                for _ in range(rng.randint(dim + 1, dim + 5))
+            ]
+        )
+    result, programs = programs_logged(_suite, raw_sets, 3, 24)
+    with pytest.MonkeyPatch.context() as mp:
+        use_fraction_routes(mp)
+        reference, reference_programs = programs_logged(_suite, raw_sets, 3, 24)
+    assert result == reference
+    assert len(programs) == len(reference_programs)
+    kinds = {"support": 0, "polar": 0}
+    for program in programs:
+        if set(program.bounds) == {"free"}:
+            assert {rel for _, rel, _ in program.rows} <= {"<="}
+            kinds["support"] += 1
+        else:
+            assert len(program.rows) == 1 and program.rows[0][1] == "="
+            kinds["polar"] += 1
+        for coeffs, _, rhs in program.rows:
+            assert {type(c) for c in coeffs} | {type(rhs)} == {int}
+    assert min(kinds.values()) >= 50, kinds
+    # The reference really is the Fraction route.
+    assert any(
+        type(rhs) is Fraction for program in reference_programs for _, _, rhs in program.rows
+    )
