@@ -5,19 +5,22 @@ floats anywhere. Scalars are fractions.Fraction: arbitrary precision,
 reduced to lowest terms with a positive denominator on construction.
 Vectors are plain tuples of scalars.
 
+JSON-level scalars (ints and "p/q" texts) have one grammar, _SCALAR,
+read one scalar at a time by parse_rational and a block at a time by
+scaled_columns.
+
 A point has a second form, owned by this module: Scaled(ints, den), the
 int numerators of its coordinates over one positive common denominator.
 It is the library's per-point form: the scans scale their anchor once,
 the property suite scales each sample once, scaled() converts a rational
-tuple at a public boundary, scaled_row() reads a row of JSON-level scalars
-(with the grammar of rational_pair, which reads one scalar as an int pair)
-and unscaled() builds the rationals back for a value that is reported.
+tuple at a public boundary, and unscaled() builds the rationals back for
+a value that is reported.
 
 Many points at once take a third form, int columns: scaled_columns()
 reads a block of rows into cols[j][k], the numerator of coordinate j of
 point k over that point's positive denominator dens[k]. The block is
-parsed whole at C level, with rational_pair's grammar; scaled_row is
-called on its rows only to raise the first bad entry's error.
+parsed whole at C level; vector() is called on its rows only to raise
+the first bad entry's error.
 
 The evaluators (gauge, minimal sublinear function, support, membership,
 recession test) and the LP solver do not use Fraction arithmetic on their
@@ -35,70 +38,64 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd, lcm
+from math import lcm
 from operator import floordiv, itemgetter, mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Canonical text form in ASCII digits: optional sign, integer numerator,
+# The scalar grammar, in ASCII digits: optional sign, integer numerator,
 # optional positive denominator. "3", "-3", "1/2", "-7/4". Never "3/-2",
-# never "1/0", never a fullwidth or other non-ASCII digit.
-_RATIONAL_TEXT = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$", re.ASCII)
+# never "1/0", never a fullwidth or other non-ASCII digit. A text is read
+# after its surrounding blanks are stripped and its unicode minus made "-".
+_SCALAR = r"[+-]?[0-9]+(?:/[1-9][0-9]*)?"
+_RATIONAL_TEXT = re.compile(_SCALAR)
 
-# Matches at the start of the first line outside _RATIONAL_TEXT's grammar
-# in a block of scalars joined by "\n" (each stripped, its unicode minus
-# made "-"). A search for a bad line keeps no state from one line to the
-# next; a match of the whole block with a repeated group would stack a
-# backtracking point per entry (twice the time, and 0.5 MB, for 1,024
-# entries), and Python 3.10's re has no possessive quantifier to stop it.
-# Kept as text: re compiles it on first use (and caches it), so only the
-# commands that read query points pay for the compile at start-up.
-_BAD_LINE = r"(?m)^(?![+-]?[0-9]+(?:/[1-9][0-9]*)?$)"
+# Matches at the start of the first line outside _SCALAR in a block of
+# scalars joined by "\n" (each stripped, its unicode minus made "-"). A
+# search for a bad line keeps no state from one line to the next; a match
+# of the whole block with a repeated group would stack a backtracking
+# point per entry (twice the time, and 0.5 MB, for 1,024 entries), and
+# Python 3.10's re has no possessive quantifier to stop it. Kept as text:
+# re compiles it on first use (and caches it), so only the commands that
+# read query points pay for the compile at start-up.
+_BAD_LINE = rf"(?m)^(?!{_SCALAR}$)"
 
 Vec = tuple  # tuple of Fraction, one entry per coordinate
 
 
 class Scaled(namedtuple("Scaled", "ints den")):
     """A point as int numerators over one positive common denominator: its
-    coordinates are ints[i] / den. Build one with scaled() or scaled_row();
-    the evaluators pass a hand-built one through scaled(), which rejects a
-    denominator that is not a positive int."""
+    coordinates are ints[i] / den. Build one with scaled(); the evaluators
+    pass a hand-built one through scaled(), which rejects a denominator
+    that is not a positive int."""
 
     __slots__ = ()
 
 
-def rational_pair(value) -> tuple[int, int]:
-    """A JSON-level scalar (int or 'p/q' string) as ints (num, den), den > 0,
-    not necessarily in lowest terms.
+def parse_rational(value):
+    """An exact rational from a Fraction (returned as it is) or a JSON-level
+    scalar: an int, or a text in the _SCALAR grammar.
 
     Floats are rejected: they are not exact and have no place here. A digit
     string longer than the interpreter's int conversion limit is rejected
     with int()'s own ValueError.
     """
+    if isinstance(value, Fraction):
+        return value
     if type(value) is int:  # the common case first; bool is not int here
-        return value, 1
+        return Fraction(value)
     if isinstance(value, str):
-        # tolerate surrounding blanks and the unicode minus
-        match = _RATIONAL_TEXT.match(value.strip().replace("−", "-"))
-        if match is None:
+        text = value.strip().replace("\u2212", "-")
+        if _RATIONAL_TEXT.fullmatch(text) is None:
             raise ValueError(f"not a rational: {value!r}")
-        return int(match[1]), int(match[2] or 1)
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return value, 1
+        num, _, den = text.partition("/")
+        return Fraction(int(num), int(den or 1))
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
     if isinstance(value, float):
         raise ValueError(f"floats are not exact rationals: {value!r}")
     raise ValueError(f"not a rational: {value!r}")
-
-
-def parse_rational(value):
-    """An exact rational from a Fraction (returned as it is) or a JSON-level
-    scalar (int or 'p/q' string); the grammar and errors are rational_pair's."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(*rational_pair(value))
 
 
 class TooLongToPrint(ValueError):
@@ -164,24 +161,6 @@ def integer_rows(vectors) -> tuple[tuple, int]:
     return rows, den
 
 
-def scaled_row(values) -> Scaled:
-    """The scaled point of a row of JSON-level scalars, over the least
-    common denominator (integer_rows' form). Each entry is read by
-    rational_pair, so the first bad one raises its ValueError."""
-    nums = []
-    dens = []
-    for value in values:
-        num, den = rational_pair(value)
-        nums.append(num)
-        dens.append(den)
-    den = lcm(*dens)
-    ints = [n * (den // d) for n, d in zip(nums, dens)]
-    g = gcd(den, *ints)
-    if g == 1:
-        return Scaled(tuple(ints), den)
-    return Scaled(tuple(n // g for n in ints), den // g)
-
-
 def _read_block(rows, dim: int):
     """scaled_columns' result, or None for rows it does not read. Each pass
     runs over the whole block in C: the entries are stripped and joined as
@@ -222,17 +201,17 @@ def scaled_columns(rows, dim: int) -> tuple[tuple, list]:
     coordinate j of point k is cols[j][k] / dens[k], with dens[k] > 0 the
     lcm of point k's entry denominators.
 
-    The block is read whole, with rational_pair's grammar. When it cannot
-    be, the rows are diagnosed in order: a row that is not a list of dim
-    entries raises ValueError, and scaled_row raises the first bad entry's
-    rational_pair error."""
+    The block is read whole, in the _SCALAR grammar. When it cannot be,
+    the rows are diagnosed in order: a row that is not a list of dim
+    entries raises ValueError, and vector() raises the first bad entry's
+    parse_rational error."""
     block = _read_block(rows, dim)
     if block is not None:
         return block
     for row in rows:
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"expected a list of {dim} entries")
-        scaled_row(row)
+        vector(row)
     # every entry is a rational, yet not a JSON int or text that the block
     # reader can spell out (an int subclass, an int past the str limit)
     raise ValueError("expected JSON ints and rational texts")

@@ -546,23 +546,23 @@ def query_doc(count):
 
 def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
     # gauge and rho on 1,000 canonically spelled points parse none of them
-    # with parse_rational or scaled_row (which only diagnoses a bad block),
-    # read them in blocks of at most 256 rows, and build one Fraction per
-    # reported value beyond what the set itself needs (measured on the
-    # same set with no points).
-    counts = {"parse": 0, "fraction": 0, "row": 0}
+    # with parse_rational or rationals.vector (which only diagnoses a bad
+    # block), read them in blocks of at most 256 rows, and build one
+    # Fraction per reported value beyond what the set itself needs
+    # (measured on the same set with no points).
+    counts = {"parse": 0, "fraction": 0, "vector": 0}
     blocks = []
     real_parse = rationals.parse_rational
-    real_row = rationals.scaled_row
+    real_vector = rationals.vector
     real_columns = rationals.scaled_columns
 
     def counted_parse(value):
         counts["parse"] += 1
         return real_parse(value)
 
-    def counted_row(values):
-        counts["row"] += 1
-        return real_row(values)
+    def counted_vector(entries):
+        counts["vector"] += 1
+        return real_vector(entries)
 
     def recorded_columns(rows, dim):
         blocks.append(len(rows))
@@ -575,13 +575,13 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
         return real_new(cls, *args, **kwargs)
 
     monkeypatch.setattr(jsonio, "parse_rational", counted_parse)
-    monkeypatch.setattr(rationals, "scaled_row", counted_row)
+    monkeypatch.setattr(rationals, "vector", counted_vector)
     monkeypatch.setattr(jsonio, "scaled_columns", recorded_columns)
     monkeypatch.setattr(Fraction, "__new__", counted_new)
     for command in ("gauge", "rho"):
         seen = []
         for count in (0, 1000):
-            counts.update(parse=0, fraction=0, row=0)
+            counts.update(parse=0, fraction=0, vector=0)
             blocks.clear()
             path = write(tmp_path, f"q{count}.json", query_doc(count))
             code, out, _ = run(capsys, command, path)
@@ -589,17 +589,17 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
             seen.append(dict(counts))
         empty, full = seen
         assert full["parse"] == empty["parse"] > 0
-        assert full["row"] == 0
+        assert full["vector"] == 0
         assert blocks == [256, 256, 256, 232]
         assert empty["fraction"] < full["fraction"] <= empty["fraction"] + 1000
-    # tolerant spellings are read whole too; the counter sees scaled_row
+    # tolerant spellings are read whole too; the counter sees vector()
     # when a bad entry is diagnosed, on the rows of its block up to it
     loose = query_doc(1000)
     loose["points"][998][0] = " 1/2"
     loose["points"][998][1] = "\u22127"
-    counts.update(row=0)
+    counts.update(vector=0)
     code, _, _ = run(capsys, "rho", write(tmp_path, "loose.json", loose))
-    assert code == 0 and counts["row"] == 0
+    assert code == 0 and counts["vector"] == 0
     loose["points"][999][0] = "1.5"
     code, _, _ = run(capsys, "rho", write(tmp_path, "bad.json", loose))
-    assert code == 2 and counts["row"] == 1000 - 768  # rows 768..999
+    assert code == 2 and counts["vector"] == 1000 - 768  # rows 768..999

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import vadd, vscale, vsub
@@ -18,10 +18,8 @@ from polarcut.rationals import (
     is_integral,
     json_scalar,
     parse_rational,
-    rational_pair,
     scaled,
     scaled_columns,
-    scaled_row,
     unscaled,
     vector,
     zero_vector,
@@ -151,8 +149,7 @@ def text_forms(q):
 def test_scaled_parse_matches_parse_rational(row):
     for q in row:
         for form in text_forms(q):
-            num, den = rational_pair(form)
-            assert den > 0 and Fraction(num, den) == parse_rational(form) == q
+            assert parse_rational(form) == q
     # one row per spelling: the scaled form is integer_rows' form of the
     # parsed rationals, whatever the spelling
     expected = scaled(tuple(row))
@@ -161,7 +158,7 @@ def test_scaled_parse_matches_parse_rational(row):
     forms = [text_forms(q) for q in row]
     for k in range(5):
         spelled = [f[k % len(f)] for f in forms]
-        assert scaled_row(spelled) == expected
+        assert scaled(vector(spelled)) == expected
         (block,) = points_from_json({"points": [spelled]}, len(row))
         assert block_points(block) == [tuple(row)]
 
@@ -173,8 +170,8 @@ def test_scaled_forms_pass_through():
     x = (Fraction(1, 2), Fraction(0))
     assert unscaled(x) is x
     assert scaled(x) == Scaled((1, 0), 2)
-    assert scaled_row(["0/4", "0/6"]) == Scaled((0, 0), 1)
-    assert scaled_row([" 2/4", "\u22123/6"]) == Scaled((1, -1), 2)
+    assert scaled(vector(["0/4", "0/6"])) == Scaled((0, 0), 1)
+    assert scaled(vector([" 2/4", "\u22123/6"])) == Scaled((1, -1), 2)
 
 
 @pytest.mark.parametrize("den", [0, -4, 2.0, True, Fraction(1)])
@@ -207,7 +204,7 @@ def canonical_form(q):
     return q.numerator if q.denominator == 1 else str(q)
 
 
-# Entries the block reader must refuse with scaled_row's error: a digit
+# Entries the block reader must refuse with parse_rational's error: a digit
 # string past int()'s limit, a bool, a float, an empty text, texts holding
 # the block's separator or a comma, and a fullwidth digit; then a blank
 # inside, a signed, zero-led or unicode-minus denominator, and two signs.
@@ -229,10 +226,10 @@ def more_forms(q):
 
 
 def reference_rows(rows):
-    """scaled_row on each row: the rational points, or the text of the
-    first ValueError."""
+    """scaled(vector(row)) on each row: the rational points, or the text
+    of the first ValueError."""
     try:
-        return [unscaled(scaled_row(row)) for row in rows]
+        return [unscaled(scaled(vector(row))) for row in rows]
     except ValueError as exc:
         return str(exc)
 
@@ -245,8 +242,8 @@ def block_rows(rows, dim):
 
 
 @given(st.data())
-def test_scaled_columns_match_scaled_row(data):
-    # A block read whole equals scaled_row on each of its rows (the same
+def test_scaled_columns_match_per_row_parse(data):
+    # A block read whole equals vector() on each of its rows (the same
     # rational points) or raises the same ValueError, whatever the
     # spelling; every block of rationals is read whole, tolerant ones too.
     dim = data.draw(st.integers(1, 4))
@@ -274,9 +271,9 @@ def test_scaled_columns_match_scaled_row(data):
 @pytest.mark.parametrize("special", SPECIAL_SCALARS, ids=repr)
 def test_scaled_columns_special_scalars(special):
     # Each special entry, alone or among canonical rows, at the start, in
-    # the middle or at the end of the block: the error scaled_row raises.
+    # the middle or at the end of the block: the error parse_rational raises.
     with pytest.raises(ValueError) as excinfo:
-        rational_pair(special)
+        parse_rational(special)
     canonical = [[1, "-2/3"], ["5/7", 0], [-4, "9/2"]]
     for k in range(3):
         for j in range(2):
@@ -284,6 +281,29 @@ def test_scaled_columns_special_scalars(special):
             rows[k][j] = special
             assert block_rows(rows, 2) == reference_rows(rows) == str(excinfo.value)
     assert block_rows([[special]], 1) == str(excinfo.value)
+
+
+# Characters near the scalar grammar: digits, signs (the unicode minus
+# too), the slash, a decimal point, blanks (no-break space too) and a
+# fullwidth digit.
+GRAMMAR_CHARS = "0123456789+-\u2212/. \t\n\u00a0\uff11"
+
+
+@settings(max_examples=500)
+@given(st.text(GRAMMAR_CHARS, max_size=8))
+@example("-1")
+@example("\u22121/2")
+@example("1/0")
+@example("1/02")
+def test_block_grammar_matches_parse_rational(text):
+    # The block reader's _BAD_LINE and parse_rational's _RATIONAL_TEXT spell
+    # one grammar: a text is read by both, as the same rational, or refused
+    # by both with parse_rational's error.
+    try:
+        expected = [(parse_rational(text),)]
+    except ValueError as exc:
+        expected = str(exc)
+    assert block_rows([[text]], 1) == expected
 
 
 def test_scaled_columns_shape():
@@ -300,7 +320,7 @@ def test_scaled_columns_shape():
         pass
 
     # a rational, but not the int json.load makes: refused by the block
-    assert scaled_row([Count(3)]) == Scaled((3,), 1)
+    assert scaled(vector([Count(3)])) == Scaled((3,), 1)
     with pytest.raises(ValueError, match="expected JSON ints and rational texts"):
         scaled_columns([[Count(3)]], 1)
     for rows in ([[1, 2, 3]], [[1]], ["12"], [(1, 2)], [None]):
