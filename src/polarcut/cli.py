@@ -7,9 +7,11 @@ byte-identical across runs on the same inputs. Exit codes: 0 pass/success,
 JSON or schema problems, diagnosed to stderr) or a report value too long
 to print. One reader and one writer: _load_document turns a file into a
 document or an input error; handlers return library values (Fractions,
-tuples, property_suite's tally as it comes) and _render alone turns the
-whole report into text before anything is printed. main has two failure
-branches, the output error (TooLongToPrint) and the input error.
+tuples, gauge and rho's rationals.Values column, property_suite's tally as
+it comes) and _render alone turns the whole report into text before
+anything is printed, pretty-printed as json.dumps would with an indent of
+2 but with json's C encoder. main has two failure branches, the output error
+(TooLongToPrint) and the input error.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .cuts import (
     maximality_certificate,
 )
 from .polyhedra import polar, random_polyhedron
-from .rationals import TooLongToPrint, json_scalar
+from .rationals import TooLongToPrint, Values, json_scalar
 from .sublinear import block_values, property_suite
 
 MAX_VERIFY_SAMPLES = 10**6  # largest --samples times instance count verify takes
@@ -51,9 +53,12 @@ def _load_document(path: str):
 
 def _plain(value):
     """value with each Fraction in json_scalar's form and each tuple a list;
-    a list converts its Fractions inline, as gauge reports hold thousands."""
+    a list converts its Fractions inline, and a Values column becomes one
+    list of ints (d == 1) and "n/d" texts, as gauge reports hold thousands."""
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, Values):
+        return [n if d == 1 else f"{n}/{d}" for n, d in zip(*value)]
     if isinstance(value, (tuple, list)):
         return [json_scalar(v) if type(v) is Fraction else _plain(v) for v in value]
     if isinstance(value, Fraction):
@@ -70,13 +75,43 @@ def _leaves(prefix: str, report: dict):
             yield f"{prefix}{k}", v
 
 
+@functools.cache
+def _flat(sep: str):
+    """json's C encoder with sep between the items of a container; one per
+    depth of a report, made once."""
+    return json.JSONEncoder(separators=(sep, ": ")).encode
+
+
+def _json(value, pad: str = "\n") -> str:
+    """json.dumps' text of a plain value with an indent of 2, nested at the
+    depth that pad, a newline and two spaces per level, indents: its closing
+    bracket follows pad and its items pad plus two spaces. A container of
+    scalars is encoded whole by json's C encoder, which json.dumps skips
+    whenever indent is given."""
+    if not value or not isinstance(value, (dict, list)):
+        return json.dumps(value)  # a scalar, [] or {}
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        brackets, items = "{}", value.values()
+    else:
+        brackets, items = "[]", value
+    if {dict, list}.isdisjoint(map(type, items)):
+        body = _flat(sep)(value)[1:-1]
+    elif isinstance(value, dict):
+        body = sep.join(f"{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items())
+    else:
+        body = sep.join(_json(v, inner) for v in value)
+    return f"{brackets[0]}{inner}{body}{pad}{brackets[1]}"
+
+
 def _render(report: dict, fmt: str) -> str:
     """The report as JSON or as flat "key: value" lines. A value with more
     digits than the interpreter converts to text raises TooLongToPrint."""
     try:
         report = _plain(report)
         if fmt == "json":
-            return json.dumps(report, indent=2)
+            return _json(report)
         return "\n".join(f"{k}: {json.dumps(v)}" for k, v in _leaves("", report))
     except ValueError as exc:
         raise TooLongToPrint(str(exc)) from None
@@ -92,10 +127,12 @@ def _cmd_values(args) -> tuple[int, dict]:
     clamp = args.command == "gauge"
     doc = _load_document(args.input)
     h = jsonio.polyhedron_from_json(doc)
-    values = []
+    nums, dens = [], []
     for block in jsonio.points_from_json(doc, h.dim):
-        values += block_values(h, block, clamp)
-    return 0, {"command": args.command, "dim": h.dim, "values": values}
+        block_nums, block_dens = block_values(h, block, clamp)
+        nums += block_nums
+        dens += block_dens
+    return 0, {"command": args.command, "dim": h.dim, "values": Values(nums, dens)}
 
 
 def _cmd_verify(args) -> tuple[int, dict]:

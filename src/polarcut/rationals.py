@@ -20,7 +20,10 @@ Many points at once take a third form, int columns: scaled_columns()
 reads a block of rows into cols[j][k], the numerator of coordinate j of
 point k over that point's positive denominator dens[k]. The block is
 parsed whole at C level; vector() is called on its rows only to raise
-the first bad entry's error.
+the first bad entry's error. Values come back the same way: Values(nums,
+dens) is a column of rationals in lowest terms, value k being nums[k] /
+dens[k] with dens[k] > 0 (0 is 0/1), as sublinear.block_values returns
+them and the CLI prints them, with no Fraction in between.
 
 The evaluators (gauge, minimal sublinear function, support, membership,
 recession test) and the LP solver do not use Fraction arithmetic on their
@@ -35,6 +38,7 @@ built only for a value that is returned.
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, repeat
@@ -73,13 +77,21 @@ class Scaled(namedtuple("Scaled", "ints den")):
     __slots__ = ()
 
 
+class Values(namedtuple("Values", "nums dens")):
+    """A column of rationals in lowest terms: value k is nums[k] / dens[k],
+    with dens[k] > 0 and 0 as 0/1. Fraction(n, d) for each pair gives the
+    rationals back."""
+
+    __slots__ = ()
+
+
 def parse_rational(value):
     """An exact rational from a Fraction (returned as it is) or a JSON-level
     scalar: an int, or a text in the _SCALAR grammar.
 
     Floats are rejected: they are not exact and have no place here. A digit
     string longer than the interpreter's int conversion limit is rejected
-    with int()'s own ValueError.
+    with a ValueError that names the limit.
     """
     if isinstance(value, Fraction):
         return value
@@ -90,7 +102,13 @@ def parse_rational(value):
         if _RATIONAL_TEXT.fullmatch(text) is None:
             raise ValueError(f"not a rational: {value!r}")
         num, _, den = text.partition("/")
-        return Fraction(int(num), int(den or 1))
+        try:
+            return Fraction(int(num), int(den or 1))
+        except ValueError:  # past the interpreter's int conversion limit
+            raise ValueError(
+                "too many digits: a number may have at most "
+                f"{sys.get_int_max_str_digits()} decimal digits"
+            ) from None
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):

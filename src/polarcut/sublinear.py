@@ -25,7 +25,9 @@ its rationals.Scaled form; property_suite scales each sample once per set,
 so every check on it pairs int vectors, and a rational is built only for a
 value that is returned or a violation that is reported. block_values
 evaluates gauge or minimal_sublinear on a whole block of points in
-rationals.scaled_columns' int-column form, one row of the set at a time.
+rationals.scaled_columns' int-column form, one row of the set at a time,
+and returns the values as int columns too (rationals.Values): no Fraction
+is built on that path.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product, repeat
-from operator import add, mul
+from math import gcd
+from operator import add, floordiv, mul
 
 from . import lp
 from .polyhedra import (
@@ -50,6 +53,7 @@ from .polyhedra import (
 from .rationals import (
     ZERO,
     Scaled,
+    Values,
     Vec,
     is_zero_vector,
     scaled,
@@ -80,15 +84,17 @@ def minimal_sublinear(h: HPolyhedron, x):
     return Fraction(max(values), scale)
 
 
-def block_values(h: HPolyhedron, block, clamp: bool) -> list:
+def block_values(h: HPolyhedron, block, clamp: bool) -> Values:
     """gauge(h, x) (clamp) or minimal_sublinear(h, x) at every point x of
-    a block (cols, dens) in rationals.scaled_columns' form, in order.
+    a block (cols, dens) in rationals.scaled_columns' form, in order, as
+    int columns Values(nums, dens) in lowest terms.
 
     The pairings are int column passes: for each row a, the sum over j of
     a_j * cols[j], skipping a_j = 0; then the maximum over the rows (and
-    0 when clamped) point by point. One Fraction is built per value, and
-    none for a gauge of 0. A hand-built block is checked as scaled()
-    checks a Scaled: every denominator must be a positive int."""
+    0 when clamped) point by point, over the scale den * dens[k]; then one
+    gcd pass and two floordiv passes reduce each value. No Fraction is
+    built. A hand-built block is checked as scaled() checks a Scaled:
+    every denominator must be a positive int."""
     cols, dens = block
     rows, den = h.compiled
     if len(cols) != h.dim:
@@ -106,12 +112,14 @@ def block_values(h: HPolyhedron, block, clamp: bool) -> list:
                 term = map(mul, repeat(c), col)
                 total = term if total is None else map(add, total, term)
         pairs.append(list(total))
-    scales = map(mul, repeat(den), dens)
+    scales = list(map(mul, repeat(den), dens))
     if clamp:
-        tops = map(max, repeat(0), *pairs)
-        return [Fraction(t, s) if t else ZERO for t, s in zip(tops, scales)]
-    tops = map(max, *pairs) if len(pairs) > 1 else pairs[0]
-    return list(map(Fraction, tops, scales))
+        tops = list(map(max, repeat(0), *pairs))
+    else:
+        tops = list(map(max, *pairs)) if len(pairs) > 1 else pairs[0]
+    common = list(map(gcd, tops, scales))  # scales > 0, so gcd(0, s) = s
+    nums = list(map(floordiv, tops, common))
+    return Values(nums, list(map(floordiv, scales, common)))
 
 
 def support(gens: VPolytope, x):

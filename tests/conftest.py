@@ -10,12 +10,14 @@ LPs that decided boundedness before polyhedra.sup_over, the margin LP
 that found exposed witnesses before the support LP did, the property
 suite fed rational samples, check-cut's one LP per lattice point, and
 the support LPs over a set's Fraction rows with the generator sets summed
-in Fractions, from before every such LP read the set's compiled int rows.
-They are deliberately slow and simple.
+in Fractions, from before every such LP read the set's compiled int rows,
+and the CLI's JSON writer from before it had its own, over json's
+pure-Python indent=2 encoder. They are deliberately slow and simple.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -27,7 +29,7 @@ from polarcut import polyhedra, sublinear
 from polarcut.cuts import CutViolation, ValidityReport
 from polarcut.lp import LinearProgram, LPOutcome, solve
 from polarcut.polyhedra import HPolyhedron, VPolytope, membership, normalize
-from polarcut.rationals import ONE, ZERO, dot, is_zero_vector
+from polarcut.rationals import ONE, ZERO, Values, dot, is_zero_vector, json_scalar
 
 
 # ------------------------------------------------- rational vector arithmetic
@@ -863,3 +865,27 @@ def per_point_check_cut_validity(inst, cut, radius):
         if outcome.value < 1:
             return ValidityReport(False, radius, "global", CutViolation(z, outcome.point, False))
     return ValidityReport(True, radius, "region")
+
+
+# ------------------------------------------------------------ report writer
+
+
+def reference_plain(value):
+    """cli._plain as it was before gauge and rho returned int columns: each
+    Fraction in json_scalar's form and each tuple a list, with a Values
+    column first turned into its Fractions."""
+    if isinstance(value, dict):
+        return {k: reference_plain(v) for k, v in value.items()}
+    if isinstance(value, Values):
+        return [json_scalar(Fraction(n, d)) for n, d in zip(*value)]
+    if isinstance(value, (tuple, list)):
+        return [reference_plain(v) for v in value]
+    if isinstance(value, Fraction):
+        return json_scalar(value)
+    return value
+
+
+def reference_render(report: dict) -> str:
+    """Reference for cli._render(report, "json"): json.dumps(indent=2),
+    json's pure-Python encoder, over reference_plain(report)."""
+    return json.dumps(reference_plain(report), indent=2)

@@ -1,15 +1,18 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import vscale
+from conftest import reference_render, vscale
 from polarcut import cli, cuts, jsonio, rationals, sublinear
 from polarcut.cli import main
 from polarcut.cuts import generate_cut
 from polarcut.polyhedra import VPolytope, in_recession
-from polarcut.rationals import zero_vector
+from polarcut.rationals import Values, zero_vector
 from polarcut.sublinear import property_suite, sample_points
 
 
@@ -485,6 +488,27 @@ def test_malformed_point_scalars_exit_2(tmp_path, capsys):
         assert code == 2 and out == "" and "field 'points[2]'" in err
 
 
+def test_over_long_digit_strings_name_the_limit(tmp_path, capsys):
+    # A digit string past the interpreter's int conversion limit, in a set
+    # row or a query point, numerator or denominator, is an input error that
+    # names the limit rather than the Python call that raises it.
+    limit = sys.get_int_max_str_digits()
+    digits = "9" * (limit + 1)
+    cases = [
+        ("polar", dict(QUADRANT_K, rows=[[digits, 0], [0, 1]]), "rows[0][0]"),
+        ("gauge", dict(QUADRANT_K, points=[[digits, 0]]), "points[0][0]"),
+        ("rho", dict(QUADRANT_K, points=[[0, 0], [1, f"-1/{digits}"]]), "points[1][1]"),
+    ]
+    for k, (command, doc, field) in enumerate(cases):
+        code, out, err = run(capsys, command, write(tmp_path, f"long{k}.json", doc))
+        assert code == 2 and out == ""
+        assert err == (
+            f"input error: field '{field}': too many digits: "
+            f"a number may have at most {limit} decimal digits\n"
+        )
+        assert "set_int_max_str_digits" not in err
+
+
 def test_malformed_points_in_later_blocks_exit_2(tmp_path, capsys):
     # Past the first block the path is still absolute: a bad entry at
     # points[300][1] (second block) and a row of the wrong width at
@@ -535,6 +559,43 @@ def test_huge_report_value_exits_2(tmp_path, capsys):
         assert err.startswith("output error: a report value is too long to print")
 
 
+# Leaves of a drawn report: JSON scalars (huge and negative ints, texts with
+# quotes, backslashes, control characters and non-ASCII), the library's
+# Fractions, and Values columns of values in lowest terms, d == 1 or not.
+report_texts = st.text() | st.sampled_from(
+    ['say "hi"', "back\\slash", "\x00\x1f\x7f\n\t", "\u00e9\u2211\U0001d53d", "\u2028"]
+)
+report_ints = st.integers() | st.integers(-(10**300), 10**300)
+report_values = st.lists(st.fractions(max_denominator=10**20) | report_ints.map(Fraction)).map(
+    lambda qs: Values([q.numerator for q in qs], [q.denominator for q in qs])
+)
+report_leaves = st.none() | st.booleans() | report_ints | report_texts
+report_leaves |= st.fractions() | report_values
+report_trees = st.recursive(
+    report_leaves,
+    lambda kids: st.lists(kids, max_size=5)
+    | st.tuples(kids, kids)
+    | st.dictionaries(report_texts, kids, max_size=5),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(report_texts, report_trees, max_size=6))
+@example(
+    {
+        "values": Values([0, -3, 5, 10**40], [1, 2, 1, 7]),
+        "empty": [[], {}, ()],
+        "mixed": [1, {"a": [], "b": {"c": None}}, "x", [True, Fraction(-1, 3)]],
+        "text": 'q"\n\u00e9\\',
+    }
+)
+def test_render_matches_reference_writer_on_drawn_reports(report):
+    # cli._render's own writer gives json.dumps(indent=2)'s text (the
+    # pure-Python encoder over the plain form before Values columns).
+    assert cli._render(report, "json") == reference_render(report)
+
+
 def query_doc(count):
     rng = random.Random(count)
     points = [
@@ -547,9 +608,9 @@ def query_doc(count):
 def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
     # gauge and rho on 1,000 canonically spelled points parse none of them
     # with parse_rational or rationals.vector (which only diagnoses a bad
-    # block), read them in blocks of at most 256 rows, and build one
-    # Fraction per reported value beyond what the set itself needs
-    # (measured on the same set with no points).
+    # block), read them in blocks of at most 256 rows, and build no
+    # Fraction beyond what the set itself needs (measured on the same set
+    # with no points): the values go from int columns to text.
     counts = {"parse": 0, "fraction": 0, "vector": 0}
     blocks = []
     real_parse = rationals.parse_rational
@@ -591,7 +652,7 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
         assert full["parse"] == empty["parse"] > 0
         assert full["vector"] == 0
         assert blocks == [256, 256, 256, 232]
-        assert empty["fraction"] < full["fraction"] <= empty["fraction"] + 1000
+        assert full["fraction"] == empty["fraction"]
     # tolerant spellings are read whole too; the counter sees vector()
     # when a bad entry is diagnosed, on the rows of its block up to it
     loose = query_doc(1000)

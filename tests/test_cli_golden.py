@@ -22,9 +22,11 @@ from fractions import Fraction
 
 import pytest
 
-from polarcut import jsonio, lp
+from conftest import reference_render
+from polarcut import cli, jsonio, lp
 from polarcut.cli import main
 from polarcut.cuts import check_cut_validity
+from polarcut.rationals import TooLongToPrint, Values
 
 TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
 
@@ -316,6 +318,35 @@ def test_cli_output_matches_table(table, documents, call):
         f"polarcut {_key(call)}\nexit {code}\n--- stdout\n{out[:4000]}"
         f"\n--- stderr\n{err[:4000]}"
     )
+
+
+def test_render_matches_reference_writer(documents, monkeypatch):
+    # cli._render's own writer gives json.dumps(indent=2)'s text, over the
+    # plain form the writer had before Values columns, on every report
+    # of the corpus that reaches it.
+    real_render = cli._render
+    reports = []
+
+    def recording(report, fmt):
+        reports.append(report)
+        return real_render(report, fmt)
+
+    monkeypatch.setattr(cli, "_render", recording)
+    for call in CALLS:
+        if call[-1] == "json":
+            run_call(call, documents)
+    columns = [r["values"] for r in reports if "values" in r]
+    assert len(reports) >= 50 and all(type(c) is Values for c in columns)
+    assert any(d == 1 for c in columns for d in c.dens)
+    assert any(d > 1 for c in columns for d in c.dens)
+    for report in reports:
+        try:
+            expected = reference_render(report)
+        except ValueError:  # a value too long to print
+            with pytest.raises(TooLongToPrint):
+                real_render(report, "json")
+        else:
+            assert real_render(report, "json") == expected
 
 
 if __name__ == "__main__":

@@ -3,10 +3,11 @@
 Every fenced python block of README.md runs, in order, in one namespace.
 A trailing comment on a statement is a claim about its value when its
 text, up to the first double blank, is a Python expression that evaluates
-in that namespace (with Scaled added, whose repr a comment may show): for
-a bare expression the claim must evaluate and equal the expression's
-value; for an assignment to a name it must equal the assigned value when
-it evaluates (a comment such as "# the interval [0, 1]" is prose).
+in that namespace (with Scaled and Values added, whose reprs a comment may
+show): for a bare expression the claim must evaluate and equal the
+expression's value; for an assignment to a name it must equal the assigned
+value when it evaluates (a comment such as "# the interval [0, 1]" is
+prose).
 """
 
 import ast
@@ -15,7 +16,7 @@ import re
 import tokenize
 from pathlib import Path
 
-from polarcut.rationals import Scaled
+from polarcut.rationals import Scaled, Values
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,7 +37,7 @@ def comments_by_line(source: str) -> dict:
 def try_eval(text: str, namespace: dict):
     """(True, value) when text is an expression that evaluates, else (False, None)."""
     try:
-        return True, eval(text, {"Scaled": Scaled, **namespace})
+        return True, eval(text, {"Scaled": Scaled, "Values": Values, **namespace})
     except (SyntaxError, NameError):
         return False, None
 
@@ -83,6 +84,7 @@ def test_readme_python_blocks_state_their_values():
         "Fraction(1, 2)",
         "(Fraction(1, 2), Fraction(1, 4))",
         "(([3, 2], [2, 1]), [1, 4])",
+        "Values(nums=[3, 1], dens=[1, 2])",
         "[Fraction(3, 1), Fraction(1, 2)]",
     ]
 

@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from polarcut.polyhedra import (
     polar,
     random_polyhedron,
 )
-from polarcut.rationals import ZERO, dot, vector
+from polarcut.rationals import ZERO, Values, dot, vector
 from polarcut.sublinear import (
     block_values,
     check_unit_ball,
@@ -453,7 +454,8 @@ def spelled_points(rng, dim, count):
 def test_block_values_match_per_point_evaluators():
     # block_values on the blocks jsonio reads equals gauge and
     # minimal_sublinear point by point, on seeded 1-5-D sets with zero
-    # coefficients (and single rows), for point counts about the block size.
+    # coefficients (and single rows), for point counts about the block size;
+    # each value is an int pair in lowest terms over a positive denominator.
     rng = random.Random(256)
     counts = (0, 1, 255, 256, 257, 513)
     seen_zero = seen_single = 0
@@ -470,9 +472,13 @@ def test_block_values_match_per_point_evaluators():
                 for start in range(0, count, jsonio.POINT_BLOCK)
             ]
             for clamp, evaluate in ((True, gauge), (False, minimal_sublinear)):
-                got = [v for block in blocks for v in block_values(h, block, clamp)]
+                columns = [block_values(h, block, clamp) for block in blocks]
+                assert all(type(c) is Values for c in columns)
+                pairs = [pair for c in columns for pair in zip(*c)]
+                assert all(type(n) is type(d) is int for n, d in pairs)
+                assert all(gcd(n, d) == 1 and d > 0 for n, d in pairs)
+                got = [Fraction(n, d) for n, d in pairs]
                 assert got == [evaluate(h, x) for x in points], (dim, count, clamp)
-                assert all(type(v) is Fraction for v in got)
     assert seen_zero >= 10 and seen_single >= 3
 
 
