@@ -41,14 +41,20 @@ MAX_VERIFY_SAMPLES = 10**6  # largest --samples times instance count verify take
 
 def _load_document(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from None
-        except RecursionError:
-            raise ValueError("JSON nested too deeply to read") from None
+        text = fh.read()  # a file that is not UTF-8 raises its own error here
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read") from None
+    except ValueError:  # int() on a number literal past the digit limit
+        raise ValueError(
+            "too many digits: a number may have at most "
+            f"{sys.get_int_max_str_digits()} decimal digits"
+        ) from None
 
 
 def _plain(value):

@@ -46,10 +46,11 @@ the integer box of a given radius (never negative) around round(f), each
 coordinate rounded half to even, clipped to an optional integer box, in
 lexicographic order. It walks the clipped box in its first dim - 1
 coordinates only; for each such prefix, every half-space, compiled once to
-ints, bounds the last coordinate exactly, so no point outside the region
-is visited (Fincke & Pohst 1985, without their LP-tightened prefix
-ranges). The limit applies to the radius box, not to the region: a radius
-box of more than MAX_SCAN_POINTS points is refused before the scan starts.
+ints (B's from body.compiled and scaled(f), with no Fraction), bounds the
+last coordinate exactly, so no point outside the region is visited
+(Fincke & Pohst 1985, without their LP-tightened prefix ranges). The
+limit applies to the radius box, not to the region: a radius box of more
+than MAX_SCAN_POINTS points is refused before the scan starts.
 is_s_free and maximality_certificate pass their body, since the interior
 and facet points they look for lie in closed B; check_cut_validity passes
 none and scans P, inside violation_box. Each makes one pass and
@@ -80,12 +81,12 @@ from .rationals import (
     ZERO,
     Scaled,
     Vec,
-    dot,
     integer_rows,
     is_integral,
     parse_rational,
     rational_text,
     scaled,
+    scaled_vector,
     unscaled,
     vector,
 )
@@ -206,18 +207,48 @@ class MaximalityReport:
 def make_body(b_rows, b_rhs, f: Vec) -> HPolyhedron:
     """The body of a cut, K = B - f in canonical row form, from B's rows and
     right-hand sides in x-space: {r : <a_i, r> <= b_i - <a_i, f>},
-    normalized. Demands f strictly interior (every shifted rhs positive):
-    normalize's OriginNotInteriorError on the shifted rows is raised as
+    normalized. Each margin is computed in ints from scaled(f): with a_i
+    as ints over den, b_i = p / q and f as ints F over f_den, the shifted
+    row a_i / (b_i - <a_i, f>) is the int row q f_den a_i over
+    p den f_den - q <a_i, F>, which normalize reads with no Fraction.
+    Demands f strictly interior (every margin positive): normalize's
+    OriginNotInteriorError on the shifted rows is raised as
     AnchorNotInteriorError."""
-    rows = [vector(a) for a in b_rows]
-    rhs = [parse_rational(b) for b in b_rhs]
+    rows = [scaled_vector(a) for a in b_rows]
+    rhs = [scaled_vector((b,)) for b in b_rhs]
     if len(rows) != len(rhs):
         raise ValueError("body row/right-hand-side count mismatch")
-    margins = [b - dot(a, f) for a, b in zip(rows, rhs)]
+    f_ints, f_den = scaled(f)
+    shifted, margins = [], []
+    for (ints, den), ((p,), q) in zip(rows, rhs):
+        if len(ints) != len(f_ints):
+            raise ValueError(f"dimension mismatch: {len(ints)} vs {len(f_ints)}")
+        scale = q * f_den
+        shifted.append(tuple(scale * c for c in ints))
+        margins.append(p * den * f_den - q * sum(map(mul, ints, f_ints)))
     try:
-        return normalize(rows, margins)
+        return normalize(shifted, margins)
     except OriginNotInteriorError as err:
         raise AnchorNotInteriorError("f not interior to the body") from err
+
+
+def _half_spaces(inst: CornerInstance, body: HPolyhedron | None) -> list:
+    """The region's half-spaces as int rows (head, last, rhs), for
+    <head, prefix> + last * v <= rhs: P's rows each over its own
+    denominator, then, with a body, B's rows <a_i, z> <= 1 + <a_i, f>.
+    Those are read from body.compiled (rows r over den) and scaled(f)
+    (F over f_den) as <f_den r, z> <= den f_den + <r, F>, divided by
+    their gcd."""
+    rows = [integer_rows((a + (b,),))[0][0] for a, b in zip(inst.p_rows, inst.p_rhs)]
+    if body is not None:
+        ints, den = body.compiled
+        f_ints, f_den = scaled(inst.f)
+        for r in ints:
+            row = [f_den * c for c in r]
+            row.append(den * f_den + sum(map(mul, r, f_ints)))
+            g = math.gcd(*row)
+            rows.append(tuple(c // g for c in row))
+    return [(row[:-2], row[-2], row[-1]) for row in rows]
 
 
 def region_lattice_points(
@@ -229,7 +260,7 @@ def region_lattice_points(
     body the region is P alone. A box, one (low, high) pair of ints per
     axis with None for a side without a bound (violation_box's form),
     clips the scan box. Every half-space is compiled once into an
-    int row and right-hand side, over that row's own denominator. The
+    int row and right-hand side (_half_spaces). The
     first dim - 1 coordinates run over the clipped box; for each such prefix
     every row bounds the last coordinate exactly (a floor for a positive
     last coefficient, a ceiling for a negative one; a zero one with a
@@ -245,13 +276,7 @@ def region_lattice_points(
             f"a radius-{radius} scan in dimension {inst.dim} visits "
             f"{side}^{inst.dim} points, over the limit of {MAX_SCAN_POINTS}"
         )
-    half_spaces = list(zip(inst.p_rows, inst.p_rhs))
-    if body is not None:
-        half_spaces += [(a, 1 + dot(a, inst.f)) for a in body.rows]
-    compiled = []  # (head, last, rhs): <head, prefix> + last * v <= rhs
-    for a, b in half_spaces:
-        (row,), _ = integer_rows((a + (b,),))
-        compiled.append((row[:-2], row[-2], row[-1]))
+    compiled = _half_spaces(inst, body)
     ranges = [range(c - radius, c + radius + 1) for c in map(round, inst.f)]
     if box is not None:
         ranges = [

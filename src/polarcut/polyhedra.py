@@ -4,7 +4,11 @@ The central representation is the canonical H-form ``{x : <a_i, x> <= 1}``:
 every right-hand side is scaled to 1, so a set is just its tuple of rows.
 normalize() is the only sanctioned way to build one from raw data - it
 validates that the origin is strictly interior (all raw right-hand sides
-positive), scales, deduplicates, and strips redundant rows with exact LPs.
+positive), scales each row in ints, deduplicates, and strips redundant
+rows (remove_redundancy). A row is kept with no LP when the Gram test
+finds a point that proves it irredundant (gram_certificate, checked by
+exact int arithmetic); only a row without one gets an exact LP, which
+keeps it or drops it just as it would with no test before it.
 
 For such a set K the polar K* is conv({0} union rows), and the rows
 themselves are exactly the points of the polar at which the pairing
@@ -14,13 +18,14 @@ is exact; all verdicts are decided by rational arithmetic, never tolerance.
 
 sup_over is the one LP for the support function of K itself,
 sigma_K(v) = sup of <v, x> over K, which is at most 1 exactly when v lies
-in the polar. It decides row redundancy here, condition (b) of
-sublinear.check_unit_ball, and boundedness in cuts.maximality_certificate
-(sigma_K is finite along every axis, both ways, iff K is bounded). Its
-program over the rows other than a_i, at a_i, also yields exposed_witness.
-It poses the set in its compiled form (int rows r over a common
-denominator den, the program's rows <r, x> <= den), so the LP reads ints
-and no caller converts a row twice: each caller compiles its rows once.
+in the polar. It decides the redundancy of a row that fails the Gram
+test here, condition (b) of sublinear.check_unit_ball, and boundedness in
+cuts.maximality_certificate (sigma_K is finite along every axis, both
+ways, iff K is bounded). Its program over the rows other than a_i, at
+a_i, also yields exposed_witness. It poses the set in its compiled form
+(int rows r over a common denominator den, the program's rows
+<r, x> <= den), so the LP reads ints and no caller converts a row twice:
+each caller compiles its rows once.
 
 The evaluators run fraction-free: each set (and each generator set) is
 compiled once into integer rows over one common denominator, and a pairing
@@ -41,19 +46,20 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from operator import mul
 
 from . import lp
 from .rationals import (
     ONE,
+    Scaled,
     Vec,
     ZERO,
     dot,
     integer_rows,
     is_zero_vector,
-    parse_rational,
     scaled,
-    vector,
+    scaled_vector,
     zero_vector,
 )
 
@@ -168,66 +174,94 @@ def sup_over(compiled: tuple, v: Vec):
     return outcome.value
 
 
-def remove_redundancy(dim: int, rows) -> HPolyhedron:
-    """Keep a row iff dropping it would enlarge the set.
+def gram_certificate(r, others, den: int):
+    """The Gram test: a point x proving the int row r irredundant among the
+    int rows others, all over den > 0, with no LP; None when the test
+    fails. With m the largest <s, r> over s in others (0 when there is
+    none), x exists iff |r|^2 > m: it is den r / m when m > 0, so that
+    <s, x> = den <s, r> / m <= den and <r, x> = den |r|^2 / m > den, and
+    2 den r / |r|^2 when m <= 0, so that <s, x> <= 0 and <r, x> = 2 den.
+    Either way x lies in {x : <s, x> <= den for s in others} and past r,
+    so dropping r would enlarge the set. Returned as a Scaled point."""
+    norm = sum(map(mul, r, r))
+    m = max((sum(map(mul, s, r)) for s in others), default=0)
+    if norm <= m:
+        return None
+    if m > 0:
+        return Scaled(tuple(den * c for c in r), m)
+    return Scaled(tuple(2 * den * c for c in r), norm)
 
-    Row i is redundant exactly when sup_over(the remaining rows, a_i) stays
-    <= 1. Rows are filtered sequentially so the survivors are mutually
-    irredundant; the result is a subset of the input rows. The rows are
-    compiled once, and an int row is dropped together with its rational
-    row.
-    """
-    kept = []
+
+def remove_redundancy(dim: int, rows) -> HPolyhedron:
+    """The canonical set {x : <a, x> <= 1 for a in rows}, for nonzero rows,
+    each a rational tuple or a Scaled: keep a row iff dropping it would
+    enlarge the set.
+
+    Each row is reduced to ints over its least positive denominator, that
+    rational row's one spelling, and duplicates are merged on it in input
+    order. The distinct rows, over their least common denominator den, are
+    filtered sequentially, each against every other row still live (the
+    kept rows before it and all rows after it), so the survivors are
+    mutually irredundant and a subset of the input, in input order. A row
+    with a gram_certificate is kept with no LP; only a row without one is
+    decided by sup_over(the other live rows, its int row r), redundant
+    exactly when that stays <= den. The certificate proves what the LP
+    would find, so the kept rows are those of an LP for every row.
+    Fractions are built only for the kept rows."""
+    distinct = {}
     for a in rows:
-        if a not in kept:
-            kept.append(a)
-    ints, den = integer_rows(kept)
-    ints = list(ints)
+        ints, den = scaled(a)
+        g = gcd(den, *ints)
+        distinct[tuple(c // g for c in ints), den // g] = None
+    den = lcm(*(d for _, d in distinct))
+    live = [tuple(c * (den // d) for c in ints) for ints, d in distinct]
     i = 0
-    while i < len(kept):
-        others = ints[:i] + ints[i + 1 :]
-        if not others:
-            i += 1
-            continue
-        top = sup_over((others, den), kept[i])
-        if top is None or top > 1:
-            i += 1
-        else:
-            kept.pop(i)
-            ints.pop(i)
-    return HPolyhedron(dim, tuple(kept))
+    while i < len(live):
+        r = live[i]
+        others = live[:i] + live[i + 1 :]
+        if gram_certificate(r, others, den) is None:
+            top = sup_over((others, den), r)
+            if top is not None and top <= den:
+                live.pop(i)
+                continue
+        i += 1
+    return HPolyhedron(
+        dim, tuple(tuple(Fraction(c, den) for c in r) for r in live)
+    )
 
 
 def normalize(raw_rows, raw_rhs) -> HPolyhedron:
     """Canonicalize {x : <a_i, x> <= b_i}.
 
     Requires every b_i > 0 (the origin strictly inside); scales rows to
-    right-hand side 1, drops vacuous zero rows, merges duplicates, and
-    strips redundant rows.
+    right-hand side 1, drops vacuous zero rows, and hands the rest to
+    remove_redundancy, which merges duplicates and strips redundant rows.
+    Each row a_i / b_i goes as a Scaled, ints over a positive int
+    denominator, so no Fraction is built for a row that is not kept.
     """
-    rows = [vector(a) for a in raw_rows]
-    rhs = [parse_rational(b) for b in raw_rhs]
+    rows = [scaled_vector(a) for a in raw_rows]
+    rhs = [scaled_vector((b,)) for b in raw_rhs]
     if len(rows) != len(rhs):
         raise ValueError("row/right-hand-side count mismatch")
     if not rows:
         raise ImproperSetError("empty description denotes the whole space")
-    dim = len(rows[0])
+    dim = len(rows[0].ints)
     if dim < 1:
         raise ValueError("dimension must be positive")
-    scaled = []
-    for a, b in zip(rows, rhs):
-        if len(a) != dim:
+    shifted = []
+    for (ints, den), ((b_num,), b_den) in zip(rows, rhs):
+        if len(ints) != dim:
             raise ValueError("rows of differing dimension")
-        if b <= 0:
+        if b_num <= 0:
             raise OriginNotInteriorError(
-                f"right-hand side {b} is not positive: origin not interior"
+                f"right-hand side {Fraction(b_num, b_den)} is not positive: "
+                "origin not interior"
             )
-        if is_zero_vector(a):
-            continue
-        scaled.append(tuple(x / b for x in a))
-    if not scaled:
+        if any(ints):  # a / b = (ints * b_den) / (den * b_num)
+            shifted.append(Scaled(tuple(c * b_den for c in ints), den * b_num))
+    if not shifted:
         raise ImproperSetError("all rows vacuous: the set is the whole space")
-    return remove_redundancy(dim, scaled)
+    return remove_redundancy(dim, shifted)
 
 
 def pairings(compiled: tuple, x) -> tuple[list, int]:

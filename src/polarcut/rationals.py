@@ -13,8 +13,10 @@ A point has a second form, owned by this module: Scaled(ints, den), the
 int numerators of its coordinates over one positive common denominator.
 It is the library's per-point form: the scans scale their anchor once,
 the property suite scales each sample once, scaled() converts a rational
-tuple at a public boundary, and unscaled() builds the rationals back for
-a value that is reported.
+tuple at a public boundary, scaled_vector() reads a row of scalars of any
+JSON-level form (normalize's and make_body's rows and right-hand sides)
+with no Fraction built for an int or a Fraction, and unscaled() builds
+the rationals back for a value that is reported.
 
 Many points at once take a third form, int columns: scaled_columns()
 reads a block of rows into cols[j][k], the numerator of coordinate j of
@@ -244,6 +246,19 @@ def scaled(x) -> Scaled:
         return x
     (ints,), den = integer_rows((x,))
     return Scaled(ints, den)
+
+
+def scaled_vector(entries) -> Scaled:
+    """scaled(vector(entries)), with parse_rational's errors, but an entry
+    that is an int or a Fraction is read as it is: no Fraction is built
+    for it."""
+    entries = tuple(entries)
+    kinds = set(map(type, entries))
+    if kinds <= {int}:
+        return Scaled(entries, 1)
+    if not kinds <= {int, Fraction}:
+        entries = vector(entries)
+    return scaled(entries)
 
 
 def unscaled(x) -> Vec:

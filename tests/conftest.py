@@ -11,14 +11,19 @@ that found exposed witnesses before the support LP did, the property
 suite fed rational samples, check-cut's one LP per lattice point, and
 the support LPs over a set's Fraction rows with the generator sets summed
 in Fractions, from before every such LP read the set's compiled int rows,
-and the CLI's JSON writer from before it had its own, over json's
-pure-Python indent=2 encoder. They are deliberately slow and simple.
+the redundancy filter over Fraction rows (with the Gram test taken in
+Fractions, or with an LP for every row as before there was one), the
+cut body's margins and scan half-spaces by Fraction dot products, from
+before make_body and the scan read them in ints, and the CLI's JSON
+writer from before it had its own, over json's pure-Python indent=2
+encoder. They are deliberately slow and simple.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -26,10 +31,27 @@ import pytest
 
 from polarcut import lp as lp_module
 from polarcut import polyhedra, sublinear
-from polarcut.cuts import CutViolation, ValidityReport
+from polarcut.cuts import AnchorNotInteriorError, CutViolation, ValidityReport
 from polarcut.lp import LinearProgram, LPOutcome, solve
-from polarcut.polyhedra import HPolyhedron, VPolytope, membership, normalize
-from polarcut.rationals import ONE, ZERO, Values, dot, is_zero_vector, json_scalar
+from polarcut.polyhedra import (
+    HPolyhedron,
+    OriginNotInteriorError,
+    VPolytope,
+    membership,
+    normalize,
+)
+from polarcut.rationals import (
+    ONE,
+    ZERO,
+    Values,
+    dot,
+    integer_rows,
+    is_zero_vector,
+    json_scalar,
+    parse_rational,
+    unscaled,
+    vector,
+)
 
 
 # ------------------------------------------------- rational vector arithmetic
@@ -658,6 +680,22 @@ def programs_logged(run, *args):
     return result, programs
 
 
+@pytest.fixture
+def lp_solves(monkeypatch) -> Counter:
+    """The lp.solve calls made while the test runs, counted by outcome
+    status: counts that do not depend on the machine."""
+    counts = Counter()
+    solve_ = lp_module.solve
+
+    def counted(program):
+        outcome = solve_(program)
+        counts[outcome.status] += 1
+        return outcome
+
+    monkeypatch.setattr(lp_module, "solve", counted)
+    return counts
+
+
 def fraction_support_lp(rows, v):
     """Reference for polyhedra._support_lp: max <v, x> over the rational
     rows themselves, each posed as (a, '<=', 1)."""
@@ -680,20 +718,25 @@ def fraction_sup_over(rows, v):
     return outcome.value
 
 
-def fraction_remove_redundancy(dim: int, rows) -> HPolyhedron:
-    """Reference for polyhedra.remove_redundancy: each test poses the
-    remaining rational rows."""
+def fraction_remove_redundancy(dim: int, rows, gram_test: bool = True) -> HPolyhedron:
+    """Reference for polyhedra.remove_redundancy, on rational rows or Scaled
+    ones: each row that fails the Gram test, taken in Fractions, poses the
+    remaining rational rows. With gram_test False every row poses its LP:
+    the route from before the Gram test, which the kept rows must match."""
     kept = []
-    for a in rows:
+    for a in map(unscaled, rows):
         if a not in kept:
             kept.append(a)
     i = 0
     while i < len(kept):
         others = kept[:i] + kept[i + 1 :]
-        if not others:
+        a_i = kept[i]
+        if not others or (
+            gram_test and dot(a_i, a_i) > max(dot(a, a_i) for a in others)
+        ):
             i += 1
             continue
-        top = fraction_sup_over(others, kept[i])
+        top = fraction_sup_over(others, a_i)
         if top is None or top > 1:
             i += 1
         else:
@@ -811,6 +854,34 @@ def fraction_region_points(inst, radius, body=None):
             dot(a, vsub(z, inst.f)) <= 1 for a in rows
         ):
             yield z
+
+
+def fraction_make_body(b_rows, b_rhs, f):
+    """Reference for cuts.make_body: each margin b_i - <a_i, f> a Fraction
+    dot product, and normalize given the rational rows and margins."""
+    rows = [vector(a) for a in b_rows]
+    rhs = [parse_rational(b) for b in b_rhs]
+    if len(rows) != len(rhs):
+        raise ValueError("body row/right-hand-side count mismatch")
+    margins = [b - dot(a, f) for a, b in zip(rows, rhs)]
+    try:
+        return normalize(rows, margins)
+    except OriginNotInteriorError as err:
+        raise AnchorNotInteriorError("f not interior to the body") from err
+
+
+def fraction_half_spaces(inst, body=None):
+    """Reference for cuts._half_spaces: P's rows, then the body's rows as
+    <a, z> <= 1 + <a, f> with a Fraction right-hand side, each compiled
+    by integer_rows over its own denominator."""
+    half_spaces = list(zip(inst.p_rows, inst.p_rhs))
+    if body is not None:
+        half_spaces += [(a, 1 + dot(a, inst.f)) for a in body.rows]
+    compiled = []
+    for a, b in half_spaces:
+        (row,), _ = integer_rows((a + (b,),))
+        compiled.append((row[:-2], row[-2], row[-1]))
+    return compiled
 
 
 def first_interior_point(body, inst, radius):

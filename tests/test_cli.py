@@ -509,6 +509,30 @@ def test_over_long_digit_strings_name_the_limit(tmp_path, capsys):
         assert "set_int_max_str_digits" not in err
 
 
+def test_over_long_number_literal_names_the_limit(tmp_path, capsys):
+    # A JSON number literal past the int conversion limit fails inside
+    # json's decoder, before any field is read: an input error in
+    # parse_rational's words. A file that is not UTF-8 keeps its decoding
+    # error, which is a ValueError too.
+    limit = sys.get_int_max_str_digits()
+    for k, digits in enumerate(("9" * (limit + 1), "-" + "1" * 5000)):
+        path = tmp_path / f"literal{k}.json"
+        path.write_text(f'{{"dim": 1, "rows": [[{digits}]], "rhs": [1]}}')
+        for command in ("polar", "gauge"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 2 and out == ""
+            assert err == (
+                "input error: too many digits: "
+                f"a number may have at most {limit} decimal digits\n"
+            )
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dim": 1, "rows": [[1]], "rhs": [1], "note": "\xff"}')
+    code, out, err = run(capsys, "polar", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: 'utf-8' codec can't decode byte 0xff")
+    assert "too many digits" not in err
+
+
 def test_malformed_points_in_later_blocks_exit_2(tmp_path, capsys):
     # Past the first block the path is still absolute: a bad entry at
     # points[300][1] (second block) and a row of the wrong width at

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from conftest import (
     cone_is_pointed,
     first_interior_point,
+    fraction_half_spaces,
+    fraction_make_body,
     fraction_region_points,
     nearest_int,
     per_facet_uncertified,
@@ -87,6 +90,102 @@ def test_make_body_refuses_nonpositive_margin(rhs):
         make_body([(-1, 0), (0, -1), (1, 1)], rhs, f)
     assert isinstance(excinfo.value.__cause__, OriginNotInteriorError)
     assert make_body([(-1, 0), (0, -1), (1, 1)], [1, 2, 2], f).dim == 2
+
+
+MARGINS = (Fraction(1, 2), 1, 2, Fraction(7, 3), Fraction(1, 10**20))
+
+
+def _body_case(rng: random.Random) -> tuple:
+    """(instance, B's rows, B's rhs) in 1-3-D, with zero rows, rows that
+    coincide only after the shift by f and the scaling to right-hand side
+    1, zero and negative margins now and then, and P rows about f."""
+    dim = rng.randint(1, 3)
+
+    def small():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    f = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim)]
+    f[0] = math.floor(f[0]) + Fraction(1, rng.randint(2, 7))
+    f = tuple(f)
+    rows, rhs = [], []
+    for _ in range(rng.randint(1, 6)):
+        a = tuple(small() for _ in range(dim))
+        kind = rng.randint(0, 11)
+        margin = {0: 0, 1: Fraction(-1, 2)}.get(kind, rng.choice(MARGINS))
+        rows.append(a)
+        rhs.append(dot(a, f) + margin)
+        if rng.random() < 0.5:  # t a <= t b: the same row once shifted and scaled
+            t = rng.choice((2, Fraction(1, 3), 7))
+            rows.append(vscale(t, a))
+            rhs.append(t * rhs[-1])
+    rhs = [int(b) if b.denominator == 1 else b for b in rhs]
+    p_rows = tuple(tuple(small() for _ in range(dim)) for _ in range(rng.randint(0, 2)))
+    p_rhs = tuple(dot(a, f) + small() for a in p_rows)
+    inst = CornerInstance(dim, f, (tuple(Fraction(1) for _ in range(dim)),), p_rows, p_rhs)
+    return inst, rows, rhs
+
+
+def _primitive(half_space) -> tuple:
+    head, last, rhs = half_space
+    row = (*head, last, rhs)
+    g = math.gcd(*row) or 1  # a P row 0 <= 0 stays as it is
+    return tuple(c // g for c in row)
+
+
+def _same_body_and_scan(inst, rows, rhs, radius) -> str:
+    """make_body and the region's half-spaces in ints against the Fraction
+    routes they replaced: the same body or the same error, the same
+    half-spaces up to a positive factor (the body's in lowest terms), and
+    the same point stream. Returns the case met."""
+    try:
+        expected = fraction_make_body(rows, rhs, inst.f)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            make_body(rows, rhs, inst.f)
+        assert str(got.value) == str(exc)
+        assert type(got.value.__cause__) is type(exc.__cause__)
+        return type(exc).__name__
+    body = make_body(rows, rhs, inst.f)
+    assert body == expected
+    half_spaces = cuts._half_spaces(inst, body)
+    reference = fraction_half_spaces(inst, body)
+    assert list(map(_primitive, half_spaces)) == list(map(_primitive, reference))
+    assert all(_primitive(h) == (*h[0], h[1], h[2]) for h in half_spaces[len(inst.p_rows) :])
+    stream = list(region_lattice_points(inst, radius, body))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cuts, "_half_spaces", fraction_half_spaces)
+        assert list(region_lattice_points(inst, radius, body)) == stream
+    nonzero = [(vector(a), Fraction(b)) for a, b in zip(rows, rhs) if any(a)]
+    shifted = {tuple(c / (b - dot(a, inst.f)) for c in a) for a, b in nonzero}
+    return "merged rows" if len(shifted) < len(nonzero) else "body"
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_int_body_intake_matches_the_fraction_route_on_drawn_bodies(rng):
+    _same_body_and_scan(*_body_case(rng), rng.randint(0, 3))
+
+
+def test_int_body_intake_matches_the_fraction_route():
+    # Each case by hand, then seeded draws with every case among them.
+    f = V(Fraction(1, 2), 0)
+    inst = CornerInstance(2, f, (V(1, 0),))
+    cases = {
+        # (2, 0) over margin 1/2 and (4, 0) over margin 1 are both (4, 0)
+        "merged rows": ([(1, 0), (2, 0), (-1, 0), (0, 1)], [1, 2, 0, 1]),
+        "body": ([(0, 0), (1, 0), (-1, 0), (0, 0), (1, 1), (1, 0)], [1, 1, 0, 3, 2, 3]),
+        "AnchorNotInteriorError": ([(1, 0), (-1, 0)], [Fraction(1, 2), 0]),
+        "ImproperSetError": ([(0, 0), (0, 0)], [1, 2]),
+    }
+    for case, (rows, rhs) in cases.items():
+        assert _same_body_and_scan(inst, rows, rhs, 2) == case
+    with pytest.raises(AnchorNotInteriorError):  # a negative margin
+        make_body([(1, 0), (-1, 0)], [Fraction(1, 4), 0], f)
+    rng = random.Random(1597)
+    seen = Counter()
+    for _ in range(150):
+        seen[_same_body_and_scan(*_body_case(rng), rng.randint(0, 3))] += 1
+    assert min(seen[k] for k in ("merged rows", "body", "AnchorNotInteriorError")) >= 10, seen
 
 
 def test_instance_validation():

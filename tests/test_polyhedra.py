@@ -1,6 +1,8 @@
 import random
+import tempfile
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,17 +15,23 @@ from conftest import (
     fraction_support_lp,
     margin_exposed_witness,
     pivots_logged,
+    programs_logged,
     recheck_hull_verdict,
+    use_fraction_routes,
     vadd,
     vscale,
 )
-from polarcut import lp, polyhedra
+from test_cli_golden import CALLS, run_call, write_documents
+from test_readme import README, python_blocks
+import polarcut
+from polarcut import cuts, jsonio, lp, polyhedra
 from polarcut.polyhedra import (
     HPolyhedron,
     ImproperSetError,
     OriginNotInteriorError,
     VPolytope,
     exposed_witness,
+    gram_certificate,
     hull_membership,
     in_recession,
     membership,
@@ -35,9 +43,11 @@ from polarcut.polyhedra import (
 )
 from polarcut.rationals import (
     ONE,
+    Scaled,
     dot,
     integer_rows,
     is_zero_vector,
+    unscaled,
     vector,
     zero_vector,
 )
@@ -437,3 +447,190 @@ def _sets(draw):
 def test_compiled_support_lps_match_fraction_rows_on_drawn_sets(drawn):
     dim, rows = drawn
     _routes_agree(dim, rows, Counter())
+
+
+# ------------------------------------------------ the Gram test before an LP
+
+
+def _gram_cases(rng: random.Random, dim: int, rows: list) -> list:
+    """rows with derived rows put at random places, so that the cases the
+    Gram test meets all occur: a midpoint of two rows of equal norm (its
+    Gram test is a tie, |r|^2 = m, and it is redundant), a row twice or
+    half another (parallel: the shorter one is redundant, whether it comes
+    first or not), and a row's negation (m <= 0 between the two)."""
+    rows = list(rows)
+    for _ in range(rng.randint(0, 3)):
+        a = rng.choice(rows)
+        kind = rng.choice(("midpoint", "twice", "half", "negation"))
+        if kind == "midpoint":
+            d = rng.randrange(dim)
+            mirror = tuple(-c if j == d else c for j, c in enumerate(a))
+            derived = [mirror, tuple(0 if j == d else c for j, c in enumerate(a))]
+        else:
+            derived = [vscale({"twice": 2, "half": Fraction(1, 2), "negation": -1}[kind], a)]
+        for b in derived:
+            if not is_zero_vector(b):
+                rows.insert(rng.randint(0, len(rows)), b)
+    return rows
+
+
+GRAM_EXAMPLES = [
+    # (1, 0) is the midpoint of (1, 1) and (1, -1), of equal norm: a tie
+    (2, [(1, 0), (1, 1), (1, -1)]),
+    (2, [(1, 1), (1, 0), (1, -1)]),
+    # a row made redundant by a later one, in 1-D and in 2-D
+    (1, [(1,), (2,)]),
+    (2, [(1, 0), (0, 1), (2, 0)]),
+    # every <a_j, a_i> <= 0: m <= 0 for every row
+    (2, [(1, 0), (-1, 0), (0, 1), (0, -1)]),
+    (1, [(Fraction(1, 10**40),), (-3,)]),
+]
+
+
+def _gram_calls(run, *args) -> tuple:
+    """run(*args) with every gram_certificate call it makes, as (r, others,
+    den, result)."""
+    calls = []
+    certify = polyhedra.gram_certificate
+
+    def recorded(r, others, den):
+        result = certify(r, others, den)
+        calls.append((r, list(others), den, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedra, "gram_certificate", recorded)
+        value = run(*args)
+    return value, calls
+
+
+def _check_certificate(r, others, den, x) -> str:
+    """x, gram_certificate's answer on (r, others, den), checked by exact
+    rational arithmetic on the rows a = r / den: when a point, it is the
+    stated one, meets every other row and lies past a; when None,
+    |r|^2 <= m. Returns the case met."""
+    a = tuple(Fraction(c, den) for c in r)
+    rest = [tuple(Fraction(c, den) for c in s) for s in others]
+    norm = sum(c * c for c in r)
+    m = max((sum(c * e for c, e in zip(s, r)) for s in others), default=0)
+    if x is None:
+        assert norm <= m
+        return "tie" if norm == m else "failed"
+    x = unscaled(x)
+    assert dot(a, x) > 1
+    assert all(dot(s, x) <= 1 for s in rest)
+    if m > 0:
+        assert x == tuple(Fraction(den * c, m) for c in r)
+        return "m > 0"
+    assert x == tuple(Fraction(2 * den * c, norm) for c in r)
+    return "m <= 0"
+
+
+def _gram_agrees(dim: int, rows, seen: Counter) -> None:
+    """remove_redundancy with its Gram test keeps the rows that an LP for
+    every row keeps, in the same order, poses one LP for each row whose
+    test fails and none for the rest, and every certificate checks."""
+    (h, programs), calls = _gram_calls(programs_logged, remove_redundancy, dim, rows)
+    assert h.rows == fraction_remove_redundancy(dim, rows, gram_test=False).rows
+    assert len(programs) == sum(x is None for *_, x in calls)
+    for r, others, den, x in calls:
+        seen[_check_certificate(r, others, den, x)] += 1
+    seen["dropped rows"] += len(set(rows)) > len(h.rows)
+
+
+def test_gram_test_keeps_the_rows_of_an_lp_for_every_row():
+    rng = random.Random(6174)
+    sets = [[tuple(map(Fraction, a)) for a in rows] for _, rows in GRAM_EXAMPLES]
+    sets += [[tuple(map(Fraction, a)) for a in rows] for rows in DEGENERATE_SETS]
+    for _ in range(80):
+        dim = rng.randint(1, 4)
+        sets.append(_gram_cases(rng, dim, _raw_rows(rng, dim, rng.randint(1, dim + 5))))
+    seen = Counter()
+    for rows in sets:
+        _gram_agrees(len(rows[0]), rows, seen)
+    assert min(seen[k] for k in ("m > 0", "m <= 0", "tie", "failed", "dropped rows")) >= 10, seen
+
+
+@st.composite
+def _gram_sets(draw):
+    """_sets() with _gram_cases' derived rows, drawn from a seed."""
+    dim, rows = draw(_sets())
+    return dim, _gram_cases(random.Random(draw(st.integers(0, 2**32))), dim, rows)
+
+
+@example((2, [(ONE, Fraction(0)), (ONE, ONE), (ONE, -ONE)]))
+@example((1, [(ONE,), (Fraction(2),)]))
+@example((2, [(ONE, Fraction(0)), (-ONE, Fraction(0)), (Fraction(0), ONE)]))
+@given(_gram_sets())
+@settings(max_examples=200, deadline=None)
+def test_gram_test_keeps_the_rows_of_an_lp_for_every_row_on_drawn_sets(drawn):
+    dim, rows = drawn
+    _gram_agrees(dim, rows, Counter())
+
+
+def test_gram_certificate_cases():
+    # The two forms of the point, a tie, and a lone row.
+    x = gram_certificate((2, 0), [(1, 1), (0, 1)], 3)
+    assert x == Scaled((6, 0), 2)  # den r / m = 3 (2, 0) / 2
+    assert gram_certificate((1, 0), [(-1, 0), (0, 1)], 5) == Scaled((10, 0), 1)
+    assert gram_certificate((1, 0), [(1, 1), (1, -1)], 1) is None
+    assert gram_certificate((0, 3), [], 2) == Scaled((0, 12), 9)
+
+
+def _normalize_inputs() -> list:
+    """The (rows, rhs) of every normalize call that the README's examples
+    and the golden CLI corpus make, in order, each once."""
+    inputs = {}
+    normalize_ = polyhedra.normalize
+
+    def recorded(rows, rhs):
+        inputs.setdefault(repr((rows, rhs)), (rows, rhs))
+        return normalize_(rows, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (polarcut, polyhedra, jsonio, cuts):
+            mp.setattr(module, "normalize", recorded)
+        namespace = {}
+        for block in python_blocks(README.read_text(encoding="utf-8")):
+            exec(block, namespace)
+        with tempfile.TemporaryDirectory() as directory:
+            write_documents(directory)
+            for call in CALLS:
+                run_call(call, directory)
+    return list(inputs.values())
+
+
+def test_normalize_poses_one_lp_per_row_that_fails_the_gram_test(lp_solves):
+    # On every set of the README and of the golden corpus, normalize's LPs
+    # are those of the Fraction reference, whose Gram test is taken in
+    # Fractions: one per row whose test fails, in the same order, and none
+    # for the rest. Each LP's objective is its row's int form, and its
+    # rows are the other live rows, against which the test does fail.
+    inputs = _normalize_inputs()
+    for rows, rhs in inputs:
+        h, programs = programs_logged(normalize, rows, rhs)
+        with pytest.MonkeyPatch.context() as mp:
+            use_fraction_routes(mp)
+            reference, reference_programs = programs_logged(normalize, rows, rhs)
+        assert h == reference
+        den = [p.rows[0][2] for p in programs]
+        assert [tuple(Fraction(c, d) for c in p.objective) for p, d in zip(programs, den)] == [
+            p.objective for p in reference_programs
+        ]
+        for p in programs:
+            r = p.objective
+            assert sum(c * c for c in r) <= max(sum(map(mul, s, r)) for s, _, _ in p.rows)
+    # The same counts on any machine: 16 sets keep 50 rows with 15 LPs,
+    # where an LP for every row takes 57.
+    lp_solves.clear()
+    kept = sum(len(normalize(rows, rhs).rows) for rows, rhs in inputs)
+    assert (len(inputs), kept, dict(lp_solves)) == (16, 50, {"optimal": 11, "unbounded": 4})
+    lp_solves.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedra, "remove_redundancy", _lp_only_remove_redundancy)
+        assert sum(len(normalize(rows, rhs).rows) for rows, rhs in inputs) == kept
+    assert sum(lp_solves.values()) == 57
+
+
+def _lp_only_remove_redundancy(dim, rows):
+    return fraction_remove_redundancy(dim, rows, gram_test=False)
