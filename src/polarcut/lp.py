@@ -118,6 +118,16 @@ class LPOutcome:
     dual: Vec | None = None
 
 
+def _int_form(entries) -> tuple[tuple, int]:
+    """integer_rows of one rational vector, as (ints, den). A vector of
+    ints (bools excluded) is its own ints over 1 and is read as it is: the
+    support LPs' rows and the polar simplex row arrive that way."""
+    if set(map(type, entries)) == {int}:
+        return entries, 1
+    (ints,), den = integer_rows((entries,))
+    return ints, den
+
+
 def _pivot(tab, dens, basis, leave, enter):
     """Fraction-free Gauss-Jordan step on (leave, enter), in place.
 
@@ -238,7 +248,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     flip = []
     pad = [0] * (ncols - nu)
     for i, (coeffs, rel, b) in enumerate(lp.rows):
-        (ints,), den = integer_rows([(*coeffs, b)])
+        ints, den = _int_form((*coeffs, b))
         s = -1 if ints[-1] < 0 else 1
         row = [s * sg * ints[j] for j, sg in ucols]
         row += pad
@@ -289,7 +299,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
                     _pivot(tab, dens, basis, i, enter)
 
     # Phase 2: the real objective over the structural columns.
-    (obj_ints,), obj_den = integer_rows([lp.objective])
+    obj_ints, obj_den = _int_form(lp.objective)
     cost2 = [0] * (ncols + 1)
     for k, (j, sg) in enumerate(ucols):
         cost2[k] = sg * sense * obj_ints[j]

@@ -19,13 +19,14 @@ is exact; all verdicts are decided by rational arithmetic, never tolerance.
 sup_over is the one LP for the support function of K itself,
 sigma_K(v) = sup of <v, x> over K, which is at most 1 exactly when v lies
 in the polar. It decides the redundancy of a row that fails the Gram
-test here, condition (b) of sublinear.check_unit_ball, and boundedness in
-cuts.maximality_certificate (sigma_K is finite along every axis, both
-ways, iff K is bounded). Its program over the rows other than a_i, at
-a_i, also yields exposed_witness. It poses the set in its compiled form
-(int rows r over a common denominator den, the program's rows
-<r, x> <= den), so the LP reads ints and no caller converts a row twice:
-each caller compiles its rows once.
+test here, condition (b) of sublinear.check_unit_ball for a generator
+that carries no valid convex weights (VPolytope.polar_weights), and
+boundedness in cuts.maximality_certificate (sigma_K is finite along
+every axis, both ways, iff K is bounded). Its program over the rows
+other than a_i, at a_i, also yields exposed_witness. It poses the set in
+its compiled form (int rows r over a common denominator den, the
+program's rows <r, x> <= den), so the LP reads ints and no caller
+converts a row twice: each caller compiles its rows once.
 
 The evaluators run fraction-free: each set (and each generator set) is
 compiled once into integer rows over one common denominator, and a pairing
@@ -43,7 +44,7 @@ them as int columns for sublinear.block_values.)
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -102,10 +103,19 @@ class HPolyhedron:
 @dataclass(frozen=True)
 class VPolytope:
     """Convex hull of finitely many points. Operations never depend on
-    redundant (non-vertex) points being present or absent."""
+    redundant (non-vertex) points being present or absent.
+
+    polar_weights, when set, holds one entry per point: None, or int
+    weights w over polar(h).points of a set h (the origin first, then
+    h.rows) that claim the point is sum_i w_i p_i / sum w, so that it lies
+    in the polar of h. Only sublinear.random_unit_ball_rep fills it, and
+    sublinear.check_unit_ball checks each claim exactly before it spares
+    that point's support LP. It is a proof, not part of the hull: equality
+    and hashing ignore it."""
 
     dim: int
     points: tuple
+    polar_weights: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -115,6 +125,10 @@ class VPolytope:
         for p in self.points:
             if len(p) != self.dim:
                 raise ValueError("point width differs from dimension")
+        if self.polar_weights is not None and len(self.polar_weights) != len(
+            self.points
+        ):
+            raise ValueError("polar_weights needs one entry per point")
 
     @cached_property
     def compiled(self) -> tuple:

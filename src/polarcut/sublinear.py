@@ -20,6 +20,12 @@ recoverable from either evaluator, and off the recession cone all three
 routes agree exactly. property_suite runs all of these checks over a list
 of sets and tallies the outcome.
 
+check_unit_ball proves a generator's membership in the polar in one of
+two ways: by its own convex weights over polar(h).points, which
+random_unit_ball_rep keeps on the generator set (VPolytope.polar_weights)
+and which are checked in ints with no LP, or, for a generator without
+valid weights, by the support LP sup_over over the set's rows.
+
 The evaluators and checks take a point in either form, a rational tuple or
 its rationals.Scaled form; property_suite scales each sample once per set,
 so every check on it pairs int vectors, and a rational is built only for a
@@ -127,15 +133,45 @@ def support(gens: VPolytope, x):
     return Fraction(max(values), scale)
 
 
+def _weights_prove(v, weights, compiled: tuple) -> bool:
+    """Do the weights w over polar(h).points (the origin first, then the
+    rows) prove that the generator v lies in the polar of h, for compiled =
+    h.compiled = (int rows r, den)? With v = ints / d in scaled form, they
+    do when there is one weight per point, every w_i is an int >= 0,
+    W = sum w > 0, and ints * den * W == d * sum_{i>=1} w_i r_i in every
+    coordinate. Then v = sum_{i>=1} (w_i / W) a_i, and for every x in K,
+    <v, x> <= sum_{i>=1} w_i / W <= 1 (weak duality, with multipliers
+    w_i / W on the rows), so sup_over(compiled, v) <= 1 with no LP."""
+    rows, den = compiled
+    if len(weights) != len(rows) + 1 or not all(
+        type(w) is int and w >= 0 for w in weights
+    ):
+        return False
+    total = sum(weights)
+    if total <= 0:
+        return False
+    ints, d = scaled(v)
+    scale = den * total
+    on_rows = weights[1:]
+    return all(
+        c * scale == d * sum(map(mul, on_rows, col))
+        for c, col in zip(ints, zip(*rows))
+    )
+
+
 def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
     """Is the sandwich guaranteed for this generator set?
 
     Two exact conditions: (a) every row of h lies in the hull of the
     generators, so the support dominates the minimal evaluator; (b) every
-    generator v lies in the polar, i.e. sup_over(h.compiled, v) is finite
-    and at most 1, so the gauge dominates the support. Generators that are
-    literal rows of h satisfy (b) by definition of K and are skipped, as is
-    the zero vector.
+    generator v lies in the polar, so the gauge dominates the support.
+    Generators that are literal rows of h satisfy (b) by definition of K
+    and are skipped, as is the zero vector. A generator whose
+    gens.polar_weights entry proves it a convex combination of
+    polar(h).points (_weights_prove, exact int arithmetic on h.compiled)
+    satisfies (b) with no LP; any other generator, one with no weights or
+    with weights that fail the test, needs sup_over(h.compiled, v) finite
+    and at most 1. Both routes give the same verdict.
     """
     if gens.dim != h.dim:
         raise ValueError("generator dimension differs from the set's")
@@ -143,8 +179,11 @@ def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
         if not hull_membership(a, gens).inside:
             return False
     row_set = set(h.rows)
-    for v in gens.points:
+    claims = gens.polar_weights or repeat(None)
+    for v, weights in zip(gens.points, claims):
         if v in row_set or is_zero_vector(v):
+            continue
+        if weights is not None and _weights_prove(v, weights, h.compiled):
             continue
         top = sup_over(h.compiled, v)
         if top is None or top > 1:
@@ -155,13 +194,15 @@ def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
 def random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPolytope:
     """Seeded valid generator set: the rows of h plus `count` random exact
     convex combinations of the origin and the rows (duplicates merged).
-    Always passes check_unit_ball by construction. Weight 0 is the
-    origin's, and each coordinate is one int sum over h.compiled's
-    columns."""
+    Always passes check_unit_ball by construction, and carries its proof:
+    each added point keeps its int weights over polar(h).points (weight 0
+    is the origin's) in polar_weights, and the rows have None there. Each
+    coordinate is one int sum over h.compiled's columns."""
     rng = random.Random(seed)
     rows, den = h.compiled
     cols = tuple(zip(*rows))
     gens = list(h.rows)
+    claims = [None] * len(gens)
     seen = set(gens)
     for _ in range(count):
         weights = [rng.randint(0, 4) for _ in range(len(rows) + 1)]
@@ -172,7 +213,8 @@ def random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPolytope:
         if point not in seen:
             seen.add(point)
             gens.append(point)
-    return VPolytope(h.dim, tuple(gens))
+            claims.append(tuple(weights))
+    return VPolytope(h.dim, tuple(gens), tuple(claims))
 
 
 def sandwich_check(h: HPolyhedron, gens: VPolytope, samples) -> SandwichReport:

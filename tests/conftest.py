@@ -10,13 +10,16 @@ LPs that decided boundedness before polyhedra.sup_over, the margin LP
 that found exposed witnesses before the support LP did, the property
 suite fed rational samples, check-cut's one LP per lattice point, and
 the support LPs over a set's Fraction rows with the generator sets summed
-in Fractions, from before every such LP read the set's compiled int rows,
-the redundancy filter over Fraction rows (with the Gram test taken in
-Fractions, or with an LP for every row as before there was one), the
-cut body's margins and scan half-spaces by Fraction dot products, from
-before make_body and the scan read them in ints, and the CLI's JSON
-writer from before it had its own, over json's pure-Python indent=2
-encoder. They are deliberately slow and simple.
+in Fractions and every generator checked by an LP, from before every such
+LP read the set's compiled int rows and drawn generators carried their
+weights, every program row read through integer_rows as lp.solve read
+it before it took an all-int row as it is, the redundancy filter over
+Fraction rows (with the Gram test taken in Fractions, or with an LP for
+every row as before there was one), the cut body's margins and scan
+half-spaces by Fraction dot products, from before make_body and the scan
+read them in ints, and the CLI's JSON writer from before it had its own,
+over json's pure-Python indent=2 encoder. They are deliberately slow and
+simple.
 """
 
 from __future__ import annotations
@@ -646,6 +649,13 @@ def margin_exposed_witness(h: HPolyhedron, row_index: int):
 
 
 # ------------------------------------------------- Fraction-row support LPs
+
+
+def integer_rows_form(entries):
+    """Reference for lp._int_form: integer_rows of the vector, an all-int
+    one included, as lp.solve read every row and objective before."""
+    (ints,), den = integer_rows((entries,))
+    return ints, den
 
 
 def pivots_logged(run, *args):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_best,
     fraction_solve,
+    integer_rows_form,
     margin_exposed_witness,
     needs_artificial,
     pivots_logged,
@@ -20,8 +22,10 @@ from polarcut import lp as lp_module
 from polarcut.lp import LinearProgram, LPOutcome, solve, verify_certificate
 from polarcut.polyhedra import (
     HPolyhedron,
+    VPolytope,
     exposed_witness,
     hull_membership,
+    normalize,
     polar,
     random_polyhedron,
     sup_over,
@@ -30,6 +34,7 @@ from polarcut.rationals import ONE, ZERO, dot, integer_rows
 from polarcut.sublinear import (
     check_unit_ball,
     polar_support_lp,
+    property_suite,
     random_unit_ball_rep,
     sample_points,
 )
@@ -370,7 +375,9 @@ def _polyhedron_programs():
     """The programs that seeded random canonical sets pose: normalize's
     redundancy tests, exposed_witness per row (pure '<=' support LPs) and
     the margin LP it replaced (an '=' row beside '<=' rows and a cap row),
-    check_unit_ball on a random generator set, sup_over at +-e_d, and at
+    check_unit_ball on a random generator set without its weights (one
+    support LP per point that is neither a row nor the origin), sup_over
+    at +-e_d, and at
     sample points the all-'=' programs of polar_support_lp and of
     hull_membership in the polar."""
 
@@ -382,7 +389,8 @@ def _polyhedron_programs():
             for i in range(len(h.rows)):
                 exposed_witness(h, i)
                 margin_exposed_witness(h, i)
-            assert check_unit_ball(random_unit_ball_rep(h, index, 3), h)
+            gens = random_unit_ball_rep(h, index, 3)  # stripped of its weights
+            assert check_unit_ball(VPolytope(h.dim, gens.points), h)
             for d in range(dim):
                 for sign in (ONE, -ONE):
                     axis = tuple(sign if j == d else ZERO for j in range(dim))
@@ -393,6 +401,54 @@ def _polyhedron_programs():
 
     _, programs = programs_logged(pose)
     return programs
+
+
+def test_int_rows_read_as_they_are_match_the_integer_rows_route():
+    # lp.solve reads an all-int row (and objective) as its own ints over 1.
+    # On the programs normalize and the property suite pose, that gives the
+    # same pivots, outcomes and certificates as reading every row through
+    # integer_rows.
+    rng = random.Random(4181)
+    raw_sets = []
+    for _ in range(8):
+        dim = rng.randint(1, 4)
+        raw_sets.append(
+            [
+                tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim))
+                for _ in range(rng.randint(dim + 1, dim + 5))
+            ]
+        )
+
+    def pose():
+        sets = [normalize(rows, [1] * len(rows)) for rows in raw_sets]
+        property_suite(sets, 11, 24)
+
+    _, programs = programs_logged(pose)
+    statuses = Counter()
+    int_rows = 0
+    for program in programs:
+        outcome, pivots = pivots_logged(solve, program)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp_module, "_int_form", integer_rows_form)
+            reference, reference_pivots = pivots_logged(solve, program)
+        assert (outcome, pivots) == (reference, reference_pivots)
+        assert verify_certificate(program, outcome)
+        statuses[outcome.status] += 1
+        int_rows += sum(
+            {type(c) for c in coeffs} | {type(b)} == {int} for coeffs, _, b in program.rows
+        )
+    assert int_rows >= 300 and min(statuses[k] for k in ("optimal", "unbounded")) >= 20, (
+        int_rows,
+        statuses,
+    )
+
+
+def test_int_form_reads_bools_through_integer_rows():
+    # Only exact ints are read as they are: a bool becomes its int.
+    assert lp_module._int_form((3, -2, 0)) == ((3, -2, 0), 1)
+    ints, den = lp_module._int_form((True, 2))
+    assert (ints, den) == ((1, 2), 1) and {type(c) for c in ints} == {int}
+    assert lp_module._int_form((Fraction(1, 2), 3)) == ((1, 6), 2)
 
 
 def test_slack_start_agrees_with_all_artificial_start():

@@ -86,5 +86,9 @@ def test_readme_python_blocks_state_their_values():
         "(([3, 2], [2, 1]), [1, 4])",
         "Values(nums=[3, 1], dens=[1, 2])",
         "[Fraction(3, 1), Fraction(1, 2)]",
+        "(Fraction(4, 9), Fraction(4, 9))",
+        "(None, None, (1, 4, 4))",
+        "True",
+        "True",
     ]
 

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    cone_is_pointed,
+    fraction_check_unit_ball,
     fraction_random_unit_ball_rep,
+    fraction_sup_over,
     fraction_sample_points,
     gauge_bracket,
     programs_logged,
@@ -30,7 +34,7 @@ from polarcut.polyhedra import (
     polar,
     random_polyhedron,
 )
-from polarcut.rationals import ZERO, Values, dot, vector
+from polarcut.rationals import ZERO, Values, dot, is_zero_vector, vector
 from polarcut.sublinear import (
     block_values,
     check_unit_ball,
@@ -517,17 +521,216 @@ def test_random_unit_ball_rep_matches_fraction_sums():
                 assert gens == fraction_random_unit_ball_rep(h, seed, count)
 
 
-def _suite(raw_sets, seed: int, samples: int):
-    """normalize on each raw set, then property_suite on the sets."""
-    sets = [normalize(rows, [1] * len(rows)) for rows in raw_sets]
-    return sets, property_suite(sets, seed, samples)
+# ------------------------------ generators proven by their convex weights
+
+
+def _mean(h, weights):
+    """sum_i w_i p_i / sum w over polar(h).points, in Fractions."""
+    anchors = polar(h).points
+    total = Fraction(sum(weights))
+    return tuple(
+        sum(w * p[d] for w, p in zip(weights, anchors)) / total for d in range(h.dim)
+    )
+
+
+def _claim_holds(h, v, weights) -> bool:
+    """Do the weights prove v in the polar? By Fraction arithmetic: one
+    int weight >= 0 per point of polar(h), a positive total, and v their
+    weighted mean."""
+    return (
+        len(weights) == len(h.rows) + 1
+        and all(type(w) is int and w >= 0 for w in weights)
+        and sum(weights) > 0
+        and _mean(h, weights) == v
+    )
+
+
+def _in_polar(h, v) -> bool:
+    top = fraction_sup_over(h.rows, v)
+    return top is not None and top <= 1
+
+
+def _skipped(h, v) -> bool:
+    """check_unit_ball needs no proof for a row or the origin."""
+    return v in h.rows or is_zero_vector(v)
+
+
+def _genuine_claim(h, rng, last_zero=False):
+    """A seeded point of the polar, neither a row nor the origin, with int
+    weights over polar(h).points that prove it; the last weight 0 when
+    last_zero. None when the draws find none."""
+    for _ in range(50):
+        weights = [rng.randint(0, 4) for _ in range(len(h.rows) + 1)]
+        if last_zero:
+            weights[-1] = 0
+        if sum(weights) > 0:
+            point = _mean(h, weights)
+            if not _skipped(h, point):
+                return point, tuple(weights)
+    return None
+
+
+def _forgeries(h, other, rng) -> list:
+    """(kind, point, weights): seeded claims over polar(h).points that do
+    not prove their point. Twice a row lies outside the polar, and so may
+    a nudged point; the others lie inside it."""
+    v, w = _genuine_claim(h, rng)
+    i = rng.randrange(len(h.rows))
+    twice = vscale(2, h.rows[i])
+    unit = [0] * (len(h.rows) + 1)
+    negative = list(unit)
+    negative[0], negative[i + 1] = -1, 2  # sums to 2 a_i over a total of 1
+    doubled = list(unit)
+    doubled[i + 1] = 2  # a_i over a total of 2, given as 2 a_i
+    den = h.compiled[1]
+    cases = [
+        ("negative weight", twice, tuple(negative)),
+        ("zero total", twice, tuple(unit)),
+        ("zero total", v, tuple(unit)),
+        ("wrong length", v, w + (0,)),
+        ("nudged by 1/den", (v[0] + Fraction(1, den),) + v[1:], w),
+        ("nudged by 1/den", v[:-1] + (v[-1] - Fraction(1, den),), w),
+        ("claims 2 a_i", twice, tuple(doubled)),
+    ]
+    short = _genuine_claim(h, rng, last_zero=True)
+    if short is not None:
+        cases.append(("wrong length", short[0], short[1][:-1]))
+    if other.dim == h.dim:
+        cases.append(("another set's", v, _genuine_claim(other, rng)[1]))
+    return [
+        (kind, x, weights)
+        for kind, x, weights in cases
+        if not _skipped(h, x) and not _claim_holds(h, x, weights)
+    ]
+
+
+def _weights_agree(h, other, rng, seen: Counter) -> None:
+    """check_unit_ball equals the LP-only reference on random_unit_ball_rep
+    candidates of h (no LP), on the same points without their weights (one
+    LP per point that is neither a row nor the origin) and on each forged
+    claim of _forgeries (one LP, at the forged point)."""
+    for seed in range(3):
+        gens = random_unit_ball_rep(h, rng.randrange(10**6), 1 + 2 * seed)
+        added = [
+            (v, w) for v, w in zip(gens.points, gens.polar_weights) if not _skipped(h, v)
+        ]
+        assert all(_claim_holds(h, v, w) for v, w in added)
+        verdict, programs = programs_logged(check_unit_ball, gens, h)
+        assert verdict is True and fraction_check_unit_ball(gens, h) is True
+        assert programs == []
+        seen["certified"] += len(added)
+        bare = VPolytope(h.dim, gens.points)
+        verdict, programs = programs_logged(check_unit_ball, bare, h)
+        assert verdict is True
+        assert [p.objective for p in programs] == [v for v, _ in added]
+    for kind, x, weights in _forgeries(h, other, rng):
+        gens = VPolytope(
+            h.dim, h.rows + (x,), (None,) * len(h.rows) + (weights,)
+        )
+        verdict, programs = programs_logged(check_unit_ball, gens, h)
+        assert verdict == fraction_check_unit_ball(gens, h), kind
+        assert [p.objective for p in programs] == [x], kind
+        assert verdict == _in_polar(h, x), kind
+        seen[kind] += 1
+        seen["outside"] += not verdict
+
+
+def test_polar_weights_prove_generators_as_the_lp_does():
+    # Seeded 1-5-D sets, bounded and unbounded, one-row sets and sets with
+    # huge denominators: the certified route and the LP-only reference give
+    # the same verdicts, genuine weights spare every LP, and every forged
+    # claim takes the LP route and is never taken for a point outside.
+    rng = random.Random(28657)
+    sets = _generator_sets()
+    sets.append(normalize([(Fraction(10**25 + 7, 10**24),), (-1,)], [1, 1]))
+    for _ in range(20):
+        dim = rng.randint(1, 5)
+        sets.append(random_polyhedron(dim, rng.randint(1, dim + 4), rng))
+    seen = Counter()
+    for h, other in zip(sets, sets[1:] + sets[:1]):
+        _weights_agree(h, other, rng, seen)
+        seen["bounded" if cone_is_pointed(h) else "unbounded"] += 1
+        seen["one row"] += len(h.rows) == 1
+        seen["huge den"] += h.compiled[1] > 10**20
+    kinds = (
+        "negative weight",
+        "zero total",
+        "wrong length",
+        "another set's",
+        "nudged by 1/den",
+        "claims 2 a_i",
+    )
+    assert min(seen[kind] for kind in kinds) >= 5, seen
+    assert seen["certified"] >= 100 and seen["outside"] >= 40, seen
+    assert min(seen[k] for k in ("bounded", "unbounded", "one row", "huge den")) >= 1, seen
+
+
+@st.composite
+def _weight_cases(draw):
+    """Two canonical 1-4-D sets of small and huge-denominator rows, and a
+    seed for the claims."""
+    entries = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+        st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+    )
+
+    def canonical(dim):
+        row = st.tuples(*[entries] * dim).filter(lambda a: not is_zero_vector(a))
+        rows = draw(st.lists(row, min_size=1, max_size=6))
+        return normalize(rows, [1] * len(rows))
+
+    dim = draw(st.integers(1, 4))
+    return canonical(dim), canonical(dim), draw(st.integers(0, 2**32))
+
+
+@given(_weight_cases())
+@settings(max_examples=100, deadline=None)
+def test_polar_weights_prove_generators_as_the_lp_does_on_drawn_sets(case):
+    h, other, seed = case
+    _weights_agree(h, other, random.Random(seed), Counter())
+
+
+def test_polar_weights_stay_out_of_equality():
+    # Two generator sets with the same points are equal, and hash alike,
+    # whatever weights they carry; a weights tuple of the wrong length is
+    # refused.
+    h = normalize([(1, 0), (0, 1)], [1, 1])
+    gens = random_unit_ball_rep(h, 3, 4)
+    bare = VPolytope(h.dim, gens.points)
+    assert gens.polar_weights is not None and bare.polar_weights is None
+    assert gens == bare and hash(gens) == hash(bare)
+    with pytest.raises(ValueError, match="one entry per point"):
+        VPolytope(h.dim, gens.points, gens.polar_weights[:-1])
+
+
+def _logged_suite(raw_sets, seed: int, samples: int):
+    """normalize on each raw set, then property_suite on the sets: both
+    results, and the programs lp.solve is given in each of the two steps."""
+    sets, normalize_programs = programs_logged(
+        lambda: [normalize(rows, [1] * len(rows)) for rows in raw_sets]
+    )
+    tally, suite_programs = programs_logged(property_suite, sets, seed, samples)
+    return (sets, tally), normalize_programs, suite_programs
+
+
+def _support_lp_at(program):
+    """(objective, rational rows) of a support LP, each row <a, x> <= b
+    read as a / b: the generator and the set of a sup_over call."""
+    return program.objective, tuple(
+        tuple(Fraction(c) / b for c in coeffs) for coeffs, _, b in program.rows
+    )
 
 
 def test_support_lps_pose_int_rows_as_often_as_the_fraction_routes():
     # Guarded by counts, not timing: every program of normalize and of the
     # property suite is a support LP ('<=' rows, free variables) or
     # polar_support_lp's simplex ('=' row, nonneg variables), each posed in
-    # ints, and there are as many as the Fraction-row routes pose.
+    # ints. The LPs are accounted for exactly: the Fraction-row routes pose
+    # one support LP per suite generator that is neither a row nor the
+    # origin, and the library poses none of those, since each such
+    # generator carries its convex weights. The generators are counted from
+    # the candidates' points, not from their weights.
     rng = random.Random(10946)
     raw_sets = []
     for _ in range(10):
@@ -538,16 +741,37 @@ def test_support_lps_pose_int_rows_as_often_as_the_fraction_routes():
                 for _ in range(rng.randint(dim + 1, dim + 5))
             ]
         )
-    result, programs = programs_logged(_suite, raw_sets, 3, 24)
+    candidates = []
+    draw = sublinear.random_unit_ball_rep
+
+    def recorded(h, seed, count):
+        gens = draw(h, seed, count)
+        candidates.append((h, gens))
+        return gens
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sublinear, "random_unit_ball_rep", recorded)
+        result, normalize_programs, suite_programs = _logged_suite(raw_sets, 3, 24)
     with pytest.MonkeyPatch.context() as mp:
         use_fraction_routes(mp)
-        reference, reference_programs = programs_logged(_suite, raw_sets, 3, 24)
+        reference, reference_normalize, reference_suite = _logged_suite(raw_sets, 3, 24)
     assert result == reference
-    assert len(programs) == len(reference_programs)
+    programs = normalize_programs + suite_programs
+    reference_programs = reference_normalize + reference_suite
+    generators = [
+        (v, h.rows)
+        for h, gens in candidates
+        for v in gens.points
+        if v not in h.rows and not is_zero_vector(v)
+    ]
+    assert len(candidates) == 3 * len(result[0]) and len(generators) >= 50
+    assert len(programs) + len(generators) == len(reference_programs)
+    suite_generators = set(generators)
     kinds = {"support": 0, "polar": 0}
     for program in programs:
         if set(program.bounds) == {"free"}:
             assert {rel for _, rel, _ in program.rows} <= {"<="}
+            assert _support_lp_at(program) not in suite_generators
             kinds["support"] += 1
         else:
             assert len(program.rows) == 1 and program.rows[0][1] == "="
@@ -555,6 +779,12 @@ def test_support_lps_pose_int_rows_as_often_as_the_fraction_routes():
         for coeffs, _, rhs in program.rows:
             assert {type(c) for c in coeffs} | {type(rhs)} == {int}
     assert min(kinds.values()) >= 50, kinds
+    # The reference suite poses its support LP at each of those generators
+    # (normalize may pose one at a dropped row that a generator equals).
+    assert len(generators) == sum(
+        set(program.bounds) == {"free"} and _support_lp_at(program) in suite_generators
+        for program in reference_suite
+    )
     # The reference really is the Fraction route.
     assert any(
         type(rhs) is Fraction for program in reference_programs for _, _, rhs in program.rows
