@@ -77,17 +77,14 @@ from .polyhedra import (
     sup_over,
 )
 from .rationals import (
-    ONE,
     ZERO,
     Scaled,
     Vec,
     integer_rows,
     is_integral,
-    parse_rational,
     rational_text,
     scaled,
     scaled_vector,
-    unscaled,
     vector,
 )
 from .sublinear import minimal_sublinear
@@ -142,16 +139,6 @@ class CornerInstance:
         for row in self.p_rows:
             if len(row) != self.dim:
                 raise ValueError("P row width differs from dimension")
-
-    @classmethod
-    def make(cls, dim, f, rays, p_rows=(), p_rhs=()):
-        return cls(
-            dim,
-            vector(f),
-            tuple(vector(r) for r in rays),
-            tuple(vector(r) for r in p_rows),
-            tuple(parse_rational(b) for b in p_rhs),
-        )
 
 
 @dataclass(frozen=True)
@@ -239,7 +226,7 @@ def _half_spaces(inst: CornerInstance, body: HPolyhedron | None) -> list:
     Those are read from body.compiled (rows r over den) and scaled(f)
     (F over f_den) as <f_den r, z> <= den f_den + <r, F>, divided by
     their gcd."""
-    rows = [integer_rows((a + (b,),))[0][0] for a, b in zip(inst.p_rows, inst.p_rhs)]
+    rows = [scaled(a + (b,)).ints for a, b in zip(inst.p_rows, inst.p_rhs)]
     if body is not None:
         ints, den = body.compiled
         f_ints, f_den = scaled(inst.f)
@@ -370,17 +357,18 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
     box, when it is empty on some axis (it holds no lattice point, however
     the other axes read), or when it is a violation.
 
-    Each LP's outcome is checked by lp.verify_certificate, then its
-    certificate is kept as an int row to settle later points without an
-    LP. The LP's columns are the rays and its costs alpha, so the check
-    covers both:
+    Each LP is posed in ints: rays R_j / r_den, t = T / f_den and alpha =
+    A / a_den give row d as sum_j f_den R_jd s_j = r_den T_d and costs A,
+    so its value is a_den times the minimum. Each outcome is checked by
+    lp.verify_certificate, then its certificate is kept as an int row to
+    settle later points without an LP. The check covers both:
 
     * a Farkas row y of an unreachable point is the dual test for
-      objective 0: <y, r_j> >= 0 for every ray and <y, t> < 0, so every
-      t with <y, t> < 0 is unreachable too;
-    * the dual u of an optimal value >= 1 has <u, r_j> <= alpha_j for
-      every ray and <u, t> equal to the value, so every t with
-      <u, t> >= 1 has minimum >= 1 by weak duality.
+      objective 0: <y, R_j> >= 0 for every ray and <y, T> < 0, so every
+      offset with <y, T> < 0 is unreachable too;
+    * the dual u of an optimal value >= a_den has f_den <u, R_j> <= A_j
+      for every ray and r_den <u, T> equal to the value, so every offset
+      with r_den <u, T> >= a_den has minimum >= 1 by weak duality.
 
     A skipped point is therefore never a violation: the first point left
     without a proof is the first violation of the plain per-point scan,
@@ -388,7 +376,10 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
     fails its check raises RuntimeError before anything is skipped."""
     if len(cut.alpha) != len(inst.rays):
         raise ValueError("one coefficient per ray required")
-    columns = tuple(zip(*inst.rays))  # coordinate d of every ray
+    rays, r_den = integer_rows(inst.rays)
+    f = scaled(inst.f)
+    columns = tuple(tuple(f.den * c for c in col) for col in zip(*rays))
+    costs, a_den = scaled(cut.alpha)
     bounds = ("nonneg",) * len(inst.rays)
     box = violation_box(inst, cut.alpha)
     box_scanned = box is not None and (
@@ -398,26 +389,24 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
             for (lo, hi), c in zip(box, map(round, inst.f))
         )
     )
-    f = scaled(inst.f)
-    farkas = []  # y: z is unreachable if <y, z - f> < 0
-    duals = []  # (u, den): value >= 1 at z if <u, z - f> >= den, in ints
+    farkas = []  # y: z is unreachable if <y, t> < 0
+    duals = []  # (u, den): value >= 1 at z if <u, t> >= den, in ints
     for z in region_lattice_points(inst, radius, box=box):
-        offset = _offset(z, f)
-        t = offset.ints
+        t = _offset(z, f).ints
         if any(sum(map(mul, y, t)) < 0 for y in farkas) or any(
             sum(map(mul, u, t)) >= den for u, den in duals
         ):
             continue
-        rows = tuple((col, "=", c) for col, c in zip(columns, unscaled(offset)))
+        rows = tuple((col, "=", r_den * c) for col, c in zip(columns, t))
         program = lp.LinearProgram(
-            direction="min", objective=cut.alpha, rows=rows, bounds=bounds
+            direction="min", objective=costs, rows=rows, bounds=bounds
         )
         outcome = lp.solve(program)
         if outcome.status == "unbounded":
             return ValidityReport(
                 False, radius, "global", CutViolation(vector(z), outcome.ray, True)
             )
-        if outcome.status == "optimal" and outcome.value < 1:
+        if outcome.status == "optimal" and outcome.value < a_den:
             return ValidityReport(
                 False, radius, "global", CutViolation(vector(z), outcome.point, False)
             )
@@ -426,11 +415,11 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
                 f"the {outcome.status} certificate at z = {z} fails "
                 "lp.verify_certificate"
             )
-        (row,), den = integer_rows((outcome.dual,))
+        row, den = scaled(outcome.dual)
         if outcome.status == "infeasible":
             farkas.append(row)
         else:
-            duals.append((row, den * f.den))
+            duals.append((tuple(r_den * c for c in row), den * a_den))
     return ValidityReport(True, radius, "global" if box_scanned else "region")
 
 
@@ -444,10 +433,10 @@ def maximality_certificate(
     anything else is labelled heuristic. The body is bounded iff sup_over
     is finite at +e_d and -e_d for every axis d."""
     heuristic = bool(inst.p_rows) or any(
-        sup_over(body.compiled, tuple(s if j == d else ZERO for j in range(body.dim)))
+        sup_over(body.compiled, tuple(s if j == d else 0 for j in range(body.dim)))
         is None
         for d in range(body.dim)
-        for s in (ONE, -ONE)
+        for s in (1, -1)
     )
     uncertified = set(range(len(body.rows)))
     f = scaled(inst.f)

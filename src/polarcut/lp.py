@@ -40,6 +40,12 @@ the ratio test cross-multiplies right-hand sides and column entries, the
 row denominators cancelling. A rational is built only for the outcome's
 point, value, ray and duals.
 
+Intake: rationals.scaled reads each row (*coeffs, b) and the objective
+as ints over one positive denominator; a tuple of ints, as every library
+caller poses it, is read as it is. One positive scale k on every row and
+l on the objective keep Bland's choices, the point and the ray; the value
+scales by l, the optimal duals by l / k, and a Farkas row not at all.
+
 Row i's multiplier is read off the column it starts basic on, in the
 final objective row, and mapped back through its flip and the direction:
 
@@ -55,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rationals import ZERO, Vec, dot, integer_rows, parse_rational, vector
+from .rationals import ZERO, Vec, dot, scaled
 
 MAX_PIVOTS = 200_000  # Bland's rule cannot cycle; this trips only on a bug.
 
@@ -91,17 +97,6 @@ class LinearProgram:
             if rel not in _RELATIONS:
                 raise ValueError(f"relation must be one of {_RELATIONS}")
 
-    @classmethod
-    def make(cls, direction, objective, rows, bounds=None):
-        """Coercing constructor: each scalar goes through parse_rational."""
-        obj = vector(objective)
-        rows_t = tuple(
-            (vector(coeffs), rel, parse_rational(rhs)) for coeffs, rel, rhs in rows
-        )
-        if bounds is None:
-            bounds = ("nonneg",) * len(obj)
-        return cls(direction, obj, rows_t, tuple(bounds))
-
 
 @dataclass(frozen=True)
 class LPOutcome:
@@ -116,16 +111,6 @@ class LPOutcome:
     value: object | None = None
     ray: Vec | None = None
     dual: Vec | None = None
-
-
-def _int_form(entries) -> tuple[tuple, int]:
-    """integer_rows of one rational vector, as (ints, den). A vector of
-    ints (bools excluded) is its own ints over 1 and is read as it is: the
-    support LPs' rows and the polar simplex row arrive that way."""
-    if set(map(type, entries)) == {int}:
-        return entries, 1
-    (ints,), den = integer_rows((entries,))
-    return ints, den
 
 
 def _pivot(tab, dens, basis, leave, enter):
@@ -248,7 +233,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     flip = []
     pad = [0] * (ncols - nu)
     for i, (coeffs, rel, b) in enumerate(lp.rows):
-        ints, den = _int_form((*coeffs, b))
+        ints, den = scaled((*coeffs, b))
         s = -1 if ints[-1] < 0 else 1
         row = [s * sg * ints[j] for j, sg in ucols]
         row += pad
@@ -299,7 +284,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
                     _pivot(tab, dens, basis, i, enter)
 
     # Phase 2: the real objective over the structural columns.
-    obj_ints, obj_den = _int_form(lp.objective)
+    obj_ints, obj_den = scaled(lp.objective)
     cost2 = [0] * (ncols + 1)
     for k, (j, sg) in enumerate(ucols):
         cost2[k] = sg * sense * obj_ints[j]

@@ -23,10 +23,10 @@ test here, condition (b) of sublinear.check_unit_ball for a generator
 that carries no valid convex weights (VPolytope.polar_weights), and
 boundedness in cuts.maximality_certificate (sigma_K is finite along
 every axis, both ways, iff K is bounded). Its program over the rows
-other than a_i, at a_i, also yields exposed_witness. It poses the set in
-its compiled form (int rows r over a common denominator den, the
-program's rows <r, x> <= den), so the LP reads ints and no caller
-converts a row twice: each caller compiles its rows once.
+other than a_i, at the compiled row den a_i, also yields
+exposed_witness. It poses the set in its compiled form (int rows r over
+a common denominator den, the program's rows <r, x> <= den) and an int
+objective, so the LP reads ints and each caller compiles its rows once.
 
 The evaluators run fraction-free: each set (and each generator set) is
 compiled once into integer rows over one common denominator, and a pairing
@@ -314,7 +314,9 @@ def in_recession(h: HPolyhedron, x) -> bool:
 
 
 def hull_membership(p: Vec, v: VPolytope) -> HullVerdict:
-    """Exact convex-hull membership with a certificate either way."""
+    """Exact convex-hull membership with a certificate either way. The LP
+    poses the rational rows times den * d in ints, for v.compiled = (Q,
+    den) and scaled(p) = (P, d), which keeps its multipliers and Farkas row."""
     if len(p) != v.dim:
         raise ValueError("point width differs from polytope dimension")
     for k, q in enumerate(v.points):
@@ -323,14 +325,17 @@ def hull_membership(p: Vec, v: VPolytope) -> HullVerdict:
             mults[k] = ONE
             return HullVerdict(inside=True, multipliers=tuple(mults))
     npts = len(v.points)
-    rows = []
-    for d in range(v.dim):
-        rows.append((tuple(q[d] for q in v.points), "=", p[d]))
-    rows.append(((ONE,) * npts, "=", ONE))
+    points, den = v.compiled
+    p_ints, d = scaled(p)
+    rows = [
+        (tuple(d * c for c in col), "=", den * c_p)
+        for col, c_p in zip(zip(*points), p_ints)
+    ]
+    rows.append(((den * d,) * npts, "=", den * d))
     outcome = lp.solve(
         lp.LinearProgram(
             direction="max",
-            objective=zero_vector(npts),
+            objective=(0,) * npts,
             rows=tuple(rows),
             bounds=("nonneg",) * npts,
         )
@@ -353,14 +358,16 @@ def exposed_witness(h: HPolyhedron, row_index: int) -> Vec:
     onto the row. The row is irredundant exactly when that LP exceeds 1: an
     optimal x of value above 1 gives x / <a_i, x>, an unbounded sup its
     improving ray d as d / <a_i, d>, which no positive scale of d changes.
-    Anything else is an internal fault."""
+    Anything else is an internal fault. The objective is the compiled row
+    den a_i, so the value is den times that of a_i."""
     a_i = h.rows[row_index]
     rows, den = h.compiled
-    outcome = _support_lp((rows[:row_index] + rows[row_index + 1 :], den), a_i)
+    others = rows[:row_index] + rows[row_index + 1 :]
+    outcome = _support_lp((others, den), rows[row_index])
     if outcome.status == "unbounded":
         x, top = outcome.ray, dot(a_i, outcome.ray)
-    elif outcome.status == "optimal" and outcome.value > 1:
-        x, top = outcome.point, outcome.value
+    elif outcome.status == "optimal" and outcome.value > den:
+        x, top = outcome.point, outcome.value / den
     else:
         raise RuntimeError(
             f"row {row_index} admits no strictly exposed point; "

@@ -12,11 +12,11 @@ scaled_columns.
 A point has a second form, owned by this module: Scaled(ints, den), the
 int numerators of its coordinates over one positive common denominator.
 It is the library's per-point form: the scans scale their anchor once,
-the property suite scales each sample once, scaled() converts a rational
-tuple at a public boundary, scaled_vector() reads a row of scalars of any
-JSON-level form (normalize's and make_body's rows and right-hand sides)
-with no Fraction built for an int or a Fraction, and unscaled() builds
-the rationals back for a value that is reported.
+the property suite scales each sample once, scaled() reads any rational
+vector (a tuple of ints as its own ints over 1), scaled_vector() reads a
+row of scalars of any JSON-level form (normalize's and make_body's rows
+and right-hand sides) with no Fraction built for an int or a Fraction,
+and unscaled() builds the rationals back for a value that is reported.
 
 Many points at once take a third form, int columns: scaled_columns()
 reads a block of rows into cols[j][k], the numerator of coordinate j of
@@ -32,9 +32,9 @@ recession test) and the LP solver do not use Fraction arithmetic on their
 hot paths: integer_rows() turns a set's rows into Python ints over one
 common denominator once (the set's compiled form, which every LP over the
 set poses as its rows), the pairings are int dot products with a scaled
-point, lp.solve reads each program row through integer_rows too (ints are
-read at C speed), the simplex tableau is fraction-free, and a Fraction is
-built only for a value that is returned.
+point, lp.solve reads each program row and its objective through
+scaled() (every library LP is posed in ints), the simplex tableau is
+fraction-free, and a Fraction is built only for a value that is returned.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ from operator import floordiv, itemgetter, mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_INT = frozenset((int,))  # exact ints: a bool's type is not int
+_EXACT = frozenset((int, Fraction))
 
 # The scalar grammar, in ASCII digits: optional sign, integer numerator,
 # optional positive denominator. "3", "-3", "1/2", "-7/4". Never "3/-2",
@@ -239,11 +241,14 @@ def scaled_columns(rows, dim: int) -> tuple[tuple, list]:
 
 def scaled(x) -> Scaled:
     """The scaled form of a point given in either form; a Scaled is returned
-    as it is, once its denominator is checked to be a positive int."""
+    as it is, once its denominator is checked to be a positive int, and a
+    tuple of ints (bools excluded) is its own ints over 1."""
     if isinstance(x, Scaled):
         if type(x.den) is not int or x.den <= 0:
             raise ValueError(f"a Scaled denominator must be a positive int: {x.den!r}")
         return x
+    if type(x) is tuple and _INT.issuperset(map(type, x)):
+        return Scaled(x, 1)
     (ints,), den = integer_rows((x,))
     return Scaled(ints, den)
 
@@ -253,10 +258,7 @@ def scaled_vector(entries) -> Scaled:
     that is an int or a Fraction is read as it is: no Fraction is built
     for it."""
     entries = tuple(entries)
-    kinds = set(map(type, entries))
-    if kinds <= {int}:
-        return Scaled(entries, 1)
-    if not kinds <= {int, Fraction}:
+    if not _EXACT.issuperset(map(type, entries)):
         entries = vector(entries)
     return scaled(entries)
 

@@ -171,7 +171,8 @@ def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
     polar(h).points (_weights_prove, exact int arithmetic on h.compiled)
     satisfies (b) with no LP; any other generator, one with no weights or
     with weights that fail the test, needs sup_over(h.compiled, v) finite
-    and at most 1. Both routes give the same verdict.
+    and at most 1 (posed at scaled(v) = ints / d: at most d). Both routes
+    give the same verdict.
     """
     if gens.dim != h.dim:
         raise ValueError("generator dimension differs from the set's")
@@ -185,8 +186,9 @@ def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
             continue
         if weights is not None and _weights_prove(v, weights, h.compiled):
             continue
-        top = sup_over(h.compiled, v)
-        if top is None or top > 1:
+        ints, d = scaled(v)
+        top = sup_over(h.compiled, ints)
+        if top is None or top > d:
             return False
     return True
 

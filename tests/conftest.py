@@ -8,18 +8,21 @@ whose optimal and Farkas branches each had their own dual test),
 Fraction-arithmetic sample mixes and lattice scans, the recession-cone
 LPs that decided boundedness before polyhedra.sup_over, the margin LP
 that found exposed witnesses before the support LP did, the property
-suite fed rational samples, check-cut's one LP per lattice point, and
-the support LPs over a set's Fraction rows with the generator sets summed
-in Fractions and every generator checked by an LP, from before every such
-LP read the set's compiled int rows and drawn generators carried their
-weights, every program row read through integer_rows as lp.solve read
+suite fed rational samples, check-cut's one LP per lattice point,
+check-cut's scan and the hull test with their LPs posed in Fractions,
+from before every library LP was posed in ints, and the support LPs over
+a set's Fraction rows with the generator sets summed in Fractions and
+every generator checked by an LP, from before every such LP read the
+set's compiled int rows and drawn generators carried their weights,
+every program row read through integer_rows as lp.solve read
 it before it took an all-int row as it is, the redundancy filter over
 Fraction rows (with the Gram test taken in Fractions, or with an LP for
 every row as before there was one), the cut body's margins and scan
 half-spaces by Fraction dot products, from before make_body and the scan
 read them in ints, and the CLI's JSON writer from before it had its own,
 over json's pure-Python indent=2 encoder. They are deliberately slow and
-simple.
+simple. make_program and make_instance build a LinearProgram and a
+CornerInstance from JSON-level scalars for the tests.
 """
 
 from __future__ import annotations
@@ -29,15 +32,22 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 import pytest
 
+from polarcut import cuts, polyhedra, sublinear
 from polarcut import lp as lp_module
-from polarcut import polyhedra, sublinear
-from polarcut.cuts import AnchorNotInteriorError, CutViolation, ValidityReport
+from polarcut.cuts import (
+    AnchorNotInteriorError,
+    CornerInstance,
+    CutViolation,
+    ValidityReport,
+)
 from polarcut.lp import LinearProgram, LPOutcome, solve
 from polarcut.polyhedra import (
     HPolyhedron,
+    HullVerdict,
     OriginNotInteriorError,
     VPolytope,
     membership,
@@ -52,8 +62,10 @@ from polarcut.rationals import (
     is_zero_vector,
     json_scalar,
     parse_rational,
+    scaled,
     unscaled,
     vector,
+    zero_vector,
 )
 
 
@@ -76,6 +88,32 @@ def vscale(t, v):
 def quadrant_k() -> HPolyhedron:
     """The running example: {x : x1 <= 1, x2 <= 1}."""
     return normalize([(1, 0), (0, 1)], [1, 1])
+
+
+# ----------------------------------------------------- coercing constructors
+
+
+def make_program(direction, objective, rows, bounds=None) -> LinearProgram:
+    """A LinearProgram from JSON-level scalars, each read by parse_rational;
+    bounds default to nonneg on every variable."""
+    obj = vector(objective)
+    rows_t = tuple(
+        (vector(coeffs), rel, parse_rational(rhs)) for coeffs, rel, rhs in rows
+    )
+    if bounds is None:
+        bounds = ("nonneg",) * len(obj)
+    return LinearProgram(direction, obj, rows_t, tuple(bounds))
+
+
+def make_instance(dim, f, rays, p_rows=(), p_rhs=()) -> CornerInstance:
+    """A CornerInstance from JSON-level scalars, each read by parse_rational."""
+    return CornerInstance(
+        dim,
+        vector(f),
+        tuple(vector(r) for r in rays),
+        tuple(vector(r) for r in p_rows),
+        tuple(parse_rational(b) for b in p_rhs),
+    )
 
 
 # ---------------------------------------------------------------- LP oracle
@@ -171,7 +209,7 @@ def random_lp(rng: random.Random) -> LinearProgram:
         rows.append((coeffs, rel, Fraction(rng.randint(-6, 6))))
     objective = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
     direction = rng.choice(["max", "min"])
-    return LinearProgram.make(direction, objective, rows, bounds)
+    return make_program(direction, objective, rows, bounds)
 
 
 def needs_artificial(row) -> bool:
@@ -652,8 +690,10 @@ def margin_exposed_witness(h: HPolyhedron, row_index: int):
 
 
 def integer_rows_form(entries):
-    """Reference for lp._int_form: integer_rows of the vector, an all-int
-    one included, as lp.solve read every row and objective before."""
+    """Reference for the rows and the objective that lp.solve reads through
+    rationals.scaled: integer_rows of the vector, an all-int one included,
+    as lp.solve read each of them before it took a tuple of ints as it
+    is."""
     (ints,), den = integer_rows((entries,))
     return ints, den
 
@@ -946,6 +986,95 @@ def per_point_check_cut_validity(inst, cut, radius):
         if outcome.value < 1:
             return ValidityReport(False, radius, "global", CutViolation(z, outcome.point, False))
     return ValidityReport(True, radius, "region")
+
+
+def fraction_check_cut_validity(inst, cut, radius):
+    """Reference for cuts.check_cut_validity: the same scan of violation_box
+    with the same certificate cache, each LP posed in Fractions (the rays,
+    the offset z - f and alpha as they are), as before every library LP
+    was posed in ints. lp.solve is looked up on its module at call time,
+    so programs_logged sees these LPs too."""
+    if len(cut.alpha) != len(inst.rays):
+        raise ValueError("one coefficient per ray required")
+    columns = tuple(zip(*inst.rays))  # coordinate d of every ray
+    bounds = ("nonneg",) * len(inst.rays)
+    box = cuts.violation_box(inst, cut.alpha)
+    box_scanned = box is not None and (
+        any(lo is not None and hi is not None and lo > hi for lo, hi in box)
+        or all(
+            lo is not None and hi is not None and c - radius <= lo and hi <= c + radius
+            for (lo, hi), c in zip(box, map(round, inst.f))
+        )
+    )
+    f = scaled(inst.f)
+    farkas = []  # y: z is unreachable if <y, z - f> < 0
+    duals = []  # (u, den): value >= 1 at z if <u, z - f> >= den, in ints
+    for z in cuts.region_lattice_points(inst, radius, box=box):
+        offset = cuts._offset(z, f)
+        t = offset.ints
+        if any(sum(map(mul, y, t)) < 0 for y in farkas) or any(
+            sum(map(mul, u, t)) >= den for u, den in duals
+        ):
+            continue
+        rows = tuple((col, "=", c) for col, c in zip(columns, unscaled(offset)))
+        program = LinearProgram(
+            direction="min", objective=cut.alpha, rows=rows, bounds=bounds
+        )
+        outcome = lp_module.solve(program)
+        if outcome.status == "unbounded":
+            return ValidityReport(
+                False, radius, "global", CutViolation(vector(z), outcome.ray, True)
+            )
+        if outcome.status == "optimal" and outcome.value < 1:
+            return ValidityReport(
+                False, radius, "global", CutViolation(vector(z), outcome.point, False)
+            )
+        if not lp_module.verify_certificate(program, outcome):
+            raise RuntimeError(
+                f"the {outcome.status} certificate at z = {z} fails "
+                "lp.verify_certificate"
+            )
+        (row,), den = integer_rows((outcome.dual,))
+        if outcome.status == "infeasible":
+            farkas.append(row)
+        else:
+            duals.append((row, den * f.den))
+    return ValidityReport(True, radius, "global" if box_scanned else "region")
+
+
+def fraction_hull_membership(p, v: VPolytope) -> HullVerdict:
+    """Reference for polyhedra.hull_membership: its LP posed in Fractions,
+    the polytope's points and p as they are."""
+    if len(p) != v.dim:
+        raise ValueError("point width differs from polytope dimension")
+    for k, q in enumerate(v.points):
+        if q == p:
+            mults = [ZERO] * len(v.points)
+            mults[k] = ONE
+            return HullVerdict(inside=True, multipliers=tuple(mults))
+    npts = len(v.points)
+    rows = []
+    for d in range(v.dim):
+        rows.append((tuple(q[d] for q in v.points), "=", p[d]))
+    rows.append(((ONE,) * npts, "=", ONE))
+    outcome = lp_module.solve(
+        LinearProgram(
+            direction="max",
+            objective=zero_vector(npts),
+            rows=tuple(rows),
+            bounds=("nonneg",) * npts,
+        )
+    )
+    if outcome.status == "optimal":
+        return HullVerdict(inside=True, multipliers=outcome.point)
+    if outcome.status != "infeasible":
+        raise RuntimeError(
+            f"hull LP is {outcome.status} although its objective is 0"
+        )
+    u = outcome.dual
+    c = tuple(-u[d] for d in range(v.dim))
+    gamma = u[v.dim]
+    return HullVerdict(inside=False, separator=(c, gamma))
 
 
 # ------------------------------------------------------------ report writer

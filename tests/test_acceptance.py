@@ -10,7 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_best, random_lp, vscale, vsub
+from conftest import (
+    brute_force_best,
+    make_instance,
+    make_program,
+    random_lp,
+    vscale,
+    vsub,
+)
 from polarcut.cuts import (
     CornerInstance,
     NotSFreeError,
@@ -19,7 +26,7 @@ from polarcut.cuts import (
     is_s_free,
     make_body,
 )
-from polarcut.lp import LinearProgram, solve, verify_certificate
+from polarcut.lp import solve, verify_certificate
 from polarcut.polyhedra import (
     exposed_witness,
     membership,
@@ -273,14 +280,14 @@ def test_c7_cut_generation_and_validity():
     info = {}
     with criterion("C7 cut-generation", info):
         # the one-variable split instance, exact end to end
-        inst = CornerInstance.make(1, [Fraction(1, 2)], [[1], [-1]])
+        inst = make_instance(1, [Fraction(1, 2)], [[1], [-1]])
         body = make_body([[1], [-1]], [1, 0], inst.f)
         cut = generate_cut(inst, body, 5)
         assert cut.alpha == (Fraction(2), Fraction(2))
         assert check_cut_validity(inst, cut, 5).valid_on_region
         for z in (vector([0]), vector([1])):
             out = solve(
-                LinearProgram.make(
+                make_program(
                     "min",
                     cut.alpha,
                     [(tuple(r[0] for r in inst.rays), "=", vsub(z, inst.f)[0])],

@@ -26,7 +26,14 @@ from conftest import reference_render
 from polarcut import cli, jsonio, lp
 from polarcut.cli import main
 from polarcut.cuts import check_cut_validity
+from polarcut.polyhedra import VPolytope, hull_membership, polar, random_polyhedron
 from polarcut.rationals import TooLongToPrint, Values
+from polarcut.sublinear import (
+    check_unit_ball,
+    property_suite,
+    random_unit_ball_rep,
+    sample_points,
+)
 
 TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
 
@@ -318,6 +325,53 @@ def test_cli_output_matches_table(table, documents, call):
         f"polarcut {_key(call)}\nexit {code}\n--- stdout\n{out[:4000]}"
         f"\n--- stderr\n{err[:4000]}"
     )
+
+
+def test_every_library_lp_is_posed_in_ints(documents, monkeypatch):
+    # Every program that the library gives lp.solve holds only ints: each
+    # coefficient, right-hand side and objective entry. The programs are
+    # those of the whole corpus and of a seeded property suite, whose
+    # generator sets are checked once more without their weights and whose
+    # samples are tested against the polar's hull, so that every library
+    # caller of lp.solve is seen.
+    real_solve = lp.solve
+    programs, callers = [], set()
+
+    def recording(program):
+        programs.append(program)
+        frame = sys._getframe(1)
+        for _ in range(4):  # maximality_certificate's sup_over is in a genexpr
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        return real_solve(program)
+
+    monkeypatch.setattr(lp, "solve", recording)
+    for call in CALLS:
+        run_call(call, documents)
+    corpus = len(programs)
+    rng = random.Random(1968)
+    sets = [random_polyhedron(dim, dim + 3, rng) for dim in (1, 2, 3, 4) * 2]
+    property_suite(sets, 5, 24)
+    for index, h in enumerate(sets):
+        gens = random_unit_ball_rep(h, index, 4)
+        assert check_unit_ball(VPolytope(h.dim, gens.points), h)
+        for x in sample_points(h, index, 8):
+            hull_membership(x, polar(h))
+    assert corpus >= 500 and len(programs) - corpus >= 250, (corpus, len(programs))
+    assert callers >= {
+        "remove_redundancy",
+        "exposed_witness",
+        "check_unit_ball",
+        "polar_support_lp",
+        "maximality_certificate",
+        "check_cut_validity",
+        "hull_membership",
+    }, callers
+    for program in programs:
+        entries = [*program.objective]
+        for coeffs, _, rhs in program.rows:
+            entries += [*coeffs, rhs]
+        assert {type(c) for c in entries} <= {int}, program
 
 
 def test_render_matches_reference_writer(documents, monkeypatch):

@@ -15,10 +15,15 @@ from conftest import (
     first_interior_point,
     fraction_half_spaces,
     fraction_make_body,
+    fraction_check_cut_validity,
     fraction_region_points,
+    make_instance,
+    make_program,
     nearest_int,
     per_facet_uncertified,
     per_point_check_cut_validity,
+    pivots_logged,
+    programs_logged,
     vadd,
     vscale,
     vsub,
@@ -38,7 +43,7 @@ from polarcut.cuts import (
     maximality_certificate,
     region_lattice_points,
 )
-from polarcut.lp import LinearProgram, solve
+from polarcut.lp import solve
 from polarcut.polyhedra import (
     OriginNotInteriorError,
     VPolytope,
@@ -61,7 +66,7 @@ def V(*entries):
 @pytest.fixture
 def split_1d():
     """f = 1/2 between the points of Z, rays +1 and -1, B = [0, 1]."""
-    inst = CornerInstance.make(1, [Fraction(1, 2)], [[1], [-1]])
+    inst = make_instance(1, [Fraction(1, 2)], [[1], [-1]])
     body = make_body([[1], [-1]], [1, 0], inst.f)
     return inst, body
 
@@ -190,11 +195,11 @@ def test_int_body_intake_matches_the_fraction_route():
 
 def test_instance_validation():
     with pytest.raises(ValueError):
-        CornerInstance.make(1, [1], [[1]])  # integral anchor
+        make_instance(1, [1], [[1]])  # integral anchor
     with pytest.raises(ValueError):
-        CornerInstance.make(1, [Fraction(1, 2)], [])  # no rays
+        make_instance(1, [Fraction(1, 2)], [])  # no rays
     with pytest.raises(ValueError):
-        CornerInstance.make(2, [Fraction(1, 2), 0], [[1]])  # ray width
+        make_instance(2, [Fraction(1, 2), 0], [[1]])  # ray width
 
 
 def test_split_cut_exact(split_1d):
@@ -208,7 +213,7 @@ def test_split_cut_exact(split_1d):
     for z in (V(0), V(1)):
         target = vsub(z, inst.f)
         out = solve(
-            LinearProgram.make(
+            make_program(
                 "min",
                 cut.alpha,
                 [(tuple(r[0] for r in inst.rays), "=", target[0])],
@@ -256,7 +261,7 @@ def test_is_s_free_examples(split_1d):
     assert not verdict.free_on_region
     assert verdict.witness == (Fraction(0),)
     # restricting to P = {x >= 1} moves the witness to 1
-    gated = CornerInstance.make(
+    gated = make_instance(
         1, [Fraction(1, 2)], [[1], [-1]], p_rows=[[-1]], p_rhs=[-1]
     )
     verdict = is_s_free(
@@ -281,7 +286,7 @@ def test_generate_cut_refuses_with_witness(split_1d):
 
 
 def test_region_scan_is_lexicographic():
-    inst = CornerInstance.make(
+    inst = make_instance(
         2, [Fraction(1, 2), Fraction(1, 2)], [[1, 0]]
     )
     pts = list(region_lattice_points(inst, 1))
@@ -303,7 +308,7 @@ def test_scan_centre_rounds_half_even():
         Fraction(-7, 4): -2,
     }
     for f, centre in cases.items():
-        inst = CornerInstance.make(1, [f], [[1], [-1]])
+        inst = make_instance(1, [f], [[1], [-1]])
         assert list(region_lattice_points(inst, 0)) == [V(centre)]
         assert list(fraction_region_points(inst, 0)) == [V(centre)]
 
@@ -314,12 +319,12 @@ def test_scan_size_limit(tmp_path, capsys, monkeypatch):
     # 101^3 points. The limit is on the radius box, not on the region: the
     # unit cube about f holds 8 lattice points, yet a radius-50 scan of it
     # is refused before any point, by is_s_free and by the CLI (exit 2).
-    inst = CornerInstance.make(1, [Fraction(1, 2)], [[1]])
+    inst = make_instance(1, [Fraction(1, 2)], [[1]])
     assert cuts.MAX_SCAN_POINTS == 10**6
     assert next(region_lattice_points(inst, 499_999)) == V(-499_999)
     with pytest.raises(ValueError, match="over the limit"):
         next(region_lattice_points(inst, 500_000))
-    box = CornerInstance.make(3, [Fraction(1, 2)] * 3, [[1, 0, 0]])
+    box = make_instance(3, [Fraction(1, 2)] * 3, [[1, 0, 0]])
     with pytest.raises(ValueError, match="over the limit"):
         next(region_lattice_points(box, 50))
     assert next(region_lattice_points(box, 49)) == V(-49, -49, -49)
@@ -364,7 +369,7 @@ def test_body_shrink_never_decreases_coefficients(split_1d):
 def test_ray_scaling_scales_alpha(split_1d):
     inst, body = split_1d
     cut = generate_cut(inst, body)
-    scaled_inst = CornerInstance.make(
+    scaled_inst = make_instance(
         1,
         [Fraction(1, 2)],
         [vscale(Fraction(3, 2), r) for r in inst.rays],
@@ -381,7 +386,7 @@ def test_maximality_split_certified(split_1d):
 
 
 def test_maximality_square_uncertified():
-    inst = CornerInstance.make(
+    inst = make_instance(
         2, [Fraction(1, 2), Fraction(1, 2)], [[1, 0], [0, 1]]
     )
     body = make_body(
@@ -393,7 +398,7 @@ def test_maximality_square_uncertified():
 
 
 def test_maximality_unbounded_strip_is_heuristic():
-    inst = CornerInstance.make(2, [Fraction(1, 2), 0], [[1, 0], [0, 1]])
+    inst = make_instance(2, [Fraction(1, 2), 0], [[1, 0], [0, 1]])
     body = make_body([[1, 0], [-1, 0]], [1, 0], inst.f)
     report = maximality_certificate(body, inst, 3)
     assert report.certified and report.heuristic
@@ -449,7 +454,7 @@ def random_corner_case(rng, dim=None):
         for _ in range(rng.randint(1, 3)):
             p_rows.append(nonzero_row())
             p_rhs.append(Fraction(rng.randint(-3, 9), rng.randint(1, 3)))
-    inst = CornerInstance.make(dim, f, rays, p_rows, p_rhs)
+    inst = make_instance(dim, f, rays, p_rows, p_rhs)
     return inst, make_body(rows, rhs, inst.f), rng.randint(0, 3)
 
 
@@ -658,7 +663,7 @@ def test_region_scan_clips_to_box():
             seen[kind] += 1
     assert min(seen.values()) >= 10, seen
     # the size limit still reads the radius box, however small the box
-    line = CornerInstance.make(1, [Fraction(1, 2)], [[1]])
+    line = make_instance(1, [Fraction(1, 2)], [[1]])
     with pytest.raises(ValueError, match="over the limit"):
         next(region_lattice_points(line, 500_000, box=((0, 1),)))
     assert list(region_lattice_points(line, 2, box=((1, 7),))) == [V(1), V(2)]
@@ -679,8 +684,8 @@ def test_boundedness_matches_cone_reference():
         rays = [tuple(int(i == d) for i in range(dim)) for d in range(dim)]
         body = make_body(k.rows, [1 + dot(a, f) for a in k.rows], f)
         assert body == k
-        cases.append((CornerInstance.make(dim, f, rays), body))
-        cases.append((CornerInstance.make(dim, f, rays, [[1] * dim], [dim]), body))
+        cases.append((make_instance(dim, f, rays), body))
+        cases.append((make_instance(dim, f, rays, [[1] * dim], [dim]), body))
     for _ in range(60):
         inst, body, _ = random_corner_case(rng)
         cases.append((inst, body))
@@ -695,16 +700,18 @@ def test_boundedness_matches_cone_reference():
     assert len(seen) == 4 and min(seen.values()) >= 20, seen
 
 
-def random_cut_case(rng):
-    """A 1-3-D instance, a cut and a radius in 0..3 for the differential
-    test of check_cut_validity. There are 1-4 rays, now and then a zero ray
+def random_cut_case(rng, dim=None):
+    """A 1-3-D instance (of the given dimension, if one is given), a cut
+    and a radius in 0..3 for the differential tests of
+    check_cut_validity. There are 1-4 rays, now and then a zero ray
     or the opposite of an earlier one, so they may fail to span the space
     (2 rays in 3-D) or cancel out. P comes on about a third of the draws.
     alpha is the split cut on a fractional coordinate of f (valid), that
     cut scaled down (often violated), or small entries with zeros and
     negatives (violated, or unbounded along a ray combination reaching
     nothing)."""
-    dim = rng.randint(1, 3)
+    if dim is None:
+        dim = rng.randint(1, 3)
     f = [Fraction(rng.randint(-4, 4), rng.choice((2, 3, 4))) for _ in range(dim)]
     if all(c.denominator == 1 for c in f):
         f[0] += Fraction(1, 2)
@@ -724,7 +731,7 @@ def random_cut_case(rng):
         for _ in range(rng.randint(1, 2)):
             p_rows.append([rng.randint(-1, 1) for _ in range(dim)])
             p_rhs.append(Fraction(rng.randint(-2, 6), rng.randint(1, 2)))
-    inst = CornerInstance.make(dim, f, rays, p_rows, p_rhs)
+    inst = make_instance(dim, f, rays, p_rows, p_rhs)
     kind = rng.random()
     if kind < 0.5:
         d = next(d for d, c in enumerate(inst.f) if c.denominator != 1)
@@ -771,6 +778,76 @@ def containing_radius(inst, box):
     every axis."""
     center = [nearest_int(c) for c in inst.f]
     return 1 + max(max(c - lo, hi - c, 0) for (lo, hi), c in zip(box, center))
+
+
+def _entries(program):
+    """Every coefficient and right-hand side of a program, row by row."""
+    return [c for coeffs, _, b in program.rows for c in (*coeffs, b)]
+
+
+def _common_scale(scaled, entries):
+    """The one k > 0 with scaled[i] == k * entries[i] for every i (1 when
+    both are all zero), or None when there is none."""
+    k = next((Fraction(a) / b for a, b in zip(scaled, entries) if b), None)
+    if k is None:
+        return None if any(scaled) else 1
+    if k > 0 and all(a == k * b for a, b in zip(scaled, entries)):
+        return k
+    return None
+
+
+def test_check_cut_poses_in_ints_what_the_fraction_route_poses():
+    # check_cut_validity poses each LP in ints; the reference is the same
+    # scan and certificate cache posing the rays, z - f and alpha as
+    # Fractions. On seeded 2-4-D instances, with and without P, with
+    # negative coefficients and with forged violating cuts: the same
+    # report, one LP at each of the same lattice points (the int program
+    # is the Fraction one with every row times one k > 0 and the costs
+    # times one l > 0), the same pivots per LP, the same point and ray,
+    # the value times l, the optimal duals times l / k and the same Farkas
+    # rows.
+    rng = random.Random(1968)
+    seen = Counter()
+    for _ in range(600):
+        inst, cut, radius = random_cut_case(rng, rng.randint(2, 4))
+        report, programs = programs_logged(check_cut_validity, inst, cut, radius)
+        reference, reference_programs = programs_logged(
+            fraction_check_cut_validity, inst, cut, radius
+        )
+        assert report == reference, (inst, cut, radius)
+        assert len(programs) == len(reference_programs)
+        for program, posed in zip(programs, reference_programs):
+            assert {type(c) for c in (*_entries(program), *program.objective)} == {int}
+            k = _common_scale(_entries(program), _entries(posed))
+            scale = _common_scale(program.objective, posed.objective)
+            assert k is not None and scale is not None, (program, posed)
+            outcome, pivots = pivots_logged(lp.solve, program)
+            expected, expected_pivots = pivots_logged(lp.solve, posed)
+            assert pivots == expected_pivots
+            assert (outcome.status, outcome.point, outcome.ray) == (
+                expected.status,
+                expected.point,
+                expected.ray,
+            )
+            if outcome.status == "optimal":
+                assert outcome.value == scale * expected.value
+                assert outcome.dual == tuple(scale / k * u for u in expected.dual)
+            else:
+                assert outcome.dual == expected.dual
+            seen[outcome.status] += 1
+            seen["pivots"] += len(pivots)
+            seen["scaled rows"] += k != 1
+        seen[f"{inst.dim}-D"] += 1
+        seen["P" if inst.p_rows else "no P"] += 1
+        seen[coefficient_kind(cut)] += 1
+        seen["valid" if report.valid_on_region else "violated"] += 1
+    for kinds, least in (
+        (("2-D", "3-D", "4-D", "P", "no P", "valid", "violated"), 40),
+        (("box", "zero coefficient", "negative coefficient"), 20),
+        (("optimal", "infeasible", "scaled rows"), 40),
+        (("unbounded",), 10),
+    ):
+        assert min(seen[kind] for kind in kinds) >= least, seen
 
 
 def test_check_cut_matches_per_point_reference(monkeypatch):
@@ -875,7 +952,7 @@ def test_violation_box_examples(split_1d):
     assert cuts.violation_box(inst, (Fraction(1), Fraction(-1))) is None
     # rays e1 and e2 at f = (1/2, 1/2) with alpha 4: the box of
     # f + conv{0, e1/4, e2/4} holds no lattice point (ceil 1 > floor 0)
-    plane = CornerInstance.make(2, [Fraction(1, 2)] * 2, [[1, 0], [0, 1]])
+    plane = make_instance(2, [Fraction(1, 2)] * 2, [[1, 0], [0, 1]])
     assert cuts.violation_box(plane, (Fraction(4), Fraction(4))) == ((1, 0), (1, 0))
     report = check_cut_validity(plane, Cut((Fraction(4), Fraction(4)), ""), 0)
     assert report.valid_on_region and report.scope == "global"
@@ -892,7 +969,7 @@ def test_check_cut_scope(split_1d):
     # alpha_2 = 0 reaches x = 0 at cost 0: a violation, so global
     report = check_cut_validity(inst, Cut((Fraction(2), Fraction(0)), ""), 3)
     assert not report.valid_on_region and report.scope == "global"
-    plane = CornerInstance.make(2, [Fraction(1, 2)] * 2, [[1, 0], [0, 1]])
+    plane = make_instance(2, [Fraction(1, 2)] * 2, [[1, 0], [0, 1]])
     # the split cut on x1: alpha_2 = 0 leaves axis 2 open upwards
     report = check_cut_validity(plane, Cut((Fraction(2), Fraction(0)), ""), 2)
     assert report.valid_on_region and report.scope == "region"
@@ -908,7 +985,7 @@ def test_check_cut_scope(split_1d):
     # alpha_1 = 4 puts the tip e1 / 4 short of x1 = 1, so x1 = 1/2 + s_1
     # is an integer only at s_1 >= 1/2, where the cost is at least 2.
     # Beside an axis left open by two zero coefficients:
-    open_plane = CornerInstance.make(
+    open_plane = make_instance(
         2, [Fraction(1, 2)] * 2, [[1, 0], [0, 1], [0, -1]]
     )
     open_cut = Cut((Fraction(4), Fraction(0), Fraction(0)), "")
@@ -978,7 +1055,7 @@ def test_check_cut_refuses_a_broken_certificate(monkeypatch, status, forgery):
     # value and of the point can. The split cut on x1 with rays (1, 0) and
     # (-1, 4): its violation_box {0, 1} x {1, 2} holds the unreachable
     # points (0, 1) and (0, 2) before the reachable (1, 1) and (1, 2).
-    inst = CornerInstance.make(
+    inst = make_instance(
         2, [Fraction(1, 2), Fraction(1, 2)], [[1, 0], [-1, 4]]
     )
     cut = Cut(alpha=(Fraction(2), Fraction(2)), provenance="")

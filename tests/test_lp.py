@@ -11,6 +11,7 @@ from conftest import (
     brute_force_best,
     fraction_solve,
     integer_rows_form,
+    make_program,
     margin_exposed_witness,
     needs_artificial,
     pivots_logged,
@@ -19,7 +20,7 @@ from conftest import (
     reference_verify_certificate,
 )
 from polarcut import lp as lp_module
-from polarcut.lp import LinearProgram, LPOutcome, solve, verify_certificate
+from polarcut.lp import LPOutcome, solve, verify_certificate
 from polarcut.polyhedra import (
     HPolyhedron,
     VPolytope,
@@ -41,7 +42,7 @@ from polarcut.sublinear import (
 
 
 def test_box_maximum():
-    lp = LinearProgram.make(
+    lp = make_program(
         "max", [1, 1], [([1, 0], "<=", 1), ([0, 1], "<=", 1)]
     )
     out = solve(lp)
@@ -52,7 +53,7 @@ def test_box_maximum():
 
 
 def test_free_variable_unbounded():
-    lp = LinearProgram.make("max", [1], [], bounds=("free",))
+    lp = make_program("max", [1], [], bounds=("free",))
     out = solve(lp)
     assert out.status == "unbounded"
     assert out.ray == (Fraction(1),)
@@ -60,7 +61,7 @@ def test_free_variable_unbounded():
 
 
 def test_infeasible_farkas():
-    lp = LinearProgram.make("max", [1], [([1], "<=", -1)])
+    lp = make_program("max", [1], [([1], "<=", -1)])
     out = solve(lp)
     assert out.status == "infeasible"
     assert out.dual is not None
@@ -69,14 +70,14 @@ def test_infeasible_farkas():
 
 def test_support_over_simplex():
     # sup of <(2,3), y> over conv{(0,0),(1,0),(0,1)} via convex multipliers
-    lp = LinearProgram.make("max", [0, 2, 3], [([1, 1, 1], "=", 1)])
+    lp = make_program("max", [0, 2, 3], [([1, 1, 1], "=", 1)])
     out = solve(lp)
     assert out.status == "optimal" and out.value == 3
     assert verify_certificate(lp, out)
 
 
 def test_min_direction_and_equalities():
-    lp = LinearProgram.make(
+    lp = make_program(
         "min",
         [Fraction(1, 2), 2],
         [([1, 1], "=", 4), ([1, 0], "<=", 3)],
@@ -89,7 +90,7 @@ def test_min_direction_and_equalities():
 
 
 def test_min_unbounded_ray_improves_downward():
-    lp = LinearProgram.make("min", [1, 0], [([0, 1], "<=", 5)], bounds=("free", "nonneg"))
+    lp = make_program("min", [1, 0], [([0, 1], "<=", 5)], bounds=("free", "nonneg"))
     out = solve(lp)
     assert out.status == "unbounded"
     assert dot(lp.objective, out.ray) < 0
@@ -97,7 +98,7 @@ def test_min_unbounded_ray_improves_downward():
 
 
 # The classic cycling example for the naive pivot rule.
-BEALE = LinearProgram.make(
+BEALE = make_program(
     "min",
     [Fraction(-3, 4), 150, Fraction(-1, 50), 6],
     [
@@ -119,7 +120,7 @@ def test_beale_cycling_instance_terminates():
 
 
 def test_degenerate_redundant_rows():
-    lp = LinearProgram.make(
+    lp = make_program(
         "max",
         [1, 1],
         [
@@ -143,19 +144,19 @@ def test_determinism():
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        LinearProgram.make("maximize", [1], [])
+        make_program("maximize", [1], [])
     with pytest.raises(ValueError):
-        LinearProgram.make("max", [], [])
+        make_program("max", [], [])
     with pytest.raises(ValueError):
-        LinearProgram.make("max", [1], [([1, 2], "<=", 1)])
+        make_program("max", [1], [([1, 2], "<=", 1)])
     with pytest.raises(ValueError):
-        LinearProgram.make("max", [1], [([1], "<", 1)])
+        make_program("max", [1], [([1], "<", 1)])
     with pytest.raises(ValueError):
-        LinearProgram.make("max", [1], [], bounds=("positive",))
+        make_program("max", [1], [], bounds=("positive",))
 
 
 def test_verify_rejects_tampering():
-    lp = LinearProgram.make(
+    lp = make_program(
         "max", [1, 1], [([1, 0], "<=", 1), ([0, 1], "<=", 1)]
     )
     out = solve(lp)
@@ -176,7 +177,7 @@ def test_verify_rejects_tampering():
 
 
 def test_verify_rejects_wrong_farkas():
-    lp = LinearProgram.make("max", [1], [([1], "<=", -1)])
+    lp = make_program("max", [1], [([1], "<=", -1)])
     out = solve(lp)
     assert not verify_certificate(lp, replace(out, dual=(Fraction(-1),)))
     assert not verify_certificate(lp, replace(out, dual=None))
@@ -319,7 +320,7 @@ def _programs(draw):
             ([t * c for c in coeffs], "=", t * rhs),
         )
     objective = [draw(entries) for _ in range(n)]
-    return LinearProgram.make(
+    return make_program(
         draw(st.sampled_from(("max", "min"))), objective, rows, bounds
     )
 
@@ -328,12 +329,12 @@ def _programs(draw):
 # leftover pass then pivots on the first row's negative entry and leaves
 # its scaled duplicate inert.
 @example(
-    LinearProgram.make(
+    make_program(
         "max", [1, 1], [([-1, -1], "=", 0), ([-2, -2], "=", 0), ([1, 0], "<=", 1)]
     )
 )
 @example(
-    LinearProgram.make(
+    make_program(
         "min",
         [Fraction(1, 10**40), -1],
         [
@@ -429,7 +430,7 @@ def test_int_rows_read_as_they_are_match_the_integer_rows_route():
     for program in programs:
         outcome, pivots = pivots_logged(solve, program)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lp_module, "_int_form", integer_rows_form)
+            mp.setattr(lp_module, "scaled", integer_rows_form)
             reference, reference_pivots = pivots_logged(solve, program)
         assert (outcome, pivots) == (reference, reference_pivots)
         assert verify_certificate(program, outcome)
@@ -444,11 +445,12 @@ def test_int_rows_read_as_they_are_match_the_integer_rows_route():
 
 
 def test_int_form_reads_bools_through_integer_rows():
-    # Only exact ints are read as they are: a bool becomes its int.
-    assert lp_module._int_form((3, -2, 0)) == ((3, -2, 0), 1)
-    ints, den = lp_module._int_form((True, 2))
+    # lp.solve reads each row through rationals.scaled. Only exact ints are
+    # read as they are: a bool becomes its int.
+    assert lp_module.scaled((3, -2, 0)) == ((3, -2, 0), 1)
+    ints, den = lp_module.scaled((True, 2))
     assert (ints, den) == ((1, 2), 1) and {type(c) for c in ints} == {int}
-    assert lp_module._int_form((Fraction(1, 2), 3)) == ((1, 6), 2)
+    assert lp_module.scaled((Fraction(1, 2), 3)) == ((1, 6), 2)
 
 
 def test_slack_start_agrees_with_all_artificial_start():
@@ -478,11 +480,11 @@ def test_slack_start_agrees_with_all_artificial_start_on_drawn_programs(program)
 # with no -1 from an artificial's cost.
 _MIXED_INFEASIBLE = {
     "x <= 1, x = 2": (
-        LinearProgram.make("max", [0], [([1], "<=", 1), ([1], "=", 2)]),
+        make_program("max", [0], [([1], "<=", 1), ([1], "=", 2)]),
         (1, -1),
     ),
     "max x + y; x <= 1, y <= 1, -x - y <= -3": (
-        LinearProgram.make(
+        make_program(
             "max",
             [1, 1],
             [([1, 0], "<=", 1), ([0, 1], "<=", 1), ([-1, -1], "<=", -3)],
@@ -490,7 +492,7 @@ _MIXED_INFEASIBLE = {
         (1, 1, 1),
     ),
     "x <= 1, -x <= -2": (
-        LinearProgram.make("max", [0], [([1], "<=", 1), ([-1], "<=", -2)]),
+        make_program("max", [0], [([1], "<=", 1), ([-1], "<=", -2)]),
         (1, 1),
     ),
 }
@@ -535,7 +537,7 @@ def test_exposed_witness_square_takes_no_pivot():
 def test_slack_basis_is_optimal_for_a_zero_objective():
     # All '<=' rows with right-hand sides >= 0 and nothing to maximize: the
     # slack basis is feasible and already optimal, so no pivot at all.
-    program = LinearProgram.make(
+    program = make_program(
         "max",
         [0, 0],
         [([1, 2], "<=", 3), ([-1, 1], "<=", 0), ([1, -1], "<=", 0)],
@@ -556,4 +558,4 @@ def test_phase_one_refuses_an_impossible_status(monkeypatch):
         lp_module, "_run_simplex", lambda *args: ("unbounded", 0)
     )
     with pytest.raises(RuntimeError, match="phase 1 is unbounded"):
-        solve(LinearProgram.make("max", [1], [([1], "=", 1)]))
+        solve(make_program("max", [1], [([1], "=", 1)]))

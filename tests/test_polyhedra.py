@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     cone_is_pointed,
     fraction_exposed_witness,
+    fraction_hull_membership,
     fraction_remove_redundancy,
     fraction_support_lp,
     margin_exposed_witness,
@@ -150,6 +151,7 @@ def test_rows_are_vertices_of_polar():
             verdict = hull_membership(row, VPolytope(h.dim, others))
             assert not verdict.inside
             assert recheck_hull_verdict(row, VPolytope(h.dim, others), verdict)
+            assert verdict == fraction_hull_membership(row, VPolytope(h.dim, others))
 
 
 def test_hull_membership_inside_with_multipliers(quadrant_k):
@@ -158,6 +160,7 @@ def test_hull_membership_inside_with_multipliers(quadrant_k):
     assert verdict.inside
     assert verdict.multipliers == (Fraction(0), Fraction(1, 2), Fraction(1, 2))
     assert recheck_hull_verdict(V(Fraction(1, 2), Fraction(1, 2)), body, verdict)
+    assert verdict == fraction_hull_membership(V(Fraction(1, 2), Fraction(1, 2)), body)
 
 
 def test_hull_membership_outside_with_separator(quadrant_k):
@@ -168,6 +171,7 @@ def test_hull_membership_outside_with_separator(quadrant_k):
     assert dot(c, V(1, 1)) > gamma
     assert all(dot(c, q) <= gamma for q in body.points)
     assert recheck_hull_verdict(V(1, 1), body, verdict)
+    assert verdict == fraction_hull_membership(V(1, 1), body)
 
 
 def test_hull_membership_exact_generator_fast_path(quadrant_k):
@@ -184,6 +188,8 @@ def test_hull_membership_invariant_under_redundant_points():
     )
     for p in (V(Fraction(3, 4), Fraction(1, 4)), V(2, 0), V(1, 1)):
         assert hull_membership(p, square).inside == hull_membership(p, padded).inside
+        for body in (square, padded):
+            assert hull_membership(p, body) == fraction_hull_membership(p, body)
 
 
 def test_exposed_witness_quadrant(quadrant_k):
@@ -248,10 +254,13 @@ def test_exposed_witness_matches_margin_lp():
 def test_exposed_witness_refuses_a_redundant_row():
     # (1, 0) beside (2, 0) is redundant: the support LP of the other row
     # at (1, 0) is 1/2, so no point is tight on it and slack on (2, 0).
-    h = HPolyhedron(2, (V(1, 0), V(2, 0)))
-    with pytest.raises(RuntimeError, match="row 0"):
-        exposed_witness(h, 0)
-    assert exposed_witness(h, 1) == V(Fraction(1, 2), 0)
+    # The same rows over 3 compile to the same ints over den 3, where the
+    # LP at the compiled row (1, 0) reads 3/2: above 1, but not above den.
+    for t in (1, Fraction(1, 3)):
+        h = HPolyhedron(2, (V(t, 0), V(2 * t, 0)))
+        with pytest.raises(RuntimeError, match="row 0"):
+            exposed_witness(h, 0)
+        assert exposed_witness(h, 1) == V(Fraction(1, 2) / t, 0)
 
 
 @pytest.mark.parametrize("status", ["infeasible", "nonsense"])
@@ -319,7 +328,9 @@ def test_sup_over_decides_polar_membership():
         polar_h = polar(h)
         for v in points:
             top = sup_over(h.compiled, v)
-            inside = hull_membership(v, polar_h).inside
+            verdict = hull_membership(v, polar_h)
+            assert verdict == fraction_hull_membership(v, polar_h)
+            inside = verdict.inside
             assert (top is not None and top <= 1) == inside
             seen["inside" if inside else "outside"] += 1
     assert min(seen.values()) >= 20, seen

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import vadd, vscale, vsub
-from polarcut.cuts import CornerInstance, make_body
+from conftest import make_instance, make_program, vadd, vscale, vsub
+from polarcut.cuts import make_body
 from polarcut.jsonio import points_from_json
-from polarcut.lp import LinearProgram
 from polarcut.polyhedra import membership, normalize
 from polarcut.rationals import (
     Scaled,
@@ -75,19 +74,22 @@ def test_parse_forms():
 QUARTER = (Fraction(1, 4),)
 
 # Each coercing constructor with v at one scalar position; every one of
-# them builds for v in 1, 1/2 and "1/2".
+# them builds for v in 1, 1/2 and "1/2". The library's are normalize and
+# make_body; the tests build instances and programs from JSON-level
+# scalars with conftest's make_instance and make_program, which keep the
+# same rule.
 CONSTRUCTORS = {
     "normalize rows": lambda v: normalize([(v, 0), (0, 1)], [1, 1]),
     "normalize rhs": lambda v: normalize([(1, 0), (0, 1)], [v, 1]),
     "make_body rows": lambda v: make_body([[v], [-1]], [1, 0], QUARTER),
     "make_body rhs": lambda v: make_body([[1], [-1]], [v, 0], QUARTER),
-    "CornerInstance f": lambda v: CornerInstance.make(2, ["1/2", v], [[1, 0]]),
-    "CornerInstance rays": lambda v: CornerInstance.make(1, ["1/2"], [[v]]),
-    "CornerInstance P rows": lambda v: CornerInstance.make(1, ["1/2"], [[1]], [[v]], [1]),
-    "CornerInstance P rhs": lambda v: CornerInstance.make(1, ["1/2"], [[1]], [[1]], [v]),
-    "LinearProgram objective": lambda v: LinearProgram.make("max", [v, 1], [([1, 1], "<=", 1)]),
-    "LinearProgram rows": lambda v: LinearProgram.make("max", [1, 1], [([1, v], "<=", 1)]),
-    "LinearProgram rhs": lambda v: LinearProgram.make("max", [1, 1], [([1, 1], "<=", v)]),
+    "CornerInstance f": lambda v: make_instance(2, ["1/2", v], [[1, 0]]),
+    "CornerInstance rays": lambda v: make_instance(1, ["1/2"], [[v]]),
+    "CornerInstance P rows": lambda v: make_instance(1, ["1/2"], [[1]], [[v]], [1]),
+    "CornerInstance P rhs": lambda v: make_instance(1, ["1/2"], [[1]], [[1]], [v]),
+    "LinearProgram objective": lambda v: make_program("max", [v, 1], [([1, 1], "<=", 1)]),
+    "LinearProgram rows": lambda v: make_program("max", [1, 1], [([1, v], "<=", 1)]),
+    "LinearProgram rhs": lambda v: make_program("max", [1, 1], [([1, 1], "<=", v)]),
 }
 
 

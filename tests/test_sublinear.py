@@ -16,6 +16,7 @@ from conftest import (
     fraction_sup_over,
     fraction_sample_points,
     gauge_bracket,
+    make_program,
     programs_logged,
     rational_property_suite,
     use_fraction_routes,
@@ -23,7 +24,7 @@ from conftest import (
     vscale,
 )
 from polarcut import jsonio, sublinear
-from polarcut.lp import LinearProgram, solve
+from polarcut.lp import solve
 from polarcut.polyhedra import (
     HPolyhedron,
     VPolytope,
@@ -34,7 +35,7 @@ from polarcut.polyhedra import (
     polar,
     random_polyhedron,
 )
-from polarcut.rationals import ZERO, Values, dot, is_zero_vector, vector
+from polarcut.rationals import ZERO, Values, dot, is_zero_vector, scaled, vector
 from polarcut.sublinear import (
     block_values,
     check_unit_ball,
@@ -336,7 +337,7 @@ def _bounded(h):
         for sign in (1, -1):
             e = [0] * h.dim
             e[k] = sign
-            program = LinearProgram.make(
+            program = make_program(
                 "max", e, [(a, "<=", 1) for a in h.rows], ("free",) * h.dim
             )
             if solve(program).status == "unbounded":
@@ -622,14 +623,14 @@ def _weights_agree(h, other, rng, seen: Counter) -> None:
         bare = VPolytope(h.dim, gens.points)
         verdict, programs = programs_logged(check_unit_ball, bare, h)
         assert verdict is True
-        assert [p.objective for p in programs] == [v for v, _ in added]
+        assert [p.objective for p in programs] == [scaled(v).ints for v, _ in added]
     for kind, x, weights in _forgeries(h, other, rng):
         gens = VPolytope(
             h.dim, h.rows + (x,), (None,) * len(h.rows) + (weights,)
         )
         verdict, programs = programs_logged(check_unit_ball, gens, h)
         assert verdict == fraction_check_unit_ball(gens, h), kind
-        assert [p.objective for p in programs] == [x], kind
+        assert [p.objective for p in programs] == [scaled(x).ints], kind
         assert verdict == _in_polar(h, x), kind
         seen[kind] += 1
         seen["outside"] += not verdict
@@ -715,9 +716,11 @@ def _logged_suite(raw_sets, seed: int, samples: int):
 
 
 def _support_lp_at(program):
-    """(objective, rational rows) of a support LP, each row <a, x> <= b
-    read as a / b: the generator and the set of a sup_over call."""
-    return program.objective, tuple(
+    """(objective, rational rows) of a support LP, the objective as ints
+    over its least denominator (scaled) and each row <a, x> <= b read as
+    a / b: the generator and the set of a sup_over call, whether the
+    generator is posed as its rationals or as its ints."""
+    return scaled(program.objective).ints, tuple(
         tuple(Fraction(c) / b for c in coeffs) for coeffs, _, b in program.rows
     )
 
@@ -759,7 +762,7 @@ def test_support_lps_pose_int_rows_as_often_as_the_fraction_routes():
     programs = normalize_programs + suite_programs
     reference_programs = reference_normalize + reference_suite
     generators = [
-        (v, h.rows)
+        (scaled(v).ints, h.rows)
         for h, gens in candidates
         for v in gens.points
         if v not in h.rows and not is_zero_vector(v)
