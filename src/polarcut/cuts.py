@@ -252,11 +252,14 @@ def region_lattice_points(
     every row bounds the last coordinate exactly (a floor for a positive
     last coefficient, a ceiling for a negative one; a zero one with a
     negative remainder empties the slice), and the slice is yielded whole.
-    A radius below 0, or a radius box of more than MAX_SCAN_POINTS points,
-    is an input error raised before any point is visited, however few
-    points the region or the clipped box holds."""
+    A radius below 0, a box without one pair per axis, or a radius box of
+    more than MAX_SCAN_POINTS points, is an input error raised before any
+    point is visited, however few points the region or the clipped box
+    holds."""
     if radius < 0:
         raise ValueError(f"scan radius must be >= 0, got {radius}")
+    if box is not None and len(box) != inst.dim:
+        raise ValueError(f"a box needs {inst.dim} axes, got {len(box)}")
     side = 2 * radius + 1
     if side > MAX_SCAN_POINTS or side**inst.dim > MAX_SCAN_POINTS:
         raise ValueError(

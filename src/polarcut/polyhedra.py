@@ -359,7 +359,10 @@ def exposed_witness(h: HPolyhedron, row_index: int) -> Vec:
     optimal x of value above 1 gives x / <a_i, x>, an unbounded sup its
     improving ray d as d / <a_i, d>, which no positive scale of d changes.
     Anything else is an internal fault. The objective is the compiled row
-    den a_i, so the value is den times that of a_i."""
+    den a_i, so the value is den times that of a_i. An index outside
+    range(len(h.rows)) is a ValueError, raised before any LP."""
+    if row_index not in range(len(h.rows)):
+        raise ValueError(f"row index {row_index} is not one of the {len(h.rows)} rows")
     a_i = h.rows[row_index]
     rows, den = h.compiled
     others = rows[:row_index] + rows[row_index + 1 :]

@@ -45,6 +45,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
+from numbers import Rational
 from operator import floordiv, itemgetter, mul
 
 ZERO = Fraction(0)
@@ -143,7 +144,10 @@ def json_scalar(q):
 
 
 def is_integral(q) -> bool:
-    return q.denominator == 1
+    try:
+        return q.denominator == 1
+    except AttributeError:
+        raise _not_exact((q,)) from None
 
 
 def vector(entries) -> Vec:
@@ -174,13 +178,23 @@ def integer_rows(vectors) -> tuple[tuple, int]:
 
     Returns (rows, den): one tuple of ints per vector and the least positive
     common denominator of all entries, so that vectors[i] == rows[i] / den
-    entrywise.
+    entrywise. An entry that is not an exact rational (a float, a text,
+    None) is a ValueError that names it.
     """
-    den = lcm(*(q.denominator for v in vectors for q in v))
-    rows = tuple(
-        tuple(q.numerator * (den // q.denominator) for q in v) for v in vectors
-    )
+    try:
+        den = lcm(*(q.denominator for v in vectors for q in v))
+        rows = tuple(
+            tuple(q.numerator * (den // q.denominator) for q in v) for v in vectors
+        )
+    except AttributeError:
+        raise _not_exact(chain.from_iterable(vectors)) from None
     return rows, den
+
+
+def _not_exact(entries) -> ValueError:
+    """The error for the first of entries that is not an exact rational."""
+    bad = next(q for q in entries if not isinstance(q, Rational))
+    return ValueError(f"not an exact rational (an int or a Fraction): {bad!r}")
 
 
 def _read_block(rows, dim: int):
@@ -247,10 +261,11 @@ def scaled(x) -> Scaled:
         if type(x.den) is not int or x.den <= 0:
             raise ValueError(f"a Scaled denominator must be a positive int: {x.den!r}")
         return x
+    # tuple.__new__ skips namedtuple's Python-level __new__
     if type(x) is tuple and _INT.issuperset(map(type, x)):
-        return Scaled(x, 1)
+        return tuple.__new__(Scaled, (x, 1))
     (ints,), den = integer_rows((x,))
-    return Scaled(ints, den)
+    return tuple.__new__(Scaled, (ints, den))
 
 
 def scaled_vector(entries) -> Scaled:

@@ -17,7 +17,9 @@ function whose generators squeeze between the tight polar points and the
 polar itself agrees with the sandwich
 minimal_sublinear <= support <= gauge pointwise, the unit ball is
 recoverable from either evaluator, and off the recession cone all three
-routes agree exactly. property_suite runs all of these checks over a list
+routes agree exactly: minimal_sublinear, gauge and the support of the polar
+itself, support(polar(h), x), the max over the origin and the rows; no
+LP is posed for a sample. property_suite runs all of these checks over a list
 of sets and tallies the outcome.
 
 check_unit_ball proves a generator's membership in the polar in one of
@@ -45,7 +47,6 @@ from itertools import accumulate, product, repeat
 from math import gcd
 from operator import add, floordiv, mul
 
-from . import lp
 from .polyhedra import (
     HPolyhedron,
     VPolytope,
@@ -54,6 +55,7 @@ from .polyhedra import (
     in_recession,
     membership,
     pairings,
+    polar,
     sup_over,
 )
 from .rationals import (
@@ -265,40 +267,17 @@ def reconstruct_check(h: HPolyhedron, samples) -> bool:
     return True
 
 
-def polar_support_lp(h: HPolyhedron, x):
-    """sup of <x, .> over the polar, computed as an LP over exact convex
-    multipliers of {0} union rows. The objective is polyhedra.pairings of
-    x with the rows, shared with the direct evaluators; only the maximum,
-    taken by the LP, is an independent step. The pairings' one positive
-    scale divides the optimum. The program is posed in ints, its one row
-    the simplex's."""
-    values, scale = pairings(h.compiled, x)
-    npts = len(values) + 1
-    outcome = lp.solve(
-        lp.LinearProgram(
-            direction="max",
-            objective=(0, *values),
-            rows=(((1,) * npts, "=", 1),),
-            bounds=("nonneg",) * npts,
-        )
-    )
-    if outcome.status != "optimal":
-        raise RuntimeError(
-            f"polar support LP is {outcome.status} over a nonempty simplex"
-        )
-    return outcome.value / scale
-
-
 def off_recession_check(h: HPolyhedron, x) -> bool:
     """Off the recession cone the three routes agree exactly:
-    minimal_sublinear = gauge = the polar-support LP value.
+    minimal_sublinear = gauge = support(polar(h), x), the max over the
+    polar's generators, the origin among them.
 
     Points inside the recession cone are rejected - the agreement is not a
     theorem there."""
     if in_recession(h, x):
         raise ValueError("sample lies in the recession cone")
     rho = minimal_sublinear(h, x)
-    return rho == gauge(h, x) and rho == polar_support_lp(h, x)
+    return rho == gauge(h, x) and rho == support(polar(h), x)
 
 
 def _first_recession_signs(products):

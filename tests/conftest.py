@@ -7,7 +7,9 @@ gauge, direct arithmetic re-verification of certificates (the checker
 whose optimal and Farkas branches each had their own dual test),
 Fraction-arithmetic sample mixes and lattice scans, the recession-cone
 LPs that decided boundedness before polyhedra.sup_over, the margin LP
-that found exposed witnesses before the support LP did, the property
+that found exposed witnesses before the support LP did, the multiplier
+LP over the polar's points that the off-recession check posed before it
+read support(polar(h), x), the property
 suite fed rational samples, check-cut's one LP per lattice point,
 check-cut's scan and the hull test with their LPs posed in Fractions,
 from before every library LP was posed in ints, and the support LPs over
@@ -826,20 +828,28 @@ def fraction_check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
     return True
 
 
-def fraction_polar_support_lp(h: HPolyhedron, x):
-    """Reference for sublinear.polar_support_lp: its simplex row posed in
-    Fractions."""
-    values, scale = sublinear.pairings(h.compiled, x)
+def polar_support_lp(h: HPolyhedron, x):
+    """sup of <x, .> over the polar, computed as an LP over exact convex
+    multipliers of {0} union rows: the LP route that sublinear's
+    off-recession check took before it read support(polar(h), x). The
+    objective is polyhedra.pairings of x with the rows, shared with the
+    direct evaluators; only the maximum, taken by the LP, is an
+    independent step. The pairings' one positive scale divides the
+    optimum. The program is posed in ints, its one row the simplex's."""
+    values, scale = polyhedra.pairings(h.compiled, x)
     npts = len(values) + 1
     outcome = lp_module.solve(
         LinearProgram(
             direction="max",
             objective=(0, *values),
-            rows=(((ONE,) * npts, "=", ONE),),
+            rows=(((1,) * npts, "=", 1),),
             bounds=("nonneg",) * npts,
         )
     )
-    assert outcome.status == "optimal", outcome.status
+    if outcome.status != "optimal":
+        raise RuntimeError(
+            f"polar support LP is {outcome.status} over a nonempty simplex"
+        )
     return outcome.value / scale
 
 
@@ -871,7 +881,6 @@ def use_fraction_routes(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(polyhedra, "remove_redundancy", fraction_remove_redundancy)
     mp.setattr(sublinear, "check_unit_ball", fraction_check_unit_ball)
     mp.setattr(sublinear, "exposed_witness", fraction_exposed_witness)
-    mp.setattr(sublinear, "polar_support_lp", fraction_polar_support_lp)
     mp.setattr(sublinear, "random_unit_ball_rep", fraction_random_unit_ball_rep)
 
 

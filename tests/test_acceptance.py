@@ -14,6 +14,7 @@ from conftest import (
     brute_force_best,
     make_instance,
     make_program,
+    polar_support_lp,
     random_lp,
     vscale,
     vsub,
@@ -168,6 +169,7 @@ def test_c4_off_recession_agreement():
         for idx, h in enumerate(corpus()):
             for x in _non_recession_samples(h, 77_000 + idx, 200):
                 assert off_recession_check(h, x)
+                assert polar_support_lp(h, x) == gauge(h, x)
                 checked += 1
         assert checked == 100 * 200
         info["detail"] = (

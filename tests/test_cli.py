@@ -120,10 +120,28 @@ def test_verify_random_mode(capsys):
 
 def test_verify_reports_off_recession_violation(tmp_path, capsys, monkeypatch):
     _, _, off, checks = quadrant_counts()
-    real = sublinear.polar_support_lp
-    monkeypatch.setattr(sublinear, "polar_support_lp", lambda h, x: real(h, x) + 1)
+    real = sublinear.support
+    monkeypatch.setattr(sublinear, "support", lambda gens, x: real(gens, x) + 1)
     checks["off_recession"].update(violations=len(off), first_violation=[-2, 1])
     assert verify_quadrant(tmp_path, capsys) == (1, checks, len(off))
+
+
+def test_verify_reports_off_recession_violation_when_polar_drops_a_row(
+    tmp_path, capsys, monkeypatch
+):
+    # A polar without its last row (0, 1) has support max(0, x_1), below
+    # the gauge at each off-recession sample where x_2 alone attains the
+    # max; the samples where x_1 attains it still pass.
+    _, _, off, checks = quadrant_counts()
+    real = sublinear.polar
+    monkeypatch.setattr(sublinear, "polar", lambda h: VPolytope(h.dim, real(h).points[:-1]))
+    missed = [x for x in off if x[1] > max(0, x[0])]
+    assert 0 < len(missed) < len(off)
+    checks["off_recession"].update(
+        violations=len(missed),
+        first_violation=[rationals.json_scalar(v) for v in missed[0]],
+    )
+    assert verify_quadrant(tmp_path, capsys) == (1, checks, len(missed))
 
 
 def test_verify_reports_exposed_failure(tmp_path, capsys, monkeypatch):

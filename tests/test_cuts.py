@@ -671,6 +671,17 @@ def test_region_scan_clips_to_box():
     assert list(region_lattice_points(line, 2, box=((1, 0),))) == []
 
 
+def test_region_box_needs_one_pair_per_axis():
+    # A 1-axis box on a 2-D instance would zip away the second axis and
+    # yield 1-wide points; a 3-axis one would drop its last pair. Both are
+    # refused before any point.
+    inst = make_instance(2, [Fraction(1, 2), 0], [[1, 0], [0, 1]])
+    for box in (((0, 1),), ((0, 1), (0, 1), (0, 1))):
+        with pytest.raises(ValueError, match=f"a box needs 2 axes, got {len(box)}"):
+            next(region_lattice_points(inst, 1, box=box))
+    assert list(region_lattice_points(inst, 1, box=((0, 0), (1, 7)))) == [V(0, 1)]
+
+
 def test_boundedness_matches_cone_reference():
     # maximality_certificate calls the body bounded when its support is
     # finite along every axis; the reference decides it by LPs over the

@@ -15,6 +15,7 @@ from conftest import (
     margin_exposed_witness,
     needs_artificial,
     pivots_logged,
+    polar_support_lp,
     programs_logged,
     random_lp,
     reference_verify_certificate,
@@ -26,6 +27,7 @@ from polarcut.polyhedra import (
     VPolytope,
     exposed_witness,
     hull_membership,
+    in_recession,
     normalize,
     polar,
     random_polyhedron,
@@ -34,7 +36,6 @@ from polarcut.polyhedra import (
 from polarcut.rationals import ONE, ZERO, dot, integer_rows
 from polarcut.sublinear import (
     check_unit_ball,
-    polar_support_lp,
     property_suite,
     random_unit_ball_rep,
     sample_points,
@@ -379,8 +380,8 @@ def _polyhedron_programs():
     check_unit_ball on a random generator set without its weights (one
     support LP per point that is neither a row nor the origin), sup_over
     at +-e_d, and at
-    sample points the all-'=' programs of polar_support_lp and of
-    hull_membership in the polar."""
+    sample points the all-'=' programs of the multiplier LP over the polar
+    (conftest.polar_support_lp) and of hull_membership in the polar."""
 
     def pose():
         rng = random.Random(1729)
@@ -406,7 +407,8 @@ def _polyhedron_programs():
 
 def test_int_rows_read_as_they_are_match_the_integer_rows_route():
     # lp.solve reads an all-int row (and objective) as its own ints over 1.
-    # On the programs normalize and the property suite pose, that gives the
+    # On the programs normalize and the property suite pose, and the
+    # multiplier LP at the suite's off-recession samples, that gives the
     # same pivots, outcomes and certificates as reading every row through
     # integer_rows.
     rng = random.Random(4181)
@@ -423,6 +425,10 @@ def test_int_rows_read_as_they_are_match_the_integer_rows_route():
     def pose():
         sets = [normalize(rows, [1] * len(rows)) for rows in raw_sets]
         property_suite(sets, 11, 24)
+        for index, h in enumerate(sets):
+            for x in sample_points(h, 11 + 7919 * index, 24):
+                if not in_recession(h, x):
+                    polar_support_lp(h, x)
 
     _, programs = programs_logged(pose)
     statuses = Counter()

@@ -263,6 +263,17 @@ def test_exposed_witness_refuses_a_redundant_row():
         assert exposed_witness(h, 1) == V(Fraction(1, 2) / t, 0)
 
 
+def test_exposed_witness_refuses_an_index_out_of_range(quadrant_k, lp_solves):
+    # -1 would read the last row and keep it among the others, so its LP
+    # would find no exposed point; 2 is past the rows. Both are the
+    # caller's error, refused before any LP.
+    for index in (-1, len(quadrant_k.rows)):
+        with pytest.raises(ValueError, match=f"row index {index} is not one of the 2 rows"):
+            exposed_witness(quadrant_k, index)
+    assert not lp_solves
+    assert exposed_witness(quadrant_k, 1) == V(0, 1)
+
+
 @pytest.mark.parametrize("status", ["infeasible", "nonsense"])
 def test_exposed_witness_refuses_an_impossible_status(monkeypatch, quadrant_k, status):
     # The support LP starts at the feasible origin; any status but optimal

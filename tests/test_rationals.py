@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance, make_program, vadd, vscale, vsub
-from polarcut.cuts import make_body
+from polarcut.cuts import CornerInstance, make_body
 from polarcut.jsonio import points_from_json
-from polarcut.polyhedra import membership, normalize
+from polarcut.lp import LinearProgram, solve
+from polarcut.polyhedra import (
+    HPolyhedron,
+    VPolytope,
+    hull_membership,
+    in_recession,
+    membership,
+    normalize,
+    polar,
+)
 from polarcut.rationals import (
     Scaled,
     _read_block,
@@ -23,7 +33,7 @@ from polarcut.rationals import (
     vector,
     zero_vector,
 )
-from polarcut.sublinear import block_values, gauge
+from polarcut.sublinear import block_values, gauge, minimal_sublinear, support
 
 rationals = st.fractions(max_denominator=512)
 wide_rationals = st.fractions(max_denominator=10**40)
@@ -190,6 +200,39 @@ def test_scaled_rejects_bad_denominator(den):
     for clamp in (True, False):
         with pytest.raises(ValueError, match="positive int"):
             block_values(k, (([1, 3], [2, 1]), [1, den]), clamp)
+
+
+def _inexact_entry_points():
+    """Each library entry point that reads rationals as they are (no
+    parse), called with a bad entry in one coordinate."""
+    k = normalize([(1, 0), (0, 1)], [1, 1])
+    return {
+        "gauge": lambda bad: gauge(k, (bad, 1)),
+        "minimal_sublinear": lambda bad: minimal_sublinear(k, (1, bad)),
+        "membership": lambda bad: membership(k, (bad, 1)),
+        "in_recession": lambda bad: in_recession(k, (bad, 1)),
+        "support": lambda bad: support(polar(k), (bad, 1)),
+        "hull_membership": lambda bad: hull_membership((bad, 1), polar(k)),
+        "solve objective": lambda bad: solve(
+            LinearProgram("max", (bad, 1), (((1, 1), "<=", 1),), ("nonneg",) * 2)
+        ),
+        "solve row": lambda bad: solve(
+            LinearProgram("max", (1, 1), (((1, bad), "<=", 1),), ("nonneg",) * 2)
+        ),
+        "HPolyhedron.compiled": lambda bad: HPolyhedron(2, ((1, bad),)).compiled,
+        "VPolytope.compiled": lambda bad: VPolytope(2, ((bad, 1),)).compiled,
+        "CornerInstance": lambda bad: CornerInstance(1, (bad,), ((1,),)),
+    }
+
+
+@pytest.mark.parametrize("bad", [1.5, "1/2", None], ids=repr)
+@pytest.mark.parametrize("site", sorted(_inexact_entry_points()))
+def test_inexact_entries_are_value_errors(site, bad):
+    # A float, a text or None where the library takes an int or a Fraction
+    # is refused with a ValueError that names the entry, not an
+    # AttributeError on its missing denominator.
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        _inexact_entry_points()[site](bad)
 
 
 def block_points(block):

@@ -17,6 +17,7 @@ from conftest import (
     fraction_sample_points,
     gauge_bracket,
     make_program,
+    polar_support_lp,
     programs_logged,
     rational_property_suite,
     use_fraction_routes,
@@ -42,7 +43,6 @@ from polarcut.sublinear import (
     gauge,
     minimal_sublinear,
     off_recession_check,
-    polar_support_lp,
     property_suite,
     random_unit_ball_rep,
     reconstruct_check,
@@ -106,17 +106,24 @@ def test_gauge_is_polar_support():
             assert polar_support_lp(h, x) == gauge(h, x)
 
 
-@pytest.mark.parametrize("status", ["infeasible", "unbounded"])
-def test_polar_support_lp_refuses_an_impossible_status(
-    quadrant_k, monkeypatch, status
-):
-    # The LP ranges over a nonempty simplex, so only "optimal" is possible;
-    # anything else is a fault, also under python -O.
-    monkeypatch.setattr(
-        sublinear.lp, "solve", lambda program: sublinear.lp.LPOutcome(status=status)
-    )
-    with pytest.raises(RuntimeError, match=status):
-        polar_support_lp(quadrant_k, V(1, 2))
+def test_polar_support_matches_the_multiplier_lp():
+    # support(polar(h), x), the max over the polar's generators that the
+    # off-recession check reads, against the multiplier LP over the same
+    # points, on seeded 1-4-D sets, in and off the recession cone, with
+    # the sample as a rational tuple and in its scaled form.
+    rng = random.Random(2024)
+    seen = Counter()
+    for index in range(30):
+        dim = rng.randint(1, 4)
+        h = random_polyhedron(dim, rng.randint(dim, dim + 4), rng)
+        k_star = polar(h)
+        for x in sample_points(h, index, 24):
+            value = polar_support_lp(h, x)
+            assert support(k_star, x) == support(k_star, scaled(x)) == value
+            assert value == gauge(h, x)
+            seen["in recession" if in_recession(h, x) else "off"] += 1
+            seen[dim] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 def test_check_unit_ball_cases(quadrant_k):
@@ -401,8 +408,8 @@ def test_sample_points_30d_box_finishes():
 def _break_check(monkeypatch, check):
     """The four deliberately broken checks of test_cli.py."""
     if check == "off_recession":
-        real = sublinear.polar_support_lp
-        monkeypatch.setattr(sublinear, "polar_support_lp", lambda h, x: real(h, x) + 1)
+        real = sublinear.support
+        monkeypatch.setattr(sublinear, "support", lambda gens, x: real(gens, x) + 1)
     elif check == "exposed":
         monkeypatch.setattr(sublinear, "exposed_witness", lambda h, i: (ZERO,) * h.dim)
     elif check == "reconstruct":
@@ -727,8 +734,7 @@ def _support_lp_at(program):
 
 def test_support_lps_pose_int_rows_as_often_as_the_fraction_routes():
     # Guarded by counts, not timing: every program of normalize and of the
-    # property suite is a support LP ('<=' rows, free variables) or
-    # polar_support_lp's simplex ('=' row, nonneg variables), each posed in
+    # property suite is a support LP ('<=' rows, free variables), posed in
     # ints. The LPs are accounted for exactly: the Fraction-row routes pose
     # one support LP per suite generator that is neither a row nor the
     # origin, and the library poses none of those, since each such
@@ -770,18 +776,13 @@ def test_support_lps_pose_int_rows_as_often_as_the_fraction_routes():
     assert len(candidates) == 3 * len(result[0]) and len(generators) >= 50
     assert len(programs) + len(generators) == len(reference_programs)
     suite_generators = set(generators)
-    kinds = {"support": 0, "polar": 0}
     for program in programs:
-        if set(program.bounds) == {"free"}:
-            assert {rel for _, rel, _ in program.rows} <= {"<="}
-            assert _support_lp_at(program) not in suite_generators
-            kinds["support"] += 1
-        else:
-            assert len(program.rows) == 1 and program.rows[0][1] == "="
-            kinds["polar"] += 1
+        assert set(program.bounds) == {"free"}
+        assert {rel for _, rel, _ in program.rows} <= {"<="}
+        assert _support_lp_at(program) not in suite_generators
         for coeffs, _, rhs in program.rows:
             assert {type(c) for c in coeffs} | {type(rhs)} == {int}
-    assert min(kinds.values()) >= 50, kinds
+    assert len(programs) >= 50, len(programs)
     # The reference suite poses its support LP at each of those generators
     # (normalize may pose one at a dropped row that a generator equals).
     assert len(generators) == sum(
