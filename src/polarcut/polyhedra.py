@@ -37,8 +37,10 @@ in_recession, sublinear.gauge, minimal_sublinear, support), takes a point
 in either form: a Scaled is used as it is - the scans and the property
 suite scale a point once and query it many times - and a rational tuple is
 scaled once at that call. Rationals are only built for the values a caller
-asks for. (The CLI's query points skip this per-point form: jsonio reads
-them as int columns for sublinear.block_values.)
+asks for. Many points at once skip this per-point form: block_pairings
+pairs compiled vectors with a block of points in int columns, one pass
+per vector, for sublinear.block_values (the CLI's query points, which
+jsonio reads as int columns) and for the property suite's checks.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from . import lp
 from .rationals import (
@@ -290,6 +293,27 @@ def pairings(compiled: tuple, x) -> tuple[list, int]:
     if len(ix) != len(rows[0]):
         raise ValueError(f"dimension mismatch: {len(rows[0])} vs {len(ix)}")
     return [sum(map(mul, a, ix)) for a in rows], den * d
+
+
+def block_pairings(vectors, block) -> list:
+    """pairings at every point of a block at once, in int columns.
+
+    vectors are int vectors (the first part of a .compiled form (rows,
+    den)), and block is (cols, dens) in rationals.scaled_columns' form.
+    Returns one int list per vector v: entry k is sum_j v_j * cols[j][k],
+    so that <v, x_k> equals it over den * dens[k]. The list is one int
+    pass over the columns, skipping v_j = 0; a zero vector (polar(h)'s
+    origin) gives a list of zeros."""
+    cols, dens = block
+    out = []
+    for v in vectors:
+        total = None
+        for c, col in zip(v, cols):
+            if c:
+                term = map(mul, repeat(c), col)
+                total = term if total is None else map(add, total, term)
+        out.append([0] * len(dens) if total is None else list(total))
+    return out
 
 
 def membership(h: HPolyhedron, x) -> MembershipVerdict:

@@ -29,30 +29,37 @@ and which are checked in ints with no LP, or, for a generator without
 valid weights, by the support LP sup_over over the set's rows.
 
 The evaluators and checks take a point in either form, a rational tuple or
-its rationals.Scaled form; property_suite scales each sample once per set,
-so every check on it pairs int vectors, and a rational is built only for a
-value that is returned or a violation that is reported. block_values
-evaluates gauge or minimal_sublinear on a whole block of points in
-rationals.scaled_columns' int-column form, one row of the set at a time,
-and returns the values as int columns too (rationals.Values): no Fraction
-is built on that path.
+its rationals.Scaled form. The checks run on one int column kernel,
+polyhedra.block_pairings: a list of samples is scaled once and laid out as
+a block (cols, dens) in rationals.scaled_columns' form, and each vector
+list (the set's rows, a candidate's generators, polar(h)'s points, the
+boundary rescalings' block) is paired with the whole block in one int pass
+per vector, its maximum taken point by point (ColumnMax). property_suite
+builds each set's block once, takes one pass over its rows for all the
+checks, and builds polar(h) once per set; the only per-point pairing left
+is reconstruction's membership cross-check. A rational is built only for
+a value that is returned or a violation that is reported. block_values
+evaluates gauge or minimal_sublinear on a block with the same kernel and
+returns the values as int columns too (rationals.Values): no Fraction is
+built on that path.
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product, repeat
+from itertools import accumulate, compress, product, repeat
 from math import gcd
-from operator import add, floordiv, mul
+from operator import floordiv, mul
 
 from .polyhedra import (
     HPolyhedron,
     VPolytope,
+    block_pairings,
     exposed_witness,
     hull_membership,
-    in_recession,
     membership,
     pairings,
     polar,
@@ -60,7 +67,6 @@ from .polyhedra import (
 )
 from .rationals import (
     ZERO,
-    Scaled,
     Values,
     Vec,
     is_zero_vector,
@@ -97,12 +103,12 @@ def block_values(h: HPolyhedron, block, clamp: bool) -> Values:
     a block (cols, dens) in rationals.scaled_columns' form, in order, as
     int columns Values(nums, dens) in lowest terms.
 
-    The pairings are int column passes: for each row a, the sum over j of
-    a_j * cols[j], skipping a_j = 0; then the maximum over the rows (and
-    0 when clamped) point by point, over the scale den * dens[k]; then one
-    gcd pass and two floordiv passes reduce each value. No Fraction is
-    built. A hand-built block is checked as scaled() checks a Scaled:
-    every denominator must be a positive int."""
+    The pairings are polyhedra.block_pairings' int column passes, one per
+    row of the set; then the maximum over the rows (and 0 when clamped)
+    point by point, over the scale den * dens[k]; then one gcd pass and
+    two floordiv passes reduce each value. No Fraction is built. A
+    hand-built block is checked as scaled() checks a Scaled: every
+    denominator must be a positive int."""
     cols, dens = block
     rows, den = h.compiled
     if len(cols) != h.dim:
@@ -112,14 +118,7 @@ def block_values(h: HPolyhedron, block, clamp: bool) -> Values:
         raise ValueError(f"a block denominator must be a positive int: {bad!r}")
     if not set(map(len, cols)) <= {len(dens)}:
         raise ValueError(f"every column must hold {len(dens)} points")
-    pairs = []
-    for a in rows:
-        total = None
-        for c, col in zip(a, cols):
-            if c:
-                term = map(mul, repeat(c), col)
-                total = term if total is None else map(add, total, term)
-        pairs.append(list(total))
+    pairs = block_pairings(rows, block)
     scales = list(map(mul, repeat(den), dens))
     if clamp:
         tops = list(map(max, repeat(0), *pairs))
@@ -221,50 +220,117 @@ def random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPolytope:
     return VPolytope(h.dim, tuple(gens), tuple(claims))
 
 
-def sandwich_check(h: HPolyhedron, gens: VPolytope, samples) -> SandwichReport:
-    """Exact minimal_sublinear <= support <= gauge at every sample.
+class ColumnMax(namedtuple("ColumnMax", "tops scales")):
+    """The largest pairing of a compiled vector list (rows, den) with each
+    point k of a block (cols, dens): tops[k] / scales[k], with scales[k] =
+    den * dens[k] > 0. Over a set's rows it is minimal_sublinear at every
+    point, over a generator set its support."""
 
-    Refuses candidates that are not unit-ball representations of h - the
-    sandwich is only a theorem under that precondition."""
+    __slots__ = ()
+
+
+def _column_max(compiled: tuple, block) -> ColumnMax:
+    rows, den = compiled
+    pairs = block_pairings(rows, block)
+    tops = list(map(max, *pairs)) if len(pairs) > 1 else pairs[0]
+    return ColumnMax(tops, list(map(mul, repeat(den), block[1])))
+
+
+def _sample_block(samples, dim: int) -> tuple:
+    """(given, points, block): the samples as given (rational tuples or
+    Scaled, the form a violation reports), scaled once, and as one block
+    (cols, dens) of int columns for block_pairings."""
+    given = tuple(samples)
+    points = tuple(map(scaled, given))
+    ints = [p.ints for p in points]
+    widths = set(map(len, ints)) - {dim}
+    if widths:
+        raise ValueError(f"dimension mismatch: {dim} vs {min(widths)}")
+    return given, points, (list(zip(*ints)), [p.den for p in points])
+
+
+def _sandwich_report(h, gens, given, block, rho: ColumnMax) -> SandwichReport:
+    """sandwich_check on a sample block, given h's column maxima rho over
+    it: one column pass over the generators."""
     if not check_unit_ball(gens, h):
         raise ValueError(
             "candidate generators are not a unit-ball representation of the set"
         )
-    violations = []
-    count = 0
-    for x in samples:
-        count += 1
-        # low / s_low <= mid / s_mid <= max(low, 0) / s_low, cross-multiplied
-        # by the positive scales.
-        rho, s_low = pairings(h.compiled, x)
-        sigma, s_mid = pairings(gens.compiled, x)
-        low = max(rho)
-        mid = max(sigma)
-        if not low * s_mid <= mid * s_low <= max(low, 0) * s_mid:
-            violations.append(
-                (unscaled(x), minimal_sublinear(h, x), support(gens, x), gauge(h, x))
-            )
-    return SandwichReport(count, tuple(violations), not violations)
+    sigma = _column_max(gens.compiled, block)
+    den_h, den_c = h.compiled[1], gens.compiled[1]
+    # low / (den_h d) <= mid / (den_c d) <= max(low, 0) / (den_h d): the
+    # sample's own d cancels, so cross-multiply by den_c and den_h alone.
+    violations = tuple(
+        (
+            unscaled(x),
+            Fraction(low, s_low),
+            Fraction(mid, s_mid),
+            Fraction(low, s_low) if low > 0 else ZERO,
+        )
+        for x, low, mid, s_low, s_mid in zip(
+            given, rho.tops, sigma.tops, rho.scales, sigma.scales
+        )
+        if not low * den_c <= mid * den_h <= max(low, 0) * den_c
+    )
+    return SandwichReport(len(given), violations, not violations)
+
+
+def _reconstruct_holds(h: HPolyhedron, points, block, rho: ColumnMax) -> bool:
+    """reconstruct_check on the samples, scaled (points) and as a block,
+    given h's column maxima rho over them. Each maximum is checked against
+    membership at its point. The rescalings x / rho(x) of the samples with
+    rho(x) > 0, the columns times den over the tops, form a second block,
+    where every value must equal its scale."""
+    for p, top, scale in zip(points, rho.tops, rho.scales):
+        if (membership(h, p).position != "outside") != (top <= scale):
+            return False
+    den = h.compiled[1]
+    positive = [top > 0 for top in rho.tops]
+    boundary = _column_max(
+        h.compiled,
+        (
+            [list(map(mul, repeat(den), compress(col, positive))) for col in block[0]],
+            list(compress(rho.tops, positive)),
+        ),
+    )
+    return boundary.tops == boundary.scales
+
+
+def _off_recession_misses(rho: ColumnMax, polar_max: ColumnMax, ks) -> list:
+    """The samples k of ks, all off the recession cone, where rho, h's
+    column maxima, differs from polar_max, the support of polar(h), over
+    the same block. Off the cone rho > 0, so rho is the gauge there too."""
+    tops, scales = rho
+    polar_tops, polar_scales = polar_max
+    return [k for k in ks if tops[k] * polar_scales[k] != polar_tops[k] * scales[k]]
+
+
+def _off_recession_samples(h: HPolyhedron, block, rho: ColumnMax) -> tuple:
+    """(ks, misses): the samples of the block off the recession cone, those
+    with a positive pairing (rho > 0), and the ones among them that
+    _off_recession_misses finds apart from the polar's support, with
+    polar(h) built once for the block."""
+    ks = [k for k, top in enumerate(rho.tops) if top > 0]
+    return ks, _off_recession_misses(rho, _column_max(polar(h).compiled, block), ks)
+
+
+def sandwich_check(h: HPolyhedron, gens: VPolytope, samples) -> SandwichReport:
+    """Exact minimal_sublinear <= support <= gauge at every sample.
+
+    Refuses candidates that are not unit-ball representations of h - the
+    sandwich is only a theorem under that precondition. The samples are
+    evaluated as one block: one column pass over h's rows and one over
+    the generators."""
+    given, _, block = _sample_block(samples, h.dim)
+    return _sandwich_report(h, gens, given, block, _column_max(h.compiled, block))
 
 
 def reconstruct_check(h: HPolyhedron, samples) -> bool:
     """The set is recoverable from the minimal evaluator: a sample belongs
     iff its value is <= 1, and rescaling any sample with positive gauge onto
     the boundary lands exactly on value 1."""
-    for x in samples:
-        rho = minimal_sublinear(h, x)
-        inside = membership(h, x).position != "outside"
-        if inside != (rho <= 1):
-            return False
-        g = gauge(h, x)
-        if g > 0:
-            ints, den = scaled(x)
-            on_boundary = Scaled(
-                tuple(v * g.denominator for v in ints), den * g.numerator
-            )
-            if minimal_sublinear(h, on_boundary) != 1:
-                return False
-    return True
+    _, points, block = _sample_block(samples, h.dim)
+    return _reconstruct_holds(h, points, block, _column_max(h.compiled, block))
 
 
 def off_recession_check(h: HPolyhedron, x) -> bool:
@@ -274,10 +340,11 @@ def off_recession_check(h: HPolyhedron, x) -> bool:
 
     Points inside the recession cone are rejected - the agreement is not a
     theorem there."""
-    if in_recession(h, x):
+    _, _, block = _sample_block((x,), h.dim)
+    ks, misses = _off_recession_samples(h, block, _column_max(h.compiled, block))
+    if not ks:
         raise ValueError("sample lies in the recession cone")
-    rho = minimal_sublinear(h, x)
-    return rho == gauge(h, x) and rho == support(polar(h), x)
+    return not misses
 
 
 def _first_recession_signs(products):
@@ -393,12 +460,14 @@ def property_suite(instances, seed: int, samples: int) -> tuple[dict, int]:
     sandwich, recon = tally["sandwich"], tally["reconstruct"]
     off, exposed = tally["off_recession"], tally["exposed"]
     for index, h in enumerate(instances):
-        pts = sample_points(h, seed + 7919 * index, samples)
-        spts = tuple(map(scaled, pts))
+        pts, points, block = _sample_block(
+            sample_points(h, seed + 7919 * index, samples), h.dim
+        )
+        rho = _column_max(h.compiled, block)
 
         for c in range(SUITE_CANDIDATES):
             gens = random_unit_ball_rep(h, seed + 104729 * index + c, 5)
-            report = sandwich_check(h, gens, spts)
+            report = _sandwich_report(h, gens, pts, block, rho)
             sandwich["pairs"] += 1
             sandwich["samples_checked"] += report.samples_checked
             sandwich["violations"] += len(report.violations)
@@ -406,17 +475,14 @@ def property_suite(instances, seed: int, samples: int) -> tuple[dict, int]:
                 sandwich["first_violation"] = report.violations[0][0]
 
         recon["instances_checked"] += 1
-        if not reconstruct_check(h, spts):
+        if not _reconstruct_holds(h, points, block, rho):
             recon["failures"] += 1
 
-        for x, sx in zip(pts, spts):
-            if in_recession(h, sx):
-                continue
-            off["samples_checked"] += 1
-            if not off_recession_check(h, sx):
-                off["violations"] += 1
-                if off["first_violation"] is None:
-                    off["first_violation"] = x
+        ks, misses = _off_recession_samples(h, block, rho)
+        off["samples_checked"] += len(ks)
+        off["violations"] += len(misses)
+        if misses and off["first_violation"] is None:
+            off["first_violation"] = pts[misses[0]]
 
         for i in range(len(h.rows)):
             exposed["rows_checked"] += 1

@@ -9,8 +9,10 @@ Fraction-arithmetic sample mixes and lattice scans, the recession-cone
 LPs that decided boundedness before polyhedra.sup_over, the margin LP
 that found exposed witnesses before the support LP did, the multiplier
 LP over the polar's points that the off-recession check posed before it
-read support(polar(h), x), the property
-suite fed rational samples, check-cut's one LP per lattice point,
+read support(polar(h), x), the sandwich, reconstruction and off-recession
+checks point by point, from before they ran as int column passes over one
+sample block, and the property suite built on them and fed rational
+samples, check-cut's one LP per lattice point,
 check-cut's scan and the hull test with their LPs posed in Fractions,
 from before every library LP was posed in ints, and the support LPs over
 a set's Fraction rows with the generator sets summed in Fractions and
@@ -34,7 +36,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from operator import mul
+from operator import add, mul
 
 import pytest
 
@@ -58,6 +60,7 @@ from polarcut.polyhedra import (
 from polarcut.rationals import (
     ONE,
     ZERO,
+    Scaled,
     Values,
     dot,
     integer_rows,
@@ -554,11 +557,107 @@ def fraction_sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
 # ------------------------------------------------- property suite reference
 
 
+def per_point_sandwich_check(h: HPolyhedron, gens: VPolytope, samples):
+    """Reference for sublinear.sandwich_check: both pairings and the
+    comparison point by point, from before the checks ran as column
+    passes over one sample block."""
+    if not sublinear.check_unit_ball(gens, h):
+        raise ValueError(
+            "candidate generators are not a unit-ball representation of the set"
+        )
+    violations = []
+    count = 0
+    for x in samples:
+        count += 1
+        # low / s_low <= mid / s_mid <= max(low, 0) / s_low, cross-multiplied
+        # by the positive scales.
+        rho, s_low = polyhedra.pairings(h.compiled, x)
+        sigma, s_mid = polyhedra.pairings(gens.compiled, x)
+        low = max(rho)
+        mid = max(sigma)
+        if not low * s_mid <= mid * s_low <= max(low, 0) * s_mid:
+            violations.append(
+                (
+                    unscaled(x),
+                    sublinear.minimal_sublinear(h, x),
+                    sublinear.support(gens, x),
+                    sublinear.gauge(h, x),
+                )
+            )
+    return sublinear.SandwichReport(count, tuple(violations), not violations)
+
+
+def per_point_reconstruct_check(h: HPolyhedron, samples) -> bool:
+    """Reference for sublinear.reconstruct_check: the evaluators point by
+    point, each boundary rescaling built at the reduced gauge."""
+    for x in samples:
+        rho = sublinear.minimal_sublinear(h, x)
+        inside = membership(h, x).position != "outside"
+        if inside != (rho <= 1):
+            return False
+        g = sublinear.gauge(h, x)
+        if g > 0:
+            ints, den = scaled(x)
+            on_boundary = Scaled(
+                tuple(v * g.denominator for v in ints), den * g.numerator
+            )
+            if sublinear.minimal_sublinear(h, on_boundary) != 1:
+                return False
+    return True
+
+
+def per_point_off_recession_check(h: HPolyhedron, x) -> bool:
+    """Reference for sublinear.off_recession_check: minimal_sublinear, the
+    gauge and support(polar(h), x) at the one point, polar(h) built for it."""
+    if polyhedra.in_recession(h, x):
+        raise ValueError("sample lies in the recession cone")
+    rho = sublinear.minimal_sublinear(h, x)
+    return rho == sublinear.gauge(h, x) and rho == sublinear.support(
+        sublinear.polar(h), x
+    )
+
+
+def _one_scale_up(column: sublinear.ColumnMax) -> sublinear.ColumnMax:
+    """Every value of a ColumnMax plus 1: each top raised by its scale."""
+    return sublinear.ColumnMax(list(map(add, column.tops, column.scales)), column.scales)
+
+
+def raise_rho(mp: pytest.MonkeyPatch) -> None:
+    """The fault rho + 1 on the column route: h's column maxima, as the
+    reconstruction and off-recession checks read them, one higher. The
+    sandwich compares the same maxima in ints of its own and is spared,
+    as it was when the fault was minimal_sublinear + 1."""
+    reconstruct = sublinear._reconstruct_holds
+    misses = sublinear._off_recession_misses
+    mp.setattr(
+        sublinear,
+        "_reconstruct_holds",
+        lambda h, points, block, rho: reconstruct(h, points, block, _one_scale_up(rho)),
+    )
+    mp.setattr(
+        sublinear,
+        "_off_recession_misses",
+        lambda rho, polar_max, ks: misses(_one_scale_up(rho), polar_max, ks),
+    )
+
+
+def raise_polar_support(mp: pytest.MonkeyPatch) -> None:
+    """The fault support(polar(h), x) + 1 on the column route: the polar's
+    column maxima, as the off-recession check reads them, one higher."""
+    misses = sublinear._off_recession_misses
+    mp.setattr(
+        sublinear,
+        "_off_recession_misses",
+        lambda rho, polar_max, ks: misses(rho, _one_scale_up(polar_max), ks),
+    )
+
+
 def rational_property_suite(instances, seed: int, samples: int):
     """Reference for sublinear.property_suite: the same checks in the same
-    order, each fed the rational samples, so every evaluator call scales
-    its point again. The checks are looked up on the module at call time,
-    so a test's monkeypatches reach this route too."""
+    order, each the per-point route above fed the rational samples, so
+    every evaluator call scales its point again. The evaluators are looked
+    up on the module at call time, so a test's monkeypatches reach this
+    route too."""
     tally = {
         "sandwich": {
             "pairs": 0,
@@ -580,27 +679,27 @@ def rational_property_suite(instances, seed: int, samples: int):
         pts = sublinear.sample_points(h, seed + 7919 * index, samples)
         for c in range(sublinear.SUITE_CANDIDATES):
             gens = sublinear.random_unit_ball_rep(h, seed + 104729 * index + c, 5)
-            report = sublinear.sandwich_check(h, gens, pts)
+            report = per_point_sandwich_check(h, gens, pts)
             sandwich["pairs"] += 1
             sandwich["samples_checked"] += report.samples_checked
             sandwich["violations"] += len(report.violations)
             if report.violations and sandwich["first_violation"] is None:
                 sandwich["first_violation"] = report.violations[0][0]
         recon["instances_checked"] += 1
-        if not sublinear.reconstruct_check(h, pts):
+        if not per_point_reconstruct_check(h, pts):
             recon["failures"] += 1
         for x in pts:
-            if sublinear.in_recession(h, x):
+            if polyhedra.in_recession(h, x):
                 continue
             off["samples_checked"] += 1
-            if not sublinear.off_recession_check(h, x):
+            if not per_point_off_recession_check(h, x):
                 off["violations"] += 1
                 if off["first_violation"] is None:
                     off["first_violation"] = x
         for i in range(len(h.rows)):
             exposed["rows_checked"] += 1
             witness = sublinear.exposed_witness(h, i)
-            if sublinear.membership(h, witness).tight_rows != (i,):
+            if membership(h, witness).tight_rows != (i,):
                 exposed["failures"] += 1
     violations = (
         sandwich["violations"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_render, vscale
+from conftest import raise_polar_support, raise_rho, reference_render, vscale
 from polarcut import cli, cuts, jsonio, rationals, sublinear
 from polarcut.cli import main
 from polarcut.cuts import generate_cut
@@ -120,8 +120,7 @@ def test_verify_random_mode(capsys):
 
 def test_verify_reports_off_recession_violation(tmp_path, capsys, monkeypatch):
     _, _, off, checks = quadrant_counts()
-    real = sublinear.support
-    monkeypatch.setattr(sublinear, "support", lambda gens, x: real(gens, x) + 1)
+    raise_polar_support(monkeypatch)
     checks["off_recession"].update(violations=len(off), first_violation=[-2, 1])
     assert verify_quadrant(tmp_path, capsys) == (1, checks, len(off))
 
@@ -154,12 +153,11 @@ def test_verify_reports_exposed_failure(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_reports_reconstruct_failure(tmp_path, capsys, monkeypatch):
-    # A minimal_sublinear one too high misplaces every sample whose true
-    # value lies in (0, 1] (the boundary rescalings among them), and can
-    # no longer equal the gauge off the recession cone either.
+    # A rho one too high misplaces every sample whose true value lies in
+    # (0, 1] (the boundary rescalings among them), and can no longer equal
+    # the polar's support off the recession cone either.
     _, _, off, checks = quadrant_counts()
-    real = sublinear.minimal_sublinear
-    monkeypatch.setattr(sublinear, "minimal_sublinear", lambda h, x: real(h, x) + 1)
+    raise_rho(monkeypatch)
     checks["reconstruct"]["failures"] = 1
     checks["off_recession"].update(violations=len(off), first_violation=[-2, 1])
     assert verify_quadrant(tmp_path, capsys) == (1, checks, 1 + len(off))

@@ -19,12 +19,17 @@ from conftest import (
     make_program,
     polar_support_lp,
     programs_logged,
+    per_point_off_recession_check,
+    per_point_reconstruct_check,
+    per_point_sandwich_check,
+    raise_polar_support,
+    raise_rho,
     rational_property_suite,
     use_fraction_routes,
     vadd,
     vscale,
 )
-from polarcut import jsonio, sublinear
+from polarcut import jsonio, polyhedra, sublinear
 from polarcut.lp import solve
 from polarcut.polyhedra import (
     HPolyhedron,
@@ -406,13 +411,17 @@ def test_sample_points_30d_box_finishes():
 
 
 def _break_check(monkeypatch, check):
-    """The four deliberately broken checks of test_cli.py."""
+    """The four deliberately broken checks of test_cli.py, each fault put
+    on both routes: the column route of property_suite and the evaluators
+    that the per-point route of rational_property_suite calls."""
     if check == "off_recession":
+        raise_polar_support(monkeypatch)
         real = sublinear.support
         monkeypatch.setattr(sublinear, "support", lambda gens, x: real(gens, x) + 1)
     elif check == "exposed":
         monkeypatch.setattr(sublinear, "exposed_witness", lambda h, i: (ZERO,) * h.dim)
     elif check == "reconstruct":
+        raise_rho(monkeypatch)
         real = sublinear.minimal_sublinear
         monkeypatch.setattr(sublinear, "minimal_sublinear", lambda h, x: real(h, x) + 1)
     elif check == "sandwich":
@@ -500,6 +509,134 @@ def test_block_values_rejects_bad_shapes(quadrant_k):
         block_values(quadrant_k, (([1], [2], [3]), [1]), True)
     with pytest.raises(ValueError, match="every column must hold 2 points"):
         block_values(quadrant_k, (([1, 2], [3]), [1, 1]), False)
+
+
+def _per_point_off_recession(h, samples):
+    """(samples checked, violating samples) of the per-point route."""
+    checked, missed = 0, []
+    for x in samples:
+        if in_recession(h, x):
+            continue
+        checked += 1
+        if not per_point_off_recession_check(h, x):
+            missed.append(x)
+    return checked, missed
+
+
+def _column_off_recession(h, samples):
+    """The same pair from the suite's column route over one sample block."""
+    given, _, block = sublinear._sample_block(samples, h.dim)
+    rho = sublinear._column_max(h.compiled, block)
+    ks, misses = sublinear._off_recession_samples(h, block, rho)
+    return len(ks), [given[k] for k in misses]
+
+
+def _drop_last_polar_row(mp):
+    real = sublinear.polar
+    mp.setattr(sublinear, "polar", lambda h: VPolytope(h.dim, real(h).points[:-1]))
+
+
+def test_column_checks_match_per_point_route(monkeypatch):
+    # On seeded 1-4-D sets, zero-coefficient ones among them, the column
+    # checks report what the per-point route of conftest reports, with the
+    # samples given as rational tuples and as Scaled, 0 samples among them:
+    # equal sandwich reports for candidates in the polar (polar(h) itself
+    # among them, whose origin is a zero vector for the kernel) and outside
+    # it (check_unit_ball bypassed), equal reconstruct verdicts (with rho
+    # raised by 1 too), and the same off-recession samples and violations
+    # sample for sample, with the honest polar and with one row dropped.
+    rng = random.Random(9973)
+    seen = Counter()
+    for case in range(30):
+        dim = 1 + case % 4
+        if case % 2:
+            h = zero_coefficient_set(rng, dim)
+        else:
+            h = random_polyhedron(dim, rng.randint(1, dim + 4), rng)
+        pts = sample_points(h, case, (0, 9, 40)[case % 3])
+        valid = (random_unit_ball_rep(h, case, 5), polar(h))
+        rand = tuple(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(dim))
+            for _ in range(3)
+        )
+        outside = (VPolytope(dim, tuple(vscale(2, a) for a in h.rows)), VPolytope(dim, rand))
+        for samples in (pts, tuple(map(scaled, pts))):
+            for gens in valid:
+                report = sandwich_check(h, gens, samples)
+                assert report == per_point_sandwich_check(h, gens, samples)
+                assert report.passed and report.samples_checked == len(samples)
+            with monkeypatch.context() as mp:
+                mp.setattr(sublinear, "check_unit_ball", lambda gens, h: True)
+                for gens in outside:
+                    report = sandwich_check(h, gens, samples)
+                    reference = per_point_sandwich_check(h, gens, samples)
+                    assert report.violations == reference.violations
+                    assert report == reference
+                    seen["sandwich violations"] += len(report.violations)
+            assert reconstruct_check(h, samples) is per_point_reconstruct_check(h, samples)
+            # The column route's gauge is max(rho, 0) of the same maxima, so
+            # rho + 1 also rescales the samples with rho in (-1, 0]; both
+            # routes fail alike once some sample has a positive gauge.
+            if any(gauge(h, x) > 0 for x in samples):
+                with monkeypatch.context() as mp:
+                    _break_check(mp, "reconstruct")
+                    verdict = reconstruct_check(h, samples)
+                    assert verdict is per_point_reconstruct_check(h, samples)
+                    seen["reconstruct failures"] += not verdict
+            for drop in (False, True):
+                with monkeypatch.context() as mp:
+                    if drop:
+                        _drop_last_polar_row(mp)
+                    column = _column_off_recession(h, samples)
+                    assert column == _per_point_off_recession(h, samples)
+                    seen["off-recession samples"] += column[0]
+                    seen[f"off-recession misses, dropped {drop}"] += len(column[1])
+                    for x in samples:
+                        if in_recession(h, x):
+                            with pytest.raises(ValueError):
+                                off_recession_check(h, x)
+                            with pytest.raises(ValueError):
+                                per_point_off_recession_check(h, x)
+                        else:
+                            assert off_recession_check(h, x) is per_point_off_recession_check(h, x)
+    assert seen["sandwich violations"] > 100, seen
+    assert seen["reconstruct failures"] > 10, seen
+    assert seen["off-recession samples"] > 100, seen
+    assert seen["off-recession misses, dropped False"] == 0, seen
+    assert seen["off-recession misses, dropped True"] > 10, seen
+
+
+def test_property_suite_pairs_a_sample_once(monkeypatch):
+    # The suite's checks pair a sample with the set's rows point by point
+    # only in reconstruction's membership cross-check, and each exposed
+    # witness once; everything else is column passes, also where a fault
+    # makes violations. The samples are drawn beforehand, so sample_points'
+    # own gauge calls are not counted.
+    rng = random.Random(5151)
+    instances = [random_polyhedron(rng.randint(1, 4), rng.randint(3, 8), rng) for _ in range(4)]
+    seed, samples = 17, 40
+    drawn = {
+        seed + 7919 * index: sample_points(h, seed + 7919 * index, samples)
+        for index, h in enumerate(instances)
+    }
+    monkeypatch.setattr(sublinear, "sample_points", lambda h, s, count: drawn[s])
+    calls = Counter()
+    real = polyhedra.pairings
+
+    def counted(compiled, x):
+        calls["pairings"] += 1
+        return real(compiled, x)
+
+    monkeypatch.setattr(polyhedra, "pairings", counted)
+    monkeypatch.setattr(sublinear, "pairings", counted)
+    per_sample = len(instances) * samples + sum(len(h.rows) for h in instances)
+    for broken in (None, "sandwich", "reconstruct", "off_recession", "exposed"):
+        with monkeypatch.context() as mp:
+            _break_check(mp, broken)
+            calls.clear()
+            _, violations = property_suite(instances, seed, samples)
+        assert (violations > 0) == (broken is not None)
+        assert calls["pairings"] <= per_sample + violations, (broken, calls)
 
 
 def _generator_sets():
