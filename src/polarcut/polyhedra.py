@@ -33,7 +33,7 @@ compiled once into integer rows over one common denominator, and a pairing
 <a_i, x> is an integer dot product with the query point's scaled form
 (rationals.Scaled: int numerators over one positive denominator) over a
 positive scale. pairings, and every evaluator built on it (membership,
-in_recession, sublinear.gauge, minimal_sublinear, support), takes a point
+sublinear.gauge, minimal_sublinear, support), takes a point
 in either form: a Scaled is used as it is - the scans and the property
 suite scale a point once and query it many times - and a rational tuple is
 scaled once at that call. Rationals are only built for the values a caller
@@ -330,11 +330,6 @@ def membership(h: HPolyhedron, x) -> MembershipVerdict:
 def polar(h: HPolyhedron) -> VPolytope:
     """The polar body: conv of the origin together with the rows."""
     return VPolytope(h.dim, (zero_vector(h.dim),) + tuple(h.rows))
-
-
-def in_recession(h: HPolyhedron, x) -> bool:
-    values, _ = pairings(h.compiled, x)
-    return all(v <= 0 for v in values)
 
 
 def hull_membership(p: Vec, v: VPolytope) -> HullVerdict:

@@ -12,7 +12,7 @@ scaled_columns.
 A point has a second form, owned by this module: Scaled(ints, den), the
 int numerators of its coordinates over one positive common denominator.
 It is the library's per-point form: the scans scale their anchor once,
-the property suite scales each sample once, scaled() reads any rational
+the property suite's samples are drawn in it, scaled() reads any rational
 vector (a tuple of ints as its own ints over 1), scaled_vector() reads a
 row of scalars of any JSON-level form (normalize's and make_body's rows
 and right-hand sides) with no Fraction built for an int or a Fraction,
@@ -27,9 +27,9 @@ dens) is a column of rationals in lowest terms, value k being nums[k] /
 dens[k] with dens[k] > 0 (0 is 0/1), as sublinear.block_values returns
 them and the CLI prints them, with no Fraction in between.
 
-The evaluators (gauge, minimal sublinear function, support, membership,
-recession test) and the LP solver do not use Fraction arithmetic on their
-hot paths: integer_rows() turns a set's rows into Python ints over one
+The evaluators (gauge, minimal sublinear function, support, membership)
+and the LP solver do not use Fraction arithmetic on their hot paths:
+integer_rows() turns a set's rows into Python ints over one
 common denominator once (the set's compiled form, which every LP over the
 set poses as its rows), the pairings are int dot products with a scaled
 point, lp.solve reads each program row and its objective through

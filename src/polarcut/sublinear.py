@@ -26,7 +26,11 @@ check_unit_ball proves a generator's membership in the polar in one of
 two ways: by its own convex weights over polar(h).points, which
 random_unit_ball_rep keeps on the generator set (VPolytope.polar_weights)
 and which are checked in ints with no LP, or, for a generator without
-valid weights, by the support LP sup_over over the set's rows.
+valid weights, by the support LP sup_over over the set's rows. Both
+functions tell points apart on ints: no Fraction is hashed. The exposed
+check scales each row's Gram certificate onto the row (_gram_witness);
+only a row without one poses exposed_witness's LP. sample_points draws
+its samples as Scaled points.
 
 The evaluators and checks take a point in either form, a rational tuple or
 its rationals.Scaled form. The checks run on one int column kernel,
@@ -51,7 +55,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, product, repeat
-from math import gcd
+from math import gcd, lcm
 from operator import floordiv, mul
 
 from .polyhedra import (
@@ -59,6 +63,7 @@ from .polyhedra import (
     VPolytope,
     block_pairings,
     exposed_witness,
+    gram_certificate,
     hull_membership,
     membership,
     pairings,
@@ -67,9 +72,8 @@ from .polyhedra import (
 )
 from .rationals import (
     ZERO,
+    Scaled,
     Values,
-    Vec,
-    is_zero_vector,
     scaled,
     unscaled,
 )
@@ -134,13 +138,13 @@ def support(gens: VPolytope, x):
     return Fraction(max(values), scale)
 
 
-def _weights_prove(v, weights, compiled: tuple) -> bool:
+def _weights_prove(ints, d: int, weights, compiled: tuple) -> bool:
     """Do the weights w over polar(h).points (the origin first, then the
-    rows) prove that the generator v lies in the polar of h, for compiled =
-    h.compiled = (int rows r, den)? With v = ints / d in scaled form, they
-    do when there is one weight per point, every w_i is an int >= 0,
-    W = sum w > 0, and ints * den * W == d * sum_{i>=1} w_i r_i in every
-    coordinate. Then v = sum_{i>=1} (w_i / W) a_i, and for every x in K,
+    rows) prove that the generator v = ints / d lies in the polar of h,
+    for compiled = h.compiled = (int rows r, den)? They do when there is
+    one weight per point, every w_i is an int >= 0, W = sum w > 0, and
+    ints * den * W == d * sum_{i>=1} w_i r_i in every coordinate. Then
+    v = sum_{i>=1} (w_i / W) a_i, and for every x in K,
     <v, x> <= sum_{i>=1} w_i / W <= 1 (weak duality, with multipliers
     w_i / W on the rows), so sup_over(compiled, v) <= 1 with no LP."""
     rows, den = compiled
@@ -151,7 +155,6 @@ def _weights_prove(v, weights, compiled: tuple) -> bool:
     total = sum(weights)
     if total <= 0:
         return False
-    ints, d = scaled(v)
     scale = den * total
     on_rows = weights[1:]
     return all(
@@ -167,29 +170,36 @@ def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
     generators, so the support dominates the minimal evaluator; (b) every
     generator v lies in the polar, so the gauge dominates the support.
     Generators that are literal rows of h satisfy (b) by definition of K
-    and are skipped, as is the zero vector. A generator whose
-    gens.polar_weights entry proves it a convex combination of
+    and are skipped, as is the zero vector; a row that is a literal
+    generator satisfies (a) with no LP. Rows and generators are compared
+    on their compiled ints, each side times the other's den. A generator
+    whose gens.polar_weights entry proves it a convex combination of
     polar(h).points (_weights_prove, exact int arithmetic on h.compiled)
     satisfies (b) with no LP; any other generator, one with no weights or
     with weights that fail the test, needs sup_over(h.compiled, v) finite
-    and at most 1 (posed at scaled(v) = ints / d: at most d). Both routes
-    give the same verdict.
+    and at most 1 (posed at v's ints over its least denominator d: at
+    most d). Both routes give the same verdict.
     """
     if gens.dim != h.dim:
         raise ValueError("generator dimension differs from the set's")
-    for a in h.rows:
-        if not hull_membership(a, gens).inside:
+    rows, den = h.compiled
+    points, d = gens.compiled
+    row_keys = [tuple(c * d for c in r) for r in rows]
+    gen_keys = [tuple(c * den for c in p) for p in points]
+    literal = set(gen_keys)
+    for a, key in zip(h.rows, row_keys):
+        if key not in literal and not hull_membership(a, gens).inside:
             return False
-    row_set = set(h.rows)
+    row_set = set(row_keys)
     claims = gens.polar_weights or repeat(None)
-    for v, weights in zip(gens.points, claims):
-        if v in row_set or is_zero_vector(v):
+    for p, key, weights in zip(points, gen_keys, claims):
+        if key in row_set or not any(p):
             continue
-        if weights is not None and _weights_prove(v, weights, h.compiled):
+        if weights is not None and _weights_prove(p, d, weights, h.compiled):
             continue
-        ints, d = scaled(v)
+        ints, least = _lowest(p, d)
         top = sup_over(h.compiled, ints)
-        if top is None or top > d:
+        if top is None or top > least:
             return False
     return True
 
@@ -200,24 +210,35 @@ def random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPolytope:
     Always passes check_unit_ball by construction, and carries its proof:
     each added point keeps its int weights over polar(h).points (weight 0
     is the origin's) in polar_weights, and the rows have None there. Each
-    coordinate is one int sum over h.compiled's columns."""
+    coordinate is one int sum over h.compiled's columns; points are told
+    apart by their ints over their least denominator, and a Fraction is
+    built only for a point that is kept."""
     rng = random.Random(seed)
     rows, den = h.compiled
     cols = tuple(zip(*rows))
     gens = list(h.rows)
     claims = [None] * len(gens)
-    seen = set(gens)
+    seen = set(map(_lowest, rows, repeat(den)))
     for _ in range(count):
         weights = [rng.randint(0, 4) for _ in range(len(rows) + 1)]
         if sum(weights) == 0:
             weights[0] = 1
-        scale = sum(weights) * den
-        point = tuple(Fraction(sum(map(mul, weights[1:], col)), scale) for col in cols)
-        if point not in seen:
-            seen.add(point)
-            gens.append(point)
+        nums = [sum(map(mul, weights[1:], col)) for col in cols]
+        key = _lowest(nums, sum(weights) * den)
+        if key not in seen:
+            seen.add(key)
+            ints, scale = key
+            gens.append(tuple(Fraction(n, scale) for n in ints))
             claims.append(tuple(weights))
     return VPolytope(h.dim, tuple(gens), tuple(claims))
+
+
+def _lowest(ints, den: int) -> tuple:
+    """(ints, den) over den > 0 divided by their gcd: the one int spelling
+    of the rational vector ints / den, its numerators over its least
+    denominator."""
+    g = gcd(den, *ints)
+    return tuple(c // g for c in ints), den // g
 
 
 class ColumnMax(namedtuple("ColumnMax", "tops scales")):
@@ -236,17 +257,22 @@ def _column_max(compiled: tuple, block) -> ColumnMax:
     return ColumnMax(tops, list(map(mul, repeat(den), block[1])))
 
 
+def _columns(points) -> tuple:
+    """Scaled points as one block (cols, dens) of int columns for
+    block_pairings."""
+    return list(zip(*(p.ints for p in points))), [p.den for p in points]
+
+
 def _sample_block(samples, dim: int) -> tuple:
     """(given, points, block): the samples as given (rational tuples or
     Scaled, the form a violation reports), scaled once, and as one block
     (cols, dens) of int columns for block_pairings."""
     given = tuple(samples)
     points = tuple(map(scaled, given))
-    ints = [p.ints for p in points]
-    widths = set(map(len, ints)) - {dim}
+    widths = {len(p.ints) for p in points} - {dim}
     if widths:
         raise ValueError(f"dimension mismatch: {dim} vs {min(widths)}")
-    return given, points, (list(zip(*ints)), [p.den for p in points])
+    return given, points, _columns(points)
 
 
 def _sandwich_report(h, gens, given, block, rho: ColumnMax) -> SandwichReport:
@@ -384,48 +410,55 @@ def _first_recession_signs(products):
 def sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
     """Deterministic seeded sample mix: a small integer grid slab, random
     rational points, boundary rescalings of positive-gauge samples, and
-    recession-cone members found by sign search. Exactly `count` points."""
+    recession-cone members found by sign search. Exactly `count` points,
+    each a Scaled; no Fraction is built and no evaluator is called.
+
+    A random point draws a (numerator, denominator) pair per coordinate
+    and is put over their lcm. For h.compiled = (rows r, den), the
+    samples' largest row pairings top = max_i <r_i, x.ints> come from one
+    column pass, and a sample with top > 0 (a positive gauge) is rescaled
+    onto the boundary as Scaled(den * x.ints, top), which is x / gauge(h,
+    x)."""
     rng = random.Random(seed)
     dim = h.dim
+    rows, den = h.compiled
     out = []
 
-    def rand_point() -> Vec:
-        return tuple(
-            Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(dim)
-        )
+    def rand_point() -> Scaled:
+        pairs = [(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(dim)]
+        d = lcm(*(q for _, q in pairs))
+        return Scaled(tuple(p * (d // q) for p, q in pairs), d)
 
     grid_quota = min(count // 4, 40)
     for ints in product(range(-2, 3), repeat=dim):
         if len(out) >= grid_quota:
             break
-        out.append(tuple(Fraction(v) for v in ints))
+        out.append(Scaled(ints, 1))
 
     while len(out) < (count * 2) // 4:
         out.append(rand_point())
 
     boundary_quota = (count * 3) // 4
     source = list(out)
-    for x in source:
+    tops = _column_max(h.compiled, _columns(source)).tops
+    for x, top in zip(source, tops):
         if len(out) >= boundary_quota:
             break
-        g = gauge(h, x)
-        if g > 0:
-            out.append(tuple(v / g for v in x))
+        if top > 0:
+            out.append(Scaled(tuple(den * c for c in x.ints), top))
 
     # A sign pattern s puts s * base in the recession cone iff every row's
     # sum of s_k * a_k * base_k is <= 0; the products are ints computed once
     # per base.
     recession_quota = min(count // 8, boundary_quota + count - len(out))
     found = 0
-    rows, _ = h.compiled
     for _ in range(recession_quota * 4):
         if found >= recession_quota or len(out) >= count:
             break
-        base = rand_point()
-        ibase, _ = scaled(base)
-        signs = _first_recession_signs([tuple(map(mul, a, ibase)) for a in rows])
+        ints, d = rand_point()
+        signs = _first_recession_signs([tuple(map(mul, a, ints)) for a in rows])
         if signs is not None:
-            out.append(tuple(s * v for s, v in zip(signs, base)))
+            out.append(Scaled(tuple(map(mul, signs, ints)), d))
             found += 1
 
     while len(out) < count:
@@ -433,11 +466,29 @@ def sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
     return tuple(out[:count])
 
 
+def _gram_witness(compiled: tuple, i: int):
+    """Row i's exposed point by the Gram test, for compiled = (int rows r,
+    den): with x = gram_certificate(r_i, the other rows, den), the point
+    Scaled(den * x.ints, <r_i, x.ints>), that is x / <a_i, x>. It lies on
+    row i, and strictly inside every other row, since x lies past row i
+    and inside the others. None when the row has no certificate."""
+    rows, den = compiled
+    r = rows[i]
+    x = gram_certificate(r, rows[:i] + rows[i + 1 :], den)
+    if x is None:
+        return None
+    return Scaled(tuple(den * c for c in x.ints), sum(map(mul, r, x.ints)))
+
+
 def property_suite(instances, seed: int, samples: int) -> tuple[dict, int]:
     """Every check above on each set, in a fixed order: SUITE_CANDIDATES
     seeded sandwich checks, reconstruction, off-recession agreement on the
     samples outside the recession cone, and the exposed witness of every
-    row. Set `index` draws its samples from seed + 7919 * index.
+    row, which must be tight on that row alone. Set `index` draws its
+    samples from seed + 7919 * index, as Scaled points. A row's witness
+    comes from its Gram certificate (_gram_witness), and from
+    exposed_witness's LP only for a row without one; on a set whose every
+    row has a certificate the suite poses no LP.
 
     Returns (tally, violations): per-check counts, with the first sandwich
     and off-recession violations as rational vectors (None when there is
@@ -482,11 +533,14 @@ def property_suite(instances, seed: int, samples: int) -> tuple[dict, int]:
         off["samples_checked"] += len(ks)
         off["violations"] += len(misses)
         if misses and off["first_violation"] is None:
-            off["first_violation"] = pts[misses[0]]
+            off["first_violation"] = unscaled(pts[misses[0]])
 
         for i in range(len(h.rows)):
             exposed["rows_checked"] += 1
-            if membership(h, exposed_witness(h, i)).tight_rows != (i,):
+            witness = _gram_witness(h.compiled, i)
+            if witness is None:
+                witness = exposed_witness(h, i)
+            if membership(h, witness).tight_rows != (i,):
                 exposed["failures"] += 1
 
     violations = (

@@ -6,6 +6,7 @@ simplex that the integer one replaced, bisection on membership for the
 gauge, direct arithmetic re-verification of certificates (the checker
 whose optimal and Farkas branches each had their own dual test),
 Fraction-arithmetic sample mixes and lattice scans, the recession-cone
+test that the library no longer calls (in_recession), the recession-cone
 LPs that decided boundedness before polyhedra.sup_over, the margin LP
 that found exposed witnesses before the support LP did, the multiplier
 LP over the polar's points that the off-recession check posed before it
@@ -510,6 +511,22 @@ def gauge_bracket(h: HPolyhedron, x, steps: int = 60):
 # ------------------------------------------------------ sample mix reference
 
 
+def in_recession(h: HPolyhedron, x) -> bool:
+    """Is x in the recession cone {x : <a_i, x> <= 0} of h? Every pairing
+    with the rows at most 0, by polyhedra.pairings; x in either form. It
+    was polyhedra.in_recession until the library stopped calling it."""
+    values, _ = polyhedra.pairings(h.compiled, x)
+    return all(v <= 0 for v in values)
+
+
+def rational_samples(h: HPolyhedron, seed: int, count: int) -> tuple:
+    """sublinear.sample_points as rational tuples, once every point is seen
+    to be a Scaled of width h.dim."""
+    points = sublinear.sample_points(h, seed, count)
+    assert all(type(x) is Scaled and len(x.ints) == h.dim for x in points)
+    return tuple(map(unscaled, points))
+
+
 def fraction_sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
     """Reference for sublinear.sample_points: the same rng draws, with each
     of the 2^dim sign patterns of a recession candidate built as a Fraction
@@ -609,7 +626,7 @@ def per_point_reconstruct_check(h: HPolyhedron, samples) -> bool:
 def per_point_off_recession_check(h: HPolyhedron, x) -> bool:
     """Reference for sublinear.off_recession_check: minimal_sublinear, the
     gauge and support(polar(h), x) at the one point, polar(h) built for it."""
-    if polyhedra.in_recession(h, x):
+    if in_recession(h, x):
         raise ValueError("sample lies in the recession cone")
     rho = sublinear.minimal_sublinear(h, x)
     return rho == sublinear.gauge(h, x) and rho == sublinear.support(
@@ -639,6 +656,20 @@ def raise_rho(mp: pytest.MonkeyPatch) -> None:
         "_off_recession_misses",
         lambda rho, polar_max, ks: misses(_one_scale_up(rho), polar_max, ks),
     )
+
+
+def zero_gram_witness(mp: pytest.MonkeyPatch) -> None:
+    """The fault of a zero exposed witness on the Gram route: each row
+    with a Gram certificate gets the origin, tight on no row, as its
+    witness. A row without one still takes exposed_witness."""
+    witness = sublinear._gram_witness
+
+    def zero(compiled, i):
+        if witness(compiled, i) is None:
+            return None
+        return Scaled((0,) * len(compiled[0][i]), 1)
+
+    mp.setattr(sublinear, "_gram_witness", zero)
 
 
 def raise_polar_support(mp: pytest.MonkeyPatch) -> None:
@@ -676,7 +707,7 @@ def rational_property_suite(instances, seed: int, samples: int):
     sandwich, recon = tally["sandwich"], tally["reconstruct"]
     off, exposed = tally["off_recession"], tally["exposed"]
     for index, h in enumerate(instances):
-        pts = sublinear.sample_points(h, seed + 7919 * index, samples)
+        pts = rational_samples(h, seed + 7919 * index, samples)
         for c in range(sublinear.SUITE_CANDIDATES):
             gens = sublinear.random_unit_ball_rep(h, seed + 104729 * index + c, 5)
             report = per_point_sandwich_check(h, gens, pts)
@@ -689,7 +720,7 @@ def rational_property_suite(instances, seed: int, samples: int):
         if not per_point_reconstruct_check(h, pts):
             recon["failures"] += 1
         for x in pts:
-            if polyhedra.in_recession(h, x):
+            if in_recession(h, x):
                 continue
             off["samples_checked"] += 1
             if not per_point_off_recession_check(h, x):
@@ -954,10 +985,13 @@ def polar_support_lp(h: HPolyhedron, x):
 
 def fraction_random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPolytope:
     """Reference for sublinear.random_unit_ball_rep: each point a Fraction
-    sum over the polar's points, the origin first."""
+    sum over the polar's points, the origin first, told apart from the
+    rows and the earlier points by hashing the Fraction tuples, and kept
+    with its weights."""
     rng = random.Random(seed)
     anchors = polyhedra.polar(h).points
     gens = list(h.rows)
+    claims = [None] * len(gens)
     seen = set(gens)
     for _ in range(count):
         weights = [rng.randint(0, 4) for _ in anchors]
@@ -971,7 +1005,8 @@ def fraction_random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPol
         if point not in seen:
             seen.add(point)
             gens.append(point)
-    return VPolytope(h.dim, tuple(gens))
+            claims.append(tuple(weights))
+    return VPolytope(h.dim, tuple(gens), tuple(claims))
 
 
 def use_fraction_routes(mp: pytest.MonkeyPatch) -> None:

@@ -7,13 +7,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import raise_polar_support, raise_rho, reference_render, vscale
+from conftest import (
+    in_recession,
+    raise_polar_support,
+    raise_rho,
+    rational_samples,
+    reference_render,
+    vscale,
+    zero_gram_witness,
+)
 from polarcut import cli, cuts, jsonio, rationals, sublinear
 from polarcut.cli import main
 from polarcut.cuts import generate_cut
-from polarcut.polyhedra import VPolytope, in_recession
+from polarcut.polyhedra import VPolytope
 from polarcut.rationals import Values, zero_vector
-from polarcut.sublinear import property_suite, sample_points
+from polarcut.sublinear import property_suite
 
 
 QUADRANT_K = {"dim": 2, "rows": [[1, 0], [0, 1]], "rhs": [1, 1]}
@@ -65,7 +73,7 @@ def quadrant_counts():
     """QUADRANT_K, its 40 samples for seed 0, those off the recession cone,
     and the per-check counts of a clean verify run on them."""
     h = jsonio.polyhedron_from_json(QUADRANT_K)
-    pts = sample_points(h, 0, 40)
+    pts = rational_samples(h, 0, 40)
     off = [x for x in pts if not in_recession(h, x)]
     checks = {
         "sandwich": {
@@ -144,12 +152,28 @@ def test_verify_reports_off_recession_violation_when_polar_drops_a_row(
 
 
 def test_verify_reports_exposed_failure(tmp_path, capsys, monkeypatch):
+    # Both rows of the quadrant have a Gram certificate, so the suite takes
+    # their witnesses from it, and a zero witness there fails both.
     _, _, _, checks = quadrant_counts()
-    monkeypatch.setattr(
-        sublinear, "exposed_witness", lambda h, i: zero_vector(h.dim)
-    )
+    zero_gram_witness(monkeypatch)
     checks["exposed"]["failures"] = 2
     assert verify_quadrant(tmp_path, capsys) == (1, checks, 2)
+
+
+def test_verify_reports_exposed_failure_on_the_lp_fallback(tmp_path, capsys, monkeypatch):
+    # In {x_1 <= 1, x_1 + x_2 <= 1} the row (1, 0) has no Gram certificate
+    # (|a_1|^2 = 1 = <a_2, a_1>), so its witness comes from exposed_witness;
+    # a zero witness there fails that row alone.
+    doc = {"dim": 2, "rows": [[1, 0], [1, 1]], "rhs": [1, 1]}
+    path = write(tmp_path, "k.json", doc)
+    code, out, _ = run(capsys, "verify", path, "--samples", "40")
+    clean = json.loads(out)
+    assert code == 0 and clean["checks"]["exposed"] == {"rows_checked": 2, "failures": 0}
+    monkeypatch.setattr(sublinear, "exposed_witness", lambda h, i: zero_vector(h.dim))
+    code, out, _ = run(capsys, "verify", path, "--samples", "40")
+    doc = json.loads(out)
+    clean["checks"]["exposed"]["failures"] = 1
+    assert (code, doc["checks"], doc["violations"]) == (1, clean["checks"], 1)
 
 
 def test_verify_reports_reconstruct_failure(tmp_path, capsys, monkeypatch):

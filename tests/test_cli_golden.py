@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import reference_render
+from conftest import rational_samples, reference_render
 from polarcut import cli, jsonio, lp
 from polarcut.cli import main
 from polarcut.cuts import check_cut_validity
@@ -32,7 +32,6 @@ from polarcut.sublinear import (
     check_unit_ball,
     property_suite,
     random_unit_ball_rep,
-    sample_points,
 )
 
 TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
@@ -355,7 +354,7 @@ def test_every_library_lp_is_posed_in_ints(documents, monkeypatch):
     for index, h in enumerate(sets):
         gens = random_unit_ball_rep(h, index, 4)
         assert check_unit_ball(VPolytope(h.dim, gens.points), h)
-        for x in sample_points(h, index, 8):
+        for x in rational_samples(h, index, 8):
             hull_membership(x, polar(h))
     assert corpus >= 100 and len(programs) - corpus >= 100, (corpus, len(programs))
     assert callers >= {

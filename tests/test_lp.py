@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_best,
     fraction_solve,
+    in_recession,
     integer_rows_form,
     make_program,
     margin_exposed_witness,
@@ -18,6 +19,7 @@ from conftest import (
     polar_support_lp,
     programs_logged,
     random_lp,
+    rational_samples,
     reference_verify_certificate,
 )
 from polarcut import lp as lp_module
@@ -27,7 +29,6 @@ from polarcut.polyhedra import (
     VPolytope,
     exposed_witness,
     hull_membership,
-    in_recession,
     normalize,
     polar,
     random_polyhedron,
@@ -397,7 +398,7 @@ def _polyhedron_programs():
                 for sign in (ONE, -ONE):
                     axis = tuple(sign if j == d else ZERO for j in range(dim))
                     sup_over(h.compiled, axis)
-            for x in sample_points(h, index, 12):
+            for x in rational_samples(h, index, 12):
                 polar_support_lp(h, x)
                 hull_membership(x, polar(h))
 
@@ -407,10 +408,11 @@ def _polyhedron_programs():
 
 def test_int_rows_read_as_they_are_match_the_integer_rows_route():
     # lp.solve reads an all-int row (and objective) as its own ints over 1.
-    # On the programs normalize and the property suite pose, and the
-    # multiplier LP at the suite's off-recession samples, that gives the
-    # same pivots, outcomes and certificates as reading every row through
-    # integer_rows.
+    # On the programs normalize and the property suite pose, exposed_witness
+    # at every row (the suite poses it only at a row without a Gram
+    # certificate) and the multiplier LP at the suite's off-recession
+    # samples, that gives the same pivots, outcomes and certificates as
+    # reading every row through integer_rows.
     rng = random.Random(4181)
     raw_sets = []
     for _ in range(8):
@@ -426,6 +428,10 @@ def test_int_rows_read_as_they_are_match_the_integer_rows_route():
         sets = [normalize(rows, [1] * len(rows)) for rows in raw_sets]
         property_suite(sets, 11, 24)
         for index, h in enumerate(sets):
+            _, exposed = programs_logged(
+                lambda: [exposed_witness(h, i) for i in range(len(h.rows))]
+            )
+            assert len(exposed) == len(h.rows)  # one support LP per row
             for x in sample_points(h, 11 + 7919 * index, 24):
                 if not in_recession(h, x):
                     polar_support_lp(h, x)

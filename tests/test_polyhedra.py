@@ -14,9 +14,11 @@ from conftest import (
     fraction_hull_membership,
     fraction_remove_redundancy,
     fraction_support_lp,
+    in_recession,
     margin_exposed_witness,
     pivots_logged,
     programs_logged,
+    rational_samples,
     recheck_hull_verdict,
     use_fraction_routes,
     vadd,
@@ -34,7 +36,6 @@ from polarcut.polyhedra import (
     exposed_witness,
     gram_certificate,
     hull_membership,
-    in_recession,
     membership,
     normalize,
     polar,
@@ -52,7 +53,6 @@ from polarcut.rationals import (
     vector,
     zero_vector,
 )
-from polarcut.sublinear import sample_points
 
 
 def V(*entries):
@@ -136,7 +136,7 @@ def test_membership_level_polar_involution():
     for _ in range(10):
         h = random_polyhedron(rng.randint(1, 3), rng.randint(2, 6), rng)
         pts = polar(h).points
-        for x in sample_points(h, 97, 20):
+        for x in rational_samples(h, 97, 20):
             inside = membership(h, x).position != "outside"
             assert inside == all(dot(x, y) <= 1 for y in pts)
 
@@ -292,7 +292,7 @@ def test_recession_quadrant(quadrant_k):
 def test_recession_scaling_invariance():
     rng = random.Random(53)
     h = random_polyhedron(2, 4, rng)
-    for x in sample_points(h, 3, 30):
+    for x in rational_samples(h, 3, 30):
         scaled = vscale(Fraction(7, 3), x)
         assert in_recession(h, x) == in_recession(h, scaled)
     assert in_recession(h, zero_vector(2))

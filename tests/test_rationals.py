@@ -14,7 +14,6 @@ from polarcut.polyhedra import (
     HPolyhedron,
     VPolytope,
     hull_membership,
-    in_recession,
     membership,
     normalize,
     polar,
@@ -210,7 +209,6 @@ def _inexact_entry_points():
         "gauge": lambda bad: gauge(k, (bad, 1)),
         "minimal_sublinear": lambda bad: minimal_sublinear(k, (1, bad)),
         "membership": lambda bad: membership(k, (bad, 1)),
-        "in_recession": lambda bad: in_recession(k, (bad, 1)),
         "support": lambda bad: support(polar(k), (bad, 1)),
         "hull_membership": lambda bad: hull_membership((bad, 1), polar(k)),
         "solve objective": lambda bad: solve(

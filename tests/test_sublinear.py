@@ -16,6 +16,7 @@ from conftest import (
     fraction_sup_over,
     fraction_sample_points,
     gauge_bracket,
+    in_recession,
     make_program,
     polar_support_lp,
     programs_logged,
@@ -25,17 +26,20 @@ from conftest import (
     raise_polar_support,
     raise_rho,
     rational_property_suite,
+    rational_samples,
     use_fraction_routes,
     vadd,
     vscale,
+    zero_gram_witness,
 )
 from polarcut import jsonio, polyhedra, sublinear
 from polarcut.lp import solve
 from polarcut.polyhedra import (
     HPolyhedron,
     VPolytope,
+    exposed_witness,
+    gram_certificate,
     hull_membership,
-    in_recession,
     membership,
     normalize,
     polar,
@@ -96,7 +100,7 @@ def test_gauge_against_bisection_oracle():
     rng = random.Random(7)
     for _ in range(6):
         h = random_polyhedron(rng.randint(1, 3), rng.randint(2, 6), rng)
-        for x in sample_points(h, 13, 15):
+        for x in rational_samples(h, 13, 15):
             lo, hi = gauge_bracket(h, x)
             g = gauge(h, x)
             assert lo <= g <= hi
@@ -308,7 +312,7 @@ def test_sandwich_violations_match_fraction_reference(quadrant_k, monkeypatch):
             V(Fraction(-1, 3), 5),
         ),
     )
-    samples = sample_points(quadrant_k, 8, 200)
+    samples = rational_samples(quadrant_k, 8, 200)
     monkeypatch.setattr(sublinear, "check_unit_ball", lambda gens, h: True)
     report = sandwich_check(quadrant_k, bad, samples)
     expected = []
@@ -324,15 +328,16 @@ def test_sandwich_violations_match_fraction_reference(quadrant_k, monkeypatch):
 
 
 def test_sample_points_match_fraction_reference():
-    # The int sign search returns the same tuple as the Fraction route, on
-    # bounded sets (recession cone {0}) and unbounded ones alike.
+    # The int draws, boundary rescalings and sign search give the same
+    # points as the Fraction route, compared after unscaled, on bounded sets
+    # (recession cone {0}) and unbounded ones alike.
     rng = random.Random(2718)
     bounded = receding = 0
     for case in range(60):
         dim = 1 + case % 4
         h = random_polyhedron(dim, rng.randint(1, dim + 3), rng)
         for seed, count in ((case, 40), (case + 1000, 97)):
-            points = sample_points(h, seed, count)
+            points = rational_samples(h, seed, count)
             assert points == fraction_sample_points(h, seed, count)
             assert len(points) == count
         members = [
@@ -390,7 +395,7 @@ def test_sample_points_match_fraction_reference_up_to_7d():
         dim = 5 + case % 3
         h = random_polyhedron(dim, rng.randint(1, dim + 3), rng)
         for seed, count in ((case, 40), (case + 1000, 97)):
-            assert sample_points(h, seed, count) == fraction_sample_points(h, seed, count)
+            assert rational_samples(h, seed, count) == fraction_sample_points(h, seed, count)
 
 
 def test_sample_points_30d_box_finishes():
@@ -406,19 +411,23 @@ def test_sample_points_30d_box_finishes():
     h = HPolyhedron(dim, rows)
     start = time.perf_counter()
     points = sample_points(h, 0, 200)
-    assert len(points) == 200 and all(len(x) == dim for x in points)
+    assert len(points) == 200 and all(len(x.ints) == dim for x in points)
     assert time.perf_counter() - start < 30
 
 
 def _break_check(monkeypatch, check):
     """The four deliberately broken checks of test_cli.py, each fault put
     on both routes: the column route of property_suite and the evaluators
-    that the per-point route of rational_property_suite calls."""
+    that the per-point route of rational_property_suite calls. A zero
+    exposed witness is put on the Gram route and on exposed_witness, the
+    suite's fallback for a row without a certificate and the reference's
+    witness for every row."""
     if check == "off_recession":
         raise_polar_support(monkeypatch)
         real = sublinear.support
         monkeypatch.setattr(sublinear, "support", lambda gens, x: real(gens, x) + 1)
     elif check == "exposed":
+        zero_gram_witness(monkeypatch)
         monkeypatch.setattr(sublinear, "exposed_witness", lambda h, i: (ZERO,) * h.dim)
     elif check == "reconstruct":
         raise_rho(monkeypatch)
@@ -609,17 +618,11 @@ def test_column_checks_match_per_point_route(monkeypatch):
 def test_property_suite_pairs_a_sample_once(monkeypatch):
     # The suite's checks pair a sample with the set's rows point by point
     # only in reconstruction's membership cross-check, and each exposed
-    # witness once; everything else is column passes, also where a fault
-    # makes violations. The samples are drawn beforehand, so sample_points'
-    # own gauge calls are not counted.
+    # witness once; everything else, sample_points included, is column
+    # passes, also where a fault makes violations.
     rng = random.Random(5151)
     instances = [random_polyhedron(rng.randint(1, 4), rng.randint(3, 8), rng) for _ in range(4)]
     seed, samples = 17, 40
-    drawn = {
-        seed + 7919 * index: sample_points(h, seed + 7919 * index, samples)
-        for index, h in enumerate(instances)
-    }
-    monkeypatch.setattr(sublinear, "sample_points", lambda h, s, count: drawn[s])
     calls = Counter()
     real = polyhedra.pairings
 
@@ -637,6 +640,110 @@ def test_property_suite_pairs_a_sample_once(monkeypatch):
             _, violations = property_suite(instances, seed, samples)
         assert (violations > 0) == (broken is not None)
         assert calls["pairings"] <= per_sample + violations, (broken, calls)
+
+
+def test_sample_points_make_no_pairings(monkeypatch):
+    # The draws take their boundary rescalings from one column pass over
+    # the rows: no per-point pairing, so no gauge either.
+    calls = Counter()
+    real = polyhedra.pairings
+
+    def counted(compiled, x):
+        calls["pairings"] += 1
+        return real(compiled, x)
+
+    monkeypatch.setattr(polyhedra, "pairings", counted)
+    monkeypatch.setattr(sublinear, "pairings", counted)
+    rng = random.Random(4343)
+    drawn = 0
+    for case in range(12):
+        dim = 1 + case % 4
+        h = random_polyhedron(dim, rng.randint(1, dim + 4), rng)
+        drawn += len(sample_points(h, case, 64))
+    assert drawn == 12 * 64 and calls["pairings"] == 0, calls
+    assert gauge(h, (1,) * h.dim) is not None and calls["pairings"] == 1
+
+
+def _gram_and_lp_verdicts(h):
+    """Per row of h, (Gram verdict, LP verdict): whether the Gram route's
+    witness is tight on that row alone (None when the row has no
+    certificate), and whether exposed_witness's is (None when it refuses
+    the row as redundant)."""
+    out = []
+    for i in range(len(h.rows)):
+        w = sublinear._gram_witness(h.compiled, i)
+        gram = None if w is None else membership(h, w).tight_rows == (i,)
+        try:
+            lp = membership(h, exposed_witness(h, i)).tight_rows == (i,)
+        except RuntimeError:
+            lp = None
+        out.append((gram, lp))
+    return out
+
+
+def test_gram_witnesses_match_the_lp_route():
+    # On seeded 1-4-D sets, zero-coefficient sets and random_polyhedron
+    # ones, the Gram route and the LP route give the same verdict on every
+    # row that has a certificate (both witnesses tight on that row alone),
+    # and the rows without one are those the suite hands to the LP. With a
+    # redundant row added (half a row, or the mean of two rows), the Gram
+    # route finds no certificate for it, as the LP finds no witness, and
+    # every other row keeps its verdict on both routes.
+    rng = random.Random(7877)
+    seen = Counter()
+    for case in range(80):
+        dim = 1 + case % 4
+        if case % 2:
+            h = zero_coefficient_set(rng, dim)
+            kind = "zero-coefficient"
+        else:
+            h = random_polyhedron(dim, rng.randint(2, dim + 5), rng)
+            kind = "random"
+        verdicts = _gram_and_lp_verdicts(h)
+        assert all(lp is True and gram in (True, None) for gram, lp in verdicts)
+        seen[f"{kind} rows"] += len(verdicts)
+        seen[f"{kind} uncertified"] += sum(gram is None for gram, _ in verdicts)
+        rows, den = h.compiled
+        for i, _ in enumerate(rows):
+            certified = gram_certificate(rows[i], rows[:i] + rows[i + 1 :], den) is not None
+            assert certified == (verdicts[i][0] is not None)
+        extra = vscale(Fraction(1, 2), h.rows[0])
+        if len(h.rows) > 1 and any(vadd(h.rows[0], h.rows[1])):
+            extra = vscale(Fraction(1, 2), vadd(h.rows[0], h.rows[1]))
+        padded = HPolyhedron(dim, h.rows + (extra,))
+        *kept, (gram, lp) = _gram_and_lp_verdicts(padded)
+        assert gram is None and lp is None
+        assert [v for v in kept if v[0] is not None] == [v for v in verdicts if v[0] is not None]
+        assert all(lp is True for _, lp in kept)
+        seen["redundant"] += 1
+    random_share = seen["random uncertified"] / seen["random rows"]
+    assert 0.1 < random_share < 0.5, seen
+    assert seen["zero-coefficient uncertified"] > 0 and seen["redundant"] == 80, seen
+
+
+def test_property_suite_poses_no_lp_on_certified_sets():
+    # On sets whose every row has a Gram certificate the suite poses no
+    # LP at all: the exposed witnesses come from the certificates, the
+    # drawn generators carry their weights and every row is a generator.
+    # On the other sets it poses one exposed LP per row without one.
+    rng = random.Random(1597)
+    certified, others = [], []
+    while len(certified) < 8 or len(others) < 8:
+        dim = rng.randint(1, 4)
+        h = random_polyhedron(dim, rng.randint(2, dim + 5), rng)
+        missing = sum(
+            sublinear._gram_witness(h.compiled, i) is None for i in range(len(h.rows))
+        )
+        (others if missing else certified).append((h, missing))
+    (tally, violations), programs = programs_logged(
+        property_suite, [h for h, _ in certified[:8]], 5, 40
+    )
+    assert programs == [] and violations == 0
+    assert tally["exposed"]["rows_checked"] == sum(len(h.rows) for h, _ in certified[:8])
+    (_, violations), programs = programs_logged(
+        property_suite, [h for h, _ in others[:8]], 5, 40
+    )
+    assert len(programs) == sum(missing for _, missing in others[:8]) and violations == 0
 
 
 def _generator_sets():
@@ -657,13 +764,20 @@ def _generator_sets():
 
 
 def test_random_unit_ball_rep_matches_fraction_sums():
-    # The int column sums over h.compiled give the very generator tuples
-    # that the Fraction sums over the polar's points gave, seed by seed.
+    # The int column sums over h.compiled, deduplicated on int keys, give
+    # the very generator tuples and weights that the Fraction sums over the
+    # polar's points gave, deduplicated by hashing, seed by seed: draws
+    # equal to a row or to an earlier draw are merged alike.
+    merged = 0
     for h in _generator_sets():
         for seed in range(50):
             for count in (0, 1, 5):
                 gens = random_unit_ball_rep(h, seed, count)
-                assert gens == fraction_random_unit_ball_rep(h, seed, count)
+                reference = fraction_random_unit_ball_rep(h, seed, count)
+                assert gens.points == reference.points
+                assert gens.polar_weights == reference.polar_weights
+                merged += len(h.rows) + count - len(gens.points)
+    assert merged >= 100, merged
 
 
 # ------------------------------ generators proven by their convex weights
@@ -850,13 +964,17 @@ def test_polar_weights_stay_out_of_equality():
 
 
 def _logged_suite(raw_sets, seed: int, samples: int):
-    """normalize on each raw set, then property_suite on the sets: both
-    results, and the programs lp.solve is given in each of the two steps."""
+    """normalize on each raw set, property_suite on the sets, then
+    sublinear.exposed_witness at every row of every set: the three results,
+    and the programs lp.solve is given in each of the three steps."""
     sets, normalize_programs = programs_logged(
         lambda: [normalize(rows, [1] * len(rows)) for rows in raw_sets]
     )
     tally, suite_programs = programs_logged(property_suite, sets, seed, samples)
-    return (sets, tally), normalize_programs, suite_programs
+    witnesses, exposed_programs = programs_logged(
+        lambda: [sublinear.exposed_witness(h, i) for h in sets for i in range(len(h.rows))]
+    )
+    return (sets, tally, witnesses), normalize_programs, suite_programs, exposed_programs
 
 
 def _support_lp_at(program):
@@ -870,13 +988,15 @@ def _support_lp_at(program):
 
 
 def test_support_lps_pose_int_rows_as_often_as_the_fraction_routes():
-    # Guarded by counts, not timing: every program of normalize and of the
-    # property suite is a support LP ('<=' rows, free variables), posed in
-    # ints. The LPs are accounted for exactly: the Fraction-row routes pose
-    # one support LP per suite generator that is neither a row nor the
-    # origin, and the library poses none of those, since each such
-    # generator carries its convex weights. The generators are counted from
-    # the candidates' points, not from their weights.
+    # Guarded by counts, not timing: every program of normalize, of the
+    # property suite and of exposed_witness at every row is a support LP
+    # ('<=' rows, free variables), posed in ints. The LPs are accounted for
+    # exactly: the Fraction-row routes pose one support LP per suite
+    # generator that is neither a row nor the origin, and the library poses
+    # none of those, since each such generator carries its convex weights.
+    # The generators are counted from the candidates' points, not from
+    # their weights. Both suites pose one exposed LP per row without a Gram
+    # certificate, and the third step one per row.
     rng = random.Random(10946)
     raw_sets = []
     for _ in range(10):
@@ -897,13 +1017,26 @@ def test_support_lps_pose_int_rows_as_often_as_the_fraction_routes():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sublinear, "random_unit_ball_rep", recorded)
-        result, normalize_programs, suite_programs = _logged_suite(raw_sets, 3, 24)
+        result, normalize_programs, suite_programs, exposed_programs = _logged_suite(
+            raw_sets, 3, 24
+        )
     with pytest.MonkeyPatch.context() as mp:
         use_fraction_routes(mp)
-        reference, reference_normalize, reference_suite = _logged_suite(raw_sets, 3, 24)
+        reference, reference_normalize, reference_suite, reference_exposed = _logged_suite(
+            raw_sets, 3, 24
+        )
     assert result == reference
-    programs = normalize_programs + suite_programs
-    reference_programs = reference_normalize + reference_suite
+    sets = result[0]
+    rows = sum(len(h.rows) for h in sets)
+    uncertified = sum(
+        sublinear._gram_witness(h.compiled, i) is None
+        for h in sets
+        for i in range(len(h.rows))
+    )
+    assert len(exposed_programs) == len(reference_exposed) == rows
+    assert len(suite_programs) == uncertified and 0 < uncertified < rows
+    programs = normalize_programs + suite_programs + exposed_programs
+    reference_programs = reference_normalize + reference_suite + reference_exposed
     generators = [
         (scaled(v).ints, h.rows)
         for h, gens in candidates
