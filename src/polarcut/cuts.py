@@ -11,7 +11,9 @@ inside ("S-free") yields the valid inequality
 where coeff is minimal_sublinear of the centered body K = B - f in
 canonical row form: coeff(r) = max_i <a_i, r>. K is the body that
 is_s_free, generate_cut and maximality_certificate take; make_body builds
-it from B's rows and right-hand sides in x-space and f. Validity is
+it from B's rows and right-hand sides in x-space and f. The instance (a
+CornerInstance, checked when built), the Cut and each verdict and report
+are immutable named tuples. Validity is
 inherited from sublinearity - any s reaching a point of S satisfies the
 inequality because the body is S-free - and is additionally *checked* here
 on a lattice region, by exact LPs, rather than trusted. check_cut_validity
@@ -63,7 +65,7 @@ arithmetic, and builds a rational only for a reported point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -111,84 +113,74 @@ class NotSFreeError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class CornerInstance:
+class CornerInstance(namedtuple("CornerInstance", "dim f rays p_rows p_rhs")):
     """Anchor f (at least one non-integer coordinate), nonempty rays, and an
     optional H-description of P (general right-hand sides)."""
 
-    dim: int
-    f: Vec
-    rays: tuple
-    p_rows: tuple = ()
-    p_rhs: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __new__(
+        cls, dim: int, f: Vec, rays: tuple, p_rows: tuple = (), p_rhs: tuple = ()
+    ):
+        if dim < 1:
             raise ValueError("dimension must be positive")
-        if len(self.f) != self.dim:
+        if len(f) != dim:
             raise ValueError("anchor width differs from dimension")
-        if all(is_integral(c) for c in self.f):
+        if all(is_integral(c) for c in f):
             raise ValueError("anchor must have a non-integer coordinate")
-        if not self.rays:
+        if not rays:
             raise ValueError("at least one ray required")
-        for r in self.rays:
-            if len(r) != self.dim:
+        for r in rays:
+            if len(r) != dim:
                 raise ValueError("ray width differs from dimension")
-        if len(self.p_rows) != len(self.p_rhs):
+        if len(p_rows) != len(p_rhs):
             raise ValueError("P row/right-hand-side count mismatch")
-        for row in self.p_rows:
-            if len(row) != self.dim:
+        for row in p_rows:
+            if len(row) != dim:
                 raise ValueError("P row width differs from dimension")
+        return super().__new__(cls, dim, f, rays, p_rows, p_rhs)
 
 
-@dataclass(frozen=True)
-class Cut:
-    alpha: tuple
-    provenance: str
+class Cut(namedtuple("Cut", "alpha provenance")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SFreeVerdict:
-    free_on_region: bool
-    radius: int
-    witness: Vec | None = None
+class SFreeVerdict(
+    namedtuple("SFreeVerdict", "free_on_region radius witness", defaults=(None,))
+):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CutViolation:
+class CutViolation(namedtuple("CutViolation", "x s improving_ray")):
     """x is the offending lattice point; s either attains value < 1
     (improving_ray False) or is a feasible direction along which the value
     drops without bound (improving_ray True)."""
 
-    x: Vec
-    s: Vec
-    improving_ray: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(
+    namedtuple(
+        "ValidityReport", "valid_on_region radius scope violation", defaults=(None,)
+    )
+):
     """scope is "global" when the verdict holds on all of Z^n: a violation,
     a violation_box inside the radius box, or one empty on some axis;
     "region" when it holds on the radius box only."""
 
-    valid_on_region: bool
-    radius: int
-    scope: str
-    violation: CutViolation | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MaximalityReport:
+class MaximalityReport(
+    namedtuple("MaximalityReport", "certified radius uncertified_facets heuristic")
+):
     """certified iff every facet of the centered body is touched by a
     feasible lattice point tight on exactly that facet. heuristic flags
     verdicts outside the certified scope - P present, or the support of the
     centered body infinite along some axis (the body is unbounded): there
     the scan radius may simply have missed the touching points."""
 
-    certified: bool
-    radius: int
-    uncertified_facets: tuple
-    heuristic: bool
+    __slots__ = ()
 
 
 def make_body(b_rows, b_rhs, f: Vec) -> HPolyhedron:

@@ -3,7 +3,9 @@
 A two-phase primal simplex over exact rationals with Bland's anti-cycling
 rule, so termination is guaranteed and results are deterministic: the same
 program always produces the identical outcome. Every outcome carries a
-certificate that verify_certificate re-checks by direct arithmetic:
+certificate that verify_certificate re-checks by direct arithmetic. The
+program (LinearProgram, checked when built) and its outcome (LPOutcome)
+are immutable named tuples:
 
 * optimal   - a feasible point, its objective value, and dual multipliers
               whose combination proves the value (strong duality holds with
@@ -57,7 +59,7 @@ final objective row, and mapped back through its flip and the direction:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -70,47 +72,41 @@ _RELATIONS = ("<=", "=")
 _BOUNDS = ("nonneg", "free")
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(namedtuple("LinearProgram", "direction objective rows bounds")):
     """direction in {max,min}; rows are (coeffs, '<=' or '=', rhs);
     bounds give each variable's domain, 'nonneg' or 'free'."""
 
-    direction: str
-    objective: Vec
-    rows: tuple
-    bounds: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.direction not in _DIRECTIONS:
+    def __new__(cls, direction: str, objective: Vec, rows: tuple, bounds: tuple):
+        if direction not in _DIRECTIONS:
             raise ValueError(f"direction must be one of {_DIRECTIONS}")
-        n = len(self.objective)
+        n = len(objective)
         if n < 1:
             raise ValueError("a program needs at least one variable")
-        if len(self.bounds) != n:
+        if len(bounds) != n:
             raise ValueError("one bound per variable required")
-        for b in self.bounds:
+        for b in bounds:
             if b not in _BOUNDS:
                 raise ValueError(f"bound must be one of {_BOUNDS}")
-        for coeffs, rel, _ in self.rows:
+        for coeffs, rel, _ in rows:
             if len(coeffs) != n:
                 raise ValueError("row width differs from variable count")
             if rel not in _RELATIONS:
                 raise ValueError(f"relation must be one of {_RELATIONS}")
+        return super().__new__(cls, direction, objective, rows, bounds)
 
 
-@dataclass(frozen=True)
-class LPOutcome:
+class LPOutcome(
+    namedtuple("LPOutcome", "status point value ray dual", defaults=(None,) * 4)
+):
     """status in {optimal, unbounded, infeasible}.
 
     point/value/dual are set when optimal; ray (and a feasible point) when
     unbounded; dual alone holds the Farkas witness when infeasible.
     """
 
-    status: str
-    point: Vec | None = None
-    value: object | None = None
-    ray: Vec | None = None
-    dual: Vec | None = None
+    __slots__ = ()
 
 
 def _pivot(tab, dens, basis, leave, enter):

@@ -1,11 +1,14 @@
 """Polyhedral sets containing the origin in their interior, and their polars.
 
 The central representation is the canonical H-form ``{x : <a_i, x> <= 1}``:
-every right-hand side is scaled to 1, so a set is just its tuple of rows.
-normalize() is the only sanctioned way to build one from raw data - it
-validates that the origin is strictly interior (all raw right-hand sides
-positive), scales each row in ints, deduplicates, and strips redundant
-rows (remove_redundancy). A row is kept with no LP when the Gram test
+every right-hand side is scaled to 1, so a set is just its tuple of rows,
+HPolyhedron(dim, rows); a generator set is VPolytope(dim, points). Both
+are named tuples that cache their compiled form (below) outside the tuple,
+where a VPolytope also keeps its polar_weights. normalize() is the only
+sanctioned way to build a set from raw data - it validates that the
+origin is strictly interior (all raw right-hand sides positive), scales
+each row in ints, deduplicates, and strips redundant rows
+(remove_redundancy). A row is kept with no LP when the Gram test
 finds a point that proves it irredundant (gram_certificate, checked by
 exact int arithmetic); only a row without one gets an exact LP, which
 keeps it or drops it just as it would with no test before it.
@@ -46,7 +49,7 @@ jsonio reads as int columns) and for the property suite's checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -76,26 +79,23 @@ class ImproperSetError(ValueError):
     """Raised when every row is vacuous, i.e. the set is the whole space."""
 
 
-@dataclass(frozen=True)
-class HPolyhedron:
+class HPolyhedron(namedtuple("HPolyhedron", "dim rows")):
     """Canonical row form {x : <a_i, x> <= 1}; rows nonzero, deduplicated,
     irredundant. Build through normalize()."""
 
-    dim: int
-    rows: tuple
-
-    def __post_init__(self):
-        if self.dim < 1:
+    def __new__(cls, dim: int, rows: tuple):
+        if dim < 1:
             raise ValueError("dimension must be positive")
-        if not self.rows:
+        if not rows:
             raise ImproperSetError("a canonical set needs at least one row")
-        for a in self.rows:
-            if len(a) != self.dim:
+        for a in rows:
+            if len(a) != dim:
                 raise ValueError("row width differs from dimension")
             if is_zero_vector(a):
                 raise ValueError("zero rows are not canonical")
-        if len(set(self.rows)) != len(self.rows):
+        if len(set(rows)) != len(rows):
             raise ValueError("duplicate rows are not canonical")
+        return super().__new__(cls, dim, rows)
 
     @cached_property
     def compiled(self) -> tuple:
@@ -103,8 +103,7 @@ class HPolyhedron:
         return integer_rows(self.rows)
 
 
-@dataclass(frozen=True)
-class VPolytope:
+class VPolytope(namedtuple("VPolytope", "dim points")):
     """Convex hull of finitely many points. Operations never depend on
     redundant (non-vertex) points being present or absent.
 
@@ -113,25 +112,30 @@ class VPolytope:
     h.rows) that claim the point is sum_i w_i p_i / sum w, so that it lies
     in the polar of h. Only sublinear.random_unit_ball_rep fills it, and
     sublinear.check_unit_ball checks each claim exactly before it spares
-    that point's support LP. It is a proof, not part of the hull: equality
-    and hashing ignore it."""
+    that point's support LP. It is a proof, not part of the hull: it is an
+    attribute outside the tuple, so equality and hashing ignore it.
 
-    dim: int
-    points: tuple
-    polar_weights: tuple | None = field(default=None, compare=False)
+    compiled, when given, must be integer_rows(points): a caller that
+    already holds the points' ints (random_unit_ball_rep) hands them over
+    instead of having them derived again."""
 
-    def __post_init__(self):
-        if self.dim < 1:
+    polar_weights = None  # _make and _replace drop the weights
+
+    def __new__(cls, dim: int, points: tuple, polar_weights=None, compiled=None):
+        if dim < 1:
             raise ValueError("dimension must be positive")
-        if not self.points:
+        if not points:
             raise ValueError("a polytope needs at least one point")
-        for p in self.points:
-            if len(p) != self.dim:
+        for p in points:
+            if len(p) != dim:
                 raise ValueError("point width differs from dimension")
-        if self.polar_weights is not None and len(self.polar_weights) != len(
-            self.points
-        ):
+        if polar_weights is not None and len(polar_weights) != len(points):
             raise ValueError("polar_weights needs one entry per point")
+        self = super().__new__(cls, dim, points)
+        self.polar_weights = polar_weights
+        if compiled is not None:
+            self.compiled = compiled
+        return self
 
     @cached_property
     def compiled(self) -> tuple:
@@ -139,21 +143,20 @@ class VPolytope:
         return integer_rows(self.points)
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
-    position: str  # "interior" | "boundary" | "outside"
-    tight_rows: tuple
+class MembershipVerdict(namedtuple("MembershipVerdict", "position tight_rows")):
+    """position is "interior", "boundary" or "outside"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HullVerdict:
+class HullVerdict(
+    namedtuple("HullVerdict", "inside multipliers separator", defaults=(None, None))
+):
     """inside => multipliers are exact convex coefficients reproducing the
     query point; outside => separator (c, gamma) with <c, p> > gamma while
     <c, q> <= gamma for every stored point q."""
 
-    inside: bool
-    multipliers: tuple | None = None
-    separator: tuple | None = None
+    __slots__ = ()
 
 
 def _support_lp(compiled: tuple, v: Vec) -> lp.LPOutcome:

@@ -27,7 +27,9 @@ two ways: by its own convex weights over polar(h).points, which
 random_unit_ball_rep keeps on the generator set (VPolytope.polar_weights)
 and which are checked in ints with no LP, or, for a generator without
 valid weights, by the support LP sup_over over the set's rows. Both
-functions tell points apart on ints: no Fraction is hashed. The exposed
+functions tell points apart on ints: no Fraction is hashed, and the drawn
+set comes with its compiled form, made from the ints it was drawn in
+rather than by integer_rows of its Fraction points. The exposed
 check scales each row's Gram certificate onto the row (_gram_witness);
 only a row without one poses exposed_witness's LP. sample_points draws
 its samples as Scaled points.
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, product, repeat
 from math import gcd, lcm
@@ -81,14 +82,11 @@ from .rationals import (
 SUITE_CANDIDATES = 3  # unit-ball representations tried per set
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(namedtuple("SandwichReport", "samples_checked violations passed")):
     """violations holds one tuple per failed sample (the sample followed by
     the compared values, lower to upper); passed iff there are none."""
 
-    samples_checked: int
-    violations: tuple
-    passed: bool
+    __slots__ = ()
 
 
 def gauge(h: HPolyhedron, x):
@@ -212,13 +210,16 @@ def random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPolytope:
     is the origin's) in polar_weights, and the rows have None there. Each
     coordinate is one int sum over h.compiled's columns; points are told
     apart by their ints over their least denominator, and a Fraction is
-    built only for a point that is kept."""
+    built only for a point that is kept. The set is handed its compiled
+    form from those ints: every kept point over the lcm of h's den and
+    their least denominators, which is integer_rows of the points."""
     rng = random.Random(seed)
     rows, den = h.compiled
     cols = tuple(zip(*rows))
     gens = list(h.rows)
     claims = [None] * len(gens)
     seen = set(map(_lowest, rows, repeat(den)))
+    kept = [(r, den) for r in rows]
     for _ in range(count):
         weights = [rng.randint(0, 4) for _ in range(len(rows) + 1)]
         if sum(weights) == 0:
@@ -230,7 +231,10 @@ def random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPolytope:
             ints, scale = key
             gens.append(tuple(Fraction(n, scale) for n in ints))
             claims.append(tuple(weights))
-    return VPolytope(h.dim, tuple(gens), tuple(claims))
+            kept.append(key)
+    common = lcm(*(d for _, d in kept))
+    compiled = tuple(tuple(c * (common // d) for c in ints) for ints, d in kept)
+    return VPolytope(h.dim, tuple(gens), tuple(claims), (compiled, common))
 
 
 def _lowest(ints, den: int) -> tuple:

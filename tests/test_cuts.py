@@ -2,7 +2,6 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -1083,15 +1082,15 @@ def test_check_cut_refuses_a_broken_certificate(monkeypatch, status, forgery):
         if forgery == "dual":
             # u + 100 pairs to the value plus 100 at t, and exceeds alpha
             # on both rays
-            return replace(outcome, dual=tuple(u + 100 for u in outcome.dual))
+            return outcome._replace(dual=tuple(u + 100 for u in outcome.dual))
         if forgery == "value":
-            return replace(outcome, value=outcome.value + 1)
+            return outcome._replace(value=outcome.value + 1)
         if forgery == "point":
             # same cost 3/2, but (3/4, 0) misses the '=' row
             # s_1 - s_2 = 1/2
-            return replace(outcome, point=(Fraction(3, 4), Fraction(0)))
+            return outcome._replace(point=(Fraction(3, 4), Fraction(0)))
         # (1, 0) pairs to -1/2 at t, and is negative on the ray (-1, 4)
-        return replace(outcome, dual=(Fraction(1), Fraction(0)))
+        return outcome._replace(dual=(Fraction(1), Fraction(0)))
 
     monkeypatch.setattr(lp, "solve", forging)
     with pytest.raises(RuntimeError):

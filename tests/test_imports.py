@@ -1,20 +1,29 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and the CLI starts light.
 
 No linter ships with the project, and deleting a function tends to leave
 its imports behind. This walks the syntax tree of each library module
 (except the package __init__, which imports names to re-export them) and
 each test module, and lists the imported names that no expression reads.
+
+Every CLI call pays for `import polarcut.cli` before it does any work.
+The records are named tuples, so that import loads neither dataclasses
+nor what it pulls in (inspect, ast, dis, tokenize), and generates no
+code per class: no library module imports dataclasses, and a fresh
+interpreter that imports polarcut.cli has neither module.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MODULES = sorted(
     p
-    for p in [*(ROOT / "src" / "polarcut").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    for p in [*(SRC / "polarcut").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     if p.name != "__init__.py"
 )
 
@@ -48,3 +57,49 @@ def test_unused_import_detector():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(source) == [(3, "j"), (4, "lcm")]
+
+
+def imported_modules(source: str) -> set:
+    """The top-level names of the modules that source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_library_does_not_import_dataclasses():
+    importers = [
+        path.name
+        for path in sorted((SRC / "polarcut").glob("*.py"))
+        if "dataclasses" in imported_modules(path.read_text(encoding="utf-8"))
+    ]
+    assert importers == []
+
+
+def test_import_collector_sees_dataclasses():
+    source = (
+        "import os.path, json\n"
+        "from dataclasses import field\n"
+        "from . import lp\n"
+        "def f():\n"
+        "    import inspect\n"
+    )
+    assert imported_modules(source) == {"os", "json", "dataclasses", "inspect"}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import polarcut.cli\n"
+        "assert polarcut.cli.__file__.startswith(sys.path[0]), polarcut.cli.__file__\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -164,14 +163,14 @@ def test_verify_rejects_tampering():
     out = solve(lp)
     assert verify_certificate(lp, out)
     telling_lies = [
-        replace(out, value=Fraction(3)),
-        replace(out, point=(Fraction(2), Fraction(0))),
-        replace(out, dual=(Fraction(-1), Fraction(1))),
-        replace(out, dual=(Fraction(1),)),
-        replace(out, status="unbounded", ray=None),
-        replace(out, status="unbounded", ray=(Fraction(0), Fraction(0))),
-        replace(out, status="unbounded", ray=(Fraction(1), Fraction(0))),
-        replace(out, status="infeasible"),
+        out._replace(value=Fraction(3)),
+        out._replace(point=(Fraction(2), Fraction(0))),
+        out._replace(dual=(Fraction(-1), Fraction(1))),
+        out._replace(dual=(Fraction(1),)),
+        out._replace(status="unbounded", ray=None),
+        out._replace(status="unbounded", ray=(Fraction(0), Fraction(0))),
+        out._replace(status="unbounded", ray=(Fraction(1), Fraction(0))),
+        out._replace(status="infeasible"),
         LPOutcome(status="nonsense"),
     ]
     for fake in telling_lies:
@@ -181,8 +180,8 @@ def test_verify_rejects_tampering():
 def test_verify_rejects_wrong_farkas():
     lp = make_program("max", [1], [([1], "<=", -1)])
     out = solve(lp)
-    assert not verify_certificate(lp, replace(out, dual=(Fraction(-1),)))
-    assert not verify_certificate(lp, replace(out, dual=None))
+    assert not verify_certificate(lp, out._replace(dual=(Fraction(-1),)))
+    assert not verify_certificate(lp, out._replace(dual=None))
 
 
 def _entry_mutations(vec, k):
@@ -204,12 +203,12 @@ def _mutated_outcomes(out, rng):
     for field in ("point", "dual", "ray"):
         vec = getattr(out, field)
         k = rng.randrange(len(vec)) if vec else 0
-        forged += [replace(out, **{field: v}) for v in _entry_mutations(vec, k)]
+        forged += [out._replace(**{field: v}) for v in _entry_mutations(vec, k)]
     if out.value is not None:
-        forged.append(replace(out, value=out.value + 1))
-    forged.append(replace(out, value=None))
+        forged.append(out._replace(value=out.value + 1))
+    forged.append(out._replace(value=None))
     for status in ("optimal", "unbounded", "infeasible", "nonsense"):
-        forged.append(replace(out, status=status))
+        forged.append(out._replace(status=status))
     return forged
 
 

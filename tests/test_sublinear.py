@@ -45,7 +45,15 @@ from polarcut.polyhedra import (
     polar,
     random_polyhedron,
 )
-from polarcut.rationals import ZERO, Values, dot, is_zero_vector, scaled, vector
+from polarcut.rationals import (
+    ZERO,
+    Values,
+    dot,
+    integer_rows,
+    is_zero_vector,
+    scaled,
+    vector,
+)
 from polarcut.sublinear import (
     block_values,
     check_unit_ball,
@@ -778,6 +786,18 @@ def test_random_unit_ball_rep_matches_fraction_sums():
                 assert gens.polar_weights == reference.polar_weights
                 merged += len(h.rows) + count - len(gens.points)
     assert merged >= 100, merged
+
+
+def test_random_unit_ball_rep_hands_over_its_compiled_form():
+    # The generator set is built with its compiled form already set, from
+    # the ints its points were drawn in, and that form is integer_rows of
+    # its points, as VPolytope.compiled derives it.
+    for h in _generator_sets():
+        for seed in range(20):
+            for count in (0, 1, 5):
+                gens = random_unit_ball_rep(h, seed, count)
+                assert "compiled" in vars(gens)
+                assert gens.compiled == integer_rows(gens.points)
 
 
 # ------------------------------ generators proven by their convex weights
