@@ -36,6 +36,7 @@ plus that set, with no LP: on axis d it runs from ceil(f_d + min(0, min of
 r_jd / alpha_j)) to floor(f_d + max(0, max of r_jd / alpha_j)), over the
 rays with alpha_j > 0, and has no low (high) end when a ray with
 alpha_j = 0 has r_jd < 0 (> 0). With some alpha_j < 0 there is no box.
+The tips are compared, and the ends rounded, in ints.
 check_cut_validity scans only the part of the radius box inside
 violation_box, and its verdict is global (scope "global") when that box is
 bounded on every axis and lies inside the radius box, when it is empty on
@@ -46,27 +47,39 @@ region_lattice_points is the one enumerator of a region: the lattice points
 of the closed region B intersect P (P alone when no body is given) inside
 the integer box of a given radius (never negative) around round(f), each
 coordinate rounded half to even, clipped to an optional integer box, in
-lexicographic order. It walks the clipped box in its first dim - 1
-coordinates only; for each such prefix, every half-space, compiled once to
-ints (B's from body.compiled and scaled(f), with no Fraction), bounds the
-last coordinate exactly, so no point outside the region is visited
-(Fincke & Pohst 1985, without their LP-tightened prefix ranges). The
-limit applies to the radius box, not to the region: a radius box of more
-than MAX_SCAN_POINTS points is refused before the scan starts.
-is_s_free and maximality_certificate pass their body, since the interior
-and facet points they look for lie in closed B; check_cut_validity passes
-none and scans P, inside violation_box. Each makes one pass and
-classifies a point once, so reported witnesses are deterministic: the
-lexicographically smallest in the box. Each pass scales f once
-(rationals.Scaled), so the offset z - f of a lattice point is int
-arithmetic, and builds a rational only for a reported point.
+lexicographic order. Its half-spaces are compiled once to int rows (B's
+from body.compiled and scaled(f), with no Fraction), and projected once
+per scan onto the first k coordinates for every k, by exact
+Fourier-Motzkin elimination in ints. Coordinate k then runs only over the
+integer range that the projected rows leave given the coordinates before
+it, clipped to the box, so every prefix walked is in the shadow of the
+region, and at the last coordinate every row bounds a slice of points,
+exactly. A projection that would hold more rows than the region is not
+made, nor any below it: those coordinates keep the box range. A
+projection row 0 <= b < 0 means the region is empty, and nothing is
+walked. This is the coordinate-by-coordinate enumeration of Fincke &
+Pohst (1985), with each range cut by the region's projection. The limit
+applies to the radius box, not to the region: a radius box of more than
+MAX_SCAN_POINTS points is refused before the scan starts.
+
+is_s_free and maximality_certificate walk the slices of their body's
+region, since the interior and facet points they look for lie in closed
+B, and judge each slice whole with no membership call: is_s_free narrows
+it by B's rows taken strictly, and the first slice left nonempty holds
+the witness at its low end; maximality_certificate finds on each B row
+the one point of the slice where that row is tight, if any.
+check_cut_validity takes the points of P inside violation_box from
+region_lattice_points. Each makes one pass, so reported witnesses are
+deterministic: the lexicographically smallest in the box.
+check_cut_validity scales f once (rationals.Scaled), so the offset z - f
+of a lattice point is int arithmetic, and builds a rational only for a
+reported point.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from itertools import product
 from operator import mul
 
@@ -74,12 +87,10 @@ from . import lp
 from .polyhedra import (
     HPolyhedron,
     OriginNotInteriorError,
-    membership,
+    is_bounded,
     normalize,
-    sup_over,
 )
 from .rationals import (
-    ZERO,
     Scaled,
     Vec,
     integer_rows,
@@ -217,7 +228,7 @@ def _half_spaces(inst: CornerInstance, body: HPolyhedron | None) -> list:
     denominator, then, with a body, B's rows <a_i, z> <= 1 + <a_i, f>.
     Those are read from body.compiled (rows r over den) and scaled(f)
     (F over f_den) as <f_den r, z> <= den f_den + <r, F>, divided by
-    their gcd."""
+    their gcd, in body.rows' order."""
     rows = [scaled(a + (b,)).ints for a, b in zip(inst.p_rows, inst.p_rhs)]
     if body is not None:
         ints, den = body.compiled
@@ -230,24 +241,74 @@ def _half_spaces(inst: CornerInstance, body: HPolyhedron | None) -> list:
     return [(row[:-2], row[-2], row[-1]) for row in rows]
 
 
-def region_lattice_points(
-    inst: CornerInstance, radius: int, body: HPolyhedron | None = None, box=None
-):
-    """Lattice points of the closed region B intersect P inside the scan box
-    around round(f), as tuples of ints, in lexicographic order. B is the
-    x-space body of the centered body K (<a_i, z> <= 1 + <a_i, f>); with no
-    body the region is P alone. A box, one (low, high) pair of ints per
-    axis with None for a side without a bound (violation_box's form),
-    clips the scan box. Every half-space is compiled once into an
-    int row and right-hand side (_half_spaces). The
-    first dim - 1 coordinates run over the clipped box; for each such prefix
-    every row bounds the last coordinate exactly (a floor for a positive
-    last coefficient, a ceiling for a negative one; a zero one with a
-    negative remainder empties the slice), and the slice is yielded whole.
-    A radius below 0, a box without one pair per axis, or a radius box of
-    more than MAX_SCAN_POINTS points, is an input error raised before any
-    point is visited, however few points the region or the clipped box
-    holds."""
+def _projections(half_spaces: list, dim: int) -> list | None:
+    """The rows that bound each coordinate given the ones before it: entry
+    k holds (head, c, rhs) for <head, z[:k]> + c z_k <= rhs, and None
+    stands for an empty region.
+
+    Entry dim - 1 is the region's own rows. Each earlier entry is the
+    projection of the next onto one coordinate fewer, by exact
+    Fourier-Motzkin elimination in ints: a row without the coordinate
+    passes down, and each pair of a positive and a negative row is
+    combined to cancel it; every new row is divided by its gcd, and of
+    the rows with the same coefficients only the least right-hand side is
+    kept. A new row 0 <= b < 0 means the region is empty. A row that
+    passes down is tested there, and only there. The projection stops at
+    the first one that would hold more rows than the region: that entry
+    and all before it get no rows, which only relaxes their ranges, and
+    the entry after it keeps all its rows. A projection holds every point
+    of the region's shadow, so narrowing by it never drops a point of the
+    region."""
+    limit = len(half_spaces)
+    levels = [[] for _ in range(dim)]
+    rows = [(head + (c,), b) for head, c, b in half_spaces]
+    for k in range(dim - 1, 0, -1):
+        lower = {}
+        pos = [(a, b) for a, b in rows if a[k] > 0]
+        neg = [(a, b) for a, b in rows if a[k] < 0]
+        pairs = [(a[:k], b) for a, b in rows if not a[k]]
+        for p, bp in pos:
+            for n, bn in neg:
+                s, t = -n[k], p[k]
+                pairs.append(
+                    (tuple(s * x + t * y for x, y in zip(p[:k], n[:k])), s * bp + t * bn)
+                )
+        for a, b in pairs:
+            if not any(a):
+                if b < 0:
+                    return None
+                continue
+            g = math.gcd(*a, b)
+            a, b = tuple(c // g for c in a), b // g
+            if a not in lower or b < lower[a]:
+                lower[a] = b
+        if len(lower) > limit:
+            levels[k] = [(a[:-1], a[-1], b) for a, b in rows]
+            return levels
+        levels[k] = [(a[:-1], a[-1], b) for a, b in rows if a[k]]
+        rows = list(lower.items())
+    levels[0] = [((), a[0], b) for a, b in rows]
+    return levels
+
+
+def _narrow(rows, prefix: tuple, lo: int, hi: int) -> tuple:
+    """The integer range [lo, hi] of the next coordinate cut down by rows
+    (head, c, rhs) at a prefix: a floor for c > 0, a ceiling for c < 0,
+    and an empty range when a row with c = 0 has a negative remainder."""
+    for head, c, b in rows:
+        rest = b - sum(map(mul, head, prefix))
+        if c > 0:
+            hi = min(hi, rest // c)
+        elif c < 0:
+            lo = max(lo, -(rest // -c))
+        elif rest < 0:
+            return lo, lo - 1
+    return lo, hi
+
+
+def _scan_box(inst: CornerInstance, radius: int, box=None) -> list:
+    """The radius box around round(f), clipped to box, as one (low, high)
+    pair per axis; raises the scan's input errors (module docstring)."""
     if radius < 0:
         raise ValueError(f"scan radius must be >= 0, got {radius}")
     if box is not None and len(box) != inst.dim:
@@ -258,28 +319,57 @@ def region_lattice_points(
             f"a radius-{radius} scan in dimension {inst.dim} visits "
             f"{side}^{inst.dim} points, over the limit of {MAX_SCAN_POINTS}"
         )
-    compiled = _half_spaces(inst, body)
-    ranges = [range(c - radius, c + radius + 1) for c in map(round, inst.f)]
+    ranges = [(c - radius, c + radius) for c in map(round, inst.f)]
     if box is not None:
         ranges = [
-            range(
-                r.start if lo is None else max(r.start, lo),
-                r.stop if hi is None else min(r.stop, hi + 1),
-            )
-            for r, (lo, hi) in zip(ranges, box)
+            (low if lo is None else max(low, lo), high if hi is None else min(high, hi))
+            for (low, high), (lo, hi) in zip(ranges, box)
         ]
-    *ranges, last = ranges
-    for prefix in product(*ranges):
-        lo, hi = last.start, last.stop - 1
-        for head, c, b in compiled:
-            rest = b - sum(map(mul, head, prefix))
-            if c > 0:
-                hi = min(hi, rest // c)
-            elif c < 0:
-                lo = max(lo, -(rest // -c))
-            elif rest < 0:
-                hi = lo - 1
-                break
+    return ranges
+
+
+def _slices(ranges: list, half_spaces: list):
+    """The nonempty last-coordinate slices of the region's lattice points
+    in the box ranges, as (prefix, lo, hi) in lexicographic order: the
+    points are prefix + (v,) for lo <= v <= hi. Each coordinate runs over
+    its box range narrowed by its projected rows (_projections), so only
+    prefixes in the region's shadow are visited; the leading coordinates
+    that no row narrows run over the box by product."""
+    levels = _projections(half_spaces, len(ranges))
+    if levels is None:
+        return
+    last = len(ranges) - 1
+    plain = 0
+    while plain < last and not levels[plain]:
+        plain += 1
+    for head in product(*(range(lo, hi + 1) for lo, hi in ranges[:plain])):
+        stack = [head]
+        while stack:
+            prefix = stack.pop()
+            k = len(prefix)
+            lo, hi = _narrow(levels[k], prefix, *ranges[k])
+            if k == last:
+                if lo <= hi:
+                    yield prefix, lo, hi
+            else:
+                stack.extend(prefix + (v,) for v in range(hi, lo - 1, -1))
+
+
+def region_lattice_points(
+    inst: CornerInstance, radius: int, body: HPolyhedron | None = None, box=None
+):
+    """Lattice points of the closed region B intersect P inside the scan box
+    around round(f), as tuples of ints, in lexicographic order. B is the
+    x-space body of the centered body K (<a_i, z> <= 1 + <a_i, f>); with no
+    body the region is P alone. A box, one (low, high) pair of ints per
+    axis with None for a side without a bound (violation_box's form),
+    clips the scan box. The points are those of the slices of _slices,
+    each yielded whole. A radius below 0, a box without one pair per
+    axis, or a radius box of more than MAX_SCAN_POINTS points, is an
+    input error raised before any point is visited, however few points
+    the region or the clipped box holds."""
+    ranges = _scan_box(inst, radius, box)
+    for prefix, lo, hi in _slices(ranges, _half_spaces(inst, body)):
         for v in range(lo, hi + 1):
             yield prefix + (v,)
 
@@ -291,11 +381,17 @@ def _offset(z, f: Scaled) -> Scaled:
 
 def is_s_free(body: HPolyhedron, inst: CornerInstance, radius: int = DEFAULT_RADIUS) -> SFreeVerdict:
     """Scan the region for a feasible lattice point strictly inside the
-    body; the first (lexicographically smallest) one found is the witness."""
-    f = scaled(inst.f)
-    for z in region_lattice_points(inst, radius, body):
-        if membership(body, _offset(z, f)).position == "interior":
-            return SFreeVerdict(False, radius, vector(z))
+    body; the first (lexicographically smallest) one found is the witness.
+    Each slice of the region is narrowed by B's rows taken strictly,
+    <a, z> <= rhs - 1 in ints, and the first that stays nonempty holds the
+    witness at its low end."""
+    ranges = _scan_box(inst, radius)
+    half_spaces = _half_spaces(inst, body)
+    strict = [(head, c, b - 1) for head, c, b in half_spaces[len(inst.p_rows) :]]
+    for prefix, lo, hi in _slices(ranges, half_spaces):
+        lo, hi = _narrow(strict, prefix, lo, hi)
+        if lo <= hi:
+            return SFreeVerdict(False, radius, vector(prefix + (lo,)))
     return SFreeVerdict(True, radius, None)
 
 
@@ -322,16 +418,33 @@ def violation_box(inst: CornerInstance, alpha) -> tuple | None:
     """The integer box of every lattice point z at which the cut
     sum_j alpha_j s_j >= 1 can fail (module docstring), one (low, high)
     pair per axis with None for a side without a bound; None when some
-    alpha_j < 0."""
+    alpha_j < 0. With rays R over r_den, alpha A over a_den and f F over
+    f_den, the tip r_jd / alpha_j is R_jd / A_j times a_den / r_den, so
+    tips compare by cross-multiplying R_jd A_k with R_kd A_j (f itself
+    reads as the tip 0 / 1), and f_d plus the least or greatest is
+    (F_d A r_den + R a_den f_den) / (f_den A r_den), whose ceiling or floor
+    is taken by int floor division."""
     if any(a < 0 for a in alpha):
         return None
-    tips = [[Fraction(c, a) for c in r] for a, r in zip(alpha, inst.rays) if a > 0]
-    free = [r for a, r in zip(alpha, inst.rays) if a == 0]
+    rays, r_den = integer_rows(inst.rays)
+    costs, a_den = scaled(alpha)
+    f_ints, f_den = scaled(inst.f)
+    tips = [(r, a) for a, r in zip(costs, rays) if a > 0]
+    free = [r for a, r in zip(costs, rays) if a == 0]
     box = []
-    for d, f_d in enumerate(inst.f):
-        coords = [ZERO] + [tip[d] for tip in tips]
-        lo = None if any(r[d] < 0 for r in free) else math.ceil(f_d + min(coords))
-        hi = None if any(r[d] > 0 for r in free) else math.floor(f_d + max(coords))
+    for d, f_d in enumerate(f_ints):
+        low = high = (0, 1)
+        for r, a in tips:
+            if r[d] * low[1] < low[0] * a:
+                low = (r[d], a)
+            if r[d] * high[1] > high[0] * a:
+                high = (r[d], a)
+        (lo_num, lo_den), (hi_num, hi_den) = [
+            (f_d * a * r_den + n * a_den * f_den, f_den * a * r_den)
+            for n, a in (low, high)
+        ]
+        lo = None if any(r[d] < 0 for r in free) else -(-lo_num // lo_den)
+        hi = None if any(r[d] > 0 for r in free) else hi_num // hi_den
         box.append((lo, hi))
     return tuple(box)
 
@@ -425,26 +538,39 @@ def maximality_certificate(
     region is tight on it and strictly slack on every other row - i.e. sits
     in the facet's relative interior, blocking any strict enlargement of the
     body there. Bounded bodies with P absent get a definitive verdict;
-    anything else is labelled heuristic. The body is bounded iff sup_over
-    is finite at +e_d and -e_d for every axis d."""
-    heuristic = bool(inst.p_rows) or any(
-        sup_over(body.compiled, tuple(s if j == d else 0 for j in range(body.dim)))
-        is None
-        for d in range(body.dim)
-        for s in (1, -1)
-    )
-    uncertified = set(range(len(body.rows)))
-    f = scaled(inst.f)
-    for z in region_lattice_points(inst, radius, body):
-        tight = membership(body, _offset(z, f)).tight_rows
-        if len(tight) == 1:
-            uncertified.discard(tight[0])
-            if not uncertified:
-                break
+    anything else is labelled heuristic. polyhedra.is_bounded decides
+    boundedness.
+
+    Each slice of the region is judged whole. A B row with last
+    coefficient c != 0 is tight at one v of the slice at most, where c v
+    equals its remainder, when c divides it; a row with c = 0 is tight on
+    the whole slice when its remainder is 0, and nowhere else. A row is
+    certified when some v of the slice is tight on it alone."""
+    heuristic = bool(inst.p_rows) or not is_bounded(body.compiled)
+    ranges = _scan_box(inst, radius)
+    half_spaces = _half_spaces(inst, body)
+    facets = half_spaces[len(inst.p_rows) :]
+    uncertified = set(range(len(facets)))
+    for prefix, lo, hi in _slices(ranges, half_spaces):
+        whole, tight_at = [], {}
+        for i, (head, c, b) in enumerate(facets):
+            rest = b - sum(map(mul, head, prefix))
+            if not c:
+                if not rest:
+                    whole.append(i)
+            elif rest % c == 0 and lo <= rest // c <= hi:
+                tight_at.setdefault(rest // c, []).append(i)
+        if not whole:
+            for rows in tight_at.values():
+                if len(rows) == 1:
+                    uncertified.discard(rows[0])
+        elif len(whole) == 1 and len(tight_at) <= hi - lo:
+            uncertified.discard(whole[0])
+        if not uncertified:
+            break
     return MaximalityReport(
         certified=not uncertified,
         radius=radius,
         uncertified_facets=tuple(sorted(uncertified)),
         heuristic=heuristic,
     )
-

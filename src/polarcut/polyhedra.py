@@ -23,13 +23,14 @@ sup_over is the one LP for the support function of K itself,
 sigma_K(v) = sup of <v, x> over K, which is at most 1 exactly when v lies
 in the polar. It decides the redundancy of a row that fails the Gram
 test here, condition (b) of sublinear.check_unit_ball for a generator
-that carries no valid convex weights (VPolytope.polar_weights), and
-boundedness in cuts.maximality_certificate (sigma_K is finite along
-every axis, both ways, iff K is bounded). Its program over the rows
-other than a_i, at the compiled row den a_i, also yields
-exposed_witness. It poses the set in its compiled form (int rows r over
-a common denominator den, the program's rows <r, x> <= den) and an int
-objective, so the LP reads ints and each caller compiles its rows once.
+that carries no valid convex weights (VPolytope.polar_weights). Its
+program over the rows other than a_i, at the compiled row den a_i, also
+yields exposed_witness. It poses the set in its compiled form (int rows r
+over a common denominator den, the program's rows <r, x> <= den) and an
+int objective, so the LP reads ints and each caller compiles its rows
+once. Boundedness, for cuts.maximality_certificate, takes no support LP:
+is_bounded asks whether the rows positively span the space, by an int
+rank test and at most one feasibility LP over the rows' multipliers.
 
 The evaluators run fraction-free: each set (and each generator set) is
 compiled once into integer rows over one common denominator, and a pairing
@@ -192,6 +193,56 @@ def sup_over(compiled: tuple, v: Vec):
             f"support LP is {outcome.status} although the origin is feasible"
         )
     return outcome.value
+
+
+def _rank(rows) -> int:
+    """The rank of int rows, by fraction-free elimination: each pivot row
+    clears its first nonzero column from the rows left, which are divided
+    by their gcd."""
+    rows = [r for r in rows if any(r)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        j = next(j for j, c in enumerate(pivot) if c)
+        left = []
+        for r in rows:
+            if r[j]:
+                r = [pivot[j] * x - r[j] * y for x, y in zip(r, pivot)]
+                g = gcd(*r)
+                if not g:
+                    continue
+                r = [c // g for c in r]
+            left.append(r)
+        rows = left
+        rank += 1
+    return rank
+
+
+def is_bounded(compiled: tuple) -> bool:
+    """Whether the set {x : <r, x> <= den for r in rows} is bounded, for
+    compiled = (int rows, den > 0): exactly when the rows positively span
+    the space, that is, when they have full rank and some lambda > 0 has
+    sum_i lambda_i r_i = 0. That needs more rows than axes. The rank is
+    taken in ints (_rank); with full rank one LP decides the rest, mu >= 0
+    with sum_i mu_i r_i = -sum_i r_i (then lambda = mu + 1), posed in ints
+    and feasible iff the set is bounded. Its outcome must pass
+    lp.verify_certificate; one that does not is an internal fault."""
+    rows, _ = compiled
+    if len(rows) <= len(rows[0]) or _rank(rows) < len(rows[0]):
+        return False
+    program = lp.LinearProgram(
+        direction="max",
+        objective=(0,) * len(rows),
+        rows=tuple((col, "=", -sum(col)) for col in zip(*rows)),
+        bounds=("nonneg",) * len(rows),
+    )
+    outcome = lp.solve(program)
+    if not lp.verify_certificate(program, outcome):
+        raise RuntimeError(
+            f"the {outcome.status} outcome of the boundedness LP fails "
+            "lp.verify_certificate"
+        )
+    return outcome.status == "optimal"
 
 
 def gram_certificate(r, others, den: int):

@@ -24,7 +24,11 @@ it before it took an all-int row as it is, the redundancy filter over
 Fraction rows (with the Gram test taken in Fractions, or with an LP for
 every row as before there was one), the cut body's margins and scan
 half-spaces by Fraction dot products, from before make_body and the scan
-read them in ints, and the CLI's JSON writer from before it had its own,
+read them in ints, the scan over every prefix of the radius box with
+is_s_free and maximality_certificate testing each of its points by
+membership and boundedness decided by 2 * dim support LPs, from before
+the scan narrowed its prefix ranges by projected rows and judged each
+slice whole, violation_box's tips in Fractions, and the CLI's JSON writer from before it had its own,
 over json's pure-Python indent=2 encoder. They are deliberately slow and
 simple. make_program and make_instance build a LinearProgram and a
 CornerInstance from JSON-level scalars for the tests.
@@ -33,6 +37,7 @@ CornerInstance from JSON-level scalars for the tests.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -1102,6 +1107,95 @@ def per_facet_uncertified(body, inst, radius):
         else:
             uncertified.append(i)
     return tuple(uncertified)
+
+
+def plain_region_points(inst, radius, body=None, box=None):
+    """Reference for cuts.region_lattice_points from before it narrowed
+    its prefix ranges: every prefix of the clipped radius box in the first
+    dim - 1 coordinates, and at each one every half-space of
+    fraction_half_spaces bounding the last coordinate."""
+    half_spaces = fraction_half_spaces(inst, body)
+    ranges = [range(c - radius, c + radius + 1) for c in map(nearest_int, inst.f)]
+    if box is not None:
+        ranges = [
+            range(
+                r.start if lo is None else max(r.start, lo),
+                r.stop if hi is None else min(r.stop, hi + 1),
+            )
+            for r, (lo, hi) in zip(ranges, box)
+        ]
+    *ranges, last = ranges
+    for prefix in product(*ranges):
+        lo, hi = last.start, last.stop - 1
+        for head, c, b in half_spaces:
+            rest = b - sum(map(mul, head, prefix))
+            if c > 0:
+                hi = min(hi, rest // c)
+            elif c < 0:
+                lo = max(lo, -(rest // -c))
+            elif rest < 0:
+                hi = lo - 1
+        for v in range(lo, hi + 1):
+            yield prefix + (v,)
+
+
+def per_point_is_s_free(body, inst, radius):
+    """Reference for cuts.is_s_free from before it judged slices whole:
+    membership at every point of the plain scan of the region, the first
+    interior one the witness."""
+    f = scaled(inst.f)
+    for z in plain_region_points(inst, radius, body):
+        if membership(body, cuts._offset(z, f)).position == "interior":
+            return cuts.SFreeVerdict(False, radius, vector(z))
+    return cuts.SFreeVerdict(True, radius, None)
+
+
+def axis_sup_bounded(h: HPolyhedron) -> bool:
+    """Reference for polyhedra.is_bounded: sup_over finite at +e_d and
+    -e_d for every axis d, 2 * dim LPs, as maximality_certificate decided
+    boundedness before one LP did."""
+    return all(
+        polyhedra.sup_over(h.compiled, tuple(s if j == d else 0 for j in range(h.dim)))
+        is not None
+        for d in range(h.dim)
+        for s in (1, -1)
+    )
+
+
+def per_point_maximality_certificate(body, inst, radius):
+    """Reference for cuts.maximality_certificate from before it judged
+    slices whole and decided boundedness by one LP: membership's tight
+    rows at every point of the plain scan, and axis_sup_bounded."""
+    heuristic = bool(inst.p_rows) or not axis_sup_bounded(body)
+    uncertified = set(range(len(body.rows)))
+    f = scaled(inst.f)
+    for z in plain_region_points(inst, radius, body):
+        tight = membership(body, cuts._offset(z, f)).tight_rows
+        if len(tight) == 1:
+            uncertified.discard(tight[0])
+    return cuts.MaximalityReport(
+        certified=not uncertified,
+        radius=radius,
+        uncertified_facets=tuple(sorted(uncertified)),
+        heuristic=heuristic,
+    )
+
+
+def fraction_violation_box(inst, alpha):
+    """Reference for cuts.violation_box from before it compared the tips
+    in ints: each tip r_j / alpha_j a Fraction vector, and math.ceil and
+    math.floor of f_d plus the least and greatest coordinate."""
+    if any(a < 0 for a in alpha):
+        return None
+    tips = [[Fraction(c, a) for c in r] for a, r in zip(alpha, inst.rays) if a > 0]
+    free = [r for a, r in zip(alpha, inst.rays) if a == 0]
+    box = []
+    for d, f_d in enumerate(inst.f):
+        coords = [ZERO] + [tip[d] for tip in tips]
+        lo = None if any(r[d] < 0 for r in free) else math.ceil(f_d + min(coords))
+        hi = None if any(r[d] > 0 for r in free) else math.floor(f_d + max(coords))
+        box.append((lo, hi))
+    return tuple(box)
 
 
 def per_point_check_cut_validity(inst, cut, radius):

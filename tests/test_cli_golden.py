@@ -19,13 +19,19 @@ import random
 import sys
 import tempfile
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from conftest import rational_samples, reference_render
 from polarcut import cli, jsonio, lp
 from polarcut.cli import main
-from polarcut.cuts import check_cut_validity
+from polarcut.cuts import (
+    CornerInstance,
+    check_cut_validity,
+    make_body,
+    maximality_certificate,
+)
 from polarcut.polyhedra import VPolytope, hull_membership, polar, random_polyhedron
 from polarcut.rationals import TooLongToPrint, Values
 from polarcut.sublinear import (
@@ -329,7 +335,8 @@ def test_cli_output_matches_table(table, documents, call):
 def test_every_library_lp_is_posed_in_ints(documents, monkeypatch):
     # Every program that the library gives lp.solve holds only ints: each
     # coefficient, right-hand side and objective entry. The programs are
-    # those of the whole corpus and of a seeded property suite, whose
+    # those of the whole corpus with seeded maximality_certificate calls on
+    # drawn 2-4-D bodies, and of a seeded property suite, whose
     # generator sets are checked once more without their weights and whose
     # samples are tested against the polar's hull, so that every library
     # caller of lp.solve is seen.
@@ -339,7 +346,7 @@ def test_every_library_lp_is_posed_in_ints(documents, monkeypatch):
     def recording(program):
         programs.append(program)
         frame = sys._getframe(1)
-        for _ in range(4):  # maximality_certificate's sup_over is in a genexpr
+        for _ in range(4):  # maximality_certificate's LP is in is_bounded
             callers.add(frame.f_code.co_name)
             frame = frame.f_back
         return real_solve(program)
@@ -347,6 +354,13 @@ def test_every_library_lp_is_posed_in_ints(documents, monkeypatch):
     monkeypatch.setattr(lp, "solve", recording)
     for call in CALLS:
         run_call(call, documents)
+    rng = random.Random(1971)
+    for dim in (2, 3, 4) * 4:
+        k = random_polyhedron(dim, dim + 3, rng)
+        f = (Fraction(1, 2),) + (Fraction(0),) * (dim - 1)
+        rays = [tuple(int(i == d) for i in range(dim)) for d in range(dim)]
+        body = make_body(k.rows, [1 + sum(map(mul, a, f)) for a in k.rows], f)
+        maximality_certificate(body, CornerInstance(dim, f, rays), 1)
     corpus = len(programs)
     rng = random.Random(1968)
     sets = [random_polyhedron(dim, dim + 3, rng) for dim in (1, 2, 3, 4) * 2]

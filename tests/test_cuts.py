@@ -16,11 +16,15 @@ from conftest import (
     fraction_make_body,
     fraction_check_cut_validity,
     fraction_region_points,
+    fraction_violation_box,
     make_instance,
     make_program,
     nearest_int,
     per_facet_uncertified,
     per_point_check_cut_validity,
+    per_point_is_s_free,
+    per_point_maximality_certificate,
+    plain_region_points,
     pivots_logged,
     programs_logged,
     vadd,
@@ -460,16 +464,17 @@ def random_corner_case(rng, dim=None):
 def test_lattice_pass_matches_fraction_reference(monkeypatch):
     # The integer P filter and the single-pass maximality scan against the
     # Fraction routes they replace; maximality_certificate must walk the
-    # region exactly once.
+    # region's slices exactly once.
     rng = random.Random(4242)
     real_scan = cuts.region_lattice_points
+    real_slices = cuts._slices
     passes = []
 
-    def counted_scan(*args, **kwargs):
+    def counted_slices(*args, **kwargs):
         passes.append(args)
-        return real_scan(*args, **kwargs)
+        return real_slices(*args, **kwargs)
 
-    monkeypatch.setattr(cuts, "region_lattice_points", counted_scan)
+    monkeypatch.setattr(cuts, "_slices", counted_slices)
     seen = {"filtered": 0, "not_free": 0, "certified": 0, "partial": 0}
     for _ in range(200):
         inst, body, radius = random_corner_case(rng)
@@ -480,7 +485,9 @@ def test_lattice_pass_matches_fraction_reference(monkeypatch):
         assert verdict.free_on_region == (verdict.witness is None)
         passes.clear()
         report = maximality_certificate(body, inst, radius)
-        assert passes == [(inst, radius, body)]
+        assert passes == [
+            (cuts._scan_box(inst, radius), cuts._half_spaces(inst, body))
+        ]
         expected = per_facet_uncertified(body, inst, radius)
         assert report.uncertified_facets == expected
         assert report.certified == (not expected)
@@ -708,6 +715,113 @@ def test_boundedness_matches_cone_reference():
         key = (bool(inst.p_rows), bounded)
         seen[key] = seen.get(key, 0) + 1
     assert len(seen) == 4 and min(seen.values()) >= 20, seen
+
+
+def slice_case(rng):
+    """A random_corner_case of 1-4 axes at a radius in 0..6 (0..4 in 4-D,
+    where the reference's per-point scan is slowest)."""
+    dim = rng.randint(1, 4)
+    inst, body, _ = random_corner_case(rng, dim)
+    return inst, body, rng.randint(0, 4 if dim == 4 else 6)
+
+
+def assert_slices_match(inst, body, radius):
+    """The slice walk against the per-point routes it replaced: the same
+    point streams with the body and without it, and the same verdicts,
+    witnesses, uncertified facets and heuristic flags; no projection holds
+    more rows than the region. Returns the projections."""
+    for region_body in (body, None):
+        assert list(region_lattice_points(inst, radius, region_body)) == list(
+            plain_region_points(inst, radius, region_body)
+        ), (inst, region_body, radius)
+    assert is_s_free(body, inst, radius) == per_point_is_s_free(body, inst, radius)
+    assert maximality_certificate(body, inst, radius) == per_point_maximality_certificate(
+        body, inst, radius
+    ), (inst, body, radius)
+    half_spaces = cuts._half_spaces(inst, body)
+    levels = cuts._projections(half_spaces, inst.dim)
+    assert levels is None or max(map(len, levels)) <= len(half_spaces)
+    return levels
+
+
+def test_slice_verdicts_match_per_point_reference():
+    # 150 seeded 1-4-D cases, each with its P and without it, at radius
+    # 0-6: the slice walk and the whole-slice verdicts against the scan of
+    # every prefix and one membership test per point.
+    rng = random.Random(1985)
+    seen = Counter()
+    for _ in range(150):
+        inst, body, radius = slice_case(rng)
+        for case in (inst, CornerInstance(inst.dim, inst.f, inst.rays)):
+            levels = assert_slices_match(case, body, radius)
+            report = maximality_certificate(body, case, radius)
+            seen[f"{case.dim}-D"] += 1
+            seen["3-4-D, first axis narrowed"] += (
+                case.dim >= 3 and levels is not None and bool(levels[0])
+            )
+            seen["P" if case.p_rows else "no P"] += 1
+            seen["not free"] += not is_s_free(body, case, radius).free_on_region
+            seen["certified"] += report.certified
+            seen["partial"] += 0 < len(report.uncertified_facets) < len(body.rows)
+            seen["heuristic"] += report.heuristic
+            seen["definitive"] += not report.heuristic
+            seen["radius 5-6"] += radius >= 5
+    print("slice cases:", dict(seen))
+    assert len(seen) == 13 and min(seen.values()) >= 10, seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_slice_verdicts_match_per_point_reference_hypothesis(rng):
+    # A true random generator, as for the region scan's twin above.
+    assert_slices_match(*slice_case(rng))
+
+
+def test_empty_projection_walks_nothing():
+    # P's rows z1 + z2 + z3 <= 0 and z1 + z2 + z3 >= 1/2 each leave
+    # points in the box, but no real point meets both: eliminating z3
+    # gives 0 <= -1, and the walk yields nothing, with the body or not.
+    f = V(Fraction(1, 2), 0, 0)
+    rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    inst = make_instance(3, f, rays, [[1, 1, 1], [-1, -1, -1]], [0, Fraction(-1, 2)])
+    body = make_body([[1, 0, 0], [-1, 0, 0]], [1, 0], f)
+    for region_body in (body, None):
+        assert cuts._projections(cuts._half_spaces(inst, region_body), 3) is None
+    for row in range(2):
+        alone = CornerInstance(
+            3, f, inst.rays, inst.p_rows[row : row + 1], inst.p_rhs[row : row + 1]
+        )
+        assert list(region_lattice_points(alone, 2))
+    for radius in range(4):
+        assert_slices_match(inst, body, radius)
+        assert list(region_lattice_points(inst, radius, body)) == []
+    assert is_s_free(body, inst, 3).free_on_region
+    assert maximality_certificate(body, inst, 3).uncertified_facets == (0, 1)
+
+
+def test_growth_guard_keeps_the_region():
+    # 40 of the 96 int vectors of squared length 6 in 4-D, each a row of a
+    # bounded body about f: all 40 stay (equal lengths keep every row a
+    # vertex of the polar). Eliminating z4 would give far more than 40 rows,
+    # so no projection is kept below the region's own rows, and the walk
+    # still gives the plain scan's points and the per-point verdicts.
+    rng = random.Random(1985)
+    vectors = sorted(
+        {v for v in product(range(-2, 3), repeat=4) if sum(x * x for x in v) == 6}
+    )
+    assert len(vectors) == 96
+    f = V(Fraction(1, 2), Fraction(1, 3), 0, Fraction(-1, 4))
+    rays = [[int(i == d) for i in range(4)] for d in range(4)]
+    rows = rng.sample(vectors, 40)
+    body = make_body(rows, [dot(a, f) + 2 for a in rows], f)
+    assert len(body.rows) == 40
+    for p_rows, p_rhs in (((), ()), (([1, 1, 0, 0],), (1,))):
+        inst = make_instance(4, f, rays, p_rows, p_rhs)
+        half_spaces = cuts._half_spaces(inst, body)
+        levels = cuts._projections(half_spaces, 4)
+        assert levels[:3] == [[], [], []] and len(levels[3]) == len(half_spaces)
+        for radius in range(4):
+            assert_slices_match(inst, body, radius)
 
 
 def random_cut_case(rng, dim=None):
@@ -966,6 +1080,39 @@ def test_violation_box_examples(split_1d):
     assert cuts.violation_box(plane, (Fraction(4), Fraction(4))) == ((1, 0), (1, 0))
     report = check_cut_validity(plane, Cut((Fraction(4), Fraction(4)), ""), 0)
     assert report.valid_on_region and report.scope == "global"
+
+
+def test_violation_box_matches_fraction_reference():
+    # The int tips against Fraction tips and math.ceil / math.floor: the
+    # same box on the 600 cut cases of the per-point test and on 300 cuts
+    # with large denominators in alpha, the rays and f.
+    rng = random.Random(1971)
+
+    def big():
+        return Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
+
+    cases = [random_cut_case(rng)[:2] for _ in range(600)]
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        f = [big() for _ in range(dim)]
+        if all(c.denominator == 1 for c in f):
+            f[0] += Fraction(1, 2)
+        rays = [
+            [big() if rng.random() < 0.8 else 0 for _ in range(dim)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        alpha = [abs(big()) if rng.random() < 0.8 else Fraction(0) for _ in rays]
+        cases.append((make_instance(dim, f, rays), Cut(tuple(alpha), "")))
+    seen = Counter()
+    for inst, cut in cases:
+        box = cuts.violation_box(inst, cut.alpha)
+        assert box == fraction_violation_box(inst, cut.alpha), (inst, cut)
+        seen[coefficient_kind(cut)] += 1
+        seen["open side"] += box is not None and any(None in b for b in box)
+        seen["empty axis"] += box is not None and any(
+            None not in b and b[0] > b[1] for b in box
+        )
+    assert min(seen.values()) >= 25, seen
 
 
 def test_check_cut_scope(split_1d):

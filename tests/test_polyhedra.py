@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    axis_sup_bounded,
     cone_is_pointed,
     fraction_exposed_witness,
     fraction_hull_membership,
@@ -352,6 +353,96 @@ def test_sup_over_refuses_an_impossible_status(monkeypatch):
     monkeypatch.setattr(lp, "solve", lambda program: lp.LPOutcome(status="infeasible"))
     with pytest.raises(RuntimeError, match="infeasible"):
         sup_over(integer_rows((V(1, 0),)), V(0, 1))
+
+
+def boundedness_case(rng, kind):
+    """A seeded 1-4-D canonical set of the given kind: "drawn" is a
+    random_polyhedron (bounded or not), "split" a pair of opposite rows
+    in 2-4-D, whose lineality space is the hyperplane they vanish on, and
+    "lineality" a drawn set whose rows all vanish on the last axis."""
+    dim = rng.randint(1, 4)
+    if kind == "drawn":
+        return random_polyhedron(dim, rng.randint(dim, dim + 5), rng)
+    dim = max(dim, 2)
+    if kind == "split":
+        a = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
+        if not any(a):
+            a[rng.randrange(dim)] = ONE
+        b = [-Fraction(rng.randint(1, 4), rng.randint(1, 3)) * c for c in a]
+        return normalize([a, b], [1, 1])
+    flat = random_polyhedron(dim - 1, rng.randint(dim, dim + 4), rng)
+    return normalize([a + (0,) for a in flat.rows], [1] * len(flat.rows))
+
+
+def test_is_bounded_matches_the_axis_lps(monkeypatch):
+    # One rank test and at most one LP against the 2 * dim support LPs
+    # and the recession-cone reference, on drawn sets, splits and sets
+    # with a lineality space. The LP is posed only when the rows could
+    # positively span: more rows than axes, full rank.
+    rng = random.Random(1953)
+    calls = []
+    real_solve = lp.solve
+
+    def counted(program):
+        calls.append(program)
+        return real_solve(program)
+
+    seen = Counter()
+    for kind in ("drawn", "split", "lineality") * 60:
+        h = boundedness_case(rng, kind)
+        expected = axis_sup_bounded(h)
+        assert expected == cone_is_pointed(h)
+        monkeypatch.setattr(lp, "solve", counted)
+        calls.clear()
+        bounded = polyhedra.is_bounded(h.compiled)
+        monkeypatch.setattr(lp, "solve", real_solve)
+        assert bounded == expected, (kind, h)
+        spans = len(h.rows) > h.dim and polyhedra._rank(h.compiled[0]) == h.dim
+        assert len(calls) == int(spans)
+        assert all(type(c) is int for p in calls for row, _, b in p.rows for c in (*row, b))
+        seen[kind, bounded] += 1
+        seen["LP unbounded"] += spans and not bounded
+    print("boundedness cases:", dict(seen))
+    assert seen["drawn", True] >= 20 and seen["drawn", False] >= 20, seen
+    assert seen["split", False] == 60 and seen["lineality", False] == 60, seen
+    assert seen["LP unbounded"] >= 10, seen
+
+
+def test_rank_matches_fraction_elimination():
+    # _rank against Gaussian elimination over Fractions on seeded int rows,
+    # duplicate, zero and dependent rows among them.
+    rng = random.Random(1954)
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 6))]
+        if rows and rng.random() < 0.5:
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append(tuple(2 * x - 3 * y for x, y in zip(a, b)))
+        matrix = [[Fraction(c) for c in r] for r in rows]
+        rank = 0
+        for col in range(dim):
+            pivot = next((r for r in matrix[rank:] if r[col]), None)
+            if pivot is None:
+                continue
+            matrix.remove(pivot)
+            matrix.insert(rank, pivot)
+            for r in matrix[rank + 1 :]:
+                factor = r[col] / pivot[col]
+                r[:] = [x - factor * y for x, y in zip(r, pivot)]
+            rank += 1
+        assert polyhedra._rank(rows) == rank, rows
+
+
+@pytest.mark.parametrize("status", ["optimal", "infeasible", "unbounded"])
+def test_is_bounded_refuses_an_unchecked_outcome(monkeypatch, status):
+    # A boundedness LP outcome that fails lp.verify_certificate is a fault,
+    # whatever it claims.
+    square = normalize([V(1, 0), V(0, 1), V(-1, 0), V(0, -1)], [1] * 4)
+    assert polyhedra.is_bounded(square.compiled)
+    forged = lp.LPOutcome(status=status, point=(ONE,) * 4, value=ONE, ray=(ONE,) * 4, dual=(ONE, ONE))
+    monkeypatch.setattr(lp, "solve", lambda program: forged)
+    with pytest.raises(RuntimeError, match="boundedness LP"):
+        polyhedra.is_bounded(square.compiled)
 
 
 @pytest.mark.parametrize("status", ["unbounded", "nonsense"])
