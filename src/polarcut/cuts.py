@@ -462,8 +462,9 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
     violation lies in the clipped box, so the first one is the same point,
     solved by the same LP, as in a scan of the radius box. The verdict is
     global when the box is bounded on every axis and inside the radius
-    box, when it is empty on some axis (it holds no lattice point, however
-    the other axes read), or when it is a violation.
+    box (_scan_box leaves it unchanged), when it is empty on some axis (it
+    holds no lattice point, however the other axes read), or when it is a
+    violation.
 
     Each LP is posed in ints: rays R_j / r_den, t = T / f_den and alpha =
     A / a_den give row d as sum_j f_den R_jd s_j = r_den T_d and costs A,
@@ -492,10 +493,7 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
     box = violation_box(inst, cut.alpha)
     box_scanned = box is not None and (
         any(lo is not None and hi is not None and lo > hi for lo, hi in box)
-        or all(
-            lo is not None and hi is not None and c - radius <= lo and hi <= c + radius
-            for (lo, hi), c in zip(box, map(round, inst.f))
-        )
+        or list(box) == _scan_box(inst, radius, box)
     )
     farkas = []  # y: z is unreachable if <y, t> < 0
     duals = []  # (u, den): value >= 1 at z if <u, t> >= den, in ints

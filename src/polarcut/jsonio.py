@@ -8,8 +8,8 @@ root, such as "points[3][1]", "instance.P.rows[0][0]" or "body".
 
 Query points never become Fractions: points_from_json reads the "points"
 list POINT_BLOCK rows at a time into int columns
-(rationals.scaled_columns), with the scalar grammar and error messages
-that every other field gets from parse_rational.
+(rationals.scaled_columns), in parse_rational's grammar; a block the
+reader refuses is parsed again entry by entry, to name the bad entry.
 """
 
 from __future__ import annotations
@@ -90,13 +90,13 @@ def points_from_json(obj, dim: int):
         _fail("points", "expected a list")
     for start in range(0, len(value), POINT_BLOCK):
         rows = value[start : start + POINT_BLOCK]
-        try:
-            block = scaled_columns(rows, dim)
-        except ValueError:
-            # parse the rows again, entry by entry, to name what is wrong
-            for i, row in enumerate(rows, start):
+        block = scaled_columns(rows, dim)
+        if block is None:
+            for i, row in enumerate(rows, start):  # name what is wrong
                 vector_from_json(row, f"points[{i}]", dim)
-            raise
+            # every entry is a rational, yet not one the reader can spell
+            # out (an int subclass, an int past the str limit)
+            raise ValueError("expected JSON ints and rational texts")
         yield block
 
 

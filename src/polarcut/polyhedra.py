@@ -4,7 +4,8 @@ The central representation is the canonical H-form ``{x : <a_i, x> <= 1}``:
 every right-hand side is scaled to 1, so a set is just its tuple of rows,
 HPolyhedron(dim, rows); a generator set is VPolytope(dim, points). Both
 are named tuples that cache their compiled form (below) outside the tuple,
-where a VPolytope also keeps its polar_weights. normalize() is the only
+where a VPolytope also keeps its polar_weights; remove_redundancy and
+polar hand each set they build that form. normalize() is the only
 sanctioned way to build a set from raw data - it validates that the
 origin is strictly interior (all raw right-hand sides positive), scales
 each row in ints, deduplicates, and strips redundant rows
@@ -54,7 +55,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul
 
 from . import lp
@@ -66,6 +67,8 @@ from .rationals import (
     dot,
     integer_rows,
     is_zero_vector,
+    lowest,
+    over_lcm,
     scaled,
     scaled_vector,
     zero_vector,
@@ -82,9 +85,9 @@ class ImproperSetError(ValueError):
 
 class HPolyhedron(namedtuple("HPolyhedron", "dim rows")):
     """Canonical row form {x : <a_i, x> <= 1}; rows nonzero, deduplicated,
-    irredundant. Build through normalize()."""
+    irredundant. Build through normalize(); compiled as for VPolytope."""
 
-    def __new__(cls, dim: int, rows: tuple):
+    def __new__(cls, dim: int, rows: tuple, compiled=None):
         if dim < 1:
             raise ValueError("dimension must be positive")
         if not rows:
@@ -96,7 +99,10 @@ class HPolyhedron(namedtuple("HPolyhedron", "dim rows")):
                 raise ValueError("zero rows are not canonical")
         if len(set(rows)) != len(rows):
             raise ValueError("duplicate rows are not canonical")
-        return super().__new__(cls, dim, rows)
+        self = super().__new__(cls, dim, rows)
+        if compiled is not None:
+            self.compiled = compiled
+        return self
 
     @cached_property
     def compiled(self) -> tuple:
@@ -117,8 +123,8 @@ class VPolytope(namedtuple("VPolytope", "dim points")):
     attribute outside the tuple, so equality and hashing ignore it.
 
     compiled, when given, must be integer_rows(points): a caller that
-    already holds the points' ints (random_unit_ball_rep) hands them over
-    instead of having them derived again."""
+    already holds the points' ints (random_unit_ball_rep, polar) hands them
+    over instead of having them derived again."""
 
     polar_weights = None  # _make and _replace drop the weights
 
@@ -278,14 +284,11 @@ def remove_redundancy(dim: int, rows) -> HPolyhedron:
     decided by sup_over(the other live rows, its int row r), redundant
     exactly when that stays <= den. The certificate proves what the LP
     would find, so the kept rows are those of an LP for every row.
-    Fractions are built only for the kept rows."""
-    distinct = {}
-    for a in rows:
-        ints, den = scaled(a)
-        g = gcd(den, *ints)
-        distinct[tuple(c // g for c in ints), den // g] = None
-    den = lcm(*(d for _, d in distinct))
-    live = [tuple(c * (den // d) for c in ints) for ints, d in distinct]
+    Fractions are built only for the kept rows; their keys over their own
+    lcm are handed to the set as its compiled form."""
+    keys = list(dict.fromkeys(lowest(*scaled(a)) for a in rows))
+    live, den = over_lcm(keys)
+    live = list(live)
     i = 0
     while i < len(live):
         r = live[i]
@@ -294,11 +297,11 @@ def remove_redundancy(dim: int, rows) -> HPolyhedron:
             top = sup_over((others, den), r)
             if top is not None and top <= den:
                 live.pop(i)
+                keys.pop(i)
                 continue
         i += 1
-    return HPolyhedron(
-        dim, tuple(tuple(Fraction(c, den) for c in r) for r in live)
-    )
+    rows = tuple(tuple(Fraction(c, d) for c in ints) for ints, d in keys)
+    return HPolyhedron(dim, rows, over_lcm(keys))
 
 
 def normalize(raw_rows, raw_rhs) -> HPolyhedron:
@@ -382,8 +385,10 @@ def membership(h: HPolyhedron, x) -> MembershipVerdict:
 
 
 def polar(h: HPolyhedron) -> VPolytope:
-    """The polar body: conv of the origin together with the rows."""
-    return VPolytope(h.dim, (zero_vector(h.dim),) + tuple(h.rows))
+    """The polar body conv({0} u rows), compiled as h with a zero row first."""
+    rows, den = h.compiled
+    points = (zero_vector(h.dim),) + tuple(h.rows)
+    return VPolytope(h.dim, points, compiled=(((0,) * h.dim,) + rows, den))
 
 
 def hull_membership(p: Vec, v: VPolytope) -> HullVerdict:

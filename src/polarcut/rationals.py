@@ -20,12 +20,11 @@ and unscaled() builds the rationals back for a value that is reported.
 
 Many points at once take a third form, int columns: scaled_columns()
 reads a block of rows into cols[j][k], the numerator of coordinate j of
-point k over that point's positive denominator dens[k]. The block is
-parsed whole at C level; vector() is called on its rows only to raise
-the first bad entry's error. Values come back the same way: Values(nums,
-dens) is a column of rationals in lowest terms, value k being nums[k] /
-dens[k] with dens[k] > 0 (0 is 0/1), as sublinear.block_values returns
-them and the CLI prints them, with no Fraction in between.
+point k over that point's positive denominator dens[k], parsed whole at
+C level (None when it cannot be). Values come back the same way:
+Values(nums, dens), a column of rationals in lowest terms, value k being
+nums[k] / dens[k] with dens[k] > 0 (0 is 0/1), as sublinear.block_values
+returns them and the CLI prints them, with no Fraction in between.
 
 The evaluators (gauge, minimal sublinear function, support, membership)
 and the LP solver do not use Fraction arithmetic on their hot paths:
@@ -35,6 +34,8 @@ set poses as its rows), the pairings are int dot products with a scaled
 point, lp.solve reads each program row and its objective through
 scaled() (every library LP is posed in ints), the simplex tableau is
 fraction-free, and a Fraction is built only for a value that is returned.
+lowest() is the one int spelling of a rational vector; over_lcm() puts
+such spellings over their lcm, which is integer_rows of their vectors.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, repeat
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 from operator import floordiv, itemgetter, mul
 
@@ -100,7 +101,7 @@ def parse_rational(value):
     """
     if isinstance(value, Fraction):
         return value
-    if type(value) is int:  # the common case first; bool is not int here
+    if isinstance(value, int) and type(value) is not bool:  # bool has no subclass
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip().replace("\u2212", "-")
@@ -114,8 +115,6 @@ def parse_rational(value):
                 "too many digits: a number may have at most "
                 f"{sys.get_int_max_str_digits()} decimal digits"
             ) from None
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
     if isinstance(value, float):
         raise ValueError(f"floats are not exact rationals: {value!r}")
     raise ValueError(f"not a rational: {value!r}")
@@ -191,18 +190,38 @@ def integer_rows(vectors) -> tuple[tuple, int]:
     return rows, den
 
 
+def lowest(ints, den: int) -> tuple:
+    """(ints, den) over den > 0 divided by their gcd: the one int spelling
+    of the rational vector ints / den, its numerators over its least
+    denominator."""
+    g = gcd(den, *ints)
+    return tuple(c // g for c in ints), den // g
+
+
+def over_lcm(keys) -> tuple[tuple, int]:
+    """(rows, den), each key (ints, d) over den, the lcm of the d's > 0:
+    for keys in lowest terms, integer_rows of the vectors ints / d, as a
+    vector's least denominator is the lcm of its entries'."""
+    den = lcm(*(d for _, d in keys))
+    return tuple(tuple(c * (den // d) for c in ints) for ints, d in keys), den
+
+
 def _not_exact(entries) -> ValueError:
     """The error for the first of entries that is not an exact rational."""
     bad = next(q for q in entries if not isinstance(q, Rational))
     return ValueError(f"not an exact rational (an int or a Fraction): {bad!r}")
 
 
-def _read_block(rows, dim: int):
-    """scaled_columns' result, or None for rows it does not read. Each pass
-    runs over the whole block in C: the entries are stripped and joined as
-    text, their unicode minus made "-", the text searched once for a
-    _BAD_LINE, split into "p/q/1" or "p/1" pieces (so piece[1] is the
-    denominator either way) and converted by int()."""
+def scaled_columns(rows, dim: int):
+    """The points of rows, each a list of dim JSON-level scalars (ints and
+    texts, as json.load makes them), as int columns (cols, dens):
+    coordinate j of point k is cols[j][k] / dens[k], with dens[k] > 0 the
+    lcm of point k's entry denominators; None for rows it does not read,
+    which jsonio.points_from_json diagnoses. Each pass runs over the whole
+    block in C: the entries are stripped and joined as text, their unicode
+    minus made "-", the text searched once for a _BAD_LINE, split into
+    "p/q/1" or "p/1" pieces (so piece[1] is the denominator either way)
+    and converted by int()."""
     if not all(map(isinstance, rows, repeat(list))) or not set(map(len, rows)) <= {dim}:
         return None
     flat = list(chain.from_iterable(rows))
@@ -229,28 +248,6 @@ def _read_block(rows, dim: int):
         for j in range(dim)
     )
     return cols, dens
-
-
-def scaled_columns(rows, dim: int) -> tuple[tuple, list]:
-    """The points of rows, each a list of dim JSON-level scalars (ints and
-    texts, as json.load makes them), as int columns (cols, dens):
-    coordinate j of point k is cols[j][k] / dens[k], with dens[k] > 0 the
-    lcm of point k's entry denominators.
-
-    The block is read whole, in the _SCALAR grammar. When it cannot be,
-    the rows are diagnosed in order: a row that is not a list of dim
-    entries raises ValueError, and vector() raises the first bad entry's
-    parse_rational error."""
-    block = _read_block(rows, dim)
-    if block is not None:
-        return block
-    for row in rows:
-        if not isinstance(row, list) or len(row) != dim:
-            raise ValueError(f"expected a list of {dim} entries")
-        vector(row)
-    # every entry is a rational, yet not a JSON int or text that the block
-    # reader can spell out (an int subclass, an int past the str limit)
-    raise ValueError("expected JSON ints and rational texts")
 
 
 def scaled(x) -> Scaled:

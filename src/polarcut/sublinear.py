@@ -45,9 +45,8 @@ builds each set's block once, takes one pass over its rows for all the
 checks, and builds polar(h) once per set; the only per-point pairing left
 is reconstruction's membership cross-check. A rational is built only for
 a value that is returned or a violation that is reported. block_values
-evaluates gauge or minimal_sublinear on a block with the same kernel and
-returns the values as int columns too (rationals.Values): no Fraction is
-built on that path.
+is ColumnMax over the rows (minimal_sublinear) or over polar(h)'s points
+(the gauge), returned as int columns (rationals.Values), no Fraction.
 """
 
 from __future__ import annotations
@@ -75,6 +74,8 @@ from .rationals import (
     ZERO,
     Scaled,
     Values,
+    lowest,
+    over_lcm,
     scaled,
     unscaled,
 )
@@ -105,14 +106,12 @@ def block_values(h: HPolyhedron, block, clamp: bool) -> Values:
     a block (cols, dens) in rationals.scaled_columns' form, in order, as
     int columns Values(nums, dens) in lowest terms.
 
-    The pairings are polyhedra.block_pairings' int column passes, one per
-    row of the set; then the maximum over the rows (and 0 when clamped)
-    point by point, over the scale den * dens[k]; then one gcd pass and
-    two floordiv passes reduce each value. No Fraction is built. A
-    hand-built block is checked as scaled() checks a Scaled: every
-    denominator must be a positive int."""
+    The values are _column_max over h's rows, or over polar(h)'s points
+    when clamped: the gauge is the support of the polar, whose origin adds
+    the 0. Then one gcd pass and two floordiv passes reduce each value. No
+    Fraction is built. A hand-built block is checked as scaled() checks a
+    Scaled: every denominator must be a positive int."""
     cols, dens = block
-    rows, den = h.compiled
     if len(cols) != h.dim:
         raise ValueError(f"dimension mismatch: {h.dim} vs {len(cols)}")
     if not set(map(type, dens)) <= {int} or (dens and min(dens) <= 0):
@@ -120,12 +119,7 @@ def block_values(h: HPolyhedron, block, clamp: bool) -> Values:
         raise ValueError(f"a block denominator must be a positive int: {bad!r}")
     if not set(map(len, cols)) <= {len(dens)}:
         raise ValueError(f"every column must hold {len(dens)} points")
-    pairs = block_pairings(rows, block)
-    scales = list(map(mul, repeat(den), dens))
-    if clamp:
-        tops = list(map(max, repeat(0), *pairs))
-    else:
-        tops = list(map(max, *pairs)) if len(pairs) > 1 else pairs[0]
+    tops, scales = _column_max(polar(h).compiled if clamp else h.compiled, block)
     common = list(map(gcd, tops, scales))  # scales > 0, so gcd(0, s) = s
     nums = list(map(floordiv, tops, common))
     return Values(nums, list(map(floordiv, scales, common)))
@@ -195,7 +189,7 @@ def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
             continue
         if weights is not None and _weights_prove(p, d, weights, h.compiled):
             continue
-        ints, least = _lowest(p, d)
+        ints, least = lowest(p, d)
         top = sup_over(h.compiled, ints)
         if top is None or top > least:
             return False
@@ -218,38 +212,28 @@ def random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPolytope:
     cols = tuple(zip(*rows))
     gens = list(h.rows)
     claims = [None] * len(gens)
-    seen = set(map(_lowest, rows, repeat(den)))
+    seen = set(map(lowest, rows, repeat(den)))
     kept = [(r, den) for r in rows]
     for _ in range(count):
         weights = [rng.randint(0, 4) for _ in range(len(rows) + 1)]
         if sum(weights) == 0:
             weights[0] = 1
         nums = [sum(map(mul, weights[1:], col)) for col in cols]
-        key = _lowest(nums, sum(weights) * den)
+        key = lowest(nums, sum(weights) * den)
         if key not in seen:
             seen.add(key)
             ints, scale = key
             gens.append(tuple(Fraction(n, scale) for n in ints))
             claims.append(tuple(weights))
             kept.append(key)
-    common = lcm(*(d for _, d in kept))
-    compiled = tuple(tuple(c * (common // d) for c in ints) for ints, d in kept)
-    return VPolytope(h.dim, tuple(gens), tuple(claims), (compiled, common))
-
-
-def _lowest(ints, den: int) -> tuple:
-    """(ints, den) over den > 0 divided by their gcd: the one int spelling
-    of the rational vector ints / den, its numerators over its least
-    denominator."""
-    g = gcd(den, *ints)
-    return tuple(c // g for c in ints), den // g
+    return VPolytope(h.dim, tuple(gens), tuple(claims), over_lcm(kept))
 
 
 class ColumnMax(namedtuple("ColumnMax", "tops scales")):
     """The largest pairing of a compiled vector list (rows, den) with each
     point k of a block (cols, dens): tops[k] / scales[k], with scales[k] =
     den * dens[k] > 0. Over a set's rows it is minimal_sublinear at every
-    point, over a generator set its support."""
+    point, over a generator set its support, over polar(h) the gauge."""
 
     __slots__ = ()
 

@@ -671,14 +671,15 @@ def query_doc(count):
 
 def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
     # gauge and rho on 1,000 canonically spelled points parse none of them
-    # with parse_rational or rationals.vector (which only diagnoses a bad
-    # block), read them in blocks of at most 256 rows, and build no
+    # with parse_rational or jsonio.vector_from_json (which only diagnoses
+    # a bad block), read them in blocks of at most 256 rows, and build no
     # Fraction beyond what the set itself needs (measured on the same set
     # with no points): the values go from int columns to text.
-    counts = {"parse": 0, "fraction": 0, "vector": 0}
+    counts = {"parse": 0, "fraction": 0, "vector": 0, "rationals.vector": 0}
     blocks = []
     real_parse = rationals.parse_rational
     real_vector = rationals.vector
+    real_vector_from_json = jsonio.vector_from_json
     real_columns = rationals.scaled_columns
 
     def counted_parse(value):
@@ -686,8 +687,12 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
         return real_parse(value)
 
     def counted_vector(entries):
-        counts["vector"] += 1
+        counts["rationals.vector"] += 1
         return real_vector(entries)
+
+    def counted_vector_from_json(value, path, dim=None):
+        counts["vector"] += path.startswith("points[")
+        return real_vector_from_json(value, path, dim)
 
     def recorded_columns(rows, dim):
         blocks.append(len(rows))
@@ -701,6 +706,7 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(jsonio, "parse_rational", counted_parse)
     monkeypatch.setattr(rationals, "vector", counted_vector)
+    monkeypatch.setattr(jsonio, "vector_from_json", counted_vector_from_json)
     monkeypatch.setattr(jsonio, "scaled_columns", recorded_columns)
     monkeypatch.setattr(Fraction, "__new__", counted_new)
     for command in ("gauge", "rho"):
@@ -717,8 +723,10 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
         assert full["vector"] == 0
         assert blocks == [256, 256, 256, 232]
         assert full["fraction"] == empty["fraction"]
-    # tolerant spellings are read whole too; the counter sees vector()
-    # when a bad entry is diagnosed, on the rows of its block up to it
+    # tolerant spellings are read whole too; the counter sees
+    # vector_from_json when a bad entry is diagnosed, on the rows of its
+    # block up to it, and the bad block is diagnosed once: rationals.vector
+    # is never called
     loose = query_doc(1000)
     loose["points"][998][0] = " 1/2"
     loose["points"][998][1] = "\u22127"
@@ -728,3 +736,4 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
     loose["points"][999][0] = "1.5"
     code, _, _ = run(capsys, "rho", write(tmp_path, "bad.json", loose))
     assert code == 2 and counts["vector"] == 1000 - 768  # rows 768..999
+    assert counts["rationals.vector"] == 0

@@ -1,9 +1,14 @@
-"""Every name a module imports is used in it, and the CLI starts light.
+"""Every name a module imports is used in it, every name the library
+defines is used somewhere, and the CLI starts light.
 
 No linter ships with the project, and deleting a function tends to leave
 its imports behind. This walks the syntax tree of each library module
 (except the package __init__, which imports names to re-export them) and
 each test module, and lists the imported names that no expression reads.
+Folding two helpers into one tends to leave the other behind: every
+module-level function, class and constant of the library must be read by
+an expression outside its own definition, in the library or the tests,
+or be re-exported by the package __init__.
 
 Every CLI call pays for `import polarcut.cli` before it does any work.
 The records are named tuples, so that import loads neither dataclasses
@@ -57,6 +62,69 @@ def test_unused_import_detector():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(source) == [(3, "j"), (4, "lcm")]
+
+
+def definitions(tree) -> list:
+    """(name, node) for each module-level function, class and constant."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, ast.Assign):
+            out += [(t.id, node) for t in node.targets if isinstance(t, ast.Name)]
+    return out
+
+
+def read_names(nodes) -> set:
+    """The names and attribute names that expressions under nodes read."""
+    names = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+    return names
+
+
+def dead_definitions(sources: dict, readers: list, exported: set) -> list:
+    """(module, name) for each definition in sources (module name to
+    source text) that no expression outside it reads, in sources or in
+    the reader sources, and that is not exported."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = read_names(ast.parse(source) for source in readers)
+    dead = []
+    for module, tree in trees.items():
+        elsewhere = read | read_names(t for m, t in trees.items() if m != module)
+        for name, node in definitions(tree):
+            own = read_names(n for n in tree.body if n is not node)
+            if name not in elsewhere | own | exported:
+                dead.append((module, name))
+    return dead
+
+
+def test_no_dead_definitions():
+    init = ast.parse((SRC / "polarcut" / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    texts = {p: p.read_text(encoding="utf-8") for p in MODULES}
+    library = {p.name: text for p, text in texts.items() if p.parent.name == "polarcut"}
+    tests = [text for p, text in texts.items() if p.parent.name == "tests"]
+    assert len(library) == 7
+    assert dead_definitions(library, tests, exported) == []
+
+
+def test_dead_definition_detector():
+    sources = {
+        "a": "X = 1\nY = X\ndef f():\n    return f()\nclass C:\n    pass\n",
+        "b": "import a\nZ = a.C\n",
+    }
+    assert dead_definitions(sources, [], set()) == [("a", "Y"), ("a", "f"), ("b", "Z")]
+    assert dead_definitions(sources, ["b.Z"], {"f"}) == [("a", "Y")]
 
 
 def imported_modules(source: str) -> set:

@@ -109,6 +109,38 @@ def test_normalize_idempotent_on_random_instances():
         assert again == h
 
 
+def _drawn_row(rng, dim, max_den):
+    while True:
+        a = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, max_den)) for _ in range(dim))
+        if not is_zero_vector(a):
+            return a
+
+
+def test_built_sets_hand_over_their_compiled_form():
+    # normalize (through remove_redundancy), make_body, random_polyhedron
+    # and polar(h) build each set with its compiled form already set, from
+    # the ints they hold, and that form is integer_rows of its rows or
+    # points, as .compiled derives it. The kept rows go over their own
+    # lcm: a dropped row's denominator is not in it.
+    dropped = normalize([(1, 0), (0, 1), V(Fraction(1, 3), Fraction(1, 3))], [1, 1, 1])
+    rng = random.Random(4181)
+    sets = [dropped]
+    for _ in range(40):
+        dim = rng.randint(1, 5)
+        max_den = rng.choice((4, 10**12))
+        raw = [_drawn_row(rng, dim, max_den) for _ in range(rng.randint(1, dim + 5))]
+        f = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(dim))
+        margins = [Fraction(rng.randint(1, 9), rng.randint(1, 7)) for _ in raw]
+        sets.append(normalize(raw, margins))
+        sets.append(cuts.make_body(raw, [dot(a, f) + m for a, m in zip(raw, margins)], f))
+        sets.append(random_polyhedron(dim, rng.randint(1, dim + 5), rng))
+    for h in sets:
+        assert "compiled" in vars(h) and h.compiled == integer_rows(h.rows)
+        body = polar(h)
+        assert "compiled" in vars(body) and body.compiled == integer_rows(body.points)
+    assert dropped.compiled == (((1, 0), (0, 1)), 1)
+
+
 def test_membership_quadrant_values(quadrant_k):
     assert membership(quadrant_k, V(-5, 0)).position == "interior"
     verdict = membership(quadrant_k, V(1, 1))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import make_instance, make_program, vadd, vscale, vsub
 from polarcut.cuts import CornerInstance, make_body
-from polarcut.jsonio import points_from_json
+from polarcut.jsonio import SchemaError, points_from_json
 from polarcut.lp import LinearProgram, solve
 from polarcut.polyhedra import (
     HPolyhedron,
@@ -20,7 +20,6 @@ from polarcut.polyhedra import (
 )
 from polarcut.rationals import (
     Scaled,
-    _read_block,
     dot,
     integer_rows,
     is_integral,
@@ -278,17 +277,17 @@ def reference_rows(rows):
 
 
 def block_rows(rows, dim):
-    try:
-        return block_points(scaled_columns(rows, dim))
-    except ValueError as exc:
-        return str(exc)
+    """The block reader's rational points, or None where it refuses."""
+    block = scaled_columns(rows, dim)
+    return None if block is None else block_points(block)
 
 
 @given(st.data())
 def test_scaled_columns_match_per_row_parse(data):
     # A block read whole equals vector() on each of its rows (the same
-    # rational points) or raises the same ValueError, whatever the
-    # spelling; every block of rationals is read whole, tolerant ones too.
+    # rational points), and the reader returns None exactly when that
+    # per-row parse raises, whatever the spelling; every block of
+    # rationals is read whole, tolerant ones too.
     dim = data.draw(st.integers(1, 4))
     rows = data.draw(st.lists(st.lists(wide_rationals, min_size=dim, max_size=dim), max_size=6))
     mode = data.draw(st.sampled_from(["canonical", "tolerant", "special"]))
@@ -304,26 +303,30 @@ def test_scaled_columns_match_per_row_parse(data):
             forms.append(data.draw(st.sampled_from(choices)))
         spelled.append(forms)
     expected = reference_rows(spelled)
-    assert block_rows(spelled, dim) == expected
+    assert block_rows(spelled, dim) == (None if isinstance(expected, str) else expected)
     if mode != "special":
         assert expected == [tuple(row) for row in rows]
-    if not isinstance(expected, str):
-        assert block_points(_read_block(spelled, dim)) == expected
 
 
 @pytest.mark.parametrize("special", SPECIAL_SCALARS, ids=repr)
 def test_scaled_columns_special_scalars(special):
     # Each special entry, alone or among canonical rows, at the start, in
-    # the middle or at the end of the block: the error parse_rational raises.
+    # the middle or at the end of the block: the block reader refuses it,
+    # and points_from_json names the entry with parse_rational's error.
     with pytest.raises(ValueError) as excinfo:
         parse_rational(special)
+    message = str(excinfo.value)
     canonical = [[1, "-2/3"], ["5/7", 0], [-4, "9/2"]]
     for k in range(3):
         for j in range(2):
             rows = [list(r) for r in canonical]
             rows[k][j] = special
-            assert block_rows(rows, 2) == reference_rows(rows) == str(excinfo.value)
-    assert block_rows([[special]], 1) == str(excinfo.value)
+            assert block_rows(rows, 2) is None
+            assert reference_rows(rows) == message
+            with pytest.raises(SchemaError) as raised:
+                list(points_from_json({"points": rows}, 2))
+            assert str(raised.value) == f"field 'points[{k}][{j}]': {message}"
+    assert block_rows([[special]], 1) is None
 
 
 # Characters near the scalar grammar: digits, signs (the unicode minus
@@ -341,11 +344,11 @@ GRAMMAR_CHARS = "0123456789+-\u2212/. \t\n\u00a0\uff11"
 def test_block_grammar_matches_parse_rational(text):
     # The block reader's _BAD_LINE and parse_rational's _RATIONAL_TEXT spell
     # one grammar: a text is read by both, as the same rational, or refused
-    # by both with parse_rational's error.
+    # by both.
     try:
         expected = [(parse_rational(text),)]
-    except ValueError as exc:
-        expected = str(exc)
+    except ValueError:
+        expected = None
     assert block_rows([[text]], 1) == expected
 
 
@@ -362,10 +365,12 @@ def test_scaled_columns_shape():
     class Count(int):
         pass
 
-    # a rational, but not the int json.load makes: refused by the block
-    assert scaled(vector([Count(3)])) == Scaled((3,), 1)
-    with pytest.raises(ValueError, match="expected JSON ints and rational texts"):
-        scaled_columns([[Count(3)]], 1)
+    # rationals, but not the ints json.load makes: refused by the block,
+    # and points_from_json, whose per-entry parse takes them, says so
+    for big in (Count(3), 10**5000):
+        assert scaled(vector([big])) == Scaled((big,), 1)
+        assert scaled_columns([[big]], 1) is None
+        with pytest.raises(ValueError, match="expected JSON ints and rational texts"):
+            list(points_from_json({"points": [[big]]}, 1))
     for rows in ([[1, 2, 3]], [[1]], ["12"], [(1, 2)], [None]):
-        with pytest.raises(ValueError, match="expected a list of 2 entries"):
-            scaled_columns(rows, 2)
+        assert scaled_columns(rows, 2) is None
