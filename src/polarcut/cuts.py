@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import product
 from operator import mul
 
 from . import lp
@@ -331,28 +330,25 @@ def _scan_box(inst: CornerInstance, radius: int, box=None) -> list:
 def _slices(ranges: list, half_spaces: list):
     """The nonempty last-coordinate slices of the region's lattice points
     in the box ranges, as (prefix, lo, hi) in lexicographic order: the
-    points are prefix + (v,) for lo <= v <= hi. Each coordinate runs over
-    its box range narrowed by its projected rows (_projections), so only
-    prefixes in the region's shadow are visited; the leading coordinates
-    that no row narrows run over the box by product."""
+    points are prefix + (v,) for lo <= v <= hi. One depth-first walk from
+    the empty prefix runs each coordinate over its box range narrowed by
+    its projected rows (_projections), so only prefixes in the region's
+    shadow are visited; a coordinate with no projected row runs over its
+    whole box range."""
     levels = _projections(half_spaces, len(ranges))
     if levels is None:
         return
     last = len(ranges) - 1
-    plain = 0
-    while plain < last and not levels[plain]:
-        plain += 1
-    for head in product(*(range(lo, hi + 1) for lo, hi in ranges[:plain])):
-        stack = [head]
-        while stack:
-            prefix = stack.pop()
-            k = len(prefix)
-            lo, hi = _narrow(levels[k], prefix, *ranges[k])
-            if k == last:
-                if lo <= hi:
-                    yield prefix, lo, hi
-            else:
-                stack.extend(prefix + (v,) for v in range(hi, lo - 1, -1))
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        k = len(prefix)
+        lo, hi = _narrow(levels[k], prefix, *ranges[k])
+        if k == last:
+            if lo <= hi:
+                yield prefix, lo, hi
+        else:
+            stack.extend(prefix + (v,) for v in range(hi, lo - 1, -1))
 
 
 def region_lattice_points(

@@ -42,10 +42,13 @@ sublinear.gauge, minimal_sublinear, support), takes a point
 in either form: a Scaled is used as it is - the scans and the property
 suite scale a point once and query it many times - and a rational tuple is
 scaled once at that call. Rationals are only built for the values a caller
-asks for. Many points at once skip this per-point form: block_pairings
+asks for. Many points at once skip this per-point form: column_max
 pairs compiled vectors with a block of points in int columns, one pass
-per vector, for sublinear.block_values (the CLI's query points, which
-jsonio reads as int columns) and for the property suite's checks.
+per vector, and keeps only the largest pairing at each point (ColumnMax),
+which is all a support function needs. It serves sublinear.block_values
+(the CLI's query points, which jsonio reads as int columns) and the
+property suite's checks. pairings stays the per-point kernel: it keeps
+every value, so membership can name the tight rows.
 """
 
 from __future__ import annotations
@@ -352,25 +355,36 @@ def pairings(compiled: tuple, x) -> tuple[list, int]:
     return [sum(map(mul, a, ix)) for a in rows], den * d
 
 
-def block_pairings(vectors, block) -> list:
-    """pairings at every point of a block at once, in int columns.
+class ColumnMax(namedtuple("ColumnMax", "tops scales")):
+    """The largest pairing of a compiled vector list (rows, den) with each
+    point k of a block (cols, dens): tops[k] / scales[k], with scales[k] =
+    den * dens[k] > 0. Over a set's rows it is minimal_sublinear at every
+    point, over a generator set its support, over polar(h) the gauge."""
 
-    vectors are int vectors (the first part of a .compiled form (rows,
-    den)), and block is (cols, dens) in rationals.scaled_columns' form.
-    Returns one int list per vector v: entry k is sum_j v_j * cols[j][k],
-    so that <v, x_k> equals it over den * dens[k]. The list is one int
-    pass over the columns, skipping v_j = 0; a zero vector (polar(h)'s
-    origin) gives a list of zeros."""
+    __slots__ = ()
+
+
+def column_max(compiled: tuple, block) -> ColumnMax:
+    """max_i <v_i, x_k> at every point x_k of a block at once, in int
+    columns: compiled is a .compiled form (vectors v_i, den), and block is
+    (cols, dens) in rationals.scaled_columns' form.
+
+    Each vector's pass is a lazy chain of int maps over the columns,
+    sum_j v_j * cols[j][k], that skips v_j = 0; a zero vector (polar(h)'s
+    origin) pairs to 0 everywhere. The passes are read point by point and
+    only the max is kept, so no list is built per vector."""
+    vectors, den = compiled
     cols, dens = block
-    out = []
+    passes = []
     for v in vectors:
         total = None
         for c, col in zip(v, cols):
             if c:
                 term = map(mul, repeat(c), col)
                 total = term if total is None else map(add, total, term)
-        out.append([0] * len(dens) if total is None else list(total))
-    return out
+        passes.append(repeat(0, len(dens)) if total is None else total)
+    tops = list(map(max, *passes) if len(passes) > 1 else passes[0])
+    return ColumnMax(tops, list(map(mul, repeat(den), dens)))
 
 
 def membership(h: HPolyhedron, x) -> MembershipVerdict:

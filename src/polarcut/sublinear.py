@@ -36,13 +36,15 @@ its samples as Scaled points.
 
 The evaluators and checks take a point in either form, a rational tuple or
 its rationals.Scaled form. The checks run on one int column kernel,
-polyhedra.block_pairings: a list of samples is scaled once and laid out as
-a block (cols, dens) in rationals.scaled_columns' form, and each vector
-list (the set's rows, a candidate's generators, polar(h)'s points, the
-boundary rescalings' block) is paired with the whole block in one int pass
-per vector, its maximum taken point by point (ColumnMax). property_suite
+polyhedra.column_max: a list of samples is scaled once and laid out as a
+block (cols, dens) in rationals.scaled_columns' form (_sample_block, which
+also builds sample_points' block), and each vector list (the set's rows,
+a candidate's generators, polar(h)'s points, the boundary rescalings'
+block) is paired with the whole block in one int pass per vector, of
+which only the maximum at each point is kept (ColumnMax). property_suite
 builds each set's block once, takes one pass over its rows for all the
-checks, and builds polar(h) once per set; the only per-point pairing left
+checks, and builds polar(h) once per set: seven column passes per set,
+sample_points' boundary pass among them. The only per-point pairing left
 is reconstruction's membership cross-check. A rational is built only for
 a value that is returned or a violation that is reported. block_values
 is ColumnMax over the rows (minimal_sublinear) or over polar(h)'s points
@@ -59,9 +61,10 @@ from math import gcd, lcm
 from operator import floordiv, mul
 
 from .polyhedra import (
+    ColumnMax,
     HPolyhedron,
     VPolytope,
-    block_pairings,
+    column_max,
     exposed_witness,
     gram_certificate,
     hull_membership,
@@ -106,7 +109,7 @@ def block_values(h: HPolyhedron, block, clamp: bool) -> Values:
     a block (cols, dens) in rationals.scaled_columns' form, in order, as
     int columns Values(nums, dens) in lowest terms.
 
-    The values are _column_max over h's rows, or over polar(h)'s points
+    The values are column_max over h's rows, or over polar(h)'s points
     when clamped: the gauge is the support of the polar, whose origin adds
     the 0. Then one gcd pass and two floordiv passes reduce each value. No
     Fraction is built. A hand-built block is checked as scaled() checks a
@@ -119,7 +122,7 @@ def block_values(h: HPolyhedron, block, clamp: bool) -> Values:
         raise ValueError(f"a block denominator must be a positive int: {bad!r}")
     if not set(map(len, cols)) <= {len(dens)}:
         raise ValueError(f"every column must hold {len(dens)} points")
-    tops, scales = _column_max(polar(h).compiled if clamp else h.compiled, block)
+    tops, scales = column_max(polar(h).compiled if clamp else h.compiled, block)
     common = list(map(gcd, tops, scales))  # scales > 0, so gcd(0, s) = s
     nums = list(map(floordiv, tops, common))
     return Values(nums, list(map(floordiv, scales, common)))
@@ -229,48 +232,26 @@ def random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPolytope:
     return VPolytope(h.dim, tuple(gens), tuple(claims), over_lcm(kept))
 
 
-class ColumnMax(namedtuple("ColumnMax", "tops scales")):
-    """The largest pairing of a compiled vector list (rows, den) with each
-    point k of a block (cols, dens): tops[k] / scales[k], with scales[k] =
-    den * dens[k] > 0. Over a set's rows it is minimal_sublinear at every
-    point, over a generator set its support, over polar(h) the gauge."""
-
-    __slots__ = ()
-
-
-def _column_max(compiled: tuple, block) -> ColumnMax:
-    rows, den = compiled
-    pairs = block_pairings(rows, block)
-    tops = list(map(max, *pairs)) if len(pairs) > 1 else pairs[0]
-    return ColumnMax(tops, list(map(mul, repeat(den), block[1])))
-
-
-def _columns(points) -> tuple:
-    """Scaled points as one block (cols, dens) of int columns for
-    block_pairings."""
-    return list(zip(*(p.ints for p in points))), [p.den for p in points]
-
-
 def _sample_block(samples, dim: int) -> tuple:
-    """(given, points, block): the samples as given (rational tuples or
-    Scaled, the form a violation reports), scaled once, and as one block
-    (cols, dens) of int columns for block_pairings."""
-    given = tuple(samples)
-    points = tuple(map(scaled, given))
+    """(points, block): the samples scaled once, as Scaled points, and as
+    one block (cols, dens) of int columns for column_max. A violation
+    reports unscaled(points[k]), the sample's own rational values."""
+    points = tuple(map(scaled, samples))
     widths = {len(p.ints) for p in points} - {dim}
     if widths:
         raise ValueError(f"dimension mismatch: {dim} vs {min(widths)}")
-    return given, points, _columns(points)
+    return points, (list(zip(*(p.ints for p in points))), [p.den for p in points])
 
 
-def _sandwich_report(h, gens, given, block, rho: ColumnMax) -> SandwichReport:
-    """sandwich_check on a sample block, given h's column maxima rho over
-    it: one column pass over the generators."""
+def _sandwich_report(h, gens, points, block, rho: ColumnMax) -> SandwichReport:
+    """sandwich_check on the samples, scaled (points) and as a block, given
+    h's column maxima rho over them: one column pass over the
+    generators."""
     if not check_unit_ball(gens, h):
         raise ValueError(
             "candidate generators are not a unit-ball representation of the set"
         )
-    sigma = _column_max(gens.compiled, block)
+    sigma = column_max(gens.compiled, block)
     den_h, den_c = h.compiled[1], gens.compiled[1]
     # low / (den_h d) <= mid / (den_c d) <= max(low, 0) / (den_h d): the
     # sample's own d cancels, so cross-multiply by den_c and den_h alone.
@@ -282,11 +263,11 @@ def _sandwich_report(h, gens, given, block, rho: ColumnMax) -> SandwichReport:
             Fraction(low, s_low) if low > 0 else ZERO,
         )
         for x, low, mid, s_low, s_mid in zip(
-            given, rho.tops, sigma.tops, rho.scales, sigma.scales
+            points, rho.tops, sigma.tops, rho.scales, sigma.scales
         )
         if not low * den_c <= mid * den_h <= max(low, 0) * den_c
     )
-    return SandwichReport(len(given), violations, not violations)
+    return SandwichReport(len(points), violations, not violations)
 
 
 def _reconstruct_holds(h: HPolyhedron, points, block, rho: ColumnMax) -> bool:
@@ -300,7 +281,7 @@ def _reconstruct_holds(h: HPolyhedron, points, block, rho: ColumnMax) -> bool:
             return False
     den = h.compiled[1]
     positive = [top > 0 for top in rho.tops]
-    boundary = _column_max(
+    boundary = column_max(
         h.compiled,
         (
             [list(map(mul, repeat(den), compress(col, positive))) for col in block[0]],
@@ -325,7 +306,7 @@ def _off_recession_samples(h: HPolyhedron, block, rho: ColumnMax) -> tuple:
     _off_recession_misses finds apart from the polar's support, with
     polar(h) built once for the block."""
     ks = [k for k, top in enumerate(rho.tops) if top > 0]
-    return ks, _off_recession_misses(rho, _column_max(polar(h).compiled, block), ks)
+    return ks, _off_recession_misses(rho, column_max(polar(h).compiled, block), ks)
 
 
 def sandwich_check(h: HPolyhedron, gens: VPolytope, samples) -> SandwichReport:
@@ -335,16 +316,16 @@ def sandwich_check(h: HPolyhedron, gens: VPolytope, samples) -> SandwichReport:
     sandwich is only a theorem under that precondition. The samples are
     evaluated as one block: one column pass over h's rows and one over
     the generators."""
-    given, _, block = _sample_block(samples, h.dim)
-    return _sandwich_report(h, gens, given, block, _column_max(h.compiled, block))
+    points, block = _sample_block(samples, h.dim)
+    return _sandwich_report(h, gens, points, block, column_max(h.compiled, block))
 
 
 def reconstruct_check(h: HPolyhedron, samples) -> bool:
     """The set is recoverable from the minimal evaluator: a sample belongs
     iff its value is <= 1, and rescaling any sample with positive gauge onto
     the boundary lands exactly on value 1."""
-    _, points, block = _sample_block(samples, h.dim)
-    return _reconstruct_holds(h, points, block, _column_max(h.compiled, block))
+    points, block = _sample_block(samples, h.dim)
+    return _reconstruct_holds(h, points, block, column_max(h.compiled, block))
 
 
 def off_recession_check(h: HPolyhedron, x) -> bool:
@@ -354,8 +335,8 @@ def off_recession_check(h: HPolyhedron, x) -> bool:
 
     Points inside the recession cone are rejected - the agreement is not a
     theorem there."""
-    _, _, block = _sample_block((x,), h.dim)
-    ks, misses = _off_recession_samples(h, block, _column_max(h.compiled, block))
+    _, block = _sample_block((x,), h.dim)
+    ks, misses = _off_recession_samples(h, block, column_max(h.compiled, block))
     if not ks:
         raise ValueError("sample lies in the recession cone")
     return not misses
@@ -428,7 +409,7 @@ def sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
 
     boundary_quota = (count * 3) // 4
     source = list(out)
-    tops = _column_max(h.compiled, _columns(source)).tops
+    tops = column_max(h.compiled, _sample_block(source, dim)[1]).tops
     for x, top in zip(source, tops):
         if len(out) >= boundary_quota:
             break
@@ -499,14 +480,14 @@ def property_suite(instances, seed: int, samples: int) -> tuple[dict, int]:
     sandwich, recon = tally["sandwich"], tally["reconstruct"]
     off, exposed = tally["off_recession"], tally["exposed"]
     for index, h in enumerate(instances):
-        pts, points, block = _sample_block(
+        points, block = _sample_block(
             sample_points(h, seed + 7919 * index, samples), h.dim
         )
-        rho = _column_max(h.compiled, block)
+        rho = column_max(h.compiled, block)
 
         for c in range(SUITE_CANDIDATES):
             gens = random_unit_ball_rep(h, seed + 104729 * index + c, 5)
-            report = _sandwich_report(h, gens, pts, block, rho)
+            report = _sandwich_report(h, gens, points, block, rho)
             sandwich["pairs"] += 1
             sandwich["samples_checked"] += report.samples_checked
             sandwich["violations"] += len(report.violations)
@@ -521,7 +502,7 @@ def property_suite(instances, seed: int, samples: int) -> tuple[dict, int]:
         off["samples_checked"] += len(ks)
         off["violations"] += len(misses)
         if misses and off["first_violation"] is None:
-            off["first_violation"] = unscaled(pts[misses[0]])
+            off["first_violation"] = unscaled(points[misses[0]])
 
         for i in range(len(h.rows)):
             exposed["rows_checked"] += 1

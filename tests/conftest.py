@@ -639,9 +639,9 @@ def per_point_off_recession_check(h: HPolyhedron, x) -> bool:
     )
 
 
-def _one_scale_up(column: sublinear.ColumnMax) -> sublinear.ColumnMax:
+def _one_scale_up(column: polyhedra.ColumnMax) -> polyhedra.ColumnMax:
     """Every value of a ColumnMax plus 1: each top raised by its scale."""
-    return sublinear.ColumnMax(list(map(add, column.tops, column.scales)), column.scales)
+    return polyhedra.ColumnMax(list(map(add, column.tops, column.scales)), column.scales)
 
 
 def raise_rho(mp: pytest.MonkeyPatch) -> None:

@@ -446,10 +446,10 @@ UNIT_BOX_3D = {
 def test_oversized_scan_exits_2(tmp_path, capsys, monkeypatch):
     # (2 * 10^6 + 1)^3 points are refused before the scan starts: the
     # enumeration itself is replaced by a failure.
-    def no_scan(*ranges):
+    def no_scan(*args):
         raise AssertionError("scan started")
 
-    monkeypatch.setattr(cuts, "product", no_scan)
+    monkeypatch.setattr(cuts, "_projections", no_scan)
     path = write(tmp_path, "box.json", UNIT_BOX_3D)
     for command in ("sfree", "maximal"):
         code, out, err = run(capsys, command, path, "--radius", "1000000")

@@ -342,10 +342,10 @@ def test_scan_size_limit(tmp_path, capsys, monkeypatch):
         "body": {"rows": rows, "rhs": [1, 0] * 3},
     }))
 
-    def no_scan(*ranges):
+    def no_scan(*args):
         raise AssertionError("scan started")
 
-    monkeypatch.setattr(cuts, "product", no_scan)
+    monkeypatch.setattr(cuts, "_projections", no_scan)
     with pytest.raises(ValueError, match="over the limit"):
         is_s_free(cube, box, 50)
     assert main(["sfree", str(path), "--radius", "50"]) == 2

@@ -8,7 +8,9 @@ each test module, and lists the imported names that no expression reads.
 Folding two helpers into one tends to leave the other behind: every
 module-level function, class and constant of the library must be read by
 an expression outside its own definition, in the library or the tests,
-or be re-exported by the package __init__.
+or be re-exported by the package __init__. A private (underscore) name
+must be read by the library itself: a helper that a fold leaves behind
+only as a test seam is dead too.
 
 Every CLI call pays for `import polarcut.cli` before it does any work.
 The records are named tuples, so that import loads neither dataclasses
@@ -89,16 +91,17 @@ def read_names(nodes) -> set:
 
 def dead_definitions(sources: dict, readers: list, exported: set) -> list:
     """(module, name) for each definition in sources (module name to
-    source text) that no expression outside it reads, in sources or in
-    the reader sources, and that is not exported."""
+    source text) that no expression outside it reads. A public name may be
+    read in sources or in the reader sources, or be exported; a private
+    (underscore) name only in sources."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = read_names(ast.parse(source) for source in readers)
+    public = read_names(ast.parse(source) for source in readers) | exported
     dead = []
     for module, tree in trees.items():
-        elsewhere = read | read_names(t for m, t in trees.items() if m != module)
+        elsewhere = read_names(t for m, t in trees.items() if m != module)
         for name, node in definitions(tree):
-            own = read_names(n for n in tree.body if n is not node)
-            if name not in elsewhere | own | exported:
+            read = elsewhere | read_names(n for n in tree.body if n is not node)
+            if name not in (read if name.startswith("_") else read | public):
                 dead.append((module, name))
     return dead
 
@@ -125,6 +128,8 @@ def test_dead_definition_detector():
     }
     assert dead_definitions(sources, [], set()) == [("a", "Y"), ("a", "f"), ("b", "Z")]
     assert dead_definitions(sources, ["b.Z"], {"f"}) == [("a", "Y")]
+    private = {"a": "def _g():\n    pass\ndef _h():\n    pass\n", "b": "import a\nZ = a._h\n"}
+    assert dead_definitions(private, ["a._g", "b.Z"], {"_g"}) == [("a", "_g")]
 
 
 def imported_modules(source: str) -> set:

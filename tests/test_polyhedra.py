@@ -2,6 +2,7 @@ import random
 import tempfile
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from operator import mul
 
 import pytest
@@ -30,15 +31,18 @@ from test_readme import README, python_blocks
 import polarcut
 from polarcut import cuts, jsonio, lp, polyhedra
 from polarcut.polyhedra import (
+    ColumnMax,
     HPolyhedron,
     ImproperSetError,
     OriginNotInteriorError,
     VPolytope,
+    column_max,
     exposed_witness,
     gram_certificate,
     hull_membership,
     membership,
     normalize,
+    pairings,
     polar,
     random_polyhedron,
     remove_redundancy,
@@ -149,6 +153,41 @@ def test_membership_quadrant_values(quadrant_k):
     assert membership(quadrant_k, V(2, 0)).position == "outside"
     verdict = membership(quadrant_k, V(1, 0))
     assert verdict.position == "boundary" and len(verdict.tight_rows) == 1
+
+
+def test_column_max_is_the_max_of_per_point_pairings():
+    # column_max equals the max of pairings at every point of a block, top
+    # and scale alike: vector lists with a zero vector first (polar(h)'s
+    # form), a single vector, a lone zero vector and several vectors with
+    # zero coefficients; blocks of 0, 1 and 257 points; ints up to 9 and
+    # past 10^30, in the vectors, den and the points.
+    rng = random.Random(3030)
+    seen = Counter()
+
+    def draw(dim, bound):
+        return tuple(rng.randint(-bound, bound) * rng.randint(0, 1) for _ in range(dim))
+
+    kinds = ("polar", "single", "zero", "several")
+    cases = product((9, 3 * 10**30), range(1, 5), kinds, (0, 1, 257))
+    for bound, dim, kind, count in cases:
+        rows = [draw(dim, bound) for _ in range(rng.randint(2, 5))]
+        vectors = {
+            "polar": [(0,) * dim] + rows,
+            "single": rows[:1],
+            "zero": [(0,) * dim],
+            "several": rows,
+        }[kind]
+        compiled = (tuple(vectors), rng.randint(1, bound))
+        points = [Scaled(draw(dim, bound), rng.randint(1, bound)) for _ in range(count)]
+        block = ([[p.ints[j] for p in points] for j in range(dim)], [p.den for p in points])
+        got = column_max(compiled, block)
+        assert type(got) is ColumnMax
+        expected = [pairings(compiled, p) for p in points]
+        assert got.tops == [max(values) for values, _ in expected]
+        assert got.scales == [scale for _, scale in expected]
+        seen[kind, count] += 1
+        seen["past 10^30"] += any(abs(t) > 10**30 for t in got.tops)
+    assert len(seen) == 13 and seen["past 10^30"] >= 12, seen
 
 
 def test_polar_quadrant_example(quadrant_k):

@@ -542,10 +542,10 @@ def _per_point_off_recession(h, samples):
 
 def _column_off_recession(h, samples):
     """The same pair from the suite's column route over one sample block."""
-    given, _, block = sublinear._sample_block(samples, h.dim)
-    rho = sublinear._column_max(h.compiled, block)
+    _, block = sublinear._sample_block(samples, h.dim)
+    rho = polyhedra.column_max(h.compiled, block)
     ks, misses = sublinear._off_recession_samples(h, block, rho)
-    return len(ks), [given[k] for k in misses]
+    return len(ks), [samples[k] for k in misses]
 
 
 def _drop_last_polar_row(mp):
@@ -648,6 +648,32 @@ def test_property_suite_pairs_a_sample_once(monkeypatch):
             _, violations = property_suite(instances, seed, samples)
         assert (violations > 0) == (broken is not None)
         assert calls["pairings"] <= per_sample + violations, (broken, calls)
+
+
+def test_property_suite_makes_seven_column_passes_per_set(monkeypatch):
+    # Per set: sample_points' boundary pass, rho over the samples and the
+    # reconstruction's boundary block over the rows, one pass per
+    # candidate, and one over polar(h) for the off-recession check.
+    rng = random.Random(6262)
+    instances = [random_polyhedron(rng.randint(1, 4), rng.randint(3, 8), rng) for _ in range(3)]
+    instances += [zero_coefficient_set(rng, dim) for dim in (2, 3, 4)]
+    calls = Counter()
+    real = polyhedra.column_max
+
+    def counted(compiled, block):
+        if compiled is h.compiled:
+            calls["rows"] += 1
+        elif not any(compiled[0][0]) and compiled[0][1:] == h.compiled[0]:
+            calls["polar"] += 1
+        else:
+            calls["candidates"] += 1
+        return real(compiled, block)
+
+    monkeypatch.setattr(sublinear, "column_max", counted)
+    for index, h in enumerate(instances):
+        calls.clear()
+        property_suite([h], 31 + index, 40)
+        assert calls == {"rows": 3, "candidates": 3, "polar": 1}, calls
 
 
 def test_sample_points_make_no_pairings(monkeypatch):
