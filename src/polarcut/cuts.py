@@ -197,26 +197,29 @@ def make_body(b_rows, b_rhs, f: Vec) -> HPolyhedron:
     """The body of a cut, K = B - f in canonical row form, from B's rows and
     right-hand sides in x-space: {r : <a_i, r> <= b_i - <a_i, f>},
     normalized. Each margin is computed in ints from scaled(f): with a_i
-    as ints over den, b_i = p / q and f as ints F over f_den, the shifted
-    row a_i / (b_i - <a_i, f>) is the int row q f_den a_i over
-    p den f_den - q <a_i, F>, which normalize reads with no Fraction.
-    Demands f strictly interior (every margin positive): normalize's
+    as ints over den, the right-hand sides as ints p over one q, and f as
+    ints F over f_den, the shifted row a_i / (b_i - <a_i, f>) is the int
+    row q f_den a_i over p den f_den - q <a_i, F>. The rows and the
+    right-hand sides are read by scaled_vector (a Scaled as it is, as
+    jsonio reads them), and normalize takes the int rows and margins as
+    Scaled, with no Fraction built and nothing read twice. Demands f
+    strictly interior (every margin positive): normalize's
     OriginNotInteriorError on the shifted rows is raised as
     AnchorNotInteriorError."""
-    rows = [scaled_vector(a) for a in b_rows]
-    rhs = [scaled_vector((b,)) for b in b_rhs]
-    if len(rows) != len(rhs):
+    rows = list(map(scaled_vector, b_rows))
+    b_ints, q = scaled_vector(b_rhs)
+    if len(rows) != len(b_ints):
         raise ValueError("body row/right-hand-side count mismatch")
     f_ints, f_den = scaled(f)
+    scale = q * f_den
     shifted, margins = [], []
-    for (ints, den), ((p,), q) in zip(rows, rhs):
+    for (ints, den), p in zip(rows, b_ints):
         if len(ints) != len(f_ints):
             raise ValueError(f"dimension mismatch: {len(ints)} vs {len(f_ints)}")
-        scale = q * f_den
-        shifted.append(tuple(scale * c for c in ints))
+        shifted.append(Scaled(tuple(scale * c for c in ints), 1))
         margins.append(p * den * f_den - q * sum(map(mul, ints, f_ints)))
     try:
-        return normalize(shifted, margins)
+        return normalize(shifted, Scaled(tuple(margins), 1))
     except OriginNotInteriorError as err:
         raise AnchorNotInteriorError("f not interior to the body") from err
 

@@ -10,13 +10,16 @@ Query points never become Fractions: points_from_json reads the "points"
 list POINT_BLOCK rows at a time into int columns
 (rationals.scaled_columns), in parse_rational's grammar; a block the
 reader refuses is parsed again entry by entry, to name the bad entry.
+A set's and a body's "rows" and "rhs" are read to ints the same way, by
+rationals.scaled_vector (_rows_from_json), and a document it refuses is
+read again entry by entry, so every error names the same field.
 """
 
 from __future__ import annotations
 
 from .cuts import CornerInstance, Cut, make_body
 from .polyhedra import HPolyhedron, normalize
-from .rationals import parse_rational, scaled_columns
+from .rationals import parse_rational, scaled, scaled_columns, scaled_vector
 
 # Query points read, and evaluated, at a time. A block bounds the memory a
 # points document holds in int columns: read as one block, the seed-1
@@ -79,12 +82,32 @@ def _dim_from_json(obj, path: str = "") -> int:
     return dim
 
 
+def _rows_from_json(obj, dim: int, path: str = "") -> tuple:
+    """(rows, rhs) of the object at path: its "rows", each width dim, as a
+    list of Scaled and its "rhs", one per row, as one Scaled, read by
+    rationals.scaled_vector with no Fraction. A document that reader
+    refuses is read again by vector_list_from_json and vector_from_json,
+    which name what is wrong (scaled_vector reads every rational that
+    parse_rational does, so they raise)."""
+    try:
+        rows, rhs = obj["rows"], obj["rhs"]
+        if (
+            isinstance(rows, list)
+            and isinstance(rhs, list)
+            and len(rhs) == len(rows)
+            and all(isinstance(row, list) and len(row) == dim for row in rows)
+        ):
+            return list(map(scaled_vector, rows)), scaled_vector(rhs)
+    except (KeyError, TypeError, ValueError):
+        pass
+    rows = vector_list_from_json(*_field(obj, "rows", path), dim)
+    rhs = vector_from_json(*_field(obj, "rhs", path), len(rows))
+    return list(map(scaled, rows)), scaled(rhs)
+
+
 def polyhedron_from_json(obj) -> HPolyhedron:
     """{"dim", "rows", "rhs"} -> canonical set (normalization included)."""
-    dim = _dim_from_json(obj)
-    rows = vector_list_from_json(*_field(obj, "rows"), dim)
-    rhs = vector_from_json(*_field(obj, "rhs"), len(rows))
-    return normalize(rows, rhs)
+    return normalize(*_rows_from_json(obj, _dim_from_json(obj)))
 
 
 def points_from_json(obj, dim: int):
@@ -123,9 +146,7 @@ def corner_instance_from_json(obj) -> CornerInstance:
 def body_from_json(obj, f) -> HPolyhedron:
     """The "body" object {"rows", "rhs"}, B in x-space, as the centered
     canonical set K = B - f (cuts.make_body); f comes from the instance."""
-    rows = vector_list_from_json(*_field(obj, "rows", "body"), len(f))
-    rhs = vector_from_json(*_field(obj, "rhs", "body"), len(rows))
-    return make_body(rows, rhs, f)
+    return make_body(*_rows_from_json(obj, len(f), "body"), f)
 
 
 def task_from_json(doc, part: str) -> tuple:

@@ -9,9 +9,10 @@ polar hand each set they build that form. normalize() is the only
 sanctioned way to build a set from raw data - it validates that the
 origin is strictly interior (all raw right-hand sides positive), scales
 each row in ints, deduplicates, and strips redundant rows
-(remove_redundancy). A row is kept with no LP when the Gram test
-finds a point that proves it irredundant (gram_certificate, checked by
-exact int arithmetic); only a row without one gets an exact LP, which
+(remove_redundancy). A row is kept with no LP when a ray from the origin
+leaves the set through that row alone (ray_certificate: the row itself,
+the Gram test, then the int normals of a few bases of other rows, all in
+exact int arithmetic); only a row no ray proves gets an exact LP, which
 keeps it or drops it just as it would with no test before it.
 
 For such a set K the polar K* is conv({0} union rows), and the rows
@@ -22,8 +23,8 @@ is exact; all verdicts are decided by rational arithmetic, never tolerance.
 
 sup_over is the one LP for the support function of K itself,
 sigma_K(v) = sup of <v, x> over K, which is at most 1 exactly when v lies
-in the polar. It decides the redundancy of a row that fails the Gram
-test here, condition (b) of sublinear.check_unit_ball for a generator
+in the polar. It decides the redundancy of a row that no ray proves
+here, condition (b) of sublinear.check_unit_ball for a generator
 that carries no valid convex weights (VPolytope.polar_weights). Its
 program over the rows other than a_i, at the compiled row den a_i, also
 yields exposed_witness. It poses the set in its compiled form (int rows r
@@ -57,7 +58,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import combinations, islice, repeat
 from math import gcd
 from operator import add, mul
 
@@ -76,6 +77,13 @@ from .rationals import (
     scaled_vector,
     zero_vector,
 )
+
+
+# Normal directions ray_certificate tries after the Gram test: enough for
+# 2-4-D boxes, simplices and splits and their unimodular images, and few
+# enough that a redundant row, which no ray proves, pays little before
+# its LP.
+_BASES = 3
 
 
 class OriginNotInteriorError(ValueError):
@@ -254,28 +262,105 @@ def is_bounded(compiled: tuple) -> bool:
     return outcome.status == "optimal"
 
 
-def gram_certificate(r, others, den: int):
-    """The Gram test: a point x proving the int row r irredundant among the
-    int rows others, all over den > 0, with no LP; None when the test
-    fails. With m the largest <s, r> over s in others (0 when there is
-    none), x exists iff |r|^2 > m: it is den r / m when m > 0, so that
-    <s, x> = den <s, r> / m <= den and <r, x> = den |r|^2 / m > den, and
-    2 den r / |r|^2 when m <= 0, so that <s, x> <= 0 and <r, x> = 2 den.
-    Either way x lies in {x : <s, x> <= den for s in others} and past r,
-    so dropping r would enlarge the set. Returned as a Scaled point."""
-    norm = sum(map(mul, r, r))
-    m = max((sum(map(mul, s, r)) for s in others), default=0)
-    if norm <= m:
-        return None
+def _det(m) -> int:
+    """The determinant of a square int matrix (k >= 1), by fraction-free
+    (Bareiss) elimination: every quotient below is exact."""
+    m = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, head = m[k][k], m[k]
+        for row in m[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, len(m)):
+                row[j] = (row[j] * pivot - lead * head[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1]
+
+
+def _normal(rows) -> tuple:
+    """The int normal c of n - 1 int rows of width n: c_j is (-1)^j times
+    the minor of column j, so <s, c> is the determinant of s over the rows,
+    0 for each row, and c = 0 exactly when the rows are dependent. Closed
+    forms up to 4-D (there from the 2 x 2 minors p of the last two rows),
+    Bareiss minors (_det) above."""
+    if len(rows) == 1:
+        ((a, b),) = rows
+        return (b, -a)
+    if len(rows) == 2:
+        (a1, a2, a3), (b1, b2, b3) = rows
+        return (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    if len(rows) == 3:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        p01, p02, p03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+        p12, p13, p23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+        return (
+            a1 * p23 - a2 * p13 + a3 * p12,
+            a2 * p03 - a0 * p23 - a3 * p02,
+            a0 * p13 - a1 * p03 + a3 * p01,
+            a1 * p02 - a0 * p12 - a2 * p01,
+        )
+    return tuple(
+        (-1) ** j * _det([s[:j] + s[j + 1 :] for s in rows])
+        for j in range(len(rows) + 1)
+    )
+
+
+def _ray_point(c, den: int, t: int, m: int) -> Scaled:
+    """The witness of a direction c with t = <r, c> > m = max <s, c>."""
     if m > 0:
-        return Scaled(tuple(den * c for c in r), m)
-    return Scaled(tuple(2 * den * c for c in r), norm)
+        return tuple.__new__(Scaled, (tuple([den * v for v in c]), m))
+    return tuple.__new__(Scaled, (tuple([2 * den * v for v in c]), t))
+
+
+def ray_certificate(r, others, den: int):
+    """A point x proving the int row r irredundant among the int rows
+    others, all over den > 0, with no LP; None when no direction tried
+    proves it. The ray from the origin along a direction c leaves the set
+    {x : <s, x> <= den for s = r and for every s in others} through r
+    alone when t = <r, c> > 0 exceeds m, the largest <s, c> over s in
+    others (0 when there is none). Then x is den c / m when m > 0, so that <s, x> <= den
+    and <r, x> = den t / m > den, and 2 den c / t when m <= 0, so that
+    <s, x> <= 0 and <r, x> = 2 den: x meets every other row and lies past
+    r, so dropping r would enlarge the set. Returned as a Scaled point.
+
+    The directions tried (Clarkson's ray shooting, in ints): c = r first,
+    the Gram test, t = |r|^2; then the int normal (_normal) of n - 1 other
+    rows, signed so that t > 0, for the first _BASES sets of n - 1 drawn
+    in order from the n other rows with the largest <s, r> (ties in input
+    order). On 2-4-D boxes, simplices and splits and their unimodular
+    images these directions prove every row."""
+    aligned = [sum(map(mul, s, r)) for s in others]
+    norm = sum(map(mul, r, r))
+    m = max(aligned, default=0)
+    if norm > m:
+        return _ray_point(r, den, norm, m)
+    if len(r) < 2:  # in 1-D, r is the one direction with t > 0
+        return None
+    # a stable sort, in C: over a few rows it is twice as fast as nlargest
+    top = sorted(range(len(others)), key=aligned.__getitem__, reverse=True)[: len(r)]
+    for basis in islice(combinations(top, len(r) - 1), _BASES):
+        c = _normal([others[k] for k in basis])
+        t = sum(map(mul, r, c))
+        if t < 0:
+            c, t = tuple(-v for v in c), -t
+        if t:
+            m = max(sum(map(mul, s, c)) for s in others)
+            if m < t:
+                return _ray_point(c, den, t, m)
+    return None
 
 
 def remove_redundancy(dim: int, rows) -> HPolyhedron:
     """The canonical set {x : <a, x> <= 1 for a in rows}, for nonzero rows,
-    each a rational tuple or a Scaled: keep a row iff dropping it would
-    enlarge the set.
+    each a rational tuple or a Scaled (taken as it is: its den a positive
+    int, as normalize builds it): keep a row iff dropping it would enlarge
+    the set.
 
     Each row is reduced to ints over its least positive denominator, that
     rational row's one spelling, and duplicates are merged on it in input
@@ -283,20 +368,22 @@ def remove_redundancy(dim: int, rows) -> HPolyhedron:
     filtered sequentially, each against every other row still live (the
     kept rows before it and all rows after it), so the survivors are
     mutually irredundant and a subset of the input, in input order. A row
-    with a gram_certificate is kept with no LP; only a row without one is
+    with a ray_certificate is kept with no LP; only a row without one is
     decided by sup_over(the other live rows, its int row r), redundant
     exactly when that stays <= den. The certificate proves what the LP
     would find, so the kept rows are those of an LP for every row.
     Fractions are built only for the kept rows; their keys over their own
     lcm are handed to the set as its compiled form."""
-    keys = list(dict.fromkeys(lowest(*scaled(a)) for a in rows))
+    keys = list(
+        dict.fromkeys(lowest(*(a if type(a) is Scaled else scaled(a))) for a in rows)
+    )
     live, den = over_lcm(keys)
     live = list(live)
     i = 0
     while i < len(live):
         r = live[i]
         others = live[:i] + live[i + 1 :]
-        if gram_certificate(r, others, den) is None:
+        if ray_certificate(r, others, den) is None:
             top = sup_over((others, den), r)
             if top is not None and top <= den:
                 live.pop(i)
@@ -313,12 +400,15 @@ def normalize(raw_rows, raw_rhs) -> HPolyhedron:
     Requires every b_i > 0 (the origin strictly inside); scales rows to
     right-hand side 1, drops vacuous zero rows, and hands the rest to
     remove_redundancy, which merges duplicates and strips redundant rows.
-    Each row a_i / b_i goes as a Scaled, ints over a positive int
-    denominator, so no Fraction is built for a row that is not kept.
+    Each row, and the right-hand sides as one vector, is read by
+    scaled_vector (a Scaled as it is, so make_body's int rows and margins
+    are not read again), and each row a_i / b_i goes as a Scaled, ints
+    over a positive int denominator: no Fraction is built for a row that
+    is not kept.
     """
-    rows = [scaled_vector(a) for a in raw_rows]
-    rhs = [scaled_vector((b,)) for b in raw_rhs]
-    if len(rows) != len(rhs):
+    rows = list(map(scaled_vector, raw_rows))
+    b_ints, b_den = scaled_vector(raw_rhs)
+    if len(rows) != len(b_ints):
         raise ValueError("row/right-hand-side count mismatch")
     if not rows:
         raise ImproperSetError("empty description denotes the whole space")
@@ -326,16 +416,18 @@ def normalize(raw_rows, raw_rhs) -> HPolyhedron:
     if dim < 1:
         raise ValueError("dimension must be positive")
     shifted = []
-    for (ints, den), ((b_num,), b_den) in zip(rows, rhs):
+    for (ints, den), b in zip(rows, b_ints):
         if len(ints) != dim:
             raise ValueError("rows of differing dimension")
-        if b_num <= 0:
+        if b <= 0:
             raise OriginNotInteriorError(
-                f"right-hand side {Fraction(b_num, b_den)} is not positive: "
+                f"right-hand side {Fraction(b, b_den)} is not positive: "
                 "origin not interior"
             )
-        if any(ints):  # a / b = (ints * b_den) / (den * b_num)
-            shifted.append(Scaled(tuple(c * b_den for c in ints), den * b_num))
+        if any(ints):  # a / b = (ints * b_den) / (den * b)
+            if b_den != 1:
+                ints = tuple(c * b_den for c in ints)
+            shifted.append(Scaled(ints, den * b))
     if not shifted:
         raise ImproperSetError("all rows vacuous: the set is the whole space")
     return remove_redundancy(dim, shifted)

@@ -6,17 +6,18 @@ reduced to lowest terms with a positive denominator on construction.
 Vectors are plain tuples of scalars.
 
 JSON-level scalars (ints and "p/q" texts) have one grammar, _SCALAR,
-read one scalar at a time by parse_rational and a block at a time by
-scaled_columns.
+read one scalar at a time by parse_rational, a row at a time by
+scaled_vector and a block at a time by scaled_columns.
 
 A point has a second form, owned by this module: Scaled(ints, den), the
 int numerators of its coordinates over one positive common denominator.
 It is the library's per-point form: the scans scale their anchor once,
 the property suite's samples are drawn in it, scaled() reads any rational
 vector (a tuple of ints as its own ints over 1), scaled_vector() reads a
-row of scalars of any JSON-level form (normalize's and make_body's rows
-and right-hand sides) with no Fraction built for an int or a Fraction,
-and unscaled() builds the rationals back for a value that is reported.
+row of scalars of any JSON-level form (a set's and a body's rows and
+right-hand sides, from jsonio through make_body and normalize) with no
+Fraction built, texts split to ints, and a Scaled taken as it is, and
+unscaled() builds the rationals back for a value that is reported.
 
 Many points at once take a third form, int columns: scaled_columns()
 reads a block of rows into cols[j][k], the numerator of coordinate j of
@@ -52,7 +53,6 @@ from operator import floordiv, itemgetter, mul
 ZERO = Fraction(0)
 ONE = Fraction(1)
 _INT = frozenset((int,))  # exact ints: a bool's type is not int
-_EXACT = frozenset((int, Fraction))
 
 # The scalar grammar, in ASCII digits: optional sign, integer numerator,
 # optional positive denominator. "3", "-3", "1/2", "-7/4". Never "3/-2",
@@ -266,13 +266,35 @@ def scaled(x) -> Scaled:
 
 
 def scaled_vector(entries) -> Scaled:
-    """scaled(vector(entries)), with parse_rational's errors, but an entry
-    that is an int or a Fraction is read as it is: no Fraction is built
-    for it."""
+    """scaled(vector(entries)), with parse_rational's errors, and no
+    Fraction built: an int or a Fraction is read as it is, and a text in
+    the _SCALAR grammar (stripped, its unicode minus made "-") is split at
+    its "/" into ints over their gcd. A Scaled is returned as it is."""
+    if type(entries) is Scaled:
+        return entries
     entries = tuple(entries)
-    if not _EXACT.issuperset(map(type, entries)):
-        entries = vector(entries)
-    return scaled(entries)
+    if _INT.issuperset(map(type, entries)):
+        return tuple.__new__(Scaled, (entries, 1))
+    nums, dens = [], []
+    for e in entries:
+        if type(e) is int:
+            num, den = e, 1
+        elif type(e) is str and _RATIONAL_TEXT.fullmatch(
+            text := e.strip().replace("\u2212", "-")
+        ):
+            try:
+                num, den = map(int, (text + "/1").split("/")[:2])
+            except ValueError:  # past the int conversion limit
+                parse_rational(e)  # raises its "too many digits" error
+            g = gcd(num, den)
+            num, den = num // g, den // g
+        else:
+            q = parse_rational(e)
+            num, den = q.numerator, q.denominator
+        nums.append(num)
+        dens.append(den)
+    den = lcm(*dens)
+    return tuple.__new__(Scaled, (tuple(n * (den // d) for n, d in zip(nums, dens)), den))
 
 
 def unscaled(x) -> Vec:

@@ -30,7 +30,7 @@ valid weights, by the support LP sup_over over the set's rows. Both
 functions tell points apart on ints: no Fraction is hashed, and the drawn
 set comes with its compiled form, made from the ints it was drawn in
 rather than by integer_rows of its Fraction points. The exposed
-check scales each row's Gram certificate onto the row (_gram_witness);
+check scales each row's ray certificate onto the row (_ray_witness);
 only a row without one poses exposed_witness's LP. sample_points draws
 its samples as Scaled points.
 
@@ -66,11 +66,11 @@ from .polyhedra import (
     VPolytope,
     column_max,
     exposed_witness,
-    gram_certificate,
     hull_membership,
     membership,
     pairings,
     polar,
+    ray_certificate,
     sup_over,
 )
 from .rationals import (
@@ -435,15 +435,15 @@ def sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
     return tuple(out[:count])
 
 
-def _gram_witness(compiled: tuple, i: int):
-    """Row i's exposed point by the Gram test, for compiled = (int rows r,
-    den): with x = gram_certificate(r_i, the other rows, den), the point
+def _ray_witness(compiled: tuple, i: int):
+    """Row i's exposed point by a ray, for compiled = (int rows r, den):
+    with x = ray_certificate(r_i, the other rows, den), the point
     Scaled(den * x.ints, <r_i, x.ints>), that is x / <a_i, x>. It lies on
     row i, and strictly inside every other row, since x lies past row i
     and inside the others. None when the row has no certificate."""
     rows, den = compiled
     r = rows[i]
-    x = gram_certificate(r, rows[:i] + rows[i + 1 :], den)
+    x = ray_certificate(r, rows[:i] + rows[i + 1 :], den)
     if x is None:
         return None
     return Scaled(tuple(den * c for c in x.ints), sum(map(mul, r, x.ints)))
@@ -455,7 +455,7 @@ def property_suite(instances, seed: int, samples: int) -> tuple[dict, int]:
     samples outside the recession cone, and the exposed witness of every
     row, which must be tight on that row alone. Set `index` draws its
     samples from seed + 7919 * index, as Scaled points. A row's witness
-    comes from its Gram certificate (_gram_witness), and from
+    comes from its ray certificate (_ray_witness), and from
     exposed_witness's LP only for a row without one; on a set whose every
     row has a certificate the suite poses no LP.
 
@@ -506,7 +506,7 @@ def property_suite(instances, seed: int, samples: int) -> tuple[dict, int]:
 
         for i in range(len(h.rows)):
             exposed["rows_checked"] += 1
-            witness = _gram_witness(h.compiled, i)
+            witness = _ray_witness(h.compiled, i)
             if witness is None:
                 witness = exposed_witness(h, i)
             if membership(h, witness).tight_rows != (i,):

@@ -21,17 +21,19 @@ every generator checked by an LP, from before every such LP read the
 set's compiled int rows and drawn generators carried their weights,
 every program row read through integer_rows as lp.solve read
 it before it took an all-int row as it is, the redundancy filter over
-Fraction rows (with the Gram test taken in Fractions, or with an LP for
+Fraction rows (with the ray test taken in Fractions, or with an LP for
 every row as before there was one), the cut body's margins and scan
 half-spaces by Fraction dot products, from before make_body and the scan
 read them in ints, the scan over every prefix of the radius box with
 is_s_free and maximality_certificate testing each of its points by
 membership and boundedness decided by 2 * dim support LPs, from before
 the scan narrowed its prefix ranges by projected rows and judged each
-slice whole, violation_box's tips in Fractions, and the CLI's JSON writer from before it had its own,
-over json's pure-Python indent=2 encoder. They are deliberately slow and
+slice whole, violation_box's tips in Fractions, the CLI's JSON writer from before it had its own,
+over json's pure-Python indent=2 encoder, and the readers of a set's and a
+body's rows entry by entry, from before they were read to ints. They are deliberately slow and
 simple. make_program and make_instance build a LinearProgram and a
-CornerInstance from JSON-level scalars for the tests.
+CornerInstance from JSON-level scalars for the tests, and unimodular_body
+the images of boxes, simplices and splits that the benchmark's bodies are.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from operator import add, mul
 
 import pytest
 
-from polarcut import cuts, polyhedra, sublinear
+from polarcut import cuts, jsonio, polyhedra, sublinear
 from polarcut import lp as lp_module
 from polarcut.cuts import (
     AnchorNotInteriorError,
@@ -663,18 +665,18 @@ def raise_rho(mp: pytest.MonkeyPatch) -> None:
     )
 
 
-def zero_gram_witness(mp: pytest.MonkeyPatch) -> None:
-    """The fault of a zero exposed witness on the Gram route: each row
-    with a Gram certificate gets the origin, tight on no row, as its
+def zero_ray_witness(mp: pytest.MonkeyPatch) -> None:
+    """The fault of a zero exposed witness on the ray route: each row
+    with a ray certificate gets the origin, tight on no row, as its
     witness. A row without one still takes exposed_witness."""
-    witness = sublinear._gram_witness
+    witness = sublinear._ray_witness
 
     def zero(compiled, i):
         if witness(compiled, i) is None:
             return None
         return Scaled((0,) * len(compiled[0][i]), 1)
 
-    mp.setattr(sublinear, "_gram_witness", zero)
+    mp.setattr(sublinear, "_ray_witness", zero)
 
 
 def raise_polar_support(mp: pytest.MonkeyPatch) -> None:
@@ -905,11 +907,44 @@ def fraction_sup_over(rows, v):
     return outcome.value
 
 
-def fraction_remove_redundancy(dim: int, rows, gram_test: bool = True) -> HPolyhedron:
+def fraction_ray_proves(a_i, others) -> bool:
+    """Reference for polyhedra.ray_certificate's verdict, in Fractions:
+    whether some direction c tried has t = <a_i, c> > 0 above <a, c> for
+    every other row a (the ray along c leaves {x : <a, x> <= 1} through
+    a_i alone). The directions are a_i (the Gram test), then, signed so
+    that t > 0, the normals of the first three sets of n - 1 rows drawn
+    from the n other rows with the largest <a, a_i> (a stable sort: ties
+    in input order), each solved for by Gaussian elimination: the first
+    of the systems [rows; e_j] c = e_n that is not singular."""
+    dim = len(a_i)
+
+    def leaves(c):
+        t = dot(a_i, c)
+        if t < 0:
+            c, t = vscale(-1, c), -t
+        return t > 0 and all(dot(a, c) < t for a in others)
+
+    if leaves(a_i):
+        return True
+    top = sorted(range(len(others)), key=lambda k: -dot(others[k], a_i))[:dim]
+    for basis in list(combinations(top, dim - 1))[:3] if dim > 1 else ():
+        rows = [others[k] for k in basis]
+        rhs = (ZERO,) * (dim - 1) + (ONE,)
+        for j in range(dim):
+            c = solve_square(rows + [tuple(ONE if i == j else ZERO for i in range(dim))], rhs)
+            if c is not None:
+                if leaves(c):
+                    return True
+                break
+    return False
+
+
+def fraction_remove_redundancy(dim: int, rows, ray_test: bool = True) -> HPolyhedron:
     """Reference for polyhedra.remove_redundancy, on rational rows or Scaled
-    ones: each row that fails the Gram test, taken in Fractions, poses the
-    remaining rational rows. With gram_test False every row poses its LP:
-    the route from before the Gram test, which the kept rows must match."""
+    ones: each row that no ray proves irredundant (fraction_ray_proves,
+    taken in Fractions) poses the remaining rational rows. With ray_test
+    False every row poses its LP: the route from before the ray test,
+    which the kept rows must match."""
     kept = []
     for a in map(unscaled, rows):
         if a not in kept:
@@ -917,13 +952,10 @@ def fraction_remove_redundancy(dim: int, rows, gram_test: bool = True) -> HPolyh
     i = 0
     while i < len(kept):
         others = kept[:i] + kept[i + 1 :]
-        a_i = kept[i]
-        if not others or (
-            gram_test and dot(a_i, a_i) > max(dot(a, a_i) for a in others)
-        ):
+        if not others or (ray_test and fraction_ray_proves(kept[i], others)):
             i += 1
             continue
-        top = fraction_sup_over(others, a_i)
+        top = fraction_sup_over(others, kept[i])
         if top is None or top > 1:
             i += 1
         else:
@@ -1021,6 +1053,47 @@ def use_fraction_routes(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(sublinear, "check_unit_ball", fraction_check_unit_ball)
     mp.setattr(sublinear, "exposed_witness", fraction_exposed_witness)
     mp.setattr(sublinear, "random_unit_ball_rep", fraction_random_unit_ball_rep)
+
+
+# ------------------------------------------------------- unimodular bodies
+
+
+def unimodular(rng: random.Random, dim: int, ops: int) -> tuple:
+    """A seeded unimodular int matrix U and its inverse V: the identity
+    after ops column operations, each adding k times one column to another
+    (0 < |k| <= 3), with V taking the inverse row operation each time."""
+    u = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    v = [row[:] for row in u]
+    for _ in range(ops if dim > 1 else 0):
+        i, j = rng.sample(range(dim), 2)
+        k = rng.choice((-3, -2, -1, 1, 2, 3))
+        for row in u:  # U (I + k e_i e_j^T)
+            row[j] += k * row[i]
+        v[i] = [a - k * b for a, b in zip(v[i], v[j])]  # (I - k e_i e_j^T) V
+    return u, v
+
+
+def unimodular_body(rng: random.Random, kind: str, dim: int, ops: int) -> tuple:
+    """(rows, rhs, f) of a body {x : <a_i, x> <= b_i}, the image under
+    y = U x (U from unimodular) of the box {0 <= y <= 1}, the simplex
+    {y >= 0, sum y <= dim} or the split {0 <= y_1 <= 1}, as the
+    benchmark's bodies are built, about f = U^-1 y_f for a seeded y_f
+    with every coordinate in (0, 1), in the body's interior. The rows come
+    in a seeded order."""
+    u, v = unimodular(rng, dim, ops)
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    negated = [tuple(-c for c in e) for e in units]
+    if kind == "box":
+        y_rows = [(e, 1) for e in units] + [(e, 0) for e in negated]
+    elif kind == "simplex":
+        y_rows = [(e, 0) for e in negated] + [((1,) * dim, dim)]
+    else:
+        y_rows = [(units[0], 1), (negated[0], 0)]
+    rng.shuffle(y_rows)
+    y_f = [Fraction(rng.randint(1, 3), 4) for _ in range(dim)]
+    rows = [tuple(sum(g[i] * u[i][j] for i in range(dim)) for j in range(dim)) for g, _ in y_rows]
+    f = tuple(sum(v[j][i] * y_f[i] for i in range(dim)) for j in range(dim))
+    return rows, [h for _, h in y_rows], f
 
 
 # ------------------------------------------------------- lattice scan oracles
@@ -1336,3 +1409,24 @@ def reference_render(report: dict) -> str:
     """Reference for cli._render(report, "json"): json.dumps(indent=2),
     json's pure-Python encoder, over reference_plain(report)."""
     return json.dumps(reference_plain(report), indent=2)
+
+
+# ---------------------------------------------------------- JSON row readers
+
+
+def reference_polyhedron_from_json(obj):
+    """Reference for jsonio.polyhedron_from_json: rows and right-hand
+    sides read entry by entry by vector_list_from_json and
+    vector_from_json, then normalized, as before they were read to ints."""
+    dim = jsonio._dim_from_json(obj)
+    rows = jsonio.vector_list_from_json(*jsonio._field(obj, "rows"), dim)
+    rhs = jsonio.vector_from_json(*jsonio._field(obj, "rhs"), len(rows))
+    return normalize(rows, rhs)
+
+
+def reference_body_from_json(obj, f):
+    """Reference for jsonio.body_from_json, read as
+    reference_polyhedron_from_json reads a set, then make_body."""
+    rows = jsonio.vector_list_from_json(*jsonio._field(obj, "rows", "body"), len(f))
+    rhs = jsonio.vector_from_json(*jsonio._field(obj, "rhs", "body"), len(rows))
+    return cuts.make_body(rows, rhs, f)

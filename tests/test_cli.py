@@ -1,6 +1,8 @@
 import json
 import random
+import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from conftest import (
     rational_samples,
     reference_render,
     vscale,
-    zero_gram_witness,
+    zero_ray_witness,
 )
 from polarcut import cli, cuts, jsonio, rationals, sublinear
 from polarcut.cli import main
@@ -152,23 +154,25 @@ def test_verify_reports_off_recession_violation_when_polar_drops_a_row(
 
 
 def test_verify_reports_exposed_failure(tmp_path, capsys, monkeypatch):
-    # Both rows of the quadrant have a Gram certificate, so the suite takes
+    # Both rows of the quadrant have a ray certificate, so the suite takes
     # their witnesses from it, and a zero witness there fails both.
     _, _, _, checks = quadrant_counts()
-    zero_gram_witness(monkeypatch)
+    zero_ray_witness(monkeypatch)
     checks["exposed"]["failures"] = 2
     assert verify_quadrant(tmp_path, capsys) == (1, checks, 2)
 
 
 def test_verify_reports_exposed_failure_on_the_lp_fallback(tmp_path, capsys, monkeypatch):
-    # In {x_1 <= 1, x_1 + x_2 <= 1} the row (1, 0) has no Gram certificate
-    # (|a_1|^2 = 1 = <a_2, a_1>), so its witness comes from exposed_witness;
-    # a zero witness there fails that row alone.
-    doc = {"dim": 2, "rows": [[1, 0], [1, 1]], "rhs": [1, 1]}
+    # In {x_1 + 3 x_2 <= 1, 2 x_1 + 2 x_2 <= 1, 2 x_1 - 2 x_2 <= 1} the
+    # row (2, 2) has no ray certificate: the Gram test ties (|a_2|^2 = 8 =
+    # <a_1, a_2>), the normal (3, -1) of a_1 meets a_3 first, and the
+    # normal (2, 2) of a_3 ties with a_1. So its witness comes from
+    # exposed_witness; a zero witness there fails that row alone.
+    doc = {"dim": 2, "rows": [[1, 3], [2, 2], [2, -2]], "rhs": [1, 1, 1]}
     path = write(tmp_path, "k.json", doc)
     code, out, _ = run(capsys, "verify", path, "--samples", "40")
     clean = json.loads(out)
-    assert code == 0 and clean["checks"]["exposed"] == {"rows_checked": 2, "failures": 0}
+    assert code == 0 and clean["checks"]["exposed"] == {"rows_checked": 3, "failures": 0}
     monkeypatch.setattr(sublinear, "exposed_witness", lambda h, i: zero_vector(h.dim))
     code, out, _ = run(capsys, "verify", path, "--samples", "40")
     doc = json.loads(out)
@@ -669,6 +673,42 @@ def query_doc(count):
     return dict(QUADRANT_K, rows=[[1, 0], [0, 1], [-1, -1]], rhs=[1, 1, 2], points=points)
 
 
+def test_set_and_body_rows_build_no_fractions(monkeypatch):
+    # A set document and a body document, their rows and right-hand
+    # sides spelled each accepted way (ints, "p/q", blanks, a unicode
+    # minus, an unreduced text), are read with no parse_rational or
+    # rationals.vector call and without the entry-by-entry readers, which
+    # only diagnose a refused document; one bad entry calls them.
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    for module, name in [
+        (rationals, "parse_rational"),
+        (rationals, "vector"),
+        (jsonio, "parse_rational"),
+        (jsonio, "vector_from_json"),
+        (jsonio, "vector_list_from_json"),
+    ]:
+        counted(module, name)
+    rows = [[1, " 2/4"], ["\u22123/6", 0], ["+5", "7/1"], [-1, "-1"]]
+    rhs = [" 1 ", "3/2", 4, "\u22121/2"]
+    doc = {"dim": 2, "rows": rows, "rhs": ["1", "3/2", 4, "5/2"]}
+    h = jsonio.polyhedron_from_json(doc)
+    body = jsonio.body_from_json({"rows": rows, "rhs": rhs}, (Fraction(1, 4), Fraction(1, 3)))
+    assert (len(h.rows), len(body.rows), sum(calls.values())) == (4, 3, 0), calls
+    with pytest.raises(jsonio.SchemaError, match=re.escape("field 'rows[3][1]'")):
+        jsonio.polyhedron_from_json(dict(doc, rows=rows[:3] + [[-1, 0.5]]))
+    assert calls["vector_list_from_json"] == 1 and calls["parse_rational"] > 0
+
+
 def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
     # gauge and rho on 1,000 canonically spelled points parse none of them
     # with parse_rational or jsonio.vector_from_json (which only diagnoses
@@ -719,7 +759,7 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
             assert code == 0 and len(json.loads(out)["values"]) == count
             seen.append(dict(counts))
         empty, full = seen
-        assert full["parse"] == empty["parse"] > 0
+        assert full["parse"] == empty["parse"] == 0  # the set's rows too
         assert full["vector"] == 0
         assert blocks == [256, 256, 256, 232]
         assert full["fraction"] == empty["fraction"]
@@ -736,4 +776,5 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
     loose["points"][999][0] = "1.5"
     code, _, _ = run(capsys, "rho", write(tmp_path, "bad.json", loose))
     assert code == 2 and counts["vector"] == 1000 - 768  # rows 768..999
+    assert counts["parse"] > 0  # the diagnosis parses what it names
     assert counts["rationals.vector"] == 0

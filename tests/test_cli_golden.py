@@ -104,6 +104,34 @@ WIDE_SLAB_P_3D = {
     "body": {"rows": [[1, 0, 1], [-1, 0, -1], [0, 1, 0]], "rhs": [2, 0, 2]},
 }
 
+# The box 0 <= y <= 1 in the coordinates y = U x of the unimodular U with
+# rows (1, 0, 0, 0), (2, 1, 0, 0), (0, 2, 1, 0), (0, 0, 2, 1), about the
+# f with U f = (1/2, 1/2, 1/2, 1/2). The centred rows are +-2 U_i, and
+# <2 U_2, 2 U_1> = 8 > |2 U_1|^2 = 4: the Gram test fails on the rows
+# +-2 U_1, and a normal direction proves each irredundant with no LP.
+UNIMODULAR_BOX_4D = {
+    "instance": {
+        "dim": 4,
+        "f": ["1/2", "-1/2", "3/2", "-5/2"],
+        "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]],
+        "P": None,
+    },
+    "body": {
+        "rows": [
+            [1, 0, 0, 0], [-1, 0, 0, 0], [2, 1, 0, 0], [-2, -1, 0, 0],
+            [0, 2, 1, 0], [0, -2, -1, 0], [0, 0, 2, 1], [0, 0, -2, -1],
+        ],
+        "rhs": [1, 0, 1, 0, 1, 0, 1, 0],
+    },
+}
+
+# The unit square about f with the redundant row x1 + x2 <= 3, which no
+# ray can prove irredundant: it still takes its LP, and is dropped.
+REDUNDANT_BOX_2D = {
+    "instance": {"dim": 2, "f": ["1/2", "1/3"], "rays": [[1, 0], [0, 1], [-1, -1]], "P": None},
+    "body": {"rows": [[1, 0], [-1, 0], [1, 1], [0, 1], [0, -1]], "rhs": [1, 0, 3, 1, 0]},
+}
+
 # check-cut scans the radius box clipped to the cut's violation_box and
 # reuses LP certificates there. Here the box at radius 3 is {0..3} x {1..3};
 # its first violation, at (1, 1), comes after one optimal LP whose dual
@@ -183,6 +211,8 @@ DOCUMENTS = {
     "simplex_body3d.json": SIMPLEX_BODY_3D,
     "slab_p3d.json": SLAB_P_3D,
     "wide_slab_p3d.json": WIDE_SLAB_P_3D,
+    "unimodular_box4d.json": UNIMODULAR_BOX_4D,
+    "redundant_box2d.json": REDUNDANT_BOX_2D,
     "cut_valid.json": dict(SPLIT, cut={"alpha": [2, 2], "provenance": "split"}),
     "cut_zero.json": dict(SPLIT, cut={"alpha": [0, 0], "provenance": ""}),
     "cut_ray.json": dict(SPLIT, cut={"alpha": [-2, "1/2"], "provenance": ""}),
@@ -218,6 +248,7 @@ def _calls() -> list:
             calls.append((command, name))
     calls.append(("verify", "--random", "5", "--seed", "7", "--samples", "40"))
     bodies = ("split.json", "fat.json", "box3d.json", "slab_p3d.json", "wide_slab_p3d.json")
+    bodies += ("unimodular_box4d.json", "redundant_box2d.json")
     for name in bodies:
         for command in ("cut", "sfree", "maximal"):
             for radius in ("0", "2", "5"):

@@ -408,7 +408,7 @@ def _polyhedron_programs():
 def test_int_rows_read_as_they_are_match_the_integer_rows_route():
     # lp.solve reads an all-int row (and objective) as its own ints over 1.
     # On the programs normalize and the property suite pose, exposed_witness
-    # at every row (the suite poses it only at a row without a Gram
+    # at every row (the suite poses it only at a row without a ray
     # certificate) and the multiplier LP at the suite's off-recession
     # samples, that gives the same pivots, outcomes and certificates as
     # reading every row through integer_rows.

@@ -14,6 +14,7 @@ from conftest import (
     cone_is_pointed,
     fraction_exposed_witness,
     fraction_hull_membership,
+    fraction_ray_proves,
     fraction_remove_redundancy,
     fraction_support_lp,
     in_recession,
@@ -22,6 +23,7 @@ from conftest import (
     programs_logged,
     rational_samples,
     recheck_hull_verdict,
+    unimodular_body,
     use_fraction_routes,
     vadd,
     vscale,
@@ -30,6 +32,7 @@ from test_cli_golden import CALLS, run_call, write_documents
 from test_readme import README, python_blocks
 import polarcut
 from polarcut import cuts, jsonio, lp, polyhedra
+from polarcut.cuts import make_body
 from polarcut.polyhedra import (
     ColumnMax,
     HPolyhedron,
@@ -38,13 +41,13 @@ from polarcut.polyhedra import (
     VPolytope,
     column_max,
     exposed_witness,
-    gram_certificate,
     hull_membership,
     membership,
     normalize,
     pairings,
     polar,
     random_polyhedron,
+    ray_certificate,
     remove_redundancy,
     sup_over,
 )
@@ -54,7 +57,6 @@ from polarcut.rationals import (
     dot,
     integer_rows,
     is_zero_vector,
-    unscaled,
     vector,
     zero_vector,
 )
@@ -504,6 +506,47 @@ def test_rank_matches_fraction_elimination():
         assert polyhedra._rank(rows) == rank, rows
 
 
+def _fraction_det(matrix) -> Fraction:
+    """The determinant by Gaussian elimination over Fractions."""
+    m = [[Fraction(c) for c in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            factor = m[r][col] / m[col][col]
+            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def test_normal_is_the_cofactor_vector():
+    # _normal on n - 1 seeded int rows of width n, 2-7-D (closed forms up
+    # to 4-D, Bareiss minors above), dependent rows and huge entries among
+    # them: c_j is (-1)^j times the Fraction determinant of the rows
+    # without column j, so c is orthogonal to every row, and it is 0
+    # exactly when the rows are dependent.
+    rng = random.Random(1968)
+    dependent = 0
+    for _ in range(400):
+        n = rng.randint(2, 7)
+        rows = [tuple(rng.choice((0, 0, 1, -1, 2, -3, 7, 10**20)) for _ in range(n)) for _ in range(n - 1)]
+        if n > 2 and rng.random() < 0.2:
+            a, b = rng.sample(rows, 2)
+            rows[-1] = tuple(2 * x - 3 * y for x, y in zip(a, b))
+        c = polyhedra._normal(rows)
+        minors = [[r[:j] + r[j + 1 :] for r in rows] for j in range(n)]
+        assert list(c) == [(-1) ** j * _fraction_det(m) for j, m in enumerate(minors)]
+        assert all(sum(map(mul, r, c)) == 0 for r in rows)
+        assert any(c) == (polyhedra._rank(rows) == n - 1)
+        dependent += not any(c)
+    assert dependent >= 20, dependent
+
+
 @pytest.mark.parametrize("status", ["optimal", "infeasible", "unbounded"])
 def test_is_bounded_refuses_an_unchecked_outcome(monkeypatch, status):
     # A boundedness LP outcome that fails lp.verify_certificate is a fault,
@@ -593,6 +636,27 @@ def _raw_rows(rng: random.Random, dim: int, count: int) -> list:
     return rows
 
 
+def _image_and_zero_coefficient_sets(rng: random.Random, per_kind: int) -> list:
+    """Seeded 1-5-D rows: the centred rows of unimodular images of boxes,
+    simplices and splits (per_kind of each in each dimension), as
+    make_body hands them to normalize, and as many sets whose rows have
+    zero coefficients."""
+    sets = []
+    for dim in (1, 2, 3, 4, 5):
+        for kind in ("box", "simplex", "split"):
+            for _ in range(per_kind):
+                rows, rhs, f = unimodular_body(rng, kind, dim, rng.randint(dim - 1, 2 * dim))
+                sets.append([vscale(1 / (b - dot(a, f)), a) for a, b in zip(rows, rhs)])
+        for _ in range(3 * per_kind):
+            rows, count = [], rng.randint(2, dim + 5)
+            while len(rows) < count:
+                a = tuple(Fraction(rng.choice((0, 0, 1, -1, 2, -3, 5))) for _ in range(dim))
+                if any(a):
+                    rows.append(vscale(Fraction(rng.randint(1, 4), rng.randint(1, 9)), a))
+            sets.append(rows)
+    return sets
+
+
 def test_compiled_support_lps_match_fraction_rows():
     rng = random.Random(4181)
     raw = [[tuple(map(Fraction, a)) for a in rows] for rows in DEGENERATE_SETS]
@@ -601,6 +665,7 @@ def test_compiled_support_lps_match_fraction_rows():
     for _ in range(60):
         dim = rng.randint(1, 5)
         raw.append(_raw_rows(rng, dim, rng.randint(2, dim + 6)))
+    raw += _image_and_zero_coefficient_sets(rng, 1)
     seen = Counter()
     bounded = 0
     for rows in raw:
@@ -633,7 +698,7 @@ def test_compiled_support_lps_match_fraction_rows_on_drawn_sets(drawn):
     _routes_agree(dim, rows, Counter())
 
 
-# ------------------------------------------------ the Gram test before an LP
+# ------------------------------------------------- the ray test before an LP
 
 
 def _gram_cases(rng: random.Random, dim: int, rows: list) -> list:
@@ -668,14 +733,20 @@ GRAM_EXAMPLES = [
     # every <a_j, a_i> <= 0: m <= 0 for every row
     (2, [(1, 0), (-1, 0), (0, 1), (0, -1)]),
     (1, [(Fraction(1, 10**40),), (-3,)]),
+    # irredundant rows that no direction tried proves, left to the LP:
+    # (1, 0) fails the Gram test against (2, 1), the normal (1, -2) of
+    # (2, 1) ties (t = m = 1, on (0, -1/2)), and the normal (1, 0) of
+    # (0, -1/2) meets (2, 1) first; (2, 2) ties with (1, 3) on both
+    (2, [(1, 0), (2, 1), (0, Fraction(-1, 2))]),
+    (2, [(1, 3), (2, 2), (2, -2)]),
 ]
 
 
 def _gram_calls(run, *args) -> tuple:
-    """run(*args) with every gram_certificate call it makes, as (r, others,
+    """run(*args) with every ray_certificate call it makes, as (r, others,
     den, result)."""
     calls = []
-    certify = polyhedra.gram_certificate
+    certify = polyhedra.ray_certificate
 
     def recorded(r, others, den):
         result = certify(r, others, den)
@@ -683,39 +754,43 @@ def _gram_calls(run, *args) -> tuple:
         return result
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polyhedra, "gram_certificate", recorded)
+        mp.setattr(polyhedra, "ray_certificate", recorded)
         value = run(*args)
     return value, calls
 
 
 def _check_certificate(r, others, den, x) -> str:
-    """x, gram_certificate's answer on (r, others, den), checked by exact
-    rational arithmetic on the rows a = r / den: when a point, it is the
-    stated one, meets every other row and lies past a; when None,
-    |r|^2 <= m. Returns the case met."""
+    """x, ray_certificate's answer on (r, others, den). When a point, it
+    meets every other row and lies strictly past r, in exact ints:
+    <s, x.ints> <= den x.den < <r, x.ints>; along r it is the Gram
+    form, den r / m or 2 den r / |r|^2, and otherwise it is orthogonal to
+    n - 1 others. When None, the Gram test fails, |r|^2 <= m, and so does
+    the Fraction reference's ray test. Returns the case met."""
     a = tuple(Fraction(c, den) for c in r)
     rest = [tuple(Fraction(c, den) for c in s) for s in others]
     norm = sum(c * c for c in r)
     m = max((sum(c * e for c, e in zip(s, r)) for s in others), default=0)
     if x is None:
-        assert norm <= m
+        assert norm <= m and not fraction_ray_proves(a, rest)
         return "tie" if norm == m else "failed"
-    x = unscaled(x)
-    assert dot(a, x) > 1
-    assert all(dot(s, x) <= 1 for s in rest)
-    if m > 0:
-        assert x == tuple(Fraction(den * c, m) for c in r)
-        return "m > 0"
-    assert x == tuple(Fraction(2 * den * c, norm) for c in r)
-    return "m <= 0"
+    ints, d = x
+    assert all(sum(map(mul, s, ints)) <= den * d for s in others)
+    assert sum(map(mul, r, ints)) > den * d
+    assert fraction_ray_proves(a, rest)
+    if norm > m:
+        form = Scaled(tuple(den * c for c in r), m) if m > 0 else None
+        assert x == (form or Scaled(tuple(2 * den * c for c in r), norm))
+        return "m > 0" if m > 0 else "m <= 0"
+    assert sum(not sum(map(mul, s, ints)) for s in others) >= len(r) - 1
+    return "normal"
 
 
 def _gram_agrees(dim: int, rows, seen: Counter) -> None:
-    """remove_redundancy with its Gram test keeps the rows that an LP for
-    every row keeps, in the same order, poses one LP for each row whose
-    test fails and none for the rest, and every certificate checks."""
+    """remove_redundancy with its ray test keeps the rows that an LP for
+    every row keeps, in the same order, poses one LP for each row that no
+    ray proves and none for the rest, and every certificate checks."""
     (h, programs), calls = _gram_calls(programs_logged, remove_redundancy, dim, rows)
-    assert h.rows == fraction_remove_redundancy(dim, rows, gram_test=False).rows
+    assert h.rows == fraction_remove_redundancy(dim, rows, ray_test=False).rows
     assert len(programs) == sum(x is None for *_, x in calls)
     for r, others, den, x in calls:
         seen[_check_certificate(r, others, den, x)] += 1
@@ -723,16 +798,22 @@ def _gram_agrees(dim: int, rows, seen: Counter) -> None:
 
 
 def test_gram_test_keeps_the_rows_of_an_lp_for_every_row():
+    # The ray test on the examples above, the degenerate sets, seeded
+    # 1-4-D rows and 1-5-D unimodular images and zero-coefficient sets,
+    # each with derived rows mixed in (_gram_agrees).
     rng = random.Random(6174)
     sets = [[tuple(map(Fraction, a)) for a in rows] for _, rows in GRAM_EXAMPLES]
     sets += [[tuple(map(Fraction, a)) for a in rows] for rows in DEGENERATE_SETS]
     for _ in range(80):
         dim = rng.randint(1, 4)
         sets.append(_gram_cases(rng, dim, _raw_rows(rng, dim, rng.randint(1, dim + 5))))
+    for rows in _image_and_zero_coefficient_sets(rng, 4):
+        sets.append(_gram_cases(rng, len(rows[0]), rows))
     seen = Counter()
     for rows in sets:
         _gram_agrees(len(rows[0]), rows, seen)
-    assert min(seen[k] for k in ("m > 0", "m <= 0", "tie", "failed", "dropped rows")) >= 10, seen
+    cases = ("m > 0", "m <= 0", "normal", "tie", "failed", "dropped rows")
+    assert min(seen[k] for k in cases) >= 10, seen
 
 
 @st.composite
@@ -753,12 +834,49 @@ def test_gram_test_keeps_the_rows_of_an_lp_for_every_row_on_drawn_sets(drawn):
 
 
 def test_gram_certificate_cases():
-    # The two forms of the point, a tie, and a lone row.
-    x = gram_certificate((2, 0), [(1, 1), (0, 1)], 3)
+    # The two Gram forms of the point, a lone row, the two forms along a
+    # normal direction, rows that no direction tried proves (one after a
+    # tie), and a normal in 3-D.
+    x = ray_certificate((2, 0), [(1, 1), (0, 1)], 3)
     assert x == Scaled((6, 0), 2)  # den r / m = 3 (2, 0) / 2
-    assert gram_certificate((1, 0), [(-1, 0), (0, 1)], 5) == Scaled((10, 0), 1)
-    assert gram_certificate((1, 0), [(1, 1), (1, -1)], 1) is None
-    assert gram_certificate((0, 3), [], 2) == Scaled((0, 12), 9)
+    assert ray_certificate((1, 0), [(-1, 0), (0, 1)], 5) == Scaled((10, 0), 1)
+    assert ray_certificate((0, 3), [], 2) == Scaled((0, 12), 9)
+    # (1, 0) against (1, 1): the normal c = (1, -1) has t = 1 > m = 0
+    assert ray_certificate((1, 0), [(1, 1)], 1) == Scaled((2, -2), 1)
+    # (2, 0) against (2, 2), (0, 2) and (1, 0): the normal c = (2, -2) of
+    # (2, 2) has t = 4 > m = 2, on (1, 0): x = den c / m
+    assert ray_certificate((2, 0), [(2, 2), (0, 2), (1, 0)], 1) == Scaled((2, -2), 2)
+    # against (1, 1) and (1, -1) every direction meets another row first
+    assert ray_certificate((1, 0), [(1, 1), (1, -1)], 1) is None
+    # (2, 0) against (4, 2) and (0, -1): the normal (2, -4) of (4, 2)
+    # ties (t = m = 4, on (0, -1)), and the normal (1, 0) of (0, -1) has
+    # t = 2 below <(4, 2), c> = 4; the row, irredundant, is left to the LP
+    assert ray_certificate((2, 0), [(4, 2), (0, -1)], 2) is None
+    # in 3-D, (1, 0, 0) against (1, 1, 0), (1, 0, 1) and (-1, 0, 0): the
+    # cross product of the first two, (1, -1, -1), has t = 1 > m = 0
+    x = ray_certificate((1, 0, 0), [(1, 1, 0), (1, 0, 1), (-1, 0, 0)], 1)
+    assert x == Scaled((2, -2, -2), 1)
+
+
+def test_make_body_poses_no_lp_on_unimodular_images(monkeypatch):
+    # make_body on seeded unimodular images of 2-4-D boxes, simplices and
+    # splits, built as the benchmark's cut-family bodies are, poses no
+    # sup_over call: a ray proves every row. With a redundant row put
+    # first (a facet's row pushed out by 1) it poses exactly one, which
+    # drops that row.
+    calls = []
+    real = polyhedra.sup_over
+    monkeypatch.setattr(polyhedra, "sup_over", lambda c, v: calls.append(v) or real(c, v))
+    rng = random.Random(1995)
+    for dim in (2, 3, 4):
+        for kind in ("box", "simplex", "split"):
+            for _ in range(10):
+                rows, rhs, f = unimodular_body(rng, kind, dim, rng.randint(dim - 1, 2 * dim))
+                body = make_body(rows, rhs, f)
+                assert len(body.rows) == len(rows) and calls == []
+                padded = make_body([rows[0]] + rows, [rhs[0] + 1] + rhs, f)
+                assert padded == body and len(calls) == 1
+                calls.clear()
 
 
 def _normalize_inputs() -> list:
@@ -786,10 +904,11 @@ def _normalize_inputs() -> list:
 
 def test_normalize_poses_one_lp_per_row_that_fails_the_gram_test(lp_solves):
     # On every set of the README and of the golden corpus, normalize's LPs
-    # are those of the Fraction reference, whose Gram test is taken in
-    # Fractions: one per row whose test fails, in the same order, and none
-    # for the rest. Each LP's objective is its row's int form, and its
-    # rows are the other live rows, against which the test does fail.
+    # are those of the Fraction reference, whose ray test is taken in
+    # Fractions: one per row that no ray proves, in the same order, and
+    # none for the rest. Each LP's objective is its row's int form, and
+    # its rows are the other live rows, against which the Gram test and
+    # every other direction tried do fail.
     inputs = _normalize_inputs()
     for rows, rhs in inputs:
         h, programs = programs_logged(normalize, rows, rhs)
@@ -802,19 +921,20 @@ def test_normalize_poses_one_lp_per_row_that_fails_the_gram_test(lp_solves):
             p.objective for p in reference_programs
         ]
         for p in programs:
-            r = p.objective
-            assert sum(c * c for c in r) <= max(sum(map(mul, s, r)) for s, _, _ in p.rows)
-    # The same counts on any machine: 16 sets keep 50 rows with 15 LPs,
-    # where an LP for every row takes 57.
+            r, others = p.objective, [s for s, _, _ in p.rows]
+            assert sum(c * c for c in r) <= max(sum(map(mul, s, r)) for s in others)
+            assert ray_certificate(r, others, p.rows[0][2]) is None
+    # The same counts on any machine: 18 sets keep 62 rows with 11 LPs,
+    # where the Gram test alone takes 18 and an LP for every row 70.
     lp_solves.clear()
     kept = sum(len(normalize(rows, rhs).rows) for rows, rhs in inputs)
-    assert (len(inputs), kept, dict(lp_solves)) == (16, 50, {"optimal": 11, "unbounded": 4})
+    assert (len(inputs), kept, dict(lp_solves)) == (18, 62, {"optimal": 11})
     lp_solves.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polyhedra, "remove_redundancy", _lp_only_remove_redundancy)
         assert sum(len(normalize(rows, rhs).rows) for rows, rhs in inputs) == kept
-    assert sum(lp_solves.values()) == 57
+    assert sum(lp_solves.values()) == 70
 
 
 def _lp_only_remove_redundancy(dim, rows):
-    return fraction_remove_redundancy(dim, rows, gram_test=False)
+    return fraction_remove_redundancy(dim, rows, ray_test=False)

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance, make_program, vadd, vscale, vsub
+from conftest import (
+    make_instance,
+    make_program,
+    reference_body_from_json,
+    reference_polyhedron_from_json,
+    vadd,
+    vscale,
+    vsub,
+)
+from polarcut import jsonio
 from polarcut.cuts import CornerInstance, make_body
 from polarcut.jsonio import SchemaError, points_from_json
 from polarcut.lp import LinearProgram, solve
@@ -327,6 +336,72 @@ def test_scaled_columns_special_scalars(special):
                 list(points_from_json({"points": rows}, 2))
             assert str(raised.value) == f"field 'points[{k}][{j}]': {message}"
     assert block_rows([[special]], 1) is None
+
+
+# A set's and a body's rows and right-hand sides, and the structural
+# faults the entry-by-entry reader names: a row of another width, a row
+# or a list that is not a list, a missing or short "rhs".
+ROW_DOC = {"rows": [[1, "-2/3"], ["5/7", 0]], "rhs": ["3/2", 2]}
+ROW_POSITIONS = [("rows", 0, 0), ("rows", 0, 1), ("rows", 1, 0), ("rows", 1, 1), ("rhs", 0), ("rhs", 1)]
+ROW_FAULTS = [
+    {"rows": [[1, 2, 3], [1, 0]], "rhs": [1, 1]},
+    {"rows": [[1, 0], "12"], "rhs": [1, 1]},
+    {"rows": "rows", "rhs": [1]},
+    {"rows": [[1, 0]]},
+    {"rows": [[1, 0]], "rhs": [1, 2]},
+    {"rows": [[1, 0]], "rhs": {"0": 1}},
+    {"rhs": [1]},
+    [[1, 0]],
+]
+
+
+def _outcome(read, *args):
+    """read(*args), or the type and text of the ValueError it raises."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _spelled_docs():
+    """ROW_DOC with one entry spelled each way, at every position: each
+    text_forms and more_forms spelling of a few rationals, and each
+    SPECIAL_SCALARS entry."""
+    forms = list(SPECIAL_SCALARS)
+    for q in (Fraction(0), Fraction(3), Fraction(-7, 4), Fraction(10**30, 7)):
+        forms += text_forms(q) + more_forms(q)
+    for key, *at in ROW_POSITIONS:
+        for form in forms:
+            doc = {"rows": [list(r) for r in ROW_DOC["rows"]], "rhs": list(ROW_DOC["rhs"])}
+            entries = doc[key][at[0]] if key == "rows" else doc[key]
+            entries[at[-1]] = form
+            yield doc
+
+
+def test_set_and_body_rows_read_to_ints():
+    # Every spelling at every position of a set's and a body's rows and
+    # right-hand sides: an accepted document reads to the Scaled rows
+    # scaled(vector(row)) and its right-hand sides to scaled(vector(rhs)),
+    # and builds the set (and body) the entry-by-entry reader builds; a
+    # refused one raises that reader's exact error, SchemaError text and
+    # all, as does each structural fault.
+    f = (Fraction(1, 2), Fraction(1, 3))
+    accepted = refused = 0
+    for doc in [*_spelled_docs(), *ROW_FAULTS]:
+        read = _outcome(jsonio._rows_from_json, doc, 2)
+        expected = _outcome(reference_polyhedron_from_json, {"dim": 2, **doc} if isinstance(doc, dict) else doc)
+        if isinstance(read, tuple) and isinstance(read[1], Scaled):
+            rows, rhs = read
+            assert rows == [scaled(vector(r)) for r in doc["rows"]]
+            assert rhs == scaled(vector(doc["rhs"]))
+            accepted += 1
+        else:
+            refused += 1
+        got = _outcome(jsonio.polyhedron_from_json, {"dim": 2, **doc} if isinstance(doc, dict) else doc)
+        assert got == expected
+        assert _outcome(jsonio.body_from_json, doc, f) == _outcome(reference_body_from_json, doc, f)
+    assert accepted >= 200, accepted
+    assert refused == len(SPECIAL_SCALARS) * len(ROW_POSITIONS) + len(ROW_FAULTS)
 
 
 # Characters near the scalar grammar: digits, signs (the unicode minus

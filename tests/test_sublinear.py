@@ -30,7 +30,7 @@ from conftest import (
     use_fraction_routes,
     vadd,
     vscale,
-    zero_gram_witness,
+    zero_ray_witness,
 )
 from polarcut import jsonio, polyhedra, sublinear
 from polarcut.lp import solve
@@ -38,12 +38,12 @@ from polarcut.polyhedra import (
     HPolyhedron,
     VPolytope,
     exposed_witness,
-    gram_certificate,
     hull_membership,
     membership,
     normalize,
     polar,
     random_polyhedron,
+    ray_certificate,
 )
 from polarcut.rationals import (
     ZERO,
@@ -427,7 +427,7 @@ def _break_check(monkeypatch, check):
     """The four deliberately broken checks of test_cli.py, each fault put
     on both routes: the column route of property_suite and the evaluators
     that the per-point route of rational_property_suite calls. A zero
-    exposed witness is put on the Gram route and on exposed_witness, the
+    exposed witness is put on the ray route and on exposed_witness, the
     suite's fallback for a row without a certificate and the reference's
     witness for every row."""
     if check == "off_recession":
@@ -435,7 +435,7 @@ def _break_check(monkeypatch, check):
         real = sublinear.support
         monkeypatch.setattr(sublinear, "support", lambda gens, x: real(gens, x) + 1)
     elif check == "exposed":
-        zero_gram_witness(monkeypatch)
+        zero_ray_witness(monkeypatch)
         monkeypatch.setattr(sublinear, "exposed_witness", lambda h, i: (ZERO,) * h.dim)
     elif check == "reconstruct":
         raise_rho(monkeypatch)
@@ -699,13 +699,13 @@ def test_sample_points_make_no_pairings(monkeypatch):
 
 
 def _gram_and_lp_verdicts(h):
-    """Per row of h, (Gram verdict, LP verdict): whether the Gram route's
+    """Per row of h, (ray verdict, LP verdict): whether the ray route's
     witness is tight on that row alone (None when the row has no
     certificate), and whether exposed_witness's is (None when it refuses
     the row as redundant)."""
     out = []
     for i in range(len(h.rows)):
-        w = sublinear._gram_witness(h.compiled, i)
+        w = sublinear._ray_witness(h.compiled, i)
         gram = None if w is None else membership(h, w).tight_rows == (i,)
         try:
             lp = membership(h, exposed_witness(h, i)).tight_rows == (i,)
@@ -717,12 +717,14 @@ def _gram_and_lp_verdicts(h):
 
 def test_gram_witnesses_match_the_lp_route():
     # On seeded 1-4-D sets, zero-coefficient sets and random_polyhedron
-    # ones, the Gram route and the LP route give the same verdict on every
+    # ones, the ray route and the LP route give the same verdict on every
     # row that has a certificate (both witnesses tight on that row alone),
     # and the rows without one are those the suite hands to the LP. With a
-    # redundant row added (half a row, or the mean of two rows), the Gram
+    # redundant row added (half a row, or the mean of two rows), the ray
     # route finds no certificate for it, as the LP finds no witness, and
-    # every other row keeps its verdict on both routes.
+    # every other row's certified witness is still tight on it alone. (A
+    # row can gain or lose its certificate there: the added row changes
+    # which bases are tried.)
     rng = random.Random(7877)
     seen = Counter()
     for case in range(80):
@@ -739,7 +741,7 @@ def test_gram_witnesses_match_the_lp_route():
         seen[f"{kind} uncertified"] += sum(gram is None for gram, _ in verdicts)
         rows, den = h.compiled
         for i, _ in enumerate(rows):
-            certified = gram_certificate(rows[i], rows[:i] + rows[i + 1 :], den) is not None
+            certified = ray_certificate(rows[i], rows[:i] + rows[i + 1 :], den) is not None
             assert certified == (verdicts[i][0] is not None)
         extra = vscale(Fraction(1, 2), h.rows[0])
         if len(h.rows) > 1 and any(vadd(h.rows[0], h.rows[1])):
@@ -747,16 +749,16 @@ def test_gram_witnesses_match_the_lp_route():
         padded = HPolyhedron(dim, h.rows + (extra,))
         *kept, (gram, lp) = _gram_and_lp_verdicts(padded)
         assert gram is None and lp is None
-        assert [v for v in kept if v[0] is not None] == [v for v in verdicts if v[0] is not None]
-        assert all(lp is True for _, lp in kept)
+        assert all(lp is True and gram in (True, None) for gram, lp in kept)
         seen["redundant"] += 1
+    # 11 of 141 random rows go to the LP (30 with the Gram test alone)
     random_share = seen["random uncertified"] / seen["random rows"]
-    assert 0.1 < random_share < 0.5, seen
+    assert 0.05 < random_share < 0.15, seen
     assert seen["zero-coefficient uncertified"] > 0 and seen["redundant"] == 80, seen
 
 
 def test_property_suite_poses_no_lp_on_certified_sets():
-    # On sets whose every row has a Gram certificate the suite poses no
+    # On sets whose every row has a ray certificate the suite poses no
     # LP at all: the exposed witnesses come from the certificates, the
     # drawn generators carry their weights and every row is a generator.
     # On the other sets it poses one exposed LP per row without one.
@@ -766,7 +768,7 @@ def test_property_suite_poses_no_lp_on_certified_sets():
         dim = rng.randint(1, 4)
         h = random_polyhedron(dim, rng.randint(2, dim + 5), rng)
         missing = sum(
-            sublinear._gram_witness(h.compiled, i) is None for i in range(len(h.rows))
+            sublinear._ray_witness(h.compiled, i) is None for i in range(len(h.rows))
         )
         (others if missing else certified).append((h, missing))
     (tally, violations), programs = programs_logged(
@@ -1041,7 +1043,7 @@ def test_support_lps_pose_int_rows_as_often_as_the_fraction_routes():
     # generator that is neither a row nor the origin, and the library poses
     # none of those, since each such generator carries its convex weights.
     # The generators are counted from the candidates' points, not from
-    # their weights. Both suites pose one exposed LP per row without a Gram
+    # their weights. Both suites pose one exposed LP per row without a ray
     # certificate, and the third step one per row.
     rng = random.Random(10946)
     raw_sets = []
@@ -1075,7 +1077,7 @@ def test_support_lps_pose_int_rows_as_often_as_the_fraction_routes():
     sets = result[0]
     rows = sum(len(h.rows) for h in sets)
     uncertified = sum(
-        sublinear._gram_witness(h.compiled, i) is None
+        sublinear._ray_witness(h.compiled, i) is None
         for h in sets
         for i in range(len(h.rows))
     )
