@@ -11,7 +11,10 @@ tuples, gauge and rho's rationals.Values column, property_suite's tally as
 it comes) and _render alone turns the whole report into text before
 anything is printed, pretty-printed as json.dumps would with an indent of
 2 but with json's C encoder. main has two failure branches, the output error
-(TooLongToPrint) and the input error.
+(TooLongToPrint) and the input error. An argv that opens with a
+subcommand's name is parsed by that subcommand's own parser, as argparse
+would route it (_parse); any other argv, or one that parser leaves
+arguments over from, goes through the full parser and its errors.
 """
 
 from __future__ import annotations
@@ -240,9 +243,9 @@ def _cmd_maximal(args) -> tuple[int, dict]:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: main reuses it, and
-    parse_args leaves it unchanged."""
+def _parsers() -> tuple:
+    """(the command-line parser, {subcommand name: its parser}), built once
+    per process: main reuses both, and parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="polarcut",
         description=(
@@ -251,9 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def add(name, handler, help_text, needs_input=True, radius=False):
-        p = sub.add_parser(name, help=help_text)
+        p = commands[name] = sub.add_parser(name, help=help_text)
         if needs_input:
             p.add_argument("input", help="path to a JSON document")
         if radius:
@@ -308,11 +312,32 @@ def build_parser() -> argparse.ArgumentParser:
         "certify facet-by-facet maximality on the region",
         radius=True,
     )
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
+    return _parsers()[0]
+
+
+def _parse(argv) -> argparse.Namespace:
+    """parse_args of the full parser, by the subcommand's own parser when
+    argv opens with a subcommand's name: argparse hands the rest of such
+    an argv to that parser, so it gives the same namespace, or the same
+    exit. Any other argv, and one with arguments the subcommand's parser
+    leaves over, goes to the full parser, which prints its own usage and
+    errors."""
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code, report = args.handler(args)
         text = _render(report, args.format)

@@ -13,7 +13,10 @@ canonical row form: coeff(r) = max_i <a_i, r>. K is the body that
 is_s_free, generate_cut and maximality_certificate take; make_body builds
 it from B's rows and right-hand sides in x-space and f. The instance (a
 CornerInstance, checked when built), the Cut and each verdict and report
-are immutable named tuples. Validity is
+are immutable named tuples. The instance is held in ints: f, each ray
+and each row of P a rationals.Scaled, P's right-hand sides one Scaled,
+and every scan, box and LP below reads those ints; a Fraction is built
+only for f's text in a cut's provenance. Validity is
 inherited from sublinearity - any s reaching a point of S satisfies the
 inequality because the body is S-free - and is additionally *checked* here
 on a lattice region, by exact LPs, rather than trusted. check_cut_validity
@@ -47,8 +50,9 @@ region_lattice_points is the one enumerator of a region: the lattice points
 of the closed region B intersect P (P alone when no body is given) inside
 the integer box of a given radius (never negative) around round(f), each
 coordinate rounded half to even, clipped to an optional integer box, in
-lexicographic order. Its half-spaces are compiled once to int rows (B's
-from body.compiled and scaled(f), with no Fraction), and projected once
+lexicographic order. Its half-spaces are compiled once to int rows (P's
+from the instance, B's from body.compiled and f, with no Fraction), and
+the centre round(f) is taken in ints too. They are projected once
 per scan onto the first k coordinates for every k, by exact
 Fourier-Motzkin elimination in ints. Coordinate k then runs only over the
 integer range that the projected rows leave given the coordinates before
@@ -71,8 +75,8 @@ the one point of the slice where that row is tight, if any.
 check_cut_validity takes the points of P inside violation_box from
 region_lattice_points. Each makes one pass, so reported witnesses are
 deterministic: the lexicographically smallest in the box.
-check_cut_validity scales f once (rationals.Scaled), so the offset z - f
-of a lattice point is int arithmetic, and builds a rational only for a
+check_cut_validity reads f over its least denominator, so the offset
+z - f of a lattice point is int arithmetic, and builds a rational only for a
 reported point.
 """
 
@@ -92,11 +96,12 @@ from .polyhedra import (
 from .rationals import (
     Scaled,
     Vec,
-    integer_rows,
-    is_integral,
+    lowest,
+    over_lcm,
     rational_text,
     scaled,
     scaled_vector,
+    unscaled,
     vector,
 )
 from .sublinear import minimal_sublinear
@@ -125,28 +130,36 @@ class NotSFreeError(ValueError):
 
 class CornerInstance(namedtuple("CornerInstance", "dim f rays p_rows p_rhs")):
     """Anchor f (at least one non-integer coordinate), nonempty rays, and an
-    optional H-description of P (general right-hand sides)."""
+    optional H-description of P (general right-hand sides), held in ints:
+    f, each ray and each row of P a Scaled, and P's right-hand sides one
+    Scaled. Each is read by scaled(), so ints and Fractions are taken, a
+    Scaled as it is (jsonio reads them in lowest terms), and anything
+    else is a ValueError. What the scans, boxes and LPs read from them
+    does not depend on how a Scaled is spelled."""
 
     __slots__ = ()
 
     def __new__(
-        cls, dim: int, f: Vec, rays: tuple, p_rows: tuple = (), p_rhs: tuple = ()
+        cls, dim: int, f, rays: tuple, p_rows: tuple = (), p_rhs: tuple = ()
     ):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        if len(f) != dim:
+        f = scaled(f)
+        if len(f.ints) != dim:
             raise ValueError("anchor width differs from dimension")
-        if all(is_integral(c) for c in f):
+        if all(c % f.den == 0 for c in f.ints):
             raise ValueError("anchor must have a non-integer coordinate")
         if not rays:
             raise ValueError("at least one ray required")
+        rays = tuple(map(scaled, rays))
         for r in rays:
-            if len(r) != dim:
+            if len(r.ints) != dim:
                 raise ValueError("ray width differs from dimension")
-        if len(p_rows) != len(p_rhs):
+        p_rows, p_rhs = tuple(map(scaled, p_rows)), scaled(p_rhs)
+        if len(p_rows) != len(p_rhs.ints):
             raise ValueError("P row/right-hand-side count mismatch")
         for row in p_rows:
-            if len(row) != dim:
+            if len(row.ints) != dim:
                 raise ValueError("P row width differs from dimension")
         return super().__new__(cls, dim, f, rays, p_rows, p_rhs)
 
@@ -226,15 +239,20 @@ def make_body(b_rows, b_rhs, f: Vec) -> HPolyhedron:
 
 def _half_spaces(inst: CornerInstance, body: HPolyhedron | None) -> list:
     """The region's half-spaces as int rows (head, last, rhs), for
-    <head, prefix> + last * v <= rhs: P's rows each over its own
-    denominator, then, with a body, B's rows <a_i, z> <= 1 + <a_i, f>.
-    Those are read from body.compiled (rows r over den) and scaled(f)
-    (F over f_den) as <f_den r, z> <= den f_den + <r, F>, divided by
-    their gcd, in body.rows' order."""
-    rows = [scaled(a + (b,)).ints for a, b in zip(inst.p_rows, inst.p_rhs)]
+    <head, prefix> + last * v <= rhs: P's rows each over its own least
+    denominator (row a = A / a_den and b = B / q give (q A, a_den B) over
+    q a_den, in lowest terms), then, with a body, B's rows
+    <a_i, z> <= 1 + <a_i, f>. Those are read from body.compiled (rows r
+    over den) and f (F over f_den) as <f_den r, z> <= den f_den + <r, F>,
+    divided by their gcd, in body.rows' order."""
+    b_ints, q = inst.p_rhs
+    rows = [
+        lowest(tuple(q * c for c in a) + (a_den * b,), a_den * q)[0]
+        for (a, a_den), b in zip(inst.p_rows, b_ints)
+    ]
     if body is not None:
         ints, den = body.compiled
-        f_ints, f_den = scaled(inst.f)
+        f_ints, f_den = inst.f
         for r in ints:
             row = [f_den * c for c in r]
             row.append(den * f_den + sum(map(mul, r, f_ints)))
@@ -321,7 +339,12 @@ def _scan_box(inst: CornerInstance, radius: int, box=None) -> list:
             f"a radius-{radius} scan in dimension {inst.dim} visits "
             f"{side}^{inst.dim} points, over the limit of {MAX_SCAN_POINTS}"
         )
-    ranges = [(c - radius, c + radius) for c in map(round, inst.f)]
+    f_ints, f_den = inst.f
+    ranges = []
+    for n in f_ints:  # round(n / f_den), ties to even: q + 1 past the half
+        q, r = divmod(n, f_den)
+        c = q + (2 * r + (q & 1) > f_den)
+        ranges.append((c - radius, c + radius))
     if box is not None:
         ranges = [
             (low if lo is None else max(low, lo), high if hi is None else min(high, hi))
@@ -406,11 +429,17 @@ def generate_cut(inst: CornerInstance, body: HPolyhedron, radius: int = DEFAULT_
         "(" + ", ".join(map(rational_text, row)) + ")"
         for row in body.rows
     )
-    f_text = ", ".join(map(rational_text, inst.f))
+    f_text = ", ".join(map(rational_text, unscaled(inst.f)))
     return Cut(
         alpha=alpha,
         provenance=f"centered body rows [{rows_text}] about f=({f_text})",
     )
+
+
+def _ray_rows(inst: CornerInstance) -> tuple:
+    """The rays as integer_rows gives them: int rows over their least
+    common denominator, however each ray's Scaled is spelled."""
+    return over_lcm([lowest(*r) for r in inst.rays])
 
 
 def violation_box(inst: CornerInstance, alpha) -> tuple | None:
@@ -425,9 +454,9 @@ def violation_box(inst: CornerInstance, alpha) -> tuple | None:
     is taken by int floor division."""
     if any(a < 0 for a in alpha):
         return None
-    rays, r_den = integer_rows(inst.rays)
+    rays, r_den = _ray_rows(inst)
     costs, a_den = scaled(alpha)
-    f_ints, f_den = scaled(inst.f)
+    f_ints, f_den = inst.f
     tips = [(r, a) for a, r in zip(costs, rays) if a > 0]
     free = [r for a, r in zip(costs, rays) if a == 0]
     box = []
@@ -484,8 +513,8 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
     fails its check raises RuntimeError before anything is skipped."""
     if len(cut.alpha) != len(inst.rays):
         raise ValueError("one coefficient per ray required")
-    rays, r_den = integer_rows(inst.rays)
-    f = scaled(inst.f)
+    rays, r_den = _ray_rows(inst)
+    f = Scaled(*lowest(*inst.f))
     columns = tuple(tuple(f.den * c for c in col) for col in zip(*rays))
     costs, a_den = scaled(cut.alpha)
     bounds = ("nonneg",) * len(inst.rays)

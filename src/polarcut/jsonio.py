@@ -10,9 +10,12 @@ Query points never become Fractions: points_from_json reads the "points"
 list POINT_BLOCK rows at a time into int columns
 (rationals.scaled_columns), in parse_rational's grammar; a block the
 reader refuses is parsed again entry by entry, to name the bad entry.
-A set's and a body's "rows" and "rhs" are read to ints the same way, by
-rationals.scaled_vector (_rows_from_json), and a document it refuses is
-read again entry by entry, so every error names the same field.
+A set's and a body's "rows" and "rhs", and a corner instance's f, rays
+and P, are read to ints the same way, by rationals.scaled_vector
+(_rows_from_json for rows and right-hand sides), and a document it
+refuses is read again entry by entry, so every error names the same
+field. The instance goes to cuts.CornerInstance as Scaled points, with no
+Fraction built.
 """
 
 from __future__ import annotations
@@ -82,6 +85,13 @@ def _dim_from_json(obj, path: str = "") -> int:
     return dim
 
 
+def _is_table(value, width: int) -> bool:
+    """Whether value is a list of lists of width entries each."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and len(row) == width for row in value
+    )
+
+
 def _rows_from_json(obj, dim: int, path: str = "") -> tuple:
     """(rows, rhs) of the object at path: its "rows", each width dim, as a
     list of Scaled and its "rhs", one per row, as one Scaled, read by
@@ -91,12 +101,7 @@ def _rows_from_json(obj, dim: int, path: str = "") -> tuple:
     parse_rational does, so they raise)."""
     try:
         rows, rhs = obj["rows"], obj["rhs"]
-        if (
-            isinstance(rows, list)
-            and isinstance(rhs, list)
-            and len(rhs) == len(rows)
-            and all(isinstance(row, list) and len(row) == dim for row in rows)
-        ):
+        if _is_table(rows, dim) and _is_table([rhs], len(rows)):
             return list(map(scaled_vector, rows)), scaled_vector(rhs)
     except (KeyError, TypeError, ValueError):
         pass
@@ -130,23 +135,31 @@ def points_from_json(obj, dim: int):
 
 def corner_instance_from_json(obj) -> CornerInstance:
     """The "instance" object {"dim", "f", "rays", "P": {"rows", "rhs"}};
-    "P" may be absent or null for the whole space."""
+    "P" may be absent or null for the whole space. f and the rays are
+    read by scaled_vector and P by _rows_from_json, with no Fraction; a
+    document they refuse is read again entry by entry, in the same order,
+    to name what is wrong."""
     dim = _dim_from_json(obj, "instance")
-    f = vector_from_json(*_field(obj, "f", "instance"), dim)
-    rays = vector_list_from_json(*_field(obj, "rays", "instance"), dim)
-    p_rows: tuple = ()
-    p_rhs: tuple = ()
+    try:
+        f, rays = obj["f"], obj["rays"]
+        if not (_is_table([f], dim) and _is_table(rays, dim)):
+            raise ValueError
+        f, rays = scaled_vector(f), list(map(scaled_vector, rays))
+    except (KeyError, ValueError):
+        f = vector_from_json(*_field(obj, "f", "instance"), dim)
+        rays = vector_list_from_json(*_field(obj, "rays", "instance"), dim)
+    p_rows, p_rhs = (), ()
     if obj.get("P") is not None:
-        p = obj["P"]
-        p_rows = vector_list_from_json(*_field(p, "rows", "instance.P"), dim)
-        p_rhs = vector_from_json(*_field(p, "rhs", "instance.P"), len(p_rows))
+        p_rows, p_rhs = _rows_from_json(obj["P"], dim, "instance.P")
     return CornerInstance(dim, f, rays, p_rows, p_rhs)
 
 
 def body_from_json(obj, f) -> HPolyhedron:
     """The "body" object {"rows", "rhs"}, B in x-space, as the centered
-    canonical set K = B - f (cuts.make_body); f comes from the instance."""
-    return make_body(*_rows_from_json(obj, len(f), "body"), f)
+    canonical set K = B - f (cuts.make_body); f comes from the instance,
+    as a Scaled or a rational tuple."""
+    f = scaled(f)
+    return make_body(*_rows_from_json(obj, len(f.ints), "body"), f)
 
 
 def task_from_json(doc, part: str) -> tuple:

@@ -96,19 +96,24 @@ class ImproperSetError(ValueError):
 
 class HPolyhedron(namedtuple("HPolyhedron", "dim rows")):
     """Canonical row form {x : <a_i, x> <= 1}; rows nonzero, deduplicated,
-    irredundant. Build through normalize(); compiled as for VPolytope."""
+    irredundant. Build through normalize(); compiled as for VPolytope.
+    A set handed its compiled form has its rows' width, zero rows and
+    duplicates checked on those int rows (over one den, so two rows are
+    equal exactly when their ints are, and no Fraction is hashed); a set
+    without it has them checked on its rows."""
 
     def __new__(cls, dim: int, rows: tuple, compiled=None):
         if dim < 1:
             raise ValueError("dimension must be positive")
         if not rows:
             raise ImproperSetError("a canonical set needs at least one row")
-        for a in rows:
+        checked = rows if compiled is None else compiled[0]
+        for a in checked:
             if len(a) != dim:
                 raise ValueError("row width differs from dimension")
             if is_zero_vector(a):
                 raise ValueError("zero rows are not canonical")
-        if len(set(rows)) != len(rows):
+        if len(set(checked)) != len(checked):
             raise ValueError("duplicate rows are not canonical")
         self = super().__new__(cls, dim, rows)
         if compiled is not None:
@@ -373,11 +378,13 @@ def remove_redundancy(dim: int, rows) -> HPolyhedron:
     exactly when that stays <= den. The certificate proves what the LP
     would find, so the kept rows are those of an LP for every row.
     Fractions are built only for the kept rows; their keys over their own
-    lcm are handed to the set as its compiled form."""
+    lcm are handed to the set as its compiled form, which is the distinct
+    rows over den, as filtered, when no row is dropped."""
     keys = list(
         dict.fromkeys(lowest(*(a if type(a) is Scaled else scaled(a))) for a in rows)
     )
-    live, den = over_lcm(keys)
+    compiled = over_lcm(keys)
+    live, den = compiled
     live = list(live)
     i = 0
     while i < len(live):
@@ -390,8 +397,10 @@ def remove_redundancy(dim: int, rows) -> HPolyhedron:
                 keys.pop(i)
                 continue
         i += 1
+    if len(keys) < len(compiled[0]):  # a row was dropped: the den may fall
+        compiled = over_lcm(keys)
     rows = tuple(tuple(Fraction(c, d) for c in ints) for ints, d in keys)
-    return HPolyhedron(dim, rows, over_lcm(keys))
+    return HPolyhedron(dim, rows, compiled)
 
 
 def normalize(raw_rows, raw_rhs) -> HPolyhedron:

@@ -142,13 +142,6 @@ def json_scalar(q):
     return str(q)
 
 
-def is_integral(q) -> bool:
-    try:
-        return q.denominator == 1
-    except AttributeError:
-        raise _not_exact((q,)) from None
-
-
 def vector(entries) -> Vec:
     """Coerce an iterable of scalars to a Vec, each entry by parse_rational."""
     return tuple(parse_rational(e) for e in entries)

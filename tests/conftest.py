@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 from operator import add, mul
@@ -126,6 +126,24 @@ def make_instance(dim, f, rays, p_rows=(), p_rhs=()) -> CornerInstance:
         tuple(vector(r) for r in rays),
         tuple(vector(r) for r in p_rows),
         tuple(parse_rational(b) for b in p_rhs),
+    )
+
+
+# The fields of a CornerInstance as rational tuples: f and each ray a
+# Fraction vector, P's rows Fraction vectors and P's right-hand sides one.
+# The Fraction references below read an instance in this form.
+RationalInstance = namedtuple("RationalInstance", "dim f rays p_rows p_rhs")
+
+
+def rational_instance(inst) -> RationalInstance:
+    """inst's int fields read back to rationals (unscaled); a
+    RationalInstance comes back the same."""
+    return RationalInstance(
+        inst.dim,
+        unscaled(inst.f),
+        tuple(map(unscaled, inst.rays)),
+        tuple(map(unscaled, inst.p_rows)),
+        unscaled(inst.p_rhs),
     )
 
 
@@ -1116,6 +1134,7 @@ def fraction_region_points(inst, radius, body=None):
     """Reference for cuts.region_lattice_points: the whole box in the same
     lexicographic order, filtered to P with Fraction dot products and, when
     a body is given, to the closed body: dot(a, z - f) <= 1 on every row."""
+    inst = rational_instance(inst)
     center = [nearest_int(c) for c in inst.f]
     ranges = [range(c - radius, c + radius + 1) for c in center]
     rows = () if body is None else body.rows
@@ -1130,6 +1149,7 @@ def fraction_region_points(inst, radius, body=None):
 def fraction_make_body(b_rows, b_rhs, f):
     """Reference for cuts.make_body: each margin b_i - <a_i, f> a Fraction
     dot product, and normalize given the rational rows and margins."""
+    f = unscaled(f)
     rows = [vector(a) for a in b_rows]
     rhs = [parse_rational(b) for b in b_rhs]
     if len(rows) != len(rhs):
@@ -1145,6 +1165,7 @@ def fraction_half_spaces(inst, body=None):
     """Reference for cuts._half_spaces: P's rows, then the body's rows as
     <a, z> <= 1 + <a, f> with a Fraction right-hand side, each compiled
     by integer_rows over its own denominator."""
+    inst = rational_instance(inst)
     half_spaces = list(zip(inst.p_rows, inst.p_rhs))
     if body is not None:
         half_spaces += [(a, 1 + dot(a, inst.f)) for a in body.rows]
@@ -1158,8 +1179,9 @@ def fraction_half_spaces(inst, body=None):
 def first_interior_point(body, inst, radius):
     """Reference for is_s_free's witness: the first region point strictly
     inside the body, by Fraction pairings; None when there is none."""
+    f = unscaled(inst.f)
     for z in fraction_region_points(inst, radius):
-        if all(dot(a, vsub(z, inst.f)) < 1 for a in body.rows):
+        if all(dot(a, vsub(z, f)) < 1 for a in body.rows):
             return z
     return None
 
@@ -1168,11 +1190,11 @@ def per_facet_uncertified(body, inst, radius):
     """Reference for maximality_certificate's facet verdicts: one region
     scan per facet, looking for a point tight on that facet and strictly
     slack on every other row, by Fraction pairings."""
-    rows = body.rows
+    rows, f = body.rows, unscaled(inst.f)
     uncertified = []
     for i in range(len(rows)):
         for z in fraction_region_points(inst, radius):
-            values = [dot(a, vsub(z, inst.f)) for a in rows]
+            values = [dot(a, vsub(z, f)) for a in rows]
             if values[i] == 1 and all(
                 v < 1 for j, v in enumerate(values) if j != i
             ):
@@ -1188,7 +1210,8 @@ def plain_region_points(inst, radius, body=None, box=None):
     dim - 1 coordinates, and at each one every half-space of
     fraction_half_spaces bounding the last coordinate."""
     half_spaces = fraction_half_spaces(inst, body)
-    ranges = [range(c - radius, c + radius + 1) for c in map(nearest_int, inst.f)]
+    f = unscaled(inst.f)
+    ranges = [range(c - radius, c + radius + 1) for c in map(nearest_int, f)]
     if box is not None:
         ranges = [
             range(
@@ -1260,6 +1283,7 @@ def fraction_violation_box(inst, alpha):
     math.floor of f_d plus the least and greatest coordinate."""
     if any(a < 0 for a in alpha):
         return None
+    inst = rational_instance(inst)
     tips = [[Fraction(c, a) for c in r] for a, r in zip(alpha, inst.rays) if a > 0]
     free = [r for a, r in zip(alpha, inst.rays) if a == 0]
     box = []
@@ -1279,6 +1303,7 @@ def per_point_check_cut_validity(inst, cut, radius):
     "region" otherwise: a scan of the radius box proves nothing beyond it."""
     if len(cut.alpha) != len(inst.rays):
         raise ValueError("one coefficient per ray required")
+    inst = rational_instance(inst)
     columns = tuple(zip(*inst.rays))
     bounds = ("nonneg",) * len(inst.rays)
     for z in fraction_region_points(inst, radius):
@@ -1306,14 +1331,14 @@ def fraction_check_cut_validity(inst, cut, radius):
     so programs_logged sees these LPs too."""
     if len(cut.alpha) != len(inst.rays):
         raise ValueError("one coefficient per ray required")
-    columns = tuple(zip(*inst.rays))  # coordinate d of every ray
+    columns = tuple(zip(*map(unscaled, inst.rays)))  # coordinate d of every ray
     bounds = ("nonneg",) * len(inst.rays)
     box = cuts.violation_box(inst, cut.alpha)
     box_scanned = box is not None and (
         any(lo is not None and hi is not None and lo > hi for lo, hi in box)
         or all(
             lo is not None and hi is not None and c - radius <= lo and hi <= c + radius
-            for (lo, hi), c in zip(box, map(round, inst.f))
+            for (lo, hi), c in zip(box, map(round, unscaled(inst.f)))
         )
     )
     f = scaled(inst.f)

@@ -35,7 +35,7 @@ from polarcut.polyhedra import (
     polar,
     random_polyhedron,
 )
-from polarcut.rationals import dot, is_integral, vector
+from polarcut.rationals import dot, unscaled, vector
 from polarcut.sublinear import (
     gauge,
     minimal_sublinear,
@@ -257,7 +257,7 @@ def _random_corner_2d(rng: random.Random):
             if c == (0, 0):
                 continue
             value = c[0] * f[0] + c[1] * f[1]
-            if not is_integral(value):
+            if value.denominator != 1:
                 break
         k = _floor(value)
         rows = [vector(c), vector([-c[0], -c[1]])]
@@ -292,7 +292,13 @@ def test_c7_cut_generation_and_validity():
                 make_program(
                     "min",
                     cut.alpha,
-                    [(tuple(r[0] for r in inst.rays), "=", vsub(z, inst.f)[0])],
+                    [
+                        (
+                            tuple(unscaled(r)[0] for r in inst.rays),
+                            "=",
+                            vsub(z, unscaled(inst.f))[0],
+                        )
+                    ],
                 )
             )
             assert out.status == "optimal" and out.value == 1
@@ -314,8 +320,8 @@ def test_c7_cut_generation_and_validity():
             generate_cut(inst, fat, 5)
         witness = excinfo.value.witness
         assert witness == (Fraction(0),)
-        assert all(is_integral(c) for c in witness)
-        assert membership(fat, vsub(witness, inst.f)).position == "interior"
+        assert all(c.denominator == 1 for c in witness)
+        assert membership(fat, vsub(witness, unscaled(inst.f))).position == "interior"
 
         info["detail"] = (
             f"split cut (2, 2) tight at 0 and 1; {valid}/20 seeded bodies "
@@ -329,13 +335,14 @@ def test_c8_monotonicity_and_scaling():
         pairs = 0
         coeffs = 0
         for inst, body, rows, rhs in _cut_corpus_2d():
+            f = unscaled(inst.f)
             box_rows = [
                 vector([1, 0]), vector([-1, 0]),
                 vector([0, 1]), vector([0, -1]),
             ]
             box_rhs = [
-                inst.f[0] + 2, -inst.f[0] + 2,
-                inst.f[1] + 2, -inst.f[1] + 2,
+                f[0] + 2, -f[0] + 2,
+                f[1] + 2, -f[1] + 2,
             ]
             shrunk = make_body(rows + box_rows, rhs + box_rhs, inst.f)
             for r in inst.rays:
@@ -346,7 +353,7 @@ def test_c8_monotonicity_and_scaling():
             scaled_inst = CornerInstance(
                 inst.dim,
                 inst.f,
-                tuple(vscale(scale, r) for r in inst.rays),
+                tuple(vscale(scale, unscaled(r)) for r in inst.rays),
             )
             base = generate_cut(inst, body, 4)
             scaled = generate_cut(scaled_inst, body, 4)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     in_recession,
+    make_instance,
     raise_polar_support,
     raise_rho,
     rational_samples,
@@ -341,6 +342,71 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def dispatch_grammar(tmp_path) -> list:
+    """argv lists for the dispatch test: each subcommand with good
+    arguments and with none, an option as "--radius=3" and abbreviated,
+    an unknown option, an extra positional, a missing or bad option value,
+    -h before and after the command, --format text, "--", an empty argv,
+    an unknown word, and verify's --random with no input."""
+    k = write(tmp_path, "k.json", dict(QUADRANT_K, points=[[1, 2], ["1/2", -1]]))
+    split = write(tmp_path, "split.json", SPLIT)
+    checked = write(tmp_path, "cut.json", dict(SPLIT, cut={"alpha": [2, 2]}))
+    fat = write(tmp_path, "fat.json", FAT)
+    good = {
+        "polar": [k], "gauge": [k], "rho": [k], "verify": [k, "--samples", "5"],
+        "cut": [split], "check-cut": [checked], "sfree": [split], "maximal": [split],
+    }
+    argvs = [[command, *args] for command, args in good.items()]
+    argvs += [[command] for command in good]
+    argvs += [[command, *args, "--format", "text"] for command, args in good.items()]
+    argvs += [[command, "-h"] for command in good]
+    argvs += [
+        ["sfree", split, "--radius=3"], ["cut", split, "--rad", "3"],
+        ["maximal", "--rad", "2", split], ["check-cut", checked, "--radius"],
+        ["sfree", split, "--radius", "x"], ["cut", split, "--radius", "-1"],
+        ["polar", k, "--bogus"], ["gauge", k, "--radius", "3"], ["rho", k, "-x"],
+        ["sfree", split, "extra"], ["polar", k, k], ["verify", k, "--samples", "5", "x"],
+        ["-h"], ["--help"], ["-h", "sfree"], ["cut", "--help", split], ["rho", k, "--he"],
+        ["polar", "--format", "xml", k], ["--"], ["--", "polar", k], ["polar", "--", k],
+        ["cut", split, "--", "--radius", "3"], [], ["frobnicate"], ["frobnicate", k],
+        ["Polar", k], ["sfre", split], ["--format", "text", "polar", k],
+        ["verify", "--random", "2"], ["verify", "--random", "2", "--samples", "5"],
+        ["verify", "--random", "0"], ["verify", "--random", "2", k],
+        ["sfree", fat], ["cut", fat, "--format", "text"], ["polar", str(tmp_path / "none.json")],
+    ]
+    return argvs
+
+
+def dispatch_outcome(capsys, argv):
+    """(exit code or ("SystemExit", code), stdout, stderr) of main(argv)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_dispatch_matches_the_full_parser(tmp_path, capsys, monkeypatch):
+    # main hands an argv that opens with a subcommand to that subcommand's
+    # own parser. On every argv of the grammar it exits, prints and
+    # reports exactly as with the full parser's parse_args, which argparse
+    # routes to the same subparser.
+    argvs = dispatch_grammar(tmp_path)
+    fast = [dispatch_outcome(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    plain = [dispatch_outcome(capsys, argv) for argv in argvs]
+    for argv, got, expected in zip(argvs, fast, plain):
+        assert got == expected, argv
+    codes = Counter(code if type(code) is int else code[0] for code, _, _ in plain)
+    assert codes[0] >= 20 and codes[1] >= 1 and codes[2] >= 5, codes
+    exits = Counter(code[1] for code, _, _ in plain if type(code) is tuple)
+    assert exits[0] >= 10 and exits[2] >= 15, exits
+    unrecognized = [err for _, _, err in plain if "unrecognized arguments" in err]
+    assert len(unrecognized) >= 5
+    assert all(err.startswith("usage: polarcut [-h]") for err in unrecognized)
 
 
 def test_text_format_same_content(tmp_path, capsys):
@@ -704,9 +770,72 @@ def test_set_and_body_rows_build_no_fractions(monkeypatch):
     h = jsonio.polyhedron_from_json(doc)
     body = jsonio.body_from_json({"rows": rows, "rhs": rhs}, (Fraction(1, 4), Fraction(1, 3)))
     assert (len(h.rows), len(body.rows), sum(calls.values())) == (4, 3, 0), calls
+    # an instance with P: f, the rays and P read to ints the same way
+    inst = jsonio.corner_instance_from_json(INSTANCE_WITH_P)
+    task_inst, _ = jsonio.task_from_json({"instance": INSTANCE_WITH_P, "body": SPLIT_2D}, "body")
+    assert sum(calls.values()) == 0, calls
+    assert inst == task_inst == make_instance(
+        2,
+        [Fraction(1, 2), Fraction(-1, 3)],
+        [[1, 0], [Fraction(-1, 2), 2]],
+        [[Fraction(1, 2), 0], [Fraction(-1), Fraction(2, 3)]],
+        [Fraction(5, 2), 4],
+    )
     with pytest.raises(jsonio.SchemaError, match=re.escape("field 'rows[3][1]'")):
         jsonio.polyhedron_from_json(dict(doc, rows=rows[:3] + [[-1, 0.5]]))
     assert calls["vector_list_from_json"] == 1 and calls["parse_rational"] > 0
+
+
+INSTANCE_WITH_P = {
+    "dim": 2,
+    "f": [" 2/4", "\u22121/3"],
+    "rays": [[1, "0"], ["-1/2", "+2"]],
+    "P": {"rows": [["1/2", 0], [-1, " 4/6 "]], "rhs": ["10/4", 4]},
+}
+SPLIT_2D = {"rows": [[1, 0], [-1, 0]], "rhs": [1, 0]}
+
+# (where the entry is, its bad value, the error as the entry-by-entry
+# readers word it)
+INSTANCE_ENTRY_ERRORS = [
+    (("f", 1), "x", "field 'instance.f[1]': not a rational: 'x'"),
+    (("f", 0), 1.5, "field 'instance.f[0]': floats are not exact rationals: 1.5"),
+    (("rays", 1, 0), True, "field 'instance.rays[1][0]': not a rational: True"),
+    (("rays", 0, 1), "1/0", "field 'instance.rays[0][1]': not a rational: '1/0'"),
+    (("P", "rows", 1, 0), None, "field 'instance.P.rows[1][0]': not a rational: None"),
+    (
+        ("P", "rows", 0, 1),
+        "9" * 5000,
+        "field 'instance.P.rows[0][1]': too many digits: a number may have at "
+        f"most {sys.get_int_max_str_digits()} decimal digits",
+    ),
+    (("P", "rhs", 1), "1.5", "field 'instance.P.rhs[1]': not a rational: '1.5'"),
+    (("P", "rhs", 0), [1], "field 'instance.P.rhs[0]': not a rational: [1]"),
+    (("f",), [1], "field 'instance.f': expected 2 entries, got 1"),
+    (("rays",), [[1, 0], [1]], "field 'instance.rays[1]': expected 2 entries, got 1"),
+    (("P", "rhs"), [1], "field 'instance.P.rhs': expected 2 entries, got 1"),
+    (("P", "rows"), 3, "field 'instance.P.rows': expected a list"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    INSTANCE_ENTRY_ERRORS,
+    ids=[".".join(map(str, where)) for where, *_ in INSTANCE_ENTRY_ERRORS],
+)
+def test_instance_entry_errors_name_the_entry(where, value, message):
+    # The int reader refuses what the entry-by-entry readers refuse, and
+    # they name it: the same SchemaError text as when every entry was read
+    # into a Fraction, for an entry of f, of a ray, of P's rows and of P's
+    # right-hand sides, and for a list of the wrong shape.
+    doc = json.loads(json.dumps(INSTANCE_WITH_P))
+    *path, last = where
+    obj = doc
+    for key in path:
+        obj = obj[key]
+    obj[last] = value
+    with pytest.raises(jsonio.SchemaError) as excinfo:
+        jsonio.corner_instance_from_json(doc)
+    assert str(excinfo.value) == message
 
 
 def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):

@@ -20,6 +20,7 @@ from conftest import (
     make_instance,
     make_program,
     nearest_int,
+    rational_instance,
     per_facet_uncertified,
     per_point_check_cut_validity,
     per_point_is_s_free,
@@ -32,7 +33,7 @@ from conftest import (
     vsub,
 )
 from test_acceptance import _cut_corpus_2d
-from polarcut import cuts, lp
+from polarcut import cuts, jsonio, lp
 from polarcut.cli import main
 from polarcut.cuts import (
     AnchorNotInteriorError,
@@ -53,7 +54,7 @@ from polarcut.polyhedra import (
     membership,
     random_polyhedron,
 )
-from polarcut.rationals import dot, vector
+from polarcut.rationals import Scaled, dot, json_scalar, scaled, unscaled, vector
 from polarcut.sublinear import (
     minimal_sublinear,
     random_unit_ball_rep,
@@ -164,7 +165,8 @@ def _same_body_and_scan(inst, rows, rhs, radius) -> str:
         mp.setattr(cuts, "_half_spaces", fraction_half_spaces)
         assert list(region_lattice_points(inst, radius, body)) == stream
     nonzero = [(vector(a), Fraction(b)) for a, b in zip(rows, rhs) if any(a)]
-    shifted = {tuple(c / (b - dot(a, inst.f)) for c in a) for a, b in nonzero}
+    f = unscaled(inst.f)
+    shifted = {tuple(c / (b - dot(a, f)) for c in a) for a, b in nonzero}
     return "merged rows" if len(shifted) < len(nonzero) else "body"
 
 
@@ -214,12 +216,12 @@ def test_split_cut_exact(split_1d):
     assert report.valid_on_region and report.violation is None
     # tight at both neighbouring points: the reach LP hits exactly 1
     for z in (V(0), V(1)):
-        target = vsub(z, inst.f)
+        target = vsub(z, unscaled(inst.f))
         out = solve(
             make_program(
                 "min",
                 cut.alpha,
-                [(tuple(r[0] for r in inst.rays), "=", target[0])],
+                [(tuple(unscaled(r)[0] for r in inst.rays), "=", target[0])],
             )
         )
         assert out.status == "optimal" and out.value == 1
@@ -239,8 +241,8 @@ def test_zero_cut_violated(split_1d):
     assert all(s >= 0 for s in violation.s)
     reach = (Fraction(0),)
     for s, r in zip(violation.s, inst.rays):
-        reach = vadd(reach, vscale(s, r))
-    assert reach == vsub(violation.x, inst.f)
+        reach = vadd(reach, vscale(s, unscaled(r)))
+    assert reach == vsub(violation.x, unscaled(inst.f))
     # the illustrative violation at x=1 with s=(1/2, 0) is genuine too
     assert dot(zero.alpha, V(Fraction(1, 2), 0)) < 1
 
@@ -253,7 +255,7 @@ def test_unbounded_violation_reports_ray(split_1d):
     assert report.violation.improving_ray
     ray = report.violation.s
     assert dot(descending.alpha, ray) < 0
-    assert sum(s * r[0] for s, r in zip(ray, inst.rays)) == 0
+    assert sum(s * unscaled(r)[0] for s, r in zip(ray, inst.rays)) == 0
 
 
 def test_is_s_free_examples(split_1d):
@@ -285,7 +287,7 @@ def test_generate_cut_refuses_with_witness(split_1d):
     assert err.witness == (Fraction(0),)
     assert "lattice point" in str(err)
     # the witness really is feasible and strictly inside the body
-    assert membership(fat, vsub(err.witness, inst.f)).position == "interior"
+    assert membership(fat, vsub(err.witness, unscaled(inst.f))).position == "interior"
 
 
 def test_region_scan_is_lexicographic():
@@ -314,6 +316,98 @@ def test_scan_centre_rounds_half_even():
         inst = make_instance(1, [f], [[1], [-1]])
         assert list(region_lattice_points(inst, 0)) == [V(centre)]
         assert list(fraction_region_points(inst, 0)) == [V(centre)]
+
+
+def _instance_forms(rng):
+    """A drawn 1-3-D corner instance, its Fraction fields and a cut for
+    it. The instance is built three ways: from Fractions, from its JSON
+    document, and from Scaled points over a denominator some k > 1 times
+    their least. f is often a half-integer tie, negative ones included;
+    rays and P have large denominators now and then, and zero rays."""
+    dim = rng.randint(1, 3)
+
+    def q(big=False):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 10**9 if big else 6))
+
+    f = [
+        Fraction(2 * rng.randint(-5, 4) + 1, 2) if rng.random() < 0.6 else q()
+        for _ in range(dim)
+    ]
+    if all(c.denominator == 1 for c in f):
+        f[0] += Fraction(1, 3)
+    rays = [
+        tuple(q(rng.random() < 0.2) if rng.random() < 0.8 else 0 for _ in range(dim))
+        for _ in range(rng.randint(1, 4))
+    ]
+    p_rows = [
+        tuple(q(rng.random() < 0.2) for _ in range(dim)) for _ in range(rng.randint(0, 2))
+    ]
+    p_rhs = [q() + 6 for _ in p_rows]
+    from_fractions = make_instance(dim, f, rays, p_rows, p_rhs)
+    doc = {
+        "dim": dim,
+        "f": list(map(json_scalar, f)),
+        "rays": [[json_scalar(Fraction(c)) for c in r] for r in rays],
+        "P": {
+            "rows": [list(map(json_scalar, a)) for a in p_rows],
+            "rhs": list(map(json_scalar, p_rhs)),
+        },
+    }
+
+    def loose(v):
+        k = rng.randint(2, 5)
+        ints, den = scaled(vector(v))
+        return Scaled(tuple(k * c for c in ints), k * den)
+
+    from_scaled = CornerInstance(
+        dim, loose(f), [loose(r) for r in rays], [loose(a) for a in p_rows], loose(p_rhs)
+    )
+    forms = (from_fractions, jsonio.corner_instance_from_json(doc), from_scaled)
+    alpha = tuple(Fraction(rng.choice((-1, 0, 1, 2, 3)), rng.randint(1, 3)) for _ in rays)
+    return forms, (f, rays, p_rows, p_rhs), Cut(alpha, "")
+
+
+def test_instance_in_ints_matches_fraction_references():
+    # An instance read from Fractions or from JSON is the same record, in
+    # lowest terms, and one built from unreduced Scaled points keeps them
+    # as they are; the fields of each give the rationals back. On every
+    # form P's int rows are fraction_half_spaces' rows, the scan centre is
+    # nearest_int of f (ties to even), violation_box is the Fraction box,
+    # and check_cut_validity poses the same int LPs and reports what the
+    # Fraction route reports.
+    rng = random.Random(1815)
+    seen = Counter()
+    for _ in range(300):
+        forms, (f, rays, p_rows, p_rhs), cut = _instance_forms(rng)
+        inst = forms[0]
+        assert forms[1] == inst and inst.f == scaled(vector(f))
+        radius = rng.randint(0, 2)
+        for form in forms:
+            assert unscaled(form.f) == tuple(f) and unscaled(form.p_rhs) == tuple(p_rhs)
+            assert list(map(unscaled, form.rays)) == [vector(r) for r in rays]
+            assert list(map(unscaled, form.p_rows)) == [vector(a) for a in p_rows]
+            assert cuts._half_spaces(form, None) == fraction_half_spaces(form)
+            assert cuts._scan_box(form, radius) == [
+                (c - radius, c + radius) for c in map(nearest_int, f)
+            ]
+            assert cuts.violation_box(form, cut.alpha) == fraction_violation_box(
+                form, cut.alpha
+            )
+        posed = [programs_logged(check_cut_validity, form, cut, radius) for form in forms]
+        assert posed[1] == posed[0] and posed[2] == posed[0]
+        report, programs = posed[0]
+        reference, reference_programs = programs_logged(
+            fraction_check_cut_validity, inst, cut, radius
+        )
+        assert report == reference and len(programs) == len(reference_programs)
+        seen["negative tie"] += any(c.denominator == 2 and c < 0 for c in f)
+        seen["positive tie"] += any(c.denominator == 2 and c > 0 for c in f)
+        seen["P"] += bool(p_rows)
+        seen["zero ray"] += any(not any(r) for r in rays)
+        seen["no box"] += min(cut.alpha) < 0
+        seen["LPs"] += bool(programs)
+        seen["violated"] += not report.valid_on_region
+    assert min(seen.values()) >= 25, seen
 
 
 def test_scan_size_limit(tmp_path, capsys, monkeypatch):
@@ -375,7 +469,7 @@ def test_ray_scaling_scales_alpha(split_1d):
     scaled_inst = make_instance(
         1,
         [Fraction(1, 2)],
-        [vscale(Fraction(3, 2), r) for r in inst.rays],
+        [vscale(Fraction(3, 2), unscaled(r)) for r in inst.rays],
     )
     scaled_cut = generate_cut(scaled_inst, body)
     assert scaled_cut.alpha == tuple(Fraction(3, 2) * a for a in cut.alpha)
@@ -513,6 +607,7 @@ def region_kinds(inst, body, radius):
     data. Half-spaces are P's rows and B's in x-space, <a, z> <= 1 + <a, f>;
     a zero-last slice is empty at a box prefix whose head pairing exceeds
     the right-hand side."""
+    inst = rational_instance(inst)
     half_spaces = list(zip(inst.p_rows, inst.p_rhs))
     half_spaces += [(a, 1 + dot(a, inst.f)) for a in body.rows]
     center = [nearest_int(c) for c in inst.f]
@@ -550,7 +645,7 @@ def targeted_region_case(rng, kind):
         dim = None
     inst, body, _ = random_corner_case(rng, dim)
     radius = rng.randint(1, 3)
-    dim, f = inst.dim, inst.f
+    dim, f = inst.dim, unscaled(inst.f)
     if kind == "1-D":
         return inst, body, radius
     if kind == "P absent":
@@ -575,7 +670,9 @@ def targeted_region_case(rng, kind):
         center = V(*(nearest_int(c) for c in f))
         low = dot(row, center) - radius * sum(abs(x) for x in row)
         rhs = low - Fraction(rng.randint(1, 4), rng.randint(1, 3))
-    inst = CornerInstance(dim, f, inst.rays, inst.p_rows + (row,), inst.p_rhs + (rhs,))
+    inst = CornerInstance(
+        dim, f, inst.rays, inst.p_rows + (row,), unscaled(inst.p_rhs) + (rhs,)
+    )
     return inst, body, radius
 
 
@@ -623,7 +720,7 @@ def in_box(z, box):
 
 def box_kinds(inst, radius, box):
     """How a box of violation_box's form sits against the radius box."""
-    center = [nearest_int(c) for c in inst.f]
+    center = [nearest_int(c) for c in unscaled(inst.f)]
     kinds = set()
     if inst.dim == 1:
         kinds.add("1-D")
@@ -658,7 +755,7 @@ def test_region_scan_clips_to_box():
                 None if rng.random() < 0.15 else nearest_int(c) + rng.randint(-radius - 2, radius + 2)
                 for _ in "lh"
             )
-            for c in inst.f
+            for c in unscaled(inst.f)
         )
         for region_body in (body, None):
             whole = region_lattice_points(inst, radius, region_body)
@@ -789,7 +886,11 @@ def test_empty_projection_walks_nothing():
         assert cuts._projections(cuts._half_spaces(inst, region_body), 3) is None
     for row in range(2):
         alone = CornerInstance(
-            3, f, inst.rays, inst.p_rows[row : row + 1], inst.p_rhs[row : row + 1]
+            3,
+            f,
+            inst.rays,
+            inst.p_rows[row : row + 1],
+            unscaled(inst.p_rhs)[row : row + 1],
         )
         assert list(region_lattice_points(alone, 2))
     for radius in range(4):
@@ -858,9 +959,9 @@ def random_cut_case(rng, dim=None):
     inst = make_instance(dim, f, rays, p_rows, p_rhs)
     kind = rng.random()
     if kind < 0.5:
-        d = next(d for d, c in enumerate(inst.f) if c.denominator != 1)
+        d = next(d for d, c in enumerate(f) if c.denominator != 1)
         e = [int(i == d) for i in range(dim)]
-        low = math.floor(inst.f[d])
+        low = math.floor(f[d])
         split = make_body([e, [-x for x in e]], [low + 1, -low], inst.f)
         alpha = [minimal_sublinear(split, r) for r in inst.rays]
         if kind < 0.2:
@@ -900,7 +1001,7 @@ def coefficient_kind(cut):
 def containing_radius(inst, box):
     """The least radius whose scan box strictly contains a bounded box on
     every axis."""
-    center = [nearest_int(c) for c in inst.f]
+    center = [nearest_int(c) for c in unscaled(inst.f)]
     return 1 + max(max(c - lo, hi - c, 0) for (lo, hi), c in zip(box, center))
 
 
@@ -1022,10 +1123,9 @@ def test_check_cut_matches_per_point_reference(monkeypatch):
         seen["unbounded"] += violation is not None and violation.improving_ray
         seen["P"] += bool(inst.p_rows)
         seen["radius 0"] += radius == 0
-        seen["zero ray"] += any(not any(r) for r in inst.rays)
-        seen["opposite rays"] += any(
-            any(r) and vscale(-1, r) in inst.rays for r in inst.rays
-        )
+        rays = list(map(unscaled, inst.rays))
+        seen["zero ray"] += any(not any(r) for r in rays)
+        seen["opposite rays"] += any(any(r) and vscale(-1, r) in rays for r in rays)
         seen["non-spanning"] += len(inst.rays) < inst.dim
         seen["saved LPs"] += fast < len(calls)
     assert min(seen.values()) >= 25, seen

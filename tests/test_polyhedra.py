@@ -391,6 +391,66 @@ def test_hpolyhedron_rejects_garbage():
         hull_membership(V(1, 0, 0), VPolytope(2, (V(1, 0),)))
 
 
+GOOD_ROWS = (V(1, 0), V(0, Fraction(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "ints, message",
+    [
+        pytest.param(((2, 0), (0, 0)), "zero rows are not canonical", id="zero"),
+        pytest.param(((2, 0), (2, 0)), "duplicate rows are not canonical", id="duplicate"),
+        pytest.param(((2, 0), (1,)), "row width differs from dimension", id="short"),
+    ],
+)
+def test_hpolyhedron_checks_a_compiled_form_on_its_ints(ints, message):
+    # A set handed its compiled form is checked on those int rows, with
+    # the messages of the checks on its rows.
+    with pytest.raises(ValueError, match=message):
+        HPolyhedron(2, GOOD_ROWS, (ints, 2))
+    assert HPolyhedron(2, GOOD_ROWS, (((2, 0), (0, 1)), 2)).compiled == integer_rows(GOOD_ROWS)
+
+
+def test_built_sets_hash_no_fraction(monkeypatch):
+    # normalize and make_body check the sets they build on the int rows
+    # they hand over: no Fraction is hashed, with rows kept or dropped.
+    def no_hash(q):
+        raise AssertionError("a Fraction was hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", no_hash)
+    kept = normalize([V(1, 0), V(0, Fraction(1, 2)), V(-1, -1)], [1, 1, 1])
+    dropped = normalize([(1, 0), (0, 1), V(Fraction(1, 3), Fraction(1, 3))], [1, 1, 1])
+    body = cuts.make_body([(1, 0), (-1, 0), (0, 1)], [1, 0, 2], V(Fraction(1, 2), 0))
+    assert (len(kept.rows), len(dropped.rows), len(body.rows)) == (3, 2, 3)
+
+
+def test_remove_redundancy_hands_over_integer_rows():
+    # The compiled form remove_redundancy hands its set is integer_rows of
+    # the kept rows: the distinct rows over their lcm when none is dropped,
+    # the kept ones over their own lcm when one is (a dropped row's
+    # denominator leaves it). Drawn sets see both cases.
+    cases = {
+        "none dropped": remove_redundancy(
+            2, [V(Fraction(1, 2), 0), V(0, Fraction(1, 3)), V(-1, -1)]
+        ),
+        "one dropped": remove_redundancy(
+            2, [(1, 0), (0, 1), V(Fraction(1, 3), Fraction(1, 3))]
+        ),
+    }
+    assert cases["none dropped"].compiled == (((3, 0), (0, 2), (-6, -6)), 6)
+    assert cases["one dropped"].compiled == (((1, 0), (0, 1)), 1)
+    rng = random.Random(610)
+    seen = Counter()
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        rows = [_drawn_row(rng, dim, 6) for _ in range(rng.randint(1, dim + 4))]
+        h = remove_redundancy(dim, rows)
+        assert h.compiled == integer_rows(h.rows)
+        seen["one dropped" if len(h.rows) < len(set(rows)) else "none dropped"] += 1
+    for name, h in cases.items():
+        assert h.compiled == integer_rows(h.rows), name
+    assert min(seen.values()) >= 40, seen
+
+
 def test_sup_over_decides_polar_membership():
     # sigma_K(v) <= 1 exactly when v lies in the polar conv({0} union rows),
     # and every row is a tight polar point: sigma_K(a) = 1.

@@ -31,7 +31,6 @@ from polarcut.rationals import (
     Scaled,
     dot,
     integer_rows,
-    is_integral,
     json_scalar,
     parse_rational,
     scaled,
@@ -130,8 +129,6 @@ def test_json_scalar_forms():
     assert json_scalar(Fraction(-3, 1)) == -3
     assert json_scalar(Fraction(1, 2)) == "1/2"
     assert type(json_scalar(Fraction(-6, 2))) is int
-    assert is_integral(Fraction(4, 2))
-    assert not is_integral(Fraction(1, 3))
 
 
 def test_dot_and_mismatch():
