@@ -6,23 +6,23 @@ rejected - there is no inexact mode. Schema problems raise SchemaError
 naming the document, or the offending field by its path from the document
 root, such as "points[3][1]", "instance.P.rows[0][0]" or "body".
 
-Query points never become Fractions: points_from_json reads the "points"
-list POINT_BLOCK rows at a time into int columns
-(rationals.scaled_columns), in parse_rational's grammar; a block the
-reader refuses is parsed again entry by entry, to name the bad entry.
-A set's and a body's "rows" and "rhs", and a corner instance's f, rays
-and P, are read to ints the same way, by rationals.scaled_vector
-(_rows_from_json for rows and right-hand sides), and a document it
-refuses is read again entry by entry, so every error names the same
-field. The instance goes to cuts.CornerInstance as Scaled points, with no
-Fraction built.
+Every row is read once, to ints, with no Fraction: _row reads a list of
+scalars by rationals.scaled_vector, in parse_rational's grammar, and
+hands only a row that reader refuses to vector_from_json, the one
+diagnoser, which names the bad entry. A set's and a body's "rows" and
+"rhs" (_rows_from_json) and a corner instance's f, rays and P are read
+by _row, in document order, so the first bad field is the one named; the
+instance goes to cuts.CornerInstance as Scaled points. Query points are
+read POINT_BLOCK rows at a time into int columns
+(rationals.scaled_columns) by points_from_json, and only a block that
+reader refuses is read again, row by row by _row, to name the bad row.
 """
 
 from __future__ import annotations
 
 from .cuts import CornerInstance, Cut, make_body
 from .polyhedra import HPolyhedron, normalize
-from .rationals import parse_rational, scaled, scaled_columns, scaled_vector
+from .rationals import Scaled, parse_rational, scaled, scaled_columns, scaled_vector
 
 # Query points read, and evaluated, at a time. A block bounds the memory a
 # points document holds in int columns: read as one block, the seed-1
@@ -69,15 +69,6 @@ def vector_from_json(value, path: str, dim: int | None = None):
     )
 
 
-def vector_list_from_json(value, path: str, dim: int | None = None):
-    if not isinstance(value, list):
-        _fail(path, "expected a list")
-    return tuple(
-        vector_from_json(row, f"{path}[{i}]", dim)
-        for i, row in enumerate(value)
-    )
-
-
 def _dim_from_json(obj, path: str = "") -> int:
     dim, path = _field(obj, "dim", path)
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
@@ -85,29 +76,35 @@ def _dim_from_json(obj, path: str = "") -> int:
     return dim
 
 
-def _is_table(value, width: int) -> bool:
-    """Whether value is a list of lists of width entries each."""
-    return isinstance(value, list) and all(
-        isinstance(row, list) and len(row) == width for row in value
-    )
+def _row(value, path: str, width: int, index: int | None = None) -> Scaled:
+    """value, a list of width scalars, as one Scaled, read by
+    rationals.scaled_vector with no Fraction. A value that reader refuses
+    (not a list, another width, an entry outside the grammar) is read
+    again by vector_from_json, entry by entry, which raises the SchemaError
+    that names what is wrong, at path[index] (path when index is None)."""
+    if isinstance(value, list) and len(value) == width:
+        try:
+            return scaled_vector(value)
+        except ValueError:
+            pass
+    if index is not None:
+        path = f"{path}[{index}]"
+    return scaled(vector_from_json(value, path, width))
+
+
+def _rows(value, path: str, width: int) -> list:
+    """value, a list of rows of width scalars each, as a list of Scaled."""
+    if not isinstance(value, list):
+        _fail(path, "expected a list")
+    return [_row(row, path, width, i) for i, row in enumerate(value)]
 
 
 def _rows_from_json(obj, dim: int, path: str = "") -> tuple:
     """(rows, rhs) of the object at path: its "rows", each width dim, as a
-    list of Scaled and its "rhs", one per row, as one Scaled, read by
-    rationals.scaled_vector with no Fraction. A document that reader
-    refuses is read again by vector_list_from_json and vector_from_json,
-    which name what is wrong (scaled_vector reads every rational that
-    parse_rational does, so they raise)."""
-    try:
-        rows, rhs = obj["rows"], obj["rhs"]
-        if _is_table(rows, dim) and _is_table([rhs], len(rows)):
-            return list(map(scaled_vector, rows)), scaled_vector(rhs)
-    except (KeyError, TypeError, ValueError):
-        pass
-    rows = vector_list_from_json(*_field(obj, "rows", path), dim)
-    rhs = vector_from_json(*_field(obj, "rhs", path), len(rows))
-    return list(map(scaled, rows)), scaled(rhs)
+    list of Scaled, then its "rhs", one per row, as one Scaled, each row
+    read once by _row."""
+    rows = _rows(*_field(obj, "rows", path), dim)
+    return rows, _row(*_field(obj, "rhs", path), len(rows))
 
 
 def polyhedron_from_json(obj) -> HPolyhedron:
@@ -126,7 +123,7 @@ def points_from_json(obj, dim: int):
         block = scaled_columns(rows, dim)
         if block is None:
             for i, row in enumerate(rows, start):  # name what is wrong
-                vector_from_json(row, f"points[{i}]", dim)
+                _row(row, "points", dim, i)
             # every entry is a rational, yet not one the reader can spell
             # out (an int subclass, an int past the str limit)
             raise ValueError("expected JSON ints and rational texts")
@@ -135,19 +132,11 @@ def points_from_json(obj, dim: int):
 
 def corner_instance_from_json(obj) -> CornerInstance:
     """The "instance" object {"dim", "f", "rays", "P": {"rows", "rhs"}};
-    "P" may be absent or null for the whole space. f and the rays are
-    read by scaled_vector and P by _rows_from_json, with no Fraction; a
-    document they refuse is read again entry by entry, in the same order,
-    to name what is wrong."""
+    "P" may be absent or null for the whole space. f, then the rays, then
+    P (_rows_from_json) are read, each row once by _row."""
     dim = _dim_from_json(obj, "instance")
-    try:
-        f, rays = obj["f"], obj["rays"]
-        if not (_is_table([f], dim) and _is_table(rays, dim)):
-            raise ValueError
-        f, rays = scaled_vector(f), list(map(scaled_vector, rays))
-    except (KeyError, ValueError):
-        f = vector_from_json(*_field(obj, "f", "instance"), dim)
-        rays = vector_list_from_json(*_field(obj, "rays", "instance"), dim)
+    f = _row(*_field(obj, "f", "instance"), dim)
+    rays = _rows(*_field(obj, "rays", "instance"), dim)
     p_rows, p_rhs = (), ()
     if obj.get("P") is not None:
         p_rows, p_rhs = _rows_from_json(obj["P"], dim, "instance.P")

@@ -18,8 +18,10 @@ keeps it or drops it just as it would with no test before it.
 For such a set K the polar K* is conv({0} union rows), and the rows
 themselves are exactly the points of the polar at which the pairing
 <x, y> = 1 is attained by some x in K (each row is an exposed face
-direction; exposed_witness produces the attaining point). Everything here
-is exact; all verdicts are decided by rational arithmetic, never tolerance.
+direction). The attaining point, on the row and strictly inside every
+other, is the row's exposed witness: ray_certificate's point where a ray
+proves the row, exposed_witness's LP point otherwise. Everything here is
+exact; all verdicts are decided by rational arithmetic, never tolerance.
 
 sup_over is the one LP for the support function of K itself,
 sigma_K(v) = sup of <v, x> over K, which is at most 1 exactly when v lies
@@ -316,23 +318,17 @@ def _normal(rows) -> tuple:
     )
 
 
-def _ray_point(c, den: int, t: int, m: int) -> Scaled:
-    """The witness of a direction c with t = <r, c> > m = max <s, c>."""
-    if m > 0:
-        return tuple.__new__(Scaled, (tuple([den * v for v in c]), m))
-    return tuple.__new__(Scaled, (tuple([2 * den * v for v in c]), t))
-
-
 def ray_certificate(r, others, den: int):
-    """A point x proving the int row r irredundant among the int rows
-    others, all over den > 0, with no LP; None when no direction tried
-    proves it. The ray from the origin along a direction c leaves the set
-    {x : <s, x> <= den for s = r and for every s in others} through r
-    alone when t = <r, c> > 0 exceeds m, the largest <s, c> over s in
-    others (0 when there is none). Then x is den c / m when m > 0, so that <s, x> <= den
-    and <r, x> = den t / m > den, and 2 den c / t when m <= 0, so that
-    <s, x> <= 0 and <r, x> = 2 den: x meets every other row and lies past
-    r, so dropping r would enlarge the set. Returned as a Scaled point.
+    """The exposed point of the int row r among the int rows others, all
+    over den > 0, with no LP: a point x with <r, x> = den and <s, x> < den
+    for every s in others, which proves r irredundant (without r the set
+    would hold the points just past x along the ray); None when no
+    direction tried proves it. The ray
+    from the origin along a direction c leaves the set {x : <s, x> <= den
+    for s = r and for every s in others} through r alone when t = <r, c>
+    > 0 exceeds m, the largest <s, c> over s in others (0 when there is
+    none). Then x = den c / t, returned as Scaled(den c, t), lies on r and
+    strictly inside every other row: <s, x> = den <s, c> / t < den.
 
     The directions tried (Clarkson's ray shooting, in ints): c = r first,
     the Gram test, t = |r|^2; then the int normal (_normal) of n - 1 other
@@ -342,9 +338,8 @@ def ray_certificate(r, others, den: int):
     images these directions prove every row."""
     aligned = [sum(map(mul, s, r)) for s in others]
     norm = sum(map(mul, r, r))
-    m = max(aligned, default=0)
-    if norm > m:
-        return _ray_point(r, den, norm, m)
+    if norm > max(aligned, default=0):
+        return tuple.__new__(Scaled, (tuple([den * v for v in r]), norm))
     if len(r) < 2:  # in 1-D, r is the one direction with t > 0
         return None
     # a stable sort, in C: over a few rows it is twice as fast as nlargest
@@ -354,10 +349,8 @@ def ray_certificate(r, others, den: int):
         t = sum(map(mul, r, c))
         if t < 0:
             c, t = tuple(-v for v in c), -t
-        if t:
-            m = max(sum(map(mul, s, c)) for s in others)
-            if m < t:
-                return _ray_point(c, den, t, m)
+        if t and max(sum(map(mul, s, c)) for s in others) < t:
+            return tuple.__new__(Scaled, (tuple([den * v for v in c]), t))
     return None
 
 

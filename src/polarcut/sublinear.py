@@ -30,9 +30,10 @@ valid weights, by the support LP sup_over over the set's rows. Both
 functions tell points apart on ints: no Fraction is hashed, and the drawn
 set comes with its compiled form, made from the ints it was drawn in
 rather than by integer_rows of its Fraction points. The exposed
-check scales each row's ray certificate onto the row (_ray_witness);
-only a row without one poses exposed_witness's LP. sample_points draws
-its samples as Scaled points.
+check takes each row's witness from polyhedra.ray_certificate, which
+returns that point, on the row and strictly inside the others; only a
+row without one poses exposed_witness's LP. sample_points draws its
+samples as Scaled points.
 
 The evaluators and checks take a point in either form, a rational tuple or
 its rationals.Scaled form. The checks run on one int column kernel,
@@ -435,29 +436,15 @@ def sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
     return tuple(out[:count])
 
 
-def _ray_witness(compiled: tuple, i: int):
-    """Row i's exposed point by a ray, for compiled = (int rows r, den):
-    with x = ray_certificate(r_i, the other rows, den), the point
-    Scaled(den * x.ints, <r_i, x.ints>), that is x / <a_i, x>. It lies on
-    row i, and strictly inside every other row, since x lies past row i
-    and inside the others. None when the row has no certificate."""
-    rows, den = compiled
-    r = rows[i]
-    x = ray_certificate(r, rows[:i] + rows[i + 1 :], den)
-    if x is None:
-        return None
-    return Scaled(tuple(den * c for c in x.ints), sum(map(mul, r, x.ints)))
-
-
 def property_suite(instances, seed: int, samples: int) -> tuple[dict, int]:
     """Every check above on each set, in a fixed order: SUITE_CANDIDATES
     seeded sandwich checks, reconstruction, off-recession agreement on the
     samples outside the recession cone, and the exposed witness of every
     row, which must be tight on that row alone. Set `index` draws its
     samples from seed + 7919 * index, as Scaled points. A row's witness
-    comes from its ray certificate (_ray_witness), and from
-    exposed_witness's LP only for a row without one; on a set whose every
-    row has a certificate the suite poses no LP.
+    is the point its ray_certificate returns, and exposed_witness's LP
+    point only for a row without one; on a set whose every row has a
+    certificate the suite poses no LP.
 
     Returns (tally, violations): per-check counts, with the first sandwich
     and off-recession violations as rational vectors (None when there is
@@ -504,9 +491,10 @@ def property_suite(instances, seed: int, samples: int) -> tuple[dict, int]:
         if misses and off["first_violation"] is None:
             off["first_violation"] = unscaled(points[misses[0]])
 
-        for i in range(len(h.rows)):
+        rows, den = h.compiled
+        for i in range(len(rows)):
             exposed["rows_checked"] += 1
-            witness = _ray_witness(h.compiled, i)
+            witness = ray_certificate(rows[i], rows[:i] + rows[i + 1 :], den)
             if witness is None:
                 witness = exposed_witness(h, i)
             if membership(h, witness).tight_rows != (i,):

@@ -686,15 +686,17 @@ def raise_rho(mp: pytest.MonkeyPatch) -> None:
 def zero_ray_witness(mp: pytest.MonkeyPatch) -> None:
     """The fault of a zero exposed witness on the ray route: each row
     with a ray certificate gets the origin, tight on no row, as its
-    witness. A row without one still takes exposed_witness."""
-    witness = sublinear._ray_witness
+    witness. A row without one still takes exposed_witness. Only the
+    property suite's binding of ray_certificate is patched, so normalize
+    keeps its rows."""
+    certify = sublinear.ray_certificate
 
-    def zero(compiled, i):
-        if witness(compiled, i) is None:
+    def zero(r, others, den):
+        if certify(r, others, den) is None:
             return None
-        return Scaled((0,) * len(compiled[0][i]), 1)
+        return Scaled((0,) * len(r), 1)
 
-    mp.setattr(sublinear, "_ray_witness", zero)
+    mp.setattr(sublinear, "ray_certificate", zero)
 
 
 def raise_polar_support(mp: pytest.MonkeyPatch) -> None:
@@ -1439,19 +1441,52 @@ def reference_render(report: dict) -> str:
 # ---------------------------------------------------------- JSON row readers
 
 
+def _reference_table(value, path: str, width: int) -> list:
+    """value, a list of rows, each read entry by entry by vector_from_json."""
+    if not isinstance(value, list):
+        jsonio._fail(path, "expected a list")
+    return [jsonio.vector_from_json(row, f"{path}[{i}]", width) for i, row in enumerate(value)]
+
+
+def _reference_rows(obj, dim: int, path: str = "") -> tuple:
+    """The "rows", then the "rhs", of the object at path, read entry by
+    entry by vector_from_json."""
+    rows = _reference_table(*jsonio._field(obj, "rows", path), dim)
+    return rows, jsonio.vector_from_json(*jsonio._field(obj, "rhs", path), len(rows))
+
+
 def reference_polyhedron_from_json(obj):
     """Reference for jsonio.polyhedron_from_json: rows and right-hand
-    sides read entry by entry by vector_list_from_json and
-    vector_from_json, then normalized, as before they were read to ints."""
-    dim = jsonio._dim_from_json(obj)
-    rows = jsonio.vector_list_from_json(*jsonio._field(obj, "rows"), dim)
-    rhs = jsonio.vector_from_json(*jsonio._field(obj, "rhs"), len(rows))
-    return normalize(rows, rhs)
+    sides read entry by entry by vector_from_json, then normalized, as
+    before they were read to ints."""
+    return normalize(*_reference_rows(obj, jsonio._dim_from_json(obj)))
 
 
 def reference_body_from_json(obj, f):
     """Reference for jsonio.body_from_json, read as
-    reference_polyhedron_from_json reads a set, then make_body."""
-    rows = jsonio.vector_list_from_json(*jsonio._field(obj, "rows", "body"), len(f))
-    rhs = jsonio.vector_from_json(*jsonio._field(obj, "rhs", "body"), len(rows))
-    return cuts.make_body(rows, rhs, f)
+    reference_polyhedron_from_json reads a set, then make_body; f as a
+    Scaled or a rational tuple."""
+    return cuts.make_body(*_reference_rows(obj, len(unscaled(f)), "body"), f)
+
+
+def reference_points_from_json(obj, dim: int):
+    """Reference for jsonio.points_from_json: every point read entry by
+    entry by vector_from_json, then yielded in blocks of POINT_BLOCK
+    points as int columns, each point over its least denominator."""
+    points = list(map(scaled, _reference_table(*jsonio._field(obj, "points"), dim)))
+    for start in range(0, len(points), jsonio.POINT_BLOCK):
+        block = points[start : start + jsonio.POINT_BLOCK]
+        yield tuple([x.ints[j] for x in block] for j in range(dim)), [x.den for x in block]
+
+
+def reference_corner_instance_from_json(obj):
+    """Reference for jsonio.corner_instance_from_json: f, then each ray,
+    then P's rows and right-hand sides, read entry by entry by
+    vector_from_json."""
+    dim = jsonio._dim_from_json(obj, "instance")
+    f = jsonio.vector_from_json(*jsonio._field(obj, "f", "instance"), dim)
+    rays = _reference_table(*jsonio._field(obj, "rays", "instance"), dim)
+    p_rows, p_rhs = (), ()
+    if obj.get("P") is not None:
+        p_rows, p_rhs = _reference_rows(obj["P"], dim, "instance.P")
+    return CornerInstance(dim, f, rays, p_rows, p_rhs)

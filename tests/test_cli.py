@@ -15,6 +15,10 @@ from conftest import (
     raise_polar_support,
     raise_rho,
     rational_samples,
+    reference_body_from_json,
+    reference_corner_instance_from_json,
+    reference_points_from_json,
+    reference_polyhedron_from_json,
     reference_render,
     vscale,
     zero_ray_witness,
@@ -25,6 +29,7 @@ from polarcut.cuts import generate_cut
 from polarcut.polyhedra import VPolytope
 from polarcut.rationals import Values, zero_vector
 from polarcut.sublinear import property_suite
+from test_cli_golden import DOCUMENTS, run_call
 
 
 QUADRANT_K = {"dim": 2, "rows": [[1, 0], [0, 1]], "rhs": [1, 1]}
@@ -743,8 +748,8 @@ def test_set_and_body_rows_build_no_fractions(monkeypatch):
     # A set document and a body document, their rows and right-hand
     # sides spelled each accepted way (ints, "p/q", blanks, a unicode
     # minus, an unreduced text), are read with no parse_rational or
-    # rationals.vector call and without the entry-by-entry readers, which
-    # only diagnose a refused document; one bad entry calls them.
+    # rationals.vector call and without the entry-by-entry reader, which
+    # only diagnoses a refused row; one bad entry calls it on that row.
     calls = Counter()
 
     def counted(module, name):
@@ -761,7 +766,6 @@ def test_set_and_body_rows_build_no_fractions(monkeypatch):
         (rationals, "vector"),
         (jsonio, "parse_rational"),
         (jsonio, "vector_from_json"),
-        (jsonio, "vector_list_from_json"),
     ]:
         counted(module, name)
     rows = [[1, " 2/4"], ["\u22123/6", 0], ["+5", "7/1"], [-1, "-1"]]
@@ -783,7 +787,7 @@ def test_set_and_body_rows_build_no_fractions(monkeypatch):
     )
     with pytest.raises(jsonio.SchemaError, match=re.escape("field 'rows[3][1]'")):
         jsonio.polyhedron_from_json(dict(doc, rows=rows[:3] + [[-1, 0.5]]))
-    assert calls["vector_list_from_json"] == 1 and calls["parse_rational"] > 0
+    assert calls["vector_from_json"] == 1 and calls["parse_rational"] > 0
 
 
 INSTANCE_WITH_P = {
@@ -836,6 +840,114 @@ def test_instance_entry_errors_name_the_entry(where, value, message):
     with pytest.raises(jsonio.SchemaError) as excinfo:
         jsonio.corner_instance_from_json(doc)
     assert str(excinfo.value) == message
+
+
+def _json_paths(value, path=()):
+    """The path (keys and indices from the root) of every field of a JSON
+    document, depth first."""
+    if isinstance(value, dict):
+        fields = value.items()
+    elif isinstance(value, list):
+        fields = enumerate(value)
+    else:
+        return
+    for key, child in fields:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+# What a mutation puts in place of a field: scalars outside the grammar,
+# too long or not numbers, ints that are rationals but a wrong dim, width
+# or sign there, and values that are not lists.
+BAD_SCALARS = ["x", 1.5, True, "9" * 5000, -1, 2]
+NON_LISTS = [3, "1, 2", {"rows": []}, None]
+
+
+def _mutation(doc, path, change):
+    """A copy of doc with the field at path changed: ("delete",), ("short",)
+    (the list one entry short, [] in place of a scalar), or ("put", value)."""
+    doc = json.loads(json.dumps(doc))
+    *above, key = path
+    parent = doc
+    for k in above:
+        parent = parent[k]
+    if change[0] == "delete":
+        del parent[key]
+    elif change[0] == "short":
+        value = parent[key]
+        parent[key] = value[:-1] if isinstance(value, list) and value else []
+    else:
+        parent[key] = change[1]
+    return doc
+
+
+def _changes(doc, rng) -> list:
+    """(path, change) pairs: each member of each object in doc deleted,
+    made one entry short, made a non-list and made each bad scalar; then
+    10 entries of its lists drawn, each changed one of those ways."""
+    paths = list(_json_paths(doc))
+    ways = [("delete",), ("short",)]
+    members = [path for path in paths if isinstance(path[-1], str)]
+    entries = [path for path in paths if isinstance(path[-1], int)]
+    out = []
+    for path in members:
+        out += [(path, way) for way in ways]
+        out.append((path, ("put", rng.choice(NON_LISTS))))
+        out += [(path, ("put", value)) for value in BAD_SCALARS]
+    for _ in range(10):
+        way = rng.choice(ways + [("put", rng.choice(NON_LISTS + BAD_SCALARS))])
+        out.append((rng.choice(entries), way))
+    return out
+
+
+REFUSAL_COMMANDS = {
+    "set": [("polar",), ("gauge",), ("rho",)],
+    "body": [(c, "--radius", "1") for c in ("cut", "sfree", "maximal")],
+    "cut": [("check-cut", "--radius", "1")],
+}
+# golden documents: sets with points, bodies with instances with and
+# without P, and cuts
+REFUSAL_DOCUMENTS = {
+    "quadrant.json": "set",
+    "simplex3d.json": "set",
+    "split.json": "body",
+    "fat.json": "body",
+    "box3d.json": "body",
+    "simplex_body3d.json": "body",
+    "slab_p3d.json": "body",
+    "redundant_box2d.json": "body",
+    "cut_valid.json": "cut",
+    "cut_box3d.json": "cut",
+    "cut_late.json": "cut",
+    "cut_plane3d.json": "cut",
+}
+
+
+def test_refusals_match_the_entry_by_entry_readers(tmp_path, monkeypatch):
+    # About 1,000 seeded mutations of golden set, points, body, instance
+    # and cut documents, each one field made a bad scalar, a short list or
+    # a non-list, or deleted: main gives the same exit code, stdout and
+    # stderr as with jsonio's readers swapped for the references that
+    # read every row entry by entry, in document order.
+    rng = random.Random(3301)
+    calls = []
+    for name, kind in REFUSAL_DOCUMENTS.items():
+        doc = DOCUMENTS[name]
+        for path, change in _changes(doc, rng):
+            command, *options = rng.choice(REFUSAL_COMMANDS[kind])
+            target = write(tmp_path, f"m{len(calls)}.json", _mutation(doc, path, change))
+            calls.append((command, target, *options, "--format", rng.choice(["json", "text"])))
+    directory = str(tmp_path)
+    outcomes = [run_call(call, directory) for call in calls]
+    monkeypatch.setattr(jsonio, "polyhedron_from_json", reference_polyhedron_from_json)
+    monkeypatch.setattr(jsonio, "points_from_json", reference_points_from_json)
+    monkeypatch.setattr(jsonio, "corner_instance_from_json", reference_corner_instance_from_json)
+    monkeypatch.setattr(jsonio, "body_from_json", reference_body_from_json)
+    for call, outcome in zip(calls, outcomes):
+        assert run_call(call, directory) == outcome, call
+    codes = Counter(code for code, _, _ in outcomes)
+    print("refusal calls:", len(calls), "exits:", dict(codes))
+    assert 900 <= len(calls) <= 1100 and min(codes[c] for c in (0, 1, 2)) >= 20, codes
 
 
 def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
@@ -893,9 +1005,9 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
         assert blocks == [256, 256, 256, 232]
         assert full["fraction"] == empty["fraction"]
     # tolerant spellings are read whole too; the counter sees
-    # vector_from_json when a bad entry is diagnosed, on the rows of its
-    # block up to it, and the bad block is diagnosed once: rationals.vector
-    # is never called
+    # vector_from_json when a bad entry is diagnosed, on its row alone (the
+    # rows of its block before it are read to ints), and the bad block is
+    # diagnosed once: rationals.vector is never called
     loose = query_doc(1000)
     loose["points"][998][0] = " 1/2"
     loose["points"][998][1] = "\u22127"
@@ -904,6 +1016,6 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
     assert code == 0 and counts["vector"] == 0
     loose["points"][999][0] = "1.5"
     code, _, _ = run(capsys, "rho", write(tmp_path, "bad.json", loose))
-    assert code == 2 and counts["vector"] == 1000 - 768  # rows 768..999
+    assert code == 2 and counts["vector"] == 1  # row 999
     assert counts["parse"] > 0  # the diagnosis parses what it names
     assert counts["rationals.vector"] == 0

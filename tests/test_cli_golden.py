@@ -231,6 +231,29 @@ DOCUMENTS = {
     "query600_bad.json": QUERY_600_BAD,
     "huge.json": {"dim": 1, "rows": [[BIG]], "rhs": [1], "points": [["1" + "0" * 4000]]},
 }
+# One malformed document per reader position, each refused with the
+# field it names: a set's rows and rhs, a body's rows and rhs, an
+# instance's f, rays, and P's rows and rhs, and the query points.
+BAD_FIELD_DOCUMENTS = {
+    "bad_set_rows.json": {"dim": 2, "rows": [[1, 0], [0]], "rhs": [1, 1]},
+    "bad_set_rhs.json": {"dim": 2, "rows": [[1, 0], [0, 1]], "rhs": [1, "1/0"]},
+    "bad_body_rows.json": dict(SPLIT, body={"rows": [[1], "-1"], "rhs": [1, 0]}),
+    "bad_body_rhs.json": dict(SPLIT, body={"rows": [[1], [-1]]}),
+    "bad_instance_f.json": dict(SPLIT, instance=dict(SPLIT_INSTANCE, f=["1/2", 0])),
+    "bad_instance_rays.json": dict(
+        CUT_LATE, instance=dict(CUT_LATE["instance"], rays=[[-1, 0], [2, True]])
+    ),
+    "bad_instance_p_rows.json": dict(
+        BOX_3D,
+        instance=dict(BOX_3D["instance"], P={"rows": [[1, 1, 1], [-1, 0]], "rhs": [2, 1]}),
+    ),
+    "bad_instance_p_rhs.json": dict(
+        BOX_3D,
+        instance=dict(BOX_3D["instance"], P={"rows": [[1, 1, 1], [-1, 0, 0]], "rhs": [2, 1.5]}),
+    ),
+    "bad_points.json": dict(QUADRANT, points=[[-1, -2], 7]),
+}
+DOCUMENTS.update(BAD_FIELD_DOCUMENTS)
 RAW_DOCUMENTS = {
     "truncated.json": '{"dim": 2,\n  "rows": [[1, 0],',
     "deep.json": "[" * 100_000,
@@ -271,6 +294,15 @@ def _calls() -> list:
         ("gauge", "huge.json"),
         ("gauge", "query600_bad.json"),
         ("polar", "missing.json"),
+        ("polar", "bad_set_rows.json"),
+        ("gauge", "bad_set_rhs.json"),
+        ("cut", "bad_body_rows.json", "--radius", "2"),
+        ("sfree", "bad_body_rhs.json", "--radius", "2"),
+        ("maximal", "bad_instance_f.json", "--radius", "2"),
+        ("check-cut", "bad_instance_rays.json", "--radius", "3"),
+        ("cut", "bad_instance_p_rows.json", "--radius", "2"),
+        ("sfree", "bad_instance_p_rhs.json", "--radius", "2"),
+        ("rho", "bad_points.json"),
     ]
     return [
         call + ("--format", fmt) for call in calls for fmt in ("json", "text")

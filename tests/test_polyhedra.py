@@ -821,11 +821,12 @@ def _gram_calls(run, *args) -> tuple:
 
 def _check_certificate(r, others, den, x) -> str:
     """x, ray_certificate's answer on (r, others, den). When a point, it
-    meets every other row and lies strictly past r, in exact ints:
-    <s, x.ints> <= den x.den < <r, x.ints>; along r it is the Gram
-    form, den r / m or 2 den r / |r|^2, and otherwise it is orthogonal to
-    n - 1 others. When None, the Gram test fails, |r|^2 <= m, and so does
-    the Fraction reference's ray test. Returns the case met."""
+    is r's exposed point, on r and strictly inside every other row, in
+    exact ints: <s, x.ints> < den x.den = <r, x.ints>; along r it is the
+    Gram form den r / |r|^2, and otherwise it is orthogonal to n - 1
+    others. When None, the Gram test fails, |r|^2 <= m, and so does the
+    Fraction reference's ray test. Returns the case met, the Gram cases
+    told apart by whether some other row meets the ray (m > 0)."""
     a = tuple(Fraction(c, den) for c in r)
     rest = [tuple(Fraction(c, den) for c in s) for s in others]
     norm = sum(c * c for c in r)
@@ -834,12 +835,11 @@ def _check_certificate(r, others, den, x) -> str:
         assert norm <= m and not fraction_ray_proves(a, rest)
         return "tie" if norm == m else "failed"
     ints, d = x
-    assert all(sum(map(mul, s, ints)) <= den * d for s in others)
-    assert sum(map(mul, r, ints)) > den * d
+    assert all(sum(map(mul, s, ints)) < den * d for s in others)
+    assert sum(map(mul, r, ints)) == den * d
     assert fraction_ray_proves(a, rest)
     if norm > m:
-        form = Scaled(tuple(den * c for c in r), m) if m > 0 else None
-        assert x == (form or Scaled(tuple(2 * den * c for c in r), norm))
+        assert x == Scaled(tuple(den * c for c in r), norm)
         return "m > 0" if m > 0 else "m <= 0"
     assert sum(not sum(map(mul, s, ints)) for s in others) >= len(r) - 1
     return "normal"
@@ -894,18 +894,19 @@ def test_gram_test_keeps_the_rows_of_an_lp_for_every_row_on_drawn_sets(drawn):
 
 
 def test_gram_certificate_cases():
-    # The two Gram forms of the point, a lone row, the two forms along a
-    # normal direction, rows that no direction tried proves (one after a
-    # tie), and a normal in 3-D.
+    # The Gram point with another row meeting the ray and with none, a
+    # lone row, a normal direction with another row meeting the ray and
+    # with none, rows that no direction tried proves (one after a tie),
+    # and a normal in 3-D. The point is den c / t, on r: <r, x> = den.
     x = ray_certificate((2, 0), [(1, 1), (0, 1)], 3)
-    assert x == Scaled((6, 0), 2)  # den r / m = 3 (2, 0) / 2
-    assert ray_certificate((1, 0), [(-1, 0), (0, 1)], 5) == Scaled((10, 0), 1)
-    assert ray_certificate((0, 3), [], 2) == Scaled((0, 12), 9)
+    assert x == Scaled((6, 0), 4)  # den r / |r|^2 = 3 (2, 0) / 4
+    assert ray_certificate((1, 0), [(-1, 0), (0, 1)], 5) == Scaled((5, 0), 1)
+    assert ray_certificate((0, 3), [], 2) == Scaled((0, 6), 9)
     # (1, 0) against (1, 1): the normal c = (1, -1) has t = 1 > m = 0
-    assert ray_certificate((1, 0), [(1, 1)], 1) == Scaled((2, -2), 1)
+    assert ray_certificate((1, 0), [(1, 1)], 1) == Scaled((1, -1), 1)
     # (2, 0) against (2, 2), (0, 2) and (1, 0): the normal c = (2, -2) of
-    # (2, 2) has t = 4 > m = 2, on (1, 0): x = den c / m
-    assert ray_certificate((2, 0), [(2, 2), (0, 2), (1, 0)], 1) == Scaled((2, -2), 2)
+    # (2, 2) has t = 4 > m = 2, on (1, 0)
+    assert ray_certificate((2, 0), [(2, 2), (0, 2), (1, 0)], 1) == Scaled((2, -2), 4)
     # against (1, 1) and (1, -1) every direction meets another row first
     assert ray_certificate((1, 0), [(1, 1), (1, -1)], 1) is None
     # (2, 0) against (4, 2) and (0, -1): the normal (2, -4) of (4, 2)
@@ -915,7 +916,7 @@ def test_gram_certificate_cases():
     # in 3-D, (1, 0, 0) against (1, 1, 0), (1, 0, 1) and (-1, 0, 0): the
     # cross product of the first two, (1, -1, -1), has t = 1 > m = 0
     x = ray_certificate((1, 0, 0), [(1, 1, 0), (1, 0, 1), (-1, 0, 0)], 1)
-    assert x == Scaled((2, -2, -2), 1)
+    assert x == Scaled((1, -1, -1), 1)
 
 
 def test_make_body_poses_no_lp_on_unimodular_images(monkeypatch):

@@ -698,6 +698,13 @@ def test_sample_points_make_no_pairings(monkeypatch):
     assert gauge(h, (1,) * h.dim) is not None and calls["pairings"] == 1
 
 
+def _row_certificate(h, i):
+    """ray_certificate of row i of h among its other rows: the witness
+    property_suite checks for that row, or None."""
+    rows, den = h.compiled
+    return ray_certificate(rows[i], rows[:i] + rows[i + 1 :], den)
+
+
 def _gram_and_lp_verdicts(h):
     """Per row of h, (ray verdict, LP verdict): whether the ray route's
     witness is tight on that row alone (None when the row has no
@@ -705,7 +712,7 @@ def _gram_and_lp_verdicts(h):
     the row as redundant)."""
     out = []
     for i in range(len(h.rows)):
-        w = sublinear._ray_witness(h.compiled, i)
+        w = _row_certificate(h, i)
         gram = None if w is None else membership(h, w).tight_rows == (i,)
         try:
             lp = membership(h, exposed_witness(h, i)).tight_rows == (i,)
@@ -718,12 +725,11 @@ def _gram_and_lp_verdicts(h):
 def test_gram_witnesses_match_the_lp_route():
     # On seeded 1-4-D sets, zero-coefficient sets and random_polyhedron
     # ones, the ray route and the LP route give the same verdict on every
-    # row that has a certificate (both witnesses tight on that row alone),
-    # and the rows without one are those the suite hands to the LP. With a
-    # redundant row added (half a row, or the mean of two rows), the ray
-    # route finds no certificate for it, as the LP finds no witness, and
-    # every other row's certified witness is still tight on it alone. (A
-    # row can gain or lose its certificate there: the added row changes
+    # row that has a certificate (both witnesses tight on that row alone).
+    # With a redundant row added (half a row, or the mean of two rows), the
+    # ray route finds no certificate for it, as the LP finds no witness,
+    # and every other row's certified witness is still tight on it alone.
+    # (A row can gain or lose its certificate there: the added row changes
     # which bases are tried.)
     rng = random.Random(7877)
     seen = Counter()
@@ -739,10 +745,6 @@ def test_gram_witnesses_match_the_lp_route():
         assert all(lp is True and gram in (True, None) for gram, lp in verdicts)
         seen[f"{kind} rows"] += len(verdicts)
         seen[f"{kind} uncertified"] += sum(gram is None for gram, _ in verdicts)
-        rows, den = h.compiled
-        for i, _ in enumerate(rows):
-            certified = ray_certificate(rows[i], rows[:i] + rows[i + 1 :], den) is not None
-            assert certified == (verdicts[i][0] is not None)
         extra = vscale(Fraction(1, 2), h.rows[0])
         if len(h.rows) > 1 and any(vadd(h.rows[0], h.rows[1])):
             extra = vscale(Fraction(1, 2), vadd(h.rows[0], h.rows[1]))
@@ -767,9 +769,7 @@ def test_property_suite_poses_no_lp_on_certified_sets():
     while len(certified) < 8 or len(others) < 8:
         dim = rng.randint(1, 4)
         h = random_polyhedron(dim, rng.randint(2, dim + 5), rng)
-        missing = sum(
-            sublinear._ray_witness(h.compiled, i) is None for i in range(len(h.rows))
-        )
+        missing = sum(_row_certificate(h, i) is None for i in range(len(h.rows)))
         (others if missing else certified).append((h, missing))
     (tally, violations), programs = programs_logged(
         property_suite, [h for h, _ in certified[:8]], 5, 40
@@ -1077,9 +1077,7 @@ def test_support_lps_pose_int_rows_as_often_as_the_fraction_routes():
     sets = result[0]
     rows = sum(len(h.rows) for h in sets)
     uncertified = sum(
-        sublinear._ray_witness(h.compiled, i) is None
-        for h in sets
-        for i in range(len(h.rows))
+        _row_certificate(h, i) is None for h in sets for i in range(len(h.rows))
     )
     assert len(exposed_programs) == len(reference_exposed) == rows
     assert len(suite_programs) == uncertified and 0 < uncertified < rows
