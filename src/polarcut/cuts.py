@@ -19,14 +19,18 @@ and every scan, box and LP below reads those ints; a Fraction is built
 only for f's text in a cut's provenance. Validity is
 inherited from sublinearity - any s reaching a point of S satisfies the
 inequality because the body is S-free - and is additionally *checked* here
-on a lattice region, by exact LPs, rather than trusted. check_cut_validity
-keeps the exact certificate of each LP it solves, once lp.verify_certificate
-has passed it, and skips a later point that one of them already proves is
-no violation: a Farkas row of an unreachable point (nonnegative on every
-ray: the dual test for objective 0) proves unreachable every offset it
-pairs to a negative value, and the dual of an optimal value >= 1 (at most
-alpha_j on ray j) proves value >= 1, by weak duality, at every offset it
-pairs to 1 or more. Only points without such a proof get an LP.
+on a lattice region, by exact certificates, rather than trusted.
+check_cut_validity skips a point that a certificate it holds proves is no
+violation: a Farkas row (nonnegative on every ray: the dual test for
+objective 0) proves unreachable every offset it pairs to a negative
+value, and a dual (at most alpha_j on ray j) proves value >= 1, by weak
+duality, at every offset it pairs to 1 or more. Neither depends on the
+point, so at the first point it finds them from the rays alone: the int
+normal of every d - 1 rays is tried as a Farkas row (a facet of the ray
+cone) and every basis of d rays gives a dual vertex, each kept once
+lp.dual_feasible, the dual test of lp.verify_certificate, accepts it.
+Only points without such a proof get an LP, whose certificate is kept
+too once lp.verify_certificate has passed the outcome.
 
 Only some lattice points can violate the cut. Let v(t) = min{alpha.s :
 Rs = t, s >= 0}, the value check_cut_validity computes at t = z - f. When
@@ -84,12 +88,14 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import combinations
 from operator import mul
 
 from . import lp
 from .polyhedra import (
     HPolyhedron,
     OriginNotInteriorError,
+    _normal,
     is_bounded,
     normalize,
 )
@@ -108,6 +114,14 @@ from .sublinear import minimal_sublinear
 
 DEFAULT_RADIUS = 5
 MAX_SCAN_POINTS = 10**6  # largest scan box, (2 * radius + 1) ** dim points
+# check_cut_validity's certificate search (_cut_certificates) runs only on
+# cuts with at most this many (d - 1)- and d-subsets of rays, comb(k + 1, d)
+# for k rays in d-D. A subset costs 4-7 us in 2-4-D and 25 us in 5-D, where
+# _normal takes Bareiss minors, against 45-245 us for one LP and its check
+# (CPython 3.11, 2-vCPU VM): at this budget a search costs at most about
+# two LPs in 2-4-D and three in 5-D, and it admits every cut of up to 6
+# rays in 3-5-D and 8 in 2-D. Past it the call runs on LPs alone.
+_SEARCH_BUDGET = 36
 
 
 class AnchorNotInteriorError(ValueError):
@@ -446,19 +460,20 @@ def violation_box(inst: CornerInstance, alpha) -> tuple | None:
     """The integer box of every lattice point z at which the cut
     sum_j alpha_j s_j >= 1 can fail (module docstring), one (low, high)
     pair per axis with None for a side without a bound; None when some
-    alpha_j < 0. With rays R over r_den, alpha A over a_den and f F over
-    f_den, the tip r_jd / alpha_j is R_jd / A_j times a_den / r_den, so
-    tips compare by cross-multiplying R_jd A_k with R_kd A_j (f itself
-    reads as the tip 0 / 1), and f_d plus the least or greatest is
-    (F_d A r_den + R a_den f_den) / (f_den A r_den), whose ceiling or floor
-    is taken by int floor division."""
-    if any(a < 0 for a in alpha):
-        return None
-    rays, r_den = _ray_rows(inst)
+    alpha_j < 0. alpha is read by scaled(), so a Scaled is taken as it
+    is. With ray j read as its own Scaled R_j over r_j, alpha A over
+    a_den and f F over f_den, the tip r_j / alpha_j is R_j over
+    c_j = r_j A_j / a_den, so tips compare by cross-multiplying R_jd c_k
+    with R_kd c_j, a_den cancelling (f itself reads as the tip 0 / 1), and
+    f_d plus the least or greatest is (F_d r_j A_j + R_jd a_den f_den) /
+    (f_den r_j A_j), whose ceiling or floor is taken by int floor
+    division."""
     costs, a_den = scaled(alpha)
+    if any(a < 0 for a in costs):
+        return None
     f_ints, f_den = inst.f
-    tips = [(r, a) for a, r in zip(costs, rays) if a > 0]
-    free = [r for a, r in zip(costs, rays) if a == 0]
+    tips = [(r, den * a) for a, (r, den) in zip(costs, inst.rays) if a > 0]
+    free = [r for a, (r, _) in zip(costs, inst.rays) if a == 0]
     box = []
     for d, f_d in enumerate(f_ints):
         low = high = (0, 1)
@@ -468,13 +483,58 @@ def violation_box(inst: CornerInstance, alpha) -> tuple | None:
             if r[d] * high[1] > high[0] * a:
                 high = (r[d], a)
         (lo_num, lo_den), (hi_num, hi_den) = [
-            (f_d * a * r_den + n * a_den * f_den, f_den * a * r_den)
-            for n, a in (low, high)
+            (f_d * a + n * a_den * f_den, f_den * a) for n, a in (low, high)
         ]
         lo = None if any(r[d] < 0 for r in free) else -(-lo_num // lo_den)
         hi = None if any(r[d] > 0 for r in free) else hi_num // hi_den
         box.append((lo, hi))
     return tuple(box)
+
+
+def _cut_certificates(rays, columns, costs, f_den: int) -> tuple:
+    """The certificates of the cut's LP that hold at every point, found
+    from the rays alone: (farkas, duals), Farkas rows y and duals (u, den)
+    with u / den the LP's dual; two empty lists when the rays' (d - 1)-
+    and d-subsets number more than _SEARCH_BUDGET. rays are the int rows
+    R_j, columns the LP's columns f_den R_j and costs its int costs A.
+
+    The int normal n (polyhedra._normal) of every d - 1 rays, and -n, is
+    tried as a Farkas row: it is one when <n, R_j> >= 0 on every ray (the
+    d - 1 rays span a facet of the ray cone). Every basis B of d rays has
+    the dual vertex v with <v, R_j> = A_j on B: v = sum_j A_j n_j /
+    <n_j, R_j> over j in B, n_j the normal of B without j, which is 0 on
+    the other rays of B. Each <n_j, R_j> is +-det B, so v = V / D with
+    D = |det B| and V = sum_j +-A_j n_j, no determinant taken; in the
+    LP's units the dual is V / (D f_den). A candidate is kept only when
+    lp.dual_feasible accepts it for the LP: a Farkas row for objective 0
+    under max, a vertex for the costs under min."""
+    k, dim = len(rays), len(rays[0])
+    if math.comb(k + 1, dim) > _SEARCH_BUDGET:
+        return [], []
+    bounds = ("nonneg",) * k
+    zero = (0,) * k
+    normals, farkas, duals = {}, [], []
+    for subset in combinations(range(k), dim - 1):
+        n = _normal([rays[j] for j in subset])
+        if any(n):
+            normals[subset] = n
+            for y in (n, tuple(-c for c in n)):
+                if lp.dual_feasible(y, columns, zero, bounds, True):
+                    farkas.append(y)
+    for basis in combinations(range(k), dim):
+        v = (0,) * dim
+        for i, j in enumerate(basis):
+            n = normals.get(basis[:i] + basis[i + 1 :])
+            det = n and sum(map(mul, n, rays[j]))
+            if not det:  # no normal, or <n, R_j> = 0: B is dependent
+                break
+            a = costs[j] if det > 0 else -costs[j]
+            v = tuple(x + a * c for x, c in zip(v, n))
+        else:
+            den = abs(det) * f_den
+            if lp.dual_feasible(v, columns, [den * c for c in costs], bounds, False):
+                duals.append((v, den))
+    return farkas, duals
 
 
 def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RADIUS) -> ValidityReport:
@@ -496,16 +556,19 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
 
     Each LP is posed in ints: rays R_j / r_den, t = T / f_den and alpha =
     A / a_den give row d as sum_j f_den R_jd s_j = r_den T_d and costs A,
-    so its value is a_den times the minimum. Each outcome is checked by
-    lp.verify_certificate, then its certificate is kept as an int row to
-    settle later points without an LP. The check covers both:
+    so its value is a_den times the minimum. Its dual feasible set, and so
+    every certificate below but the bound, is the same at every point.
+    Before the first point's LP, _cut_certificates builds the cut's
+    Farkas rows and dual vertices from the rays alone, each accepted by
+    lp.dual_feasible; each LP outcome is checked by lp.verify_certificate.
+    Every certificate is kept as an int row to settle later points
+    without an LP:
 
-    * a Farkas row y of an unreachable point is the dual test for
-      objective 0: <y, R_j> >= 0 for every ray and <y, T> < 0, so every
-      offset with <y, T> < 0 is unreachable too;
-    * the dual u of an optimal value >= a_den has f_den <u, R_j> <= A_j
-      for every ray and r_den <u, T> equal to the value, so every offset
-      with r_den <u, T> >= a_den has minimum >= 1 by weak duality.
+    * a Farkas row y is the dual test for objective 0: <y, R_j> >= 0 for
+      every ray, so every offset with <y, T> < 0 is unreachable;
+    * a dual u over den, with f_den <u, R_j> <= den A_j for every ray,
+      proves value r_den <u, T> / den or more, so every offset with
+      r_den <u, T> >= den a_den has minimum >= 1 by weak duality.
 
     A skipped point is therefore never a violation: the first point left
     without a proof is the first violation of the plain per-point scan,
@@ -515,23 +578,28 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
         raise ValueError("one coefficient per ray required")
     rays, r_den = _ray_rows(inst)
     f = Scaled(*lowest(*inst.f))
-    columns = tuple(tuple(f.den * c for c in col) for col in zip(*rays))
-    costs, a_den = scaled(cut.alpha)
+    columns = [tuple(f.den * c for c in r) for r in rays]
+    alpha = scaled(cut.alpha)
+    costs, a_den = alpha
     bounds = ("nonneg",) * len(inst.rays)
-    box = violation_box(inst, cut.alpha)
+    box = violation_box(inst, alpha)
     box_scanned = box is not None and (
         any(lo is not None and hi is not None and lo > hi for lo, hi in box)
         or list(box) == _scan_box(inst, radius, box)
     )
-    farkas = []  # y: z is unreachable if <y, t> < 0
-    duals = []  # (u, den): value >= 1 at z if <u, t> >= den, in ints
+    # Built at the first point, so a region with none pays no search.
+    farkas = None  # y: z is unreachable if <y, t> < 0
+    duals = None  # (u, den): value >= 1 at z if <u, t> >= den, in ints
     for z in region_lattice_points(inst, radius, box=box):
+        if farkas is None:
+            farkas, duals = _cut_certificates(rays, columns, costs, f.den)
+            duals = [(tuple(r_den * c for c in u), den * a_den) for u, den in duals]
         t = _offset(z, f).ints
         if any(sum(map(mul, y, t)) < 0 for y in farkas) or any(
             sum(map(mul, u, t)) >= den for u, den in duals
         ):
             continue
-        rows = tuple((col, "=", r_den * c) for col, c in zip(columns, t))
+        rows = tuple((row, "=", r_den * c) for row, c in zip(zip(*columns), t))
         program = lp.LinearProgram(
             direction="min", objective=costs, rows=rows, bounds=bounds
         )

@@ -17,12 +17,16 @@ are immutable named tuples:
               right-hand side.
 
 verify_certificate is the library's one test of whether an outcome proves
-its claim; cuts.check_cut_validity calls it on each certificate before it
-caches one. One dual test serves both the optimal and the infeasible
-outcome. A Farkas row is that test for objective 0 under max: a dual
-feasible y bounds 0 = <0, x> <= <y, rhs> for every feasible x, so a
-negative bound leaves no feasible x. One feasibility test serves both the
-point and the ray, a ray taking every right-hand side as 0.
+its claim, and it runs in ints, as the simplex does: the program's rows
+and objective over one denominator, each certificate vector over its
+own. One dual test, dual_feasible, serves the optimal and the infeasible
+outcome, and cuts.check_cut_validity, which calls verify_certificate on
+each LP certificate before it caches one, runs dual_feasible itself on
+the certificates it builds with no LP. A Farkas row is that test for
+objective 0 under max: a dual feasible y bounds 0 = <0, x> <= <y, rhs>
+for every feasible x, so a negative bound leaves no feasible x. One
+feasibility test serves both the point and the ray, a ray taking every
+right-hand side as 0.
 
 Internal shape (invisible to callers): the program is converted to
 ``maximize`` over equality standard form. Free variables are split into
@@ -62,8 +66,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
+from operator import mul
 
-from .rationals import ZERO, Vec, dot, scaled
+from .rationals import ZERO, Vec, over_lcm, scaled
 
 MAX_PIVOTS = 200_000  # Bland's rule cannot cycle; this trips only on a bug.
 
@@ -321,74 +327,103 @@ def solve(lp: LinearProgram) -> LPOutcome:
     )
 
 
-def _feasible(lp: LinearProgram, x, homogeneous: bool = False) -> bool:
-    """x meets the bounds and every row; homogeneous takes each right-hand
-    side as 0, which makes it the test of a recession ray."""
-    if x is None or len(x) != len(lp.objective):
+def _feasible(rows, relations, bounds, x, homogeneous: bool = False) -> bool:
+    """x = X / x_den meets the bounds and every int row (coeffs..., rhs),
+    in ints: <coeffs, X> against x_den rhs (map stops at X's end, before
+    rhs). homogeneous takes each right-hand side as 0, which makes it the
+    test of a recession ray."""
+    ints, den = x
+    if any(b == "nonneg" and v < 0 for b, v in zip(bounds, ints)):
         return False
-    if any(b == "nonneg" and xj < 0 for b, xj in zip(lp.bounds, x)):
-        return False
-    for coeffs, rel, b in lp.rows:
-        lhs = dot(coeffs, x)
-        rhs = ZERO if homogeneous else b
+    for row, rel in zip(rows, relations):
+        lhs = sum(map(mul, row, ints))
+        rhs = 0 if homogeneous else row[-1] * den
         if lhs > rhs or (rel == "=" and lhs != rhs):
             return False
     return True
 
 
-def _dual_bound(lp: LinearProgram, u, objective, is_max: bool):
-    """<u, rhs> if u is dual feasible for the objective over lp's rows and
-    bounds, else None: each '<=' row's multiplier has the direction's sign
-    (>= 0 for max, <= 0 for min), and sum_i u_i a_i dominates the objective
-    (>= for max, <= for min) on nonneg variables and equals it on free
-    ones. By weak duality the bound then caps (max) or floors (min) the
-    objective over every feasible point."""
-    if u is None or len(u) != len(lp.rows):
+def dual_feasible(u, columns, costs, bounds, is_max: bool, signed=()) -> bool:
+    """The one dual test, in ints: whether the multipliers u are dual
+    feasible for a program whose variable j has the int column columns[j]
+    (its coefficient in each row), the int cost costs[j] and the bound
+    bounds[j], all at one scale. <u, columns[j]> must dominate costs[j]
+    (>= under max, <= under min) on a nonneg variable and equal it on a
+    free one, and u_i must have the direction's sign (>= 0 under max,
+    <= 0 under min) at each index i in signed, the '<=' rows. By weak
+    duality <u, rhs> then caps (max) or floors (min) the objective, at
+    the same scale, over every feasible point."""
+    if any(u[i] < 0 if is_max else u[i] > 0 for i in signed):
+        return False
+    for col, c, kind in zip(columns, costs, bounds):
+        combo = sum(map(mul, u, col))
+        if combo != c and (kind == "free" or (combo < c) == is_max):
+            return False
+    return True
+
+
+def _read(vec, n: int):
+    """vec as a Scaled of n ints over their least common denominator, or
+    None when it is not n exact rationals."""
+    try:
+        x = scaled(tuple(vec))
+    except (TypeError, ValueError):
         return None
-    combo = [ZERO] * len(objective)
-    bound = ZERO
-    for ui, (coeffs, rel, b) in zip(u, lp.rows):
-        if not ui:
-            continue
-        if rel == "<=" and (ui < 0 if is_max else ui > 0):
-            return None
-        for j, a in enumerate(coeffs):
-            if a:
-                combo[j] += ui * a
-        bound += ui * b
-    for cj, oj, kind in zip(combo, objective, lp.bounds):
-        if cj != oj and (kind == "free" or (cj < oj if is_max else cj > oj)):
-            return None
-    return bound
+    return x if len(x.ints) == n else None
 
 
 def verify_certificate(lp: LinearProgram, outcome: LPOutcome) -> bool:
-    """Re-check an outcome by direct exact arithmetic.
+    """Re-check an outcome by direct exact arithmetic, in ints: the rows
+    (coeffs..., rhs) and the objective are read by scaled() and put over
+    one denominator den, and each certificate vector over its own.
 
     optimal: the point is feasible, its objective value is the value, and
-    the dual's bound equals it. unbounded: the ray is a feasible direction
-    that strictly improves the objective, and the point, if any, is
-    feasible. infeasible: the Farkas row is the dual test for objective 0
-    under max with a bound below 0 (a feasible x would give
-    0 <= <y, rhs> < 0). Returns False on any mismatch; never raises on a
-    well-formed program.
+    the dual passes dual_feasible with a bound equal to the value.
+    unbounded: the ray is a feasible direction that strictly improves the
+    objective, and the point, if any, is feasible. infeasible: the Farkas
+    row passes dual_feasible for objective 0 under max with a bound below
+    0 (a feasible x would give 0 <= <y, rhs> < 0). Returns False on any
+    mismatch, and on an outcome whose vectors are not exact rationals of
+    the right length; never raises on a well-formed program.
     """
     is_max = lp.direction == "max"
-    if outcome.status == "optimal":
-        return (
-            _feasible(lp, outcome.point)
-            and dot(lp.objective, outcome.point) == outcome.value
-            and _dual_bound(lp, outcome.dual, lp.objective, is_max) == outcome.value
-        )
+    n, m = len(lp.objective), len(lp.rows)
+    keys = [scaled((*coeffs, b)) for coeffs, _, b in lp.rows]
+    keys.append(scaled(lp.objective))
+    (*rows, objective), den = over_lcm(keys)
+    relations = [rel for _, rel, _ in lp.rows]
     if outcome.status == "unbounded":
-        if not _feasible(lp, outcome.ray, homogeneous=True):
+        ray = _read(outcome.ray, n)
+        if ray is None or not _feasible(rows, relations, lp.bounds, ray, True):
             return False
-        gain = dot(lp.objective, outcome.ray)  # a strict gain needs a nonzero ray
+        gain = sum(map(mul, objective, ray.ints))  # a strict gain needs a nonzero ray
         if not (gain > 0 if is_max else gain < 0):
             return False
-        return outcome.point is None or _feasible(lp, outcome.point)
+        if outcome.point is None:
+            return True
+        point = _read(outcome.point, n)
+        return point is not None and _feasible(rows, relations, lp.bounds, point)
+    if outcome.status not in ("optimal", "infeasible"):
+        return False
+    u = _read(outcome.dual, m)
+    if u is None:
+        return False
+    columns = list(zip(*rows))[:n] if rows else [()] * n
+    signed = [i for i, rel in enumerate(relations) if rel == "<="]
+    bound = sum(c * row[-1] for c, row in zip(u.ints, rows))
     if outcome.status == "infeasible":
-        zero = (ZERO,) * len(lp.objective)
-        bound = _dual_bound(lp, outcome.dual, zero, True)
-        return bound is not None and bound < 0
-    return False
+        zero = (0,) * n
+        return dual_feasible(u.ints, columns, zero, lp.bounds, True, signed) and bound < 0
+    point, value = _read(outcome.point, n), outcome.value
+    if point is None or not isinstance(value, Rational):
+        return False
+    # value = <objective, X> / (den x_den) = bound / (den u_den)
+    return (
+        _feasible(rows, relations, lp.bounds, point)
+        and sum(map(mul, objective, point.ints)) * value.denominator
+        == value.numerator * den * point.den
+        and dual_feasible(
+            u.ints, columns, [u.den * c for c in objective], lp.bounds, is_max, signed
+        )
+        and bound * value.denominator == value.numerator * den * u.den
+    )

@@ -24,7 +24,7 @@ from operator import mul
 import pytest
 
 from conftest import rational_samples, reference_render
-from polarcut import cli, jsonio, lp
+from polarcut import cli, cuts, jsonio, lp
 from polarcut.cli import main
 from polarcut.cuts import (
     CornerInstance,
@@ -33,7 +33,7 @@ from polarcut.cuts import (
     maximality_certificate,
 )
 from polarcut.polyhedra import VPolytope, hull_membership, polar, random_polyhedron
-from polarcut.rationals import TooLongToPrint, Values
+from polarcut.rationals import TooLongToPrint, Values, scaled
 from polarcut.sublinear import (
     check_unit_ball,
     property_suite,
@@ -133,16 +133,20 @@ REDUNDANT_BOX_2D = {
 }
 
 # check-cut scans the radius box clipped to the cut's violation_box and
-# reuses LP certificates there. Here the box at radius 3 is {0..3} x {1..3};
-# its first violation, at (1, 1), comes after one optimal LP whose dual
-# skips (0, 2) and (0, 3).
+# reuses certificates there. Here the box at radius 3 is {0..3} x {1..3}.
+# Posing LPs alone (no certificate search), its first violation, at
+# (1, 1), comes after one optimal LP whose dual skips (0, 2) and (0, 3);
+# with the search, the cut's one dual vertex settles (0, 1..3) and the
+# violation's LP is the only one.
 CUT_LATE = {
     "instance": {"dim": 2, "f": ["1/2", "1/3"], "rays": [[-1, 0], [2, 2]], "P": None},
     "cut": {"alpha": [1, "1/2"], "provenance": ""},
 }
 # The same cut on other rays about another f: in the box {0..4} x {1..4},
-# the Farkas row of (0, 1) skips (0, 2), the dual of (0, 3) skips (0, 4),
-# and (1, 1) is the first violation.
+# posing LPs alone, the Farkas row of (0, 1) skips (0, 2), the dual of
+# (0, 3) skips (0, 4), and (1, 1) is the first violation; with the search,
+# a cone facet settles (0, 1) and (0, 2), the one dual vertex (0, 3) and
+# (0, 4), and the violation's LP is the only one.
 CUT_REUSE = {
     "instance": {"dim": 2, "f": ["3/4", "2/3"], "rays": [[-1, 2], [2, 2]], "P": None},
     "cut": {"alpha": [1, "1/2"], "provenance": ""},
@@ -362,15 +366,18 @@ def test_table_covers_corpus(table):
 
 
 @pytest.mark.parametrize(
-    "doc, statuses",
+    "doc, statuses, certificates",
     [
-        pytest.param(CUT_LATE, ["optimal", "optimal"], id="late"),
-        pytest.param(CUT_REUSE, ["infeasible", "optimal", "optimal"], id="reuse"),
+        pytest.param(CUT_LATE, ["optimal", "optimal"], (2, 1), id="late"),
+        pytest.param(CUT_REUSE, ["infeasible", "optimal", "optimal"], (2, 1), id="reuse"),
     ],
 )
-def test_late_violation_fixtures(monkeypatch, doc, statuses):
+def test_late_violation_fixtures(monkeypatch, doc, statuses, certificates):
     # What the comments on CUT_LATE and CUT_REUSE say: the LPs posed, in
-    # order, up to the violation at (1, 1), whose LP is the last.
+    # order, up to the violation at (1, 1), whose LP is the last. Posing
+    # LPs alone (a search budget of 0), the LP certificates skip points;
+    # with the search, its (Farkas rows, dual vertices) settle every point
+    # before the violation, whose LP is still posed.
     real_solve = lp.solve
     seen = []
 
@@ -381,9 +388,19 @@ def test_late_violation_fixtures(monkeypatch, doc, statuses):
 
     monkeypatch.setattr(lp, "solve", recording)
     inst, cut = jsonio.task_from_json(doc, "cut")
-    report = check_cut_validity(inst, cut, 3)
-    assert report.violation.x == (1, 1) and report.scope == "global"
-    assert seen == statuses
+    for budget, posed in ((0, statuses), (cuts._SEARCH_BUDGET, ["optimal"])):
+        seen.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(cuts, "_SEARCH_BUDGET", budget)
+            report = check_cut_validity(inst, cut, 3)
+        assert report.violation.x == (1, 1) and report.scope == "global"
+        assert seen == posed
+    rays, r_den = cuts._ray_rows(inst)
+    f_den = inst.f.den
+    columns = [tuple(f_den * c for c in r) for r in rays]
+    costs = scaled(cut.alpha).ints
+    found = cuts._cut_certificates(rays, columns, costs, f_den)
+    assert tuple(map(len, found)) == certificates
 
 
 @pytest.mark.parametrize("call", CALLS, ids=_key)

@@ -47,8 +47,9 @@ from polarcut.cuts import (
     maximality_certificate,
     region_lattice_points,
 )
-from polarcut.lp import solve
+from polarcut.lp import LinearProgram, solve
 from polarcut.polyhedra import (
+    _rank,
     OriginNotInteriorError,
     VPolytope,
     membership,
@@ -374,7 +375,9 @@ def test_instance_in_ints_matches_fraction_references():
     # form P's int rows are fraction_half_spaces' rows, the scan centre is
     # nearest_int of f (ties to even), violation_box is the Fraction box,
     # and check_cut_validity poses the same int LPs and reports what the
-    # Fraction route reports.
+    # Fraction route reports. Posing LPs alone (a search budget of 0) it
+    # poses one LP at each point the Fraction route does, the Fraction LP
+    # scaled; with the certificate search, a subsequence of those LPs.
     rng = random.Random(1815)
     seen = Counter()
     for _ in range(300):
@@ -396,16 +399,28 @@ def test_instance_in_ints_matches_fraction_references():
         posed = [programs_logged(check_cut_validity, form, cut, radius) for form in forms]
         assert posed[1] == posed[0] and posed[2] == posed[0]
         report, programs = posed[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cuts, "_SEARCH_BUDGET", 0)
+            unsearched, every_program = programs_logged(
+                check_cut_validity, inst, cut, radius
+            )
         reference, reference_programs = programs_logged(
             fraction_check_cut_validity, inst, cut, radius
         )
-        assert report == reference and len(programs) == len(reference_programs)
+        assert report == unsearched == reference
+        assert len(every_program) == len(reference_programs)
+        searched_report, searched = _lps_by_point(inst, cut, radius)
+        assert searched_report == report and [p for p, _ in searched] == list(programs)
+        for program, twin in [*zip(every_program, reference_programs), *searched]:
+            assert _common_scale(_entries(program), _entries(twin)) is not None
+            assert _common_scale(program.objective, twin.objective) is not None
         seen["negative tie"] += any(c.denominator == 2 and c < 0 for c in f)
         seen["positive tie"] += any(c.denominator == 2 and c > 0 for c in f)
         seen["P"] += bool(p_rows)
         seen["zero ray"] += any(not any(r) for r in rays)
         seen["no box"] += min(cut.alpha) < 0
         seen["LPs"] += bool(programs)
+        seen["LPs saved"] += len(programs) < len(reference_programs)
         seen["violated"] += not report.valid_on_region
     assert min(seen.values()) >= 25, seen
 
@@ -925,10 +940,11 @@ def test_growth_guard_keeps_the_region():
             assert_slices_match(inst, body, radius)
 
 
-def random_cut_case(rng, dim=None):
+def random_cut_case(rng, dim=None, count=None):
     """A 1-3-D instance (of the given dimension, if one is given), a cut
     and a radius in 0..3 for the differential tests of
-    check_cut_validity. There are 1-4 rays, now and then a zero ray
+    check_cut_validity. There are 1-4 rays (count, if given), now and
+    then a zero ray
     or the opposite of an earlier one, so they may fail to span the space
     (2 rays in 3-D) or cancel out. P comes on about a third of the draws.
     alpha is the split cut on a fractional coordinate of f (valid), that
@@ -941,7 +957,7 @@ def random_cut_case(rng, dim=None):
     if all(c.denominator == 1 for c in f):
         f[0] += Fraction(1, 2)
     rays = []
-    for _ in range(rng.randint(1, 4)):
+    for _ in range(rng.randint(1, 4) if count is None else count):
         kind = rng.random()
         if rays and kind < 0.2:
             rays.append(vscale(-1, rng.choice(rays)))
@@ -1021,7 +1037,37 @@ def _common_scale(scaled, entries):
     return None
 
 
-def test_check_cut_poses_in_ints_what_the_fraction_route_poses():
+def _lps_by_point(inst, cut, radius):
+    """check_cut_validity's report and each LP it poses as (program, the
+    LP fraction_check_cut_validity poses at the same lattice point z):
+    rows (ray coordinates, '=', z - f) and costs alpha, in Fractions. z
+    is the point whose offset z - f was taken last."""
+    last, posed = [], []
+    real_offset, real_solve = cuts._offset, lp.solve
+
+    def offset(z, f):
+        last[:] = [z]
+        return real_offset(z, f)
+
+    def solve(program):
+        posed.append((program, last[0]))
+        return real_solve(program)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cuts, "_offset", offset)
+        mp.setattr(lp, "solve", solve)
+        report = check_cut_validity(inst, cut, radius)
+    columns = tuple(zip(*map(unscaled, inst.rays)))
+    bounds = ("nonneg",) * len(inst.rays)
+    pairs = []
+    for program, z in posed:
+        t = [c - fc for c, fc in zip(z, unscaled(inst.f))]
+        rows = tuple((col, "=", c) for col, c in zip(columns, t))
+        pairs.append((program, LinearProgram("min", cut.alpha, rows, bounds)))
+    return report, pairs
+
+
+def test_check_cut_poses_in_ints_what_the_fraction_route_poses(monkeypatch):
     # check_cut_validity poses each LP in ints; the reference is the same
     # scan and certificate cache posing the rays, z - f and alpha as
     # Fractions. On seeded 2-4-D instances, with and without P, with
@@ -1030,18 +1076,24 @@ def test_check_cut_poses_in_ints_what_the_fraction_route_poses():
     # is the Fraction one with every row times one k > 0 and the costs
     # times one l > 0), the same pivots per LP, the same point and ray,
     # the value times l, the optimal duals times l / k and the same Farkas
-    # rows.
+    # rows. Posing LPs alone (a search budget of 0) the points are the
+    # Fraction route's; with the certificate search, each LP still posed
+    # is compared with the Fraction LP at its own point.
     rng = random.Random(1968)
     seen = Counter()
     for _ in range(600):
         inst, cut, radius = random_cut_case(rng, rng.randint(2, 4))
-        report, programs = programs_logged(check_cut_validity, inst, cut, radius)
+        report, searched = _lps_by_point(inst, cut, radius)
+        with monkeypatch.context() as mp:
+            mp.setattr(cuts, "_SEARCH_BUDGET", 0)
+            unsearched, programs = programs_logged(check_cut_validity, inst, cut, radius)
         reference, reference_programs = programs_logged(
             fraction_check_cut_validity, inst, cut, radius
         )
-        assert report == reference, (inst, cut, radius)
+        assert report == unsearched == reference, (inst, cut, radius)
         assert len(programs) == len(reference_programs)
-        for program, posed in zip(programs, reference_programs):
+        seen["LPs saved"] += len(searched) < len(programs)
+        for program, posed in [*zip(programs, reference_programs), *searched]:
             assert {type(c) for c in (*_entries(program), *program.objective)} == {int}
             k = _common_scale(_entries(program), _entries(posed))
             scale = _common_scale(program.objective, posed.objective)
@@ -1069,7 +1121,7 @@ def test_check_cut_poses_in_ints_what_the_fraction_route_poses():
     for kinds, least in (
         (("2-D", "3-D", "4-D", "P", "no P", "valid", "violated"), 40),
         (("box", "zero coefficient", "negative coefficient"), 20),
-        (("optimal", "infeasible", "scaled rows"), 40),
+        (("optimal", "infeasible", "scaled rows", "LPs saved"), 40),
         (("unbounded",), 10),
     ):
         assert min(seen[kind] for kind in kinds) >= least, seen
@@ -1261,16 +1313,30 @@ def test_check_cut_scope(split_1d):
 
 def test_split_check_takes_two_lps(split_1d, monkeypatch):
     # 11 lattice points in the radius box, of which violation_box keeps
-    # x = 0 and x = 1: two LPs. At x = 0 the minimum is 1, with dual
-    # u = -2; at x = 1 it is 1, with dual u = 2.
+    # x = 0 and x = 1. Posing LPs alone (a search budget of 0): two LPs.
+    # At x = 0 the minimum is 1, with dual u = -2; at x = 1 it is 1, with
+    # dual u = 2. The search finds both as the dual vertices of the rays
+    # -1 and +1 (the normal of no rays is (1,)), each over f's
+    # denominator 2 in the LP's units, and no Farkas row, since the rays
+    # span the line: no LP.
     inst, body = split_1d
     cut = generate_cut(inst, body)
     calls = _count_solves(monkeypatch)
     assert len(list(region_lattice_points(inst, 5))) == 11
     box = cuts.violation_box(inst, cut.alpha)
     assert list(region_lattice_points(inst, 5, box=box)) == [V(0), V(1)]
-    assert check_cut_validity(inst, cut, 5).valid_on_region
+    with monkeypatch.context() as mp:
+        mp.setattr(cuts, "_SEARCH_BUDGET", 0)
+        assert check_cut_validity(inst, cut, 5).valid_on_region
     assert len(calls) == 2
+    calls.clear()
+    assert check_cut_validity(inst, cut, 5).valid_on_region
+    assert calls == []
+    columns = [(2,), (-2,)]
+    assert cuts._cut_certificates(((1,), (-1,)), columns, (2, 2), 2) == (
+        [],
+        [((2,), 2), ((-2,), 2)],
+    )
 
 
 def test_check_cut_lp_count_on_acceptance_corpus(monkeypatch):
@@ -1309,11 +1375,15 @@ def test_check_cut_refuses_a_broken_certificate(monkeypatch, status, forgery):
     # strength. The forged dual and Farkas row still prove their own point,
     # so only the check against the rays can catch them; the forged value
     # and point keep the dual, so only lp.verify_certificate's test of the
-    # value and of the point can. The split cut on x1 with rays (1, 0) and
-    # (-1, 4): its violation_box {0, 1} x {1, 2} holds the unreachable
-    # points (0, 1) and (0, 2) before the reachable (1, 1) and (1, 2).
+    # value and of the point can. The split cut on x1 with rays (1, 0, 0)
+    # and (-1, 4, 0): its violation_box {0, 1} x {1, 2} x {0} holds the
+    # unreachable points (0, 1, 0) and (0, 2, 0) before the reachable
+    # (1, 1, 0) and (1, 2, 0). Two rays in 3-D have no dual vertex, and
+    # their cone facets +-(0, 0, 4) pair to 0 with every offset of the
+    # box, so the certificate search settles no point and each takes an
+    # LP.
     inst = make_instance(
-        2, [Fraction(1, 2), Fraction(1, 2)], [[1, 0], [-1, 4]]
+        3, [Fraction(1, 2), Fraction(1, 2), 0], [[1, 0, 0], [-1, 4, 0]]
     )
     cut = Cut(alpha=(Fraction(2), Fraction(2)), provenance="")
     real_solve = lp.solve
@@ -1324,8 +1394,8 @@ def test_check_cut_refuses_a_broken_certificate(monkeypatch, status, forgery):
         calls.append(outcome.status)
         if outcome.status != status:
             return outcome
-        # the first infeasible outcome is at t = (-1/2, 1/2); the first
-        # optimal one at t = (1/2, 1/2): point (5/8, 1/8), value 3/2
+        # the first infeasible outcome is at t = (-1/2, 1/2, 0); the first
+        # optimal one at t = (1/2, 1/2, 0): point (5/8, 1/8), value 3/2
         if forgery == "dual":
             # u + 100 pairs to the value plus 100 at t, and exceeds alpha
             # on both rays
@@ -1336,10 +1406,124 @@ def test_check_cut_refuses_a_broken_certificate(monkeypatch, status, forgery):
             # same cost 3/2, but (3/4, 0) misses the '=' row
             # s_1 - s_2 = 1/2
             return outcome._replace(point=(Fraction(3, 4), Fraction(0)))
-        # (1, 0) pairs to -1/2 at t, and is negative on the ray (-1, 4)
-        return outcome._replace(dual=(Fraction(1), Fraction(0)))
+        # (1, 0, 0) pairs to -1/2 at t, and is negative on the ray (-1, 4, 0)
+        return outcome._replace(dual=(Fraction(1), Fraction(0), Fraction(0)))
 
     monkeypatch.setattr(lp, "solve", forging)
     with pytest.raises(RuntimeError):
         check_cut_validity(inst, cut, 2)
     assert calls[-1] == status and calls.count(status) == 1
+
+
+def _fraction_dual_check(inst, cut, u, costs, is_max) -> bool:
+    """Reference for the search's use of lp.dual_feasible, in Fractions:
+    a Farkas candidate (is_max) pairs to 0 or more with every ray; a
+    vertex u over den (the search's costs are den times alpha's ints A)
+    is, as the dual w = u f_den r_den / (den a_den) of min alpha.s
+    subject to sum_j r_j s_j = t, at most alpha_j on ray j."""
+    rays = list(map(unscaled, inst.rays))
+    if is_max:
+        return all(dot(u, r) >= 0 for r in rays)
+    ints, a_den = scaled(cut.alpha)
+    den = next((c // a for c, a in zip(costs, ints) if a), 1)
+    scale = Fraction(inst.f.den * cuts._ray_rows(inst)[1], den * a_den)
+    w = tuple(scale * c for c in u)
+    return all(dot(w, r) <= a for r, a in zip(rays, cut.alpha))
+
+
+# (dim, rays, draws): the shapes the benchmark's cuts never take (2-4
+# rays in 2-4-D, spanning the space).
+_SEARCH_SHAPES = (
+    (1, None, 30),
+    (2, 1, 8),
+    (3, 2, 12),
+    (4, 2, 4),
+    (4, 3, 6),
+    (5, 5, 3),
+    (5, 6, 3),
+    (4, 12, 2),
+)
+
+
+def test_certificate_search_where_the_benchmark_never_goes(monkeypatch):
+    # check-cut against one LP per point on 1-D cuts (the normal of no
+    # rays), 5-D cuts (_normal's Bareiss minors), rays that span a proper
+    # subspace, fewer rays than axes, negative coefficients and violated
+    # cuts, and 4-D cuts with 12 rays, past the search budget, which pose
+    # the LPs they pose with no search. Every candidate the search tries
+    # is kept iff lp.dual_feasible accepts it, and a Fraction check
+    # against the rays and alpha gives the same verdict.
+    rng = random.Random(2017)
+    seen = Counter()
+    tested = []
+    real_test = lp.dual_feasible
+
+    def recording(u, columns, costs, bounds, is_max):
+        ok = real_test(u, columns, costs, bounds, is_max)
+        tested.append((u, costs, is_max, ok))
+        return ok
+
+    for dim, count, draws in _SEARCH_SHAPES:
+        for _ in range(draws):
+            inst, cut, radius = random_cut_case(rng, dim, count)
+            radius = radius if dim < 4 else 1
+            report, programs = programs_logged(check_cut_validity, inst, cut, radius)
+            reference = per_point_check_cut_validity(inst, cut, radius)
+            assert verdict(report) == verdict(reference), (inst, cut, radius)
+            rays, _ = cuts._ray_rows(inst)
+            columns = [tuple(inst.f.den * c for c in r) for r in rays]
+            costs = scaled(cut.alpha).ints
+            tested.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(lp, "dual_feasible", recording)
+                farkas, duals = cuts._cut_certificates(rays, columns, costs, inst.f.den)
+            assert farkas == [u for u, _, is_max, ok in tested if is_max and ok]
+            assert [u for u, _ in duals] == [
+                u for u, _, is_max, ok in tested if not is_max and ok
+            ]
+            for u, tried_costs, is_max, ok in tested:
+                assert _fraction_dual_check(inst, cut, u, tried_costs, is_max) == ok
+                seen["kept" if ok else "dropped"] += 1
+            if math.comb(len(rays) + 1, dim) > cuts._SEARCH_BUDGET:
+                assert not tested
+                with monkeypatch.context() as mp:
+                    mp.setattr(cuts, "_SEARCH_BUDGET", 0)
+                    assert programs_logged(check_cut_validity, inst, cut, radius) == (
+                        report,
+                        programs,
+                    )
+                seen["past the budget"] += 1
+            seen[f"{dim}-D"] += 1
+            seen["proper subspace"] += _rank(rays) < dim
+            seen["fewer rays than axes"] += len(rays) < dim
+            seen["negative coefficient"] += min(cut.alpha) < 0
+            seen["violated"] += not report.valid_on_region
+            seen["LPs"] += bool(programs)
+            seen["5-D vertex"] += dim == 5 and bool(duals)
+    assert min(seen.values()) >= 2, seen
+    print(f"certificate search shapes: {dict(seen)}")
+
+
+def test_check_cut_refuses_a_forged_cone_certificate(monkeypatch):
+    # The cut alpha = (1/2, 1) on the rays e1 and e2 about f = (1/2, 1/2)
+    # is violated at (1, 1), the first point of its violation_box
+    # {1, 2} x {1}: t = (1/2, 1/2) costs 3/4. A forged facet normal
+    # (-1, 0) for every ray would prove both points unreachable
+    # (<(-1, 0), t> < 0); lp.dual_feasible refuses it, since it is
+    # negative on e1, and keeps its negation (1, 0), which settles
+    # neither. So the violation is still found, by its LP.
+    inst = make_instance(2, [Fraction(1, 2)] * 2, [[1, 0], [0, 1]])
+    cut = Cut((Fraction(1, 2), Fraction(1)), "")
+    tested = []
+    real_test = lp.dual_feasible
+
+    def recording(u, *args):
+        tested.append((tuple(u), real_test(u, *args)))
+        return tested[-1][1]
+
+    monkeypatch.setattr(cuts, "_normal", lambda rows: (-1, 0))
+    monkeypatch.setattr(lp, "dual_feasible", recording)
+    report = check_cut_validity(inst, cut, 2)
+    assert verdict(report) == verdict(per_point_check_cut_validity(inst, cut, 2))
+    assert report.violation.x == V(1, 1)
+    assert ((-1, 0), False) in tested and ((1, 0), True) in tested

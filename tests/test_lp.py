@@ -232,6 +232,31 @@ def test_verify_certificate_matches_reference():
     print(f"verify_certificate battery: {sum(seen.values())} outcomes, {seen}")
 
 
+def test_verify_refuses_non_rational_entries():
+    # The int checker reads each certificate vector through scaled(): an
+    # entry that is not an exact rational (a float, a text, None, a
+    # complex, any other object), or a value that is not one, is refused
+    # with False, never raised on, under every status.
+    rng = random.Random(2718)
+    seen = Counter()
+    for _ in range(60):
+        program = random_lp(rng)
+        out = solve(program)
+        assert verify_certificate(program, out)
+        read = {"optimal": ("point", "dual", "value"), "unbounded": ("point", "ray")}
+        for field in read.get(out.status, ("dual",)):
+            for bad in (0.5, "1/2", None, 1j, object()):
+                vec = getattr(out, field)
+                if field == "value":
+                    forged = out._replace(value=bad)
+                else:
+                    k = rng.randrange(len(vec))
+                    forged = out._replace(**{field: vec[:k] + (bad,) + vec[k + 1 :]})
+                assert verify_certificate(program, forged) is False, forged
+                seen[out.status] += 1
+    assert min(seen[s] for s in ("optimal", "unbounded", "infeasible")) >= 25, seen
+
+
 def test_random_battery_against_enumeration():
     rng = random.Random(271828)
     statuses = {"optimal": 0, "unbounded": 0, "infeasible": 0}
