@@ -10,7 +10,7 @@ from .polyhedra import (
     polar,
     membership,
     hull_membership,
-    exposed_witness,
+    exposed_point,
 )
 from .sublinear import (
     SandwichReport,

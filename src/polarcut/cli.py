@@ -315,11 +315,6 @@ def _parsers() -> tuple:
     return parser, commands
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
-    return _parsers()[0]
-
-
 def _parse(argv) -> argparse.Namespace:
     """parse_args of the full parser, by the subcommand's own parser when
     argv opens with a subcommand's name: argparse hands the rest of such

@@ -29,8 +29,9 @@ point, so at the first point it finds them from the rays alone: the int
 normal of every d - 1 rays is tried as a Farkas row (a facet of the ray
 cone) and every basis of d rays gives a dual vertex, each kept once
 lp.dual_feasible, the dual test of lp.verify_certificate, accepts it.
-Only points without such a proof get an LP, whose certificate is kept
-too once lp.verify_certificate has passed the outcome.
+Only points without such a proof get an LP, whose outcome must pass
+lp.verify_certificate before a violation is reported on it or its
+certificate is kept.
 
 Only some lattice points can violate the cut. Let v(t) = min{alpha.s :
 Rs = t, s >= 0}, the value check_cut_validity computes at t = z - f. When
@@ -604,6 +605,11 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
             direction="min", objective=costs, rows=rows, bounds=bounds
         )
         outcome = lp.solve(program)
+        if not lp.verify_certificate(program, outcome):
+            raise RuntimeError(
+                f"the {outcome.status} certificate at z = {z} fails "
+                "lp.verify_certificate"
+            )
         if outcome.status == "unbounded":
             return ValidityReport(
                 False, radius, "global", CutViolation(vector(z), outcome.ray, True)
@@ -611,11 +617,6 @@ def check_cut_validity(inst: CornerInstance, cut: Cut, radius: int = DEFAULT_RAD
         if outcome.status == "optimal" and outcome.value < a_den:
             return ValidityReport(
                 False, radius, "global", CutViolation(vector(z), outcome.point, False)
-            )
-        if not lp.verify_certificate(program, outcome):
-            raise RuntimeError(
-                f"the {outcome.status} certificate at z = {z} fails "
-                "lp.verify_certificate"
             )
         row, den = scaled(outcome.dual)
         if outcome.status == "infeasible":

@@ -19,22 +19,20 @@ For such a set K the polar K* is conv({0} union rows), and the rows
 themselves are exactly the points of the polar at which the pairing
 <x, y> = 1 is attained by some x in K (each row is an exposed face
 direction). The attaining point, on the row and strictly inside every
-other, is the row's exposed witness: ray_certificate's point where a ray
-proves the row, exposed_witness's LP point otherwise. Everything here is
-exact; all verdicts are decided by rational arithmetic, never tolerance.
+other, is the row's exposed witness. Everything here is exact; all
+verdicts are decided by rational arithmetic, never tolerance.
 
-sup_over is the one LP for the support function of K itself,
-sigma_K(v) = sup of <v, x> over K, which is at most 1 exactly when v lies
-in the polar. It decides the redundancy of a row that no ray proves
-here, condition (b) of sublinear.check_unit_ball for a generator
-that carries no valid convex weights (VPolytope.polar_weights). Its
-program over the rows other than a_i, at the compiled row den a_i, also
-yields exposed_witness. It poses the set in its compiled form (int rows r
-over a common denominator den, the program's rows <r, x> <= den) and an
-int objective, so the LP reads ints and each caller compiles its rows
-once. Boundedness, for cuts.maximality_certificate, takes no support LP:
-is_bounded asks whether the rows positively span the space, by an int
-rank test and at most one feasibility LP over the rows' multipliers.
+exposed_point is the one support LP, behind the ray test: it tells
+whether a row is irredundant, where it is exposed, and condition (b) of
+sublinear.check_unit_ball for a generator without valid convex weights
+(VPolytope.polar_weights). It poses the rows in their compiled form (int
+rows over a common denominator den, <s, x> <= den) with an int
+objective, so the LP reads ints and each caller compiles its rows once.
+Its outcome, as those of hull_membership and is_bounded, must pass
+lp.verify_certificate before a verdict rests on it. Boundedness, for
+cuts.maximality_certificate, takes no support LP: is_bounded asks
+whether the rows positively span the space, by an int rank test and at
+most one feasibility LP over the rows' multipliers.
 
 The evaluators run fraction-free: each set (and each generator set) is
 compiled once into integer rows over one common denominator, and a pairing
@@ -70,7 +68,6 @@ from .rationals import (
     Scaled,
     Vec,
     ZERO,
-    dot,
     integer_rows,
     is_zero_vector,
     lowest,
@@ -182,41 +179,6 @@ class HullVerdict(
     <c, q> <= gamma for every stored point q."""
 
     __slots__ = ()
-
-
-def _support_lp(compiled: tuple, v: Vec) -> lp.LPOutcome:
-    """max <v, x> over {x : <r, x> <= den for r in rows}, for compiled =
-    (rows, den). The origin is feasible, so the simplex starts there, on
-    the slack basis, no phase 1."""
-    rows, den = compiled
-    return lp.solve(
-        lp.LinearProgram(
-            direction="max",
-            objective=v,
-            rows=tuple((r, "<=", den) for r in rows),
-            bounds=("free",) * len(v),
-        )
-    )
-
-
-def sup_over(compiled: tuple, v: Vec):
-    """sup of <v, x> over the set {x : <r, x> <= den for r in rows},
-    exactly, for compiled = (int rows, den > 0), a set's .compiled form or
-    integer_rows of some rows a (then the set is {x : <a, x> <= 1}); None
-    when the sup is unbounded. Any other LP status is an internal fault.
-
-    Each row is the rational row scaled by den > 0, so the set, the
-    simplex's pivots, its point and its value are those of the rational
-    rows. Its duals come out divided by den, and a ray along an entering
-    slack too; no caller reads either."""
-    outcome = _support_lp(compiled, v)
-    if outcome.status == "unbounded":
-        return None
-    if outcome.status != "optimal":
-        raise RuntimeError(
-            f"support LP is {outcome.status} although the origin is feasible"
-        )
-    return outcome.value
 
 
 def _rank(rows) -> int:
@@ -359,6 +321,48 @@ def ray_certificate(r, others, den: int):
     return None
 
 
+def exposed_point(r, others, den: int):
+    """The exposed point of the int row r among the int rows others, all
+    over den > 0, as a Scaled: a point x with <r, x> = den and <s, x> <
+    den for every s in others; None when there is none, that is, when r is
+    redundant beside others. That one question is three: whether a row is
+    irredundant (remove_redundancy), where it is exposed (the property
+    suite's witness), and whether a generator r lies outside the polar of
+    {x : <s, x> <= den for s in others}, which holds r exactly when r is
+    redundant there (sublinear.check_unit_ball).
+
+    It is ray_certificate's point when a ray proves r, with no LP.
+    Otherwise the support LP decides: max <r, x> over {x : <s, x> <= den
+    for s in others}, free variables, where the origin is feasible, so
+    the simplex starts there, on the slack basis, no phase 1. An optimal
+    maximizer P of value above den gives den P / <r, P>, an unbounded
+    sup its improving ray D as den D / <r, D>, which no positive scale
+    of D changes, and a value at most den gives None. The outcome must
+    pass lp.verify_certificate; one that does not is an internal fault."""
+    x = ray_certificate(r, others, den)
+    if x is not None:
+        return x
+    program = lp.LinearProgram(
+        direction="max",
+        objective=r,
+        rows=tuple((s, "<=", den) for s in others),
+        bounds=("free",) * len(r),
+    )
+    outcome = lp.solve(program)
+    if not lp.verify_certificate(program, outcome):
+        raise RuntimeError(
+            f"the {outcome.status} outcome of the support LP fails "
+            "lp.verify_certificate"
+        )
+    if outcome.status == "unbounded":
+        ints = scaled(outcome.ray).ints
+    elif outcome.value > den:
+        ints = scaled(outcome.point).ints
+    else:
+        return None
+    return Scaled(tuple(den * c for c in ints), sum(map(mul, r, ints)))
+
+
 def remove_redundancy(dim: int, rows) -> HPolyhedron:
     """The canonical set {x : <a, x> <= 1 for a in rows}, for nonzero rows,
     each a rational tuple or a Scaled (taken as it is: its den a positive
@@ -371,10 +375,11 @@ def remove_redundancy(dim: int, rows) -> HPolyhedron:
     filtered sequentially, each against every other row still live (the
     kept rows before it and all rows after it), so the survivors are
     mutually irredundant and a subset of the input, in input order. A row
-    with a ray_certificate is kept with no LP; only a row without one is
-    decided by sup_over(the other live rows, its int row r), redundant
-    exactly when that stays <= den. The certificate proves what the LP
-    would find, so the kept rows are those of an LP for every row.
+    is dropped exactly when exposed_point(its int row r, the other live
+    rows, den) is None: a row with a ray_certificate is kept with no LP,
+    and only a row without one poses the support LP. The certificate
+    proves what the LP would find, so the kept rows are those of an LP
+    for every row.
     Fractions are built only for the kept rows; their keys over their own
     lcm are handed to the set as its compiled form, which is the distinct
     rows over den, as filtered, when no row is dropped."""
@@ -386,14 +391,10 @@ def remove_redundancy(dim: int, rows) -> HPolyhedron:
     live = list(live)
     i = 0
     while i < len(live):
-        r = live[i]
-        others = live[:i] + live[i + 1 :]
-        if ray_certificate(r, others, den) is None:
-            top = sup_over((others, den), r)
-            if top is not None and top <= den:
-                live.pop(i)
-                keys.pop(i)
-                continue
+        if exposed_point(live[i], live[:i] + live[i + 1 :], den) is None:
+            live.pop(i)
+            keys.pop(i)
+            continue
         i += 1
     if len(keys) < len(compiled[0]):  # a row was dropped: the den may fall
         compiled = over_lcm(keys)
@@ -507,7 +508,9 @@ def polar(h: HPolyhedron) -> VPolytope:
 def hull_membership(p: Vec, v: VPolytope) -> HullVerdict:
     """Exact convex-hull membership with a certificate either way. The LP
     poses the rational rows times den * d in ints, for v.compiled = (Q,
-    den) and scaled(p) = (P, d), which keeps its multipliers and Farkas row."""
+    den) and scaled(p) = (P, d), which keeps its multipliers and Farkas row.
+    Its outcome must pass lp.verify_certificate; one that does not is an
+    internal fault."""
     if len(p) != v.dim:
         raise ValueError("point width differs from polytope dimension")
     for k, q in enumerate(v.points):
@@ -523,51 +526,24 @@ def hull_membership(p: Vec, v: VPolytope) -> HullVerdict:
         for col, c_p in zip(zip(*points), p_ints)
     ]
     rows.append(((den * d,) * npts, "=", den * d))
-    outcome = lp.solve(
-        lp.LinearProgram(
-            direction="max",
-            objective=(0,) * npts,
-            rows=tuple(rows),
-            bounds=("nonneg",) * npts,
-        )
+    program = lp.LinearProgram(
+        direction="max",
+        objective=(0,) * npts,
+        rows=tuple(rows),
+        bounds=("nonneg",) * npts,
     )
+    outcome = lp.solve(program)
+    if not lp.verify_certificate(program, outcome):
+        raise RuntimeError(
+            f"the {outcome.status} outcome of the hull LP fails "
+            "lp.verify_certificate"
+        )
     if outcome.status == "optimal":
         return HullVerdict(inside=True, multipliers=outcome.point)
-    if outcome.status != "infeasible":
-        raise RuntimeError(
-            f"hull LP is {outcome.status} although its objective is 0"
-        )
     u = outcome.dual
     c = tuple(-u[d] for d in range(v.dim))
     gamma = u[v.dim]
     return HullVerdict(inside=False, separator=(c, gamma))
-
-
-def exposed_witness(h: HPolyhedron, row_index: int) -> Vec:
-    """A point of the set tight on the given row and strictly slack on all
-    others: the support LP of the other rows at a_i, its maximizer scaled
-    onto the row. The row is irredundant exactly when that LP exceeds 1: an
-    optimal x of value above 1 gives x / <a_i, x>, an unbounded sup its
-    improving ray d as d / <a_i, d>, which no positive scale of d changes.
-    Anything else is an internal fault. The objective is the compiled row
-    den a_i, so the value is den times that of a_i. An index outside
-    range(len(h.rows)) is a ValueError, raised before any LP."""
-    if row_index not in range(len(h.rows)):
-        raise ValueError(f"row index {row_index} is not one of the {len(h.rows)} rows")
-    a_i = h.rows[row_index]
-    rows, den = h.compiled
-    others = rows[:row_index] + rows[row_index + 1 :]
-    outcome = _support_lp((others, den), rows[row_index])
-    if outcome.status == "unbounded":
-        x, top = outcome.ray, dot(a_i, outcome.ray)
-    elif outcome.status == "optimal" and outcome.value > den:
-        x, top = outcome.point, outcome.value / den
-    else:
-        raise RuntimeError(
-            f"row {row_index} admits no strictly exposed point; "
-            "the row set is not canonical"
-        )
-    return tuple(c / top for c in x)
 
 
 def random_polyhedron(dim: int, n_rows: int, rng: random.Random) -> HPolyhedron:

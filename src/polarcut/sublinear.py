@@ -26,13 +26,14 @@ check_unit_ball proves a generator's membership in the polar in one of
 two ways: by its own convex weights over polar(h).points, which
 random_unit_ball_rep keeps on the generator set (VPolytope.polar_weights)
 and which are checked in ints with no LP, or, for a generator without
-valid weights, by the support LP sup_over over the set's rows. Both
+valid weights, by polyhedra.exposed_point among the set's rows, which
+finds no point for a generator in the polar (there it would be a
+redundant row). Both
 functions tell points apart on ints: no Fraction is hashed, and the drawn
 set comes with its compiled form, made from the ints it was drawn in
 rather than by integer_rows of its Fraction points. The exposed
-check takes each row's witness from polyhedra.ray_certificate, which
-returns that point, on the row and strictly inside the others; only a
-row without one poses exposed_witness's LP. sample_points draws its
+check takes each row's witness from exposed_point too; a row with none,
+a redundant row of a hand-built set, fails it. sample_points draws its
 samples as Scaled points.
 
 The evaluators and checks take a point in either form, a rational tuple or
@@ -66,13 +67,11 @@ from .polyhedra import (
     HPolyhedron,
     VPolytope,
     column_max,
-    exposed_witness,
+    exposed_point,
     hull_membership,
     membership,
     pairings,
     polar,
-    ray_certificate,
-    sup_over,
 )
 from .rationals import (
     ZERO,
@@ -142,7 +141,8 @@ def _weights_prove(ints, d: int, weights, compiled: tuple) -> bool:
     ints * den * W == d * sum_{i>=1} w_i r_i in every coordinate. Then
     v = sum_{i>=1} (w_i / W) a_i, and for every x in K,
     <v, x> <= sum_{i>=1} w_i / W <= 1 (weak duality, with multipliers
-    w_i / W on the rows), so sup_over(compiled, v) <= 1 with no LP."""
+    w_i / W on the rows), so sup of <v, x> over the set is <= 1 with no
+    LP."""
     rows, den = compiled
     if len(weights) != len(rows) + 1 or not all(
         type(w) is int and w >= 0 for w in weights
@@ -172,9 +172,10 @@ def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
     whose gens.polar_weights entry proves it a convex combination of
     polar(h).points (_weights_prove, exact int arithmetic on h.compiled)
     satisfies (b) with no LP; any other generator, one with no weights or
-    with weights that fail the test, needs sup_over(h.compiled, v) finite
-    and at most 1 (posed at v's ints over its least denominator d: at
-    most d). Both routes give the same verdict.
+    with weights that fail the test, lies in the polar exactly when
+    exposed_point(its key, the row keys, den * d) is None: a ray may prove
+    it outside with no LP, and otherwise one support LP decides. Both
+    routes give the same verdict.
     """
     if gens.dim != h.dim:
         raise ValueError("generator dimension differs from the set's")
@@ -193,9 +194,7 @@ def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
             continue
         if weights is not None and _weights_prove(p, d, weights, h.compiled):
             continue
-        ints, least = lowest(p, d)
-        top = sup_over(h.compiled, ints)
-        if top is None or top > least:
+        if exposed_point(key, row_keys, den * d) is not None:
             return False
     return True
 
@@ -442,9 +441,9 @@ def property_suite(instances, seed: int, samples: int) -> tuple[dict, int]:
     samples outside the recession cone, and the exposed witness of every
     row, which must be tight on that row alone. Set `index` draws its
     samples from seed + 7919 * index, as Scaled points. A row's witness
-    is the point its ray_certificate returns, and exposed_witness's LP
-    point only for a row without one; on a set whose every row has a
-    certificate the suite poses no LP.
+    is exposed_point's, and on a set whose every row has a ray
+    certificate the suite poses no LP. A row with no witness, a redundant
+    row of a hand-built set, is an exposed failure.
 
     Returns (tally, violations): per-check counts, with the first sandwich
     and off-recession violations as rational vectors (None when there is
@@ -494,10 +493,8 @@ def property_suite(instances, seed: int, samples: int) -> tuple[dict, int]:
         rows, den = h.compiled
         for i in range(len(rows)):
             exposed["rows_checked"] += 1
-            witness = ray_certificate(rows[i], rows[:i] + rows[i + 1 :], den)
-            if witness is None:
-                witness = exposed_witness(h, i)
-            if membership(h, witness).tight_rows != (i,):
+            witness = exposed_point(rows[i], rows[:i] + rows[i + 1 :], den)
+            if witness is None or membership(h, witness).tight_rows != (i,):
                 exposed["failures"] += 1
 
     violations = (

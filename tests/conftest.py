@@ -7,8 +7,8 @@ gauge, direct arithmetic re-verification of certificates (the checker
 whose optimal and Farkas branches each had their own dual test),
 Fraction-arithmetic sample mixes and lattice scans, the recession-cone
 test that the library no longer calls (in_recession), the recession-cone
-LPs that decided boundedness before polyhedra.sup_over, the margin LP
-that found exposed witnesses before the support LP did, the multiplier
+LPs that decided boundedness before the support LPs at the axes did, the
+margin LP that found exposed witnesses before the support LP did, the multiplier
 LP over the polar's points that the off-recession check posed before it
 read support(polar(h), x), the sandwich, reconstruction and off-recession
 checks point by point, from before they ran as int column passes over one
@@ -683,20 +683,22 @@ def raise_rho(mp: pytest.MonkeyPatch) -> None:
     )
 
 
-def zero_ray_witness(mp: pytest.MonkeyPatch) -> None:
-    """The fault of a zero exposed witness on the ray route: each row
-    with a ray certificate gets the origin, tight on no row, as its
-    witness. A row without one still takes exposed_witness. Only the
-    property suite's binding of ray_certificate is patched, so normalize
-    keeps its rows."""
-    certify = sublinear.ray_certificate
+def zero_witness(mp: pytest.MonkeyPatch, routes=("ray", "lp")) -> None:
+    """The fault of a zero exposed point on the given routes of
+    exposed_point: each row that a ray proves ("ray") or only the LP
+    proves ("lp") gets the origin, tight on no row, as its witness; a row
+    on another route keeps its own, and a redundant row keeps None. Only
+    sublinear's binding of exposed_point is patched, so normalize keeps
+    its rows, and check_unit_ball, which reads only whether the answer is
+    None, keeps its verdicts."""
+    prove = sublinear.exposed_point
 
     def zero(r, others, den):
-        if certify(r, others, den) is None:
-            return None
-        return Scaled((0,) * len(r), 1)
+        route = "lp" if polyhedra.ray_certificate(r, others, den) is None else "ray"
+        x = prove(r, others, den)
+        return x if x is None or route not in routes else Scaled((0,) * len(r), 1)
 
-    mp.setattr(sublinear, "ray_certificate", zero)
+    mp.setattr(sublinear, "exposed_point", zero)
 
 
 def raise_polar_support(mp: pytest.MonkeyPatch) -> None:
@@ -713,8 +715,10 @@ def raise_polar_support(mp: pytest.MonkeyPatch) -> None:
 def rational_property_suite(instances, seed: int, samples: int):
     """Reference for sublinear.property_suite: the same checks in the same
     order, each the per-point route above fed the rational samples, so
-    every evaluator call scales its point again. The evaluators are looked
-    up on the module at call time, so a test's monkeypatches reach this
+    every evaluator call scales its point again, and every row's witness
+    the LP route on its Fraction rows (fraction_exposed_witness), a None
+    counting as a failure. The evaluators and that witness are looked up
+    on their modules at call time, so a test's monkeypatches reach this
     route too."""
     tally = {
         "sandwich": {
@@ -756,8 +760,8 @@ def rational_property_suite(instances, seed: int, samples: int):
                     off["first_violation"] = x
         for i in range(len(h.rows)):
             exposed["rows_checked"] += 1
-            witness = sublinear.exposed_witness(h, i)
-            if membership(h, witness).tight_rows != (i,):
+            witness = fraction_exposed_witness(h, i)
+            if witness is None or membership(h, witness).tight_rows != (i,):
                 exposed["failures"] += 1
     violations = (
         sandwich["violations"]
@@ -821,7 +825,8 @@ def cone_is_pointed(k: HPolyhedron) -> bool:
 
 
 def margin_exposed_witness(h: HPolyhedron, row_index: int):
-    """Reference for polyhedra.exposed_witness: the margin LP it replaced.
+    """Reference for polyhedra.exposed_point's LP witness (lp_exposed_point):
+    the margin LP that its support LP replaced.
     Maximize s (capped at 1) over points tight on row i with <a_j, x> + s
     <= 1 on every other row j; a positive optimal s exposes the row. It
     calls lp_module.solve, so a recording of that function sees it."""
@@ -906,8 +911,9 @@ def lp_solves(monkeypatch) -> Counter:
 
 
 def fraction_support_lp(rows, v):
-    """Reference for polyhedra._support_lp: max <v, x> over the rational
-    rows themselves, each posed as (a, '<=', 1)."""
+    """Reference for the support LP that polyhedra.exposed_point poses:
+    max <v, x> over the rational rows themselves, each posed as (a, '<=',
+    1)."""
     return lp_module.solve(
         LinearProgram(
             direction="max",
@@ -919,7 +925,10 @@ def fraction_support_lp(rows, v):
 
 
 def fraction_sup_over(rows, v):
-    """Reference for polyhedra.sup_over over the rational rows."""
+    """The support function of {x : <a, x> <= 1 for a in rows} at v, by
+    fraction_support_lp: its value, None when unbounded. v lies in the
+    polar exactly when it is at most 1, and a row v is redundant among
+    the rows exactly then."""
     outcome = fraction_support_lp(rows, v)
     if outcome.status == "unbounded":
         return None
@@ -983,18 +992,66 @@ def fraction_remove_redundancy(dim: int, rows, ray_test: bool = True) -> HPolyhe
     return HPolyhedron(dim, tuple(kept))
 
 
-def fraction_exposed_witness(h: HPolyhedron, row_index: int):
-    """Reference for polyhedra.exposed_witness: the support LP of the other
-    rational rows at a_i, its maximizer or ray scaled onto the row."""
-    a_i = h.rows[row_index]
-    outcome = fraction_support_lp(h.rows[:row_index] + h.rows[row_index + 1 :], a_i)
+def fraction_witness(a, others):
+    """Reference for polyhedra.exposed_point's LP route on rational rows:
+    the support LP of others at a (fraction_support_lp), its maximizer x
+    of value above 1 or its improving ray x scaled onto a, x / <a, x>;
+    None when the value is at most 1, a redundant a."""
+    outcome = fraction_support_lp(others, a)
     if outcome.status == "unbounded":
-        x, top = outcome.ray, dot(a_i, outcome.ray)
+        x, top = outcome.ray, dot(a, outcome.ray)
     elif outcome.status == "optimal" and outcome.value > 1:
         x, top = outcome.point, outcome.value
     else:
-        raise RuntimeError(f"row {row_index} admits no strictly exposed point")
+        assert outcome.status == "optimal", outcome.status
+        return None
     return tuple(c / top for c in x)
+
+
+def fraction_exposed_witness(h: HPolyhedron, row_index: int):
+    """fraction_witness of row i of h among its other rows: the support LP
+    at every row, as the library poses it only at a row no ray proves."""
+    return fraction_witness(h.rows[row_index], h.rows[:row_index] + h.rows[row_index + 1 :])
+
+
+def fraction_exposed_point(r, others, den: int):
+    """Reference for polyhedra.exposed_point on int rows over den:
+    ray_certificate's point where a ray proves r, as the library takes it,
+    and fraction_witness on the rational rows r / den and s / den
+    otherwise."""
+    x = polyhedra.ray_certificate(r, others, den)
+    if x is not None:
+        return x
+    rows = [tuple(Fraction(c, den) for c in s) for s in (r, *others)]
+    return fraction_witness(rows[0], rows[1:])
+
+
+def ray_off(mp: pytest.MonkeyPatch) -> None:
+    """polyhedra.exposed_point with no ray tried: every call poses its
+    support LP, as the library does only where no ray proves the row."""
+    mp.setattr(polyhedra, "ray_certificate", lambda r, others, den: None)
+
+
+def polar_question(h: HPolyhedron, v) -> tuple:
+    """(r, others, den): the exposed_point question that check_unit_ball
+    asks of a generator v of h, v's ints over its least denominator d
+    times h's den, and each of h's compiled rows times d, all over den *
+    d. v lies in the polar of h exactly when its answer is None."""
+    ints, d = scaled(v)
+    rows, den = h.compiled
+    return tuple(den * c for c in ints), [tuple(d * c for c in r) for r in rows], den * d
+
+
+def lp_exposed_point(h: HPolyhedron, row_index: int):
+    """polyhedra.exposed_point at row i of h among its other rows, with the
+    ray off: the support LP, posed in ints, at every row. It calls
+    lp_module.solve, so a recording of that function sees it."""
+    rows, den = h.compiled
+    with pytest.MonkeyPatch.context() as mp:
+        ray_off(mp)
+        return polyhedra.exposed_point(
+            rows[row_index], rows[:row_index] + rows[row_index + 1 :], den
+        )
 
 
 def fraction_check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
@@ -1071,7 +1128,7 @@ def use_fraction_routes(mp: pytest.MonkeyPatch) -> None:
     normalize and property_suite look them up."""
     mp.setattr(polyhedra, "remove_redundancy", fraction_remove_redundancy)
     mp.setattr(sublinear, "check_unit_ball", fraction_check_unit_ball)
-    mp.setattr(sublinear, "exposed_witness", fraction_exposed_witness)
+    mp.setattr(sublinear, "exposed_point", fraction_exposed_point)
     mp.setattr(sublinear, "random_unit_ball_rep", fraction_random_unit_ball_rep)
 
 
@@ -1249,11 +1306,11 @@ def per_point_is_s_free(body, inst, radius):
 
 
 def axis_sup_bounded(h: HPolyhedron) -> bool:
-    """Reference for polyhedra.is_bounded: sup_over finite at +e_d and
-    -e_d for every axis d, 2 * dim LPs, as maximality_certificate decided
-    boundedness before one LP did."""
+    """Reference for polyhedra.is_bounded: the support function finite at
+    +e_d and -e_d for every axis d, 2 * dim LPs, as maximality_certificate
+    decided boundedness before one LP did."""
     return all(
-        polyhedra.sup_over(h.compiled, tuple(s if j == d else 0 for j in range(h.dim)))
+        fraction_sup_over(h.rows, tuple(s if j == d else 0 for j in range(h.dim)))
         is not None
         for d in range(h.dim)
         for s in (1, -1)

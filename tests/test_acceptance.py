@@ -29,7 +29,7 @@ from polarcut.cuts import (
 )
 from polarcut.lp import solve, verify_certificate
 from polarcut.polyhedra import (
-    exposed_witness,
+    exposed_point,
     membership,
     normalize,
     polar,
@@ -182,8 +182,9 @@ def test_c5_exposed_witness_sweep():
     with criterion("C5 exposed-witness-sweep", info):
         rows_checked = 0
         for h in corpus():
+            rows, den = h.compiled
             for i, row in enumerate(h.rows):
-                w = exposed_witness(h, i)
+                w = unscaled(exposed_point(rows[i], rows[:i] + rows[i + 1 :], den))
                 assert dot(row, w) == 1
                 assert all(
                     dot(other, w) < 1

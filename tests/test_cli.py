@@ -21,13 +21,13 @@ from conftest import (
     reference_polyhedron_from_json,
     reference_render,
     vscale,
-    zero_ray_witness,
+    zero_witness,
 )
 from polarcut import cli, cuts, jsonio, rationals, sublinear
 from polarcut.cli import main
 from polarcut.cuts import generate_cut
 from polarcut.polyhedra import VPolytope
-from polarcut.rationals import Values, zero_vector
+from polarcut.rationals import Values
 from polarcut.sublinear import property_suite
 from test_cli_golden import DOCUMENTS, run_call
 
@@ -160,10 +160,11 @@ def test_verify_reports_off_recession_violation_when_polar_drops_a_row(
 
 
 def test_verify_reports_exposed_failure(tmp_path, capsys, monkeypatch):
-    # Both rows of the quadrant have a ray certificate, so the suite takes
-    # their witnesses from it, and a zero witness there fails both.
+    # Both rows of the quadrant have a ray certificate, so exposed_point
+    # answers for them with no LP, and a zero witness on that route fails
+    # both.
     _, _, _, checks = quadrant_counts()
-    zero_ray_witness(monkeypatch)
+    zero_witness(monkeypatch, ("ray",))
     checks["exposed"]["failures"] = 2
     assert verify_quadrant(tmp_path, capsys) == (1, checks, 2)
 
@@ -172,14 +173,15 @@ def test_verify_reports_exposed_failure_on_the_lp_fallback(tmp_path, capsys, mon
     # In {x_1 + 3 x_2 <= 1, 2 x_1 + 2 x_2 <= 1, 2 x_1 - 2 x_2 <= 1} the
     # row (2, 2) has no ray certificate: the Gram test ties (|a_2|^2 = 8 =
     # <a_1, a_2>), the normal (3, -1) of a_1 meets a_3 first, and the
-    # normal (2, 2) of a_3 ties with a_1. So its witness comes from
-    # exposed_witness; a zero witness there fails that row alone.
+    # normal (2, 2) of a_3 ties with a_1. So exposed_point takes its
+    # witness from the support LP; a zero witness on that route fails that
+    # row alone.
     doc = {"dim": 2, "rows": [[1, 3], [2, 2], [2, -2]], "rhs": [1, 1, 1]}
     path = write(tmp_path, "k.json", doc)
     code, out, _ = run(capsys, "verify", path, "--samples", "40")
     clean = json.loads(out)
     assert code == 0 and clean["checks"]["exposed"] == {"rows_checked": 3, "failures": 0}
-    monkeypatch.setattr(sublinear, "exposed_witness", lambda h, i: zero_vector(h.dim))
+    zero_witness(monkeypatch, ("lp",))
     code, out, _ = run(capsys, "verify", path, "--samples", "40")
     doc = json.loads(out)
     clean["checks"]["exposed"]["failures"] = 1
@@ -401,7 +403,7 @@ def test_dispatch_matches_the_full_parser(tmp_path, capsys, monkeypatch):
     # routes to the same subparser.
     argvs = dispatch_grammar(tmp_path)
     fast = [dispatch_outcome(capsys, argv) for argv in argvs]
-    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parsers()[0].parse_args(argv))
     plain = [dispatch_outcome(capsys, argv) for argv in argvs]
     for argv, got, expected in zip(argvs, fast, plain):
         assert got == expected, argv

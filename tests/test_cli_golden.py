@@ -74,7 +74,8 @@ BOX_3D = {
 }
 
 # The lattice-free simplex {x >= 0, x1 + x2 + x3 <= 3} about f, P absent:
-# bounded, so maximal's boundedness test runs sup_over to a finite value.
+# bounded, so maximal's boundedness test (polyhedra.is_bounded) finds its
+# rows positively spanning the space: its one LP is feasible.
 SIMPLEX_BODY_3D = {
     "instance": dict(BOX_3D["instance"], P=None),
     "body": {
@@ -419,9 +420,10 @@ def test_every_library_lp_is_posed_in_ints(documents, monkeypatch):
     # drawn 2-4-D bodies, and of a seeded property suite, whose
     # generator sets are checked once more without their weights and whose
     # samples are tested against the polar's hull, so that every library
-    # caller of lp.solve is seen.
-    real_solve = lp.solve
-    programs, callers = [], set()
+    # caller of lp.solve is seen. Every outcome is passed to
+    # lp.verify_certificate right after its solve.
+    real_solve, real_verify = lp.solve, lp.verify_certificate
+    programs, callers, verified = [], set(), []
 
     def recording(program):
         programs.append(program)
@@ -431,7 +433,12 @@ def test_every_library_lp_is_posed_in_ints(documents, monkeypatch):
             frame = frame.f_back
         return real_solve(program)
 
+    def verifying(program, outcome):
+        verified.append((len(programs), program))
+        return real_verify(program, outcome)
+
     monkeypatch.setattr(lp, "solve", recording)
+    monkeypatch.setattr(lp, "verify_certificate", verifying)
     for call in CALLS:
         run_call(call, documents)
     rng = random.Random(1971)
@@ -451,9 +458,11 @@ def test_every_library_lp_is_posed_in_ints(documents, monkeypatch):
         for x in rational_samples(h, index, 8):
             hull_membership(x, polar(h))
     assert corpus >= 100 and len(programs) - corpus >= 100, (corpus, len(programs))
+    assert verified == list(enumerate(programs, 1))
     assert callers >= {
         "remove_redundancy",
-        "exposed_witness",
+        "exposed_point",
+        "property_suite",
         "check_unit_ball",
         "maximality_certificate",
         "check_cut_validity",

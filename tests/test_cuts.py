@@ -1367,6 +1367,7 @@ def test_check_cut_lp_count_on_acceptance_corpus(monkeypatch):
         pytest.param("infeasible", "farkas", id="infeasible"),
         pytest.param("optimal", "value", id="optimal-value"),
         pytest.param("optimal", "point", id="optimal-point"),
+        pytest.param("optimal", "violation", id="optimal-violation"),
     ],
 )
 def test_check_cut_refuses_a_broken_certificate(monkeypatch, status, forgery):
@@ -1375,7 +1376,9 @@ def test_check_cut_refuses_a_broken_certificate(monkeypatch, status, forgery):
     # strength. The forged dual and Farkas row still prove their own point,
     # so only the check against the rays can catch them; the forged value
     # and point keep the dual, so only lp.verify_certificate's test of the
-    # value and of the point can. The split cut on x1 with rays (1, 0, 0)
+    # value and of the point can, and a forged violation, value 0 at the
+    # point 0, which misses the rows, is refused before it is reported.
+    # The split cut on x1 with rays (1, 0, 0)
     # and (-1, 4, 0): its violation_box {0, 1} x {1, 2} x {0} holds the
     # unreachable points (0, 1, 0) and (0, 2, 0) before the reachable
     # (1, 1, 0) and (1, 2, 0). Two rays in 3-D have no dual vertex, and
@@ -1402,6 +1405,8 @@ def test_check_cut_refuses_a_broken_certificate(monkeypatch, status, forgery):
             return outcome._replace(dual=tuple(u + 100 for u in outcome.dual))
         if forgery == "value":
             return outcome._replace(value=outcome.value + 1)
+        if forgery == "violation":
+            return outcome._replace(point=(Fraction(0), Fraction(0)), value=Fraction(0))
         if forgery == "point":
             # same cost 3/2, but (3/4, 0) misses the '=' row
             # s_1 - s_2 = 1/2

@@ -7,10 +7,10 @@ its imports behind. This walks the syntax tree of each library module
 each test module, and lists the imported names that no expression reads.
 Folding two helpers into one tends to leave the other behind: every
 module-level function, class and constant of the library must be read by
-an expression outside its own definition, in the library or the tests,
-or be re-exported by the package __init__. A private (underscore) name
-must be read by the library itself: a helper that a fold leaves behind
-only as a test seam is dead too.
+an expression of the library outside its own definition, or, when it is
+public, be re-exported by the package __init__. What only the tests read
+is dead: a helper that a fold leaves behind as a test seam, or a public
+function kept as a test-only wrapper.
 
 Every CLI call pays for `import polarcut.cli` before it does any work.
 The records are named tuples, so that import loads neither dataclasses
@@ -89,19 +89,17 @@ def read_names(nodes) -> set:
     return names
 
 
-def dead_definitions(sources: dict, readers: list, exported: set) -> list:
+def dead_definitions(sources: dict, exported: set) -> list:
     """(module, name) for each definition in sources (module name to
-    source text) that no expression outside it reads. A public name may be
-    read in sources or in the reader sources, or be exported; a private
-    (underscore) name only in sources."""
+    source text) that no expression of sources outside it reads, unless
+    the name is public and exported."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    public = read_names(ast.parse(source) for source in readers) | exported
     dead = []
     for module, tree in trees.items():
         elsewhere = read_names(t for m, t in trees.items() if m != module)
         for name, node in definitions(tree):
             read = elsewhere | read_names(n for n in tree.body if n is not node)
-            if name not in (read if name.startswith("_") else read | public):
+            if name not in (read if name.startswith("_") else read | exported):
                 dead.append((module, name))
     return dead
 
@@ -114,11 +112,11 @@ def test_no_dead_definitions():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    texts = {p: p.read_text(encoding="utf-8") for p in MODULES}
-    library = {p.name: text for p, text in texts.items() if p.parent.name == "polarcut"}
-    tests = [text for p, text in texts.items() if p.parent.name == "tests"]
+    library = {
+        p.name: p.read_text(encoding="utf-8") for p in MODULES if p.parent.name == "polarcut"
+    }
     assert len(library) == 7
-    assert dead_definitions(library, tests, exported) == []
+    assert dead_definitions(library, exported) == []
 
 
 def test_dead_definition_detector():
@@ -126,10 +124,15 @@ def test_dead_definition_detector():
         "a": "X = 1\nY = X\ndef f():\n    return f()\nclass C:\n    pass\n",
         "b": "import a\nZ = a.C\n",
     }
-    assert dead_definitions(sources, [], set()) == [("a", "Y"), ("a", "f"), ("b", "Z")]
-    assert dead_definitions(sources, ["b.Z"], {"f"}) == [("a", "Y")]
+    assert dead_definitions(sources, set()) == [("a", "Y"), ("a", "f"), ("b", "Z")]
+    assert dead_definitions(sources, {"f", "Z"}) == [("a", "Y")]
     private = {"a": "def _g():\n    pass\ndef _h():\n    pass\n", "b": "import a\nZ = a._h\n"}
-    assert dead_definitions(private, ["a._g", "b.Z"], {"_g"}) == [("a", "_g")]
+    assert dead_definitions(private, {"_g", "Z"}) == [("a", "_g")]
+    # A public wrapper that only the tests read is dead: no reader outside
+    # the library counts, so only an export keeps it.
+    wrapper = {"a": "def _build():\n    pass\ndef build():\n    return _build()\n"}
+    assert dead_definitions(wrapper, set()) == [("a", "build")]
+    assert dead_definitions(wrapper, {"build"}) == []
 
 
 def imported_modules(source: str) -> set:

@@ -11,6 +11,7 @@ from conftest import (
     fraction_solve,
     in_recession,
     integer_rows_form,
+    lp_exposed_point,
     make_program,
     margin_exposed_witness,
     needs_artificial,
@@ -18,6 +19,7 @@ from conftest import (
     polar_support_lp,
     programs_logged,
     random_lp,
+    ray_off,
     rational_samples,
     reference_verify_certificate,
 )
@@ -26,14 +28,13 @@ from polarcut.lp import LPOutcome, solve, verify_certificate
 from polarcut.polyhedra import (
     HPolyhedron,
     VPolytope,
-    exposed_witness,
+    exposed_point,
     hull_membership,
     normalize,
     polar,
     random_polyhedron,
-    sup_over,
 )
-from polarcut.rationals import ONE, ZERO, dot, integer_rows
+from polarcut.rationals import ONE, ZERO, Scaled, dot, unscaled
 from polarcut.sublinear import (
     check_unit_ball,
     property_suite,
@@ -400,11 +401,11 @@ def _agrees_with_all_artificial_start(program):
 
 def _polyhedron_programs():
     """The programs that seeded random canonical sets pose: normalize's
-    redundancy tests, exposed_witness per row (pure '<=' support LPs) and
-    the margin LP it replaced (an '=' row beside '<=' rows and a cap row),
-    check_unit_ball on a random generator set without its weights (one
-    support LP per point that is neither a row nor the origin), sup_over
-    at +-e_d, and at
+    redundancy tests, exposed_point's support LP at every row (pure '<='
+    programs, lp_exposed_point) and the margin LP it replaced (an '=' row
+    beside '<=' rows and a cap row), check_unit_ball on a random generator
+    set without its weights (one support LP per point that is neither a
+    row nor the origin), the support LP at +-e_d, and at
     sample points the all-'=' programs of the multiplier LP over the polar
     (conftest.polar_support_lp) and of hull_membership in the polar."""
 
@@ -414,14 +415,16 @@ def _polyhedron_programs():
             dim = rng.randint(1, 4)
             h = random_polyhedron(dim, rng.randint(dim + 1, dim + 4), rng)
             for i in range(len(h.rows)):
-                exposed_witness(h, i)
+                lp_exposed_point(h, i)
                 margin_exposed_witness(h, i)
             gens = random_unit_ball_rep(h, index, 3)  # stripped of its weights
             assert check_unit_ball(VPolytope(h.dim, gens.points), h)
-            for d in range(dim):
-                for sign in (ONE, -ONE):
-                    axis = tuple(sign if j == d else ZERO for j in range(dim))
-                    sup_over(h.compiled, axis)
+            with pytest.MonkeyPatch.context() as mp:
+                ray_off(mp)
+                for d in range(dim):
+                    for sign in (1, -1):
+                        axis = tuple(sign if j == d else 0 for j in range(dim))
+                        exposed_point(axis, *h.compiled)
             for x in rational_samples(h, index, 12):
                 polar_support_lp(h, x)
                 hull_membership(x, polar(h))
@@ -432,9 +435,9 @@ def _polyhedron_programs():
 
 def test_int_rows_read_as_they_are_match_the_integer_rows_route():
     # lp.solve reads an all-int row (and objective) as its own ints over 1.
-    # On the programs normalize and the property suite pose, exposed_witness
-    # at every row (the suite poses it only at a row without a ray
-    # certificate) and the multiplier LP at the suite's off-recession
+    # On the programs normalize and the property suite pose, exposed_point's
+    # support LP at every row (the suite poses it only at a row without a
+    # ray certificate) and the multiplier LP at the suite's off-recession
     # samples, that gives the same pivots, outcomes and certificates as
     # reading every row through integer_rows.
     rng = random.Random(4181)
@@ -453,7 +456,7 @@ def test_int_rows_read_as_they_are_match_the_integer_rows_route():
         property_suite(sets, 11, 24)
         for index, h in enumerate(sets):
             _, exposed = programs_logged(
-                lambda: [exposed_witness(h, i) for i in range(len(h.rows))]
+                lambda: [lp_exposed_point(h, i) for i in range(len(h.rows))]
             )
             assert len(exposed) == len(h.rows)  # one support LP per row
             for x in sample_points(h, 11 + 7919 * index, 24):
@@ -543,17 +546,23 @@ def test_farkas_witness_on_slack_started_rows(name):
     assert verify_certificate(program, outcome)
 
 
-def test_sup_over_square_takes_two_pivots():
+def test_support_lp_square_takes_two_pivots():
     # The square |x1|, |x2| <= 1 at (1, 1): the origin is feasible, so no
     # phase 1; one pivot per coordinate (eight with every row artificial).
+    # The maximizer (1, 1) of value 2 > 1 scaled onto (1, 1) is the point
+    # the Gram test gives with no LP: den r / |r|^2 = (1/2, 1/2).
     square = ((1, 0), (-1, 0), (0, 1), (0, -1))
-    rows = tuple(tuple(Fraction(c) for c in a) for a in square)
-    value, pivots = pivots_logged(sup_over, integer_rows(rows), (ONE, ONE))
-    assert value == 2
+    with pytest.MonkeyPatch.context() as mp:
+        ray_off(mp)
+        (point, pivots), programs = programs_logged(
+            pivots_logged, exposed_point, (1, 1), square, 1
+        )
+    assert point == Scaled((1, 1), 2) and len(programs) == 1
     assert pivots == [(0, 0), (2, 2)]
+    assert pivots_logged(exposed_point, (1, 1), square, 1) == (Scaled((1, 1), 2), [])
 
 
-def test_exposed_witness_square_takes_no_pivot():
+def test_exposed_point_lp_on_the_square_takes_no_pivot():
     # Each row of the square |x1|, |x2| <= 1: the support LP of the other
     # three rows is a pure '<=' program, so no artificial column and no
     # phase 1, and it is unbounded along the row at the origin, so no
@@ -561,9 +570,9 @@ def test_exposed_witness_square_takes_no_pivot():
     square = ((1, 0), (-1, 0), (0, 1), (0, -1))
     h = HPolyhedron(2, tuple(tuple(Fraction(c) for c in a) for a in square))
     logged, programs = programs_logged(
-        lambda: [pivots_logged(exposed_witness, h, i) for i in range(4)]
+        lambda: [pivots_logged(lp_exposed_point, h, i) for i in range(4)]
     )
-    assert logged == [(row, []) for row in h.rows]
+    assert [(unscaled(w), pivots) for w, pivots in logged] == [(row, []) for row in h.rows]
     assert len(programs) == 4
     assert not any(needs_artificial(row) for p in programs for row in p.rows)
     reference = [pivots_logged(margin_exposed_witness, h, i) for i in range(4)]

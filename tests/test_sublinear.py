@@ -15,10 +15,14 @@ from conftest import (
     fraction_random_unit_ball_rep,
     fraction_sup_over,
     fraction_sample_points,
+    fraction_support_lp,
     gauge_bracket,
     in_recession,
+    lp_exposed_point,
     make_program,
     polar_support_lp,
+    pivots_logged,
+    polar_question,
     programs_logged,
     per_point_off_recession_check,
     per_point_reconstruct_check,
@@ -27,17 +31,18 @@ from conftest import (
     raise_rho,
     rational_property_suite,
     rational_samples,
+    ray_off,
     use_fraction_routes,
     vadd,
     vscale,
-    zero_ray_witness,
+    zero_witness,
 )
+import conftest
 from polarcut import jsonio, polyhedra, sublinear
 from polarcut.lp import solve
 from polarcut.polyhedra import (
     HPolyhedron,
     VPolytope,
-    exposed_witness,
     hull_membership,
     membership,
     normalize,
@@ -52,6 +57,7 @@ from polarcut.rationals import (
     integer_rows,
     is_zero_vector,
     scaled,
+    unscaled,
     vector,
 )
 from polarcut.sublinear import (
@@ -427,16 +433,16 @@ def _break_check(monkeypatch, check):
     """The four deliberately broken checks of test_cli.py, each fault put
     on both routes: the column route of property_suite and the evaluators
     that the per-point route of rational_property_suite calls. A zero
-    exposed witness is put on the ray route and on exposed_witness, the
-    suite's fallback for a row without a certificate and the reference's
-    witness for every row."""
+    exposed witness is put on both routes of the suite's exposed_point,
+    the ray's and the LP's, and on fraction_exposed_witness, the
+    reference's witness for every row."""
     if check == "off_recession":
         raise_polar_support(monkeypatch)
         real = sublinear.support
         monkeypatch.setattr(sublinear, "support", lambda gens, x: real(gens, x) + 1)
     elif check == "exposed":
-        zero_ray_witness(monkeypatch)
-        monkeypatch.setattr(sublinear, "exposed_witness", lambda h, i: (ZERO,) * h.dim)
+        zero_witness(monkeypatch)
+        monkeypatch.setattr(conftest, "fraction_exposed_witness", lambda h, i: (ZERO,) * h.dim)
     elif check == "reconstruct":
         raise_rho(monkeypatch)
         real = sublinear.minimal_sublinear
@@ -465,6 +471,19 @@ def test_property_suite_matches_rational_route(broken, monkeypatch):
     for name in ("sandwich", "off_recession"):
         x = tally[name]["first_violation"]
         assert x is None or all(type(v) is Fraction for v in x)
+
+
+def test_property_suite_counts_a_redundant_row_as_one_exposed_failure():
+    # A hand-built set, not normalized, with (1, 0) redundant beside (2, 0):
+    # exposed_point finds no point for it (its support LP stays at 1/2), a
+    # failure of that row alone; the other rows keep witnesses tight on
+    # them alone, and every other check still holds on the set's rows.
+    rows = (vector((0, 1)), vector((1, 0)), vector((2, 0)))
+    for order in (rows, rows[::-1]):
+        h = HPolyhedron(2, order)
+        tally, violations = property_suite([h], 3, 24)
+        assert tally["exposed"] == {"rows_checked": 3, "failures": 1}
+        assert violations == 1
 
 
 def zero_coefficient_set(rng, dim):
@@ -708,17 +727,14 @@ def _row_certificate(h, i):
 def _gram_and_lp_verdicts(h):
     """Per row of h, (ray verdict, LP verdict): whether the ray route's
     witness is tight on that row alone (None when the row has no
-    certificate), and whether exposed_witness's is (None when it refuses
-    the row as redundant)."""
+    certificate), and whether the support LP's is (lp_exposed_point; None
+    when it finds the row redundant)."""
     out = []
     for i in range(len(h.rows)):
         w = _row_certificate(h, i)
         gram = None if w is None else membership(h, w).tight_rows == (i,)
-        try:
-            lp = membership(h, exposed_witness(h, i)).tight_rows == (i,)
-        except RuntimeError:
-            lp = None
-        out.append((gram, lp))
+        w = lp_exposed_point(h, i)
+        out.append((gram, None if w is None else membership(h, w).tight_rows == (i,)))
     return out
 
 
@@ -911,11 +927,42 @@ def _forgeries(h, other, rng) -> list:
     ]
 
 
+def _direction(ints) -> tuple:
+    """A nonzero int vector divided by the gcd of its entries."""
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def _rescaled_support_lps(h, programs, points) -> None:
+    """programs, check_unit_ball's support LPs, are one per point, each a
+    positive rescale of the support LP of h's Fraction rows at the point
+    (fraction_support_lp): its objective a positive multiple of the
+    point's ints, and, since positive row and objective scales keep
+    Bland's choices, the same status, pivots and point, and the same ray
+    up to a positive factor (a ray along an entering slack scales with
+    that slack's row)."""
+    assert len(programs) == len(points)
+    for program, v in zip(programs, points):
+        assert _direction(program.objective) == _direction(scaled(v).ints)
+        outcome, pivots = pivots_logged(solve, program)
+        reference, reference_pivots = pivots_logged(fraction_support_lp, h.rows, v)
+        assert (outcome.status, pivots, outcome.point) == (
+            reference.status,
+            reference_pivots,
+            reference.point,
+        )
+        if outcome.status == "unbounded":
+            k = next(k for k, r in enumerate(reference.ray) if r)
+            t = outcome.ray[k] / reference.ray[k]
+            assert t > 0 and outcome.ray == tuple(t * r for r in reference.ray)
+
+
 def _weights_agree(h, other, rng, seen: Counter) -> None:
     """check_unit_ball equals the LP-only reference on random_unit_ball_rep
     candidates of h (no LP), on the same points without their weights (one
     LP per point that is neither a row nor the origin) and on each forged
-    claim of _forgeries (one LP, at the forged point)."""
+    claim of _forgeries (one LP, at the forged point, unless a ray proves
+    it outside the polar)."""
     for seed in range(3):
         gens = random_unit_ball_rep(h, rng.randrange(10**6), 1 + 2 * seed)
         added = [
@@ -929,17 +976,19 @@ def _weights_agree(h, other, rng, seen: Counter) -> None:
         bare = VPolytope(h.dim, gens.points)
         verdict, programs = programs_logged(check_unit_ball, bare, h)
         assert verdict is True
-        assert [p.objective for p in programs] == [scaled(v).ints for v, _ in added]
+        _rescaled_support_lps(h, programs, [v for v, _ in added])
     for kind, x, weights in _forgeries(h, other, rng):
         gens = VPolytope(
             h.dim, h.rows + (x,), (None,) * len(h.rows) + (weights,)
         )
         verdict, programs = programs_logged(check_unit_ball, gens, h)
         assert verdict == fraction_check_unit_ball(gens, h), kind
-        assert [p.objective for p in programs] == [scaled(x).ints], kind
-        assert verdict == _in_polar(h, x), kind
+        ray = ray_certificate(*polar_question(h, x)) is not None
+        _rescaled_support_lps(h, programs, [] if ray else [x])
+        assert verdict == _in_polar(h, x) and not (ray and verdict), kind
         seen[kind] += 1
         seen["outside"] += not verdict
+        seen["ray"] += ray
 
 
 def test_polar_weights_prove_generators_as_the_lp_does():
@@ -969,6 +1018,8 @@ def test_polar_weights_prove_generators_as_the_lp_does():
     )
     assert min(seen[kind] for kind in kinds) >= 5, seen
     assert seen["certified"] >= 100 and seen["outside"] >= 40, seen
+    # A ray proves most points outside with no LP; the LP proves the rest.
+    assert seen["ray"] >= 40 and seen["outside"] - seen["ray"] >= 5, seen
     assert min(seen[k] for k in ("bounded", "unbounded", "one row", "huge den")) >= 1, seen
 
 
@@ -1011,16 +1062,27 @@ def test_polar_weights_stay_out_of_equality():
         VPolytope(h.dim, gens.points, gens.polar_weights[:-1])
 
 
+def _lp_witness(h, i):
+    """sublinear's exposed_point at row i of h with the ray off: the support
+    LP at every row, by the library's route or by the reference that
+    use_fraction_routes puts in its place."""
+    rows, den = h.compiled
+    with pytest.MonkeyPatch.context() as mp:
+        ray_off(mp)
+        return sublinear.exposed_point(rows[i], rows[:i] + rows[i + 1 :], den)
+
+
 def _logged_suite(raw_sets, seed: int, samples: int):
-    """normalize on each raw set, property_suite on the sets, then
-    sublinear.exposed_witness at every row of every set: the three results,
-    and the programs lp.solve is given in each of the three steps."""
+    """normalize on each raw set, property_suite on the sets, then the
+    suite's exposed_point at every row of every set with the ray off: the
+    three results, and the programs lp.solve is given in each of the three
+    steps."""
     sets, normalize_programs = programs_logged(
         lambda: [normalize(rows, [1] * len(rows)) for rows in raw_sets]
     )
     tally, suite_programs = programs_logged(property_suite, sets, seed, samples)
     witnesses, exposed_programs = programs_logged(
-        lambda: [sublinear.exposed_witness(h, i) for h in sets for i in range(len(h.rows))]
+        lambda: [unscaled(_lp_witness(h, i)) for h in sets for i in range(len(h.rows))]
     )
     return (sets, tally, witnesses), normalize_programs, suite_programs, exposed_programs
 
@@ -1028,7 +1090,7 @@ def _logged_suite(raw_sets, seed: int, samples: int):
 def _support_lp_at(program):
     """(objective, rational rows) of a support LP, the objective as ints
     over its least denominator (scaled) and each row <a, x> <= b read as
-    a / b: the generator and the set of a sup_over call, whether the
+    a / b: the generator and the set of a support LP, whether the
     generator is posed as its rationals or as its ints."""
     return scaled(program.objective).ints, tuple(
         tuple(Fraction(c) / b for c in coeffs) for coeffs, _, b in program.rows
@@ -1037,7 +1099,7 @@ def _support_lp_at(program):
 
 def test_support_lps_pose_int_rows_as_often_as_the_fraction_routes():
     # Guarded by counts, not timing: every program of normalize, of the
-    # property suite and of exposed_witness at every row is a support LP
+    # property suite and of exposed_point's LP at every row is a support LP
     # ('<=' rows, free variables), posed in ints. The LPs are accounted for
     # exactly: the Fraction-row routes pose one support LP per suite
     # generator that is neither a row nor the origin, and the library poses
