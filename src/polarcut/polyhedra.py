@@ -12,8 +12,10 @@ each row in ints, deduplicates, and strips redundant rows
 (remove_redundancy). A row is kept with no LP when a ray from the origin
 leaves the set through that row alone (ray_certificate: the row itself,
 the Gram test, then the int normals of a few bases of other rows, all in
-exact int arithmetic); only a row no ray proves gets an exact LP, which
-keeps it or drops it just as it would with no test before it.
+exact int arithmetic), and dropped with no LP when int weights over a
+basis of other rows put it in conv({0} union others) (_basis_weights,
+the basis search); only a row that neither test settles gets an exact
+LP, which keeps it or drops it just as it would with no test before it.
 
 For such a set K the polar K* is conv({0} union rows), and the rows
 themselves are exactly the points of the polar at which the pairing
@@ -31,8 +33,20 @@ objective, so the LP reads ints and each caller compiles its rows once.
 Its outcome, as those of hull_membership and is_bounded, must pass
 lp.verify_certificate before a verdict rests on it. Boundedness, for
 cuts.maximality_certificate, takes no support LP: is_bounded asks
-whether the rows positively span the space, by an int rank test and at
-most one feasibility LP over the rows' multipliers.
+whether the rows positively span the space. The basis search comes
+first (proved_bounded): int multipliers over a basis of rows, checked
+by lp.verify_certificate as a point of is_bounded's own LP, prove a
+bounded set with no LP, which also spares sublinear.sample_points its
+recession sign search; only then come an int rank test and at most one
+feasibility LP over the rows' multipliers.
+
+The basis search (_basis_weights) is one helper behind both questions:
+for an int target t it tries the n-subsets of the n + 2 rows most
+aligned with t and solves each by Cramer's rule through _normal's
+cofactors, in ints, in 1-4-D. Every weight it finds is checked by lp's
+own tests before a verdict rests on it, and the LP stays behind it as
+the complete fallback, so it changes no verdict, only how many LPs are
+posed.
 
 The evaluators run fraction-free: each set (and each generator set) is
 compiled once into integer rows over one common denominator, and a pairing
@@ -83,6 +97,16 @@ from .rationals import (
 # enough that a redundant row, which no ray proves, pays little before
 # its LP.
 _BASES = 3
+
+# Rows beyond n that _basis_weights draws its bases from: C(n + 2, 2)
+# bases of the n + 2 rows with the largest <s, t>.
+_SPARE = 2
+# The largest n where _basis_weights searches. In 1-4-D _normal has
+# closed forms, and a search that tries every basis and fails costs 12-66
+# us, against 36-87 us for one LP and its check; in 5-D its Bareiss
+# minors make such a search cost 1 ms, 15 LPs (CPython 3.11, 2-vCPU VM).
+# Past it the LP decides alone.
+_SEARCH_DIM = 4
 
 
 class OriginNotInteriorError(ValueError):
@@ -204,33 +228,6 @@ def _rank(rows) -> int:
     return rank
 
 
-def is_bounded(compiled: tuple) -> bool:
-    """Whether the set {x : <r, x> <= den for r in rows} is bounded, for
-    compiled = (int rows, den > 0): exactly when the rows positively span
-    the space, that is, when they have full rank and some lambda > 0 has
-    sum_i lambda_i r_i = 0. That needs more rows than axes. The rank is
-    taken in ints (_rank); with full rank one LP decides the rest, mu >= 0
-    with sum_i mu_i r_i = -sum_i r_i (then lambda = mu + 1), posed in ints
-    and feasible iff the set is bounded. Its outcome must pass
-    lp.verify_certificate; one that does not is an internal fault."""
-    rows, _ = compiled
-    if len(rows) <= len(rows[0]) or _rank(rows) < len(rows[0]):
-        return False
-    program = lp.LinearProgram(
-        direction="max",
-        objective=(0,) * len(rows),
-        rows=tuple((col, "=", -sum(col)) for col in zip(*rows)),
-        bounds=("nonneg",) * len(rows),
-    )
-    outcome = lp.solve(program)
-    if not lp.verify_certificate(program, outcome):
-        raise RuntimeError(
-            f"the {outcome.status} outcome of the boundedness LP fails "
-            "lp.verify_certificate"
-        )
-    return outcome.status == "optimal"
-
-
 def _det(m) -> int:
     """The determinant of a square int matrix (k >= 0; the 0 x 0 one is 1),
     by fraction-free (Bareiss) elimination: every quotient below is exact."""
@@ -260,9 +257,9 @@ def _normal(rows) -> tuple:
     0 for each row, and c = 0 exactly when the rows are dependent; in 1-D
     the normal of no rows is (1,). Closed forms in 2-4-D (there from the
     2 x 2 minors p of the last two rows), Bareiss minors (_det) in 1-D and
-    above 4-D. ray_certificate and the certificate search of
-    cuts.check_cut_validity call it; the closed forms save 2-13 us a call
-    over the minors in 2-4-D."""
+    above 4-D. ray_certificate, the basis search (_basis_weights) and the
+    certificate search of cuts.check_cut_validity call it; the closed
+    forms save 2-13 us a call over the minors in 2-4-D."""
     if len(rows) == 1:
         ((a, b),) = rows
         return (b, -a)
@@ -321,6 +318,120 @@ def ray_certificate(r, others, den: int):
     return None
 
 
+def _basis_weights(t, rows, capped: bool = False):
+    """Int weights that put the int target t in the cone of the int rows,
+    with no LP: (basis, y, D), y one int per row >= 0, nonzero only on the
+    rows of basis, with sum_i y_i rows_i = D t; when capped, also sum y <=
+    D, so that t lies in conv({0} union rows). None when no basis tried
+    gives such weights.
+
+    The bases tried are the n-subsets B (n = len(t)), in order, of the n +
+    _SPARE rows with the largest <s, t> (a stable sort: ties in input
+    order). Each is solved by Cramer's rule through _normal's cofactors:
+    for b_j in B and c_j the normal of B without b_j, <b_i, c_j> = 0 for i
+    != j and <b_j, c_j> = +-det B, so the weight of b_j is n_j = +-<t, c_j>
+    over D = |det B|, signed as <b_j, c_j>. A singular B (D = 0) and a
+    negative n_j end that basis. The first weights left are returned after
+    an exact recheck of sum_j n_j b_j = D t in ints. Above _SEARCH_DIM it
+    tries no basis."""
+    dim = len(t)
+    if dim > _SEARCH_DIM:
+        return None
+    aligned = [sum(map(mul, s, t)) for s in rows]
+    top = sorted(range(len(rows)), key=aligned.__getitem__, reverse=True)
+    for basis in combinations(top[: dim + _SPARE], dim):
+        b = [rows[k] for k in basis]
+        weights = []
+        for j in range(dim):
+            c = _normal(b[:j] + b[j + 1 :])
+            det = sum(map(mul, b[j], c))
+            n_j = sum(map(mul, t, c))
+            if det < 0:
+                n_j = -n_j
+            if not det or n_j < 0:
+                break
+            weights.append(n_j)
+        else:
+            d = abs(det)
+            if capped and sum(weights) > d:
+                continue
+            if all(
+                sum(map(mul, weights, col)) == d * c for col, c in zip(zip(*b), t)
+            ):
+                y = [0] * len(rows)
+                for k, n_j in zip(basis, weights):
+                    y[k] = n_j
+                return basis, tuple(y), d
+    return None
+
+
+def _bounded_program(rows) -> lp.LinearProgram:
+    """is_bounded's LP over the int rows: mu >= 0 with sum_i mu_i r_i =
+    -sum_i r_i, objective 0, feasible iff the rows positively span the
+    space when they have full rank."""
+    return lp.LinearProgram(
+        direction="max",
+        objective=(0,) * len(rows),
+        rows=tuple((col, "=", -sum(col)) for col in zip(*rows)),
+        bounds=("nonneg",) * len(rows),
+    )
+
+
+def proved_bounded(compiled: tuple) -> bool:
+    """Whether the basis search proves the set {x : <r, x> <= den for r in
+    rows} bounded, for compiled = (int rows, den > 0), with no LP: True
+    only with weights from _basis_weights on t = -(sum of the rows) that
+    pass lp.verify_certificate as the optimal point of is_bounded's own
+    LP (value 0, dual 0), on a basis of full rank (_rank). Then lambda =
+    mu + 1 > 0 has sum_i lambda_i r_i = 0 and n of the rows are
+    independent, so the rows positively span the space. False says
+    nothing: is_bounded decides."""
+    rows, _ = compiled
+    dim = len(rows[0])
+    if len(rows) <= dim:
+        return False
+    found = _basis_weights(tuple(-sum(col) for col in zip(*rows)), rows)
+    if found is None:
+        return False
+    basis, y, d = found
+    outcome = lp.LPOutcome(
+        status="optimal",
+        point=tuple(Fraction(w, d) for w in y),
+        value=0,
+        dual=(0,) * dim,
+    )
+    return (
+        lp.verify_certificate(_bounded_program(rows), outcome)
+        and _rank([rows[k] for k in basis]) == dim
+    )
+
+
+def is_bounded(compiled: tuple) -> bool:
+    """Whether the set {x : <r, x> <= den for r in rows} is bounded, for
+    compiled = (int rows, den > 0): exactly when the rows positively span
+    the space, that is, when they have full rank and some lambda > 0 has
+    sum_i lambda_i r_i = 0. That needs more rows than axes. The basis
+    search (proved_bounded) settles a bounded set first, with no LP.
+    Otherwise the rank is taken in ints (_rank); with full rank one LP
+    decides the rest, mu >= 0 with sum_i mu_i r_i = -sum_i r_i (then
+    lambda = mu + 1), posed in ints and feasible iff the set is bounded.
+    Its outcome must pass lp.verify_certificate; one that does not is an
+    internal fault."""
+    rows, _ = compiled
+    if proved_bounded(compiled):
+        return True
+    if len(rows) <= len(rows[0]) or _rank(rows) < len(rows[0]):
+        return False
+    program = _bounded_program(rows)
+    outcome = lp.solve(program)
+    if not lp.verify_certificate(program, outcome):
+        raise RuntimeError(
+            f"the {outcome.status} outcome of the boundedness LP fails "
+            "lp.verify_certificate"
+        )
+    return outcome.status == "optimal"
+
+
 def exposed_point(r, others, den: int):
     """The exposed point of the int row r among the int rows others, all
     over den > 0, as a Scaled: a point x with <r, x> = den and <s, x> <
@@ -331,10 +442,15 @@ def exposed_point(r, others, den: int):
     {x : <s, x> <= den for s in others}, which holds r exactly when r is
     redundant there (sublinear.check_unit_ball).
 
-    It is ray_certificate's point when a ray proves r, with no LP.
-    Otherwise the support LP decides: max <r, x> over {x : <s, x> <= den
-    for s in others}, free variables, where the origin is feasible, so
-    the simplex starts there, on the slack basis, no phase 1. An optimal
+    It is ray_certificate's point when a ray proves r, with no LP. Else
+    the basis search may prove r redundant, with no LP: capped weights
+    (basis, y, D) from _basis_weights put r in conv({0} union others).
+    y / D is a dual of the support LP below (y >= 0, sum_s y_s s = D r,
+    and bound den sum y / D <= den), and None rests on it only once
+    lp.dual_feasible accepts it and sum y <= D. Otherwise the support LP
+    decides: max <r, x> over {x : <s, x> <= den for s in others}, free
+    variables, where the origin is feasible, so the simplex starts there,
+    on the slack basis, no phase 1. An optimal
     maximizer P of value above den gives den P / <r, P>, an unbounded
     sup its improving ray D as den D / <r, D>, which no positive scale
     of D changes, and a value at most den gives None. The outcome must
@@ -342,6 +458,14 @@ def exposed_point(r, others, den: int):
     x = ray_certificate(r, others, den)
     if x is not None:
         return x
+    found = _basis_weights(r, others, capped=True)
+    if found is not None:
+        _, y, d = found
+        columns, costs = list(zip(*others)), [d * c for c in r]
+        if sum(y) <= d and lp.dual_feasible(
+            y, columns, costs, ("free",) * len(r), True, range(len(y))
+        ):
+            return None
     program = lp.LinearProgram(
         direction="max",
         objective=r,
@@ -377,9 +501,10 @@ def remove_redundancy(dim: int, rows) -> HPolyhedron:
     mutually irredundant and a subset of the input, in input order. A row
     is dropped exactly when exposed_point(its int row r, the other live
     rows, den) is None: a row with a ray_certificate is kept with no LP,
-    and only a row without one poses the support LP. The certificate
-    proves what the LP would find, so the kept rows are those of an LP
-    for every row.
+    one that the basis search puts in conv({0} union the other live rows)
+    is dropped with no LP, and only a row with neither poses the support
+    LP. Each certificate proves what the LP would find, so the kept rows
+    are those of an LP for every row.
     Fractions are built only for the kept rows; their keys over their own
     lcm are handed to the set as its compiled form, which is the distinct
     rows over den, as filtered, when no row is dropped."""

@@ -34,7 +34,9 @@ set comes with its compiled form, made from the ints it was drawn in
 rather than by integer_rows of its Fraction points. The exposed
 check takes each row's witness from exposed_point too; a row with none,
 a redundant row of a hand-built set, fails it. sample_points draws its
-samples as Scaled points.
+samples as Scaled points, and runs no recession sign search on a set
+that polyhedra.proved_bounded proves bounded (where only the zero base
+passes). Both draw rng.randint's numbers without its calls (_randints).
 
 The evaluators and checks take a point in either form, a rational tuple or
 its rationals.Scaled form. The checks run on one int column kernel,
@@ -72,6 +74,7 @@ from .polyhedra import (
     membership,
     pairings,
     polar,
+    proved_bounded,
 )
 from .rationals import (
     ZERO,
@@ -174,8 +177,9 @@ def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
     satisfies (b) with no LP; any other generator, one with no weights or
     with weights that fail the test, lies in the polar exactly when
     exposed_point(its key, the row keys, den * d) is None: a ray may prove
-    it outside with no LP, and otherwise one support LP decides. Both
-    routes give the same verdict.
+    it outside with no LP, the basis search may prove it inside (in
+    conv({0} union rows)) with no LP, and otherwise one support LP
+    decides. All routes give the same verdict.
     """
     if gens.dim != h.dim:
         raise ValueError("generator dimension differs from the set's")
@@ -199,26 +203,45 @@ def check_unit_ball(gens: VPolytope, h: HPolyhedron) -> bool:
     return True
 
 
+def _randints(bits, spans) -> list:
+    """[rng.randint(lo, hi) for lo, hi in spans], the same numbers in the
+    same order, for bits = rng.getrandbits, without randint's calls:
+    CPython's randint draws k = width.bit_length() bits and draws again
+    while they reach the width hi - lo + 1 (Random._randbelow). That loop
+    is a CPython implementation detail, which a test pins."""
+    out = []
+    for lo, hi in spans:
+        width = hi - lo + 1
+        k = width.bit_length()
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        out.append(lo + r)
+    return out
+
+
 def random_unit_ball_rep(h: HPolyhedron, seed: int, count: int) -> VPolytope:
     """Seeded valid generator set: the rows of h plus `count` random exact
     convex combinations of the origin and the rows (duplicates merged).
     Always passes check_unit_ball by construction, and carries its proof:
     each added point keeps its int weights over polar(h).points (weight 0
-    is the origin's) in polar_weights, and the rows have None there. Each
+    is the origin's; drawn as rng.randint(0, 4) would draw them, by
+    _randints) in polar_weights, and the rows have None there. Each
     coordinate is one int sum over h.compiled's columns; points are told
     apart by their ints over their least denominator, and a Fraction is
     built only for a point that is kept. The set is handed its compiled
     form from those ints: every kept point over the lcm of h's den and
     their least denominators, which is integer_rows of the points."""
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     rows, den = h.compiled
     cols = tuple(zip(*rows))
     gens = list(h.rows)
     claims = [None] * len(gens)
     seen = set(map(lowest, rows, repeat(den)))
     kept = [(r, den) for r in rows]
+    spans = ((0, 4),) * (len(rows) + 1)
     for _ in range(count):
-        weights = [rng.randint(0, 4) for _ in range(len(rows) + 1)]
+        weights = _randints(bits, spans)
         if sum(weights) == 0:
             weights[0] = 1
         nums = [sum(map(mul, weights[1:], col)) for col in cols]
@@ -383,20 +406,26 @@ def sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
     each a Scaled; no Fraction is built and no evaluator is called.
 
     A random point draws a (numerator, denominator) pair per coordinate
-    and is put over their lcm. For h.compiled = (rows r, den), the
+    (_randints: rng.randint's numbers) and is put over their lcm. For
+    h.compiled = (rows r, den), the
     samples' largest row pairings top = max_i <r_i, x.ints> come from one
     column pass, and a sample with top > 0 (a positive gauge) is rescaled
     onto the boundary as Scaled(den * x.ints, top), which is x / gauge(h,
-    x)."""
-    rng = random.Random(seed)
+    x). On a set that polyhedra.proved_bounded proves bounded, with no LP,
+    the recession cone is {0}: a base passes only when it is zero, and
+    then with every sign +1, the sign search's first pattern, so no search
+    is run, and every draw, and so every sample, stays as it was."""
+    bits = random.Random(seed).getrandbits
     dim = h.dim
     rows, den = h.compiled
     out = []
+    spans = ((-12, 12), (1, 6)) * dim
 
     def rand_point() -> Scaled:
-        pairs = [(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(dim)]
-        d = lcm(*(q for _, q in pairs))
-        return Scaled(tuple(p * (d // q) for p, q in pairs), d)
+        draws = _randints(bits, spans)
+        qs = draws[1::2]
+        d = lcm(*qs)
+        return Scaled(tuple(p * (d // q) for p, q in zip(draws[::2], qs)), d)
 
     grid_quota = min(count // 4, 40)
     for ints in product(range(-2, 3), repeat=dim):
@@ -420,12 +449,16 @@ def sample_points(h: HPolyhedron, seed: int, count: int) -> tuple:
     # sum of s_k * a_k * base_k is <= 0; the products are ints computed once
     # per base.
     recession_quota = min(count // 8, boundary_quota + count - len(out))
+    bounded = recession_quota > 0 and proved_bounded(h.compiled)
     found = 0
     for _ in range(recession_quota * 4):
         if found >= recession_quota or len(out) >= count:
             break
         ints, d = rand_point()
-        signs = _first_recession_signs([tuple(map(mul, a, ints)) for a in rows])
+        if bounded:  # the cone is {0}: only a zero base passes, all signs +1
+            signs = None if any(ints) else (1,) * dim
+        else:
+            signs = _first_recession_signs([tuple(map(mul, a, ints)) for a in rows])
         if signs is not None:
             out.append(Scaled(tuple(map(mul, signs, ints)), d))
             found += 1

@@ -968,12 +968,36 @@ def fraction_ray_proves(a_i, others) -> bool:
     return False
 
 
+def fraction_search_proves(a_i, others) -> bool:
+    """Reference for polyhedra's basis search on a row a_i among the other
+    rows, in Fractions: whether some n-subset B of the n + 2 other rows
+    with the largest <a, a_i> (a stable sort: ties in input order) solves
+    sum_j lambda_j b_j = a_i, by Gaussian elimination on B's columns,
+    with lambda >= 0 and sum lambda <= 1. Then a_i lies in conv({0} union
+    others), so it is redundant. The rows may be ints: the verdict does
+    not change when every row is scaled by one positive factor. Above
+    polyhedra._SEARCH_DIM, where the library tries no basis, it is
+    False."""
+    dim = len(a_i)
+    if dim > polyhedra._SEARCH_DIM:
+        return False
+    top = sorted(range(len(others)), key=lambda k: -dot(others[k], a_i))[: dim + 2]
+    for basis in combinations(top, dim):
+        columns = zip(*(others[k] for k in basis))
+        lam = solve_square([tuple(map(Fraction, c)) for c in columns], a_i)
+        if lam is not None and min(lam) >= 0 and sum(lam) <= 1:
+            return True
+    return False
+
+
 def fraction_remove_redundancy(dim: int, rows, ray_test: bool = True) -> HPolyhedron:
     """Reference for polyhedra.remove_redundancy, on rational rows or Scaled
-    ones: each row that no ray proves irredundant (fraction_ray_proves,
-    taken in Fractions) poses the remaining rational rows. With ray_test
-    False every row poses its LP: the route from before the ray test,
-    which the kept rows must match."""
+    ones: a row that a ray proves irredundant (fraction_ray_proves, taken
+    in Fractions) is kept and one that the basis search proves redundant
+    (fraction_search_proves) is dropped, with no LP; every other row poses the
+    remaining rational rows. With ray_test False every row poses its LP:
+    the route from before the ray test and the search, whose kept rows
+    must match."""
     kept = []
     for a in map(unscaled, rows):
         if a not in kept:
@@ -983,6 +1007,9 @@ def fraction_remove_redundancy(dim: int, rows, ray_test: bool = True) -> HPolyhe
         others = kept[:i] + kept[i + 1 :]
         if not others or (ray_test and fraction_ray_proves(kept[i], others)):
             i += 1
+            continue
+        if ray_test and fraction_search_proves(kept[i], others):
+            kept.pop(i)
             continue
         top = fraction_sup_over(others, kept[i])
         if top is None or top > 1:
@@ -1017,19 +1044,29 @@ def fraction_exposed_witness(h: HPolyhedron, row_index: int):
 def fraction_exposed_point(r, others, den: int):
     """Reference for polyhedra.exposed_point on int rows over den:
     ray_certificate's point where a ray proves r, as the library takes it,
-    and fraction_witness on the rational rows r / den and s / den
-    otherwise."""
+    and on the rational rows r / den and s / den otherwise, None where
+    fraction_search_proves r redundant, else fraction_witness."""
     x = polyhedra.ray_certificate(r, others, den)
     if x is not None:
         return x
     rows = [tuple(Fraction(c, den) for c in s) for s in (r, *others)]
+    if fraction_search_proves(rows[0], rows[1:]):
+        return None
     return fraction_witness(rows[0], rows[1:])
 
 
 def ray_off(mp: pytest.MonkeyPatch) -> None:
-    """polyhedra.exposed_point with no ray tried: every call poses its
-    support LP, as the library does only where no ray proves the row."""
+    """polyhedra.exposed_point with no ray tried: every call that the basis
+    search does not settle (search_off) poses its support LP, as the
+    library does only where no ray proves the row."""
     mp.setattr(polyhedra, "ray_certificate", lambda r, others, den: None)
+
+
+def search_off(mp: pytest.MonkeyPatch) -> None:
+    """polyhedra's basis search with no basis tried: exposed_point and
+    is_bounded pose their LP wherever the search would settle the
+    question, as the library does only where it cannot."""
+    mp.setattr(polyhedra, "_basis_weights", lambda t, rows, capped=False: None)
 
 
 def polar_question(h: HPolyhedron, v) -> tuple:
@@ -1044,11 +1081,13 @@ def polar_question(h: HPolyhedron, v) -> tuple:
 
 def lp_exposed_point(h: HPolyhedron, row_index: int):
     """polyhedra.exposed_point at row i of h among its other rows, with the
-    ray off: the support LP, posed in ints, at every row. It calls
-    lp_module.solve, so a recording of that function sees it."""
+    ray and the basis search off: the support LP, posed in ints, at every
+    row. It calls lp_module.solve, so a recording of that function sees
+    it."""
     rows, den = h.compiled
     with pytest.MonkeyPatch.context() as mp:
         ray_off(mp)
+        search_off(mp)
         return polyhedra.exposed_point(
             rows[row_index], rows[:row_index] + rows[row_index + 1 :], den
         )

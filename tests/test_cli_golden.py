@@ -32,7 +32,13 @@ from polarcut.cuts import (
     make_body,
     maximality_certificate,
 )
-from polarcut.polyhedra import VPolytope, hull_membership, polar, random_polyhedron
+from polarcut.polyhedra import (
+    VPolytope,
+    hull_membership,
+    normalize,
+    polar,
+    random_polyhedron,
+)
 from polarcut.rationals import TooLongToPrint, Values, scaled
 from polarcut.sublinear import (
     check_unit_ball,
@@ -413,6 +419,17 @@ def test_cli_output_matches_table(table, documents, call):
     )
 
 
+def _cylinder_rows(rng, dim: int, count: int) -> list:
+    """count drawn nonzero 2-D rows, each with dim - 2 zeros appended: the
+    rows of a cylinder over a 2-D set, redundant ones among them."""
+    rows = []
+    while len(rows) < count:
+        a = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2))
+        if any(a):
+            rows.append(a + (0,) * (dim - 2))
+    return rows
+
+
 def test_every_library_lp_is_posed_in_ints(documents, monkeypatch):
     # Every program that the library gives lp.solve holds only ints: each
     # coefficient, right-hand side and objective entry. The programs are
@@ -420,10 +437,15 @@ def test_every_library_lp_is_posed_in_ints(documents, monkeypatch):
     # drawn 2-4-D bodies, and of a seeded property suite, whose
     # generator sets are checked once more without their weights and whose
     # samples are tested against the polar's hull, so that every library
-    # caller of lp.solve is seen. Every outcome is passed to
-    # lp.verify_certificate right after its solve.
+    # caller of lp.solve is seen. Both parts hold cylinders over drawn 2-D
+    # rows in 3-D and 4-D: their rows hold no basis of the space, so the
+    # basis search settles none of their questions, and their redundant
+    # rows and stripped generators pose LPs. Every outcome is passed to
+    # lp.verify_certificate right after its solve. The only other outcomes
+    # it is given are proved_bounded's, the basis search's optimal points
+    # of is_bounded's LP, which no solve returned.
     real_solve, real_verify = lp.solve, lp.verify_certificate
-    programs, callers, verified = [], set(), []
+    programs, callers, verified, solved, searched = [], set(), [], [], []
 
     def recording(program):
         programs.append(program)
@@ -431,10 +453,14 @@ def test_every_library_lp_is_posed_in_ints(documents, monkeypatch):
         for _ in range(4):  # maximality_certificate's LP is in is_bounded
             callers.add(frame.f_code.co_name)
             frame = frame.f_back
-        return real_solve(program)
+        solved.append(real_solve(program))
+        return solved[-1]
 
     def verifying(program, outcome):
-        verified.append((len(programs), program))
+        if solved and outcome is solved[-1]:
+            verified.append((len(programs), program))
+        else:
+            searched.append((sys._getframe(1).f_code.co_name, outcome.status))
         return real_verify(program, outcome)
 
     monkeypatch.setattr(lp, "solve", recording)
@@ -442,15 +468,17 @@ def test_every_library_lp_is_posed_in_ints(documents, monkeypatch):
     for call in CALLS:
         run_call(call, documents)
     rng = random.Random(1971)
-    for dim in (2, 3, 4) * 4:
-        k = random_polyhedron(dim, dim + 3, rng)
+    drawn = [random_polyhedron(dim, dim + 3, rng).rows for dim in (2, 3, 4) * 4]
+    for rows in drawn + [_cylinder_rows(rng, dim, 8) for dim in (3, 4) * 8]:
+        dim = len(rows[0])
         f = (Fraction(1, 2),) + (Fraction(0),) * (dim - 1)
         rays = [tuple(int(i == d) for i in range(dim)) for d in range(dim)]
-        body = make_body(k.rows, [1 + sum(map(mul, a, f)) for a in k.rows], f)
+        body = make_body(rows, [1 + sum(map(mul, a, f)) for a in rows], f)
         maximality_certificate(body, CornerInstance(dim, f, rays), 1)
     corpus = len(programs)
     rng = random.Random(1968)
     sets = [random_polyhedron(dim, dim + 3, rng) for dim in (1, 2, 3, 4) * 2]
+    sets += [normalize(_cylinder_rows(rng, dim, 6), [1] * 6) for dim in (3, 4) * 2]
     property_suite(sets, 5, 24)
     for index, h in enumerate(sets):
         gens = random_unit_ball_rep(h, index, 4)
@@ -459,6 +487,7 @@ def test_every_library_lp_is_posed_in_ints(documents, monkeypatch):
             hull_membership(x, polar(h))
     assert corpus >= 100 and len(programs) - corpus >= 100, (corpus, len(programs))
     assert verified == list(enumerate(programs, 1))
+    assert searched and set(searched) == {("proved_bounded", "optimal")}
     assert callers >= {
         "remove_redundancy",
         "exposed_point",

@@ -16,6 +16,7 @@ from conftest import (
     fraction_hull_membership,
     fraction_ray_proves,
     fraction_remove_redundancy,
+    fraction_search_proves,
     fraction_sup_over,
     fraction_support_lp,
     fraction_witness,
@@ -28,6 +29,7 @@ from conftest import (
     rational_samples,
     ray_off,
     recheck_hull_verdict,
+    search_off,
     unimodular_body,
     use_fraction_routes,
     vadd,
@@ -344,7 +346,10 @@ def test_exposed_point_of_a_redundant_row_is_none(lp_solves):
     # at (1, 0) is 1/2, so no point is tight on it and slack on (2, 0).
     # The same rows over 3 compile to the same ints over den 3, where the
     # LP at the compiled row (1, 0) reads 3/2: above 1, but not above den.
-    # A row among its own others is redundant too. Each None takes one LP.
+    # One other row in 2-D gives the basis search no basis, so each of
+    # these Nones takes one LP. A row among its own others is redundant
+    # too: the basis of its twin and (1, 0) proves it with no LP, and with
+    # the search off its LP says the same.
     for t in (1, Fraction(1, 3)):
         h = HPolyhedron(2, (V(t, 0), V(2 * t, 0)))
         lp_solves.clear()
@@ -352,6 +357,10 @@ def test_exposed_point_of_a_redundant_row_is_none(lp_solves):
         assert unscaled(_row_point(h, 1)) == V(Fraction(1, 2) / t, 0)
     lp_solves.clear()
     assert exposed_point((0, 1), [(1, 0), (0, 1)], 1) is None
+    assert dict(lp_solves) == {}
+    with pytest.MonkeyPatch.context() as mp:
+        search_off(mp)
+        assert exposed_point((0, 1), [(1, 0), (0, 1)], 1) is None
     assert dict(lp_solves) == {"optimal": 1}
 
 
@@ -385,7 +394,8 @@ def _exposed_row_case(rows, i, seen: Counter) -> None:
     their compiled ints, against the Fraction references: None exactly
     when fraction_sup_over of the others at the row is at most 1; else a
     point on the row and strictly inside every other, ray_certificate's
-    with no LP where a ray proves the row, and otherwise, from one LP,
+    with no LP where a ray proves the row, None with no LP where
+    fraction_search_proves the row redundant, and otherwise, from one LP,
     fraction_witness's point (the LP's maximizer or ray scaled onto the
     row)."""
     ints, den = integer_rows(rows)
@@ -402,6 +412,10 @@ def _exposed_row_case(rows, i, seen: Counter) -> None:
         assert (x, programs) == (ray, [])
         seen["ray"] += 1
         return
+    if fraction_search_proves(a, rest):
+        assert (x, programs) == (None, [])
+        seen["redundant by search"] += 1
+        return
     assert len(programs) == 1
     assert (None if x is None else unscaled(x)) == fraction_witness(a, rest)
     seen["redundant" if x is None else "unbounded" if top is None else "optimal"] += 1
@@ -412,15 +426,17 @@ def _exposed_generator_case(h, v, seen: Counter) -> None:
     check_unit_ball poses it (polar_question), against the Fraction
     support LP: not None exactly when fraction_sup_over(h.rows, v) is
     unbounded or above 1. Then the point lies on v, <v, x> = 1, and
-    strictly inside the set; a ray proves it with no LP, or one LP."""
+    strictly inside the set; a ray proves it with no LP, or one LP. Inside
+    the polar, fraction_search_proves v there with no LP, or one LP."""
     question = polar_question(h, v)
     x, programs = programs_logged(exposed_point, *question)
     top = fraction_sup_over(h.rows, v)
     assert (x is not None) == (top is None or top > 1)
     ray = ray_certificate(*question)
-    assert len(programs) == (ray is None)
+    search = ray is None and fraction_search_proves(v, h.rows)
+    assert len(programs) == (ray is None and not search)
     if x is None:
-        seen["inside"] += 1
+        seen["inside by search" if search else "inside"] += 1
         return
     point = unscaled(x)
     assert dot(v, point) == 1 and all(dot(a, point) < 1 for a in h.rows)
@@ -433,8 +449,9 @@ def test_exposed_point_matches_the_fraction_routes():
     # seeded generators at seeded sets: random points, row multiples and
     # midpoints of rows, asked as check_unit_ball asks them. Every route is
     # met: a ray's point, an optimal LP above den, an unbounded LP, a
-    # redundant row, and generators outside the polar that a ray proves or
-    # only the LP proves, and inside it.
+    # redundant row that the basis search proves or only the LP proves,
+    # and generators outside the polar that a ray proves or only the LP
+    # proves, and inside it, by the search or the LP.
     rng = random.Random(6765)
     seen = Counter()
     for _ in range(120):
@@ -442,7 +459,7 @@ def test_exposed_point_matches_the_fraction_routes():
         rows = _gram_cases(rng, dim, _raw_rows(rng, dim, rng.randint(1, dim + 5)))
         for i in range(len(rows)):
             _exposed_row_case(rows, i, seen)
-    for _ in range(30):
+    for _ in range(45):
         dim = rng.randint(1, 4)
         h = random_polyhedron(dim, rng.randint(1, dim + 4), rng)
         points = [
@@ -456,8 +473,8 @@ def test_exposed_point_matches_the_fraction_routes():
         for v in points:
             if not is_zero_vector(v):
                 _exposed_generator_case(h, v, seen)
-    kinds = ("ray", "optimal", "unbounded", "redundant")
-    kinds += ("outside by ray", "outside by LP", "inside")
+    kinds = ("ray", "optimal", "unbounded", "redundant", "redundant by search")
+    kinds += ("outside by ray", "outside by LP", "inside", "inside by search")
     assert min(seen[kind] for kind in kinds) >= 10, seen
 
 
@@ -610,10 +627,12 @@ def boundedness_case(rng, kind):
 
 
 def test_is_bounded_matches_the_axis_lps(monkeypatch):
-    # One rank test and at most one LP against the 2 * dim support LPs
-    # and the recession-cone reference, on drawn sets, splits and sets
-    # with a lineality space. The LP is posed only when the rows could
-    # positively span: more rows than axes, full rank.
+    # The basis search, then one rank test and at most one LP, against the
+    # 2 * dim support LPs and the recession-cone reference, on drawn sets,
+    # splits and sets with a lineality space. The LP is posed only when
+    # the search proves nothing and the rows could positively span: more
+    # rows than axes, full rank. With the search off (the LP route) the
+    # verdict is the same, and that LP is posed whenever they could.
     rng = random.Random(1953)
     calls = []
     real_solve = lp.solve
@@ -627,19 +646,27 @@ def test_is_bounded_matches_the_axis_lps(monkeypatch):
         h = boundedness_case(rng, kind)
         expected = axis_sup_bounded(h)
         assert expected == cone_is_pointed(h)
-        monkeypatch.setattr(lp, "solve", counted)
-        calls.clear()
-        bounded = polyhedra.is_bounded(h.compiled)
-        monkeypatch.setattr(lp, "solve", real_solve)
-        assert bounded == expected, (kind, h)
         spans = len(h.rows) > h.dim and polyhedra._rank(h.compiled[0]) == h.dim
-        assert len(calls) == int(spans)
-        assert all(type(c) is int for p in calls for row, _, b in p.rows for c in (*row, b))
+        proved = polyhedra.proved_bounded(h.compiled)
+        assert not proved or expected
+        for search in (True, False):
+            with monkeypatch.context() as mp:
+                if not search:
+                    search_off(mp)
+                mp.setattr(lp, "solve", counted)
+                calls.clear()
+                bounded = polyhedra.is_bounded(h.compiled)
+            assert bounded == expected, (kind, h, search)
+            assert len(calls) == int(spans and not (search and proved))
+            assert all(type(c) is int for p in calls for row, _, b in p.rows for c in (*row, b))
         seen[kind, bounded] += 1
         seen["LP unbounded"] += spans and not bounded
+        seen["search bounded"] += proved
+        seen["LP bounded"] += bounded and not proved
     print("boundedness cases:", dict(seen))
     assert seen["drawn", True] >= 20 and seen["drawn", False] >= 20, seen
     assert seen["split", False] == 60 and seen["lineality", False] == 60, seen
+    assert seen["search bounded"] >= 20 and seen["LP bounded"] >= 1, seen
     assert seen["LP unbounded"] >= 10, seen
 
 
@@ -712,13 +739,17 @@ def test_normal_is_the_cofactor_vector():
 @pytest.mark.parametrize("status", ["optimal", "infeasible", "unbounded"])
 def test_is_bounded_refuses_an_unchecked_outcome(monkeypatch, status):
     # A boundedness LP outcome that fails lp.verify_certificate is a fault,
-    # whatever it claims.
-    square = normalize([V(1, 0), V(0, 1), V(-1, 0), V(0, -1)], [1] * 4)
-    assert polyhedra.is_bounded(square.compiled)
-    forged = lp.LPOutcome(status=status, point=(ONE,) * 4, value=ONE, ray=(ONE,) * 4, dual=(ONE, ONE))
+    # whatever it claims. The pentagon is bounded, but the basis search
+    # leaves it to the LP: t = -(sum of the rows) = (0, -1), and the four
+    # rows most aligned with t, (2, -3), (1, -2), (1, 0) and (-1, 3), hold
+    # it in the cone of no two of them.
+    pentagon = normalize([V(1, 0), V(-1, 3), V(-3, 3), V(2, -3), V(1, -2)], [1] * 5)
+    assert len(pentagon.rows) == 5 and not polyhedra.proved_bounded(pentagon.compiled)
+    assert polyhedra.is_bounded(pentagon.compiled)
+    forged = lp.LPOutcome(status=status, point=(ONE,) * 5, value=ONE, ray=(ONE,) * 5, dual=(ONE, ONE))
     monkeypatch.setattr(lp, "solve", lambda program: forged)
     with pytest.raises(RuntimeError, match="boundedness LP"):
-        polyhedra.is_bounded(square.compiled)
+        polyhedra.is_bounded(pentagon.compiled)
 
 
 @pytest.mark.parametrize("status", ["unbounded", "nonsense"])
@@ -746,13 +777,14 @@ def test_hull_membership_refuses_forged_multipliers(monkeypatch):
 
 def _same_support_lp(compiled, rows, v) -> str:
     """The support LP that exposed_point poses over compiled at v's ints
-    over its least den d (with the ray off), solved again, and the support
-    LP of the rational rows it compiles at v agree: pivots, status, point,
-    the value times d, and rays up to a positive factor. Returns the
-    status."""
+    over its least den d (with the ray and the basis search off), solved
+    again, and the support LP of the rational rows it compiles at v agree:
+    pivots, status, point, the value times d, and rays up to a positive
+    factor. Returns the status."""
     ints, d = scaled(v)
     with pytest.MonkeyPatch.context() as mp:
         ray_off(mp)
+        search_off(mp)
         _, (program,) = programs_logged(exposed_point, ints, *compiled)
     outcome, pivots = pivots_logged(lp.solve, program)
     reference, reference_pivots = pivots_logged(fraction_support_lp, rows, v)
@@ -961,12 +993,15 @@ def _check_certificate(r, others, den, x) -> str:
 
 
 def _gram_agrees(dim: int, rows, seen: Counter) -> None:
-    """remove_redundancy with its ray test keeps the rows that an LP for
-    every row keeps, in the same order, poses one LP for each row that no
-    ray proves and none for the rest, and every certificate checks."""
+    """remove_redundancy with its ray test and basis search keeps the rows
+    that an LP for every row keeps, in the same order, poses one LP for
+    each row that neither a ray nor the search proves and none for the
+    rest, and every certificate checks."""
     (h, programs), calls = _gram_calls(programs_logged, remove_redundancy, dim, rows)
     assert h.rows == fraction_remove_redundancy(dim, rows, ray_test=False).rows
-    assert len(programs) == sum(x is None for *_, x in calls)
+    assert len(programs) == sum(
+        x is None and not fraction_search_proves(r, others) for r, others, _, x in calls
+    )
     for r, others, den, x in calls:
         seen[_check_certificate(r, others, den, x)] += 1
     seen["dropped rows"] += len(set(rows)) > len(h.rows)
@@ -1037,8 +1072,11 @@ def test_gram_certificate_cases():
 def test_make_body_poses_no_lp_on_unimodular_images(lp_solves):
     # make_body on seeded unimodular images of 2-4-D boxes, simplices and
     # splits, built as the benchmark's cut-family bodies are, poses no LP:
-    # a ray proves every row. With a redundant row put first (a facet's
-    # row pushed out by 1) it poses exactly one, which drops that row.
+    # a ray proves every row. A redundant row put first (a facet's row
+    # pushed out by 1) is dropped with no LP too on boxes and simplices:
+    # the basis search puts it in conv({0} union the rest). A split's two
+    # rows hold no basis in 2-4-D, so there it poses exactly one LP, which
+    # drops that row, as every padded body does with the search off.
     rng = random.Random(1995)
     for dim in (2, 3, 4):
         for kind in ("box", "simplex", "split"):
@@ -1047,6 +1085,12 @@ def test_make_body_poses_no_lp_on_unimodular_images(lp_solves):
                 body = make_body(rows, rhs, f)
                 assert len(body.rows) == len(rows) and not lp_solves
                 padded = make_body([rows[0]] + rows, [rhs[0] + 1] + rhs, f)
+                searched = {"optimal": 1} if kind == "split" else {}
+                assert padded == body and dict(lp_solves) == searched
+                lp_solves.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    search_off(mp)
+                    padded = make_body([rows[0]] + rows, [rhs[0] + 1] + rhs, f)
                 assert padded == body and dict(lp_solves) == {"optimal": 1}
                 lp_solves.clear()
 
@@ -1076,11 +1120,12 @@ def _normalize_inputs() -> list:
 
 def test_normalize_poses_one_lp_per_row_that_fails_the_gram_test(lp_solves):
     # On every set of the README and of the golden corpus, normalize's LPs
-    # are those of the Fraction reference, whose ray test is taken in
-    # Fractions: one per row that no ray proves, in the same order, and
-    # none for the rest. Each LP's objective is its row's int form, and
-    # its rows are the other live rows, against which the Gram test and
-    # every other direction tried do fail.
+    # are those of the Fraction reference, whose ray test and basis search
+    # are taken in Fractions: one per row that neither a ray nor the
+    # search proves, in the same order, and none for the rest. Each LP's
+    # objective is its row's int form, and its rows are the other live
+    # rows, against which the Gram test, every other direction tried and
+    # every basis tried do fail.
     inputs = _normalize_inputs()
     for rows, rhs in inputs:
         h, programs = programs_logged(normalize, rows, rhs)
@@ -1096,11 +1141,18 @@ def test_normalize_poses_one_lp_per_row_that_fails_the_gram_test(lp_solves):
             r, others = p.objective, [s for s, _, _ in p.rows]
             assert sum(c * c for c in r) <= max(sum(map(mul, s, r)) for s in others)
             assert ray_certificate(r, others, p.rows[0][2]) is None
-    # The same counts on any machine: 18 sets keep 62 rows with 11 LPs,
-    # where the Gram test alone takes 18 and an LP for every row 70.
+            assert not fraction_search_proves(r, others)
+    # The same counts on any machine: 18 sets keep 62 rows with 2 LPs,
+    # where the rays alone take 11, the Gram test alone 18 and an LP for
+    # every row 70.
     lp_solves.clear()
     kept = sum(len(normalize(rows, rhs).rows) for rows, rhs in inputs)
-    assert (len(inputs), kept, dict(lp_solves)) == (18, 62, {"optimal": 11})
+    assert (len(inputs), kept, dict(lp_solves)) == (18, 62, {"optimal": 2})
+    lp_solves.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        search_off(mp)
+        assert sum(len(normalize(rows, rhs).rows) for rows, rhs in inputs) == kept
+    assert dict(lp_solves) == {"optimal": 11}
     lp_solves.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polyhedra, "remove_redundancy", _lp_only_remove_redundancy)
@@ -1110,3 +1162,156 @@ def test_normalize_poses_one_lp_per_row_that_fails_the_gram_test(lp_solves):
 
 def _lp_only_remove_redundancy(dim, rows):
     return fraction_remove_redundancy(dim, rows, ray_test=False)
+
+
+# ------------------------------------------------ the basis search before an LP
+
+
+def _weights_hold(t, rows, found, capped: bool) -> None:
+    """found = (basis, y, D), _basis_weights' answer on (t, rows), holds in
+    ints: y >= 0, nonzero only on the basis, sum y <= D when capped, and
+    sum_i y_i rows_i = D t, on a basis of len(t) independent rows."""
+    basis, y, d = found
+    dim = len(t)
+    assert d > 0 and len(y) == len(rows) and min(y) >= 0
+    assert len(basis) == dim and all(w == 0 for k, w in enumerate(y) if k not in basis)
+    assert not capped or sum(y) <= d
+    assert [sum(w * s[j] for w, s in zip(y, rows)) for j in range(dim)] == [d * c for c in t]
+    assert polyhedra._rank([rows[k] for k in basis]) == dim
+
+
+def _search_agrees(dim: int, rows, seen: Counter) -> None:
+    """The basis search on the compiled rows against the LPs: each row
+    asked among the other rows (capped, as exposed_point asks it), and
+    the rows' boundedness (t = -(sum of the rows)). Weights found hold
+    (_weights_hold) and imply what the LP says with the ray and the search
+    off: None at the row (redundant), True for the set (bounded). The
+    search proves a row redundant exactly when fraction_search_proves it,
+    and the set bounded exactly when proved_bounded does."""
+    ints, den = integer_rows(rows)
+    for i in range(len(ints)):
+        r, others = ints[i], ints[:i] + ints[i + 1 :]
+        found = polyhedra._basis_weights(r, others, capped=True)
+        rest = rows[:i] + rows[i + 1 :]
+        assert (found is not None) == fraction_search_proves(rows[i], rest)
+        if found is None:
+            seen["row left to the LP"] += 1
+            continue
+        _weights_hold(r, others, found, capped=True)
+        with pytest.MonkeyPatch.context() as mp:
+            ray_off(mp)
+            search_off(mp)
+            assert exposed_point(r, others, den) is None
+        seen["redundant by search"] += 1
+    found = polyhedra._basis_weights(tuple(-sum(col) for col in zip(*ints)), ints)
+    assert (found is not None) == polyhedra.proved_bounded((ints, den))
+    if found is None:
+        seen["set left to the LP"] += 1
+        return
+    _weights_hold(tuple(-sum(col) for col in zip(*ints)), ints, found, capped=False)
+    with pytest.MonkeyPatch.context() as mp:
+        search_off(mp)
+        assert polyhedra.is_bounded((ints, den))
+    seen["bounded by search"] += 1
+
+
+def test_basis_search_matches_the_lps(monkeypatch):
+    # Seeded 1-4-D rows with derived rows mixed in (_gram_cases: ties,
+    # parallel and redundant rows) and duplicates, and seeded rows around
+    # a box, whose bounded sets the search proves; then one 5-D box with
+    # two drawn rows, 2 e_3 (parallel to e_3) and the midpoint of e_1 and
+    # e_2, with the search let past _SEARCH_DIM, which reaches _normal's
+    # Bareiss minors (_det). With the default budget the 5-D search tries
+    # nothing.
+    rng = random.Random(4181)
+    seen = Counter()
+    for _ in range(80):
+        dim = rng.randint(1, 4)
+        rows = _gram_cases(rng, dim, _raw_rows(rng, dim, rng.randint(1, dim + 5)))
+        if rng.random() < 0.3:
+            rows.insert(rng.randint(0, len(rows)), rng.choice(rows))
+        _search_agrees(dim, rows, seen)
+    for _ in range(30):
+        dim = rng.randint(1, 4)
+        box = [tuple(s * (j == d) for j in range(dim)) for d in range(dim) for s in (1, -1)]
+        rows = _gram_cases(rng, dim, box + _raw_rows(rng, dim, rng.randint(0, 3)))
+        _search_agrees(dim, [tuple(map(Fraction, a)) for a in rows], seen)
+    kinds = ("row left to the LP", "redundant by search")
+    kinds += ("set left to the LP", "bounded by search")
+    assert min(seen[kind] for kind in kinds) >= 10, seen
+    box = [tuple(Fraction(s * (j == d)) for j in range(5)) for d in range(5) for s in (1, -1)]
+    five = box + _raw_rows(rng, 5, 2) + [vscale(Fraction(1, 2), vadd(box[0], box[2]))]
+    five.insert(3, vscale(2, box[4]))
+    assert polyhedra._basis_weights(tuple(-sum(col) for col in zip(*five)), five) is None
+    monkeypatch.setattr(polyhedra, "_SEARCH_DIM", 5)
+    calls = []
+    minors = polyhedra._det
+
+    def counted(m):
+        calls.append(len(m))
+        return minors(m)
+
+    monkeypatch.setattr(polyhedra, "_det", counted)
+    seen.clear()
+    _search_agrees(5, five, seen)
+    assert seen["redundant by search"] >= 1 and seen["bounded by search"] == 1, seen
+    assert set(calls) == {4}, set(calls)
+
+
+def test_exposed_point_refuses_forged_weights(monkeypatch, lp_solves):
+    # Weights that do not prove r in conv({0} union others) never drop it:
+    # exposed_point poses its support LP and returns the LP route's answer
+    # (the search off). The search is patched to answer with the weights
+    # over basis (0, 1) of the rows (2, 0) and (0, 2), and the ray is off.
+    others = [(2, 0), (0, 2), (-1, 0), (0, -1)]
+    cases = [
+        # (1, 1) = (2 (2, 0) + 2 (0, 2)) / 4 is redundant, but one entry is off by one
+        ((1, 1), (3, 2, 0, 0), 4, True),
+        # (2, 2) = (2, 0) + (0, 2): in the cone, but the sum 2 is above D = 1
+        ((2, 2), (1, 1, 0, 0), 1, False),
+        # (1, -1) = ((2, 0) - (0, 2)) / 2: a negative entry
+        ((1, -1), (1, -1, 0, 0), 2, False),
+    ]
+    ray_off(monkeypatch)
+    for r, y, d, redundant in cases:
+        with monkeypatch.context() as mp:
+            search_off(mp)
+            answer = exposed_point(r, others, 1)
+        assert (answer is None) == redundant
+        found = ((0, 1), y, d)
+        monkeypatch.setattr(polyhedra, "_basis_weights", lambda t, rows, capped=False: found)
+        lp_solves.clear()
+        assert exposed_point(r, others, 1) == answer
+        assert dict(lp_solves) == {"optimal": 1}, r
+
+
+def test_is_bounded_refuses_forged_weights(monkeypatch, lp_solves):
+    # Weights that do not prove boundedness never make a set bounded:
+    # proved_bounded refuses them and is_bounded decides as it does with
+    # no search. A point of the LP on a singular basis of (1, 0), (-1, 0),
+    # (2, 0), a segment's cylinder; a negative weight for (0, -1) on (1, 0),
+    # (0, 1), (-1, 0), a half-strip; one entry off by one on the square,
+    # which is bounded, so its LP is posed.
+    cases = [
+        (((1, 0), (-1, 0), (2, 0)), ((0, 1), (0, 2, 0), 1), False, {}),
+        (((1, 0), (0, 1), (-1, 0)), ((0, 1), (0, -1, 0), 1), False, {"infeasible": 1}),
+        (((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (1, 0, 0, 0), 1), True, {"optimal": 1}),
+    ]
+    for rows, found, bounded, solves in cases:
+        monkeypatch.setattr(polyhedra, "_basis_weights", lambda t, rows, capped=False: found)
+        lp_solves.clear()
+        assert not polyhedra.proved_bounded((rows, 1))
+        assert polyhedra.is_bounded((rows, 1)) == bounded
+        assert dict(lp_solves) == solves, rows
+
+
+def test_basis_search_rechecks_its_weights(monkeypatch):
+    # Cramer's rule gives (2 (2, 0) + 2 (0, 2)) / 4 = (1, 1). With a fault
+    # in the cofactors (_normal's first entry off by one) it would give
+    # the weights (3, 1) over 4, and 3 (2, 0) + (0, 2) = (6, 2) is not
+    # 4 (1, 1): the exact recheck refuses them, and no other basis is left.
+    rows = [(2, 0), (0, 2)]
+    assert polyhedra._basis_weights((1, 1), rows) == ((0, 1), (2, 2), 4)
+    normal = polyhedra._normal
+    monkeypatch.setattr(polyhedra, "_normal", lambda b: (normal(b)[0] + 1, *normal(b)[1:]))
+    assert polyhedra._basis_weights((1, 1), rows) is None

@@ -13,6 +13,7 @@ from conftest import (
     cone_is_pointed,
     fraction_check_unit_ball,
     fraction_random_unit_ball_rep,
+    fraction_search_proves,
     fraction_sup_over,
     fraction_sample_points,
     fraction_support_lp,
@@ -47,6 +48,7 @@ from polarcut.polyhedra import (
     membership,
     normalize,
     polar,
+    proved_bounded,
     random_polyhedron,
     ray_certificate,
 )
@@ -360,6 +362,62 @@ def test_sample_points_match_fraction_reference():
         receding += bool(members)
         bounded += _bounded(h)
     assert bounded > 5 and receding > 5, (bounded, receding)
+
+
+def test_sample_points_skip_the_sign_search_on_proved_bounded_sets(monkeypatch):
+    # On a set that polyhedra.proved_bounded proves bounded, the recession
+    # cone is {0}: sample_points runs no sign search, and a zero base, the
+    # only one that passes, gets every sign +1. The samples equal, Scaled
+    # for Scaled, those of the sign-search route (the proof patched away)
+    # and match the Fraction reference. Zero bases are drawn.
+    rng = random.Random(2584)
+    real = sublinear._first_recession_signs
+    patterns = []
+
+    def logged(products):
+        patterns.append(real(products))
+        return patterns[-1]
+
+    monkeypatch.setattr(sublinear, "_first_recession_signs", logged)
+    proved = 0
+    for case in range(80):
+        dim = 1 + case % 4
+        h = random_polyhedron(dim, rng.randint(dim + 1, dim + 4), rng)
+        if not proved_bounded(h.compiled):
+            continue
+        proved += 1
+        for seed, count in ((case, 40), (case + 1000, 97)):
+            searched = len(patterns)
+            points = sample_points(h, seed, count)
+            assert len(patterns) == searched
+            with monkeypatch.context() as mp:
+                mp.setattr(sublinear, "proved_bounded", lambda compiled: False)
+                assert sample_points(h, seed, count) == points
+            assert tuple(map(unscaled, points)) == fraction_sample_points(h, seed, count)
+    passed = [p for p in patterns if p is not None]
+    assert proved >= 20 and len(patterns) >= 500, (proved, len(patterns))
+    assert passed and set(passed) <= {(1,) * k for k in range(1, 5)}, passed
+
+
+def test_inline_draws_match_randint():
+    # sublinear._randints draws rng.randint's numbers from rng.getrandbits
+    # with randint's own rejection loop (k = width.bit_length() bits, drawn
+    # again while they reach the width). That loop is a CPython
+    # implementation detail (Random._randbelow_with_getrandbits), not a
+    # documented guarantee, so this test pins it: seeded draws over the
+    # ranges that sample_points and random_unit_ball_rep use (0..4,
+    # -12..12, 1..6), width 1 and random widths up to 2^70, interleaved,
+    # give the same numbers and leave both generators in the same state.
+    rng = random.Random(1597)
+    spans = [(0, 4), (-12, 12), (1, 6), (7, 7), (-3, -3)]
+    spans += [(lo, lo + rng.randrange(2 ** rng.randint(1, 70))) for lo in range(-20, 20)]
+    for seed in range(50):
+        drawn = [rng.choice(spans) for _ in range(200)]
+        mine, reference = random.Random(seed), random.Random(seed)
+        assert sublinear._randints(mine.getrandbits, drawn) == [
+            reference.randint(lo, hi) for lo, hi in drawn
+        ]
+        assert mine.getstate() == reference.getstate()
 
 
 def _bounded(h):
@@ -960,9 +1018,10 @@ def _rescaled_support_lps(h, programs, points) -> None:
 def _weights_agree(h, other, rng, seen: Counter) -> None:
     """check_unit_ball equals the LP-only reference on random_unit_ball_rep
     candidates of h (no LP), on the same points without their weights (one
-    LP per point that is neither a row nor the origin) and on each forged
-    claim of _forgeries (one LP, at the forged point, unless a ray proves
-    it outside the polar)."""
+    LP per point that is neither a row nor the origin, unless the basis
+    search, fraction_search_proves, puts it in the polar) and on each
+    forged claim of _forgeries (one LP, at the forged point, unless a ray
+    proves it outside the polar or the search inside)."""
     for seed in range(3):
         gens = random_unit_ball_rep(h, rng.randrange(10**6), 1 + 2 * seed)
         added = [
@@ -976,7 +1035,10 @@ def _weights_agree(h, other, rng, seen: Counter) -> None:
         bare = VPolytope(h.dim, gens.points)
         verdict, programs = programs_logged(check_unit_ball, bare, h)
         assert verdict is True
-        _rescaled_support_lps(h, programs, [v for v, _ in added])
+        posed = [v for v, _ in added if not fraction_search_proves(v, h.rows)]
+        _rescaled_support_lps(h, programs, posed)
+        seen["inside by search"] += len(added) - len(posed)
+        seen["inside by LP"] += len(posed)
     for kind, x, weights in _forgeries(h, other, rng):
         gens = VPolytope(
             h.dim, h.rows + (x,), (None,) * len(h.rows) + (weights,)
@@ -984,11 +1046,14 @@ def _weights_agree(h, other, rng, seen: Counter) -> None:
         verdict, programs = programs_logged(check_unit_ball, gens, h)
         assert verdict == fraction_check_unit_ball(gens, h), kind
         ray = ray_certificate(*polar_question(h, x)) is not None
-        _rescaled_support_lps(h, programs, [] if ray else [x])
+        search = not ray and fraction_search_proves(x, h.rows)
+        _rescaled_support_lps(h, programs, [] if ray or search else [x])
         assert verdict == _in_polar(h, x) and not (ray and verdict), kind
+        assert not (search and not verdict), kind
         seen[kind] += 1
         seen["outside"] += not verdict
         seen["ray"] += ray
+        seen["search"] += search
 
 
 def test_polar_weights_prove_generators_as_the_lp_does():
@@ -1020,6 +1085,9 @@ def test_polar_weights_prove_generators_as_the_lp_does():
     assert seen["certified"] >= 100 and seen["outside"] >= 40, seen
     # A ray proves most points outside with no LP; the LP proves the rest.
     assert seen["ray"] >= 40 and seen["outside"] - seen["ray"] >= 5, seen
+    # The basis search puts most points inside with no LP; the LP the rest.
+    assert seen["inside by search"] >= 100 and seen["inside by LP"] >= 20, seen
+    assert seen["search"] >= 50, seen
     assert min(seen[k] for k in ("bounded", "unbounded", "one row", "huge den")) >= 1, seen
 
 
@@ -1106,10 +1174,11 @@ def test_support_lps_pose_int_rows_as_often_as_the_fraction_routes():
     # none of those, since each such generator carries its convex weights.
     # The generators are counted from the candidates' points, not from
     # their weights. Both suites pose one exposed LP per row without a ray
-    # certificate, and the third step one per row.
+    # certificate, and the third step one per row. Both normalize routes
+    # pose one LP per row that neither a ray nor the basis search settles.
     rng = random.Random(10946)
     raw_sets = []
-    for _ in range(10):
+    for _ in range(14):
         dim = rng.randint(1, 4)
         raw_sets.append(
             [
