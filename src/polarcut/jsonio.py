@@ -27,8 +27,9 @@ from .rationals import Scaled, parse_rational, scaled, scaled_columns, scaled_ve
 # Query points read, and evaluated, at a time. A block bounds the memory a
 # points document holds in int columns: read as one block, the seed-1
 # `query` benchmark's 1000-2000-point documents raised its peak RSS from
-# 20.3-20.4 MB to 21.4-21.7 MB (3 alternating pairs, 2-vCPU VM, CPython
-# 3.11) with no change in tasks_per_s.
+# 20.3-20.4 MB to 20.6-20.8 MB (3 alternating pairs, 2-vCPU VM, CPython
+# 3.11), with tasks_per_s within the runs' spread (37.2-39.4 against
+# 38.5-39.6).
 POINT_BLOCK = 256
 
 

@@ -22,7 +22,8 @@ unscaled() builds the rationals back for a value that is reported.
 Many points at once take a third form, int columns: scaled_columns()
 reads a block of rows into cols[j][k], the numerator of coordinate j of
 point k over that point's positive denominator dens[k], parsed whole at
-C level (None when it cannot be). Values come back the same way:
+C level: one grammar search over the joined block, then one json.loads
+(None when it cannot be). Values come back the same way:
 Values(nums, dens), a column of rationals in lowest terms, value k being
 nums[k] / dens[k] with dens[k] > 0 (0 is 0/1), as sublinear.block_values
 returns them and the CLI prints them, with no Fraction in between.
@@ -41,6 +42,7 @@ such spellings over their lcm, which is integer_rows of their vectors.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from collections import namedtuple
@@ -70,6 +72,17 @@ _RATIONAL_TEXT = re.compile(_SCALAR)
 # re compiles it on first use (and caches it), so only the commands that
 # read query points pay for the compile at start-up.
 _BAD_LINE = rf"(?m)^(?!{_SCALAR}$)"
+
+# The same, for the first line outside JSON's own spelling of the grammar:
+# no "+" sign and no leading zero on the numerator ("-0" is JSON's). A
+# block with no such line is read as it is by json.loads; only one with
+# such a line is searched for a _BAD_LINE, then has each numerator's "+"
+# and leading zeros dropped by _NUMERATOR_PAD ("+007/5" to "7/5", "-00/5"
+# to "-0/5"). The decoder converts and does not validate: it would also
+# read NaN, Infinity, floats and exponents, so these searches come first.
+# Both kept as text, as _BAD_LINE is.
+_JSON_LINE = r"(?m)^(?!-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?$)"
+_NUMERATOR_PAD = r"(?m)^\+?(-?)0*(?=[0-9])"
 
 Vec = tuple  # tuple of Fraction, one entry per coordinate
 
@@ -212,9 +225,11 @@ def scaled_columns(rows, dim: int):
     lcm of point k's entry denominators; None for rows it does not read,
     which jsonio.points_from_json diagnoses. Each pass runs over the whole
     block in C: the entries are stripped and joined as text, their unicode
-    minus made "-", the text searched once for a _BAD_LINE, split into
-    "p/q/1" or "p/1" pieces (so piece[1] is the denominator either way)
-    and converted by int()."""
+    minus made "-", and the text searched once for a _JSON_LINE; only a
+    block with such a line is searched for a _BAD_LINE and rewritten by
+    _NUMERATOR_PAD. Then "/" becomes "," and each entry is closed by ",1",
+    so that one json.loads decodes entry k as [p, q, 1] or [p, 1]: the
+    numerator first and the denominator second either way."""
     if not all(map(isinstance, rows, repeat(list))) or not set(map(len, rows)) <= {dim}:
         return None
     flat = list(chain.from_iterable(rows))
@@ -224,16 +239,17 @@ def scaled_columns(rows, dim: int):
         return None
     try:
         text = "\n".join(map(str.strip, map(str, flat))).replace("\u2212", "-")
-        if re.search(_BAD_LINE, text) is not None:
-            return None
-        pieces = (text.replace("\n", "/1\n") + "/1").split("\n")
-        if len(pieces) != len(flat):  # some text held a "\n" of its own
-            return None
-        pieces = list(map(str.split, pieces, repeat("/")))
-        nums = list(map(int, map(itemgetter(0), pieces)))
-        entry_dens = list(map(int, map(itemgetter(1), pieces)))
+        if re.search(_JSON_LINE, text) is not None:
+            if re.search(_BAD_LINE, text) is not None:
+                return None
+            text = re.sub(_NUMERATOR_PAD, r"\1", text)
+        pairs = json.loads("[[" + text.replace("/", ",").replace("\n", ",1],[") + ",1]]")
     except ValueError:  # an int too long for the interpreter's str/int limit
         return None
+    if len(pairs) != len(flat):  # some text held a "\n" of its own
+        return None
+    nums = list(map(itemgetter(0), pairs))
+    entry_dens = list(map(itemgetter(1), pairs))
     den_cols = [entry_dens[j::dim] for j in range(dim)]
     dens = list(map(lcm, *den_cols))
     cols = tuple(

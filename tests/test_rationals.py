@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from conftest import (
     vsub,
 )
 from polarcut import jsonio
+from polarcut import rationals as rationals_module
 from polarcut.cuts import CornerInstance, make_body
 from polarcut.jsonio import SchemaError, points_from_json
 from polarcut.lp import LinearProgram, solve
@@ -255,9 +257,14 @@ def canonical_form(q):
 # Entries the block reader must refuse with parse_rational's error: a digit
 # string past int()'s limit, a bool, a float, an empty text, texts holding
 # the block's separator or a comma, and a fullwidth digit; then a blank
-# inside, a signed, zero-led or unicode-minus denominator, and two signs.
+# inside, a signed, zero-led or unicode-minus denominator, and two signs;
+# then JSON's own tokens, which json.loads would read but the grammar
+# refuses: its constants, floats and exponents, a list, a quoted text, a
+# second slash, and Python's digit separator and hex prefix.
 SPECIAL_SCALARS = ["9" * 5000, True, 0.5, "", "1\n2", "1,2", "\uff11"]
 SPECIAL_SCALARS += ["1 /2", "1/-2", "1/02", "1/\u22122", "+-1", "\u2212\u22121"]
+SPECIAL_SCALARS += ["NaN", "Infinity", "-Infinity", "1e5", "1E5", "1.0", "-0.0"]
+SPECIAL_SCALARS += ["true", "null", "[1]", '"1"', "1/2/3", "1_000", "0x10"]
 
 
 def more_forms(q):
@@ -335,6 +342,62 @@ def test_scaled_columns_special_scalars(special):
     assert block_rows([[special]], 1) is None
 
 
+# Spellings in the grammar that JSON does not read: a "+" sign or leading
+# zeros on the numerator, which the block reader rewrites before decoding.
+PADDED_FORMS = ["+3", "007", "-007", "+0", "00/3", "-00/5", "+007/5", "\u2212007/2"]
+
+
+class RecordingRe:
+    """The re functions scaled_columns calls, each call recorded as
+    (function name, pattern)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def search(self, pattern, text):
+        self.calls.append(("search", pattern))
+        return re.search(pattern, text)
+
+    def sub(self, pattern, repl, text):
+        self.calls.append(("sub", pattern))
+        return re.sub(pattern, repl, text)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_scaled_columns_rewrite_route(dim, monkeypatch):
+    # 256-row canonical blocks with one padded entry at the first, a middle
+    # or the last entry, then with every entry padded: each reads to the
+    # per-row parse's points. A canonical block runs the _JSON_LINE search
+    # alone; a padded one runs the _BAD_LINE search and the rewrite too.
+    rng = random.Random(dim)
+    rows = [
+        [canonical_form(Fraction(rng.randint(-99, 99), rng.randint(1, 9))) for _ in range(dim)]
+        for _ in range(jsonio.POINT_BLOCK)
+    ]
+    recorder = RecordingRe()
+    monkeypatch.setattr(rationals_module, "re", recorder)
+    assert block_rows(rows, dim) == reference_rows(rows)
+    assert recorder.calls == [("search", rationals_module._JSON_LINE)]
+    last = len(rows) * dim - 1
+    for form in PADDED_FORMS:
+        blocks = []
+        for at in (0, last // 2, last):
+            spelled = [list(r) for r in rows]
+            spelled[at // dim][at % dim] = form
+            blocks.append(spelled)
+        blocks.append([[form] * dim for _ in rows])
+        for spelled in blocks:
+            recorder.calls.clear()
+            expected = reference_rows(spelled)
+            assert isinstance(expected, list)
+            assert block_rows(spelled, dim) == expected
+            assert recorder.calls == [
+                ("search", rationals_module._JSON_LINE),
+                ("search", rationals_module._BAD_LINE),
+                ("sub", rationals_module._NUMERATOR_PAD),
+            ]
+
+
 # A set's and a body's rows and right-hand sides, and the structural
 # faults the entry-by-entry reader names: a row of another width, a row
 # or a list that is not a list, a missing or short "rhs".
@@ -403,8 +466,9 @@ def test_set_and_body_rows_read_to_ints():
 
 # Characters near the scalar grammar: digits, signs (the unicode minus
 # too), the slash, a decimal point, blanks (no-break space too) and a
-# fullwidth digit.
-GRAMMAR_CHARS = "0123456789+-\u2212/. \t\n\u00a0\uff11"
+# fullwidth digit; then exponent letters, JSON's separators and quote, and
+# the digit separator, so that near-JSON texts are drawn too.
+GRAMMAR_CHARS = "0123456789+-\u2212/. \t\n\u00a0\uff11eE,[]_\""
 
 
 @settings(max_examples=500)
@@ -413,10 +477,12 @@ GRAMMAR_CHARS = "0123456789+-\u2212/. \t\n\u00a0\uff11"
 @example("\u22121/2")
 @example("1/0")
 @example("1/02")
+@example("1e5")
+@example("-0")
 def test_block_grammar_matches_parse_rational(text):
-    # The block reader's _BAD_LINE and parse_rational's _RATIONAL_TEXT spell
-    # one grammar: a text is read by both, as the same rational, or refused
-    # by both.
+    # The block reader's _JSON_LINE and _BAD_LINE searches and
+    # parse_rational's _RATIONAL_TEXT spell one grammar: a text is read by
+    # both, as the same rational, or refused by both.
     try:
         expected = [(parse_rational(text),)]
     except ValueError:

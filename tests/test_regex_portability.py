@@ -4,9 +4,9 @@ pyproject.toml supports Python 3.10, whose re has neither possessive
 quantifiers ("a++") nor atomic groups ("(?>a)"): there they raise
 re.error, which is not a ValueError, so no input error would catch it.
 This collects each pattern the library hands to a re function (a text,
-or a module-level name such as rationals._BAD_LINE, read from the
-imported module), parses it, and lists those two opcodes wherever they
-occur in the parse tree.
+or a module-level name such as rationals._BAD_LINE or _JSON_LINE, read
+from the imported module), parses it, and lists those two opcodes
+wherever they occur in the parse tree.
 """
 
 import ast
@@ -69,6 +69,7 @@ def opcodes(node) -> set:
 def test_library_regexes_parse_without_newer_opcodes():
     patterns = library_patterns()
     assert "rationals: _BAD_LINE" in patterns and "rationals: _SCALAR" in patterns
+    assert "rationals: _JSON_LINE" in patterns and "rationals: _NUMERATOR_PAD" in patterns
     for where, pattern in patterns.items():
         assert opcodes(_parser.parse(pattern)) & NOT_ON_310 == set(), where
 
