@@ -14,8 +14,10 @@ diagnoser, which names the bad entry. A set's and a body's "rows" and
 by _row, in document order, so the first bad field is the one named; the
 instance goes to cuts.CornerInstance as Scaled points. Query points are
 read POINT_BLOCK rows at a time into int columns
-(rationals.scaled_columns) by points_from_json, and only a block that
-reader refuses is read again, row by row by _row, to name the bad row.
+(rationals.scaled_columns) by points_from_json: a block in the spelling
+the CLI writes as one flat int list, any other through a grammar search
+and a rewrite. Only a block that reader refuses is read again, row by
+row by _row, to name the bad row.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from .polyhedra import HPolyhedron, normalize
 from .rationals import Scaled, parse_rational, scaled, scaled_columns, scaled_vector
 
 # Query points read, and evaluated, at a time. A block bounds the memory a
-# points document holds in int columns: read as one block, the seed-1
-# `query` benchmark's 1000-2000-point documents raised its peak RSS from
-# 20.3-20.4 MB to 20.6-20.8 MB (3 alternating pairs, 2-vCPU VM, CPython
-# 3.11), with tasks_per_s within the runs' spread (37.2-39.4 against
-# 38.5-39.6).
+# points document holds in int columns, whatever its size: read as one
+# block, the seed-1 `query` benchmark's 1000-2000-point documents raised
+# its peak RSS from 20.3-20.4 MB to 20.5-20.8 MB, for tasks_per_s
+# 44.1-44.6 against 41.6-42.3 (3 alternating pairs, 2-vCPU VM, CPython
+# 3.11).
 POINT_BLOCK = 256
 
 

@@ -25,8 +25,9 @@ each LP certificate before it caches one, runs dual_feasible itself on
 the certificates it builds with no LP. A Farkas row is that test for
 objective 0 under max: a dual feasible y bounds 0 = <0, x> <= <y, rhs>
 for every feasible x, so a negative bound leaves no feasible x. One
-feasibility test serves both the point and the ray, a ray taking every
-right-hand side as 0.
+primal test, primal_feasible, serves both the point and the ray, a ray
+taking every right-hand side as 0, and polyhedra.proved_bounded runs it
+itself on the weights its basis search finds.
 
 Internal shape (invisible to callers): the program is converted to
 ``maximize`` over equality standard form. Free variables are split into
@@ -327,11 +328,12 @@ def solve(lp: LinearProgram) -> LPOutcome:
     )
 
 
-def _feasible(rows, relations, bounds, x, homogeneous: bool = False) -> bool:
-    """x = X / x_den meets the bounds and every int row (coeffs..., rhs),
-    in ints: <coeffs, X> against x_den rhs (map stops at X's end, before
-    rhs). homogeneous takes each right-hand side as 0, which makes it the
-    test of a recession ray."""
+def primal_feasible(rows, relations, bounds, x, homogeneous: bool = False) -> bool:
+    """The one primal test, in ints, the twin of dual_feasible: whether x
+    = X / x_den, a Scaled or an (X, x_den) pair, meets the bounds and
+    every int row (coeffs..., rhs) under its relation: <coeffs, X> against
+    x_den rhs (map stops at X's end, before rhs). homogeneous takes each
+    right-hand side as 0, which makes it the test of a recession ray."""
     ints, den = x
     if any(b == "nonneg" and v < 0 for b, v in zip(bounds, ints)):
         return False
@@ -394,7 +396,7 @@ def verify_certificate(lp: LinearProgram, outcome: LPOutcome) -> bool:
     relations = [rel for _, rel, _ in lp.rows]
     if outcome.status == "unbounded":
         ray = _read(outcome.ray, n)
-        if ray is None or not _feasible(rows, relations, lp.bounds, ray, True):
+        if ray is None or not primal_feasible(rows, relations, lp.bounds, ray, True):
             return False
         gain = sum(map(mul, objective, ray.ints))  # a strict gain needs a nonzero ray
         if not (gain > 0 if is_max else gain < 0):
@@ -402,7 +404,7 @@ def verify_certificate(lp: LinearProgram, outcome: LPOutcome) -> bool:
         if outcome.point is None:
             return True
         point = _read(outcome.point, n)
-        return point is not None and _feasible(rows, relations, lp.bounds, point)
+        return point is not None and primal_feasible(rows, relations, lp.bounds, point)
     if outcome.status not in ("optimal", "infeasible"):
         return False
     u = _read(outcome.dual, m)
@@ -419,7 +421,7 @@ def verify_certificate(lp: LinearProgram, outcome: LPOutcome) -> bool:
         return False
     # value = <objective, X> / (den x_den) = bound / (den u_den)
     return (
-        _feasible(rows, relations, lp.bounds, point)
+        primal_feasible(rows, relations, lp.bounds, point)
         and sum(map(mul, objective, point.ints)) * value.denominator
         == value.numerator * den * point.den
         and dual_feasible(

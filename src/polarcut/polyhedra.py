@@ -35,7 +35,7 @@ lp.verify_certificate before a verdict rests on it. Boundedness, for
 cuts.maximality_certificate, takes no support LP: is_bounded asks
 whether the rows positively span the space. The basis search comes
 first (proved_bounded): int multipliers over a basis of rows, checked
-by lp.verify_certificate as a point of is_bounded's own LP, prove a
+by lp.primal_feasible as a point of is_bounded's own LP, prove a
 bounded set with no LP, which also spares sublinear.sample_points its
 recession sign search; only then come an int rank test and at most one
 feasibility LP over the rows' multipliers.
@@ -381,11 +381,13 @@ def proved_bounded(compiled: tuple) -> bool:
     """Whether the basis search proves the set {x : <r, x> <= den for r in
     rows} bounded, for compiled = (int rows, den > 0), with no LP: True
     only with weights from _basis_weights on t = -(sum of the rows) that
-    pass lp.verify_certificate as the optimal point of is_bounded's own
-    LP (value 0, dual 0), on a basis of full rank (_rank). Then lambda =
-    mu + 1 > 0 has sum_i lambda_i r_i = 0 and n of the rows are
-    independent, so the rows positively span the space. False says
-    nothing: is_bounded decides."""
+    pass lp.primal_feasible as a point of is_bounded's own LP, on a basis
+    of full rank (_rank). That LP's objective is 0, so a feasible point is
+    optimal with value 0 and dual 0, and this is the test
+    lp.verify_certificate makes of that outcome, on rows that are ints
+    already. Then lambda = mu + 1 > 0 has sum_i lambda_i r_i = 0 and n of
+    the rows are independent, so the rows positively span the space.
+    False says nothing: is_bounded decides."""
     rows, _ = compiled
     dim = len(rows[0])
     if len(rows) <= dim:
@@ -394,14 +396,14 @@ def proved_bounded(compiled: tuple) -> bool:
     if found is None:
         return False
     basis, y, d = found
-    outcome = lp.LPOutcome(
-        status="optimal",
-        point=tuple(Fraction(w, d) for w in y),
-        value=0,
-        dual=(0,) * dim,
-    )
+    program = _bounded_program(rows)
     return (
-        lp.verify_certificate(_bounded_program(rows), outcome)
+        lp.primal_feasible(
+            [(*coeffs, b) for coeffs, _, b in program.rows],
+            [rel for _, rel, _ in program.rows],
+            program.bounds,
+            Scaled(y, d),
+        )
         and _rank([rows[k] for k in basis]) == dim
     )
 

@@ -441,11 +441,12 @@ def test_every_library_lp_is_posed_in_ints(documents, monkeypatch):
     # rows in 3-D and 4-D: their rows hold no basis of the space, so the
     # basis search settles none of their questions, and their redundant
     # rows and stripped generators pose LPs. Every outcome is passed to
-    # lp.verify_certificate right after its solve. The only other outcomes
-    # it is given are proved_bounded's, the basis search's optimal points
-    # of is_bounded's LP, which no solve returned.
-    real_solve, real_verify = lp.solve, lp.verify_certificate
-    programs, callers, verified, solved, searched = [], set(), [], [], []
+    # lp.verify_certificate right after its solve, and it is given no
+    # other: proved_bounded checks the basis search's points of
+    # is_bounded's LP with lp.primal_feasible, the primal test that
+    # verify_certificate runs too.
+    real_solve, real_verify, real_primal = lp.solve, lp.verify_certificate, lp.primal_feasible
+    programs, callers, verified, solved, searched, proved = [], set(), [], [], [], []
 
     def recording(program):
         programs.append(program)
@@ -463,8 +464,13 @@ def test_every_library_lp_is_posed_in_ints(documents, monkeypatch):
             searched.append((sys._getframe(1).f_code.co_name, outcome.status))
         return real_verify(program, outcome)
 
+    def primal(*args):
+        proved.append(sys._getframe(1).f_code.co_name)
+        return real_primal(*args)
+
     monkeypatch.setattr(lp, "solve", recording)
     monkeypatch.setattr(lp, "verify_certificate", verifying)
+    monkeypatch.setattr(lp, "primal_feasible", primal)
     for call in CALLS:
         run_call(call, documents)
     rng = random.Random(1971)
@@ -487,7 +493,8 @@ def test_every_library_lp_is_posed_in_ints(documents, monkeypatch):
             hull_membership(x, polar(h))
     assert corpus >= 100 and len(programs) - corpus >= 100, (corpus, len(programs))
     assert verified == list(enumerate(programs, 1))
-    assert searched and set(searched) == {("proved_bounded", "optimal")}
+    assert searched == []
+    assert set(proved) == {"proved_bounded", "verify_certificate"}
     assert callers >= {
         "remove_redundancy",
         "exposed_point",

@@ -3,7 +3,8 @@
 Given indent, json encodes in pure Python (json.encoder._make_iterencode)
 instead of its C encoder, several times slower on a report that holds
 thousands of values. cli._render writes the indented text itself and
-hands json's encoder only containers of scalars and scalars. This
+hands json's encoder only containers of scalars and scalars, and
+rationals._ENCODE writes a block of query points as one compact text. This
 collects with ast every json.dump/json.dumps/json.JSONEncoder call in
 src/polarcut and lists the keywords it passes; a **mapping, which could
 carry indent, is refused too.
@@ -37,6 +38,7 @@ def test_library_json_calls_pass_no_indent():
         for line, keywords in json_dump_calls(path.read_text(encoding="utf-8")):
             calls[f"{path.name}:{line}"] = keywords
     assert sum(k.startswith("cli.py:") for k in calls) >= 3
+    assert any(k.startswith("rationals.py:") for k in calls)
     assert {where: kw for where, kw in calls.items() if "indent" in kw or None in kw} == {}
 
 

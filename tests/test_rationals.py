@@ -344,7 +344,25 @@ def test_scaled_columns_special_scalars(special):
 
 # Spellings in the grammar that JSON does not read: a "+" sign or leading
 # zeros on the numerator, which the block reader rewrites before decoding.
-PADDED_FORMS = ["+3", "007", "-007", "+0", "00/3", "-00/5", "+007/5", "\u2212007/2"]
+# Each is mapped to the typed gate's calls it passes before the rewrite
+# route reads it: a "+" or a unicode minus fails the character test, and
+# a zero-led numerator fails the decode, a slash-less one once unquoted.
+TYPED_GATE = [
+    ("fullmatch", rationals_module._TYPED_TEXT),
+    ("search", rationals_module._TWO_SLASHES),
+]
+UNQUOTED_GATE = [TYPED_GATE[0], ("sub", rationals_module._QUOTED_INT), TYPED_GATE[1]]
+REWRITE = [("search", rationals_module._BAD_LINE), ("sub", rationals_module._NUMERATOR_PAD)]
+PADDED_FORMS = {
+    "+3": TYPED_GATE[:1],
+    "007": UNQUOTED_GATE,
+    "-007": UNQUOTED_GATE,
+    "+0": TYPED_GATE[:1],
+    "00/3": TYPED_GATE,
+    "-00/5": TYPED_GATE,
+    "+007/5": TYPED_GATE[:1],
+    "\u2212007/2": TYPED_GATE[:1],
+}
 
 
 class RecordingRe:
@@ -353,6 +371,10 @@ class RecordingRe:
 
     def __init__(self):
         self.calls = []
+
+    def fullmatch(self, pattern, text):
+        self.calls.append(("fullmatch", pattern))
+        return re.fullmatch(pattern, text)
 
     def search(self, pattern, text):
         self.calls.append(("search", pattern))
@@ -367,8 +389,10 @@ class RecordingRe:
 def test_scaled_columns_rewrite_route(dim, monkeypatch):
     # 256-row canonical blocks with one padded entry at the first, a middle
     # or the last entry, then with every entry padded: each reads to the
-    # per-row parse's points. A canonical block runs the _JSON_LINE search
-    # alone; a padded one runs the _BAD_LINE search and the rewrite too.
+    # per-row parse's points. A canonical block runs the typed gate's
+    # calls alone, and a block of slash-less int texts the one unquoting
+    # re.sub too; a padded one then runs the _BAD_LINE search and the
+    # rewrite of the rewrite route.
     rng = random.Random(dim)
     rows = [
         [canonical_form(Fraction(rng.randint(-99, 99), rng.randint(1, 9))) for _ in range(dim)]
@@ -377,9 +401,16 @@ def test_scaled_columns_rewrite_route(dim, monkeypatch):
     recorder = RecordingRe()
     monkeypatch.setattr(rationals_module, "re", recorder)
     assert block_rows(rows, dim) == reference_rows(rows)
-    assert recorder.calls == [("search", rationals_module._JSON_LINE)]
+    assert recorder.calls == TYPED_GATE
+    texts = [[str(v) for v in row] for row in rows]
+    for k in range(0, len(texts), 3):
+        texts[k] = [str(rng.randint(-99, 99)) for _ in range(dim)]
+    for spelled in (texts, [["5"] * dim for _ in rows]):
+        recorder.calls.clear()
+        assert block_rows(spelled, dim) == reference_rows(spelled)
+        assert recorder.calls == UNQUOTED_GATE
     last = len(rows) * dim - 1
-    for form in PADDED_FORMS:
+    for form, typed_calls in PADDED_FORMS.items():
         blocks = []
         for at in (0, last // 2, last):
             spelled = [list(r) for r in rows]
@@ -391,11 +422,68 @@ def test_scaled_columns_rewrite_route(dim, monkeypatch):
             expected = reference_rows(spelled)
             assert isinstance(expected, list)
             assert block_rows(spelled, dim) == expected
-            assert recorder.calls == [
-                ("search", rationals_module._JSON_LINE),
-                ("search", rationals_module._BAD_LINE),
-                ("sub", rationals_module._NUMERATOR_PAD),
-            ]
+            assert recorder.calls == typed_calls + REWRITE
+
+
+# Blocks the typed route refuses, at least one for each condition of its
+# gate: a blank, a unicode minus (escaped by the encoder), a comma inside
+# a text, an empty text, two slashes in a text, a zero or signed
+# denominator and a zero-led numerator. The rewrite route then reads or
+# refuses them as the per-row parse does.
+GATE_BLOCKS = [
+    ["1 /2"],
+    ["\u22121/2"],
+    ["1,2", "5"],
+    ["1,2/3"],
+    [""],
+    ["5", "1/2/3"],
+    ["1/0"],
+    ["1/-2"],
+    ["007"],
+]
+
+
+@pytest.mark.parametrize("block", GATE_BLOCKS, ids=repr)
+def test_typed_gate_refuses_each_condition(block):
+    assert rationals_module._typed_entries(block) is None
+    expected = reference_rows([block])
+    assert block_rows([block], len(block)) == (None if isinstance(expected, str) else expected)
+
+
+def test_typed_route_reads_json_spelling():
+    # JSON's "-0" is 0, over 1 or over the text's denominator, and a
+    # slash-less text is read as an int over 1.
+    block = ["-0", "-0/5", "5", -3, "-7/4"]
+    assert rationals_module._typed_entries(block) == ([0, 0, 5, -3, -7], [1, 5, 1, 1, 4])
+    assert block_rows([block], 5) == reference_rows([block])
+
+
+def test_scaled_columns_match_per_row_parse_on_drawn_blocks():
+    # Seeded blocks of canonical entries, with odd spellings mixed in at
+    # drawn positions: each reads to the per-row parse's points, or to
+    # None exactly when that parse raises. Many of them pass the typed
+    # gate, the rest take the rewrite route or are refused.
+    rng = random.Random(38)
+    odd = [*PADDED_FORMS, *SPECIAL_SCALARS, *(e for b in GATE_BLOCKS for e in b)]
+    odd += ["5", "-5", "0", "-0", "-0/5", " 3", "1/", "/2", "-", "3//4"]
+    typed = 0
+    for _ in range(20_000):
+        dim = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            row = []
+            for _ in range(dim):
+                q = Fraction(rng.randint(-(10 ** rng.randint(1, 30)), 10**30), rng.randint(1, 9))
+                row.append(canonical_form(q))
+            rows.append(row)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            rows[rng.randrange(len(rows))][rng.randrange(dim)] = rng.choice(odd)
+        expected = reference_rows(rows)
+        assert block_rows(rows, dim) == (None if isinstance(expected, str) else expected), rows
+        flat = [e for row in rows for e in row]
+        if {type(e) for e in flat} <= {int, str}:
+            typed += rationals_module._typed_entries(flat) is not None
+    assert typed >= 5_000, typed
 
 
 # A set's and a body's rows and right-hand sides, and the structural
@@ -480,9 +568,9 @@ GRAMMAR_CHARS = "0123456789+-\u2212/. \t\n\u00a0\uff11eE,[]_\""
 @example("1e5")
 @example("-0")
 def test_block_grammar_matches_parse_rational(text):
-    # The block reader's _JSON_LINE and _BAD_LINE searches and
-    # parse_rational's _RATIONAL_TEXT spell one grammar: a text is read by
-    # both, as the same rational, or refused by both.
+    # The block reader's two routes and parse_rational's _RATIONAL_TEXT
+    # spell one grammar: a text is read by both, as the same rational, or
+    # refused by both.
     try:
         expected = [(parse_rational(text),)]
     except ValueError:
