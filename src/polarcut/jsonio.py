@@ -13,11 +13,10 @@ diagnoser, which names the bad entry. A set's and a body's "rows" and
 "rhs" (_rows_from_json) and a corner instance's f, rays and P are read
 by _row, in document order, so the first bad field is the one named; the
 instance goes to cuts.CornerInstance as Scaled points. Query points are
-read POINT_BLOCK rows at a time into int columns
-(rationals.scaled_columns) by points_from_json: a block in the spelling
-the CLI writes as one flat int list, any other through a grammar search
-and a rewrite. Only a block that reader refuses is read again, row by
-row by _row, to name the bad row.
+read POINT_BLOCK rows at a time into int columns by points_from_json: a
+block in the spelling the CLI writes by rationals.scaled_columns, as one
+flat int list, and any other block row by row by _row, which names the
+first bad row.
 """
 
 from __future__ import annotations
@@ -117,7 +116,10 @@ def polyhedron_from_json(obj) -> HPolyhedron:
 
 def points_from_json(obj, dim: int):
     """The "points" list of width-dim rows, yielded in blocks of at most
-    POINT_BLOCK rows, each as rationals.scaled_columns' (cols, dens)."""
+    POINT_BLOCK rows, each as rationals.scaled_columns' (cols, dens). A
+    block scaled_columns refuses is read row by row by _row, which raises
+    the SchemaError of its first bad row, and laid out from those Scaled
+    points."""
     value, _ = _field(obj, "points")
     if not isinstance(value, list):
         _fail("points", "expected a list")
@@ -125,11 +127,8 @@ def points_from_json(obj, dim: int):
         rows = value[start : start + POINT_BLOCK]
         block = scaled_columns(rows, dim)
         if block is None:
-            for i, row in enumerate(rows, start):  # name what is wrong
-                _row(row, "points", dim, i)
-            # every entry is a rational, yet not one the reader can spell
-            # out (an int subclass, an int past the str limit)
-            raise ValueError("expected JSON ints and rational texts")
+            points = [_row(row, "points", dim, i) for i, row in enumerate(rows, start)]
+            block = [list(c) for c in zip(*(p.ints for p in points))], [p.den for p in points]
         yield block
 
 

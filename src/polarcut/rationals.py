@@ -6,8 +6,9 @@ reduced to lowest terms with a positive denominator on construction.
 Vectors are plain tuples of scalars.
 
 JSON-level scalars (ints and "p/q" texts) have one grammar, _SCALAR,
-read one scalar at a time by parse_rational, a row at a time by
-scaled_vector and a block at a time by scaled_columns.
+read one scalar at a time by parse_rational and a row at a time by
+scaled_vector; scaled_columns reads a block at a time in the spelling
+the CLI writes, a subset of it.
 
 A point has a second form, owned by this module: Scaled(ints, den), the
 int numerators of its coordinates over one positive common denominator.
@@ -22,15 +23,14 @@ unscaled() builds the rationals back for a value that is reported.
 Many points at once take a third form, int columns: scaled_columns()
 reads a block of rows into cols[j][k], the numerator of coordinate j of
 point k over that point's positive denominator dens[k], parsed whole at
-C level (None when it cannot be). A block in the CLI's own spelling
-(JSON ints, "p/q" and "p" texts) is written out by json's C encoder,
-gated by a few passes over that text, and read by one json.loads as a
-flat list of ints, two per entry; any other block is joined, searched
-once for a line outside the grammar, rewritten into JSON's spelling and
-read by one json.loads of nested pairs. Values come back the same way:
-Values(nums, dens), a column of rationals in lowest terms, value k being
-nums[k] / dens[k] with dens[k] > 0 (0 is 0/1), as sublinear.block_values
-returns them and the CLI prints them, with no Fraction in between.
+C level. It reads only a block in the CLI's own spelling (JSON ints and
+"p/q" texts): json's C encoder writes it out, a few passes over that
+text gate it, and one json.loads reads it as a flat list of ints, two
+per entry. Any other block gives None, and jsonio.points_from_json reads
+it row by row. Values come back the same way: Values(nums, dens), a
+column of rationals in lowest terms, value k being nums[k] / dens[k]
+with dens[k] > 0 (0 is 0/1), as sublinear.block_values returns them and
+the CLI prints them, with no Fraction in between.
 
 The evaluators (gauge, minimal sublinear function, support, membership)
 and the LP solver do not use Fraction arithmetic on their hot paths:
@@ -54,7 +54,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
 from numbers import Rational
-from operator import floordiv, itemgetter, mul
+from operator import floordiv, mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -67,37 +67,13 @@ _INT = frozenset((int,))  # exact ints: a bool's type is not int
 _SCALAR = r"[+-]?[0-9]+(?:/[1-9][0-9]*)?"
 _RATIONAL_TEXT = re.compile(_SCALAR)
 
-# Matches at the start of the first line outside _SCALAR in a block of
-# scalars joined by "\n" (each stripped, its unicode minus made "-"). A
-# search for a bad line keeps no state from one line to the next; a match
-# of the whole block with a repeated group would stack a backtracking
-# point per entry (twice the time, and 0.5 MB, for 1,024 entries), and
-# Python 3.10's re has no possessive quantifier to stop it. Kept as text:
-# re compiles it on first use (and caches it), so only the commands that
-# read query points pay for the compile at start-up.
-_BAD_LINE = rf"(?m)^(?!{_SCALAR}$)"
-
-# Matches at the start of each line, in a block whose lines are all in
-# _SCALAR, that JSON does not read as it is: a "+" sign or a leading zero
-# on the numerator ("+007/5", "-00/5", "+0"). re.sub of group 1 drops them
-# ("7/5", "-0/5", "0"). A block with no such line is scanned once, and
-# nothing is rewritten. json.loads converts and does not validate: it
-# would also read NaN, Infinity, floats and exponents, so the _BAD_LINE
-# search comes first. Kept as text, as _BAD_LINE is.
-_NUMERATOR_PAD = r"(?m)^(?=\+|-?0[0-9])\+?(-?)0*(?=[0-9])"
-
-# The typed route's gate over _ENCODE's text of a block (_typed_entries):
+# The gate of _typed_entries over _ENCODE's text of a block of entries:
 # only the characters of JSON ints and quoted "p/q" texts, so no escape,
-# blank, "+", dot, letter or bracket; a quoted slash-less text, which
-# re.sub of group 1 unquotes; a text with two slashes. Kept as text, as
-# _BAD_LINE is.
+# blank, "+", dot, letter or bracket; a text with two slashes. Kept as
+# text: re compiles it on first use (and caches it), so only the commands
+# that read query points pay for the compile at start-up.
 _TYPED_TEXT = r'[0-9/,"-]*'
-_QUOTED_INT = r'"(-?[0-9]+)"'
 _TWO_SLASHES = r"/[0-9-]*/"
-
-# re.sub's replacement by group 1, a C callable: Python 3.11's re expands
-# a template such as r"\1" in Python code, at about three times the cost.
-_GROUP_1 = itemgetter(1)
 
 # json's C encoder: no indent, with which json encodes in Python code.
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
@@ -238,30 +214,24 @@ def _not_exact(entries) -> ValueError:
 
 def _typed_entries(flat):
     """(nums, dens), entry k being nums[k] / dens[k] with dens[k] > 0, for
-    entries in the spelling the CLI writes: JSON ints and texts "p" or
-    "p/q", signed by "-" alone, with no leading zero and no blank. None
-    for any other block, which the rewrite route reads.
+    entries in the spelling the CLI writes: JSON ints and "p/q" texts,
+    signed by "-" alone, with no leading zero and no blank. None for any
+    other block.
 
     _ENCODE writes the block as one text, its texts quoted. The gate: only
     _TYPED_TEXT characters; as many commas as separators, so no text holds
-    one; one slash per quoted text once the slash-less texts are unquoted
-    (_QUOTED_INT, run only when the count is off); and no _TWO_SLASHES in
-    one text. Then each entry has ",1" appended, a quoted one drops it and
-    its quotes, and "/" becomes ",": p,1 or p,q, two fields per entry, so
-    that no count check is needed. One json.loads of the flat list reads
-    those ints, or refuses a field JSON does not spell ("007", "", "-"),
-    and a denominator that is not positive refuses the block too. What
-    is left is exactly the texts -?(0|[1-9][0-9]*)(/[1-9][0-9]*)?, read
-    as the rewrite route reads them. An int past the digit limit raises
-    _ENCODE's ValueError."""
+    one; one slash per quoted text; and no _TWO_SLASHES in one text. Then
+    each entry has ",1" appended, a quoted one drops it and its quotes,
+    and "/" becomes ",": p,1 or p,q, two fields per entry, so that no
+    count check is needed. One json.loads of the flat list reads those
+    ints, or refuses a field JSON does not spell ("007", "", "-"), and a
+    denominator that is not positive refuses the block too. What is left
+    is exactly the ints and the texts -?(0|[1-9][0-9]*)/[1-9][0-9]*. An
+    int past the digit limit raises _ENCODE's ValueError."""
     text = _ENCODE(flat)[1:-1]
     if re.fullmatch(_TYPED_TEXT, text) is None or text.count(",") != len(flat) - 1:
         return None
-    if 2 * text.count("/") != text.count('"'):
-        text = re.sub(_QUOTED_INT, _GROUP_1, text)
-        if 2 * text.count("/") != text.count('"'):
-            return None
-    if re.search(_TWO_SLASHES, text) is not None:
+    if 2 * text.count("/") != text.count('"') or re.search(_TWO_SLASHES, text) is not None:
         return None
     text = (text.replace(",", ",1,") + ",1").replace('",1', "").replace('"', "").replace("/", ",")
     try:
@@ -274,36 +244,14 @@ def _typed_entries(flat):
     return toks[0::2], dens
 
 
-def _rewritten_entries(flat):
-    """(nums, dens) as _typed_entries gives them, for entries of any
-    spelling in the grammar: each stripped, its unicode minus made "-",
-    and joined by "\n"; None when the _BAD_LINE search finds a line
-    outside the grammar. _NUMERATOR_PAD rewrites the text into JSON's
-    spelling, "/" becomes "," and each entry is closed by ",1", so that
-    one json.loads decodes entry k as [p, q, 1] or [p, 1]: the numerator
-    first and the denominator second either way. An int or a numerator
-    past the digit limit raises ValueError."""
-    text = "\n".join(map(str.strip, map(str, flat))).replace("\u2212", "-")
-    if re.search(_BAD_LINE, text) is not None:
-        return None
-    text = re.sub(_NUMERATOR_PAD, _GROUP_1, text)
-    pairs = json.loads("[[" + text.replace("/", ",").replace("\n", ",1],[") + ",1]]")
-    if len(pairs) != len(flat):  # some text held a "\n" of its own
-        return None
-    nums, dens, *_ = zip(*pairs)
-    return nums, dens
-
-
 def scaled_columns(rows, dim: int):
     """The points of rows, each a list of dim JSON-level scalars (ints and
     texts, as json.load makes them), as int columns (cols, dens):
     coordinate j of point k is cols[j][k] / dens[k], with dens[k] > 0 the
-    lcm of point k's entry denominators; None for rows it does not read,
-    which jsonio.points_from_json diagnoses. Two routes read the entries,
-    each in a few passes over the whole block in C: the typed route
-    (_typed_entries) a block in the CLI's own spelling, with one json.loads
-    of a flat int list, and the rewrite route (_rewritten_entries) every
-    other block, with a grammar search and one nested json.loads."""
+    lcm of point k's entry denominators. The entries are read by
+    _typed_entries, in a few passes over the whole block in C, and only in
+    the CLI's own spelling; None for any other block, which
+    jsonio.points_from_json reads row by row."""
     if not all(map(isinstance, rows, repeat(list))) or not set(map(len, rows)) <= {dim}:
         return None
     flat = list(chain.from_iterable(rows))
@@ -312,7 +260,7 @@ def scaled_columns(rows, dim: int):
     if not set(map(type, flat)) <= {int, str}:
         return None
     try:
-        read = _typed_entries(flat) or _rewritten_entries(flat)
+        read = _typed_entries(flat)
     except ValueError:  # an int too long for the interpreter's str/int limit
         return None
     if read is None:

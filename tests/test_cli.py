@@ -954,16 +954,19 @@ def test_refusals_match_the_entry_by_entry_readers(tmp_path, monkeypatch):
 
 def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
     # gauge and rho on 1,000 canonically spelled points parse none of them
-    # with parse_rational or jsonio.vector_from_json (which only diagnoses
-    # a bad block), read them in blocks of at most 256 rows, and build no
-    # Fraction beyond what the set itself needs (measured on the same set
-    # with no points): the values go from int columns to text.
+    # with parse_rational, jsonio._row or jsonio.vector_from_json (which
+    # read a block scaled_columns refuses), read them in blocks of at most
+    # 256 rows, and build no Fraction beyond what the set itself needs
+    # (measured on the same set with no points): the values go from int
+    # columns to text.
     counts = {"parse": 0, "fraction": 0, "vector": 0, "rationals.vector": 0}
     blocks = []
+    point_rows = []
     real_parse = rationals.parse_rational
     real_vector = rationals.vector
     real_vector_from_json = jsonio.vector_from_json
     real_columns = rationals.scaled_columns
+    real_row = jsonio._row
 
     def counted_parse(value):
         counts["parse"] += 1
@@ -976,6 +979,11 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
     def counted_vector_from_json(value, path, dim=None):
         counts["vector"] += path.startswith("points[")
         return real_vector_from_json(value, path, dim)
+
+    def recorded_row(value, path, width, index=None):
+        if path == "points":
+            point_rows.append(index)
+        return real_row(value, path, width, index)
 
     def recorded_columns(rows, dim):
         blocks.append(len(rows))
@@ -991,6 +999,7 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(rationals, "vector", counted_vector)
     monkeypatch.setattr(jsonio, "vector_from_json", counted_vector_from_json)
     monkeypatch.setattr(jsonio, "scaled_columns", recorded_columns)
+    monkeypatch.setattr(jsonio, "_row", recorded_row)
     monkeypatch.setattr(Fraction, "__new__", counted_new)
     for command in ("gauge", "rho"):
         seen = []
@@ -1006,18 +1015,23 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
         assert full["vector"] == 0
         assert blocks == [256, 256, 256, 232]
         assert full["fraction"] == empty["fraction"]
-    # tolerant spellings are read whole too; the counter sees
-    # vector_from_json when a bad entry is diagnosed, on its row alone (the
-    # rows of its block before it are read to ints), and the bad block is
-    # diagnosed once: rationals.vector is never called
+        assert point_rows == []
+    # a tolerant spelling sends its block, and only that block, to _row,
+    # row by row: rows 768-999, each read once, with no vector_from_json;
+    # a bad entry is named by vector_from_json on its row alone (the rows
+    # of its block before it are read to ints), and the bad block is read
+    # once: rationals.vector is never called
     loose = query_doc(1000)
     loose["points"][998][0] = " 1/2"
     loose["points"][998][1] = "\u22127"
     counts.update(vector=0)
     code, _, _ = run(capsys, "rho", write(tmp_path, "loose.json", loose))
     assert code == 0 and counts["vector"] == 0
+    assert point_rows == list(range(768, 1000))
+    point_rows.clear()
     loose["points"][999][0] = "1.5"
     code, _, _ = run(capsys, "rho", write(tmp_path, "bad.json", loose))
     assert code == 2 and counts["vector"] == 1  # row 999
+    assert point_rows == list(range(768, 1000))
     assert counts["parse"] > 0  # the diagnosis parses what it names
     assert counts["rationals.vector"] == 0

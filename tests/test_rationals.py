@@ -11,6 +11,7 @@ from conftest import (
     make_instance,
     make_program,
     reference_body_from_json,
+    reference_points_from_json,
     reference_polyhedron_from_json,
     vadd,
     vscale,
@@ -295,12 +296,40 @@ def block_rows(rows, dim):
     return None if block is None else block_points(block)
 
 
+def points_read(read, rows, dim):
+    """The rational points read (points_from_json or its entry-by-entry
+    reference) yields for the document {"points": rows}, or the text of
+    the SchemaError it raises."""
+    try:
+        return [x for block in read({"points": rows}, dim) for x in block_points(block)]
+    except SchemaError as exc:
+        return str(exc)
+
+
+def check_points(rows, dim):
+    """points_from_json on rows gives the per-row parse's points, or the
+    entry-by-entry reference's SchemaError text when that parse raises;
+    scaled_columns gives None or exactly those points. Returns what
+    scaled_columns gives, as block_rows does."""
+    expected = reference_rows(rows)
+    got = points_read(points_from_json, rows, dim)
+    if isinstance(expected, str):
+        assert got == points_read(reference_points_from_json, rows, dim)
+        assert got.endswith(f": {expected}")
+    else:
+        assert got == expected
+    block = block_rows(rows, dim)
+    assert block is None or block == expected
+    return block
+
+
 @given(st.data())
 def test_scaled_columns_match_per_row_parse(data):
-    # A block read whole equals vector() on each of its rows (the same
-    # rational points), and the reader returns None exactly when that
-    # per-row parse raises, whatever the spelling; every block of
-    # rationals is read whole, tolerant ones too.
+    # points_from_json reads a block to vector() on each of its rows (the
+    # same rational points), or raises the entry-by-entry reference's
+    # SchemaError exactly when that per-row parse raises, whatever the
+    # spelling; scaled_columns reads a canonical block whole, and never
+    # a block to other points.
     dim = data.draw(st.integers(1, 4))
     rows = data.draw(st.lists(st.lists(wide_rationals, min_size=dim, max_size=dim), max_size=6))
     mode = data.draw(st.sampled_from(["canonical", "tolerant", "special"]))
@@ -315,10 +344,11 @@ def test_scaled_columns_match_per_row_parse(data):
                 choices += SPECIAL_SCALARS
             forms.append(data.draw(st.sampled_from(choices)))
         spelled.append(forms)
-    expected = reference_rows(spelled)
-    assert block_rows(spelled, dim) == (None if isinstance(expected, str) else expected)
+    block = check_points(spelled, dim)
+    if mode == "canonical":
+        assert block is not None
     if mode != "special":
-        assert expected == [tuple(row) for row in rows]
+        assert reference_rows(spelled) == [tuple(row) for row in rows]
 
 
 @pytest.mark.parametrize("special", SPECIAL_SCALARS, ids=repr)
@@ -342,21 +372,19 @@ def test_scaled_columns_special_scalars(special):
     assert block_rows([[special]], 1) is None
 
 
-# Spellings in the grammar that JSON does not read: a "+" sign or leading
-# zeros on the numerator, which the block reader rewrites before decoding.
-# Each is mapped to the typed gate's calls it passes before the rewrite
-# route reads it: a "+" or a unicode minus fails the character test, and
-# a zero-led numerator fails the decode, a slash-less one once unquoted.
+# Spellings in the grammar that the typed gate refuses: a "+" sign or
+# leading zeros on the numerator, and a unicode minus. Each is mapped to
+# the gate's calls it passes before it is refused: a "+" or a unicode
+# minus fails the character test, a slash-less text the slash count after
+# it, and a zero-led numerator over a denominator the decode.
 TYPED_GATE = [
     ("fullmatch", rationals_module._TYPED_TEXT),
     ("search", rationals_module._TWO_SLASHES),
 ]
-UNQUOTED_GATE = [TYPED_GATE[0], ("sub", rationals_module._QUOTED_INT), TYPED_GATE[1]]
-REWRITE = [("search", rationals_module._BAD_LINE), ("sub", rationals_module._NUMERATOR_PAD)]
 PADDED_FORMS = {
     "+3": TYPED_GATE[:1],
-    "007": UNQUOTED_GATE,
-    "-007": UNQUOTED_GATE,
+    "007": TYPED_GATE[:1],
+    "-007": TYPED_GATE[:1],
     "+0": TYPED_GATE[:1],
     "00/3": TYPED_GATE,
     "-00/5": TYPED_GATE,
@@ -386,13 +414,14 @@ class RecordingRe:
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_scaled_columns_rewrite_route(dim, monkeypatch):
-    # 256-row canonical blocks with one padded entry at the first, a middle
-    # or the last entry, then with every entry padded: each reads to the
-    # per-row parse's points. A canonical block runs the typed gate's
-    # calls alone, and a block of slash-less int texts the one unquoting
-    # re.sub too; a padded one then runs the _BAD_LINE search and the
-    # rewrite of the rewrite route.
+def test_scaled_columns_typed_gate_calls(dim, monkeypatch):
+    # A canonical 256-row block runs the gate's _TYPED_TEXT fullmatch and
+    # _TWO_SLASHES search alone, and no re.sub, and reads to the per-row
+    # parse's points. Blocks of slash-less int texts, and the canonical
+    # block with one padded entry at the first, a middle or the last
+    # entry, then with every entry padded, are refused by the gate after
+    # the calls they pass, and points_from_json reads each row by row to
+    # the per-row parse's points.
     rng = random.Random(dim)
     rows = [
         [canonical_form(Fraction(rng.randint(-99, 99), rng.randint(1, 9))) for _ in range(dim)]
@@ -405,31 +434,28 @@ def test_scaled_columns_rewrite_route(dim, monkeypatch):
     texts = [[str(v) for v in row] for row in rows]
     for k in range(0, len(texts), 3):
         texts[k] = [str(rng.randint(-99, 99)) for _ in range(dim)]
-    for spelled in (texts, [["5"] * dim for _ in rows]):
-        recorder.calls.clear()
-        assert block_rows(spelled, dim) == reference_rows(spelled)
-        assert recorder.calls == UNQUOTED_GATE
+    blocks = [(texts, TYPED_GATE[:1]), ([["5"] * dim for _ in rows], TYPED_GATE[:1])]
     last = len(rows) * dim - 1
     for form, typed_calls in PADDED_FORMS.items():
-        blocks = []
         for at in (0, last // 2, last):
             spelled = [list(r) for r in rows]
             spelled[at // dim][at % dim] = form
-            blocks.append(spelled)
-        blocks.append([[form] * dim for _ in rows])
-        for spelled in blocks:
-            recorder.calls.clear()
-            expected = reference_rows(spelled)
-            assert isinstance(expected, list)
-            assert block_rows(spelled, dim) == expected
-            assert recorder.calls == typed_calls + REWRITE
+            blocks.append((spelled, typed_calls))
+        blocks.append(([[form] * dim for _ in rows], typed_calls))
+    for spelled, typed_calls in blocks:
+        recorder.calls.clear()
+        assert block_rows(spelled, dim) is None
+        assert recorder.calls == typed_calls
+        expected = reference_rows(spelled)
+        assert isinstance(expected, list)
+        assert points_read(points_from_json, spelled, dim) == expected
 
 
 # Blocks the typed route refuses, at least one for each condition of its
 # gate: a blank, a unicode minus (escaped by the encoder), a comma inside
-# a text, an empty text, two slashes in a text, a zero or signed
-# denominator and a zero-led numerator. The rewrite route then reads or
-# refuses them as the per-row parse does.
+# a text, an empty text, two slashes in a text, a slash-less text, a zero
+# or signed denominator and a zero-led numerator. points_from_json then
+# reads or refuses them row by row as the per-row parse does.
 GATE_BLOCKS = [
     ["1 /2"],
     ["\u22121/2"],
@@ -437,6 +463,8 @@ GATE_BLOCKS = [
     ["1,2/3"],
     [""],
     ["5", "1/2/3"],
+    ["5"],
+    ["-0"],
     ["1/0"],
     ["1/-2"],
     ["007"],
@@ -445,24 +473,33 @@ GATE_BLOCKS = [
 
 @pytest.mark.parametrize("block", GATE_BLOCKS, ids=repr)
 def test_typed_gate_refuses_each_condition(block):
+    # Each block is refused by the gate and read row by row; the per-row
+    # parse's points, spelled as the CLI writes them, pass the gate.
     assert rationals_module._typed_entries(block) is None
+    assert check_points([block], len(block)) is None
     expected = reference_rows([block])
-    assert block_rows([block], len(block)) == (None if isinstance(expected, str) else expected)
+    if isinstance(expected, list):
+        canonical = [[canonical_form(q) for q in x] for x in expected]
+        assert block_rows(canonical, len(block)) == expected
 
 
 def test_typed_route_reads_json_spelling():
-    # JSON's "-0" is 0, over 1 or over the text's denominator, and a
-    # slash-less text is read as an int over 1.
-    block = ["-0", "-0/5", "5", -3, "-7/4"]
-    assert rationals_module._typed_entries(block) == ([0, 0, 5, -3, -7], [1, 5, 1, 1, 4])
-    assert block_rows([block], 5) == reference_rows([block])
+    # JSON's "-0" numerator is 0 over the text's denominator; a slash-less
+    # text is refused, and read row by row as an int over 1.
+    block = ["-0/1", "-0/5", -3, "-7/4"]
+    assert rationals_module._typed_entries(block) == ([0, 0, -3, -7], [1, 5, 1, 4])
+    assert block_rows([block], 4) == reference_rows([block])
+    for block in (["5"], ["-0"], ["-0/5", "5"]):
+        assert rationals_module._typed_entries(block) is None
+        assert check_points([block], len(block)) is None
 
 
 def test_scaled_columns_match_per_row_parse_on_drawn_blocks():
     # Seeded blocks of canonical entries, with odd spellings mixed in at
-    # drawn positions: each reads to the per-row parse's points, or to
-    # None exactly when that parse raises. Many of them pass the typed
-    # gate, the rest take the rewrite route or are refused.
+    # drawn positions: points_from_json reads each to the per-row parse's
+    # points, or raises the reference's SchemaError exactly when that
+    # parse raises, and scaled_columns reads a block with no odd entry.
+    # Many of them pass the typed gate, the rest are read row by row.
     rng = random.Random(38)
     odd = [*PADDED_FORMS, *SPECIAL_SCALARS, *(e for b in GATE_BLOCKS for e in b)]
     odd += ["5", "-5", "0", "-0", "-0/5", " 3", "1/", "/2", "-", "3//4"]
@@ -476,10 +513,11 @@ def test_scaled_columns_match_per_row_parse_on_drawn_blocks():
                 q = Fraction(rng.randint(-(10 ** rng.randint(1, 30)), 10**30), rng.randint(1, 9))
                 row.append(canonical_form(q))
             rows.append(row)
-        for _ in range(rng.choice([0, 0, 1, 2])):
+        odd_entries = rng.choice([0, 0, 1, 2])
+        for _ in range(odd_entries):
             rows[rng.randrange(len(rows))][rng.randrange(dim)] = rng.choice(odd)
-        expected = reference_rows(rows)
-        assert block_rows(rows, dim) == (None if isinstance(expected, str) else expected), rows
+        block = check_points(rows, dim)
+        assert odd_entries or block is not None, rows
         flat = [e for row in rows for e in row]
         if {type(e) for e in flat} <= {int, str}:
             typed += rationals_module._typed_entries(flat) is not None
@@ -567,15 +605,16 @@ GRAMMAR_CHARS = "0123456789+-\u2212/. \t\n\u00a0\uff11eE,[]_\""
 @example("1/02")
 @example("1e5")
 @example("-0")
+@example("-7/4")
 def test_block_grammar_matches_parse_rational(text):
-    # The block reader's two routes and parse_rational's _RATIONAL_TEXT
-    # spell one grammar: a text is read by both, as the same rational, or
-    # refused by both.
-    try:
-        expected = [(parse_rational(text),)]
-    except ValueError:
-        expected = None
-    assert block_rows([[text]], 1) == expected
+    # points_from_json and parse_rational's _RATIONAL_TEXT spell one
+    # grammar: a text is read by both, as the same rational, or refused
+    # by both, with the reference's SchemaError; scaled_columns reads it
+    # to that rational or refuses it, and reads the text the CLI writes.
+    block = check_points([[text]], 1)
+    expected = reference_rows([[text]])
+    if isinstance(expected, list) and text == canonical_form(expected[0][0]):
+        assert block == expected
 
 
 def test_scaled_columns_shape():
@@ -592,11 +631,12 @@ def test_scaled_columns_shape():
         pass
 
     # rationals, but not the ints json.load makes: refused by the block,
-    # and points_from_json, whose per-entry parse takes them, says so
+    # and read by points_from_json as _row reads them in a set's rows
     for big in (Count(3), 10**5000):
         assert scaled(vector([big])) == Scaled((big,), 1)
         assert scaled_columns([[big]], 1) is None
-        with pytest.raises(ValueError, match="expected JSON ints and rational texts"):
-            list(points_from_json({"points": [[big]]}, 1))
+        x = jsonio._row([big, 1], "points", 2, 0)
+        assert x == Scaled((big, 1), 1)
+        assert list(points_from_json({"points": [[big, 1]]}, 2)) == [([[x.ints[0]], [1]], [1])]
     for rows in ([[1, 2, 3]], [[1]], ["12"], [(1, 2)], [None]):
         assert scaled_columns(rows, 2) is None
