@@ -136,12 +136,8 @@ def _cmd_values(args) -> tuple[int, dict]:
     clamp = args.command == "gauge"
     doc = _load_document(args.input)
     h = jsonio.polyhedron_from_json(doc)
-    nums, dens = [], []
-    for block in jsonio.points_from_json(doc, h.dim):
-        block_nums, block_dens = block_values(h, block, clamp)
-        nums += block_nums
-        dens += block_dens
-    return 0, {"command": args.command, "dim": h.dim, "values": Values(nums, dens)}
+    values = block_values(h, jsonio.points_from_json(doc, h.dim), clamp)
+    return 0, {"command": args.command, "dim": h.dim, "values": values}
 
 
 def _cmd_verify(args) -> tuple[int, dict]:

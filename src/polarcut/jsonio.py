@@ -13,10 +13,10 @@ diagnoser, which names the bad entry. A set's and a body's "rows" and
 "rhs" (_rows_from_json) and a corner instance's f, rays and P are read
 by _row, in document order, so the first bad field is the one named; the
 instance goes to cuts.CornerInstance as Scaled points. Query points are
-read POINT_BLOCK rows at a time into int columns by points_from_json: a
-block in the spelling the CLI writes by rationals.scaled_columns, as one
-flat int list, and any other block row by row by _row, which names the
-first bad row.
+read into int columns by points_from_json, the whole "points" list as one
+block: a list in the spelling the CLI writes by rationals.scaled_columns,
+as one flat int list, and any other list row by row by _row, which names
+the first bad row.
 """
 
 from __future__ import annotations
@@ -24,14 +24,6 @@ from __future__ import annotations
 from .cuts import CornerInstance, Cut, make_body
 from .polyhedra import HPolyhedron, normalize
 from .rationals import Scaled, parse_rational, scaled, scaled_columns, scaled_vector
-
-# Query points read, and evaluated, at a time. A block bounds the memory a
-# points document holds in int columns, whatever its size: read as one
-# block, the seed-1 `query` benchmark's 1000-2000-point documents raised
-# its peak RSS from 20.3-20.4 MB to 20.5-20.8 MB, for tasks_per_s
-# 44.1-44.6 against 41.6-42.3 (3 alternating pairs, 2-vCPU VM, CPython
-# 3.11).
-POINT_BLOCK = 256
 
 
 class SchemaError(ValueError):
@@ -115,21 +107,18 @@ def polyhedron_from_json(obj) -> HPolyhedron:
 
 
 def points_from_json(obj, dim: int):
-    """The "points" list of width-dim rows, yielded in blocks of at most
-    POINT_BLOCK rows, each as rationals.scaled_columns' (cols, dens). A
-    block scaled_columns refuses is read row by row by _row, which raises
-    the SchemaError of its first bad row, and laid out from those Scaled
-    points."""
+    """The "points" list of width-dim rows as one block, in
+    rationals.scaled_columns' (cols, dens). A list scaled_columns refuses
+    is read row by row by _row, which raises the SchemaError of its first
+    bad row, and laid out from those Scaled points."""
     value, _ = _field(obj, "points")
     if not isinstance(value, list):
         _fail("points", "expected a list")
-    for start in range(0, len(value), POINT_BLOCK):
-        rows = value[start : start + POINT_BLOCK]
-        block = scaled_columns(rows, dim)
-        if block is None:
-            points = [_row(row, "points", dim, i) for i, row in enumerate(rows, start)]
-            block = [list(c) for c in zip(*(p.ints for p in points))], [p.den for p in points]
-        yield block
+    block = scaled_columns(value, dim)
+    if block is None:
+        points = [_row(row, "points", dim, i) for i, row in enumerate(value)]
+        block = [list(c) for c in zip(*(p.ints for p in points))], [p.den for p in points]
+    return block
 
 
 def corner_instance_from_json(obj) -> CornerInstance:

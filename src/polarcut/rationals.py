@@ -7,8 +7,8 @@ Vectors are plain tuples of scalars.
 
 JSON-level scalars (ints and "p/q" texts) have one grammar, _SCALAR,
 read one scalar at a time by parse_rational and a row at a time by
-scaled_vector; scaled_columns reads a block at a time in the spelling
-the CLI writes, a subset of it.
+scaled_vector; scaled_columns reads a whole list of points at once in
+the spelling the CLI writes, a subset of it.
 
 A point has a second form, owned by this module: Scaled(ints, den), the
 int numerators of its coordinates over one positive common denominator.
@@ -21,16 +21,17 @@ Fraction built, texts split to ints, and a Scaled taken as it is, and
 unscaled() builds the rationals back for a value that is reported.
 
 Many points at once take a third form, int columns: scaled_columns()
-reads a block of rows into cols[j][k], the numerator of coordinate j of
-point k over that point's positive denominator dens[k], parsed whole at
-C level. It reads only a block in the CLI's own spelling (JSON ints and
-"p/q" texts): json's C encoder writes it out, a few passes over that
-text gate it, and one json.loads reads it as a flat list of ints, two
-per entry. Any other block gives None, and jsonio.points_from_json reads
-it row by row. Values come back the same way: Values(nums, dens), a
-column of rationals in lowest terms, value k being nums[k] / dens[k]
-with dens[k] > 0 (0 is 0/1), as sublinear.block_values returns them and
-the CLI prints them, with no Fraction in between.
+reads a block of rows (a document's whole "points" list) into cols[j][k],
+the numerator of coordinate j of point k over that point's positive
+denominator dens[k], parsed whole at C level. It reads only a block in
+the CLI's own spelling (JSON ints and "p/q" texts): repr writes it out as
+one text, a few passes over that text gate it, and one json.loads reads
+it as a flat list of ints, two per entry. Any other block gives None,
+and jsonio.points_from_json reads it row by row. Values come back the
+same way: Values(nums, dens), a column of rationals in lowest terms,
+value k being nums[k] / dens[k] with dens[k] > 0 (0 is 0/1), as
+sublinear.block_values returns them and the CLI prints them, with no
+Fraction in between.
 
 The evaluators (gauge, minimal sublinear function, support, membership)
 and the LP solver do not use Fraction arithmetic on their hot paths:
@@ -67,16 +68,17 @@ _INT = frozenset((int,))  # exact ints: a bool's type is not int
 _SCALAR = r"[+-]?[0-9]+(?:/[1-9][0-9]*)?"
 _RATIONAL_TEXT = re.compile(_SCALAR)
 
-# The gate of _typed_entries over _ENCODE's text of a block of entries:
-# only the characters of JSON ints and quoted "p/q" texts, so no escape,
-# blank, "+", dot, letter or bracket; a text with two slashes. Kept as
-# text: re compiles it on first use (and caches it), so only the commands
-# that read query points pay for the compile at start-up.
-_TYPED_TEXT = r'[0-9/,"-]*'
+# The gate of _typed_entries over repr's text of a block of entries.
+# _TYPED_BYTES: the bytes of ints, quoted "p/q" texts and ", " separators;
+# deleted, they must leave only the list's own brackets, so no escape,
+# double quote, "+", dot, letter, other bracket or non-ASCII character.
+# _TWO_SLASHES: a text with two slashes, kept as text: re compiles it on
+# first use (and caches it), so only the commands that read query points
+# pay for the compile.
+_TYPED_BYTES = b"0123456789/,' -"
 _TWO_SLASHES = r"/[0-9-]*/"
-
-# json's C encoder: no indent, with which json encodes in Python code.
-_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+# Quotes dropped and "/" made ",": a "p/q" text becomes the fields p,q.
+_UNQUOTE = str.maketrans("/", ",", "'")
 
 Vec = tuple  # tuple of Fraction, one entry per coordinate
 
@@ -213,35 +215,38 @@ def _not_exact(entries) -> ValueError:
 
 
 def _typed_entries(flat):
-    """(nums, dens), entry k being nums[k] / dens[k] with dens[k] > 0, for
-    entries in the spelling the CLI writes: JSON ints and "p/q" texts,
-    signed by "-" alone, with no leading zero and no blank. None for any
-    other block.
+    """The flat int list [n0, d0, n1, d1, ...], entry k being n_k / d_k
+    with d_k > 0, for entries in the spelling the CLI writes: JSON ints
+    and "p/q" texts, signed by "-" alone, with no leading zero and no
+    blank. None for any other block, or json.loads' ValueError where it
+    refuses a field.
 
-    _ENCODE writes the block as one text, its texts quoted. The gate: only
-    _TYPED_TEXT characters; as many commas as separators, so no text holds
-    one; one slash per quoted text; and no _TWO_SLASHES in one text. Then
-    each entry has ",1" appended, a quoted one drops it and its quotes,
-    and "/" becomes ",": p,1 or p,q, two fields per entry, so that no
-    count check is needed. One json.loads of the flat list reads those
-    ints, or refuses a field JSON does not spell ("007", "", "-"), and a
+    repr writes the block as one text, "[1, '-7/4']": a text quoted, a
+    non-printable character escaped, a printable non-ASCII one left as it
+    is (its bytes are not ASCII). The gate: _TYPED_BYTES, deleted in one
+    pass over the bytes, leave only the list's brackets; as many commas
+    and blanks as separators, so no text holds one; one slash per quoted
+    text; and no _TWO_SLASHES in one text. Then each entry has ",1"
+    appended, a quoted one drops it, and one translate drops the quotes
+    and makes "/" ",": p,1 or p,q, two fields per entry, so that no count
+    check is needed. One json.loads of the flat list reads those ints, or
+    refuses a field JSON does not spell ("007", "", "-"), and a
     denominator that is not positive refuses the block too. What is left
     is exactly the ints and the texts -?(0|[1-9][0-9]*)/[1-9][0-9]*. An
-    int past the digit limit raises _ENCODE's ValueError."""
-    text = _ENCODE(flat)[1:-1]
-    if re.fullmatch(_TYPED_TEXT, text) is None or text.count(",") != len(flat) - 1:
+    int past the digit limit raises repr's ValueError."""
+    if not set(map(type, flat)) <= {int, str}:
         return None
-    if 2 * text.count("/") != text.count('"') or re.search(_TWO_SLASHES, text) is not None:
+    text, seps = repr(flat), len(flat) - 1
+    if text.encode().translate(None, _TYPED_BYTES) != b"[]" or text.count(",") != seps:
         return None
-    text = (text.replace(",", ",1,") + ",1").replace('",1', "").replace('"', "").replace("/", ",")
-    try:
-        toks = json.loads("[" + text + "]")
-    except ValueError:
+    if text.count(" ") != seps or 2 * text.count("/") != text.count("'"):
         return None
-    dens = toks[1::2]
-    if min(dens) <= 0:
+    if re.search(_TWO_SLASHES, text) is not None:
         return None
-    return toks[0::2], dens
+    toks = json.loads(
+        text.replace(", ", ",1,").replace("]", ",1]").replace("',1", "").translate(_UNQUOTE)
+    )
+    return toks if min(toks[1::2]) > 0 else None
 
 
 def scaled_columns(rows, dim: int):
@@ -249,27 +254,24 @@ def scaled_columns(rows, dim: int):
     texts, as json.load makes them), as int columns (cols, dens):
     coordinate j of point k is cols[j][k] / dens[k], with dens[k] > 0 the
     lcm of point k's entry denominators. The entries are read by
-    _typed_entries, in a few passes over the whole block in C, and only in
-    the CLI's own spelling; None for any other block, which
+    _typed_entries, in a few passes over the whole list in C, and only in
+    the CLI's own spelling; None for any other list, which
     jsonio.points_from_json reads row by row."""
     if not all(map(isinstance, rows, repeat(list))) or not set(map(len, rows)) <= {dim}:
         return None
-    flat = list(chain.from_iterable(rows))
-    if not flat:  # no rows, or rows of width 0
+    if not rows or not dim:
         return tuple([] for _ in range(dim)), [1] * len(rows)
-    if not set(map(type, flat)) <= {int, str}:
-        return None
     try:
-        read = _typed_entries(flat)
-    except ValueError:  # an int too long for the interpreter's str/int limit
+        toks = _typed_entries(list(chain.from_iterable(rows)))
+    except ValueError:  # a field json refuses, or an int past the digit limit
         return None
-    if read is None:
+    if toks is None:
         return None
-    nums, entry_dens = read
-    den_cols = [entry_dens[j::dim] for j in range(dim)]
+    step = 2 * dim
+    den_cols = [toks[j::step] for j in range(1, step, 2)]
     dens = list(map(lcm, *den_cols))
     cols = tuple(
-        list(map(mul, nums[j::dim], map(floordiv, dens, den_cols[j])))
+        list(map(mul, toks[2 * j :: step], map(floordiv, dens, den_cols[j])))
         for j in range(dim)
     )
     return cols, dens

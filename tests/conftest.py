@@ -1567,12 +1567,10 @@ def reference_body_from_json(obj, f):
 
 def reference_points_from_json(obj, dim: int):
     """Reference for jsonio.points_from_json: every point read entry by
-    entry by vector_from_json, then yielded in blocks of POINT_BLOCK
-    points as int columns, each point over its least denominator."""
+    entry by vector_from_json, then laid out as one block of int columns,
+    each point over its least denominator."""
     points = list(map(scaled, _reference_table(*jsonio._field(obj, "points"), dim)))
-    for start in range(0, len(points), jsonio.POINT_BLOCK):
-        block = points[start : start + jsonio.POINT_BLOCK]
-        yield tuple([x.ints[j] for x in block] for j in range(dim)), [x.den for x in block]
+    return tuple([x.ints[j] for x in points] for j in range(dim)), [x.den for x in points]
 
 
 def reference_corner_instance_from_json(obj):

@@ -955,8 +955,8 @@ def test_refusals_match_the_entry_by_entry_readers(tmp_path, monkeypatch):
 def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
     # gauge and rho on 1,000 canonically spelled points parse none of them
     # with parse_rational, jsonio._row or jsonio.vector_from_json (which
-    # read a block scaled_columns refuses), read them in blocks of at most
-    # 256 rows, and build no Fraction beyond what the set itself needs
+    # read a list scaled_columns refuses), read them as one block of 1,000
+    # rows, and build no Fraction beyond what the set itself needs
     # (measured on the same set with no points): the values go from int
     # columns to text.
     counts = {"parse": 0, "fraction": 0, "vector": 0, "rationals.vector": 0}
@@ -1013,25 +1013,36 @@ def test_query_points_build_no_fractions(tmp_path, capsys, monkeypatch):
         empty, full = seen
         assert full["parse"] == empty["parse"] == 0  # the set's rows too
         assert full["vector"] == 0
-        assert blocks == [256, 256, 256, 232]
+        assert blocks == [1000]
         assert full["fraction"] == empty["fraction"]
         assert point_rows == []
-    # a tolerant spelling sends its block, and only that block, to _row,
-    # row by row: rows 768-999, each read once, with no vector_from_json;
-    # a bad entry is named by vector_from_json on its row alone (the rows
-    # of its block before it are read to ints), and the bad block is read
-    # once: rationals.vector is never called
+    # a tolerant spelling sends the whole list to _row, row by row: rows
+    # 0-999, each read once, with no vector_from_json; a bad entry is named
+    # by vector_from_json on its row alone (the rows before it are read to
+    # ints), and the list is read once: rationals.vector is never called
     loose = query_doc(1000)
     loose["points"][998][0] = " 1/2"
     loose["points"][998][1] = "\u22127"
     counts.update(vector=0)
     code, _, _ = run(capsys, "rho", write(tmp_path, "loose.json", loose))
     assert code == 0 and counts["vector"] == 0
-    assert point_rows == list(range(768, 1000))
+    assert point_rows == list(range(1000))
     point_rows.clear()
     loose["points"][999][0] = "1.5"
     code, _, _ = run(capsys, "rho", write(tmp_path, "bad.json", loose))
     assert code == 2 and counts["vector"] == 1  # row 999
-    assert point_rows == list(range(768, 1000))
+    assert point_rows == list(range(1000))
     assert counts["parse"] > 0  # the diagnosis parses what it names
     assert counts["rationals.vector"] == 0
+
+
+def test_lone_surrogate_point_is_an_input_error(tmp_path, capsys):
+    # A points document holding a lone surrogate (json.dumps writes it
+    # escaped) exits 2 with one input error line naming the entry, and no
+    # traceback.
+    doc = dict(QUADRANT_K, points=[[1, "1/2"], ["\ud800", 3]])
+    path = write(tmp_path, "surrogate.json", doc)
+    for command in ("gauge", "rho"):
+        code, out, err = run(capsys, command, path)
+        assert code == 2 and out == ""
+        assert err == "input error: field 'points[1][0]': not a rational: '\\ud800'\n"

@@ -196,11 +196,11 @@ def query_points(count: int, dim: int, seed: int) -> list:
     return out
 
 
-# 600 points read in blocks of 256: the last block is partial. The set has
-# zero coefficients and is unbounded, so rho is negative at some points
-# (19) where gauge is 0. LOOSE spells two entries of the second block the
-# tolerant way (blanks, unicode minus); BAD has a float text at
-# points[300][1], which is named by its absolute path.
+# 600 points, read as one block. The set has zero coefficients and is
+# unbounded, so rho is negative at some points (19) where gauge is 0.
+# LOOSE spells two entries in the middle of the list the tolerant way
+# (blanks, unicode minus), so the whole list is read row by row; BAD has a
+# float text at points[300][1], which is named by its path.
 QUERY_600 = {
     "dim": 3,
     "rows": [[1, 0, 2], [0, -1, 1], [-1, -1, 0], [2, 1, 0]],

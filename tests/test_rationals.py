@@ -178,7 +178,7 @@ def test_scaled_parse_matches_parse_rational(row):
     for k in range(5):
         spelled = [f[k % len(f)] for f in forms]
         assert scaled(vector(spelled)) == expected
-        (block,) = points_from_json({"points": [spelled]}, len(row))
+        block = points_from_json({"points": [spelled]}, len(row))
         assert block_points(block) == [tuple(row)]
 
 
@@ -301,7 +301,7 @@ def points_read(read, rows, dim):
     reference) yields for the document {"points": rows}, or the text of
     the SchemaError it raises."""
     try:
-        return [x for block in read({"points": rows}, dim) for x in block_points(block)]
+        return block_points(read({"points": rows}, dim))
     except SchemaError as exc:
         return str(exc)
 
@@ -367,29 +367,27 @@ def test_scaled_columns_special_scalars(special):
             assert block_rows(rows, 2) is None
             assert reference_rows(rows) == message
             with pytest.raises(SchemaError) as raised:
-                list(points_from_json({"points": rows}, 2))
+                points_from_json({"points": rows}, 2)
             assert str(raised.value) == f"field 'points[{k}][{j}]': {message}"
     assert block_rows([[special]], 1) is None
 
 
 # Spellings in the grammar that the typed gate refuses: a "+" sign or
 # leading zeros on the numerator, and a unicode minus. Each is mapped to
-# the gate's calls it passes before it is refused: a "+" or a unicode
-# minus fails the character test, a slash-less text the slash count after
-# it, and a zero-led numerator over a denominator the decode.
-TYPED_GATE = [
-    ("fullmatch", rationals_module._TYPED_TEXT),
-    ("search", rationals_module._TWO_SLASHES),
-]
+# the gate's re calls it passes before it is refused: a "+" or a unicode
+# minus fails the byte deletion and a slash-less text the slash count,
+# both before the _TWO_SLASHES search, and a zero-led numerator over a
+# denominator the decode, after it.
+TYPED_GATE = [("search", rationals_module._TWO_SLASHES)]
 PADDED_FORMS = {
-    "+3": TYPED_GATE[:1],
-    "007": TYPED_GATE[:1],
-    "-007": TYPED_GATE[:1],
-    "+0": TYPED_GATE[:1],
+    "+3": [],
+    "007": [],
+    "-007": [],
+    "+0": [],
     "00/3": TYPED_GATE,
     "-00/5": TYPED_GATE,
-    "+007/5": TYPED_GATE[:1],
-    "\u2212007/2": TYPED_GATE[:1],
+    "+007/5": [],
+    "\u2212007/2": [],
 }
 
 
@@ -415,17 +413,17 @@ class RecordingRe:
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_scaled_columns_typed_gate_calls(dim, monkeypatch):
-    # A canonical 256-row block runs the gate's _TYPED_TEXT fullmatch and
-    # _TWO_SLASHES search alone, and no re.sub, and reads to the per-row
-    # parse's points. Blocks of slash-less int texts, and the canonical
-    # block with one padded entry at the first, a middle or the last
-    # entry, then with every entry padded, are refused by the gate after
-    # the calls they pass, and points_from_json reads each row by row to
-    # the per-row parse's points.
+    # A canonical 256-row block runs the gate's _TWO_SLASHES search alone,
+    # and no re.fullmatch or re.sub, and reads to the per-row parse's
+    # points. Blocks of slash-less int texts, and the canonical block with
+    # one padded entry at the first, a middle or the last entry, then with
+    # every entry padded, are refused by the gate after the calls they
+    # pass, and points_from_json reads each row by row to the per-row
+    # parse's points.
     rng = random.Random(dim)
     rows = [
         [canonical_form(Fraction(rng.randint(-99, 99), rng.randint(1, 9))) for _ in range(dim)]
-        for _ in range(jsonio.POINT_BLOCK)
+        for _ in range(256)
     ]
     recorder = RecordingRe()
     monkeypatch.setattr(rationals_module, "re", recorder)
@@ -434,7 +432,7 @@ def test_scaled_columns_typed_gate_calls(dim, monkeypatch):
     texts = [[str(v) for v in row] for row in rows]
     for k in range(0, len(texts), 3):
         texts[k] = [str(rng.randint(-99, 99)) for _ in range(dim)]
-    blocks = [(texts, TYPED_GATE[:1]), ([["5"] * dim for _ in rows], TYPED_GATE[:1])]
+    blocks = [(texts, []), ([["5"] * dim for _ in rows], [])]
     last = len(rows) * dim - 1
     for form, typed_calls in PADDED_FORMS.items():
         for at in (0, last // 2, last):
@@ -452,7 +450,7 @@ def test_scaled_columns_typed_gate_calls(dim, monkeypatch):
 
 
 # Blocks the typed route refuses, at least one for each condition of its
-# gate: a blank, a unicode minus (escaped by the encoder), a comma inside
+# gate: a blank, a unicode minus (bytes that are not ASCII), a comma inside
 # a text, an empty text, two slashes in a text, a slash-less text, a zero
 # or signed denominator and a zero-led numerator. points_from_json then
 # reads or refuses them row by row as the per-row parse does.
@@ -487,7 +485,7 @@ def test_typed_route_reads_json_spelling():
     # JSON's "-0" numerator is 0 over the text's denominator; a slash-less
     # text is refused, and read row by row as an int over 1.
     block = ["-0/1", "-0/5", -3, "-7/4"]
-    assert rationals_module._typed_entries(block) == ([0, 0, -3, -7], [1, 5, 1, 4])
+    assert rationals_module._typed_entries(block) == [0, 1, 0, 5, -3, 1, -7, 4]
     assert block_rows([block], 4) == reference_rows([block])
     for block in (["5"], ["-0"], ["-0/5", "5"]):
         assert rationals_module._typed_entries(block) is None
@@ -518,9 +516,7 @@ def test_scaled_columns_match_per_row_parse_on_drawn_blocks():
             rows[rng.randrange(len(rows))][rng.randrange(dim)] = rng.choice(odd)
         block = check_points(rows, dim)
         assert odd_entries or block is not None, rows
-        flat = [e for row in rows for e in row]
-        if {type(e) for e in flat} <= {int, str}:
-            typed += rationals_module._typed_entries(flat) is not None
+        typed += block is not None
     assert typed >= 5_000, typed
 
 
@@ -637,6 +633,68 @@ def test_scaled_columns_shape():
         assert scaled_columns([[big]], 1) is None
         x = jsonio._row([big, 1], "points", 2, 0)
         assert x == Scaled((big, 1), 1)
-        assert list(points_from_json({"points": [[big, 1]]}, 2)) == [([[x.ints[0]], [1]], [1])]
+        assert points_from_json({"points": [[big, 1]]}, 2) == ([[x.ints[0]], [1]], [1])
     for rows in ([[1, 2, 3]], [[1]], ["12"], [(1, 2)], [None]):
         assert scaled_columns(rows, 2) is None
+
+
+def read_block(read, rows, dim):
+    """(cols as a list, dens) of read({"points": rows}, dim), or the text
+    of the SchemaError it raises."""
+    try:
+        cols, dens = read({"points": rows}, dim)
+    except SchemaError as exc:
+        return str(exc)
+    return list(cols), dens
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_points_from_json_matches_reference_on_whole_lists(dim):
+    # Canonical lists of 0 to 20,000 rows, each also with one loose entry
+    # (blanks, a unicode minus) or one bad entry ("1.5") at the first, a
+    # middle or the last row: points_from_json reads the whole list as one
+    # block, laid out as the entry-by-entry reference lays it out, or
+    # raises the reference's SchemaError, naming the same first bad field.
+    # The reference reads each row alone, so a list with a loose row k is
+    # expected to read as the canonical list with point k read alone.
+    rng = random.Random(4000 + dim)
+    for count in (0, 1, 255, 256, 257, 2_000, 20_000):
+        rows = [
+            [canonical_form(Fraction(rng.randint(-99, 99), rng.randint(1, 9))) for _ in range(dim)]
+            for _ in range(count)
+        ]
+        cols, dens = read_block(reference_points_from_json, rows, dim)
+        assert read_block(points_from_json, rows, dim) == (cols, dens)
+        assert len(dens) == count
+        for entry in (" 1/2", "\u22127", "1.5"):
+            for k in sorted({0, count // 2, count - 1}) if count else ():
+                j = rng.randrange(dim)
+                spelled = list(rows)
+                spelled[k] = list(rows[k])
+                spelled[k][j] = entry
+                if entry == "1.5":
+                    expected = read_block(reference_points_from_json, spelled, dim)
+                    assert expected == f"field 'points[{k}][{j}]': not a rational: '1.5'"
+                else:
+                    one_cols, one_den = read_block(reference_points_from_json, [spelled[k]], dim)
+                    expected = (
+                        [c[:k] + one + c[k + 1 :] for c, one in zip(cols, one_cols)],
+                        dens[:k] + one_den + dens[k + 1 :],
+                    )
+                assert read_block(points_from_json, spelled, dim) == expected
+
+
+# Every ASCII character, a unicode minus, a fullwidth digit and a lone
+# surrogate, alone and placed before, inside and after a "p/q" text.
+GATE_CHARS = [chr(i) for i in range(128)] + ["\u2212", "\uff11", "\ud800"]
+
+
+@pytest.mark.parametrize("char", GATE_CHARS, ids=ascii)
+def test_typed_gate_reads_every_character_as_the_reference(char):
+    # Each entry, among canonical rows, is read by points_from_json exactly
+    # as the per-row parse reads it (or refused with the reference's
+    # SchemaError), and scaled_columns reads its block to those points or
+    # refuses it.
+    for entry in (char, f"{char}3/4", f"3{char}/4", f"3/{char}4", f"3/4{char}"):
+        check_points([[1, "-2/3"], [entry, 5], ["7/2", -4]], 2)
+        check_points([[entry]], 1)

@@ -4,7 +4,7 @@ pyproject.toml supports Python 3.10, whose re has neither possessive
 quantifiers ("a++") nor atomic groups ("(?>a)"): there they raise
 re.error, which is not a ValueError, so no input error would catch it.
 This collects each pattern the library hands to a re function (a text,
-or a module-level name such as rationals._TYPED_TEXT, read
+or a module-level name such as rationals._TWO_SLASHES, read
 from the imported module), parses it, and lists those two opcodes
 wherever they occur in the parse tree.
 """
@@ -70,7 +70,6 @@ def test_library_regexes_parse_without_newer_opcodes():
     patterns = library_patterns()
     assert {where for where in patterns if where.startswith("rationals: ")} == {
         "rationals: _SCALAR",
-        "rationals: _TYPED_TEXT",
         "rationals: _TWO_SLASHES",
     }
     for where, pattern in patterns.items():

@@ -567,9 +567,9 @@ def spelled_points(rng, dim, count):
 
 
 def test_block_values_match_per_point_evaluators():
-    # block_values on the blocks jsonio reads equals gauge and
+    # block_values on the block jsonio reads equals gauge and
     # minimal_sublinear point by point, on seeded 1-5-D sets with zero
-    # coefficients (and single rows), for point counts about the block size;
+    # coefficients (and single rows), for point counts from 0 to 513;
     # each value is an int pair in lowest terms over a positive denominator.
     rng = random.Random(256)
     counts = (0, 1, 255, 256, 257, 513)
@@ -581,15 +581,12 @@ def test_block_values_match_per_point_evaluators():
             seen_single += len(h.rows) == 1
             doc = {"points": spelled_points(rng, dim, count)}
             points = [tuple(map(Fraction, row)) for row in doc["points"]]
-            blocks = list(jsonio.points_from_json(doc, dim))
-            assert [len(dens) for _, dens in blocks] == [
-                min(jsonio.POINT_BLOCK, count - start)
-                for start in range(0, count, jsonio.POINT_BLOCK)
-            ]
+            block = jsonio.points_from_json(doc, dim)
+            assert len(block[1]) == count
             for clamp, evaluate in ((True, gauge), (False, minimal_sublinear)):
-                columns = [block_values(h, block, clamp) for block in blocks]
-                assert all(type(c) is Values for c in columns)
-                pairs = [pair for c in columns for pair in zip(*c)]
+                column = block_values(h, block, clamp)
+                assert type(column) is Values
+                pairs = list(zip(*column))
                 assert all(type(n) is type(d) is int for n, d in pairs)
                 assert all(gcd(n, d) == 1 and d > 0 for n, d in pairs)
                 got = [Fraction(n, d) for n, d in pairs]
